@@ -265,16 +265,11 @@ def rademacher_mc_estimate(hypothesis_class, sample: np.ndarray, trials: int,
 # ---------------------------------------------------------------------------
 
 def _mix_points(testbed: EnumerableTestbed, originals: np.ndarray, b_mix: int,
-                rng: np.random.Generator,
-                mixup_config: Optional[MixupConfig] = None) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     """b_mix interpolated points: parents cycle the originals, partners are
     fresh independent draws (the independent-pairing construction)."""
-    cfg = mixup_config or MixupConfig(pairing_mode="independent_extra")
-    if cfg.pairing_mode != "independent_extra":
-        cfg = MixupConfig(beta_alpha=cfg.beta_alpha, mixup_ratio=1,
-                          pairing_mode="independent_extra", seed=cfg.seed)
     pool = testbed.sample(b_mix, rng)
-    specs = make_pairs(b_mix, cfg, rng, extra_pool_size=b_mix)[:b_mix]
+    specs = make_pairs(b_mix, MixupConfig(), rng, extra_pool_size=b_mix)
     parents = originals[np.arange(b_mix) % len(originals)]
     lam = np.array([s.lam for s in specs])[:, None]
     partners = pool[np.array([s.index_j for s in specs])]
@@ -283,13 +278,12 @@ def _mix_points(testbed: EnumerableTestbed, originals: np.ndarray, b_mix: int,
 
 def estimate_shift_delta(testbed: EnumerableTestbed,
                          g_class: ThresholdScorerClass, g_index: int,
-                         n_mc: int, rng: np.random.Generator,
-                         mixup_config: Optional[MixupConfig] = None) -> float:
+                         n_mc: int, rng: np.random.Generator) -> float:
     """Delta = E_p[l(f, g)] - E_q[l(f, g)]: exact under p, Monte Carlo under
     the mixup distribution q."""
     under_p = float(population_risks(testbed, g_class)[g_index])
     originals = testbed.sample(n_mc, rng)
-    mixed = _mix_points(testbed, originals, n_mc, rng, mixup_config)
+    mixed = _mix_points(testbed, originals, n_mc, rng)
     under_q = float(g_class.loss_matrix(mixed)[g_index].mean())
     return under_p - under_q
 
@@ -298,8 +292,7 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
                              g_class: ThresholdScorerClass,
                              a: int, b_mix: int, trials: int, delta: float,
                              rng: np.random.Generator,
-                             M: float = 1.0,
-                             mixup_config: Optional[MixupConfig] = None) -> BoundReport:
+                             M: float = 1.0) -> BoundReport:
     """Repeatedly draw data, fit the ERM, and compare the exact generalization
     gap against the finite-class bound at n = a + b_mix.
 
@@ -319,7 +312,7 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
     for t in range(trials):
         originals = testbed.sample(a, rng)
         if b_mix > 0:
-            mixed = _mix_points(testbed, originals, b_mix, rng, mixup_config)
+            mixed = _mix_points(testbed, originals, b_mix, rng)
             pooled = np.vstack([originals, mixed])
         else:
             pooled = originals

@@ -11,13 +11,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import ConfigError, load_config
+from .config import ConfigError, config_from_pairs, load_config, parse_kv_file
 from .data import (DataError, Schema, Vocab, build_vocab, load_tsv,
                    merge_augmented, subsample)
 from .distill import (TaskData, TrainingDiverged, distill_student, run_seeds,
                       train_teacher)
-from .evaluation import (SweepGrid, compute_metrics, evaluate,
-                         export_cls_features, sweep_grid, throughput_bench)
+from .evaluation import (SweepGrid, evaluate, export_cls_features, sweep_grid,
+                         throughput_bench)
 from .mixup import MixupConfig, make_pairs
 from .model import (CheckpointError, ModelConfig, load_checkpoint,
                     save_checkpoint)
@@ -31,6 +31,8 @@ EXIT_CODES = {
 }
 
 VARIANT_MAP = {"ft": "ft", "tmkd": "tmkd", "sm-tmkd": "sm_tmkd"}
+GRID_KEYS = {"alpha_sm_values": float, "alpha_tmkd_values": float,
+             "mixup_ratio_values": int}
 
 
 def _vocab_extra(vocab: Vocab, label_names, max_len: int) -> dict:
@@ -44,6 +46,42 @@ def _task_from_extra(extra: dict) -> tuple[Vocab, list, int]:
         return vocab, list(extra["labels"]), int(extra["max_len"])
     except KeyError as exc:
         raise CheckpointError(f"checkpoint lacks dataset metadata: {exc}") from exc
+
+
+def _parse_list(raw: str, convert, name: str) -> list:
+    """A comma-separated list of ``convert`` values; ``name`` is the flag or
+    key it came from."""
+    try:
+        return [convert(v) for v in raw.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{name}: bad comma-separated list {raw!r}") from exc
+
+
+def _check_at_least(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {value}")
+
+
+def _student_task(args, config, model_kwargs: dict, source):
+    """Teacher checkpoint, student ModelConfig and TaskData for the
+    distillation commands; ``source`` names the config file."""
+    if "num_layers" not in model_kwargs:
+        raise ConfigError(f"{source}: must set model.num_layers")
+    teacher, teacher_config, extra = load_checkpoint(args.teacher)
+    vocab, labels, max_len = _task_from_extra(extra)
+    schema = Schema.parse(args.schema)
+    train, _ = load_tsv(args.data, schema, label_names=labels)
+    # only distill has --fraction / --augmented
+    if getattr(args, "fraction", None) is not None:
+        train = subsample(train, args.fraction, seed=config.seed)
+    if getattr(args, "augmented", None):
+        train = merge_augmented(train, args.augmented, schema, labels)
+    dev = train
+    if args.dev:
+        dev, _ = load_tsv(args.dev, schema, label_names=labels)
+    dataset = TaskData(train=train, dev=dev, vocab=vocab, label_names=labels,
+                       max_len=max_len)
+    return teacher, replace(teacher_config, **model_kwargs), dataset
 
 
 def _print_metrics(metrics) -> None:
@@ -84,27 +122,14 @@ def cmd_train_teacher(args) -> int:
 
 def cmd_distill(args) -> int:
     config, model_kwargs, _ = load_config(args.config)
-    teacher, teacher_config, extra = load_checkpoint(args.teacher)
-    vocab, labels, max_len = _task_from_extra(extra)
-    schema = Schema.parse(args.schema)
-    train, _ = load_tsv(args.data, schema, label_names=labels)
-    if args.fraction is not None:
-        train = subsample(train, args.fraction, seed=config.seed)
-    if args.augmented:
-        train = merge_augmented(train, args.augmented, schema, labels)
-    dev = train
-    if args.dev:
-        dev, _ = load_tsv(args.dev, schema, label_names=labels)
-    if "num_layers" not in model_kwargs:
-        raise ConfigError("distill config must set model.num_layers")
-    student_config = replace(teacher_config, **model_kwargs)
-    dataset = TaskData(train=train, dev=dev, vocab=vocab, label_names=labels,
-                       max_len=max_len)
+    teacher, student_config, dataset = _student_task(args, config,
+                                                     model_kwargs, args.config)
     variant = VARIANT_MAP[args.variant]
     student, record = distill_student(config, student_config, dataset,
                                       teacher, variant=variant)
     save_checkpoint(student, student_config, args.out,
-                    extra=_vocab_extra(vocab, labels, max_len))
+                    extra=_vocab_extra(dataset.vocab, dataset.label_names,
+                                       dataset.max_len))
     record.to_jsonl(str(args.out) + ".runlog.jsonl")
     print(json.dumps({"variant": args.variant,
                       "dev_accuracy": record.final_metrics["dev_accuracy"],
@@ -129,6 +154,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
+    _check_at_least(args.mixup_ratio, 0, "--mixup-ratio")
     params, config, extra = load_checkpoint(args.model)
     vocab, labels, max_len = _task_from_extra(extra)
     schema = Schema.parse(args.schema)
@@ -160,6 +186,7 @@ def cmd_export_embeddings(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_at_least(args.measured_batches, 1, "--measured-batches")
     params, config, _ = load_checkpoint(args.model)
     report = throughput_bench(params, config.vocab_size, config.max_seq_len,
                               batch_size=args.batch_size,
@@ -170,37 +197,18 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid_keys = ("alpha_sm_values", "alpha_tmkd_values", "mixup_ratio_values")
-    config, model_kwargs, _ = load_config(args.grid, ignore=set(grid_keys))
-    grid_pairs = {}
-    # the grid file reuses the config format plus three *_values lists
-    with open(args.grid, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith(("alpha_sm_values", "alpha_tmkd_values",
-                                "mixup_ratio_values")):
-                key, value = line.split("=", 1)
-                grid_pairs[key.strip()] = value.strip()
-    for key in grid_keys:
-        if key not in grid_pairs:
+    # the grid file is a config file plus three comma-separated *_values lists
+    pairs = parse_kv_file(args.grid)
+    values = {}
+    for key, convert in GRID_KEYS.items():
+        if key not in pairs:
             raise ConfigError(f"{args.grid}: missing {key}")
-    grid = SweepGrid(
-        alpha_sm_values=[float(v) for v in grid_pairs["alpha_sm_values"].split(",")],
-        alpha_tmkd_values=[float(v) for v in grid_pairs["alpha_tmkd_values"].split(",")],
-        mixup_ratio_values=[int(v) for v in grid_pairs["mixup_ratio_values"].split(",")],
-        base=config)
-    teacher, teacher_config, extra = load_checkpoint(args.teacher)
-    vocab, labels, max_len = _task_from_extra(extra)
-    schema = Schema.parse(args.schema)
-    train, _ = load_tsv(args.data, schema, label_names=labels)
-    dev = train
-    if args.dev:
-        dev, _ = load_tsv(args.dev, schema, label_names=labels)
-    if "num_layers" not in model_kwargs:
-        raise ConfigError("sweep grid must set model.num_layers")
-    student_config = replace(teacher_config, **model_kwargs)
-    dataset = TaskData(train=train, dev=dev, vocab=vocab, label_names=labels,
-                       max_len=max_len)
+        values[key] = _parse_list(pairs.pop(key), convert,
+                                  f"{args.grid}: {key}")
+    config, model_kwargs, _ = config_from_pairs(pairs, args.grid)
+    grid = SweepGrid(base=config, **values)
+    teacher, student_config, dataset = _student_task(args, config,
+                                                     model_kwargs, args.grid)
     results = sweep_grid(grid, student_config, dataset, teacher,
                          out_dir=args.out)
     print(json.dumps({"cells": len(results), "out": str(args.out)}))
@@ -243,20 +251,12 @@ def cmd_bound(args) -> int:
 
 
 def cmd_seeds(args) -> int:
+    seeds = _parse_list(args.seeds, int, "--seeds")
+    if len(seeds) < 2:
+        raise ConfigError(f"--seeds needs at least 2 seeds, got {args.seeds!r}")
     config, model_kwargs, _ = load_config(args.config)
-    teacher, teacher_config, extra = load_checkpoint(args.teacher)
-    vocab, labels, max_len = _task_from_extra(extra)
-    schema = Schema.parse(args.schema)
-    train, _ = load_tsv(args.data, schema, label_names=labels)
-    dev = train
-    if args.dev:
-        dev, _ = load_tsv(args.dev, schema, label_names=labels)
-    if "num_layers" not in model_kwargs:
-        raise ConfigError("seeds config must set model.num_layers")
-    student_config = replace(teacher_config, **model_kwargs)
-    dataset = TaskData(train=train, dev=dev, vocab=vocab, label_names=labels,
-                       max_len=max_len)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    teacher, student_config, dataset = _student_task(args, config,
+                                                     model_kwargs, args.config)
     summary = run_seeds(config, student_config, dataset, teacher,
                         VARIANT_MAP[args.variant], seeds)
     payload = {k: v for k, v in summary.items() if k != "records"}
@@ -363,8 +363,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return EXIT_CODES[type(exc).__base__ if type(exc) not in EXIT_CODES
-                          else type(exc)]
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__
+                    if cls in EXIT_CODES)
     except Exception as exc:  # unexpected failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,8 +8,6 @@ errors.  Lines starting with '#' and blank lines are ignored.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .distill import LossWeights, TrainConfig
 from .mixup import MixupConfig
 
@@ -28,12 +26,10 @@ _TRAIN_KEYS = {
     "adam_eps": float,
     "seed": int,
     "eval_every": int,
-    "shared_teacher_embeddings": lambda v: v.lower() in ("1", "true", "yes"),
 }
 _MIXUP_KEYS = {
     "beta_alpha": float,
     "mixup_ratio": int,
-    "pairing_mode": str,
     "seed": int,
 }
 _LOSS_KEYS = {
@@ -72,13 +68,14 @@ def parse_kv_file(path) -> dict[str, str]:
     return pairs
 
 
-def load_config(path, ignore=frozenset()) -> tuple[TrainConfig, dict, dict]:
-    """Returns (train_config, model_overrides, vocab_options).
+def load_config(path) -> tuple[TrainConfig, dict, dict]:
+    """Returns (train_config, model_overrides, vocab_options)."""
+    return config_from_pairs(parse_kv_file(path), path)
 
-    Keys listed in ``ignore`` are skipped; callers that embed extra
-    sections in the same file (e.g. sweep grids) handle those themselves.
-    """
-    pairs = {k: v for k, v in parse_kv_file(path).items() if k not in ignore}
+
+def config_from_pairs(pairs: dict[str, str],
+                      path) -> tuple[TrainConfig, dict, dict]:
+    """Like :func:`load_config` for pairs already read from ``path``."""
     train_kwargs: dict = {}
     mixup_kwargs: dict = {}
     loss_kwargs: dict = {}
@@ -106,7 +103,3 @@ def load_config(path, ignore=frozenset()) -> tuple[TrainConfig, dict, dict]:
     except Exception as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config, model_kwargs, vocab_kwargs
-
-
-def with_seed(config: TrainConfig, seed: int) -> TrainConfig:
-    return replace(config, seed=seed)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation
 from .autodiff import NonFiniteError, Tensor
-from .data import Batch, Example, Vocab, collate, make_batch
+from .data import Batch, Example, Vocab, collate
 from .mixup import MixupConfig, make_pairs, materialize
 from .model import (ModelConfig, ModelParams, embed_batch,
                     forward_from_embeddings, forward_tokens, init_random,
@@ -63,7 +63,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     eval_every: int = 0  # 0 = evaluate at epoch ends only
-    shared_teacher_embeddings: bool = False
     mixup: MixupConfig = field(default_factory=MixupConfig)
     loss: LossWeights = field(default_factory=LossWeights)
 
@@ -161,8 +160,7 @@ def loss_tmkd(teacher_out: Tensor, student_out: Tensor,
 def total_loss(batch: Batch, specs, teacher: Optional[ModelParams],
                student: ModelParams, weights: LossWeights,
                variant: str = "sm_tmkd", train_mode: bool = False,
-               rng: Optional[np.random.Generator] = None,
-               shared_teacher_embeddings: bool = False):
+               rng: Optional[np.random.Generator] = None):
     """L_MLE plus the variant's gated mixup terms; returns (loss, components).
 
     ``specs`` is the list of mixup recipes for this batch (may be empty).
@@ -180,15 +178,7 @@ def total_loss(batch: Batch, specs, teacher: Optional[ModelParams],
         student_emb = embed_batch(student, batch.token_ids, batch.pad_mask)
         mixed_emb, mixed_mask, mixed_labels = materialize(
             specs, student_emb, batch.pad_mask, batch.labels_onehot)
-        if shared_teacher_embeddings and teacher is not None:
-            teacher_emb = embed_batch(teacher, batch.token_ids, batch.pad_mask)
-            query_emb, _, _ = materialize(
-                specs, teacher_emb, batch.pad_mask, batch.labels_onehot)
-            student_in = query_emb.detach()
-        else:
-            query_emb = None
-            student_in = mixed_emb
-        s_mixed = forward_from_embeddings(student, student_in, mixed_mask,
+        s_mixed = forward_from_embeddings(student, mixed_emb, mixed_mask,
                                           train_mode=train_mode, rng=rng)
 
         if variant == "sm_tmkd":
@@ -198,10 +188,9 @@ def total_loss(batch: Batch, specs, teacher: Optional[ModelParams],
 
         if teacher is None:
             raise ValueError(f"variant {variant} requires a teacher")
-        if query_emb is None:
-            teacher_emb = embed_batch(teacher, batch.token_ids, batch.pad_mask)
-            query_emb, _, _ = materialize(
-                specs, teacher_emb, batch.pad_mask, batch.labels_onehot)
+        teacher_emb = embed_batch(teacher, batch.token_ids, batch.pad_mask)
+        query_emb, _, _ = materialize(
+            specs, teacher_emb, batch.pad_mask, batch.labels_onehot)
         t_mixed = forward_from_embeddings(teacher, query_emb, mixed_mask)
         l_tmkd = loss_tmkd(t_mixed, s_mixed, weights)
         total = ad.add(total, ad.scale(l_tmkd, weights.alpha_tmkd))
@@ -301,14 +290,12 @@ def _train_loop(params: ModelParams, config: TrainConfig, dataset: TaskData,
             if ratio > 0:
                 mix_rng = _stream_seed(config.seed, 2, config.mixup.seed,
                                        epoch, batch_idx)
-                specs = make_pairs(len(batch), config.mixup, mix_rng,
-                                   extra_pool_size=len(batch))
+                specs = make_pairs(len(batch), config.mixup, mix_rng)
             drop_rng = _stream_seed(config.seed, 3, epoch, batch_idx)
             try:
                 loss, comp = total_loss(
                     batch, specs, teacher, params, config.loss,
-                    variant=variant, train_mode=True, rng=drop_rng,
-                    shared_teacher_embeddings=config.shared_teacher_embeddings)
+                    variant=variant, train_mode=True, rng=drop_rng)
                 ad.backward(loss)
             except NonFiniteError as exc:
                 raise TrainingDiverged(
@@ -369,7 +356,7 @@ def run_seeds(config: TrainConfig, student_config: ModelConfig,
         raise ValueError("run_seeds needs at least 2 seeds")
     records = []
     for seed in seeds:
-        cfg = TrainConfig(**{**asdict_shallow(config), "seed": int(seed)})
+        cfg = replace(config, seed=int(seed))
         try:
             _, record = distill_student(cfg, student_config, dataset, teacher,
                                         variant=variant)
@@ -386,13 +373,6 @@ def run_seeds(config: TrainConfig, student_config: ModelConfig,
         "formatted": format_mean_std(float(accs.mean()), float(accs.std())),
         "records": records,
     }
-
-
-def asdict_shallow(config: TrainConfig) -> dict:
-    d = asdict(config)
-    d["mixup"] = config.mixup
-    d["loss"] = config.loss
-    return d
 
 
 def format_mean_std(mean: float, std: float, scale: float = 100.0) -> str:

@@ -11,7 +11,7 @@ sample is the union of the two source masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class MixupSpec:
 class MixupConfig:
     beta_alpha: float = 0.4
     mixup_ratio: int = 1
-    pairing_mode: str = "in_batch_shuffle"
     seed: int = 0
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class MixupConfig:
             raise MixupError("beta_alpha must be positive")
         if self.mixup_ratio < 0 or int(self.mixup_ratio) != self.mixup_ratio:
             raise MixupError("mixup_ratio must be a nonnegative integer")
-        if self.pairing_mode not in ("in_batch_shuffle", "independent_extra"):
-            raise MixupError(f"unknown pairing_mode {self.pairing_mode!r}")
 
 
 def sample_lambda(config: MixupConfig, rng: np.random.Generator) -> float:
@@ -64,25 +61,20 @@ def make_pairs(batch_size: int, config: MixupConfig, rng: np.random.Generator,
     """mixup_ratio * batch_size specs; each in-batch index i is covered
     exactly mixup_ratio times.
 
-    in_batch_shuffle pairs i with a seeded permutation sigma(i); the
-    independent_extra mode draws partners from a disjoint pool (without
-    replacement while the pool lasts) so that pairs are mutually
-    independent across i.
+    Without a pool, i is paired with a seeded permutation sigma(i) of the
+    batch.  With ``extra_pool_size`` rows of fresh draws (the independent
+    pairing construction), partners are distinct pool rows, so pairs are
+    mutually independent across i.
     """
     if batch_size < 1:
         raise MixupError("batch_size must be >= 1")
     specs: list[MixupSpec] = []
     for _ in range(config.mixup_ratio):
-        if config.pairing_mode == "in_batch_shuffle":
-            partners = rng.permutation(batch_size)
+        if extra_pool_size:
+            partners = rng.choice(extra_pool_size, size=batch_size,
+                                  replace=False)
         else:
-            if extra_pool_size < 1:
-                raise MixupError("independent_extra pairing needs a nonempty pool")
-            if extra_pool_size >= batch_size:
-                partners = rng.choice(extra_pool_size, size=batch_size,
-                                      replace=False)
-            else:
-                partners = rng.integers(0, extra_pool_size, size=batch_size)
+            partners = rng.permutation(batch_size)
         for i in range(batch_size):
             specs.append(MixupSpec(index_i=i, index_j=int(partners[i]),
                                    lam=sample_lambda(config, rng)))
@@ -123,30 +115,19 @@ def mix_batch(emb_i: Tensor, emb_j: Tensor,
 
 
 def materialize(specs: Sequence[MixupSpec], emb: Tensor, mask: np.ndarray,
-                labels: np.ndarray,
-                extra_emb: Optional[Tensor] = None,
-                extra_mask: Optional[np.ndarray] = None,
-                extra_labels: Optional[np.ndarray] = None):
-    """Gather the (i, j) rows named by the specs and mix them.
-
-    Partner rows come from the extra pool when one is given (the
-    independent pairing construction), otherwise from the batch itself.
-    """
+                labels: np.ndarray):
+    """Gather the (i, j) batch rows named by the specs and mix them."""
     if not specs:
         raise MixupError("no specs to materialize")
     idx_i = np.array([s.index_i for s in specs])
     idx_j = np.array([s.index_j for s in specs])
     lam = np.array([s.lam for s in specs])
 
-    src_emb = extra_emb if extra_emb is not None else emb
-    src_mask = extra_mask if extra_mask is not None else mask
-    src_labels = extra_labels if extra_labels is not None else labels
-
     def rows(t: Tensor, idx: np.ndarray) -> Tensor:
         n, T, d = t.shape
         flat = ad.reshape(t, (n, T * d))
         return ad.reshape(ad.gather_rows(flat, idx), (len(idx), T, d))
 
-    return mix_batch(rows(emb, idx_i), rows(src_emb, idx_j),
-                     mask[idx_i], src_mask[idx_j],
-                     labels[idx_i], src_labels[idx_j], lam)
+    return mix_batch(rows(emb, idx_i), rows(emb, idx_j),
+                     mask[idx_i], mask[idx_j],
+                     labels[idx_i], labels[idx_j], lam)

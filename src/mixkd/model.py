@@ -189,14 +189,6 @@ def embed_batch(params: ModelParams, token_ids: np.ndarray,
     return ad.mul(summed, ad.constant(keep))
 
 
-def embed(params: ModelParams, token_ids: np.ndarray,
-          pad_mask: np.ndarray) -> Tensor:
-    """Single-sequence embedding, [T,d]."""
-    out = embed_batch(params, np.asarray(token_ids)[None, :],
-                      np.asarray(pad_mask)[None, :])
-    return ad.reshape(out, out.shape[1:])
-
-
 def forward_from_embeddings(params: ModelParams, emb: Tensor,
                             pad_mask: np.ndarray, train_mode: bool = False,
                             rng: Optional[np.random.Generator] = None,

@@ -1,6 +1,7 @@
 """Threshold calculators against an arbitrary-precision oracle, plus the
 enumerable coverage testbed."""
 
+import copy
 import math
 
 import mpmath as mp
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from mixkd import bounds as B
+from mixkd.mixup import make_pairs
 
 mp.mp.dps = 50
 
@@ -196,6 +198,29 @@ def test_estimate_shift_delta_bounded(rng):
     gc = B.make_scorer_class(tb, g_size=8, seed=8)
     d = B.estimate_shift_delta(tb, gc, g_index=0, n_mc=2000, rng=rng)
     assert -1.0 <= d <= 1.0
+
+
+def test_mix_points_pairs_fresh_pool_rows(rng, monkeypatch):
+    tb = B.make_testbed(n_bits=6, seed=7)
+    originals = tb.sample(5, rng)
+    specs = []
+
+    def recording_make_pairs(*args, **kwargs):
+        out = make_pairs(*args, **kwargs)
+        specs.extend(out)
+        return out
+
+    monkeypatch.setattr(B, "make_pairs", recording_make_pairs)
+    replay = copy.deepcopy(rng)
+    mixed = B._mix_points(tb, originals, 12, rng)
+    pool = tb.sample(12, replay)  # the pool is the first draw
+    partners = [s.index_j for s in specs]
+    assert len(specs) == 12 and len(set(partners)) == 12
+    assert all(0 <= j < 12 for j in partners)
+    for k, s in enumerate(specs):
+        parent = originals[k % len(originals)]
+        np.testing.assert_array_equal(
+            mixed[k], s.lam * parent + (1.0 - s.lam) * pool[s.index_j])
 
 
 def test_empirical_gap_experiment_report(rng):

@@ -192,10 +192,50 @@ def test_exit_code_bound_error(capsys):
     assert code == 4
 
 
-def test_exit_code_config_error(workspace, tmp_path, capsys):
+@pytest.mark.parametrize("line", [
+    "mystery_key=1",
+    # removed options must fail loudly, not be ignored
+    "mixup.pairing_mode=independent_extra",
+    "shared_teacher_embeddings=1",
+], ids=["mystery_key", "removed_mixup_key", "removed_train_key"])
+def test_exit_code_config_error(line, workspace, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("mystery_key=1\n")
+    cfg.write_text(line + "\n")
     code = main(["train-teacher", "--config", str(cfg),
                  "--data", str(workspace / "train.tsv"),
                  "--out", str(tmp_path / "x.ckpt")])
     assert code == 6
+    assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sweep", "alpha_sm_values=abc"], "alpha_sm_values"),
+    (["sweep", "alpha_sm_values="], "alpha_sm_values"),
+    (["seeds", "--seeds", "a,b"], "--seeds"),
+    (["seeds", "--seeds", "0"], "--seeds"),
+    (["export-embeddings", "--mixup-ratio", "-1"], "--mixup-ratio"),
+    (["bench", "--measured-batches", "0"], "--measured-batches"),
+], ids=["sweep_not_a_number", "sweep_empty_list", "seeds_not_a_number",
+        "seeds_single", "export_negative_ratio", "bench_zero_batches"])
+def test_exit_code_bad_numbers(argv, name, teacher_ckpt, workspace, tmp_path,
+                               capsys):
+    command = argv[0]
+    data = ["--data", str(workspace / "train.tsv")]
+    if command == "sweep":
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(STUDENT_CFG + argv[1] + "\n"
+                        "alpha_tmkd_values=1.0\nmixup_ratio_values=1\n")
+        argv = ["sweep", "--grid", str(grid)]
+    required = {
+        "sweep": ["--teacher", str(teacher_ckpt),
+                  "--out", str(tmp_path / "sweep")] + data,
+        "seeds": ["--config", str(workspace / "student.cfg"),
+                  "--teacher", str(teacher_ckpt), "--variant", "ft"] + data,
+        "export-embeddings": ["--model", str(teacher_ckpt),
+                              "--out", str(tmp_path / "feats.csv")] + data,
+        "bench": ["--model", str(teacher_ckpt)],
+    }
+    code = main(argv + required[command])
+    assert code == 6
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "feats.csv").exists()

@@ -1,7 +1,6 @@
-"""Agreement between the numpy and numba kernel variants, plus value oracles."""
+"""Value oracles and invariants of the numeric kernels."""
 
 import numpy as np
-import pytest
 
 from mixkd import kernels
 
@@ -19,75 +18,34 @@ GELU_ORACLE = {
 def test_gelu_forward_oracle():
     xs = np.array(sorted(GELU_ORACLE))
     expected = np.array([GELU_ORACLE[x] for x in sorted(GELU_ORACLE)])
-    np.testing.assert_allclose(kernels.gelu_forward_np(xs), expected,
+    np.testing.assert_allclose(kernels.gelu_forward(xs), expected,
                                rtol=1e-14, atol=1e-16)
-    np.testing.assert_allclose(kernels.gelu_forward(np.ascontiguousarray(xs)),
-                               expected, rtol=1e-14, atol=1e-16)
 
 
 def test_gelu_backward_matches_finite_difference(rng):
     x = rng.normal(size=257)
     g = rng.normal(size=257)
     h = 1e-6
-    numeric = (kernels.gelu_forward_np(x + h) - kernels.gelu_forward_np(x - h)) / (2 * h)
-    np.testing.assert_allclose(kernels.gelu_backward_np(x, g), g * numeric,
+    numeric = (kernels.gelu_forward(x + h) - kernels.gelu_forward(x - h)) / (2 * h)
+    np.testing.assert_allclose(kernels.gelu_backward(x, g), g * numeric,
                                rtol=1e-7, atol=1e-9)
 
 
 def test_softmax_rows_reference(rng):
     x = rng.normal(size=(17, 9)) * 5.0
-    p = kernels.softmax_rows_np(x)
+    p = kernels.softmax_rows(x)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert (p > 0).all()
     # invariant under per-row shift
     np.testing.assert_allclose(
-        kernels.softmax_rows_np(x + 123.0), p, atol=1e-12)
+        kernels.softmax_rows(x + 123.0), p, atol=1e-12)
 
 
 def test_layernorm_rows_reference(rng):
     x = rng.normal(size=(11, 16)) * 2.0 + 3.0
     gain = rng.normal(size=16) + 1.0
     bias = rng.normal(size=16)
-    out, mean, inv_std = kernels.layernorm_rows_np(x, gain, bias, 1e-5)
+    out, mean, inv_std = kernels.layernorm_rows(x, gain, bias, 1e-5)
     np.testing.assert_allclose(mean[:, 0], x.mean(axis=1))
     centered = (out - bias) / gain
     np.testing.assert_allclose(centered.mean(axis=1), 0.0, atol=1e-10)
-
-
-@pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba unavailable")
-def test_numba_variants_match_numpy(rng):
-    x = np.ascontiguousarray(rng.normal(size=(23, 12)) * 3.0)
-    g = np.ascontiguousarray(rng.normal(size=(23, 12)))
-    gain = np.ascontiguousarray(rng.normal(size=12) + 1.0)
-    bias = np.ascontiguousarray(rng.normal(size=12))
-
-    np.testing.assert_allclose(kernels.gelu_forward_nb(x),
-                               kernels.gelu_forward_np(x),
-                               rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(kernels.gelu_backward_nb(x, g),
-                               kernels.gelu_backward_np(x, g),
-                               rtol=1e-13, atol=1e-14)
-    np.testing.assert_allclose(kernels.softmax_rows_nb(x),
-                               kernels.softmax_rows_np(x),
-                               rtol=1e-13, atol=1e-15)
-    out_nb, mean_nb, istd_nb = kernels.layernorm_rows_nb(x, gain, bias, 1e-5)
-    out_np, mean_np, istd_np = kernels.layernorm_rows_np(x, gain, bias, 1e-5)
-    np.testing.assert_allclose(out_nb, out_np, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(mean_nb, mean_np, rtol=1e-12)
-    np.testing.assert_allclose(istd_nb, istd_np, rtol=1e-12)
-
-
-def test_env_flag_controls_active_path(monkeypatch):
-    monkeypatch.setenv(kernels.PURE_NUMPY_ENV, "1")
-    assert not kernels._numba_requested()
-    monkeypatch.delenv(kernels.PURE_NUMPY_ENV)
-    assert kernels._numba_requested()
-
-
-def test_active_aliases_are_consistent():
-    if kernels.USING_NUMBA:
-        assert kernels.gelu_forward is kernels.gelu_forward_nb
-        assert kernels.softmax_rows is kernels.softmax_rows_nb
-    else:
-        assert kernels.gelu_forward is kernels.gelu_forward_np
-        assert kernels.softmax_rows is kernels.softmax_rows_np
