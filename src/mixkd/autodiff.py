@@ -2,14 +2,17 @@
 
 The graph is dynamic: every operation records its inputs and a vector-
 Jacobian product closure on the output tensor, and ``backward`` walks a
-freshly built topological tape.  Only scalar-vs-tensor broadcasting is
-allowed; everything else goes through explicit ops (``add_bias``,
-``gather_rows``, ...) so shape bugs fail loudly.
+freshly built topological tape.  Inside ``no_grad`` the same ops record
+nothing, for forward passes that are never differentiated.  Only
+scalar-vs-tensor broadcasting is allowed; everything else goes through
+explicit ops (``add_bias``, ``gather_rows``, ...) so shape bugs fail
+loudly.
 """
 
 from __future__ import annotations
 
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -81,12 +84,30 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Ops inside return leaves with no inputs and no VJP: same values, same
+    finiteness check, no graph.  Nests; the previous mode is restored on
+    exit, also when the block raises.  The mode is one module flag, shared
+    by every thread of the process."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _result(data: np.ndarray, inputs: Sequence[Tensor],
             vjp: Callable) -> Tensor:
-    needs = any(t.requires_grad for t in inputs)
-    if needs:
+    if _grad_enabled and any(t.requires_grad for t in inputs):
         return Tensor(data, requires_grad=True, _inputs=tuple(inputs), _vjp=vjp)
-    # prune the graph below non-differentiable results (e.g. a frozen teacher)
+    # prune the graph below non-differentiable results (e.g. a frozen
+    # teacher) and under no_grad
     return Tensor(data, requires_grad=False)
 
 
@@ -317,10 +338,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm: gain {gain.shape} / bias {bias.shape} vs last axis {k}")
     if eps <= 0:
         raise AutodiffError("layer_norm eps must be positive")
-    rows = x.data.reshape(-1, k)
-    out_rows, mean, inv_std = kernels.layernorm_rows(
-        np.ascontiguousarray(rows), gain.data, bias.data, eps)
-    xhat = (rows - mean) * inv_std
+    out_rows, xhat, inv_std = kernels.layernorm_rows(
+        np.ascontiguousarray(x.data.reshape(-1, k)), gain.data, bias.data, eps)
 
     def vjp(g, xhat=xhat, inv_std=inv_std, gd=gain.data, k=k, shape=x.shape):
         g2 = g.reshape(-1, k)

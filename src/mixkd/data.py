@@ -85,7 +85,8 @@ def load_tsv(path, schema: Schema,
     """Read a UTF-8 TSV with a header row.
 
     When ``label_names`` is given, any other label string is an error; when
-    omitted, the label set is the sorted unique labels in the file.
+    omitted, the label set is the sorted unique labels in the file.  A file
+    without data rows is an error.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, delimiter="\t")
@@ -96,6 +97,8 @@ def load_tsv(path, schema: Schema,
             if col not in reader.fieldnames:
                 raise DataError(f"{path}: missing column {col!r}")
         rows = list(reader)
+    if not rows:
+        raise DataError(f"{path}: no data rows after the header")
 
     if label_names is None:
         label_names = sorted({row[schema.label] for row in rows})

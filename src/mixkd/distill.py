@@ -164,8 +164,8 @@ def total_loss(batch: Batch, specs, teacher: Optional[ModelParams],
     """L_MLE plus the variant's gated mixup terms; returns (loss, components).
 
     ``specs`` is the list of mixup recipes for this batch (may be empty).
-    The teacher is queried only for variants that distill and is never
-    part of the gradient graph.
+    The teacher is queried only for variants that distill, under
+    ``no_grad``: it is never part of the gradient graph.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -188,10 +188,11 @@ def total_loss(batch: Batch, specs, teacher: Optional[ModelParams],
 
         if teacher is None:
             raise ValueError(f"variant {variant} requires a teacher")
-        teacher_emb = embed_batch(teacher, batch.token_ids, batch.pad_mask)
-        query_emb, _, _ = materialize(
-            specs, teacher_emb, batch.pad_mask, batch.labels_onehot)
-        t_mixed = forward_from_embeddings(teacher, query_emb, mixed_mask)
+        with ad.no_grad():
+            teacher_emb = embed_batch(teacher, batch.token_ids, batch.pad_mask)
+            query_emb, _, _ = materialize(
+                specs, teacher_emb, batch.pad_mask, batch.labels_onehot)
+            t_mixed = forward_from_embeddings(teacher, query_emb, mixed_mask)
         l_tmkd = loss_tmkd(t_mixed, s_mixed, weights)
         total = ad.add(total, ad.scale(l_tmkd, weights.alpha_tmkd))
         components["tmkd"] = l_tmkd.item()

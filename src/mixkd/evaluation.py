@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .autodiff import no_grad
 from .data import Example, Vocab, make_batch
 from .mixup import MixupSpec, materialize
 from .model import ModelParams, embed_batch, forward_from_embeddings, forward_tokens
@@ -64,13 +65,15 @@ def compute_metrics(logits: np.ndarray, labels_onehot: np.ndarray,
 def evaluate(params: ModelParams, examples: Sequence[Example], vocab: Vocab,
              max_len: int, num_classes: int, batch_size: int = 32,
              positive_class: Optional[int] = None) -> Metrics:
-    """Dropout-off forward over the whole split, each example exactly once."""
+    """Dropout-off, graph-free forward over the whole split, each example
+    exactly once."""
     all_logits = []
     all_labels = []
     for start in range(0, len(examples), batch_size):
         batch = make_batch(examples[start:start + batch_size], vocab, max_len,
                            num_classes)
-        logits = forward_tokens(params, batch, train_mode=False)
+        with no_grad():
+            logits = forward_tokens(params, batch, train_mode=False)
         all_logits.append(logits.data)
         all_labels.append(batch.labels_onehot)
     return compute_metrics(np.concatenate(all_logits),
@@ -87,18 +90,20 @@ def export_cls_features(params: ModelParams, examples: Sequence[Example],
     Returns the number of rows written.
     """
     batch = make_batch(examples, vocab, max_len, num_classes)
-    _, feats = forward_tokens(params, batch, return_features=True)
+    with no_grad():
+        _, feats = forward_tokens(params, batch, return_features=True)
     d = feats.shape[1]
 
     rows = []
     for i in range(len(examples)):
         rows.append((i, i, i, 1.0, batch.labels_onehot[i], feats.data[i]))
     if mixup_specs:
-        emb = embed_batch(params, batch.token_ids, batch.pad_mask)
-        mixed_emb, mixed_mask, mixed_labels = materialize(
-            list(mixup_specs), emb, batch.pad_mask, batch.labels_onehot)
-        _, mixed_feats = forward_from_embeddings(params, mixed_emb, mixed_mask,
-                                                 return_features=True)
+        with no_grad():
+            emb = embed_batch(params, batch.token_ids, batch.pad_mask)
+            mixed_emb, mixed_mask, mixed_labels = materialize(
+                list(mixup_specs), emb, batch.pad_mask, batch.labels_onehot)
+            _, mixed_feats = forward_from_embeddings(
+                params, mixed_emb, mixed_mask, return_features=True)
         for k, spec in enumerate(mixup_specs):
             rows.append((len(examples) + k, spec.index_i, spec.index_j,
                          spec.lam, mixed_labels[k], mixed_feats.data[k]))
@@ -118,7 +123,8 @@ def throughput_bench(params: ModelParams, vocab_size: int, max_len: int,
                      batch_size: int = 16, warmup: int = 2,
                      measured_batches: int = 10,
                      seed: int = 0) -> dict:
-    """Forward-only samples/second on synthetic batches, plus parameter count."""
+    """Graph-free forward samples/second on synthetic batches, plus
+    parameter count."""
     if measured_batches < 1:
         raise ValueError("measured_batches must be >= 1")
     rng = np.random.default_rng(seed)
@@ -126,12 +132,13 @@ def throughput_bench(params: ModelParams, vocab_size: int, max_len: int,
     ids[:, 0] = 2  # [CLS]
     mask = np.ones((batch_size, max_len), dtype=bool)
     emb_args = (params, ids, mask)
-    for _ in range(warmup):
-        forward_from_embeddings(params, embed_batch(*emb_args), mask)
-    start = time.perf_counter()
-    for _ in range(measured_batches):
-        forward_from_embeddings(params, embed_batch(*emb_args), mask)
-    elapsed = time.perf_counter() - start
+    with no_grad():
+        for _ in range(warmup):
+            forward_from_embeddings(params, embed_batch(*emb_args), mask)
+        start = time.perf_counter()
+        for _ in range(measured_batches):
+            forward_from_embeddings(params, embed_batch(*emb_args), mask)
+        elapsed = time.perf_counter() - start
     return {
         "samples_per_second": batch_size * measured_batches / elapsed,
         "param_count": params.param_count(),

@@ -308,24 +308,33 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
         manifest = json.loads(raw[12:12 + mlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable manifest: {exc}") from exc
-    config = ModelConfig(**manifest["config"])
+    try:
+        config = ModelConfig(**manifest["config"])
+        entries = [(str(e["name"]), tuple(e["shape"]), int(e["offset"]),
+                    int(e["nbytes"])) for e in manifest["arrays"]]
+        extra = dict(manifest.get("extra", {}))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(
+            f"malformed manifest in {path}: {type(exc).__name__}: {exc}") from exc
     expected = parameter_shapes(config)
     base = 12 + mlen
     arrays: dict[str, Tensor] = {}
-    for entry in manifest["arrays"]:
-        name = entry["name"]
-        shape = tuple(entry["shape"])
+    for name, shape, offset, nbytes in entries:
+        if name in arrays:
+            raise CheckpointError(f"manifest lists array {name} twice")
         if name not in expected or expected[name] != shape:
             raise CheckpointError(f"manifest array {name} {shape} does not match config")
-        start = base + entry["offset"]
-        end = start + entry["nbytes"]
+        shape = expected[name]
+        if offset < 0 or nbytes != 4 * int(np.prod(shape)):
+            raise CheckpointError(
+                f"array {name}: bad offset {offset} or byte count {nbytes}")
+        start = base + offset
+        end = start + nbytes
         if end > len(raw):
             raise CheckpointError(f"truncated array data for {name}")
         flat = np.frombuffer(raw[start:end], dtype="<f4")
-        if flat.size != int(np.prod(shape)):
-            raise CheckpointError(f"array {name} has wrong element count")
         arrays[name] = Tensor(flat.astype(np.float64).reshape(shape),
                               requires_grad=True)
     if set(arrays) != set(expected):
         raise CheckpointError("manifest is missing parameter arrays")
-    return ModelParams(config, arrays), config, manifest.get("extra", {})
+    return ModelParams(config, arrays), config, extra

@@ -6,6 +6,7 @@ import pytest
 from mixkd import autodiff as ad
 from mixkd.autodiff import (AutodiffError, NonFiniteError, ShapeError, Tensor,
                             backward, constant, finite_diff_check)
+from mixkd.model import embed_batch, forward_from_embeddings
 
 
 def leaf(data, rng=None, shape=None):
@@ -61,6 +62,69 @@ def test_frozen_subgraph_is_pruned():
     b = constant(np.ones((3, 3)))
     out = ad.matmul(a, b)
     assert out._inputs == ()  # no graph kept below constants
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+# ---------------------------------------------------------------------------
+
+def _record_results(monkeypatch):
+    """Every tensor an op returns, in creation order."""
+    made = []
+    real = ad._result
+
+    def spy(data, inputs, vjp):
+        out = real(data, inputs, vjp)
+        made.append(out)
+        return out
+    monkeypatch.setattr(ad, "_result", spy)
+    return made
+
+
+def test_no_grad_forward_builds_no_graph(monkeypatch, tiny_params,
+                                         tiny_config):
+    ids = np.arange(12).reshape(2, 6) % tiny_config.vocab_size
+    mask = np.ones((2, 6), dtype=bool)
+    made = _record_results(monkeypatch)
+    with ad.no_grad():
+        logits = forward_from_embeddings(
+            tiny_params, embed_batch(tiny_params, ids, mask), mask)
+    assert len(made) > 50
+    for t in made:
+        assert t._inputs == () and t._vjp is None and not t.requires_grad
+    made.clear()
+    graph = forward_from_embeddings(
+        tiny_params, embed_batch(tiny_params, ids, mask), mask)
+    assert all(t._inputs and t._vjp is not None for t in made)
+    assert np.array_equal(logits.data, graph.data)
+
+
+def test_no_grad_still_checks_finiteness():
+    x = leaf(np.array([1e308]))
+    with ad.no_grad(), np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError):
+            ad.scale(x, 10.0)
+
+
+def test_no_grad_restored_after_exception():
+    x = leaf(np.ones(3))
+    with pytest.raises(ShapeError):
+        with ad.no_grad():
+            ad.add(x, leaf(np.ones(4)))
+    assert ad._grad_enabled
+    assert ad.add(x, 1.0)._inputs == (x,)
+
+
+def test_no_grad_nests():
+    x = leaf(np.ones(3))
+    with ad.no_grad():
+        with ad.no_grad():
+            assert ad.add(x, 1.0)._vjp is None
+        assert ad.add(x, 1.0)._vjp is None
+    assert ad._grad_enabled
+    y = ad.tsum(ad.mul(x, x))
+    backward(y)
+    np.testing.assert_array_equal(x.grad, 2.0 * np.ones(3))
 
 
 def test_gradient_accumulates_on_reuse():

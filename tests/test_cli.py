@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import pytest
 
@@ -178,12 +179,62 @@ def test_exit_code_data_error(teacher_ckpt, workspace, tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_code_header_only_tsv(teacher_ckpt, workspace, tmp_path, capsys):
+    empty = tmp_path / "header_only.tsv"
+    empty.write_text("sentence\tlabel\n")
+    code = main(["eval", "--model", str(teacher_ckpt), "--data", str(empty)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "DataError" in err and str(empty) in err
+
+
 def test_exit_code_checkpoint_error(workspace, tmp_path, capsys):
     bogus = tmp_path / "bogus.ckpt"
     bogus.write_bytes(b"not a checkpoint at all")
     code = main(["eval", "--model", str(bogus),
                  "--data", str(workspace / "dev.tsv")])
     assert code == 3
+
+
+def _drop_config_field(manifest):
+    del manifest["config"]["num_heads"]
+
+
+def _drop_arrays(manifest):
+    del manifest["arrays"]
+
+
+def _duplicate_tok_emb(manifest):
+    manifest["arrays"].append(dict(manifest["arrays"][0]))
+
+
+def _odd_byte_count(manifest):
+    manifest["arrays"][0]["nbytes"] -= 1
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (_drop_config_field, "num_heads"),
+    (_drop_arrays, "arrays"),
+    (_duplicate_tok_emb, "tok_emb"),
+    (_odd_byte_count, "tok_emb"),
+], ids=["missing_config_field", "missing_arrays", "duplicate_array",
+        "odd_byte_count"])
+def test_exit_code_bad_manifest(edit, needle, teacher_ckpt, workspace,
+                                tmp_path, capsys):
+    raw = teacher_ckpt.read_bytes()
+    (mlen,) = struct.unpack("<I", raw[8:12])
+    manifest = json.loads(raw[12:12 + mlen])
+    assert manifest["arrays"][0]["name"] == "tok_emb"
+    edit(manifest)
+    mbytes = json.dumps(manifest).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(mbytes)) + mbytes
+                    + raw[12 + mlen:])
+    code = main(["eval", "--model", str(bad),
+                 "--data", str(workspace / "dev.tsv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and needle in err
 
 
 def test_exit_code_bound_error(capsys):

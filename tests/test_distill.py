@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from mixkd import autodiff as ad
+from mixkd import distill
 from mixkd.autodiff import Tensor, constant
-from mixkd.distill import (Adam, LossWeights, SGD, TrainConfig, distill_student,
-                           format_mean_std, loss_mle, loss_sm, loss_tmkd,
-                           run_seeds, total_loss, train_teacher)
+from mixkd.distill import (Adam, LossWeights, SGD, TrainConfig, _train_loop,
+                           distill_student, format_mean_std, loss_mle, loss_sm,
+                           loss_tmkd, run_seeds, total_loss, train_teacher)
 from mixkd.data import make_batch
 from mixkd.mixup import MixupConfig, MixupSpec
-from mixkd.model import init_random, init_student_from_teacher
+from mixkd.model import (forward_from_embeddings, init_random,
+                         init_student_from_teacher)
 
 
 def test_loss_weights_validation():
@@ -155,6 +157,26 @@ def test_teacher_gets_no_gradients(tiny_setup):
     assert np.abs(student["tok_emb"].grad).sum() > 0
 
 
+def test_teacher_forward_builds_no_graph(tiny_setup, monkeypatch):
+    """Even an unfrozen teacher is queried under no_grad."""
+    teacher, student_config, batch = tiny_setup
+    student = init_student_from_teacher(teacher, student_config)
+    outs = {}
+
+    def spy(params, *args, **kwargs):
+        out = forward_from_embeddings(params, *args, **kwargs)
+        outs[id(params)] = out
+        return out
+    monkeypatch.setattr(distill, "forward_from_embeddings", spy)
+    specs = [MixupSpec(i, (i + 2) % 6, 0.6) for i in range(6)]
+    loss, _ = total_loss(batch, specs, teacher, student, LossWeights(),
+                         variant="sm_tmkd")
+    assert outs[id(teacher)]._inputs == () and outs[id(teacher)]._vjp is None
+    assert outs[id(student)]._inputs  # the student's mixed forward is taped
+    ad.backward(loss)
+    assert all(t.grad is None for t in teacher.arrays.values())
+
+
 # ---------------------------------------------------------------------------
 # optimizers
 # ---------------------------------------------------------------------------
@@ -228,7 +250,6 @@ def test_ft_equivalence_short(small_task, small_model_config):
     student_config = dataclasses.replace(small_model_config, num_layers=1)
 
     plain = init_student_from_teacher(teacher, student_config)
-    from mixkd.distill import _train_loop
     plain_best, plain_rec = _train_loop(plain, config, small_task,
                                         teacher=None, variant="ft",
                                         max_steps=4)
@@ -237,6 +258,25 @@ def test_ft_equivalence_short(small_task, small_model_config):
     assert plain_best.checksum() == distilled.checksum()
     for a, b in zip(plain_rec.steps, rec.steps):
         assert a["loss_total"] == b["loss_total"]
+
+
+def test_backward_after_evaluate_in_train_loop(small_task, small_model_config):
+    """evaluate runs under no_grad; the steps after it must still train."""
+    base = TrainConfig(epochs=1, batch_size=32, seed=0)
+    runs = []
+    for every in (0, 1):
+        params = init_random(small_model_config, seed=0)
+        config = dataclasses.replace(base, eval_every=every)
+        _, record = _train_loop(params, config, small_task, teacher=None,
+                                variant="ft", max_steps=3)
+        runs.append((params.checksum(), [s["loss_total"] for s in record.steps],
+                     len(record.evals)))
+    (plain_sum, plain_losses, _), (eval_sum, eval_losses, n_evals) = runs
+    assert n_evals == 3
+    assert eval_losses == plain_losses
+    assert eval_sum == plain_sum
+    assert plain_sum != init_random(small_model_config, seed=0).checksum()
+    assert ad._grad_enabled
 
 
 def test_teacher_unchanged_by_distillation(small_task, small_model_config):

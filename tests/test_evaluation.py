@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from mixkd import evaluation
 from mixkd.config import ConfigError, load_config, parse_kv_file
 from mixkd.data import make_batch
 from mixkd.distill import TrainConfig
@@ -61,6 +62,25 @@ def test_evaluate_matches_manual(task_params, small_task):
     manual = compute_metrics(logits, batch.labels_onehot)
     assert m.accuracy == pytest.approx(manual.accuracy)
     assert m.n_eval == 10
+
+
+def test_evaluate_logits_bitwise_equal_graph_forward(monkeypatch, task_params,
+                                                     small_task):
+    seen = []
+
+    def spy(params, batch, **kwargs):
+        out = forward_tokens(params, batch, **kwargs)
+        seen.append((batch, out))
+        return out
+    monkeypatch.setattr(evaluation, "forward_tokens", spy)
+    evaluate(task_params, small_task.dev[:10], small_task.vocab,
+             small_task.max_len, 2, batch_size=4)
+    assert len(seen) == 3
+    for batch, out in seen:
+        assert out._inputs == () and out._vjp is None  # no graph kept
+        graph = forward_tokens(task_params, batch)
+        assert graph._inputs
+        assert np.array_equal(out.data, graph.data)
 
 
 def test_export_cls_features_format(task_params, small_task, tmp_path):
