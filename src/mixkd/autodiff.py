@@ -285,8 +285,13 @@ def select_index(x: Tensor, index: int, axis: int = 1) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product, or stacked (batched) product for equal leading dims."""
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """2-D matrix product, or stacked (batched) product for equal leading dims.
+
+    With ``bias`` [k] this is ``add_bias(matmul(a, b), bias)`` as one op: the
+    bias is added in place to the product, and its gradient sums over all
+    leading axes.
+    """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -294,13 +299,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
         if not (a.data.ndim == 2 and b.data.ndim == 2):
             raise ShapeError(f"matmul leading dims differ: {a.shape} x {b.shape}")
+    if bias is not None and bias.shape != b.shape[-1:]:
+        raise ShapeError(f"matmul: bias {bias.shape} vs b {b.shape}")
+    out = np.matmul(a.data, b.data)
 
     def vjp(g, ad=a.data, bd=b.data):
         da = np.matmul(g, bd.swapaxes(-1, -2))
         db = np.matmul(ad.swapaxes(-1, -2), g)
         return (da, db)
 
-    return _result(np.matmul(a.data, b.data), (a, b), vjp)
+    if bias is None:
+        return _result(out, (a, b), vjp)
+    out += bias.data
+    lead = tuple(range(out.ndim - 1))
+    return _result(out, (a, b, bias),
+                   lambda g: vjp(g) + (g.sum(axis=lead),))
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +328,46 @@ def _rows_view(data: np.ndarray, axis: int) -> tuple[np.ndarray, int]:
     return np.ascontiguousarray(moved).reshape(-1, data.shape[axis]), axis
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if not -x.data.ndim <= axis < x.data.ndim:
+def softmax(x: Tensor, axis: int = -1, scale: Optional[float] = None,
+            key_bias: Optional[np.ndarray] = None) -> Tensor:
+    """Softmax along ``axis``.
+
+    With ``scale`` and/or ``key_bias`` (last axis only) this is
+    ``softmax(x * scale + key_bias)`` as one op, the attention softmax:
+    ``key_bias`` [n, k] is a constant row per leading index (e.g. 0 for a
+    real key and -1e9 for a pad key), broadcast over the middle axes (heads
+    and queries) without a copy.  The scaled, biased scores are one buffer
+    and no tensor; the returned probabilities keep the finiteness check.
+    """
+    nd = x.data.ndim
+    if not -nd <= axis < nd:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    rows, ax = _rows_view(x.data, axis)
+    if (scale is not None or key_bias is not None) and axis % nd != nd - 1:
+        raise ShapeError("softmax: scale and key_bias need axis=-1")
+    z = x.data
+    if scale is not None:
+        scale = float(scale)
+        z = z * scale
+    if key_bias is not None:
+        kb = np.asarray(key_bias, dtype=np.float64)
+        if nd < 2 or kb.shape != (x.shape[0], x.shape[-1]):
+            raise ShapeError(f"softmax: key_bias {kb.shape} vs scores {x.shape}")
+        kb = kb.reshape(kb.shape[:1] + (1,) * (nd - 2) + kb.shape[1:])
+        if z is x.data:
+            z = z + kb
+        else:
+            z += kb
+    rows, ax = _rows_view(z, axis)
     p_rows = kernels.softmax_rows(rows)
-    moved_shape = np.moveaxis(x.data, ax, -1).shape
+    moved_shape = np.moveaxis(z, ax, -1).shape
     p = np.moveaxis(p_rows.reshape(moved_shape), -1, ax)
 
     def vjp(g, p=p, ax=ax):
-        inner = (g * p).sum(axis=ax, keepdims=True)
-        return (p * (g - inner),)
+        dz = g - (g * p).sum(axis=ax, keepdims=True)
+        dz *= p
+        if scale is not None:
+            dz *= scale
+        return (dz,)
 
     return _result(p, (x,), vjp)
 

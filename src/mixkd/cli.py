@@ -62,6 +62,17 @@ def _check_at_least(value: int, low: int, flag: str) -> None:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
 
 
+def _dev_split(args, schema, train, labels) -> list:
+    """The --dev examples; without --dev the best checkpoint is picked on
+    the training set, and a warning on stderr says so."""
+    if args.dev:
+        dev, _ = load_tsv(args.dev, schema, label_names=labels)
+        return dev
+    print(f"warning: {args.command} without --dev selects the best "
+          "checkpoint on the training set", file=sys.stderr)
+    return train
+
+
 def _student_task(args, config, model_kwargs: dict, source):
     """Teacher checkpoint, student ModelConfig and TaskData for the
     distillation commands; ``source`` names the config file."""
@@ -76,9 +87,7 @@ def _student_task(args, config, model_kwargs: dict, source):
         train = subsample(train, args.fraction, seed=config.seed)
     if getattr(args, "augmented", None):
         train = merge_augmented(train, args.augmented, schema, labels)
-    dev = train
-    if args.dev:
-        dev, _ = load_tsv(args.dev, schema, label_names=labels)
+    dev = _dev_split(args, schema, train, labels)
     dataset = TaskData(train=train, dev=dev, vocab=vocab, label_names=labels,
                        max_len=max_len)
     return teacher, replace(teacher_config, **model_kwargs), dataset
@@ -101,9 +110,7 @@ def cmd_train_teacher(args) -> int:
     config, model_kwargs, vocab_kwargs = load_config(args.config)
     schema = Schema.parse(args.schema)
     train, labels = load_tsv(args.data, schema)
-    dev = train
-    if args.dev:
-        dev, _ = load_tsv(args.dev, schema, label_names=labels)
+    dev = _dev_split(args, schema, train, labels)
     vocab = build_vocab(train, **vocab_kwargs)
     model_kwargs.setdefault("vocab_size", vocab.size)
     model_kwargs.setdefault("num_classes", len(labels))

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import no_grad
-from .data import Example, Vocab, make_batch
+from .data import DataError, Example, Vocab, make_batch
 from .mixup import MixupSpec, materialize
 from .model import ModelParams, embed_batch, forward_from_embeddings, forward_tokens
 
@@ -67,6 +67,8 @@ def evaluate(params: ModelParams, examples: Sequence[Example], vocab: Vocab,
              positive_class: Optional[int] = None) -> Metrics:
     """Dropout-off, graph-free forward over the whole split, each example
     exactly once."""
+    if not examples:
+        raise DataError("no examples to evaluate")
     all_logits = []
     all_labels = []
     for start in range(0, len(examples), batch_size):

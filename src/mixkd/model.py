@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, asdict
 from typing import Optional
@@ -209,44 +210,41 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     if drop > 0.0 and rng is None:
         raise ValueError("dropout requires an rng in train mode")
 
-    bias_row = np.where(mask, 0.0, -1e9)
-    attn_bias = ad.constant(
-        np.broadcast_to(bias_row[:, None, None, :], (n, h, T, T)).copy())
+    key_bias = np.where(mask, 0.0, -1e9)
+    inv_sqrt_hd = 1.0 / math.sqrt(hd)
 
     x2 = ad.reshape(emb, (n * T, d))
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
 
-        def heads(name):
-            y = ad.add_bias(ad.matmul(x2, params[f"{p}.attn.w{name}"]),
-                            params[f"{p}.attn.b{name}"])
-            return ad.transpose(ad.reshape(y, (n, T, h, hd)), (0, 2, 1, 3))
+        def heads(name, axes=(0, 2, 1, 3)):
+            y = ad.matmul(x2, params[f"{p}.attn.w{name}"],
+                          bias=params[f"{p}.attn.b{name}"])
+            return ad.transpose(ad.reshape(y, (n, T, h, hd)), axes)
 
-        q, k, v = heads("q"), heads("k"), heads("v")
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                          1.0 / math.sqrt(hd))
-        attn = ad.softmax(ad.add(scores, attn_bias), axis=-1)
+        # k goes straight to [n,h,hd,T], the transposed operand of q @ k^T
+        q, kt, v = heads("q"), heads("k", (0, 2, 3, 1)), heads("v")
+        attn = ad.softmax(ad.matmul(q, kt), axis=-1, scale=inv_sqrt_hd,
+                          key_bias=key_bias)
         if drop > 0.0:
             attn = ad.dropout(attn, drop, rng)
         ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (n * T, d))
-        proj = ad.add_bias(ad.matmul(ctx, params[f"{p}.attn.wo"]),
-                           params[f"{p}.attn.bo"])
+        proj = ad.matmul(ctx, params[f"{p}.attn.wo"], bias=params[f"{p}.attn.bo"])
         if drop > 0.0:
             proj = ad.dropout(proj, drop, rng)
         x2 = ad.layer_norm(ad.add(x2, proj),
                            params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
 
-        ff = ad.gelu(ad.add_bias(ad.matmul(x2, params[f"{p}.ffn.w1"]),
-                                 params[f"{p}.ffn.b1"]))
-        ff = ad.add_bias(ad.matmul(ff, params[f"{p}.ffn.w2"]),
-                         params[f"{p}.ffn.b2"])
+        ff = ad.gelu(ad.matmul(x2, params[f"{p}.ffn.w1"],
+                               bias=params[f"{p}.ffn.b1"]))
+        ff = ad.matmul(ff, params[f"{p}.ffn.w2"], bias=params[f"{p}.ffn.b2"])
         if drop > 0.0:
             ff = ad.dropout(ff, drop, rng)
         x2 = ad.layer_norm(ad.add(x2, ff),
                            params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
 
     cls = ad.select_index(ad.reshape(x2, (n, T, d)), 0, axis=1)
-    logits = ad.add_bias(ad.matmul(cls, params["head.weight"]), params["head.bias"])
+    logits = ad.matmul(cls, params["head.weight"], bias=params["head.bias"])
     if return_features:
         return logits, cls
     return logits
@@ -271,7 +269,8 @@ MAGIC = b"MKDCKPT1"
 
 def save_checkpoint(params: ModelParams, config: ModelConfig, path,
                     extra: Optional[dict] = None) -> None:
-    """Binary file: magic, u32-length JSON manifest, float32 LE arrays."""
+    """Binary file: magic, u32-length JSON manifest, float32 LE arrays;
+    written atomically (temp file, then ``os.replace``)."""
     names = params.names
     manifest = {"config": asdict(config), "arrays": [], "extra": extra or {}}
     offset = 0
@@ -286,12 +285,22 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path,
         blobs.append(blob)
         offset += len(blob)
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(mbytes)))
-        fh.write(mbytes)
-        for blob in blobs:
-            fh.write(blob)
+    # write a temp file next to the target and rename it into place, so a
+    # failed write never leaves a truncated checkpoint behind
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(mbytes)))
+            fh.write(mbytes)
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:

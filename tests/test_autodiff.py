@@ -188,6 +188,78 @@ def test_matmul_shape_errors(rng):
         ad.matmul(leaf(None, rng, (2, 3, 4)), leaf(None, rng, (3, 4, 2)))
 
 
+@pytest.mark.parametrize("shapes", [((3, 4), (4, 5)),
+                                    ((2, 3, 4), (2, 4, 5))])
+def test_matmul_bias_bitwise_equals_add_bias(rng, shapes):
+    a1, b1, c1 = (leaf(None, rng, s) for s in (*shapes, (5,)))
+    a2, b2, c2 = (leaf(x.data.copy()) for x in (a1, b1, c1))
+    g = constant(rng.normal(size=shapes[0][:-1] + (5,)))
+    fused = ad.matmul(a1, b1, bias=c1)
+    plain = ad.add_bias(ad.matmul(a2, b2), c2)
+    assert np.array_equal(fused.data, plain.data)
+    backward(ad.tsum(ad.mul(fused, g)))
+    backward(ad.tsum(ad.mul(plain, g)))
+    for x, y in ((a1, a2), (b1, b2), (c1, c2)):
+        assert np.array_equal(x.grad, y.grad)
+
+
+def test_matmul_bias_shape_errors(rng):
+    a, b = leaf(None, rng, (3, 4)), leaf(None, rng, (4, 5))
+    for bad in ((4,), (5, 1), (1, 5)):
+        with pytest.raises(ShapeError):
+            ad.matmul(a, b, bias=leaf(None, rng, bad))
+
+
+def _key_bias(n, k):
+    """0 on real keys, -1e9 on pad keys; row 0 has one pad key."""
+    kb = np.zeros((n, k))
+    kb[0, -1] = -1e9
+    kb[1:, k // 2:] = -1e9
+    return kb
+
+
+def test_masked_softmax_bitwise_equals_op_chain(rng):
+    n, h, t = 3, 2, 5
+    kb = _key_bias(n, t)
+    x1 = leaf(None, rng, (n, h, t, t))
+    x2 = leaf(x1.data.copy())
+    g = constant(rng.normal(size=(n, h, t, t)))
+    fused = ad.softmax(x1, axis=-1, scale=0.35, key_bias=kb)
+    dense = constant(np.broadcast_to(kb[:, None, None, :], (n, h, t, t)).copy())
+    plain = ad.softmax(ad.add(ad.scale(x2, 0.35), dense), axis=-1)
+    assert np.array_equal(fused.data, plain.data)
+    assert np.all(fused.data[1:, ..., t // 2:] == 0.0)  # pad keys get nothing
+    backward(ad.tsum(ad.mul(fused, g)))
+    backward(ad.tsum(ad.mul(plain, g)))
+    assert np.array_equal(x1.grad, x2.grad)
+
+
+def test_masked_softmax_argument_errors(rng):
+    x = leaf(None, rng, (3, 2, 5, 5))
+    for bad in ((3, 4), (2, 5), (3, 1, 5), (15,)):
+        with pytest.raises(ShapeError):
+            ad.softmax(x, key_bias=np.zeros(bad))
+    with pytest.raises(ShapeError):
+        ad.softmax(x, axis=2, scale=0.5)
+    with pytest.raises(ShapeError):
+        ad.softmax(leaf(None, rng, (5,)), key_bias=np.zeros((5, 5)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fused_attention_non_finite_raises(rng, bad):
+    n, h, t, hd = 2, 2, 4, 3
+    q = leaf(None, rng, (n, h, t, hd))
+    kt = leaf(None, rng, (n, h, hd, t))
+    q.data[1, 0, 2, 1] = bad  # planted behind the constructor's check
+    w = leaf(None, rng, (3, 4))
+    w.data[2, 1] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            ad.softmax(ad.matmul(q, kt), scale=0.5, key_bias=_key_bias(n, t))
+        with pytest.raises(NonFiniteError):
+            ad.matmul(leaf(None, rng, (5, 3)), w, bias=leaf(None, rng, (4,)))
+
+
 def test_gather_rows_scatter_add(rng):
     table = leaf(None, rng, (4, 3))
     ids = np.array([0, 2, 0])
@@ -318,6 +390,29 @@ def test_fd_matmul(rng):
 def test_fd_matmul_batched(rng):
     b = constant(rng.normal(size=(3, 4, 2)))
     _check(lambda t: ad.tsum(ad.matmul(t, b)), leaf(None, rng, (3, 5, 4)))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_fd_matmul_bias(rng, lead):
+    a_shape, b_shape, c_shape = lead + (5, 4), lead + (4, 2), (2,)
+    w = constant(rng.normal(size=lead + (5, 2)))
+    a, b, c = (constant(rng.normal(size=s)) for s in (a_shape, b_shape, c_shape))
+    _check(lambda t: ad.tsum(ad.mul(ad.matmul(t, b, bias=c), w)),
+           leaf(None, rng, a_shape))
+    _check(lambda t: ad.tsum(ad.mul(ad.matmul(a, t, bias=c), w)),
+           leaf(None, rng, b_shape))
+    _check(lambda t: ad.tsum(ad.mul(ad.matmul(a, b, bias=t), w)),
+           leaf(None, rng, c_shape))
+
+
+def test_fd_masked_scaled_softmax(rng):
+    n, h, t = 3, 2, 5
+    kb = _key_bias(n, t)
+    w = constant(rng.normal(size=(n, h, t, t)))
+    report = _check(
+        lambda x: ad.tsum(ad.mul(ad.softmax(x, scale=0.35, key_bias=kb), w)),
+        leaf(None, rng, (n, h, t, t)))
+    assert report.n_checked == n * h * t * t
 
 
 def test_fd_softmax(rng):

@@ -145,6 +145,40 @@ def test_sweep(teacher_ckpt, workspace, capsys):
     assert json.loads(capsys.readouterr().out)["cells"] == 2
 
 
+def _no_dev_argv(command, workspace, teacher_ckpt, tmp_path):
+    data = ["--data", str(workspace / "train.tsv")]
+    student = ["--config", str(workspace / "student.cfg"),
+               "--teacher", str(teacher_ckpt), "--variant", "ft"]
+    if command == "train-teacher":
+        return [command, "--config", str(workspace / "teacher.cfg"), *data,
+                "--out", str(tmp_path / "t.ckpt")]
+    if command == "distill":
+        return [command, *student, *data, "--out", str(tmp_path / "s.ckpt")]
+    if command == "seeds":
+        return [command, *student, "--seeds", "0,1", *data]
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(STUDENT_CFG + "alpha_sm_values=1.0\n"
+                    "alpha_tmkd_values=1.0\nmixup_ratio_values=1\n")
+    return [command, "--grid", str(grid), "--teacher", str(teacher_ckpt),
+            *data, "--out", str(tmp_path / "sweep")]
+
+
+@pytest.mark.parametrize("command",
+                         ["train-teacher", "distill", "sweep", "seeds"])
+def test_missing_dev_warns(command, teacher_ckpt, workspace, tmp_path, capsys):
+    argv = _no_dev_argv(command, workspace, teacher_ckpt, tmp_path)
+    assert main(argv) == 0
+    without = capsys.readouterr()
+    assert (f"warning: {command} without --dev selects the best checkpoint "
+            "on the training set") in without.err
+    assert len(without.err.splitlines()) == 1
+    assert main(argv + ["--dev", str(workspace / "dev.tsv")]) == 0
+    with_dev = capsys.readouterr()
+    assert "warning" not in with_dev.err
+    # stdout is the same JSON object, with or without the warning
+    assert json.loads(without.out).keys() == json.loads(with_dev.out).keys()
+
+
 def test_bound_calculators(capsys):
     code = main(["bound", "hoeffding", "--m", "1.0", "--g-cardinality", "64",
                  "--delta", "0.1", "--n", "200"])

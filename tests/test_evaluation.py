@@ -9,7 +9,7 @@ import pytest
 
 from mixkd import evaluation
 from mixkd.config import ConfigError, load_config, parse_kv_file
-from mixkd.data import make_batch
+from mixkd.data import DataError, make_batch
 from mixkd.distill import TrainConfig
 from mixkd.evaluation import (SweepGrid, compute_metrics, evaluate,
                               export_cls_features, sweep_grid,
@@ -62,6 +62,11 @@ def test_evaluate_matches_manual(task_params, small_task):
     manual = compute_metrics(logits, batch.labels_onehot)
     assert m.accuracy == pytest.approx(manual.accuracy)
     assert m.n_eval == 10
+
+
+def test_evaluate_rejects_empty_split(task_params, small_task):
+    with pytest.raises(DataError, match="no examples to evaluate"):
+        evaluate(task_params, [], small_task.vocab, small_task.max_len, 2)
 
 
 def test_evaluate_logits_bitwise_equal_graph_forward(monkeypatch, task_params,

@@ -1,11 +1,14 @@
 """Transformer classifier: shapes, init, masking, and checkpoint format."""
 
+import contextlib
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from mixkd import autodiff as ad
+from mixkd import model as model_mod
 from mixkd.data import CLS_ID, PAD_ID, make_batch
 from mixkd.model import (CheckpointError, ModelConfig, ModelParams,
                          embed_batch, forward_from_embeddings, forward_tokens,
@@ -150,6 +153,114 @@ def test_end_to_end_gradient_nonzero(tiny_params, tiny_config):
 
 
 # ---------------------------------------------------------------------------
+# the fused forward against the unfused op chain
+# ---------------------------------------------------------------------------
+
+def _unfused_forward(params, emb, pad_mask, train_mode=False, rng=None):
+    """The encoder written with separate ops: matmul then add_bias, k
+    transposed twice, a scale op and a dense [n,h,T,T] mask added to the
+    scores before a plain softmax.  forward_from_embeddings must match it
+    bit for bit."""
+    cfg = params.config
+    n, T, d = emb.shape
+    h, hd = cfg.num_heads, d // cfg.num_heads
+    drop = cfg.dropout_rate if train_mode else 0.0
+    bias_row = np.where(pad_mask, 0.0, -1e9)
+    attn_bias = ad.constant(
+        np.broadcast_to(bias_row[:, None, None, :], (n, h, T, T)).copy())
+
+    def linear(x, w, b):
+        return ad.add_bias(ad.matmul(x, params[w]), params[b])
+
+    x2 = ad.reshape(emb, (n * T, d))
+    for i in range(cfg.num_layers):
+        p = f"layers.{i}"
+
+        def heads(name):
+            y = linear(x2, f"{p}.attn.w{name}", f"{p}.attn.b{name}")
+            return ad.transpose(ad.reshape(y, (n, T, h, hd)), (0, 2, 1, 3))
+
+        q, k, v = heads("q"), heads("k"), heads("v")
+        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
+                          1.0 / math.sqrt(hd))
+        attn = ad.softmax(ad.add(scores, attn_bias), axis=-1)
+        if drop > 0.0:
+            attn = ad.dropout(attn, drop, rng)
+        ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)),
+                         (n * T, d))
+        proj = linear(ctx, f"{p}.attn.wo", f"{p}.attn.bo")
+        if drop > 0.0:
+            proj = ad.dropout(proj, drop, rng)
+        x2 = ad.layer_norm(ad.add(x2, proj),
+                           params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
+        ff = linear(ad.gelu(linear(x2, f"{p}.ffn.w1", f"{p}.ffn.b1")),
+                    f"{p}.ffn.w2", f"{p}.ffn.b2")
+        if drop > 0.0:
+            ff = ad.dropout(ff, drop, rng)
+        x2 = ad.layer_norm(ad.add(x2, ff),
+                           params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
+    cls = ad.select_index(ad.reshape(x2, (n, T, d)), 0, axis=1)
+    return linear(cls, "head.weight", "head.bias")
+
+
+def _bench_shape(dropout_rate=0.0, hidden_dim=64):
+    """The benchmark's width and batch: 4 layers, d=64, 4 heads, ffn 128,
+    32 rows of T=14, half of them padded.  Its 1/sqrt(16) is a power of two,
+    which makes the scale commute exactly; d=48 gives 1/sqrt(12), which
+    does not."""
+    config = ModelConfig(num_layers=4, hidden_dim=hidden_dim, num_heads=4,
+                         ffn_dim=128, vocab_size=50, max_seq_len=14,
+                         num_classes=3, dropout_rate=dropout_rate)
+    ids, mask = _toy_batch(config, [14, 3, 9, 14] * 8)
+    return init_random(config, seed=4), ids, mask
+
+
+def _logits_and_grads(forward, params, ids, mask, **kw):
+    params = params.copy()
+    logits = forward(params, embed_batch(params, ids, mask), mask, **kw)
+    labels = np.eye(3)[np.arange(len(ids)) % 3]
+    ad.backward(ad.cross_entropy(ad.softmax(logits, axis=-1),
+                                 ad.constant(labels)))
+    return logits.data, {name: params[name].grad for name in params.names}
+
+
+@pytest.mark.parametrize("dropout_rate,hidden_dim",
+                         [(0.0, 64), (0.1, 64), (0.0, 48)])
+def test_fused_forward_bitwise_equals_unfused(dropout_rate, hidden_dim):
+    params, ids, mask = _bench_shape(dropout_rate, hidden_dim)
+    fused, fused_grads = _logits_and_grads(
+        forward_from_embeddings, params, ids, mask, train_mode=True,
+        rng=np.random.default_rng(3))
+    plain, plain_grads = _logits_and_grads(
+        _unfused_forward, params, ids, mask, train_mode=True,
+        rng=np.random.default_rng(3))
+    assert np.array_equal(fused, plain)
+    for name in params.names:
+        assert np.array_equal(fused_grads[name], plain_grads[name]), name
+
+
+def test_fused_forward_bitwise_equals_unfused_no_grad():
+    params, ids, mask = _bench_shape()
+    with ad.no_grad():
+        fused = forward_from_embeddings(params, embed_batch(params, ids, mask),
+                                        mask)
+        plain = _unfused_forward(params, embed_batch(params, ids, mask), mask)
+    assert fused._vjp is None
+    assert np.array_equal(fused.data, plain.data)
+
+
+@pytest.mark.parametrize("grad_mode", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fused_forward_non_finite_weight_raises(grad_mode, bad):
+    params, ids, mask = _bench_shape()
+    params["layers.1.attn.wk"].data[3, 5] = bad
+    with (contextlib.nullcontext() if grad_mode else ad.no_grad()):
+        emb = embed_batch(params, ids, mask)
+        with pytest.raises(ad.NonFiniteError):
+            forward_from_embeddings(params, emb, mask)
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
@@ -161,6 +272,40 @@ def test_checkpoint_roundtrip_byte_identical(tiny_params, tiny_config, tmp_path)
     assert extra == {"max_len": 6}
     save_checkpoint(loaded, config, p2, extra=extra)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_failed_write_keeps_old_file(tiny_params, tiny_config,
+                                                tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_params, tiny_config, path, extra={"v": 1})
+    before = path.read_bytes()
+
+    class DiskFull:
+        """A file whose third write fails, after the header went out."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(model_mod, "open",
+                        lambda *a, **kw: DiskFull(open(*a, **kw)),
+                        raising=False)
+    changed = init_random(tiny_config, seed=9)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(changed, tiny_config, path, extra={"v": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 def test_checkpoint_logit_drift_small(tiny_params, tiny_config, tmp_path):
