@@ -70,9 +70,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        backward(self)
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -166,61 +163,47 @@ def backward(loss: Tensor) -> None:
 # elementwise ops
 # ---------------------------------------------------------------------------
 
-def _as_operand(b):
-    """Returns (array_or_scalar, tensor_or_None)."""
+def _check_operand(op: str, a: Tensor, b) -> None:
+    """``b`` must be a tensor of ``a``'s shape or a real scalar."""
     if isinstance(b, Tensor):
-        return b.data, b
-    if isinstance(b, numbers.Real):
-        return float(b), None
-    raise AutodiffError(f"unsupported operand type {type(b).__name__}")
-
-
-def elementwise(op_kind: str, a: Tensor, b) -> Tensor:
-    """add/sub/mul with an equal-shape tensor or a scalar; scale is scalar-only."""
-    if op_kind == "scale":
-        if isinstance(b, Tensor):
-            raise AutodiffError("scale expects a scalar multiplier")
-        s = float(b)
-        return _result(a.data * s, (a,), lambda g, s=s: (g * s,))
-
-    b_val, b_tensor = _as_operand(b)
-    if b_tensor is not None and b_tensor.shape != a.shape:
-        raise ShapeError(
-            f"elementwise {op_kind}: shapes {a.shape} and {b_tensor.shape} differ")
-
-    if op_kind == "add":
-        data = a.data + b_val
-        vjp = lambda g: (g, g)
-    elif op_kind == "sub":
-        data = a.data - b_val
-        vjp = lambda g: (g, -g)
-    elif op_kind == "mul":
-        data = a.data * b_val
-        vjp = lambda g, bv=b_val, av=a.data: (g * bv, g * av)
-    else:
-        raise AutodiffError(f"unknown elementwise op {op_kind!r}")
-
-    inputs = (a,) if b_tensor is None else (a, b_tensor)
-    if b_tensor is None:
-        inner = vjp
-        vjp = lambda g: (inner(g)[0],)
-    return _result(data, inputs, vjp)
+        if b.shape != a.shape:
+            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+    elif not isinstance(b, numbers.Real):
+        raise AutodiffError(f"{op}: unsupported operand type {type(b).__name__}")
 
 
 def add(a: Tensor, b) -> Tensor:
-    return elementwise("add", a, b)
+    """``a + b`` for an equal-shape tensor or a real scalar ``b``."""
+    _check_operand("add", a, b)
+    if isinstance(b, Tensor):
+        return _result(a.data + b.data, (a, b), lambda g: (g, g))
+    return _result(a.data + float(b), (a,), lambda g: (g,))
 
 
 def sub(a: Tensor, b) -> Tensor:
-    return elementwise("sub", a, b)
+    """``a - b`` for an equal-shape tensor or a real scalar ``b``."""
+    _check_operand("sub", a, b)
+    if isinstance(b, Tensor):
+        return _result(a.data - b.data, (a, b), lambda g: (g, -g))
+    return _result(a.data - float(b), (a,), lambda g: (g,))
 
 
 def mul(a: Tensor, b) -> Tensor:
-    return elementwise("mul", a, b)
+    """``a * b`` for an equal-shape tensor or a real scalar ``b``."""
+    _check_operand("mul", a, b)
+    if isinstance(b, Tensor):
+        return _result(a.data * b.data, (a, b),
+                       lambda g, av=a.data, bv=b.data: (g * bv, g * av))
+    s = float(b)
+    return _result(a.data * s, (a,), lambda g: (g * s,))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    return elementwise("scale", a, s)
+    """``a * s`` for a scalar ``s``."""
+    if isinstance(s, Tensor):
+        raise AutodiffError("scale expects a scalar multiplier")
+    s = float(s)
+    return _result(a.data * s, (a,), lambda g: (g * s,))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +280,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
     if a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
-        if not (a.data.ndim == 2 and b.data.ndim == 2):
-            raise ShapeError(f"matmul leading dims differ: {a.shape} x {b.shape}")
+        raise ShapeError(f"matmul leading dims differ: {a.shape} x {b.shape}")
     if bias is not None and bias.shape != b.shape[-1:]:
         raise ShapeError(f"matmul: bias {bias.shape} vs b {b.shape}")
     out = np.matmul(a.data, b.data)
@@ -320,19 +302,11 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 # nonlinearities and normalization
 # ---------------------------------------------------------------------------
 
-def _rows_view(data: np.ndarray, axis: int) -> tuple[np.ndarray, int]:
-    """Move ``axis`` last and flatten to 2-D; returns (view, moved_axis)."""
-    nd = data.ndim
-    axis = axis % nd
-    moved = np.moveaxis(data, axis, -1)
-    return np.ascontiguousarray(moved).reshape(-1, data.shape[axis]), axis
-
-
-def softmax(x: Tensor, axis: int = -1, scale: Optional[float] = None,
+def softmax(x: Tensor, scale: Optional[float] = None,
             key_bias: Optional[np.ndarray] = None) -> Tensor:
-    """Softmax along ``axis``.
+    """Softmax over the last axis.
 
-    With ``scale`` and/or ``key_bias`` (last axis only) this is
+    With ``scale`` and/or ``key_bias`` this is
     ``softmax(x * scale + key_bias)`` as one op, the attention softmax:
     ``key_bias`` [n, k] is a constant row per leading index (e.g. 0 for a
     real key and -1e9 for a pad key), broadcast over the middle axes (heads
@@ -340,10 +314,8 @@ def softmax(x: Tensor, axis: int = -1, scale: Optional[float] = None,
     and no tensor; the returned probabilities keep the finiteness check.
     """
     nd = x.data.ndim
-    if not -nd <= axis < nd:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    if (scale is not None or key_bias is not None) and axis % nd != nd - 1:
-        raise ShapeError("softmax: scale and key_bias need axis=-1")
+    if nd == 0:
+        raise ShapeError("softmax needs at least one axis, got a 0-D tensor")
     z = x.data
     if scale is not None:
         scale = float(scale)
@@ -357,13 +329,11 @@ def softmax(x: Tensor, axis: int = -1, scale: Optional[float] = None,
             z = z + kb
         else:
             z += kb
-    rows, ax = _rows_view(z, axis)
-    p_rows = kernels.softmax_rows(rows)
-    moved_shape = np.moveaxis(z, ax, -1).shape
-    p = np.moveaxis(p_rows.reshape(moved_shape), -1, ax)
+    rows = np.ascontiguousarray(z).reshape(-1, x.shape[-1])
+    p = kernels.softmax_rows(rows).reshape(x.shape)
 
-    def vjp(g, p=p, ax=ax):
-        dz = g - (g * p).sum(axis=ax, keepdims=True)
+    def vjp(g, p=p):
+        dz = g - (g * p).sum(axis=-1, keepdims=True)
         dz *= p
         if scale is not None:
             dz *= scale
@@ -448,13 +418,6 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 def tsum(x: Tensor) -> Tensor:
     return _result(np.array(x.data.sum()), (x,),
                    lambda g, shape=x.shape: (np.broadcast_to(g, shape).copy(),))
-
-
-def tmean(x: Tensor) -> Tensor:
-    n = x.size
-    return _result(np.array(x.data.mean()), (x,),
-                   lambda g, shape=x.shape, n=n: (
-                       np.broadcast_to(g / n, shape).copy(),))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -29,40 +29,6 @@ class VacuousBoundError(BoundError):
     """A precondition fails, making the requested threshold undefined."""
 
 
-@dataclass(frozen=True)
-class BoundInput:
-    """Raw quantities feeding the threshold calculators."""
-    M: float = 1.0
-    delta: float = 0.05
-    g_cardinality: int = 1
-    a: int = 0
-    epsilon_target: float = 0.1
-    triangle: float = 0.0
-    lipschitz: float = 1.0
-    rademacher: float = 0.0
-    log_capacity: float = 0.0
-
-    def __post_init__(self):
-        if self.M <= 0:
-            raise BoundError("M must be positive")
-        if not 0.0 < self.delta <= 1.0:
-            raise BoundError("delta must lie in (0, 1]")
-        if self.g_cardinality < 1:
-            raise BoundError("|G| must be >= 1")
-        if self.a < 0:
-            raise BoundError("a must be nonnegative")
-
-
-@dataclass
-class RiskEstimate:
-    population_risk: float
-    empirical_risk: float
-
-    @property
-    def gap(self) -> float:
-        return self.population_risk - self.empirical_risk
-
-
 @dataclass
 class BoundReport:
     bound_value: float
@@ -90,15 +56,26 @@ class BoundReport:
 # threshold calculators
 # ---------------------------------------------------------------------------
 
+def _check_inputs(delta: float, M: float = 1.0, g_cardinality: int = 1,
+                  a: int = 0) -> None:
+    """The domain shared by the calculators; each passes the arguments it
+    takes (the defaults always pass)."""
+    if not M > 0:
+        raise BoundError(f"M must be positive, got {M}")
+    if not 0.0 < delta <= 1.0:
+        raise BoundError(f"delta must lie in (0, 1], got {delta}")
+    if g_cardinality < 1:
+        raise BoundError(f"|G| must be >= 1, got {g_cardinality}")
+    if a < 0:
+        raise BoundError(f"a must be nonnegative, got {a}")
+
+
 def hoeffding_gap_bound(M: float, g_cardinality: int, delta: float,
                         n: int) -> float:
     """Uniform finite-class gap bound M*sqrt(log(|G|/delta)/(2n))."""
     if n < 1:
         raise BoundError("n must be >= 1")
-    if g_cardinality < 1:
-        raise BoundError("|G| must be >= 1")
-    if not 0.0 < delta <= 1.0:
-        raise BoundError("delta must lie in (0, 1]")
+    _check_inputs(delta, M=M, g_cardinality=g_cardinality)
     return M * math.sqrt(math.log(g_cardinality / delta) / (2.0 * n))
 
 
@@ -109,6 +86,7 @@ def _ceil_clamped(value: float) -> int:
 def thm1_required_b(M: float, g_cardinality: int, delta: float, a: int,
                     epsilon_p: float, triangle: float) -> int:
     """Augmented samples needed so the finite-class gap bound undercuts epsilon_p."""
+    _check_inputs(delta, M=M, g_cardinality=g_cardinality, a=a)
     if epsilon_p <= triangle:
         raise VacuousBoundError(
             f"epsilon_p ({epsilon_p}) must exceed the shift term ({triangle})")
@@ -121,6 +99,7 @@ def thm2_required_b(M: float, delta: float, a: int, epsilon_p: float,
                     triangle: float, lipschitz: float,
                     rademacher_r: float) -> int:
     """Threshold for the Lipschitz/Rademacher case."""
+    _check_inputs(delta, M=M, a=a)
     margin = epsilon_p - triangle - 2.0 * lipschitz * rademacher_r
     if margin <= 0:
         raise VacuousBoundError(
@@ -137,6 +116,7 @@ def thm3_required_b(delta: float, a: int, epsilon_p: float, triangle: float,
     log_capacity is caller-supplied; computing the capacity itself is out
     of scope.
     """
+    _check_inputs(delta, a=a)
     if epsilon_p <= triangle:
         raise VacuousBoundError(
             f"epsilon_p ({epsilon_p}) must exceed the shift term ({triangle})")
@@ -304,6 +284,8 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
         raise BoundError("testbed or hypothesis class too large to enumerate")
     if a < 1 or trials < 1:
         raise BoundError("a and trials must be >= 1")
+    if b_mix < 0:
+        raise BoundError(f"b_mix must be nonnegative, got {b_mix}")
     pop = population_risks(testbed, g_class)
     bound = hoeffding_gap_bound(M, g_class.cardinality, delta, a + b_mix)
 

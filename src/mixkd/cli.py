@@ -145,6 +145,7 @@ def cmd_distill(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_at_least(args.batch_size, 1, "--batch-size")
     params, config, extra = load_checkpoint(args.model)
     vocab, labels, max_len = _task_from_extra(extra)
     schema = Schema.parse(args.schema)
@@ -161,6 +162,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
+    _check_at_least(args.n, 1, "--n")
     _check_at_least(args.mixup_ratio, 0, "--mixup-ratio")
     params, config, extra = load_checkpoint(args.model)
     vocab, labels, max_len = _task_from_extra(extra)
@@ -193,6 +195,8 @@ def cmd_export_embeddings(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_at_least(args.batch_size, 1, "--batch-size")
+    _check_at_least(args.warmup, 0, "--warmup")
     _check_at_least(args.measured_batches, 1, "--measured-batches")
     params, config, _ = load_checkpoint(args.model)
     report = throughput_bench(params, config.vocab_size, config.max_seq_len,

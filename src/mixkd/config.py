@@ -1,54 +1,43 @@
 """Flat key=value run-configuration files.
 
-Every TrainConfig / MixupConfig / LossWeights field is addressable with a
-dotted key (mixup.*, loss.*); model.* keys describe the model being
-trained (for distillation: the student's depth).  Unknown keys are
-errors.  Lines starting with '#' and blank lines are ignored.
+Every int/float/str field of TrainConfig, MixupConfig, LossWeights and
+ModelConfig is addressable with a key: TrainConfig fields by name,
+the others as mixup.*, loss.* and model.*; model.* keys describe the
+model being trained (for distillation: the student's depth).  vocab.*
+keys are build_vocab's options.  Unknown keys are errors.  Lines
+starting with '#' and blank lines are ignored.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+from typing import get_type_hints
+
 from .distill import LossWeights, TrainConfig
 from .mixup import MixupConfig
+from .model import ModelConfig
 
 
 class ConfigError(Exception):
     pass
 
 
-_TRAIN_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "optimizer": str,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_eps": float,
-    "seed": int,
-    "eval_every": int,
-}
-_MIXUP_KEYS = {
-    "beta_alpha": float,
-    "mixup_ratio": int,
-    "seed": int,
-}
-_LOSS_KEYS = {
-    "alpha_sm": float,
-    "alpha_tmkd": float,
-    "distance_metric": str,
-    "temperature": float,
-}
-_MODEL_KEYS = {
-    "num_layers": int,
-    "hidden_dim": int,
-    "num_heads": int,
-    "ffn_dim": int,
-    "vocab_size": int,
-    "max_seq_len": int,
-    "num_classes": int,
-    "dropout_rate": float,
-}
-_VOCAB_KEYS = {"min_freq": int, "max_size": int}
+def _scalar_keys() -> dict[str, tuple[str, str, type]]:
+    """Dotted key -> (section, field name, converter)."""
+    keys = {f"vocab.{name}": ("vocab", name, int)
+            for name in ("min_freq", "max_size")}
+    for section, prefix, cls in (("train", "", TrainConfig),
+                                 ("mixup", "mixup.", MixupConfig),
+                                 ("loss", "loss.", LossWeights),
+                                 ("model", "model.", ModelConfig)):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if hints[f.name] in (int, float, str):
+                keys[prefix + f.name] = (section, f.name, hints[f.name])
+    return keys
+
+
+_KEYS = _scalar_keys()
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -76,30 +65,20 @@ def load_config(path) -> tuple[TrainConfig, dict, dict]:
 def config_from_pairs(pairs: dict[str, str],
                       path) -> tuple[TrainConfig, dict, dict]:
     """Like :func:`load_config` for pairs already read from ``path``."""
-    train_kwargs: dict = {}
-    mixup_kwargs: dict = {}
-    loss_kwargs: dict = {}
-    model_kwargs: dict = {}
-    vocab_kwargs: dict = {}
+    kwargs: dict[str, dict] = {s: {} for s in
+                               ("train", "mixup", "loss", "model", "vocab")}
     for key, raw in pairs.items():
+        if key not in _KEYS:
+            raise ConfigError(f"{path}: unknown config key {key!r}")
+        section, name, convert = _KEYS[key]
         try:
-            if key in _TRAIN_KEYS:
-                train_kwargs[key] = _TRAIN_KEYS[key](raw)
-            elif key.startswith("mixup.") and key[6:] in _MIXUP_KEYS:
-                mixup_kwargs[key[6:]] = _MIXUP_KEYS[key[6:]](raw)
-            elif key.startswith("loss.") and key[5:] in _LOSS_KEYS:
-                loss_kwargs[key[5:]] = _LOSS_KEYS[key[5:]](raw)
-            elif key.startswith("model.") and key[6:] in _MODEL_KEYS:
-                model_kwargs[key[6:]] = _MODEL_KEYS[key[6:]](raw)
-            elif key.startswith("vocab.") and key[6:] in _VOCAB_KEYS:
-                vocab_kwargs[key[6:]] = _VOCAB_KEYS[key[6:]](raw)
-            else:
-                raise ConfigError(f"{path}: unknown config key {key!r}")
+            kwargs[section][name] = convert(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
     try:
-        config = TrainConfig(mixup=MixupConfig(**mixup_kwargs),
-                             loss=LossWeights(**loss_kwargs), **train_kwargs)
+        config = TrainConfig(mixup=MixupConfig(**kwargs["mixup"]),
+                             loss=LossWeights(**kwargs["loss"]),
+                             **kwargs["train"])
     except Exception as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return config, model_kwargs, vocab_kwargs
+    return config, kwargs["model"], kwargs["vocab"]

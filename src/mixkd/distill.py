@@ -26,7 +26,7 @@ from .autodiff import NonFiniteError, Tensor
 from .data import Batch, Example, Vocab, collate
 from .mixup import MixupConfig, make_pairs, materialize
 from .model import (ModelConfig, ModelParams, embed_batch,
-                    forward_from_embeddings, forward_tokens, init_random,
+                    forward_from_embeddings, init_random,
                     init_student_from_teacher)
 
 VARIANTS = ("ft", "tmkd", "sm_tmkd")
@@ -132,12 +132,12 @@ def loss_mle(logits: Tensor, labels_onehot: np.ndarray) -> Tensor:
     one = np.isclose(rows.max(axis=1), 1.0, atol=1e-9)
     if not one.all() or np.abs(rows.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValueError("loss_mle expects one-hot label rows")
-    return ad.cross_entropy(ad.softmax(logits, axis=-1), ad.constant(rows))
+    return ad.cross_entropy(ad.softmax(logits), ad.constant(rows))
 
 
 def loss_sm(student_logits_on_mixed: Tensor, mixed_labels: np.ndarray) -> Tensor:
     """Soft-target cross-entropy of the student on mixed samples."""
-    return ad.cross_entropy(ad.softmax(student_logits_on_mixed, axis=-1),
+    return ad.cross_entropy(ad.softmax(student_logits_on_mixed),
                             ad.constant(np.asarray(mixed_labels)))
 
 
@@ -151,8 +151,8 @@ def loss_tmkd(teacher_out: Tensor, student_out: Tensor,
     if weights.distance_metric == "mse":
         return ad.mse(student_out, t)
     tau = weights.temperature
-    soft_targets = ad.softmax(ad.scale(t, 1.0 / tau), axis=-1).data
-    ce = ad.cross_entropy(ad.softmax(ad.scale(student_out, 1.0 / tau), axis=-1),
+    soft_targets = ad.softmax(ad.scale(t, 1.0 / tau)).data
+    ce = ad.cross_entropy(ad.softmax(ad.scale(student_out, 1.0 / tau)),
                           ad.constant(soft_targets))
     return ad.scale(ce, tau * tau)
 
@@ -169,13 +169,15 @@ def total_loss(batch: Batch, specs, teacher: Optional[ModelParams],
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    logits = forward_tokens(student, batch, train_mode=train_mode, rng=rng)
+    # one student embedding feeds L_MLE and the mixup terms
+    student_emb = embed_batch(student, batch.token_ids, batch.pad_mask)
+    logits = forward_from_embeddings(student, student_emb, batch.pad_mask,
+                                     train_mode=train_mode, rng=rng)
     l_mle = loss_mle(logits, batch.labels_onehot)
     total = l_mle
     components = {"mle": l_mle.item(), "sm": 0.0, "tmkd": 0.0}
 
     if variant != "ft" and specs:
-        student_emb = embed_batch(student, batch.token_ids, batch.pad_mask)
         mixed_emb, mixed_mask, mixed_labels = materialize(
             specs, student_emb, batch.pad_mask, batch.labels_onehot)
         s_mixed = forward_from_embeddings(student, mixed_emb, mixed_mask,

@@ -93,22 +93,23 @@ def export_cls_features(params: ModelParams, examples: Sequence[Example],
     """
     batch = make_batch(examples, vocab, max_len, num_classes)
     with no_grad():
-        _, feats = forward_tokens(params, batch, return_features=True)
+        # one embedding feeds the originals and the mixed neighbours
+        emb = embed_batch(params, batch.token_ids, batch.pad_mask)
+        _, feats = forward_from_embeddings(params, emb, batch.pad_mask,
+                                           return_features=True)
+        if mixup_specs:
+            mixed_emb, mixed_mask, mixed_labels = materialize(
+                list(mixup_specs), emb, batch.pad_mask, batch.labels_onehot)
+            _, mixed_feats = forward_from_embeddings(
+                params, mixed_emb, mixed_mask, return_features=True)
     d = feats.shape[1]
 
     rows = []
     for i in range(len(examples)):
         rows.append((i, i, i, 1.0, batch.labels_onehot[i], feats.data[i]))
-    if mixup_specs:
-        with no_grad():
-            emb = embed_batch(params, batch.token_ids, batch.pad_mask)
-            mixed_emb, mixed_mask, mixed_labels = materialize(
-                list(mixup_specs), emb, batch.pad_mask, batch.labels_onehot)
-            _, mixed_feats = forward_from_embeddings(
-                params, mixed_emb, mixed_mask, return_features=True)
-        for k, spec in enumerate(mixup_specs):
-            rows.append((len(examples) + k, spec.index_i, spec.index_j,
-                         spec.lam, mixed_labels[k], mixed_feats.data[k]))
+    for k, spec in enumerate(mixup_specs):
+        rows.append((len(examples) + k, spec.index_i, spec.index_j,
+                     spec.lam, mixed_labels[k], mixed_feats.data[k]))
 
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -224,7 +224,7 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
 
         # k goes straight to [n,h,hd,T], the transposed operand of q @ k^T
         q, kt, v = heads("q"), heads("k", (0, 2, 3, 1)), heads("v")
-        attn = ad.softmax(ad.matmul(q, kt), axis=-1, scale=inv_sqrt_hd,
+        attn = ad.softmax(ad.matmul(q, kt), scale=inv_sqrt_hd,
                           key_bias=key_bias)
         if drop > 0.0:
             attn = ad.dropout(attn, drop, rng)

@@ -3,6 +3,7 @@ enumerable coverage testbed."""
 
 import copy
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -119,13 +120,30 @@ def test_thm3_vacuous_cases():
 
 
 def test_bound_input_validation():
-    B.BoundInput()
-    with pytest.raises(B.BoundError):
-        B.BoundInput(M=0.0)
-    with pytest.raises(B.BoundError):
-        B.BoundInput(delta=0.0)
-    with pytest.raises(B.BoundError):
-        B.BoundInput(a=-1)
+    """M > 0, 0 < delta <= 1, |G| >= 1 and a >= 0, checked by every
+    calculator for the arguments it takes."""
+    calculators = {
+        "hoeffding": lambda M=1.0, G=1, delta=0.05, a=0:
+            B.hoeffding_gap_bound(M, G, delta, 100),
+        "thm1": lambda M=1.0, G=1, delta=0.05, a=0:
+            B.thm1_required_b(M, G, delta, a, 0.1, 0.0),
+        "thm2": lambda M=1.0, G=1, delta=0.05, a=0:
+            B.thm2_required_b(M, delta, a, 0.1, 0.0, 1.0, 0.0),
+        "thm3": lambda M=1.0, G=1, delta=0.05, a=1000:
+            B.thm3_required_b(delta, a, 0.9, 0.0, 0.0),
+    }
+    takes = {"hoeffding": "M G delta", "thm1": "M G delta a",
+             "thm2": "M delta a", "thm3": "delta a"}
+    bad = {"M": [("M", 0.0), ("M", -1.0), ("M", float("nan"))],
+           "G": [("|G|", 0)],
+           "delta": [("delta", 0.0), ("delta", 2.0), ("delta", -0.1)],
+           "a": [("a", -1)]}
+    for name, calc in calculators.items():
+        calc()
+        for arg in takes[name].split():
+            for label, value in bad[arg]:
+                with pytest.raises(B.BoundError, match=f"^{re.escape(label)} "):
+                    calc(**{arg: value})
 
 
 def test_monotonicity_grids():
@@ -237,3 +255,6 @@ def test_empirical_gap_experiment_report(rng):
     with pytest.raises(B.BoundError):
         B.empirical_gap_experiment(tb, gc, a=0, b_mix=0, trials=5, delta=0.1,
                                    rng=rng)
+    with pytest.raises(B.BoundError, match="b_mix"):
+        B.empirical_gap_experiment(tb, gc, a=10, b_mix=-3, trials=1,
+                                   delta=0.1, rng=rng)

@@ -275,6 +275,21 @@ def test_exit_code_bound_error(capsys):
     # epsilon below the shift term: the threshold is undefined
     code = main(["bound", "thm1", "--epsilon", "0.05", "--triangle", "0.1"])
     assert code == 4
+    # inputs outside the calculators' domain name the parameter
+    for argv, name in [
+            (["thm1", "--delta", "0"], "delta"),
+            (["thm2", "--delta", "0"], "delta"),
+            (["thm3", "--delta", "0", "--a", "1000", "--epsilon", "0.9"],
+             "delta"),
+            (["thm1", "--g-cardinality", "0"], "|G|"),
+            (["thm1", "--m", "-1"], "M must"),
+            (["thm1", "--delta", "2"], "delta"),
+            (["verify", "--a", "10", "--b-mix", "-3", "--trials", "1"],
+             "b_mix")]:
+        capsys.readouterr()
+        assert main(["bound"] + argv) == 4, argv
+        captured = capsys.readouterr()
+        assert name in captured.err and captured.out == "", argv
 
 
 @pytest.mark.parametrize("line", [
@@ -300,8 +315,18 @@ def test_exit_code_config_error(line, workspace, tmp_path, capsys):
     (["seeds", "--seeds", "0"], "--seeds"),
     (["export-embeddings", "--mixup-ratio", "-1"], "--mixup-ratio"),
     (["bench", "--measured-batches", "0"], "--measured-batches"),
+    (["eval", "--batch-size", "0"], "--batch-size"),
+    (["eval", "--batch-size", "-4"], "--batch-size"),
+    (["export-embeddings", "--n", "0"], "--n"),
+    (["export-embeddings", "--n", "-3"], "--n"),
+    (["bench", "--batch-size", "0"], "--batch-size"),
+    (["bench", "--batch-size", "-2"], "--batch-size"),
+    (["bench", "--warmup", "-1"], "--warmup"),
 ], ids=["sweep_not_a_number", "sweep_empty_list", "seeds_not_a_number",
-        "seeds_single", "export_negative_ratio", "bench_zero_batches"])
+        "seeds_single", "export_negative_ratio", "bench_zero_batches",
+        "eval_zero_batch", "eval_negative_batch", "export_zero_n",
+        "export_negative_n", "bench_zero_batch", "bench_negative_batch",
+        "bench_negative_warmup"])
 def test_exit_code_bad_numbers(argv, name, teacher_ckpt, workspace, tmp_path,
                                capsys):
     command = argv[0]
@@ -319,6 +344,7 @@ def test_exit_code_bad_numbers(argv, name, teacher_ckpt, workspace, tmp_path,
         "export-embeddings": ["--model", str(teacher_ckpt),
                               "--out", str(tmp_path / "feats.csv")] + data,
         "bench": ["--model", str(teacher_ckpt)],
+        "eval": ["--model", str(teacher_ckpt)] + data,
     }
     code = main(argv + required[command])
     assert code == 6

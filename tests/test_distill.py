@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from mixkd import autodiff as ad
-from mixkd import distill
+from mixkd import distill, model
 from mixkd.autodiff import Tensor, constant
 from mixkd.distill import (Adam, LossWeights, SGD, TrainConfig, _train_loop,
                            distill_student, format_mean_std, loss_mle, loss_sm,
                            loss_tmkd, run_seeds, total_loss, train_teacher)
 from mixkd.data import make_batch
-from mixkd.mixup import MixupConfig, MixupSpec
-from mixkd.model import (forward_from_embeddings, init_random,
-                         init_student_from_teacher)
+from mixkd.mixup import MixupConfig, MixupSpec, materialize
+from mixkd.model import (embed_batch, forward_from_embeddings, forward_tokens,
+                         init_random, init_student_from_teacher)
 
 
 def test_loss_weights_validation():
@@ -175,6 +175,56 @@ def test_teacher_forward_builds_no_graph(tiny_setup, monkeypatch):
     assert outs[id(student)]._inputs  # the student's mixed forward is taped
     ad.backward(loss)
     assert all(t.grad is None for t in teacher.arrays.values())
+
+
+def _two_embedding_sm_tmkd(batch, specs, teacher, student, weights):
+    """The sm_tmkd loss with the student embedded twice: once inside
+    forward_tokens for L_MLE and once more for mixup."""
+    l_mle = loss_mle(forward_tokens(student, batch), batch.labels_onehot)
+    emb = embed_batch(student, batch.token_ids, batch.pad_mask)
+    mixed_emb, mixed_mask, mixed_labels = materialize(
+        specs, emb, batch.pad_mask, batch.labels_onehot)
+    s_mixed = forward_from_embeddings(student, mixed_emb, mixed_mask)
+    l_sm = loss_sm(s_mixed, mixed_labels)
+    with ad.no_grad():
+        query_emb, _, _ = materialize(
+            specs, embed_batch(teacher, batch.token_ids, batch.pad_mask),
+            batch.pad_mask, batch.labels_onehot)
+        t_mixed = forward_from_embeddings(teacher, query_emb, mixed_mask)
+    l_tmkd = loss_tmkd(t_mixed, s_mixed, weights)
+    total = ad.add(ad.add(l_mle, ad.scale(l_sm, weights.alpha_sm)),
+                   ad.scale(l_tmkd, weights.alpha_tmkd))
+    return total, {"mle": l_mle.item(), "sm": l_sm.item(),
+                   "tmkd": l_tmkd.item(), "total": total.item()}
+
+
+def test_student_embedded_once_per_step(tiny_setup, monkeypatch):
+    teacher, student_config, batch = tiny_setup
+    teacher.freeze()
+    specs = [MixupSpec(i, (i + 1) % 6, 0.4) for i in range(6)]
+    weights = LossWeights(alpha_sm=0.7, alpha_tmkd=1.3)
+    calls = []
+
+    def spy(params, *args):
+        calls.append(id(params))
+        return embed_batch(params, *args)
+    # forward_tokens would reach model.embed_batch
+    for module in (distill, model):
+        monkeypatch.setattr(module, "embed_batch", spy)
+    student = init_student_from_teacher(teacher, student_config)
+    loss, comp = total_loss(batch, specs, teacher, student, weights,
+                            variant="sm_tmkd")
+    assert sorted(calls) == sorted([id(student), id(teacher)])
+
+    reference = init_student_from_teacher(teacher, student_config)
+    ref_loss, ref_comp = _two_embedding_sm_tmkd(batch, specs, teacher,
+                                                reference, weights)
+    assert comp == ref_comp  # same values, bit for bit
+    ad.backward(loss)
+    ad.backward(ref_loss)
+    # the shared embedding sums its two gradient paths in another order
+    np.testing.assert_allclose(student["tok_emb"].grad,
+                               reference["tok_emb"].grad, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ import pytest
 from mixkd import evaluation
 from mixkd.config import ConfigError, load_config, parse_kv_file
 from mixkd.data import DataError, make_batch
-from mixkd.distill import TrainConfig
+from mixkd.distill import LossWeights, TrainConfig
 from mixkd.evaluation import (SweepGrid, compute_metrics, evaluate,
                               export_cls_features, sweep_grid,
                               throughput_bench)
-from mixkd.mixup import MixupSpec
-from mixkd.model import forward_tokens, init_random
+from mixkd.mixup import MixupConfig, MixupSpec
+from mixkd.model import ModelConfig, forward_tokens, init_random
 
 
 def test_compute_metrics_accuracy():
@@ -197,9 +197,46 @@ def test_load_config_full(tmp_path):
 
 def test_load_config_unknown_key(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("nonsense=1\n")
-    with pytest.raises(ConfigError, match="unknown config key"):
-        load_config(path)
+    for key in ("nonsense", "mixup.nope", "model.nope"):
+        path.write_text(f"{key}=1\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(path)
+
+
+# a non-default value for every scalar field of the config dataclasses
+CONFIG_VALUES = {
+    TrainConfig: ("", {"epochs": 5, "batch_size": 7, "learning_rate": 0.25,
+                       "optimizer": "sgd", "adam_beta1": 0.5,
+                       "adam_beta2": 0.75, "adam_eps": 1e-6, "seed": 11,
+                       "eval_every": 3}),
+    MixupConfig: ("mixup.", {"beta_alpha": 0.3, "mixup_ratio": 3, "seed": 9}),
+    LossWeights: ("loss.", {"alpha_sm": 0.5, "alpha_tmkd": 2.5,
+                            "distance_metric": "temperature_ce",
+                            "temperature": 4.0}),
+    ModelConfig: ("model.", {"num_layers": 2, "hidden_dim": 12,
+                             "num_heads": 3, "ffn_dim": 20, "vocab_size": 30,
+                             "max_seq_len": 9, "num_classes": 4,
+                             "dropout_rate": 0.2}),
+}
+
+
+def test_load_config_every_dataclass_field(tmp_path):
+    lines = []
+    for cls, (prefix, values) in CONFIG_VALUES.items():
+        scalar = {f.name for f in dataclasses.fields(cls)} - {"mixup", "loss"}
+        assert set(values) == scalar, cls.__name__
+        lines += [f"{prefix}{name}={value}" for name, value in values.items()]
+    path = tmp_path / "c.cfg"
+    path.write_text("\n".join(lines + ["vocab.min_freq=2",
+                                       "vocab.max_size=50"]) + "\n")
+    config, model_kwargs, vocab_kwargs = load_config(path)
+    built = {TrainConfig: config, MixupConfig: config.mixup,
+             LossWeights: config.loss, ModelConfig: ModelConfig(**model_kwargs)}
+    for cls, (_, values) in CONFIG_VALUES.items():
+        for name, value in values.items():
+            got = getattr(built[cls], name)
+            assert type(got) is type(value) and got == value, (cls, name)
+    assert vocab_kwargs == {"min_freq": 2, "max_size": 50}
 
 
 def test_load_config_bad_value(tmp_path):

@@ -145,7 +145,7 @@ def test_end_to_end_gradient_nonzero(tiny_params, tiny_config):
     from mixkd.data import Batch
     batch = Batch(ids, mask, labels)
     logits = forward_tokens(tiny_params, batch)
-    loss = ad.cross_entropy(ad.softmax(logits, axis=-1),
+    loss = ad.cross_entropy(ad.softmax(logits),
                             ad.constant(batch.labels_onehot))
     ad.backward(loss)
     assert np.abs(tiny_params["tok_emb"].grad).sum() > 0
@@ -183,7 +183,7 @@ def _unfused_forward(params, emb, pad_mask, train_mode=False, rng=None):
         q, k, v = heads("q"), heads("k"), heads("v")
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
                           1.0 / math.sqrt(hd))
-        attn = ad.softmax(ad.add(scores, attn_bias), axis=-1)
+        attn = ad.softmax(ad.add(scores, attn_bias))
         if drop > 0.0:
             attn = ad.dropout(attn, drop, rng)
         ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)),
@@ -219,7 +219,7 @@ def _logits_and_grads(forward, params, ids, mask, **kw):
     params = params.copy()
     logits = forward(params, embed_batch(params, ids, mask), mask, **kw)
     labels = np.eye(3)[np.arange(len(ids)) % 3]
-    ad.backward(ad.cross_entropy(ad.softmax(logits, axis=-1),
+    ad.backward(ad.cross_entropy(ad.softmax(logits),
                                  ad.constant(labels)))
     return logits.data, {name: params[name].grad for name in params.names}
 
