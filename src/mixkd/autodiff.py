@@ -7,11 +7,24 @@ nothing, for forward passes that are never differentiated.  Only
 scalar-vs-tensor broadcasting is allowed; everything else goes through
 explicit ops (``add_bias``, ``gather_rows``, ...) so shape bugs fail
 loudly.
+
+Finiteness is checked at the boundaries, not per op.  A tensor built by
+``Tensor(...)`` or ``constant(...)`` is checked; an op result is not.
+``model.forward_from_embeddings`` checks its logits (and features),
+``distill.total_loss`` the loss, ``backward`` every leaf gradient it
+wrote and the optimizers every parameter after a step, so every value
+that is returned or stored is finite.  An intermediate that overflows
+and is then absorbed (say a -inf attention score that the softmax turns
+into 0) is no error.  To find the op that first went non-finite, run
+the computation again under ``detect_anomaly``: there every op result
+and every VJP output is checked, and the error names the op and the
+innermost ``scope`` it ran in.
 """
 
 from __future__ import annotations
 
 import numbers
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -33,9 +46,11 @@ class NonFiniteError(AutodiffError):
     """A NaN or Inf appeared in a tensor value."""
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def _check_finite(arr: np.ndarray,
+                  message: str = "tensor contains NaN or Inf") -> None:
+    """The one finiteness check: every boundary and anomaly mode call it."""
     if not np.isfinite(arr).all():
-        raise NonFiniteError("tensor contains NaN or Inf")
+        raise NonFiniteError(message)
 
 
 class Tensor:
@@ -45,9 +60,11 @@ class Tensor:
                  "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False,
-                 _inputs: tuple = (), _vjp: Optional[Callable] = None):
+                 _inputs: tuple = (), _vjp: Optional[Callable] = None,
+                 _op_result: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        _check_finite(arr)
+        if not _op_result:
+            _check_finite(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
@@ -82,30 +99,65 @@ def constant(data) -> Tensor:
 
 
 _grad_enabled = True
+_anomaly = False
+_scope = "top level"
 
 
 @contextmanager
-def no_grad():
-    """Ops inside return leaves with no inputs and no VJP: same values, same
-    finiteness check, no graph.  Nests; the previous mode is restored on
-    exit, also when the block raises.  The mode is one module flag, shared
-    by every thread of the process."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+def _set_mode(name: str, value):
+    """Set the module flag ``name`` for the block.  Nests; the previous
+    value is restored on exit, also when the block raises.  Each flag is
+    shared by every thread of the process."""
+    previous = globals()[name]
+    globals()[name] = value
     try:
         yield
     finally:
-        _grad_enabled = previous
+        globals()[name] = previous
+
+
+def no_grad():
+    """Ops inside return leaves with no inputs and no VJP: same values, no
+    graph."""
+    return _set_mode("_grad_enabled", False)
+
+
+def detect_anomaly():
+    """Check every op result and every VJP output inside; the first
+    non-finite one raises ``NonFiniteError("first non-finite: <op> in
+    <scope>")`` (``<op> vjp`` for a gradient)."""
+    return _set_mode("_anomaly", True)
+
+
+def scope(name: str):
+    """Name the block that ``detect_anomaly`` reports an op in."""
+    return _set_mode("_scope", name)
+
+
+def _checked_vjp(vjp: Callable, where: str) -> Callable:
+    def checked(g):
+        grads = vjp(g)
+        for pg in grads:
+            if pg is not None:
+                _check_finite(pg, f"first non-finite: {where}")
+        return grads
+    return checked
 
 
 def _result(data: np.ndarray, inputs: Sequence[Tensor],
             vjp: Callable) -> Tensor:
-    if _grad_enabled and any(t.requires_grad for t in inputs):
-        return Tensor(data, requires_grad=True, _inputs=tuple(inputs), _vjp=vjp)
+    graph = _grad_enabled and any(t.requires_grad for t in inputs)
+    if _anomaly:
+        op = sys._getframe(1).f_code.co_name  # the op that called us
+        _check_finite(data, f"first non-finite: {op} in {_scope}")
+        if graph:
+            vjp = _checked_vjp(vjp, f"{op} vjp in {_scope}")
+    if graph:
+        return Tensor(data, requires_grad=True, _inputs=tuple(inputs),
+                      _vjp=vjp, _op_result=True)
     # prune the graph below non-differentiable results (e.g. a frozen
     # teacher) and under no_grad
-    return Tensor(data, requires_grad=False)
+    return Tensor(data, requires_grad=False, _op_result=True)
 
 
 class Tape:
@@ -131,7 +183,8 @@ class Tape:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``."""
+    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``,
+    then check that each of those gradients is finite."""
     if loss.size != 1:
         raise AutodiffError(f"backward root must be scalar, got shape {loss.shape}")
     if loss._backward_done:
@@ -140,6 +193,7 @@ def backward(loss: Tensor) -> None:
 
     tape = Tape(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    leaves: list[Tensor] = []
     for node in reversed(tape.nodes):
         g = grads.pop(id(node), None)
         if g is None:
@@ -147,6 +201,7 @@ def backward(loss: Tensor) -> None:
         if node._vjp is None:
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
+                leaves.append(node)
             continue
         input_grads = node._vjp(g)
         for parent, pg in zip(node._inputs, input_grads):
@@ -157,6 +212,8 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
+    for node in leaves:
+        _check_finite(node.grad, "a leaf gradient contains NaN or Inf")
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +256,9 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    """``a * s`` for a scalar ``s``."""
-    if isinstance(s, Tensor):
-        raise AutodiffError("scale expects a scalar multiplier")
+    """``a * s`` for a real scalar ``s``."""
+    if not isinstance(s, numbers.Real):
+        raise AutodiffError(f"scale: unsupported operand type {type(s).__name__}")
     s = float(s)
     return _result(a.data * s, (a,), lambda g: (g * s,))
 
@@ -311,7 +368,7 @@ def softmax(x: Tensor, scale: Optional[float] = None,
     ``key_bias`` [n, k] is a constant row per leading index (e.g. 0 for a
     real key and -1e9 for a pad key), broadcast over the middle axes (heads
     and queries) without a copy.  The scaled, biased scores are one buffer
-    and no tensor; the returned probabilities keep the finiteness check.
+    and no tensor.
     """
     nd = x.data.ndim
     if nd == 0:

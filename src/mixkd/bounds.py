@@ -57,17 +57,18 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 def _check_inputs(delta: float, M: float = 1.0, g_cardinality: int = 1,
-                  a: int = 0) -> None:
+                  **nonnegative: float) -> None:
     """The domain shared by the calculators; each passes the arguments it
-    takes (the defaults always pass)."""
+    takes (the defaults always pass), and by name those that must be >= 0."""
     if not M > 0:
         raise BoundError(f"M must be positive, got {M}")
     if not 0.0 < delta <= 1.0:
         raise BoundError(f"delta must lie in (0, 1], got {delta}")
     if g_cardinality < 1:
         raise BoundError(f"|G| must be >= 1, got {g_cardinality}")
-    if a < 0:
-        raise BoundError(f"a must be nonnegative, got {a}")
+    for name, value in nonnegative.items():
+        if not value >= 0:
+            raise BoundError(f"{name} must be nonnegative, got {value}")
 
 
 def hoeffding_gap_bound(M: float, g_cardinality: int, delta: float,
@@ -99,7 +100,8 @@ def thm2_required_b(M: float, delta: float, a: int, epsilon_p: float,
                     triangle: float, lipschitz: float,
                     rademacher_r: float) -> int:
     """Threshold for the Lipschitz/Rademacher case."""
-    _check_inputs(delta, M=M, a=a)
+    _check_inputs(delta, M=M, a=a, lipschitz=lipschitz,
+                  rademacher_r=rademacher_r)
     margin = epsilon_p - triangle - 2.0 * lipschitz * rademacher_r
     if margin <= 0:
         raise VacuousBoundError(
@@ -116,7 +118,7 @@ def thm3_required_b(delta: float, a: int, epsilon_p: float, triangle: float,
     log_capacity is caller-supplied; computing the capacity itself is out
     of scope.
     """
-    _check_inputs(delta, a=a)
+    _check_inputs(delta, a=a, log_capacity=log_capacity)
     if epsilon_p <= triangle:
         raise VacuousBoundError(
             f"epsilon_p ({epsilon_p}) must exceed the shift term ({triangle})")

@@ -132,13 +132,15 @@ def loss_mle(logits: Tensor, labels_onehot: np.ndarray) -> Tensor:
     one = np.isclose(rows.max(axis=1), 1.0, atol=1e-9)
     if not one.all() or np.abs(rows.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValueError("loss_mle expects one-hot label rows")
-    return ad.cross_entropy(ad.softmax(logits), ad.constant(rows))
+    with ad.scope("loss.mle"):
+        return ad.cross_entropy(ad.softmax(logits), ad.constant(rows))
 
 
 def loss_sm(student_logits_on_mixed: Tensor, mixed_labels: np.ndarray) -> Tensor:
     """Soft-target cross-entropy of the student on mixed samples."""
-    return ad.cross_entropy(ad.softmax(student_logits_on_mixed),
-                            ad.constant(np.asarray(mixed_labels)))
+    with ad.scope("loss.sm"):
+        return ad.cross_entropy(ad.softmax(student_logits_on_mixed),
+                                ad.constant(np.asarray(mixed_labels)))
 
 
 def loss_tmkd(teacher_out: Tensor, student_out: Tensor,
@@ -148,13 +150,14 @@ def loss_tmkd(teacher_out: Tensor, student_out: Tensor,
         raise ad.ShapeError(
             f"loss_tmkd: {teacher_out.shape} vs {student_out.shape}")
     t = teacher_out.detach()
-    if weights.distance_metric == "mse":
-        return ad.mse(student_out, t)
-    tau = weights.temperature
-    soft_targets = ad.softmax(ad.scale(t, 1.0 / tau)).data
-    ce = ad.cross_entropy(ad.softmax(ad.scale(student_out, 1.0 / tau)),
-                          ad.constant(soft_targets))
-    return ad.scale(ce, tau * tau)
+    with ad.scope("loss.tmkd"):
+        if weights.distance_metric == "mse":
+            return ad.mse(student_out, t)
+        tau = weights.temperature
+        soft_targets = ad.softmax(ad.scale(t, 1.0 / tau)).data
+        ce = ad.cross_entropy(ad.softmax(ad.scale(student_out, 1.0 / tau)),
+                              ad.constant(soft_targets))
+        return ad.scale(ce, tau * tau)
 
 
 def total_loss(batch: Batch, specs, teacher: Optional[ModelParams],
@@ -199,6 +202,8 @@ def total_loss(batch: Batch, specs, teacher: Optional[ModelParams],
         total = ad.add(total, ad.scale(l_tmkd, weights.alpha_tmkd))
         components["tmkd"] = l_tmkd.item()
 
+    # the loss is a boundary: op results inside it are not checked
+    ad._check_finite(total.data, "loss contains NaN or Inf")
     components["total"] = total.item()
     return total, components
 
@@ -206,6 +211,14 @@ def total_loss(batch: Batch, specs, teacher: Optional[ModelParams],
 # ---------------------------------------------------------------------------
 # optimizers
 # ---------------------------------------------------------------------------
+
+def _check_params(params: ModelParams, optimizer: str) -> None:
+    """The parameters are a boundary: each must be finite after a step."""
+    for name, t in params.arrays.items():
+        ad._check_finite(
+            t.data, f"parameter {name} contains NaN or Inf after the "
+                    f"{optimizer} step")
+
 
 class SGD:
     def __init__(self, lr: float):
@@ -215,6 +228,7 @@ class SGD:
         for t in params.arrays.values():
             if t.grad is not None:
                 t.data -= self.lr * t.grad
+        _check_params(params, "SGD")
 
 
 class Adam:
@@ -240,6 +254,7 @@ class Adam:
             v *= self.b2
             v += (1.0 - self.b2) * g * g
             tensor.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        _check_params(params, "Adam")
 
 
 def _make_optimizer(config: TrainConfig):
@@ -255,6 +270,19 @@ def _make_optimizer(config: TrainConfig):
 
 def _stream_seed(base: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([base, *tags]))
+
+
+def _first_non_finite(step_loss) -> Optional[NonFiniteError]:
+    """Runs a failed step's loss and backward again under
+    ``detect_anomaly``; returns the error naming its first non-finite op
+    (or another non-finite value), or None when the re-run finds none."""
+    try:
+        with ad.detect_anomaly():
+            loss, _ = step_loss()
+            ad.backward(loss)
+    except NonFiniteError as exc:
+        return exc
+    return None
 
 
 def _train_loop(params: ModelParams, config: TrainConfig, dataset: TaskData,
@@ -294,17 +322,27 @@ def _train_loop(params: ModelParams, config: TrainConfig, dataset: TaskData,
                 mix_rng = _stream_seed(config.seed, 2, config.mixup.seed,
                                        epoch, batch_idx)
                 specs = make_pairs(len(batch), config.mixup, mix_rng)
-            drop_rng = _stream_seed(config.seed, 3, epoch, batch_idx)
+
+            def step_loss():
+                # the dropout stream is seeded per step, so a re-run of
+                # the step draws the same masks
+                drop_rng = _stream_seed(config.seed, 3, epoch, batch_idx)
+                return total_loss(batch, specs, teacher, params, config.loss,
+                                  variant=variant, train_mode=True,
+                                  rng=drop_rng)
+
+            at = f"at step {step} (epoch {epoch}, batch {batch_idx})"
             try:
-                loss, comp = total_loss(
-                    batch, specs, teacher, params, config.loss,
-                    variant=variant, train_mode=True, rng=drop_rng)
+                loss, comp = step_loss()
                 ad.backward(loss)
             except NonFiniteError as exc:
-                raise TrainingDiverged(
-                    f"non-finite loss at step {step} (epoch {epoch}, "
-                    f"batch {batch_idx}): {exc}") from exc
-            optimizer.step(params)
+                params.zero_grads()
+                located = _first_non_finite(step_loss)
+                raise TrainingDiverged(f"{located or exc} {at}") from exc
+            try:
+                optimizer.step(params)
+            except NonFiniteError as exc:
+                raise TrainingDiverged(f"{exc} {at}") from exc
             params.zero_grads()
             step += 1
             record.log_step(step, comp["total"], comp["mle"], comp["sm"],

@@ -183,11 +183,13 @@ def embed_batch(params: ModelParams, token_ids: np.ndarray,
     n, T = ids.shape
     if T != cfg.max_seq_len:
         raise ValueError(f"sequence length {T} != max_seq_len {cfg.max_seq_len}")
-    tok = ad.gather_rows(params["tok_emb"], ids.reshape(-1))
-    pos = ad.gather_rows(params["pos_emb"], np.tile(np.arange(T), n))
-    summed = ad.reshape(ad.add(tok, pos), (n, T, cfg.hidden_dim))
-    keep = np.repeat(mask[:, :, None].astype(np.float64), cfg.hidden_dim, axis=2)
-    return ad.mul(summed, ad.constant(keep))
+    with ad.scope("embed"):
+        tok = ad.gather_rows(params["tok_emb"], ids.reshape(-1))
+        pos = ad.gather_rows(params["pos_emb"], np.tile(np.arange(T), n))
+        summed = ad.reshape(ad.add(tok, pos), (n, T, cfg.hidden_dim))
+        keep = np.repeat(mask[:, :, None].astype(np.float64), cfg.hidden_dim,
+                         axis=2)
+        return ad.mul(summed, ad.constant(keep))
 
 
 def forward_from_embeddings(params: ModelParams, emb: Tensor,
@@ -222,30 +224,40 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
                           bias=params[f"{p}.attn.b{name}"])
             return ad.transpose(ad.reshape(y, (n, T, h, hd)), axes)
 
-        # k goes straight to [n,h,hd,T], the transposed operand of q @ k^T
-        q, kt, v = heads("q"), heads("k", (0, 2, 3, 1)), heads("v")
-        attn = ad.softmax(ad.matmul(q, kt), scale=inv_sqrt_hd,
-                          key_bias=key_bias)
-        if drop > 0.0:
-            attn = ad.dropout(attn, drop, rng)
-        ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (n * T, d))
-        proj = ad.matmul(ctx, params[f"{p}.attn.wo"], bias=params[f"{p}.attn.bo"])
-        if drop > 0.0:
-            proj = ad.dropout(proj, drop, rng)
-        x2 = ad.layer_norm(ad.add(x2, proj),
-                           params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
+        with ad.scope(f"{p}.attn"):
+            # k goes straight to [n,h,hd,T], the transposed operand of q @ k^T
+            q, kt, v = heads("q"), heads("k", (0, 2, 3, 1)), heads("v")
+            attn = ad.softmax(ad.matmul(q, kt), scale=inv_sqrt_hd,
+                              key_bias=key_bias)
+            if drop > 0.0:
+                attn = ad.dropout(attn, drop, rng)
+            ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)),
+                             (n * T, d))
+            proj = ad.matmul(ctx, params[f"{p}.attn.wo"],
+                             bias=params[f"{p}.attn.bo"])
+            if drop > 0.0:
+                proj = ad.dropout(proj, drop, rng)
+        with ad.scope(f"{p}.ln1"):
+            x2 = ad.layer_norm(ad.add(x2, proj),
+                               params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
 
-        ff = ad.gelu(ad.matmul(x2, params[f"{p}.ffn.w1"],
-                               bias=params[f"{p}.ffn.b1"]))
-        ff = ad.matmul(ff, params[f"{p}.ffn.w2"], bias=params[f"{p}.ffn.b2"])
-        if drop > 0.0:
-            ff = ad.dropout(ff, drop, rng)
-        x2 = ad.layer_norm(ad.add(x2, ff),
-                           params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
+        with ad.scope(f"{p}.ffn"):
+            ff = ad.gelu(ad.matmul(x2, params[f"{p}.ffn.w1"],
+                                   bias=params[f"{p}.ffn.b1"]))
+            ff = ad.matmul(ff, params[f"{p}.ffn.w2"], bias=params[f"{p}.ffn.b2"])
+            if drop > 0.0:
+                ff = ad.dropout(ff, drop, rng)
+        with ad.scope(f"{p}.ln2"):
+            x2 = ad.layer_norm(ad.add(x2, ff),
+                               params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
 
-    cls = ad.select_index(ad.reshape(x2, (n, T, d)), 0, axis=1)
-    logits = ad.matmul(cls, params["head.weight"], bias=params["head.bias"])
+    with ad.scope("head"):
+        cls = ad.select_index(ad.reshape(x2, (n, T, d)), 0, axis=1)
+        logits = ad.matmul(cls, params["head.weight"], bias=params["head.bias"])
+    # the forward's boundary: op results inside it are not checked
+    ad._check_finite(logits.data, "logits contain NaN or Inf")
     if return_features:
+        ad._check_finite(cls.data, "features contain NaN or Inf")
         return logits, cls
     return logits
 
@@ -342,8 +354,11 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
         if end > len(raw):
             raise CheckpointError(f"truncated array data for {name}")
         flat = np.frombuffer(raw[start:end], dtype="<f4")
-        arrays[name] = Tensor(flat.astype(np.float64).reshape(shape),
-                              requires_grad=True)
+        try:
+            arrays[name] = Tensor(flat.astype(np.float64).reshape(shape),
+                                  requires_grad=True)
+        except ad.NonFiniteError as exc:
+            raise CheckpointError(f"array {name} contains NaN or Inf") from exc
     if set(arrays) != set(expected):
         raise CheckpointError("manifest is missing parameter arrays")
     return ModelParams(config, arrays), config, extra

@@ -100,10 +100,13 @@ def test_no_grad_forward_builds_no_graph(monkeypatch, tiny_params,
 
 
 def test_no_grad_still_checks_finiteness():
+    # op results are checked in anomaly mode only, under no_grad as well
     x = leaf(np.array([1e308]))
     with ad.no_grad(), np.errstate(over="ignore"):
-        with pytest.raises(NonFiniteError):
-            ad.scale(x, 10.0)
+        with ad.detect_anomaly(), ad.scope("loss.sm"):
+            with pytest.raises(NonFiniteError,
+                               match="^first non-finite: scale in loss.sm$"):
+                ad.scale(x, 10.0)
 
 
 def test_no_grad_restored_after_exception():
@@ -125,6 +128,63 @@ def test_no_grad_nests():
     y = ad.tsum(ad.mul(x, x))
     backward(y)
     np.testing.assert_array_equal(x.grad, 2.0 * np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# finiteness: boundaries and anomaly mode
+# ---------------------------------------------------------------------------
+
+def test_absorbed_overflow_is_not_an_error():
+    x = leaf(np.array([1e308, 0.0]))
+    with np.errstate(over="ignore"):
+        # -inf, then a softmax that turns it into 0: no op result is checked
+        p = ad.softmax(ad.scale(x, -10.0))
+        np.testing.assert_array_equal(p.data, [0.0, 1.0])
+        with ad.detect_anomaly(), pytest.raises(
+                NonFiniteError, match="^first non-finite: scale in top level$"):
+            ad.softmax(ad.scale(x, -10.0))
+
+
+def test_backward_checks_leaf_gradients():
+    # finite forward (1e-300 * 1e300 * 1e300), gradient 1e300 * 1e300
+    x = leaf(np.array([1e-300]))
+    with np.errstate(over="ignore"):
+        y = ad.tsum(ad.scale(ad.scale(x, 1e300), 1e300))
+        with pytest.raises(NonFiniteError, match="leaf gradient"):
+            backward(y)
+        with ad.detect_anomaly():
+            with ad.scope("inner"):
+                inner = ad.scale(x, 1e300)
+            with ad.scope("outer"):
+                y = ad.tsum(ad.scale(inner, 1e300))
+            with pytest.raises(NonFiniteError,
+                               match="^first non-finite: scale vjp in inner$"):
+                backward(y)
+
+
+def test_anomaly_and_scope_restored_after_exception():
+    x = leaf(np.ones(3))
+    with pytest.raises(ShapeError):
+        with ad.detect_anomaly(), ad.scope("layers.0.ffn"):
+            with ad.scope("head"):
+                assert ad._scope == "head"
+            assert ad._scope == "layers.0.ffn"
+            ad.add(x, leaf(np.ones(4)))
+    assert not ad._anomaly and ad._scope == "top level"
+
+
+def test_anomaly_mode_values_equal_plain(rng):
+    x, w = leaf(None, rng, (4, 3)), leaf(None, rng, (3, 5))
+    plain = ad.gelu(ad.matmul(x, w))
+    backward(ad.tsum(plain))
+    grads = x.grad, w.grad
+    x.zero_grad()
+    w.zero_grad()
+    with ad.detect_anomaly():
+        checked = ad.gelu(ad.matmul(x, w))
+        backward(ad.tsum(checked))
+    assert np.array_equal(plain.data, checked.data)
+    assert np.array_equal(grads[0], x.grad) and np.array_equal(grads[1], w.grad)
 
 
 def test_gradient_accumulates_on_reuse():
@@ -164,7 +224,7 @@ def test_elementwise_shape_mismatch(op):
         getattr(ad, op)(leaf([1.0, 2.0]), leaf([1.0, 2.0, 3.0]))
 
 
-@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "scale"])
 @pytest.mark.parametrize("operand", [np.array([1.0, 2.0]), "2"],
                          ids=["ndarray", "str"])
 def test_elementwise_rejects_non_tensor_operand(op, operand):
@@ -265,10 +325,14 @@ def test_fused_attention_non_finite_raises(rng, bad):
     q.data[1, 0, 2, 1] = bad  # planted behind the constructor's check
     w = leaf(None, rng, (3, 4))
     w.data[2, 1] = bad
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NonFiniteError):
+    with np.errstate(invalid="ignore"), ad.detect_anomaly():
+        with ad.scope("layers.0.attn"), pytest.raises(
+                NonFiniteError,
+                match="^first non-finite: matmul in layers.0.attn$"):
             ad.softmax(ad.matmul(q, kt), scale=0.5, key_bias=_key_bias(n, t))
-        with pytest.raises(NonFiniteError):
+        with ad.scope("layers.0.ffn"), pytest.raises(
+                NonFiniteError,
+                match="^first non-finite: matmul in layers.0.ffn$"):
             ad.matmul(leaf(None, rng, (5, 3)), w, bias=leaf(None, rng, (4,)))
 
 

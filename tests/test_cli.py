@@ -230,6 +230,46 @@ def test_exit_code_checkpoint_error(workspace, tmp_path, capsys):
     assert code == 3
 
 
+def _manifest(raw):
+    """(manifest dict, offset of the array data) of checkpoint bytes."""
+    (mlen,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12:12 + mlen]), 12 + mlen
+
+
+def test_exit_code_non_finite_checkpoint(teacher_ckpt, workspace, tmp_path,
+                                         capsys):
+    raw = bytearray(teacher_ckpt.read_bytes())
+    manifest, base = _manifest(raw)
+    entry = next(e for e in manifest["arrays"]
+                 if e["name"] == "layers.0.ffn.w1")
+    start = base + entry["offset"] + 4 * 7
+    raw[start:start + 4] = struct.pack("<f", float("nan"))
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(bytes(raw))
+    code = main(["eval", "--model", str(bad),
+                 "--data", str(workspace / "dev.tsv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "layers.0.ffn.w1" in err
+
+
+def test_exit_code_training_diverged(workspace, tmp_path, capsys):
+    # Adam's first step moves every weight by about 1e300; the second
+    # step's first attention matmul overflows
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text((workspace / "teacher.cfg").read_text().replace(
+        "learning_rate=0.001", "learning_rate=1e300"))
+    code = main(["train-teacher", "--config", str(cfg),
+                 "--data", str(workspace / "train.tsv"),
+                 "--dev", str(workspace / "dev.tsv"),
+                 "--out", str(tmp_path / "x.ckpt")])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "TrainingDiverged" in err
+    assert "first non-finite: matmul in layers.0.attn at step 1 " in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def _drop_config_field(manifest):
     del manifest["config"]["num_heads"]
 
@@ -256,14 +296,13 @@ def _odd_byte_count(manifest):
 def test_exit_code_bad_manifest(edit, needle, teacher_ckpt, workspace,
                                 tmp_path, capsys):
     raw = teacher_ckpt.read_bytes()
-    (mlen,) = struct.unpack("<I", raw[8:12])
-    manifest = json.loads(raw[12:12 + mlen])
+    manifest, base = _manifest(raw)
     assert manifest["arrays"][0]["name"] == "tok_emb"
     edit(manifest)
     mbytes = json.dumps(manifest).encode()
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(raw[:8] + struct.pack("<I", len(mbytes)) + mbytes
-                    + raw[12 + mlen:])
+                    + raw[base:])
     code = main(["eval", "--model", str(bad),
                  "--data", str(workspace / "dev.tsv")])
     assert code == 3
@@ -285,7 +324,12 @@ def test_exit_code_bound_error(capsys):
             (["thm1", "--m", "-1"], "M must"),
             (["thm1", "--delta", "2"], "delta"),
             (["verify", "--a", "10", "--b-mix", "-3", "--trials", "1"],
-             "b_mix")]:
+             "b_mix"),
+            (["thm2", "--lipschitz", "-1", "--rademacher", "0.1"],
+             "lipschitz"),
+            (["thm2", "--rademacher", "-0.1"], "rademacher_r"),
+            (["thm3", "--log-capacity", "-5", "--a", "1000", "--epsilon",
+              "0.9"], "log_capacity")]:
         capsys.readouterr()
         assert main(["bound"] + argv) == 4, argv
         captured = capsys.readouterr()

@@ -258,6 +258,19 @@ def test_adam_first_step_matches_closed_form(tiny_config):
     np.testing.assert_allclose(params["tok_emb"].data, expected, rtol=1e-10)
 
 
+@pytest.mark.parametrize("optimizer", [SGD(lr=1e307), Adam(lr=1e307)],
+                         ids=["SGD", "Adam"])
+def test_optimizer_checks_parameters(tiny_config, optimizer):
+    params = _grad_params(tiny_config)
+    params["layers.1.ffn.w2"].data[...] = 1.75e308
+    params["layers.1.ffn.w2"].grad[...] = -2.0
+    with np.errstate(over="ignore"), pytest.raises(
+            ad.NonFiniteError,
+            match=f"^parameter layers.1.ffn.w2 contains NaN or Inf after the "
+                  f"{type(optimizer).__name__} step$"):
+        optimizer.step(params)
+
+
 def test_adam_skips_missing_grads(tiny_config):
     params = init_random(tiny_config, seed=0)
     before = params.checksum()
@@ -327,6 +340,57 @@ def test_backward_after_evaluate_in_train_loop(small_task, small_model_config):
     assert eval_sum == plain_sum
     assert plain_sum != init_random(small_model_config, seed=0).checksum()
     assert ad._grad_enabled
+
+
+def _diverging_loop(small_task, small_model_config, config, plant=None):
+    """A 4-layer ``ft`` run; ``plant`` maps parameter names to a value
+    every entry is set to, behind the constructor's check."""
+    params = init_random(dataclasses.replace(small_model_config, num_layers=4),
+                         seed=0)
+    for name, value in (plant or {}).items():
+        params[name].data[...] = value
+    with np.errstate(all="ignore"):
+        _train_loop(params, config, small_task, teacher=None, variant="ft",
+                    max_steps=3)
+
+
+def test_train_loop_names_first_non_finite_op(small_task, small_model_config):
+    config = TrainConfig(epochs=1, batch_size=32, seed=0)
+    with pytest.raises(distill.TrainingDiverged) as info:
+        _diverging_loop(small_task, small_model_config, config,
+                        plant={"layers.2.ffn.w1": np.nan})
+    assert str(info.value).startswith(
+        "first non-finite: matmul in layers.2.ffn at step 0 ")
+    assert not ad._anomaly
+
+
+def test_train_loop_names_non_finite_parameter(small_task, small_model_config):
+    # Adam's first update is about -lr * sign(g): the forward is finite,
+    # and 1e308 + 1e308 overflows in the head bias of a class with g < 0
+    config = TrainConfig(epochs=1, batch_size=32, seed=0, learning_rate=1e308)
+    with pytest.raises(distill.TrainingDiverged,
+                       match="^parameter head.bias contains NaN or Inf after "
+                             "the Adam step at step 0 "):
+        _diverging_loop(small_task, small_model_config, config,
+                        plant={"head.bias": 1e308})
+
+
+def test_train_loop_rerun_without_culprit_raises_original(
+        small_task, small_model_config, monkeypatch):
+    """A failure the anomaly re-run does not reproduce is still fatal."""
+    real, calls = ad.backward, []
+
+    def fails_once(loss):
+        calls.append(ad._anomaly)
+        if len(calls) == 1:
+            raise ad.NonFiniteError("a leaf gradient contains NaN or Inf")
+        real(loss)
+    monkeypatch.setattr(ad, "backward", fails_once)
+    config = TrainConfig(epochs=1, batch_size=32, seed=0)
+    with pytest.raises(distill.TrainingDiverged,
+                       match="^a leaf gradient contains NaN or Inf at step 0 "):
+        _diverging_loop(small_task, small_model_config, config)
+    assert calls == [False, True]
 
 
 def test_teacher_unchanged_by_distillation(small_task, small_model_config):

@@ -65,9 +65,11 @@ def test_layernorm_rows_reference(rng):
 # ---------------------------------------------------------------------------
 # The kernels work in place; these are the one-expression formulas they
 # replace, operation for operation.  Shapes: train attention, eval_long
-# attention, an FFN activation, and a single element.
+# attention, an FFN activation, a single element, the eval_long FFN
+# activation, and one GELU block plus a ragged last block of one element.
 
-BITWISE_SHAPES = [(1792, 14), (8192, 64), (448, 128), (1, 1)]
+BITWISE_SHAPES = [(1792, 14), (8192, 64), (448, 128), (1, 1), (2048, 128),
+                  (5, 3277)]
 C, S = 0.044715, math.sqrt(2.0 / math.pi)
 
 

@@ -260,6 +260,22 @@ def test_fused_forward_non_finite_weight_raises(grad_mode, bad):
             forward_from_embeddings(params, emb, mask)
 
 
+def test_graph_free_forward_checks_finiteness_once(monkeypatch):
+    """Only the logits are checked, not each op result."""
+    params, ids, mask = _bench_shape()
+    calls = []
+    real = ad._check_finite
+
+    def counting(arr, *args):
+        calls.append(arr.shape)
+        return real(arr, *args)
+    with ad.no_grad():
+        emb = embed_batch(params, ids, mask)
+        monkeypatch.setattr(ad, "_check_finite", counting)
+        logits = forward_from_embeddings(params, emb, mask)
+    assert calls == [logits.shape]
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
