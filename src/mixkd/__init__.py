@@ -2,13 +2,13 @@
 
 from .autodiff import Tensor, backward, finite_diff_check
 from .model import ModelConfig, ModelParams, init_random, init_student_from_teacher
-from .mixup import MixupConfig, MixupSpec
+from .mixup import MixupConfig, MixupPairs
 from .distill import LossWeights, TaskData, TrainConfig
 
 __all__ = [
     "Tensor", "backward", "finite_diff_check",
     "ModelConfig", "ModelParams", "init_random", "init_student_from_teacher",
-    "MixupConfig", "MixupSpec",
+    "MixupConfig", "MixupPairs",
     "LossWeights", "TaskData", "TrainConfig",
 ]
 

@@ -251,11 +251,10 @@ def _mix_points(testbed: EnumerableTestbed, originals: np.ndarray, b_mix: int,
     """b_mix interpolated points: parents cycle the originals, partners are
     fresh independent draws (the independent-pairing construction)."""
     pool = testbed.sample(b_mix, rng)
-    specs = make_pairs(b_mix, MixupConfig(), rng, extra_pool_size=b_mix)
-    parents = originals[np.arange(b_mix) % len(originals)]
-    lam = np.array([s.lam for s in specs])[:, None]
-    partners = pool[np.array([s.index_j for s in specs])]
-    return lam * parents + (1.0 - lam) * partners
+    pairs = make_pairs(b_mix, MixupConfig(), rng, extra_pool_size=b_mix)
+    parents = originals[pairs.index_i % len(originals)]
+    lam = pairs.lam[:, None]
+    return lam * parents + (1.0 - lam) * pool[pairs.index_j]
 
 
 def estimate_shift_delta(testbed: EnumerableTestbed,
@@ -300,11 +299,13 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
             pooled = np.vstack([originals, mixed])
         else:
             pooled = originals
-        emp_aug = g_class.loss_matrix(pooled).mean(axis=1)
+        # the originals are the first a columns of the pooled loss matrix
+        losses = g_class.loss_matrix(pooled)
+        emp_aug = losses.mean(axis=1)
         g_hat = int(emp_aug.argmin())
         gaps_aug[t] = pop[g_hat] - emp_aug[g_hat]
 
-        emp_plain = g_class.loss_matrix(originals).mean(axis=1)
+        emp_plain = losses[:, :a].mean(axis=1)
         g_p = int(emp_plain.argmin())
         gaps_plain[t] = pop[g_p] - emp_plain[g_p]
 

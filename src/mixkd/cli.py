@@ -184,12 +184,9 @@ def cmd_export_embeddings(args) -> int:
                          replace=False)
         selected = [examples[i] for i in idx]
 
-    specs = []
-    if args.mixup_ratio > 0:
-        cfg = MixupConfig(mixup_ratio=args.mixup_ratio)
-        specs = make_pairs(len(selected), cfg, rng)
+    cfg = MixupConfig(mixup_ratio=args.mixup_ratio)
     n_rows = export_cls_features(params, selected, vocab, max_len, len(labels),
-                                 specs, args.out)
+                                 make_pairs(len(selected), cfg, rng), args.out)
     print(json.dumps({"rows": n_rows, "out": str(args.out)}))
     return 0
 

@@ -160,13 +160,13 @@ def loss_tmkd(teacher_out: Tensor, student_out: Tensor,
         return ad.scale(ce, tau * tau)
 
 
-def total_loss(batch: Batch, specs, teacher: Optional[ModelParams],
+def total_loss(batch: Batch, pairs, teacher: Optional[ModelParams],
                student: ModelParams, weights: LossWeights,
                variant: str = "sm_tmkd", train_mode: bool = False,
                rng: Optional[np.random.Generator] = None):
     """L_MLE plus the variant's gated mixup terms; returns (loss, components).
 
-    ``specs`` is the list of mixup recipes for this batch (may be empty).
+    ``pairs`` is this batch's mixup recipe (may be empty).
     The teacher is queried only for variants that distill, under
     ``no_grad``: it is never part of the gradient graph.
     """
@@ -180,9 +180,9 @@ def total_loss(batch: Batch, specs, teacher: Optional[ModelParams],
     total = l_mle
     components = {"mle": l_mle.item(), "sm": 0.0, "tmkd": 0.0}
 
-    if variant != "ft" and specs:
+    if variant != "ft" and pairs:
         mixed_emb, mixed_mask, mixed_labels = materialize(
-            specs, student_emb, batch.pad_mask, batch.labels_onehot)
+            pairs, student_emb, batch.pad_mask, batch.labels_onehot)
         s_mixed = forward_from_embeddings(student, mixed_emb, mixed_mask,
                                           train_mode=train_mode, rng=rng)
 
@@ -196,7 +196,7 @@ def total_loss(batch: Batch, specs, teacher: Optional[ModelParams],
         with ad.no_grad():
             teacher_emb = embed_batch(teacher, batch.token_ids, batch.pad_mask)
             query_emb, _, _ = materialize(
-                specs, teacher_emb, batch.pad_mask, batch.labels_onehot)
+                pairs, teacher_emb, batch.pad_mask, batch.labels_onehot)
             t_mixed = forward_from_embeddings(teacher, query_emb, mixed_mask)
         l_tmkd = loss_tmkd(t_mixed, s_mixed, weights)
         total = ad.add(total, ad.scale(l_tmkd, weights.alpha_tmkd))
@@ -293,7 +293,6 @@ def _train_loop(params: ModelParams, config: TrainConfig, dataset: TaskData,
     start = time.perf_counter()
     best_acc, best_params = -1.0, None
     step = 0
-    ratio = config.mixup.mixup_ratio if variant != "ft" else 0
 
     def run_eval():
         nonlocal best_acc, best_params
@@ -317,32 +316,33 @@ def _train_loop(params: ModelParams, config: TrainConfig, dataset: TaskData,
                 dataset.train, dataset.vocab, dataset.max_len,
                 config.batch_size, dataset.num_classes,
                 shuffle_seed=shuffle_seed)):
-            specs = []
-            if ratio > 0:
-                mix_rng = _stream_seed(config.seed, 2, config.mixup.seed,
-                                       epoch, batch_idx)
-                specs = make_pairs(len(batch), config.mixup, mix_rng)
+            pairs = [] if variant == "ft" else make_pairs(
+                len(batch), config.mixup, _stream_seed(
+                    config.seed, 2, config.mixup.seed, epoch, batch_idx))
 
             def step_loss():
                 # the dropout stream is seeded per step, so a re-run of
                 # the step draws the same masks
                 drop_rng = _stream_seed(config.seed, 3, epoch, batch_idx)
-                return total_loss(batch, specs, teacher, params, config.loss,
+                return total_loss(batch, pairs, teacher, params, config.loss,
                                   variant=variant, train_mode=True,
                                   rng=drop_rng)
 
             at = f"at step {step} (epoch {epoch}, batch {batch_idx})"
-            try:
-                loss, comp = step_loss()
-                ad.backward(loss)
-            except NonFiniteError as exc:
-                params.zero_grads()
-                located = _first_non_finite(step_loss)
-                raise TrainingDiverged(f"{located or exc} {at}") from exc
-            try:
-                optimizer.step(params)
-            except NonFiniteError as exc:
-                raise TrainingDiverged(f"{exc} {at}") from exc
+            # the boundary checks report a non-finite value, so numpy's
+            # overflow warnings would only print noise before the error
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                try:
+                    loss, comp = step_loss()
+                    ad.backward(loss)
+                except NonFiniteError as exc:
+                    params.zero_grads()
+                    located = _first_non_finite(step_loss)
+                    raise TrainingDiverged(f"{located or exc} {at}") from exc
+                try:
+                    optimizer.step(params)
+                except NonFiniteError as exc:
+                    raise TrainingDiverged(f"{exc} {at}") from exc
             params.zero_grads()
             step += 1
             record.log_step(step, comp["total"], comp["mle"], comp["sm"],

@@ -12,7 +12,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .data import DataError, Example, Vocab, make_batch
-from .mixup import MixupSpec, materialize
+from .mixup import MixupPairs, materialize
 from .model import ModelParams, embed_batch, forward_from_embeddings, forward_tokens
 
 
@@ -84,7 +84,7 @@ def evaluate(params: ModelParams, examples: Sequence[Example], vocab: Vocab,
 
 def export_cls_features(params: ModelParams, examples: Sequence[Example],
                         vocab: Vocab, max_len: int, num_classes: int,
-                        mixup_specs: Sequence[MixupSpec], out_path) -> int:
+                        pairs: MixupPairs, out_path) -> int:
     """CSV of final-layer pooled features for originals and mixed neighbours.
 
     Columns: id, parent_i, parent_j, lambda (1.0 for originals), a
@@ -97,29 +97,29 @@ def export_cls_features(params: ModelParams, examples: Sequence[Example],
         emb = embed_batch(params, batch.token_ids, batch.pad_mask)
         _, feats = forward_from_embeddings(params, emb, batch.pad_mask,
                                            return_features=True)
-        if mixup_specs:
+        labels, vecs = batch.labels_onehot, feats.data
+        if pairs:
             mixed_emb, mixed_mask, mixed_labels = materialize(
-                list(mixup_specs), emb, batch.pad_mask, batch.labels_onehot)
+                pairs, emb, batch.pad_mask, batch.labels_onehot)
             _, mixed_feats = forward_from_embeddings(
                 params, mixed_emb, mixed_mask, return_features=True)
-    d = feats.shape[1]
-
-    rows = []
-    for i in range(len(examples)):
-        rows.append((i, i, i, 1.0, batch.labels_onehot[i], feats.data[i]))
-    for k, spec in enumerate(mixup_specs):
-        rows.append((len(examples) + k, spec.index_i, spec.index_j,
-                     spec.lam, mixed_labels[k], mixed_feats.data[k]))
+            labels = np.concatenate([labels, mixed_labels])
+            vecs = np.concatenate([vecs, mixed_feats.data])
+    own = np.arange(len(examples))
+    parent_i = np.concatenate([own, pairs.index_i])
+    parent_j = np.concatenate([own, pairs.index_j])
+    lams = np.concatenate([np.ones(len(examples)), pairs.lam])
 
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "parent_i", "parent_j", "lambda", "soft_label"]
-                        + [f"f{j}" for j in range(d)])
-        for rid, pi, pj, lam, label, vec in rows:
+                        + [f"f{j}" for j in range(vecs.shape[1])])
+        for rid, (pi, pj, lam, label, vec) in enumerate(
+                zip(parent_i, parent_j, lams, labels, vecs)):
             writer.writerow([rid, pi, pj, f"{lam:.12g}",
                              ";".join(f"{v:.12g}" for v in label)]
                             + [f"{v:.12g}" for v in vec])
-    return len(rows)
+    return len(lams)
 
 
 def throughput_bench(params: ModelParams, vocab_size: int, max_len: int,

@@ -1,8 +1,8 @@
 """Mixup pair generation and interpolation of embedding batches.
 
-A :class:`MixupSpec` is a recipe (index_i, index_j, lambda); each model
-materializes it in its own embedding space, so teacher and student both
-interpolate their own embeddings of the same token sequences.  Pad
+A :class:`MixupPairs` record holds a batch's recipes (index_i, index_j,
+lambda); each model materializes it in its own embedding space, so the
+teacher and student interpolate their own embeddings of the same tokens.  Pad
 positions hold exact zero embeddings, which makes interpolation against
 a shorter sequence's tail automatic; the attention mask of a mixed
 sample is the union of the two source masks.
@@ -23,17 +23,31 @@ class MixupError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class MixupSpec:
-    index_i: int
-    index_j: int
-    lam: float
+@dataclass(frozen=True, eq=False)
+class MixupPairs:
+    """Pair k mixes batch rows index_i[k] and index_j[k] with weight lam[k]
+    on row index_i[k].  The arrays are read-only copies, validated once."""
+    index_i: np.ndarray
+    index_j: np.ndarray
+    lam: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise MixupError(f"lambda {self.lam} outside [0, 1]")
-        if self.index_i < 0 or self.index_j < 0:
+        for name, dtype in (("index_i", np.int64), ("index_j", np.int64),
+                            ("lam", np.float64)):
+            arr = np.asarray(getattr(self, name)).astype(dtype, casting="safe")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        i, j, lam = self.index_i, self.index_j, self.lam
+        if not (i.ndim == 1 and i.shape == j.shape == lam.shape):
+            raise MixupError(f"index_i, index_j and lam must be 1-D and of one "
+                             f"length: {i.shape}, {j.shape}, {lam.shape}")
+        if not ((lam >= 0.0) & (lam <= 1.0)).all():  # NaN fails both
+            raise MixupError(f"lambda outside [0, 1] in {lam}")
+        if (i < 0).any() or (j < 0).any():
             raise MixupError("negative pair index")
+
+    def __len__(self) -> int:
+        return len(self.lam)
 
 
 @dataclass(frozen=True)
@@ -49,36 +63,37 @@ class MixupConfig:
             raise MixupError("mixup_ratio must be a nonnegative integer")
 
 
+def _beta_draws(alpha: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    g = rng.gamma(alpha, size=(n, 2))
+    return g[:, 0] / (g[:, 0] + g[:, 1])
+
+
 def sample_lambda(config: MixupConfig, rng: np.random.Generator) -> float:
     """Beta(alpha, alpha) draw realized as two Gamma draws."""
-    x = rng.gamma(config.beta_alpha)
-    y = rng.gamma(config.beta_alpha)
-    return float(x / (x + y))
+    return float(_beta_draws(config.beta_alpha, rng, 1)[0])
 
 
 def make_pairs(batch_size: int, config: MixupConfig, rng: np.random.Generator,
-               extra_pool_size: int = 0) -> list[MixupSpec]:
-    """mixup_ratio * batch_size specs; each in-batch index i is covered
-    exactly mixup_ratio times.
+               extra_pool_size: int = 0) -> MixupPairs:
+    """mixup_ratio * batch_size pairs; each in-batch index i is covered
+    exactly mixup_ratio times, once per round.
 
     Without a pool, i is paired with a seeded permutation sigma(i) of the
     batch.  With ``extra_pool_size`` rows of fresh draws (the independent
     pairing construction), partners are distinct pool rows, so pairs are
-    mutually independent across i.
+    mutually independent across i.  Ratio 0 draws nothing.
     """
     if batch_size < 1:
         raise MixupError("batch_size must be >= 1")
-    specs: list[MixupSpec] = []
-    for _ in range(config.mixup_ratio):
-        if extra_pool_size:
-            partners = rng.choice(extra_pool_size, size=batch_size,
-                                  replace=False)
-        else:
-            partners = rng.permutation(batch_size)
-        for i in range(batch_size):
-            specs.append(MixupSpec(index_i=i, index_j=int(partners[i]),
-                                   lam=sample_lambda(config, rng)))
-    return specs
+    index_j = np.empty((config.mixup_ratio, batch_size), dtype=np.int64)
+    lam = np.empty(index_j.shape)
+    for r in range(config.mixup_ratio):
+        index_j[r] = (rng.choice(extra_pool_size, size=batch_size,
+                                 replace=False)
+                      if extra_pool_size else rng.permutation(batch_size))
+        lam[r] = _beta_draws(config.beta_alpha, rng, batch_size)
+    return MixupPairs(np.tile(np.arange(batch_size), config.mixup_ratio),
+                      index_j.ravel(), lam.ravel())
 
 
 def mix_labels(labels_i: np.ndarray, labels_j: np.ndarray,
@@ -114,20 +129,17 @@ def mix_batch(emb_i: Tensor, emb_j: Tensor,
     return mixed_emb, mixed_mask, mixed_labels
 
 
-def materialize(specs: Sequence[MixupSpec], emb: Tensor, mask: np.ndarray,
+def materialize(pairs: MixupPairs, emb: Tensor, mask: np.ndarray,
                 labels: np.ndarray):
-    """Gather the (i, j) batch rows named by the specs and mix them."""
-    if not specs:
-        raise MixupError("no specs to materialize")
-    idx_i = np.array([s.index_i for s in specs])
-    idx_j = np.array([s.index_j for s in specs])
-    lam = np.array([s.lam for s in specs])
+    """Gather the (i, j) batch rows named by the pairs and mix them."""
+    if not len(pairs):
+        raise MixupError("no pairs to materialize")
 
     def rows(t: Tensor, idx: np.ndarray) -> Tensor:
         n, T, d = t.shape
         flat = ad.reshape(t, (n, T * d))
         return ad.reshape(ad.gather_rows(flat, idx), (len(idx), T, d))
 
-    return mix_batch(rows(emb, idx_i), rows(emb, idx_j),
-                     mask[idx_i], mask[idx_j],
-                     labels[idx_i], labels[idx_j], lam)
+    i, j = pairs.index_i, pairs.index_j
+    return mix_batch(rows(emb, i), rows(emb, j), mask[i], mask[j],
+                     labels[i], labels[j], pairs.lam)

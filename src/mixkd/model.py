@@ -279,10 +279,23 @@ def forward_tokens(params: ModelParams, batch, train_mode: bool = False,
 MAGIC = b"MKDCKPT1"
 
 
+def _json_bytes(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _digest(manifest: dict, payload: bytes) -> str:
+    """sha256 of the manifest without its digest field, then the arrays."""
+    h = hashlib.sha256(_json_bytes({k: v for k, v in manifest.items()
+                                    if k != "sha256"}))
+    h.update(payload)
+    return h.hexdigest()
+
+
 def save_checkpoint(params: ModelParams, config: ModelConfig, path,
                     extra: Optional[dict] = None) -> None:
     """Binary file: magic, u32-length JSON manifest, float32 LE arrays;
-    written atomically (temp file, then ``os.replace``)."""
+    written atomically (temp file, then ``os.replace``).  The manifest's
+    ``sha256`` covers its other fields and the array bytes."""
     names = params.names
     manifest = {"config": asdict(config), "arrays": [], "extra": extra or {}}
     offset = 0
@@ -296,7 +309,10 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path,
                                    "nbytes": len(blob)})
         blobs.append(blob)
         offset += len(blob)
-    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    payload = b"".join(blobs)
+    # hashed as load_checkpoint sees the manifest: after a JSON round trip
+    manifest["sha256"] = _digest(json.loads(_json_bytes(manifest)), payload)
+    mbytes = _json_bytes(manifest)
     # write a temp file next to the target and rename it into place, so a
     # failed write never leaves a truncated checkpoint behind
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
@@ -305,8 +321,7 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path,
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(mbytes)))
             fh.write(mbytes)
-            for blob in blobs:
-                fh.write(blob)
+            fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -337,6 +352,9 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(
             f"malformed manifest in {path}: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(manifest.get("sha256"), str):
+        raise CheckpointError(f"{path} has no sha256 digest in its manifest; "
+                              "checkpoints without one are not loaded")
     expected = parameter_shapes(config)
     base = 12 + mlen
     arrays: dict[str, Tensor] = {}
@@ -361,4 +379,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
             raise CheckpointError(f"array {name} contains NaN or Inf") from exc
     if set(arrays) != set(expected):
         raise CheckpointError("manifest is missing parameter arrays")
+    if _digest(manifest, raw[base:]) != manifest["sha256"]:
+        raise CheckpointError(f"{path} does not match its sha256 digest: the "
+                              "file is corrupt or truncated")
     return ModelParams(config, arrays), config, extra

@@ -161,13 +161,14 @@ def test_criterion_01_gradient_correctness(rng):
     labels = np.eye(2)[[0, 1, 1, 0]]
     from mixkd.data import Batch
     from mixkd.distill import total_loss
-    from mixkd.mixup import MixupSpec
+    from mixkd.mixup import MixupPairs
     batch = Batch(ids, mask, labels)
-    specs = [MixupSpec(i, (i + 1) % 4, 0.35 + 0.1 * i) for i in range(4)]
+    pairs = MixupPairs(np.arange(4), (np.arange(4) + 1) % 4,
+                       0.35 + 0.1 * np.arange(4))
     weights = LossWeights(alpha_sm=1.0, alpha_tmkd=1.0)
 
     def objective(_):
-        loss, _ = total_loss(batch, specs, teacher, student, weights,
+        loss, _ = total_loss(batch, pairs, teacher, student, weights,
                              variant="sm_tmkd")
         return loss
 

@@ -221,24 +221,63 @@ def test_estimate_shift_delta_bounded(rng):
 def test_mix_points_pairs_fresh_pool_rows(rng, monkeypatch):
     tb = B.make_testbed(n_bits=6, seed=7)
     originals = tb.sample(5, rng)
-    specs = []
+    drawn = []
 
     def recording_make_pairs(*args, **kwargs):
         out = make_pairs(*args, **kwargs)
-        specs.extend(out)
+        drawn.append(out)
         return out
 
     monkeypatch.setattr(B, "make_pairs", recording_make_pairs)
     replay = copy.deepcopy(rng)
     mixed = B._mix_points(tb, originals, 12, rng)
     pool = tb.sample(12, replay)  # the pool is the first draw
-    partners = [s.index_j for s in specs]
-    assert len(specs) == 12 and len(set(partners)) == 12
+    (pairs,) = drawn
+    partners = pairs.index_j.tolist()
+    assert len(pairs) == 12 and len(set(partners)) == 12
     assert all(0 <= j < 12 for j in partners)
-    for k, s in enumerate(specs):
+    for k, (j, lam) in enumerate(zip(pairs.index_j, pairs.lam)):
         parent = originals[k % len(originals)]
         np.testing.assert_array_equal(
-            mixed[k], s.lam * parent + (1.0 - s.lam) * pool[s.index_j])
+            mixed[k], lam * parent + (1.0 - lam) * pool[j])
+
+
+def _two_call_gaps(tb, gc, a, b_mix, trials, rng):
+    """empirical_gap_experiment's gaps with the plain risks taken from a
+    second loss_matrix call on the originals alone."""
+    pop = B.population_risks(tb, gc)
+    aug, plain = [], []
+    for _ in range(trials):
+        originals = tb.sample(a, rng)
+        pooled = originals
+        if b_mix > 0:
+            pooled = np.vstack([originals,
+                                B._mix_points(tb, originals, b_mix, rng)])
+        for sample, gaps in ((pooled, aug), (originals, plain)):
+            emp = gc.loss_matrix(sample).mean(axis=1)
+            g = int(emp.argmin())
+            gaps.append(float(pop[g] - emp[g]))
+    return aug, plain
+
+
+@pytest.mark.parametrize("a, b_mix", [(200, 199), (50, 0), (20, 300), (7, 3)])
+def test_gap_experiment_one_loss_matrix_per_trial(a, b_mix, monkeypatch):
+    tb = B.make_testbed(n_bits=8, seed=3)
+    gc = B.make_scorer_class(tb, g_size=32, seed=4)
+    aug, plain = _two_call_gaps(tb, gc, a, b_mix, 6, np.random.default_rng(5))
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return B.ThresholdScorerClass.loss_matrix(gc, points)
+    monkeypatch.setattr(gc, "loss_matrix", counted)
+    report = B.empirical_gap_experiment(tb, gc, a=a, b_mix=b_mix, trials=6,
+                                        delta=0.1,
+                                        rng=np.random.default_rng(5))
+    # population_risks enumerates the testbed once, then one call per trial
+    assert calls == [len(tb.inputs)] + [a + b_mix] * 6
+    assert report.gaps_augmented == aug
+    assert report.gaps_plain == plain
 
 
 def test_empirical_gap_experiment_report(rng):

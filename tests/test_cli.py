@@ -3,6 +3,7 @@
 import csv
 import json
 import struct
+import warnings
 
 import pytest
 
@@ -253,17 +254,42 @@ def test_exit_code_non_finite_checkpoint(teacher_ckpt, workspace, tmp_path,
     assert "CheckpointError" in err and "layers.0.ffn.w1" in err
 
 
+def test_exit_code_one_bit_flip(teacher_ckpt, workspace, tmp_path, capsys):
+    raw = teacher_ckpt.read_bytes()
+    manifest, base = _manifest(raw)
+    # dropout_rate 0.0 -> 0.1 is a valid config: only the digest catches it
+    dropout = raw.index(b'"dropout_rate":0.0') + len(b'"dropout_rate":0.')
+    offsets = {"magic": 0, "length": 8, "manifest": dropout}
+    offsets.update({e["name"]: base + e["offset"] for e in manifest["arrays"]})
+    bad = tmp_path / "flipped.ckpt"
+    for section, offset in offsets.items():
+        flipped = bytearray(raw)
+        flipped[offset] ^= 1
+        bad.write_bytes(bytes(flipped))
+        code = main(["eval", "--model", str(bad),
+                     "--data", str(workspace / "dev.tsv")])
+        err = capsys.readouterr().err
+        assert code == 3, section
+        assert "CheckpointError" in err, section
+        if section not in ("magic", "length"):
+            assert "does not match its sha256 digest" in err, section
+
+
 def test_exit_code_training_diverged(workspace, tmp_path, capsys):
     # Adam's first step moves every weight by about 1e300; the second
     # step's first attention matmul overflows
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text((workspace / "teacher.cfg").read_text().replace(
         "learning_rate=0.001", "learning_rate=1e300"))
-    code = main(["train-teacher", "--config", str(cfg),
-                 "--data", str(workspace / "train.tsv"),
-                 "--dev", str(workspace / "dev.tsv"),
-                 "--out", str(tmp_path / "x.ckpt")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train-teacher", "--config", str(cfg),
+                     "--data", str(workspace / "train.tsv"),
+                     "--dev", str(workspace / "dev.tsv"),
+                     "--out", str(tmp_path / "x.ckpt")])
     assert code == 5
+    # the error line is the whole report: numpy prints no overflow warning
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert "TrainingDiverged" in err
     assert "first non-finite: matmul in layers.0.attn at step 1 " in err
@@ -286,13 +312,18 @@ def _odd_byte_count(manifest):
     manifest["arrays"][0]["nbytes"] -= 1
 
 
+def _drop_digest(manifest):
+    del manifest["sha256"]
+
+
 @pytest.mark.parametrize("edit, needle", [
     (_drop_config_field, "num_heads"),
     (_drop_arrays, "arrays"),
     (_duplicate_tok_emb, "tok_emb"),
     (_odd_byte_count, "tok_emb"),
+    (_drop_digest, "has no sha256 digest"),
 ], ids=["missing_config_field", "missing_arrays", "duplicate_array",
-        "odd_byte_count"])
+        "odd_byte_count", "missing_digest"])
 def test_exit_code_bad_manifest(edit, needle, teacher_ckpt, workspace,
                                 tmp_path, capsys):
     raw = teacher_ckpt.read_bytes()

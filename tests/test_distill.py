@@ -12,7 +12,7 @@ from mixkd.distill import (Adam, LossWeights, SGD, TrainConfig, _train_loop,
                            distill_student, format_mean_std, loss_mle, loss_sm,
                            loss_tmkd, run_seeds, total_loss, train_teacher)
 from mixkd.data import make_batch
-from mixkd.mixup import MixupConfig, MixupSpec, materialize
+from mixkd.mixup import MixupConfig, MixupPairs, materialize
 from mixkd.model import (embed_batch, forward_from_embeddings, forward_tokens,
                          init_random, init_student_from_teacher)
 
@@ -102,9 +102,9 @@ def test_total_loss_components_recombine(tiny_setup, rng):
     teacher, student_config, batch = tiny_setup
     student = init_student_from_teacher(teacher, student_config)
     teacher.freeze()
-    specs = [MixupSpec(i, (i + 1) % 6, 0.4) for i in range(6)]
+    pairs = MixupPairs(np.arange(6), (np.arange(6) + 1) % 6, np.full(6, 0.4))
     weights = LossWeights(alpha_sm=0.7, alpha_tmkd=1.3)
-    loss, comp = total_loss(batch, specs, teacher, student, weights,
+    loss, comp = total_loss(batch, pairs, teacher, student, weights,
                             variant="sm_tmkd")
     recombined = comp["mle"] + 0.7 * comp["sm"] + 1.3 * comp["tmkd"]
     assert comp["total"] == pytest.approx(recombined, abs=1e-12)
@@ -114,8 +114,8 @@ def test_total_loss_components_recombine(tiny_setup, rng):
 def test_total_loss_ft_ignores_mixup(tiny_setup):
     teacher, student_config, batch = tiny_setup
     student = init_student_from_teacher(teacher, student_config)
-    specs = [MixupSpec(0, 1, 0.5)]
-    _, comp = total_loss(batch, specs, None, student, LossWeights(),
+    pairs = MixupPairs([0], [1], [0.5])
+    _, comp = total_loss(batch, pairs, None, student, LossWeights(),
                          variant="ft")
     assert comp["sm"] == 0.0 and comp["tmkd"] == 0.0
 
@@ -124,8 +124,8 @@ def test_total_loss_tmkd_skips_sm_term(tiny_setup):
     teacher, student_config, batch = tiny_setup
     student = init_student_from_teacher(teacher, student_config)
     teacher.freeze()
-    specs = [MixupSpec(i, 5 - i, 0.3) for i in range(6)]
-    _, comp = total_loss(batch, specs, teacher, student, LossWeights(),
+    pairs = MixupPairs(np.arange(6), 5 - np.arange(6), np.full(6, 0.3))
+    _, comp = total_loss(batch, pairs, teacher, student, LossWeights(),
                          variant="tmkd")
     assert comp["sm"] == 0.0 and comp["tmkd"] > 0.0
 
@@ -134,7 +134,7 @@ def test_total_loss_requires_teacher(tiny_setup):
     teacher, student_config, batch = tiny_setup
     student = init_student_from_teacher(teacher, student_config)
     with pytest.raises(ValueError):
-        total_loss(batch, [MixupSpec(0, 1, 0.5)], None, student,
+        total_loss(batch, MixupPairs([0], [1], [0.5]), None, student,
                    LossWeights(), variant="tmkd")
 
 
@@ -149,8 +149,8 @@ def test_teacher_gets_no_gradients(tiny_setup):
     teacher, student_config, batch = tiny_setup
     student = init_student_from_teacher(teacher, student_config)
     frozen = teacher.copy().freeze()
-    specs = [MixupSpec(i, (i + 2) % 6, 0.6) for i in range(6)]
-    loss, _ = total_loss(batch, specs, frozen, student, LossWeights(),
+    pairs = MixupPairs(np.arange(6), (np.arange(6) + 2) % 6, np.full(6, 0.6))
+    loss, _ = total_loss(batch, pairs, frozen, student, LossWeights(),
                          variant="sm_tmkd")
     ad.backward(loss)
     assert all(t.grad is None for t in frozen.arrays.values())
@@ -168,8 +168,8 @@ def test_teacher_forward_builds_no_graph(tiny_setup, monkeypatch):
         outs[id(params)] = out
         return out
     monkeypatch.setattr(distill, "forward_from_embeddings", spy)
-    specs = [MixupSpec(i, (i + 2) % 6, 0.6) for i in range(6)]
-    loss, _ = total_loss(batch, specs, teacher, student, LossWeights(),
+    pairs = MixupPairs(np.arange(6), (np.arange(6) + 2) % 6, np.full(6, 0.6))
+    loss, _ = total_loss(batch, pairs, teacher, student, LossWeights(),
                          variant="sm_tmkd")
     assert outs[id(teacher)]._inputs == () and outs[id(teacher)]._vjp is None
     assert outs[id(student)]._inputs  # the student's mixed forward is taped
@@ -177,18 +177,18 @@ def test_teacher_forward_builds_no_graph(tiny_setup, monkeypatch):
     assert all(t.grad is None for t in teacher.arrays.values())
 
 
-def _two_embedding_sm_tmkd(batch, specs, teacher, student, weights):
+def _two_embedding_sm_tmkd(batch, pairs, teacher, student, weights):
     """The sm_tmkd loss with the student embedded twice: once inside
     forward_tokens for L_MLE and once more for mixup."""
     l_mle = loss_mle(forward_tokens(student, batch), batch.labels_onehot)
     emb = embed_batch(student, batch.token_ids, batch.pad_mask)
     mixed_emb, mixed_mask, mixed_labels = materialize(
-        specs, emb, batch.pad_mask, batch.labels_onehot)
+        pairs, emb, batch.pad_mask, batch.labels_onehot)
     s_mixed = forward_from_embeddings(student, mixed_emb, mixed_mask)
     l_sm = loss_sm(s_mixed, mixed_labels)
     with ad.no_grad():
         query_emb, _, _ = materialize(
-            specs, embed_batch(teacher, batch.token_ids, batch.pad_mask),
+            pairs, embed_batch(teacher, batch.token_ids, batch.pad_mask),
             batch.pad_mask, batch.labels_onehot)
         t_mixed = forward_from_embeddings(teacher, query_emb, mixed_mask)
     l_tmkd = loss_tmkd(t_mixed, s_mixed, weights)
@@ -201,7 +201,7 @@ def _two_embedding_sm_tmkd(batch, specs, teacher, student, weights):
 def test_student_embedded_once_per_step(tiny_setup, monkeypatch):
     teacher, student_config, batch = tiny_setup
     teacher.freeze()
-    specs = [MixupSpec(i, (i + 1) % 6, 0.4) for i in range(6)]
+    pairs = MixupPairs(np.arange(6), (np.arange(6) + 1) % 6, np.full(6, 0.4))
     weights = LossWeights(alpha_sm=0.7, alpha_tmkd=1.3)
     calls = []
 
@@ -212,12 +212,12 @@ def test_student_embedded_once_per_step(tiny_setup, monkeypatch):
     for module in (distill, model):
         monkeypatch.setattr(module, "embed_batch", spy)
     student = init_student_from_teacher(teacher, student_config)
-    loss, comp = total_loss(batch, specs, teacher, student, weights,
+    loss, comp = total_loss(batch, pairs, teacher, student, weights,
                             variant="sm_tmkd")
     assert sorted(calls) == sorted([id(student), id(teacher)])
 
     reference = init_student_from_teacher(teacher, student_config)
-    ref_loss, ref_comp = _two_embedding_sm_tmkd(batch, specs, teacher,
+    ref_loss, ref_comp = _two_embedding_sm_tmkd(batch, pairs, teacher,
                                                 reference, weights)
     assert comp == ref_comp  # same values, bit for bit
     ad.backward(loss)

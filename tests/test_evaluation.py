@@ -14,7 +14,7 @@ from mixkd.distill import LossWeights, TrainConfig
 from mixkd.evaluation import (SweepGrid, compute_metrics, evaluate,
                               export_cls_features, sweep_grid,
                               throughput_bench)
-from mixkd.mixup import MixupConfig, MixupSpec
+from mixkd.mixup import MixupConfig, MixupPairs
 from mixkd.model import ModelConfig, forward_tokens, init_random
 
 
@@ -91,9 +91,9 @@ def test_evaluate_logits_bitwise_equal_graph_forward(monkeypatch, task_params,
 def test_export_cls_features_format(task_params, small_task, tmp_path):
     out = tmp_path / "feats.csv"
     examples = small_task.train[:4]
-    specs = [MixupSpec(0, 1, 0.3), MixupSpec(2, 3, 0.8)]
+    pairs = MixupPairs([0, 2], [1, 3], [0.3, 0.8])
     n = export_cls_features(task_params, examples, small_task.vocab,
-                            small_task.max_len, 2, specs, out)
+                            small_task.max_len, 2, pairs, out)
     assert n == 6
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -117,7 +117,7 @@ def test_export_lambda_one_feature_identity(task_params, small_task,
     assert len(examples) == 2
     out = tmp_path / "f.csv"
     export_cls_features(task_params, examples, small_task.vocab,
-                        small_task.max_len, 2, [MixupSpec(0, 1, 1.0)], out)
+                        small_task.max_len, 2, MixupPairs([0], [1], [1.0]), out)
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     original = np.array([float(v) for v in rows[1][5:]])

@@ -5,16 +5,44 @@ import pytest
 
 from mixkd import autodiff as ad
 from mixkd.autodiff import Tensor, constant
-from mixkd.mixup import (MixupConfig, MixupError, MixupSpec, make_pairs,
+from mixkd.mixup import (MixupConfig, MixupError, MixupPairs, make_pairs,
                          materialize, mix_batch, mix_labels, sample_lambda)
 
 
 def test_spec_validation():
-    MixupSpec(0, 1, 0.5)
+    MixupPairs([0], [1], [0.5])
     with pytest.raises(MixupError):
-        MixupSpec(0, 1, 1.5)
+        MixupPairs([0], [1], [1.5])
     with pytest.raises(MixupError):
-        MixupSpec(-1, 0, 0.5)
+        MixupPairs([-1], [0], [0.5])
+
+
+@pytest.mark.parametrize("index_i, index_j, lam", [
+    ([0, 1], [1, 0], [0.5, -0.25]),
+    ([0, 1], [1, 0], [0.5, 1.0 + 1e-12]),
+    ([0, 1], [1, 0], [float("nan"), 0.5]),
+    ([0, 1], [1, -3], [0.5, 0.5]),
+    ([0, 1], [1], [0.5, 0.5]),
+    ([0, 1], [1, 0], [0.5]),
+    ([[0, 1]], [[1, 0]], [[0.5, 0.5]]),
+], ids=["lambda_below_0", "lambda_above_1", "lambda_nan", "negative_index",
+        "ragged_index", "ragged_lambda", "not_1d"])
+def test_pairs_reject_invalid(index_i, index_j, lam):
+    with pytest.raises(MixupError):
+        MixupPairs(index_i, index_j, lam)
+
+
+def test_pairs_are_read_only_typed_copies():
+    lam = np.array([0.25, 1.0])
+    pairs = MixupPairs([0, 1], [1, 0], lam)
+    assert (pairs.index_i.dtype, pairs.lam.dtype) == (np.int64, np.float64)
+    assert len(pairs) == 2 and bool(pairs)
+    lam[0] = 7.0  # the record holds its own copy
+    assert pairs.lam[0] == 0.25
+    with pytest.raises(ValueError):
+        pairs.lam[0] = 2.0
+    with pytest.raises(TypeError):  # a fractional index is not truncated
+        MixupPairs([0.5], [1], [0.5])
 
 
 def test_config_validation():
@@ -35,23 +63,70 @@ def test_sample_lambda_range_and_moments(rng):
 
 def test_make_pairs_coverage(rng):
     cfg = MixupConfig(mixup_ratio=3)
-    specs = make_pairs(8, cfg, rng)
-    assert len(specs) == 24
-    counts = np.bincount([s.index_i for s in specs], minlength=8)
+    pairs = make_pairs(8, cfg, rng)
+    assert len(pairs) == 24
+    counts = np.bincount(pairs.index_i, minlength=8)
     np.testing.assert_array_equal(counts, 3)
-    assert all(0 <= s.index_j < 8 for s in specs)
+    assert all(0 <= j < 8 for j in pairs.index_j)
 
 
 def test_make_pairs_independent_extra(rng):
-    specs = make_pairs(6, MixupConfig(), rng, extra_pool_size=10)
-    partners = [s.index_j for s in specs]
+    pairs = make_pairs(6, MixupConfig(), rng, extra_pool_size=10)
+    partners = pairs.index_j.tolist()
     assert len(set(partners)) == 6  # drawn without replacement
     assert all(0 <= j < 10 for j in partners)
-    assert [s.index_i for s in specs] == list(range(6))
+    assert pairs.index_i.tolist() == list(range(6))
 
 
 def test_make_pairs_zero_ratio(rng):
-    assert make_pairs(4, MixupConfig(mixup_ratio=0), rng) == []
+    pairs = make_pairs(4, MixupConfig(mixup_ratio=0), rng)
+    assert len(pairs) == 0 and not pairs
+    # nothing was drawn
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+def _per_pair_make_pairs(batch_size, config, rng, extra_pool_size=0):
+    """The per-pair loop make_pairs replaced: one (i, j, lambda) triple at
+    a time, each lambda from two scalar Gamma draws."""
+    triples = []
+    for _ in range(config.mixup_ratio):
+        if extra_pool_size:
+            partners = rng.choice(extra_pool_size, size=batch_size,
+                                  replace=False)
+        else:
+            partners = rng.permutation(batch_size)
+        for i in range(batch_size):
+            x = rng.gamma(config.beta_alpha)
+            y = rng.gamma(config.beta_alpha)
+            triples.append((i, int(partners[i]), float(x / (x + y))))
+    return triples
+
+
+@pytest.mark.parametrize("batch", [1, 32, 199])
+@pytest.mark.parametrize("pool", [False, True], ids=["permutation", "pool"])
+@pytest.mark.parametrize("ratio", [0, 1, 3])
+def test_make_pairs_matches_per_pair_loop_bitwise(batch, pool, ratio):
+    cfg = MixupConfig(beta_alpha=0.4, mixup_ratio=ratio)
+    extra = batch + 3 if pool else 0
+    for seed in range(3):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = make_pairs(batch, cfg, ours, extra_pool_size=extra)
+        triples = _per_pair_make_pairs(batch, cfg, theirs, extra)
+        i, j, lam = (zip(*triples) if triples else ((), (), ()))
+        assert pairs.index_i.tolist() == list(i)
+        assert pairs.index_j.tolist() == list(j)
+        assert pairs.lam.tobytes() == np.array(lam, dtype=np.float64).tobytes()
+        # the generators stand at the same point of the stream
+        assert ours.random() == theirs.random()
+
+
+def test_sample_lambda_matches_two_scalar_gamma_draws():
+    cfg = MixupConfig(beta_alpha=0.4)
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(50):
+        x, y = theirs.gamma(cfg.beta_alpha), theirs.gamma(cfg.beta_alpha)
+        assert sample_lambda(cfg, ours) == float(x / (x + y))
+    assert ours.random() == theirs.random()
 
 
 def _random_pair(rng, n=4, t=5, d=3, c=2):
@@ -121,16 +196,17 @@ def test_materialize_matches_manual(rng):
     emb = constant(rng.normal(size=(5, 4, 3)))
     mask = np.ones((5, 4), dtype=bool)
     labels = np.eye(2)[[0, 1, 0, 1, 0]]
-    specs = [MixupSpec(0, 3, 0.25), MixupSpec(2, 1, 0.9)]
-    mixed, _, mixed_labels = materialize(specs, emb, mask, labels)
-    for k, s in enumerate(specs):
+    pairs = MixupPairs([0, 2], [3, 1], [0.25, 0.9])
+    mixed, _, mixed_labels = materialize(pairs, emb, mask, labels)
+    for k, (i, j, lam) in enumerate(zip(pairs.index_i, pairs.index_j,
+                                        pairs.lam)):
         np.testing.assert_allclose(
             mixed.data[k],
-            s.lam * emb.data[s.index_i] + (1 - s.lam) * emb.data[s.index_j],
+            lam * emb.data[i] + (1 - lam) * emb.data[j],
             atol=1e-15)
         np.testing.assert_allclose(
             mixed_labels[k],
-            s.lam * labels[s.index_i] + (1 - s.lam) * labels[s.index_j])
+            lam * labels[i] + (1 - lam) * labels[j])
 
 
 def test_materialize_requires_specs(rng):
@@ -143,7 +219,7 @@ def test_gradient_flows_with_lambda_weights(rng):
     emb = Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
     mask = np.ones((2, 3), dtype=bool)
     labels = np.eye(2)
-    mixed, _, _ = materialize([MixupSpec(0, 1, 0.7)], emb, mask, labels)
+    mixed, _, _ = materialize(MixupPairs([0], [1], [0.7]), emb, mask, labels)
     ad.backward(ad.tsum(mixed))
     np.testing.assert_allclose(emb.grad[0], 0.7, atol=1e-15)
     np.testing.assert_allclose(emb.grad[1], 0.3, atol=1e-15)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -350,6 +351,38 @@ def test_checkpoint_truncated(tiny_params, tiny_config, tmp_path):
     path.write_bytes(blob[:len(blob) // 2])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _one_layer_checkpoint(tmp_path):
+    cfg = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
+                      vocab_size=12, max_seq_len=6, num_classes=2)
+    path = tmp_path / "one.ckpt"
+    save_checkpoint(init_random(cfg, seed=3), cfg, path, extra={"max_len": 6})
+    return path.read_bytes()
+
+
+def _rejected(blob, monkeypatch, match=None):
+    """load_checkpoint reads ``blob`` (in memory) and raises CheckpointError."""
+    monkeypatch.setattr(model_mod, "open", lambda *a, **kw: io.BytesIO(blob),
+                        raising=False)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint("in-memory.ckpt")
+
+
+def test_checkpoint_truncated_at_every_offset(tmp_path, monkeypatch):
+    blob = _one_layer_checkpoint(tmp_path)
+    for cut in range(len(blob)):
+        _rejected(blob[:cut], monkeypatch)
+
+
+def test_checkpoint_one_bit_flip_at_every_offset(tmp_path, monkeypatch):
+    blob = _one_layer_checkpoint(tmp_path)
+    for offset in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[offset] ^= 1
+        _rejected(bytes(flipped), monkeypatch)
+    # trailing bytes are not part of any valid checkpoint either
+    _rejected(blob + b"\0", monkeypatch, match="sha256")
 
 
 def test_checkpoint_manifest_shape_mismatch(tiny_params, tiny_config,

@@ -52,3 +52,21 @@ def test_tracer_uninstall_restores_every_attribute(tiny_params, tiny_config):
                  "autodiff.backward", "autodiff.check_finite",
                  "autodiff.tensor_init"):
         assert counts.get(name, 0) > 0, name
+
+
+def test_traced_make_pairs_counts_its_pairs():
+    """perfbench's ``mixup.make_pairs.specs`` metric is ``len`` of what
+    make_pairs returns, wherever a mixkd module calls it."""
+    rng = np.random.default_rng(0)
+    testbed = bounds.make_testbed(n_bits=4, seed=1)
+    originals = testbed.sample(5, rng)
+    tracer = tracing.Tracer({})
+    tracer.install()
+    try:
+        pairs = mixup.make_pairs(8, mixup.MixupConfig(mixup_ratio=3), rng)
+        bounds._mix_points(testbed, originals, 12, rng)
+    finally:
+        tracer.uninstall()
+    assert len(pairs) == 24
+    assert tracer.counters["specs"] == 24 + 12
+    assert tracer.totals()["mixup.make_pairs"][2] == 2
