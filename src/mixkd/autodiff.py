@@ -18,7 +18,7 @@ and is then absorbed (say a -inf attention score that the softmax turns
 into 0) is no error.  To find the op that first went non-finite, run
 the computation again under ``detect_anomaly``: there every op result
 and every VJP output is checked, and the error names the op and the
-innermost ``scope`` it ran in.
+``scope`` path it ran in (``teacher/layers.1.ffn``).
 """
 
 from __future__ import annotations
@@ -130,8 +130,10 @@ def detect_anomaly():
 
 
 def scope(name: str):
-    """Name the block that ``detect_anomaly`` reports an op in."""
-    return _set_mode("_scope", name)
+    """Name the block that ``detect_anomaly`` reports an op in.  Scopes
+    nest as ``outer/inner``; the top level adds no prefix."""
+    return _set_mode("_scope",
+                     name if _scope == "top level" else f"{_scope}/{name}")
 
 
 def _checked_vjp(vjp: Callable, where: str) -> Callable:
@@ -291,9 +293,15 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
             f"gather_rows index out of range for table with {table.shape[0]} rows")
 
     def vjp(g, ids=ids, rows=table.shape[0]):
-        dt = np.zeros((rows,) + g.shape[1:], dtype=np.float64)
-        np.add.at(dt, ids, g)
-        return (dt,)
+        # one flat bincount over (row, column) slots: it adds in input order
+        # from +0.0, so it is bitwise np.add.at into zeros, signed zeros too
+        w = int(np.prod(g.shape[1:]))
+        slots = (ids[:, None] * w + np.arange(w)).ravel()
+        dt = np.bincount(slots, weights=g.reshape(ids.size, w).ravel(),
+                         minlength=rows * w)
+        # empty ids give int64 zeros
+        return (dt.astype(np.float64, copy=False).reshape(
+            (rows,) + g.shape[1:]),)
 
     return _result(table.data[ids], (table,), vjp)
 
@@ -477,12 +485,24 @@ def tsum(x: Tensor) -> Tensor:
                    lambda g, shape=x.shape: (np.broadcast_to(g, shape).copy(),))
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate is 0."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator,
+            draw_shape: Optional[tuple] = None) -> Tensor:
+    """Inverted dropout; identity when rate is 0.
+
+    With ``draw_shape`` the mask is drawn at that shape and ``x`` holds
+    the leading rows (along axis -2) of each of its blocks: a layer that
+    computes only some query rows then draws the generator stream, and
+    uses the masks, of the full layer.
+    """
     if rate == 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return mul(x, constant(keep))
+    if draw_shape is None:
+        keep = rng.random(x.shape) >= rate
+    else:
+        keep = rng.random(draw_shape) >= rate
+        rows = x.size * keep.shape[-2] // keep.size
+        keep = keep[..., :rows, :].reshape(x.shape)
+    return mul(x, constant(keep / (1.0 - rate)))
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def total_loss(batch: Batch, pairs, teacher: Optional[ModelParams],
 
         if teacher is None:
             raise ValueError(f"variant {variant} requires a teacher")
-        with ad.no_grad():
+        with ad.no_grad(), ad.scope("teacher"):
             teacher_emb = embed_batch(teacher, batch.token_ids, batch.pad_mask)
             query_emb, _, _ = materialize(
                 pairs, teacher_emb, batch.pad_mask, batch.labels_onehot)

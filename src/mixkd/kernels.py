@@ -82,8 +82,11 @@ def gelu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """exp(x - rowmax) / rowsum(exp(x - rowmax))."""
     # a max over the transposed copy is faster on short rows ([1792, 14])
-    # and as much slower on long ones ([8192, 64]); the plain one is kept
-    e = x - x.max(axis=1, keepdims=True)
+    # and as much slower on long ones ([8192, 64]); the plain one is kept.
+    # A row holding +inf gives inf - inf = NaN, which the boundary checks
+    # report, so numpy's warning would only be noise before the error
+    with np.errstate(invalid="ignore"):
+        e = x - x.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e

@@ -9,6 +9,12 @@ Padding convention: a pad position carries the exact zero embedding
 (token and position contribution both zeroed), and attention scores for
 pad keys get an additive -1e9 before the softmax.  Position 0 is the
 pooled classification slot.
+
+The classifier reads only the last layer's [CLS] vector, so the last
+layer computes only the [CLS] query rows (keys and values still come from
+every row).  Everything after the key/value projections is row-wise, so
+this is exact in real arithmetic; in floating point the smaller products
+round differently, by about 1e-16 relative.
 """
 
 from __future__ import annotations
@@ -198,6 +204,16 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
                             return_features: bool = False):
     """Encoder stack over an embedding batch [n,T,d] -> logits [n,C].
 
+    The last layer computes only the [CLS] query rows: its K and V are
+    projected from all n*T rows, but Q, the [n,h,1,T] scores, the context,
+    ``wo``, both layer norms and the FFN run on n rows, and the head reads
+    that [n,d] result.  This is exact in real arithmetic, because every
+    op after the K/V projections is row-wise and the head reads only
+    [CLS]; in floating point the smaller GEMMs and gradient sums may round
+    differently.  In train mode the last layer's dropout masks are drawn at
+    the full layer's shapes and cut to the [CLS] rows, so the generator
+    stream and the masks of the rows that are kept do not change.
+
     With ``return_features`` also returns the final-layer [CLS] vectors [n,d].
     """
     cfg = params.config
@@ -215,44 +231,49 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     key_bias = np.where(mask, 0.0, -1e9)
     inv_sqrt_hd = 1.0 / math.sqrt(hd)
 
+    def dropout(x, full_shape):
+        return ad.dropout(x, drop, rng, draw_shape=full_shape)
+
     x2 = ad.reshape(emb, (n * T, d))
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
 
-        def heads(name, axes=(0, 2, 1, 3)):
-            y = ad.matmul(x2, params[f"{p}.attn.w{name}"],
+        def heads(name, src, rows, axes=(0, 2, 1, 3)):
+            y = ad.matmul(src, params[f"{p}.attn.w{name}"],
                           bias=params[f"{p}.attn.b{name}"])
-            return ad.transpose(ad.reshape(y, (n, T, h, hd)), axes)
+            return ad.transpose(ad.reshape(y, (n, rows, h, hd)), axes)
 
         with ad.scope(f"{p}.attn"):
+            # queries from every row, or from the [CLS] rows in the last layer
+            if i < cfg.num_layers - 1:
+                xq, tq = x2, T
+            else:
+                xq = ad.select_index(ad.reshape(x2, (n, T, d)), 0, axis=1)
+                tq = 1
             # k goes straight to [n,h,hd,T], the transposed operand of q @ k^T
-            q, kt, v = heads("q"), heads("k", (0, 2, 3, 1)), heads("v")
-            attn = ad.softmax(ad.matmul(q, kt), scale=inv_sqrt_hd,
-                              key_bias=key_bias)
-            if drop > 0.0:
-                attn = ad.dropout(attn, drop, rng)
+            q = heads("q", xq, tq)
+            kt, v = heads("k", x2, T, (0, 2, 3, 1)), heads("v", x2, T)
+            attn = dropout(ad.softmax(ad.matmul(q, kt), scale=inv_sqrt_hd,
+                                      key_bias=key_bias), (n, h, T, T))
             ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)),
-                             (n * T, d))
-            proj = ad.matmul(ctx, params[f"{p}.attn.wo"],
-                             bias=params[f"{p}.attn.bo"])
-            if drop > 0.0:
-                proj = ad.dropout(proj, drop, rng)
+                             (n * tq, d))
+            proj = dropout(ad.matmul(ctx, params[f"{p}.attn.wo"],
+                                     bias=params[f"{p}.attn.bo"]), (n, T, d))
         with ad.scope(f"{p}.ln1"):
-            x2 = ad.layer_norm(ad.add(x2, proj),
+            x2 = ad.layer_norm(ad.add(xq, proj),
                                params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
 
         with ad.scope(f"{p}.ffn"):
             ff = ad.gelu(ad.matmul(x2, params[f"{p}.ffn.w1"],
                                    bias=params[f"{p}.ffn.b1"]))
-            ff = ad.matmul(ff, params[f"{p}.ffn.w2"], bias=params[f"{p}.ffn.b2"])
-            if drop > 0.0:
-                ff = ad.dropout(ff, drop, rng)
+            ff = dropout(ad.matmul(ff, params[f"{p}.ffn.w2"],
+                                   bias=params[f"{p}.ffn.b2"]), (n, T, d))
         with ad.scope(f"{p}.ln2"):
             x2 = ad.layer_norm(ad.add(x2, ff),
                                params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
 
+    cls = x2  # [n,d]: the last layer computed only the [CLS] rows
     with ad.scope("head"):
-        cls = ad.select_index(ad.reshape(x2, (n, T, d)), 0, axis=1)
         logits = ad.matmul(cls, params["head.weight"], bias=params["head.bias"])
     # the forward's boundary: op results inside it are not checked
     ad._check_finite(logits.data, "logits contain NaN or Inf")
@@ -372,9 +393,11 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
         if end > len(raw):
             raise CheckpointError(f"truncated array data for {name}")
         flat = np.frombuffer(raw[start:end], dtype="<f4")
+        # a NaN pattern warns in the cast; the Tensor check reports it
+        with np.errstate(invalid="ignore"):
+            data = flat.astype(np.float64).reshape(shape)
         try:
-            arrays[name] = Tensor(flat.astype(np.float64).reshape(shape),
-                                  requires_grad=True)
+            arrays[name] = Tensor(data, requires_grad=True)
         except ad.NonFiniteError as exc:
             raise CheckpointError(f"array {name} contains NaN or Inf") from exc
     if set(arrays) != set(expected):

@@ -167,7 +167,7 @@ def test_anomaly_and_scope_restored_after_exception():
     with pytest.raises(ShapeError):
         with ad.detect_anomaly(), ad.scope("layers.0.ffn"):
             with ad.scope("head"):
-                assert ad._scope == "head"
+                assert ad._scope == "layers.0.ffn/head"
             assert ad._scope == "layers.0.ffn"
             ad.add(x, leaf(np.ones(4)))
     assert not ad._anomaly and ad._scope == "top level"
@@ -344,6 +344,25 @@ def test_gather_rows_scatter_add(rng):
     expected[0] = 2.0  # row 0 gathered twice
     expected[2] = 1.0
     np.testing.assert_allclose(table.grad, expected)
+
+
+@pytest.mark.parametrize("table_shape,ids", [
+    ((50, 8), [3, 7, 3, 0, 3, 49, 7]),   # repeated token ids
+    ((14, 8), list(range(14)) * 3),      # position rows, tiled
+    ((6, 2, 3), [5, 0, 5]),              # rows that are not vectors
+    ((5,), [1, 1, 4]),                   # a 1-D table
+    ((5, 3), []),                        # no ids
+])
+def test_gather_rows_vjp_bitwise_equals_add_at(rng, table_shape, ids):
+    ids = np.array(ids, dtype=np.int64)
+    out = ad.gather_rows(leaf(None, rng, table_shape), ids)
+    g = rng.normal(size=out.shape)
+    g[::2] = -0.0  # signed zeros, some on repeated ids
+    oracle = np.zeros(table_shape)
+    np.add.at(oracle, ids, g)
+    (dt,) = out._vjp(g)
+    assert dt.dtype == np.float64 and dt.shape == table_shape
+    assert dt.tobytes() == oracle.tobytes()
 
 
 def test_gather_rows_bounds():

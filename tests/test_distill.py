@@ -364,6 +364,21 @@ def test_train_loop_names_first_non_finite_op(small_task, small_model_config):
     assert not ad._anomaly
 
 
+def test_train_loop_names_the_teacher_op(small_task, small_model_config):
+    # the student copies only layer 0, so only the frozen teacher overflows
+    teacher = init_random(small_model_config, seed=0)
+    teacher["layers.1.ffn.w1"].data[...] = 1e308
+    config = TrainConfig(epochs=1, batch_size=32, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(
+            distill.TrainingDiverged) as info:
+        distill_student(config,
+                        dataclasses.replace(small_model_config, num_layers=1),
+                        small_task, teacher, variant="sm_tmkd", max_steps=3)
+    assert str(info.value).startswith(
+        "first non-finite: matmul in teacher/layers.1.ffn at step 0 ")
+    assert ad._scope == "top level"
+
+
 def test_train_loop_names_non_finite_parameter(small_task, small_model_config):
     # Adam's first update is about -lr * sign(g): the forward is finite,
     # and 1e308 + 1e308 overflows in the head bias of a class with g < 0

@@ -157,18 +157,22 @@ def test_end_to_end_gradient_nonzero(tiny_params, tiny_config):
 # the fused forward against the unfused op chain
 # ---------------------------------------------------------------------------
 
-def _unfused_forward(params, emb, pad_mask, train_mode=False, rng=None):
+def _unfused_forward(params, emb, pad_mask, train_mode=False, rng=None,
+                     cls_only_last=True):
     """The encoder written with separate ops: matmul then add_bias, k
-    transposed twice, a scale op and a dense [n,h,T,T] mask added to the
-    scores before a plain softmax.  forward_from_embeddings must match it
-    bit for bit."""
+    transposed twice, a scale op and a dense [n,h,Tq,T] mask added to the
+    scores before a plain softmax.
+
+    With ``cls_only_last`` the last layer takes its queries from the [CLS]
+    rows only and draws its dropout masks at the full layer's shapes, as
+    forward_from_embeddings does, which must match it bit for bit.  Without
+    it every layer computes all n*T rows and the head selects [CLS]: the
+    full-last-layer chain, equal to the model in real arithmetic."""
     cfg = params.config
     n, T, d = emb.shape
     h, hd = cfg.num_heads, d // cfg.num_heads
     drop = cfg.dropout_rate if train_mode else 0.0
     bias_row = np.where(pad_mask, 0.0, -1e9)
-    attn_bias = ad.constant(
-        np.broadcast_to(bias_row[:, None, None, :], (n, h, T, T)).copy())
 
     def linear(x, w, b):
         return ad.add_bias(ad.matmul(x, params[w]), params[b])
@@ -176,31 +180,36 @@ def _unfused_forward(params, emb, pad_mask, train_mode=False, rng=None):
     x2 = ad.reshape(emb, (n * T, d))
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
+        cut = cls_only_last and i == cfg.num_layers - 1
+        xq = ad.select_index(ad.reshape(x2, (n, T, d)), 0, axis=1) if cut else x2
+        tq = 1 if cut else T
 
-        def heads(name):
-            y = linear(x2, f"{p}.attn.w{name}", f"{p}.attn.b{name}")
-            return ad.transpose(ad.reshape(y, (n, T, h, hd)), (0, 2, 1, 3))
+        def heads(name, src, rows):
+            y = linear(src, f"{p}.attn.w{name}", f"{p}.attn.b{name}")
+            return ad.transpose(ad.reshape(y, (n, rows, h, hd)), (0, 2, 1, 3))
 
-        q, k, v = heads("q"), heads("k"), heads("v")
+        def dropout(x, full_shape):
+            return ad.dropout(x, drop, rng,
+                              draw_shape=full_shape if cut else None)
+
+        q, k, v = heads("q", xq, tq), heads("k", x2, T), heads("v", x2, T)
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
                           1.0 / math.sqrt(hd))
-        attn = ad.softmax(ad.add(scores, attn_bias))
-        if drop > 0.0:
-            attn = ad.dropout(attn, drop, rng)
+        attn_bias = ad.constant(
+            np.broadcast_to(bias_row[:, None, None, :], (n, h, tq, T)).copy())
+        attn = dropout(ad.softmax(ad.add(scores, attn_bias)), (n, h, T, T))
         ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)),
-                         (n * T, d))
-        proj = linear(ctx, f"{p}.attn.wo", f"{p}.attn.bo")
-        if drop > 0.0:
-            proj = ad.dropout(proj, drop, rng)
-        x2 = ad.layer_norm(ad.add(x2, proj),
+                         (n * tq, d))
+        proj = dropout(linear(ctx, f"{p}.attn.wo", f"{p}.attn.bo"), (n, T, d))
+        x2 = ad.layer_norm(ad.add(xq, proj),
                            params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
         ff = linear(ad.gelu(linear(x2, f"{p}.ffn.w1", f"{p}.ffn.b1")),
                     f"{p}.ffn.w2", f"{p}.ffn.b2")
-        if drop > 0.0:
-            ff = ad.dropout(ff, drop, rng)
+        ff = dropout(ff, (n, T, d))
         x2 = ad.layer_norm(ad.add(x2, ff),
                            params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-    cls = ad.select_index(ad.reshape(x2, (n, T, d)), 0, axis=1)
+    cls = x2 if cls_only_last else ad.select_index(
+        ad.reshape(x2, (n, T, d)), 0, axis=1)
     return linear(cls, "head.weight", "head.bias")
 
 
@@ -248,6 +257,52 @@ def test_fused_forward_bitwise_equals_unfused_no_grad():
         plain = _unfused_forward(params, embed_batch(params, ids, mask), mask)
     assert fused._vjp is None
     assert np.array_equal(fused.data, plain.data)
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+@pytest.mark.parametrize("hidden_dim", [64, 48])
+def test_cls_only_last_layer_matches_full_last_layer(dropout_rate, hidden_dim):
+    """Computing only the [CLS] query rows in the last layer is exact in
+    real arithmetic: logits and every gradient agree to rounding.  The
+    gradients get an absolute floor at the model's gradient scale: the key
+    biases' gradients are 0 in real arithmetic (a softmax ignores a shift
+    shared by all keys), so both sides hold only rounding noise there."""
+    params, ids, mask = _bench_shape(dropout_rate, hidden_dim)
+    cut, cut_grads = _logits_and_grads(
+        forward_from_embeddings, params, ids, mask, train_mode=True,
+        rng=np.random.default_rng(3))
+    full, full_grads = _logits_and_grads(
+        _unfused_forward, params, ids, mask, train_mode=True,
+        rng=np.random.default_rng(3), cls_only_last=False)
+    np.testing.assert_allclose(cut, full, rtol=1e-12, atol=0)
+    floor = 1e-12 * max(np.abs(g).max() for g in full_grads.values())
+    for name in params.names:
+        np.testing.assert_allclose(cut_grads[name], full_grads[name],
+                                   rtol=1e-12, atol=floor, err_msg=name)
+
+
+@pytest.mark.parametrize("hidden_dim", [64, 48])
+def test_cls_only_last_layer_matches_full_last_layer_no_grad(hidden_dim):
+    params, ids, mask = _bench_shape(hidden_dim=hidden_dim)
+    with ad.no_grad():
+        cut = forward_from_embeddings(params, embed_batch(params, ids, mask),
+                                      mask)
+        full = _unfused_forward(params, embed_batch(params, ids, mask), mask,
+                                cls_only_last=False)
+    np.testing.assert_allclose(cut.data, full.data, rtol=1e-12, atol=0)
+
+
+def test_cls_only_last_layer_draws_the_full_dropout_stream():
+    """The last layer draws its masks at the full [n,h,T,T] and [n*T,d]
+    shapes, so the generator ends where the full-last-layer chain leaves it."""
+    params, ids, mask = _bench_shape(dropout_rate=0.1)
+    cut_rng, full_rng = np.random.default_rng(3), np.random.default_rng(3)
+    with ad.no_grad():
+        forward_from_embeddings(params, embed_batch(params, ids, mask), mask,
+                                train_mode=True, rng=cut_rng)
+        _unfused_forward(params, embed_batch(params, ids, mask), mask,
+                         train_mode=True, rng=full_rng, cls_only_last=False)
+    assert cut_rng.bit_generator.state == full_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("grad_mode", [True, False])
