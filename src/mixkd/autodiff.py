@@ -19,10 +19,16 @@ into 0) is no error.  To find the op that first went non-finite, run
 the computation again under ``detect_anomaly``: there every op result
 and every VJP output is checked, and the error names the op and the
 ``scope`` path it ran in (``teacher/layers.1.ffn``).
+
+The modes (``no_grad``, ``detect_anomaly``, ``scope``) are context-local:
+each is a ``contextvars.ContextVar``, so a mode entered in one thread is
+not seen by another, and a worker started in ``contextvars.copy_context()``
+inherits the modes of the code that started it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import numbers
 import sys
 from contextlib import contextmanager
@@ -61,9 +67,11 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False,
                  _inputs: tuple = (), _vjp: Optional[Callable] = None,
-                 _op_result: bool = False):
+                 _unchecked: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not _op_result:
+        # op results, and arrays that cannot hold NaN or Inf (a 0/1 mask),
+        # are not checked
+        if not _unchecked:
             _check_finite(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -98,42 +106,41 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-_grad_enabled = True
-_anomaly = False
-_scope = "top level"
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+_anomaly = contextvars.ContextVar("anomaly", default=False)
+_scope = contextvars.ContextVar("scope", default="top level")
 
 
 @contextmanager
-def _set_mode(name: str, value):
-    """Set the module flag ``name`` for the block.  Nests; the previous
-    value is restored on exit, also when the block raises.  Each flag is
-    shared by every thread of the process."""
-    previous = globals()[name]
-    globals()[name] = value
+def _set_mode(mode: contextvars.ContextVar, value):
+    """Set ``mode`` for the block, in the current context only.  Nests;
+    the previous value is restored on exit, also when the block raises."""
+    token = mode.set(value)
     try:
         yield
     finally:
-        globals()[name] = previous
+        mode.reset(token)
 
 
 def no_grad():
     """Ops inside return leaves with no inputs and no VJP: same values, no
     graph."""
-    return _set_mode("_grad_enabled", False)
+    return _set_mode(_grad_enabled, False)
 
 
 def detect_anomaly():
     """Check every op result and every VJP output inside; the first
     non-finite one raises ``NonFiniteError("first non-finite: <op> in
     <scope>")`` (``<op> vjp`` for a gradient)."""
-    return _set_mode("_anomaly", True)
+    return _set_mode(_anomaly, True)
 
 
 def scope(name: str):
     """Name the block that ``detect_anomaly`` reports an op in.  Scopes
     nest as ``outer/inner``; the top level adds no prefix."""
-    return _set_mode("_scope",
-                     name if _scope == "top level" else f"{_scope}/{name}")
+    outer = _scope.get()
+    return _set_mode(_scope,
+                     name if outer == "top level" else f"{outer}/{name}")
 
 
 def _checked_vjp(vjp: Callable, where: str) -> Callable:
@@ -148,18 +155,19 @@ def _checked_vjp(vjp: Callable, where: str) -> Callable:
 
 def _result(data: np.ndarray, inputs: Sequence[Tensor],
             vjp: Callable) -> Tensor:
-    graph = _grad_enabled and any(t.requires_grad for t in inputs)
-    if _anomaly:
+    graph = _grad_enabled.get() and any(t.requires_grad for t in inputs)
+    if _anomaly.get():
         op = sys._getframe(1).f_code.co_name  # the op that called us
-        _check_finite(data, f"first non-finite: {op} in {_scope}")
+        where = _scope.get()
+        _check_finite(data, f"first non-finite: {op} in {where}")
         if graph:
-            vjp = _checked_vjp(vjp, f"{op} vjp in {_scope}")
+            vjp = _checked_vjp(vjp, f"{op} vjp in {where}")
     if graph:
         return Tensor(data, requires_grad=True, _inputs=tuple(inputs),
-                      _vjp=vjp, _op_result=True)
+                      _vjp=vjp, _unchecked=True)
     # prune the graph below non-differentiable results (e.g. a frozen
     # teacher) and under no_grad
-    return Tensor(data, requires_grad=False, _op_result=True)
+    return Tensor(data, requires_grad=False, _unchecked=True)
 
 
 class Tape:

@@ -86,30 +86,40 @@ def load_tsv(path, schema: Schema,
 
     When ``label_names`` is given, any other label string is an error; when
     omitted, the label set is the sorted unique labels in the file.  A file
-    without data rows is an error.
+    without data rows, or a row with more or fewer fields than the header,
+    is an error.  Blank lines are skipped.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
-        if reader.fieldnames is None:
+        reader = csv.reader(fh, delimiter="\t")
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file")
         for col in (schema.text_a, schema.label) + (
                 (schema.text_b,) if schema.text_b else ()):
-            if col not in reader.fieldnames:
+            if col not in header:
                 raise DataError(f"{path}: missing column {col!r}")
-        rows = list(reader)
+        rows = []
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise DataError(
+                    f"{path}: line {reader.line_num}: expected "
+                    f"{len(header)} fields like the header, got {len(fields)}")
+            rows.append((reader.line_num, dict(zip(header, fields))))
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
 
     if label_names is None:
-        label_names = sorted({row[schema.label] for row in rows})
+        label_names = sorted({row[schema.label] for _, row in rows})
     label_map = {name: i for i, name in enumerate(label_names)}
 
     examples = []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         label = row[schema.label]
         if label not in label_map:
             raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
-        text_a = (row[schema.text_a] or "").strip()
+        text_a = row[schema.text_a].strip()
         if not text_a:
             raise DataError(f"{path}: line {lineno}: empty text")
         text_b = row[schema.text_b].strip() if schema.text_b else None

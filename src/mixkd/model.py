@@ -15,15 +15,22 @@ layer computes only the [CLS] query rows (keys and values still come from
 every row).  Everything after the key/value projections is row-wise, so
 this is exact in real arithmetic; in floating point the smaller products
 round differently, by about 1e-16 relative.
+
+A large graph-free forward (evaluation, the frozen teacher at long
+inputs) runs its encoder layers on two sample halves in two threads and
+the head once on the whole batch; the result is bitwise that of the
+serial forward (see ``forward_from_embeddings``).
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -193,48 +200,26 @@ def embed_batch(params: ModelParams, token_ids: np.ndarray,
         tok = ad.gather_rows(params["tok_emb"], ids.reshape(-1))
         pos = ad.gather_rows(params["pos_emb"], np.tile(np.arange(T), n))
         summed = ad.reshape(ad.add(tok, pos), (n, T, cfg.hidden_dim))
-        keep = np.repeat(mask[:, :, None].astype(np.float64), cfg.hidden_dim,
-                         axis=2)
-        return ad.mul(summed, ad.constant(keep))
+        # a read-only 0/1 view of the mask: nothing to copy or check
+        keep = np.broadcast_to(mask[:, :, None].astype(np.float64),
+                               (n, T, cfg.hidden_dim))
+        return ad.mul(summed, Tensor(keep, _unchecked=True))
 
 
-def forward_from_embeddings(params: ModelParams, emb: Tensor,
-                            pad_mask: np.ndarray, train_mode: bool = False,
-                            rng: Optional[np.random.Generator] = None,
-                            return_features: bool = False):
-    """Encoder stack over an embedding batch [n,T,d] -> logits [n,C].
-
-    The last layer computes only the [CLS] query rows: its K and V are
-    projected from all n*T rows, but Q, the [n,h,1,T] scores, the context,
-    ``wo``, both layer norms and the FFN run on n rows, and the head reads
-    that [n,d] result.  This is exact in real arithmetic, because every
-    op after the K/V projections is row-wise and the head reads only
-    [CLS]; in floating point the smaller GEMMs and gradient sums may round
-    differently.  In train mode the last layer's dropout masks are drawn at
-    the full layer's shapes and cut to the [CLS] rows, so the generator
-    stream and the masks of the rows that are kept do not change.
-
-    With ``return_features`` also returns the final-layer [CLS] vectors [n,d].
-    """
+def _encoder(params: ModelParams, x2: Tensor, key_bias: np.ndarray,
+             drop: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """The encoder layers over the [n*T,d] rows of n samples -> the last
+    layer's [CLS] rows [n,d]; ``key_bias`` [n,T] is 0 for a real key and
+    -1e9 for a pad key."""
     cfg = params.config
-    n, T, d = emb.shape
-    if (T, d) != (cfg.max_seq_len, cfg.hidden_dim):
-        raise ValueError(f"embedding shape {emb.shape} incompatible with config")
-    mask = np.asarray(pad_mask, dtype=bool)
-    if mask.shape != (n, T):
-        raise ValueError(f"pad_mask shape {mask.shape}, expected {(n, T)}")
+    n, T = key_bias.shape
+    d = cfg.hidden_dim
     h, hd = cfg.num_heads, d // cfg.num_heads
-    drop = cfg.dropout_rate if train_mode else 0.0
-    if drop > 0.0 and rng is None:
-        raise ValueError("dropout requires an rng in train mode")
-
-    key_bias = np.where(mask, 0.0, -1e9)
     inv_sqrt_hd = 1.0 / math.sqrt(hd)
 
     def dropout(x, full_shape):
         return ad.dropout(x, drop, rng, draw_shape=full_shape)
 
-    x2 = ad.reshape(emb, (n * T, d))
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
 
@@ -271,8 +256,99 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
         with ad.scope(f"{p}.ln2"):
             x2 = ad.layer_norm(ad.add(x2, ff),
                                params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
+    return x2  # [n,d]: the last layer computed only the [CLS] rows
 
-    cls = x2  # [n,d]: the last layer computed only the [CLS] rows
+
+# the split's minimum batch: 2 samples per half (see forward_from_embeddings)
+# and 1024 token rows, from where it was faster in every measurement on a
+# 2-CPU host (4-layer d=64 forward: 1.3-2.1x at 1024 rows, 1.5-1.8x at
+# 2048); measurements at 448-512 rows disagree (ROADMAP item 6)
+_SPLIT_MIN_SAMPLES = 4
+_SPLIT_MIN_ROWS = 1024
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_pays(params: ModelParams, emb: Tensor, drop: float) -> bool:
+    n, T, _ = emb.shape
+    if n < _SPLIT_MIN_SAMPLES or n * T < _SPLIT_MIN_ROWS:
+        return False
+    # anomaly mode names the first non-finite op, which needs one order
+    if drop > 0.0 or ad._anomaly.get():
+        return False
+    if ad._grad_enabled.get() and (emb.requires_grad or any(
+            t.requires_grad for t in params.arrays.values())):
+        return False
+    return _cpus() >= 2
+
+
+def forward_from_embeddings(params: ModelParams, emb: Tensor,
+                            pad_mask: np.ndarray, train_mode: bool = False,
+                            rng: Optional[np.random.Generator] = None,
+                            return_features: bool = False):
+    """Encoder stack over an embedding batch [n,T,d] -> logits [n,C].
+
+    The last layer computes only the [CLS] query rows: its K and V are
+    projected from all n*T rows, but Q, the [n,h,1,T] scores, the context,
+    ``wo``, both layer norms and the FFN run on n rows, and the head reads
+    that [n,d] result.  This is exact in real arithmetic, because every
+    op after the K/V projections is row-wise and the head reads only
+    [CLS]; in floating point the smaller GEMMs and gradient sums may round
+    differently.  In train mode the last layer's dropout masks are drawn at
+    the full layer's shapes and cut to the [CLS] rows, so the generator
+    stream and the masks of the rows that are kept do not change.
+
+    A forward that builds no graph (grad mode off, or nothing requires
+    grad), with dropout and ``detect_anomaly`` off, at least 4 samples and
+    at least 1024 token rows, on a process that may use 2 CPUs, runs the
+    encoder layers on samples ``[:n//2]`` in a worker thread and on
+    ``[n//2:]`` in the calling thread; numpy and BLAS release the GIL, so
+    the halves overlap.  The worker runs in a copy of the caller's context,
+    so it sees the same autodiff modes and numpy errstate, and it is
+    joined before the call returns or raises.  The head then runs once on
+    the concatenated [n,d] rows.  The split is bitwise: every op below the
+    head works per sample or row by row, and with OpenBLAS a row of a
+    GEMM with at least 2 rows is the same row of the whole product at the
+    widths used here.  The head's product with C = 2 columns is not, so
+    the head stays whole, and each half holds at least 2 samples, because
+    a 1-row product (gemv) rounds differently.
+
+    With ``return_features`` also returns the final-layer [CLS] vectors [n,d].
+    """
+    cfg = params.config
+    n, T, d = emb.shape
+    if (T, d) != (cfg.max_seq_len, cfg.hidden_dim):
+        raise ValueError(f"embedding shape {emb.shape} incompatible with config")
+    mask = np.asarray(pad_mask, dtype=bool)
+    if mask.shape != (n, T):
+        raise ValueError(f"pad_mask shape {mask.shape}, expected {(n, T)}")
+    drop = cfg.dropout_rate if train_mode else 0.0
+    if drop > 0.0 and rng is None:
+        raise ValueError("dropout requires an rng in train mode")
+    key_bias = np.where(mask, 0.0, -1e9)
+
+    if _split_pays(params, emb, drop):
+        def layers(lo, hi):
+            rows = Tensor(emb.data[lo:hi].reshape((hi - lo) * T, d),
+                          _unchecked=True)
+            return _encoder(params, rows, key_bias[lo:hi], drop, rng)
+
+        half = n // 2
+        with ThreadPoolExecutor(max_workers=1,
+                                thread_name_prefix="mixkd-forward") as pool:
+            worker = pool.submit(contextvars.copy_context().run,
+                                 layers, 0, half)
+            rest = layers(half, n)
+            cls = Tensor(np.concatenate([worker.result().data, rest.data]),
+                         _unchecked=True)
+    else:
+        cls = _encoder(params, ad.reshape(emb, (n * T, d)), key_bias, drop,
+                       rng)
     with ad.scope("head"):
         logits = ad.matmul(cls, params["head.weight"], bias=params["head.bias"])
     # the forward's boundary: op results inside it are not checked

@@ -1,5 +1,8 @@
 """Unit tests for the reverse-mode tensor library."""
 
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -114,7 +117,7 @@ def test_no_grad_restored_after_exception():
     with pytest.raises(ShapeError):
         with ad.no_grad():
             ad.add(x, leaf(np.ones(4)))
-    assert ad._grad_enabled
+    assert ad._grad_enabled.get()
     assert ad.add(x, 1.0)._inputs == (x,)
 
 
@@ -124,7 +127,7 @@ def test_no_grad_nests():
         with ad.no_grad():
             assert ad.add(x, 1.0)._vjp is None
         assert ad.add(x, 1.0)._vjp is None
-    assert ad._grad_enabled
+    assert ad._grad_enabled.get()
     y = ad.tsum(ad.mul(x, x))
     backward(y)
     np.testing.assert_array_equal(x.grad, 2.0 * np.ones(3))
@@ -167,10 +170,56 @@ def test_anomaly_and_scope_restored_after_exception():
     with pytest.raises(ShapeError):
         with ad.detect_anomaly(), ad.scope("layers.0.ffn"):
             with ad.scope("head"):
-                assert ad._scope == "layers.0.ffn/head"
-            assert ad._scope == "layers.0.ffn"
+                assert ad._scope.get() == "layers.0.ffn/head"
+            assert ad._scope.get() == "layers.0.ffn"
             ad.add(x, leaf(np.ones(4)))
-    assert not ad._anomaly and ad._scope == "top level"
+    assert not ad._anomaly.get() and ad._scope.get() == "top level"
+
+
+def _modes():
+    return ad._grad_enabled.get(), ad._anomaly.get(), ad._scope.get()
+
+
+def test_modes_are_thread_local():
+    """Two threads enter their modes in turn, each waiting for the other
+    between entries; each sees only its own, and both end at the
+    defaults."""
+    barrier = threading.Barrier(2, timeout=30)
+    x = leaf(np.ones(3))
+    seen, errors = {}, []
+
+    def run(name, modes):
+        try:
+            with contextlib.ExitStack() as stack:
+                for mode in modes:
+                    barrier.wait()
+                    stack.enter_context(mode())
+                barrier.wait()
+                seen[name] = _modes() + (ad.add(x, 1.0)._vjp is not None,)
+                barrier.wait()
+            barrier.wait()
+            seen[name + " after"] = _modes()
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            barrier.abort()
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=("a", [
+            ad.no_grad, lambda: ad.scope("a"), lambda: ad.scope("inner")])),
+        threading.Thread(target=run, args=("b", [
+            ad.detect_anomaly, lambda: ad.scope("b"),
+            lambda: ad.scope("deep")])),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors, errors
+    assert seen == {"a": (False, False, "a/inner", False),
+                    "b": (True, True, "b/deep", True),
+                    "a after": (True, False, "top level"),
+                    "b after": (True, False, "top level")}
+    assert _modes() == (True, False, "top level")
 
 
 def test_anomaly_mode_values_equal_plain(rng):

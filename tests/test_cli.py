@@ -223,6 +223,20 @@ def test_exit_code_header_only_tsv(teacher_ckpt, workspace, tmp_path, capsys):
     assert "DataError" in err and str(empty) in err
 
 
+def test_exit_code_tsv_row_missing_label(workspace, tmp_path, capsys):
+    train = tmp_path / "train.tsv"
+    lines = (workspace / "train.tsv").read_text().splitlines()
+    last = lines[-1].split("\t")[0]  # the last row without its label
+    train.write_text("\n".join(lines[:-1] + [last]) + "\n")
+    code = main(["train-teacher", "--config", str(workspace / "teacher.cfg"),
+                 "--data", str(train), "--dev", str(workspace / "dev.tsv"),
+                 "--out", str(tmp_path / "t.ckpt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"DataError): {train}: line {len(lines)}: expected 2 fields "
+            "like the header, got 1") in err
+
+
 def test_exit_code_checkpoint_error(workspace, tmp_path, capsys):
     bogus = tmp_path / "bogus.ckpt"
     bogus.write_bytes(b"not a checkpoint at all")

@@ -74,6 +74,35 @@ def test_load_tsv_pair_schema(tmp_path):
     assert examples[0].text_b == "an answer"
 
 
+@pytest.mark.parametrize("header,rows,schema,line,got,want", [
+    # the last row lacks its label
+    ("sentence\tlabel", ["good movie\tpos", "bad one"], "sentence,label",
+     3, 1, 2),
+    # a pair-schema row without its second sentence
+    ("sentence1\tsentence2\tlabel", ["hello world\tpos"],
+     "sentence1,sentence2,label", 2, 2, 3),
+    # an extra field
+    ("sentence\tlabel", ["good movie\tpos\tneg"], "sentence,label",
+     2, 3, 2),
+])
+def test_load_tsv_rejects_wrong_field_count(tmp_path, header, rows, schema,
+                                            line, got, want):
+    path = tmp_path / "d.tsv"
+    _write_tsv(path, rows, header=header)
+    with pytest.raises(DataError) as info:
+        load_tsv(path, Schema.parse(schema))
+    assert str(info.value) == (f"{path}: line {line}: expected {want} "
+                               f"fields like the header, got {got}")
+
+
+def test_load_tsv_skips_blank_lines(tmp_path):
+    path = tmp_path / "d.tsv"
+    _write_tsv(path, ["good movie\tpos", "", "bad one\tneg"])
+    examples, labels = load_tsv(path, Schema.parse("sentence,label"))
+    assert [e.text_a for e in examples] == ["good movie", "bad one"]
+    assert labels == ["neg", "pos"]
+
+
 def test_build_vocab_ordering():
     examples = [Example("b b b a a c", 0), Example("a c", 1)]
     vocab = build_vocab(examples)

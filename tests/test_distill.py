@@ -339,7 +339,7 @@ def test_backward_after_evaluate_in_train_loop(small_task, small_model_config):
     assert eval_losses == plain_losses
     assert eval_sum == plain_sum
     assert plain_sum != init_random(small_model_config, seed=0).checksum()
-    assert ad._grad_enabled
+    assert ad._grad_enabled.get()
 
 
 def _diverging_loop(small_task, small_model_config, config, plant=None):
@@ -361,7 +361,7 @@ def test_train_loop_names_first_non_finite_op(small_task, small_model_config):
                         plant={"layers.2.ffn.w1": np.nan})
     assert str(info.value).startswith(
         "first non-finite: matmul in layers.2.ffn at step 0 ")
-    assert not ad._anomaly
+    assert not ad._anomaly.get()
 
 
 def test_train_loop_names_the_teacher_op(small_task, small_model_config):
@@ -376,7 +376,7 @@ def test_train_loop_names_the_teacher_op(small_task, small_model_config):
                         small_task, teacher, variant="sm_tmkd", max_steps=3)
     assert str(info.value).startswith(
         "first non-finite: matmul in teacher/layers.1.ffn at step 0 ")
-    assert ad._scope == "top level"
+    assert ad._scope.get() == "top level"
 
 
 def test_train_loop_names_non_finite_parameter(small_task, small_model_config):
@@ -396,7 +396,7 @@ def test_train_loop_rerun_without_culprit_raises_original(
     real, calls = ad.backward, []
 
     def fails_once(loss):
-        calls.append(ad._anomaly)
+        calls.append(ad._anomaly.get())
         if len(calls) == 1:
             raise ad.NonFiniteError("a leaf gradient contains NaN or Inf")
         real(loss)

@@ -3,11 +3,13 @@
 import csv
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from mixkd import evaluation
+from mixkd import autodiff as ad
+from mixkd import evaluation, model, synthetic
 from mixkd.config import ConfigError, load_config, parse_kv_file
 from mixkd.data import DataError, make_batch
 from mixkd.distill import LossWeights, TrainConfig
@@ -123,6 +125,36 @@ def test_export_lambda_one_feature_identity(task_params, small_task,
     original = np.array([float(v) for v in rows[1][5:]])
     mixed = np.array([float(v) for v in rows[3][5:]])
     np.testing.assert_allclose(mixed, original, atol=1e-9)
+
+
+def test_export_cls_features_split_is_byte_identical(tmp_path, monkeypatch):
+    """20 originals and 40 mixed rows at T=64 both take the two-thread
+    split; a one-CPU run of the same export is serial."""
+    task = synthetic.make_task(n_train=20, n_dev=2, seq_min=32, seq_max=62,
+                               seed=5)
+    config = ModelConfig(num_layers=4, hidden_dim=64, num_heads=4, ffn_dim=128,
+                         vocab_size=task.vocab.size, max_seq_len=task.max_len,
+                         num_classes=2)
+    params = init_random(config, seed=5)
+    pairs = MixupPairs(np.arange(40) % 20, (np.arange(40) * 7 + 3) % 20,
+                       np.linspace(0.05, 0.95, 40))
+    threads, real = [], ad.gelu
+
+    def spy(x):
+        threads.append(threading.current_thread().name)
+        return real(x)
+    monkeypatch.setattr(ad, "gelu", spy)
+    out = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(model, "_cpus", lambda cpus=cpus: cpus)
+        threads.clear()
+        path = tmp_path / f"feats{cpus}.csv"
+        assert export_cls_features(params, task.train, task.vocab,
+                                   task.max_len, 2, pairs, path) == 60
+        out[cpus] = path.read_bytes()
+        assert any(t.startswith("mixkd-forward") for t in threads) == (
+            cpus == 2)
+    assert out[2] == out[1]
 
 
 def test_throughput_bench_reports(tiny_params, tiny_config):

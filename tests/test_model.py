@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import io
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +332,156 @@ def test_graph_free_forward_checks_finiteness_once(monkeypatch):
         monkeypatch.setattr(ad, "_check_finite", counting)
         logits = forward_from_embeddings(params, emb, mask)
     assert calls == [logits.shape]
+
+
+# ---------------------------------------------------------------------------
+# two-thread sample split of graph-free forwards
+# ---------------------------------------------------------------------------
+
+def _split_shape(n, T, hidden_dim=64, seed=0):
+    """A 4-layer model (4 heads, ffn 128) and n rows of T tokens with
+    ragged lengths."""
+    config = ModelConfig(num_layers=4, hidden_dim=hidden_dim, num_heads=4,
+                         ffn_dim=128, vocab_size=50, max_seq_len=T,
+                         num_classes=3)
+    lengths = np.random.default_rng(seed).integers(T // 2, T + 1, size=n)
+    ids, mask = _toy_batch(config, lengths)
+    return init_random(config, seed=seed), ids, mask
+
+
+def _forward_threads(monkeypatch):
+    """(thread name, grad mode, scope) of every layer norm from now on."""
+    calls, real = set(), ad.layer_norm
+
+    def spy(*args, **kwargs):
+        calls.add((threading.current_thread().name, ad._grad_enabled.get(),
+                   ad._scope.get()))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(ad, "layer_norm", spy)
+    return calls
+
+
+def _split(calls):
+    return any(name.startswith("mixkd-forward") for name, _, _ in calls)
+
+
+def _no_forward_thread_alive():
+    return not any(t.name.startswith("mixkd-forward")
+                   for t in threading.enumerate())
+
+
+@pytest.mark.parametrize("n,T,hidden_dim", [
+    (32, 64, 64),   # eval_long's batch
+    (33, 32, 64),   # odd n: halves of 16 and 17
+    (4, 256, 16),   # the smallest halves, 2 samples each
+    (32, 64, 48),
+])
+def test_split_forward_bitwise_equals_graph_forward(n, T, hidden_dim,
+                                                    monkeypatch):
+    """The graph-mode forward stays serial; the graph-free one splits."""
+    params, ids, mask = _split_shape(n, T, hidden_dim)
+    threads = _forward_threads(monkeypatch)
+    graph, graph_feats = forward_from_embeddings(
+        params, embed_batch(params, ids, mask), mask, return_features=True)
+    assert not _split(threads) and graph._inputs
+    threads.clear()
+    with ad.no_grad():
+        split, split_feats = forward_from_embeddings(
+            params, embed_batch(params, ids, mask), mask,
+            return_features=True)
+    assert _split(threads) and _no_forward_thread_alive()
+    # both halves ran under the caller's no_grad, each in its own scopes
+    scopes = {f"layers.{i}.ln{j}" for i in range(4) for j in (1, 2)}
+    for name in ("MainThread", "mixkd-forward_0"):
+        assert {(grad, scope) for who, grad, scope in threads
+                if who == name} == {(False, scope) for scope in scopes}
+    assert np.array_equal(split.data, graph.data)
+    assert np.array_equal(split_feats.data, graph_feats.data)
+
+
+@pytest.mark.parametrize("case,splits", [
+    ("no_grad", True),
+    ("frozen", True),           # grad mode on, but nothing requires grad
+    ("graph", False),
+    ("dropout", False),
+    ("anomaly", False),
+    ("3_samples", False),       # 3 x 512 rows: a half would hold 1 sample
+    ("448_rows", False),        # the distill teacher's 32 x 14
+    ("one_cpu", False),
+])
+def test_split_runs_only_where_it_pays(case, splits, monkeypatch):
+    n, T = {"3_samples": (3, 512), "448_rows": (32, 14)}.get(case, (4, 256))
+    params, ids, mask = _split_shape(n, T, hidden_dim=16)
+    if case == "dropout":
+        params = ModelParams(dataclasses.replace(params.config,
+                                                 dropout_rate=0.1),
+                             params.arrays)
+    if case == "frozen":
+        params = params.copy().freeze()
+    if case == "one_cpu":
+        monkeypatch.setattr(model_mod, "_cpus", lambda: 1)
+    # every case but two builds no graph
+    graph_mode = case in ("frozen", "graph")
+    threads = _forward_threads(monkeypatch)
+    with (contextlib.nullcontext() if graph_mode else ad.no_grad()), (
+            ad.detect_anomaly() if case == "anomaly"
+            else contextlib.nullcontext()):
+        forward_from_embeddings(params, embed_batch(params, ids, mask), mask,
+                                train_mode=True,
+                                rng=np.random.default_rng(0))
+    assert _split(threads) == splits
+
+
+def test_split_forward_keeps_the_anomaly_message():
+    """detect_anomaly keeps the forward serial, so the first non-finite op
+    is the one a graph-mode forward names."""
+    params, ids, mask = _split_shape(32, 64)
+    params["layers.1.ffn.w1"].data[3, 5] = np.inf
+    messages = []
+    for mode in (contextlib.nullcontext, ad.no_grad):
+        with mode(), ad.detect_anomaly(), np.errstate(invalid="ignore"):
+            emb = embed_batch(params, ids, mask)
+            with pytest.raises(ad.NonFiniteError) as info:
+                forward_from_embeddings(params, emb, mask)
+        messages.append(str(info.value))
+    assert messages == ["first non-finite: matmul in layers.1.ffn"] * 2
+
+
+@pytest.mark.parametrize("worker_fails", [True, False])
+def test_split_forward_error_reaches_caller_after_join(worker_fails,
+                                                       monkeypatch):
+    params, ids, mask = _split_shape(32, 64)
+    real = ad.gelu
+
+    def fails_in_one_half(x):
+        in_worker = threading.current_thread().name.startswith(
+            "mixkd-forward")
+        if in_worker == worker_fails:
+            raise RuntimeError("half failed")
+        return real(x)
+    monkeypatch.setattr(ad, "gelu", fails_in_one_half)
+    with ad.no_grad():
+        emb = embed_batch(params, ids, mask)
+        with pytest.raises(RuntimeError, match="^half failed$"):
+            forward_from_embeddings(params, emb, mask)
+    assert _no_forward_thread_alive()
+
+
+def test_split_forward_worker_inherits_errstate(monkeypatch):
+    """A huge embedding in sample 0, in the worker's half, overflows in a
+    matmul and a square; the caller's errstate covers the worker too, so
+    only the boundary check reports it."""
+    params, ids, mask = _split_shape(32, 64)
+    threads = _forward_threads(monkeypatch)
+    with ad.no_grad():
+        emb = embed_batch(params, ids, mask)
+        emb.data[0, 5, :] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(over="ignore"), pytest.raises(
+                    ad.NonFiniteError, match="^logits contain NaN or Inf$"):
+                forward_from_embeddings(params, emb, mask)
+    assert _split(threads)
 
 
 # ---------------------------------------------------------------------------
