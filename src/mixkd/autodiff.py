@@ -135,12 +135,15 @@ def detect_anomaly():
     return _set_mode(_anomaly, True)
 
 
+@contextmanager
 def scope(name: str):
     """Name the block that ``detect_anomaly`` reports an op in.  Scopes
-    nest as ``outer/inner``; the top level adds no prefix."""
+    nest as ``outer/inner``, under the scope current where the block is
+    entered; the top level adds no prefix."""
     outer = _scope.get()
-    return _set_mode(_scope,
-                     name if outer == "top level" else f"{outer}/{name}")
+    with _set_mode(_scope,
+                   name if outer == "top level" else f"{outer}/{name}"):
+        yield
 
 
 def _checked_vjp(vjp: Callable, where: str) -> Callable:
@@ -384,7 +387,7 @@ def softmax(x: Tensor, scale: Optional[float] = None,
     ``key_bias`` [n, k] is a constant row per leading index (e.g. 0 for a
     real key and -1e9 for a pad key), broadcast over the middle axes (heads
     and queries) without a copy.  The scaled, biased scores are one buffer
-    and no tensor.
+    and no tensor, and the softmax normalizes in that buffer.
     """
     nd = x.data.ndim
     if nd == 0:
@@ -403,7 +406,9 @@ def softmax(x: Tensor, scale: Optional[float] = None,
         else:
             z += kb
     rows = np.ascontiguousarray(z).reshape(-1, x.shape[-1])
-    p = kernels.softmax_rows(rows).reshape(x.shape)
+    # z is a fresh buffer when scale or key_bias made it; x.data is not ours
+    p = kernels.softmax_rows(rows, out=None if z is x.data else rows)
+    p = p.reshape(x.shape)
 
     def vjp(g, p=p):
         dz = g - (g * p).sum(axis=-1, keepdims=True)

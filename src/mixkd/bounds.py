@@ -190,6 +190,8 @@ class EnumerableTestbed:
 
 
 def make_testbed(n_bits: int = 10, seed: int = 0) -> EnumerableTestbed:
+    if n_bits < 1:
+        raise BoundError(f"n_bits must be >= 1, got {n_bits}")
     if n_bits > 16:
         raise BoundError(f"2^{n_bits} points is too large to enumerate")
     grid = ((np.arange(2 ** n_bits)[:, None]
@@ -203,6 +205,8 @@ def make_scorer_class(testbed: EnumerableTestbed, g_size: int,
                       seed: int = 0) -> ThresholdScorerClass:
     """Teacher plus |G| scorers: half perturbations of the teacher weights
     (so ERM has genuinely good candidates), half independent draws."""
+    if g_size < 1:
+        raise BoundError(f"g_size must be >= 1, got {g_size}")
     rng = np.random.default_rng(seed)
     m = testbed.inputs.shape[1]
     w_star = rng.normal(size=m)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from .distill import (TaskData, TrainingDiverged, distill_student, run_seeds,
 from .evaluation import (SweepGrid, evaluate, export_cls_features, sweep_grid,
                          throughput_bench)
 from .mixup import MixupConfig, make_pairs
-from .model import (CheckpointError, ModelConfig, load_checkpoint,
-                    save_checkpoint)
+from .model import (CheckpointError, ModelConfig, check_student_config,
+                    load_checkpoint, save_checkpoint)
 
 EXIT_CODES = {
     DataError: 2,
@@ -62,6 +62,26 @@ def _check_at_least(value: int, low: int, flag: str) -> None:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
 
 
+def _model_config(source, teacher=None, **model_kwargs) -> ModelConfig:
+    """The model that config file ``source``'s model.* keys describe: a
+    new one, or a student, the ``teacher``'s config with those keys
+    replaced.  A missing key, an invalid value or a student that cannot
+    copy the teacher's layers is a ConfigError naming the file."""
+    if teacher is None:
+        missing = [f"model.{f.name}" for f in fields(ModelConfig)
+                   if f.default is MISSING and f.name not in model_kwargs]
+        if missing:
+            raise ConfigError(f"{source}: must set {', '.join(missing)}")
+    try:
+        if teacher is None:
+            return ModelConfig(**model_kwargs)
+        student = replace(teacher, **model_kwargs)
+        check_student_config(teacher, student)
+        return student
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
 def _dev_split(args, schema, train, labels) -> list:
     """The --dev examples; without --dev the best checkpoint is picked on
     the training set, and a warning on stderr says so."""
@@ -90,7 +110,8 @@ def _student_task(args, config, model_kwargs: dict, source):
     dev = _dev_split(args, schema, train, labels)
     dataset = TaskData(train=train, dev=dev, vocab=vocab, label_names=labels,
                        max_len=max_len)
-    return teacher, replace(teacher_config, **model_kwargs), dataset
+    student_config = _model_config(source, teacher_config, **model_kwargs)
+    return teacher, student_config, dataset
 
 
 def _print_metrics(metrics) -> None:
@@ -114,7 +135,7 @@ def cmd_train_teacher(args) -> int:
     vocab = build_vocab(train, **vocab_kwargs)
     model_kwargs.setdefault("vocab_size", vocab.size)
     model_kwargs.setdefault("num_classes", len(labels))
-    model_config = ModelConfig(**model_kwargs)
+    model_config = _model_config(args.config, **model_kwargs)
     dataset = TaskData(train=train, dev=dev, vocab=vocab, label_names=labels,
                        max_len=model_config.max_seq_len)
     params, record = train_teacher(config, model_config, dataset)
@@ -164,6 +185,7 @@ def cmd_eval(args) -> int:
 def cmd_export_embeddings(args) -> int:
     _check_at_least(args.n, 1, "--n")
     _check_at_least(args.mixup_ratio, 0, "--mixup-ratio")
+    _check_at_least(args.seed, 0, "--seed")
     params, config, extra = load_checkpoint(args.model)
     vocab, labels, max_len = _task_from_extra(extra)
     schema = Schema.parse(args.schema)
@@ -243,6 +265,7 @@ def cmd_bound(args) -> int:
             args.log_capacity)
         out = {"required_b": required_b, "required_a_min": required_a_min}
     else:  # verify
+        _check_at_least(args.seed, 0, "--seed")
         rng = np.random.default_rng(args.seed)
         testbed = bounds_mod.make_testbed(n_bits=args.n_bits, seed=args.seed)
         g_class = bounds_mod.make_scorer_class(testbed, args.g_size,

@@ -42,7 +42,11 @@ _KEYS = _scalar_keys()
 
 def parse_kv_file(path) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

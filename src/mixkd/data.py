@@ -87,9 +87,14 @@ def load_tsv(path, schema: Schema,
     When ``label_names`` is given, any other label string is an error; when
     omitted, the label set is the sorted unique labels in the file.  A file
     without data rows, or a row with more or fewer fields than the header,
-    is an error.  Blank lines are skipped.
+    is an error, and so is a file that cannot be opened.  Blank lines are
+    skipped.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
+    with fh:
         reader = csv.reader(fh, delimiter="\t")
         header = next(reader, None)
         if header is None:

@@ -247,8 +247,10 @@ class Adam:
             g = tensor.grad
             if g is None:
                 continue
-            m = self.m.setdefault(name, np.zeros_like(tensor.data))
-            v = self.v.setdefault(name, np.zeros_like(tensor.data))
+            if name not in self.m:  # a parameter's first step
+                self.m[name] = np.zeros_like(tensor.data)
+                self.v[name] = np.zeros_like(tensor.data)
+            m, v = self.m[name], self.v[name]
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2

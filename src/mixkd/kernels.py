@@ -6,12 +6,15 @@ callers reshape to 2-D (rows x features) before dispatching.
 Each kernel allocates as few arrays as it can and works on them in place
 (``*=``, ``+=``, ``out=``), but performs exactly the floating-point
 operations of the plain formula in its docstring, in the same order, so
-the results are bitwise those of the formula.  Inputs are never written.
+the results are bitwise those of the formula.  Inputs are never written,
+except that ``softmax_rows`` writes into an ``out=`` buffer the caller
+owns, which may be its input.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -79,14 +82,16 @@ def gelu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """exp(x - rowmax) / rowsum(exp(x - rowmax))."""
+def softmax_rows(x: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(x - rowmax) / rowsum(exp(x - rowmax)), into ``out`` if given
+    (``x`` itself, say, when the caller owns it and needs it no more)."""
     # a max over the transposed copy is faster on short rows ([1792, 14])
     # and as much slower on long ones ([8192, 64]); the plain one is kept.
     # A row holding +inf gives inf - inf = NaN, which the boundary checks
     # report, so numpy's warning would only be noise before the error
     with np.errstate(invalid="ignore"):
-        e = x - x.max(axis=1, keepdims=True)
+        e = np.subtract(x, x.max(axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e

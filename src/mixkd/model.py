@@ -16,9 +16,11 @@ every row).  Everything after the key/value projections is row-wise, so
 this is exact in real arithmetic; in floating point the smaller products
 round differently, by about 1e-16 relative.
 
-A large graph-free forward (evaluation, the frozen teacher at long
-inputs) runs its encoder layers on two sample halves in two threads and
-the head once on the whole batch; the result is bitwise that of the
+A graph-free forward (evaluation, the frozen teacher) runs its encoder
+layers over blocks of consecutive samples of at most ``_BLOCK_ROWS``
+token rows, so that attention's [b,h,T,T] buffers stay in cache; a large
+one runs the blocks of its two sample halves in two threads.  The head
+runs once on the whole batch, and the result is bitwise that of the
 serial forward (see ``forward_from_embeddings``).
 """
 
@@ -165,16 +167,21 @@ def init_random(config: ModelConfig, seed: int) -> ModelParams:
     return ModelParams(config, arrays)
 
 
+def check_student_config(teacher: ModelConfig, student: ModelConfig) -> None:
+    """ValueError unless ``student`` can copy the ``teacher``'s embeddings,
+    first layers and head."""
+    if student.num_layers > teacher.num_layers:
+        raise ValueError(
+            f"student depth {student.num_layers} exceeds teacher {teacher.num_layers}")
+    for field in ("hidden_dim", "ffn_dim", "vocab_size", "max_seq_len", "num_classes"):
+        if getattr(student, field) != getattr(teacher, field):
+            raise ValueError(f"teacher/student {field} differ")
+
+
 def init_student_from_teacher(teacher: ModelParams,
                               student_config: ModelConfig) -> ModelParams:
     """Copy embeddings, the first k layers, and the classifier head verbatim."""
-    tc = teacher.config
-    if student_config.num_layers > tc.num_layers:
-        raise ValueError(
-            f"student depth {student_config.num_layers} exceeds teacher {tc.num_layers}")
-    for field in ("hidden_dim", "ffn_dim", "vocab_size", "max_seq_len", "num_classes"):
-        if getattr(student_config, field) != getattr(tc, field):
-            raise ValueError(f"teacher/student {field} differ")
+    check_student_config(teacher.config, student_config)
     arrays = {}
     for name in parameter_shapes(student_config):
         arrays[name] = Tensor(teacher[name].data.copy(), requires_grad=True)
@@ -259,12 +266,14 @@ def _encoder(params: ModelParams, x2: Tensor, key_bias: np.ndarray,
     return x2  # [n,d]: the last layer computed only the [CLS] rows
 
 
-# the split's minimum batch: 2 samples per half (see forward_from_embeddings)
-# and 1024 token rows, from where it was faster in every measurement on a
-# 2-CPU host (4-layer d=64 forward: 1.3-2.1x at 1024 rows, 1.5-1.8x at
-# 2048); measurements at 448-512 rows disagree (ROADMAP item 6)
+# A graph-free forward runs the encoder over blocks of at most this many
+# token rows.  At eval_long's T=64 a 512-row block keeps attention's
+# [8,4,64,64] scores (1 MB) in a 2 MB L2; 256-row blocks were slower in a
+# two-thread eval_long forward.
+# A batch of two blocks' rows (and 4 samples) also runs its two sample
+# halves in two threads: numpy and BLAS release the GIL
+_BLOCK_ROWS = 512
 _SPLIT_MIN_SAMPLES = 4
-_SPLIT_MIN_ROWS = 1024
 
 
 def _cpus() -> int:
@@ -274,17 +283,25 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _split_pays(params: ModelParams, emb: Tensor, drop: float) -> bool:
-    n, T, _ = emb.shape
-    if n < _SPLIT_MIN_SAMPLES or n * T < _SPLIT_MIN_ROWS:
-        return False
-    # anomaly mode names the first non-finite op, which needs one order
+def _graph_free(params: ModelParams, emb: Tensor, drop: float) -> bool:
+    """Whether the forward may run per block: it builds no graph and draws
+    no dropout, and anomaly mode, which names the first non-finite op and
+    so needs one order, is off."""
     if drop > 0.0 or ad._anomaly.get():
         return False
-    if ad._grad_enabled.get() and (emb.requires_grad or any(
-            t.requires_grad for t in params.arrays.values())):
-        return False
-    return _cpus() >= 2
+    return not (ad._grad_enabled.get() and (emb.requires_grad or any(
+        t.requires_grad for t in params.arrays.values())))
+
+
+def _blocks(lo: int, hi: int, T: int) -> list[tuple[int, int]]:
+    """Samples [lo, hi) as consecutive (start, stop) blocks of near-equal
+    sample counts: k = ceil(rows / _BLOCK_ROWS) of them, but fewer where
+    a block would hold 1 sample or at most _BLOCK_ROWS // 2 rows."""
+    n = hi - lo
+    per = max(2, _BLOCK_ROWS // 2 // T + 1)  # fewest samples per block
+    k = max(1, min(-(-n * T // _BLOCK_ROWS), n // per))
+    edges = [lo + n * i // k for i in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def forward_from_embeddings(params: ModelParams, emb: Tensor,
@@ -304,19 +321,28 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     stream and the masks of the rows that are kept do not change.
 
     A forward that builds no graph (grad mode off, or nothing requires
-    grad), with dropout and ``detect_anomaly`` off, at least 4 samples and
-    at least 1024 token rows, on a process that may use 2 CPUs, runs the
-    encoder layers on samples ``[:n//2]`` in a worker thread and on
-    ``[n//2:]`` in the calling thread; numpy and BLAS release the GIL, so
-    the halves overlap.  The worker runs in a copy of the caller's context,
+    grad), with dropout and ``detect_anomaly`` off, runs the encoder layers
+    over blocks of consecutive samples (``_blocks``): k = ceil(rows / 512)
+    blocks of near-equal sample counts, fewer where a block would hold
+    fewer than 2 samples or at most 256 rows.  A block's attention scores
+    and softmax then stay in cache.  A batch of at least 4 samples and
+    1024 token rows, on a process that may use 2 CPUs, also splits: a
+    worker thread runs the blocks of samples ``[:n//2]`` and the calling
+    thread those of ``[n//2:]``; numpy and BLAS release the GIL, so the
+    halves overlap.  The worker runs in a copy of the caller's context,
     so it sees the same autodiff modes and numpy errstate, and it is
     joined before the call returns or raises.  The head then runs once on
-    the concatenated [n,d] rows.  The split is bitwise: every op below the
-    head works per sample or row by row, and with OpenBLAS a row of a
-    GEMM with at least 2 rows is the same row of the whole product at the
-    widths used here.  The head's product with C = 2 columns is not, so
-    the head stays whole, and each half holds at least 2 samples, because
-    a 1-row product (gemv) rounds differently.
+    the concatenated [n,d] rows.
+
+    Blocks are bitwise: every op below the head works per sample or row
+    by row, and with OpenBLAS a row of a GEMM with at least 2 rows is the
+    same row of the whole product at the widths used here
+    (``tests/test_model.py`` checks this at the block shapes that occur).
+    The head's product with C = 2 columns is not, so the head stays whole.
+    A block holds at least 2 samples, because the last layer's 1-row
+    [CLS] product (a gemv) rounds differently, and, when there are
+    several, more than 256 rows, inside the range where the invariance
+    was first measured (224-2048 rows).
 
     With ``return_features`` also returns the final-layer [CLS] vectors [n,d].
     """
@@ -332,20 +358,29 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
         raise ValueError("dropout requires an rng in train mode")
     key_bias = np.where(mask, 0.0, -1e9)
 
-    if _split_pays(params, emb, drop):
+    if _graph_free(params, emb, drop):
         def layers(lo, hi):
-            rows = Tensor(emb.data[lo:hi].reshape((hi - lo) * T, d),
-                          _unchecked=True)
-            return _encoder(params, rows, key_bias[lo:hi], drop, rng)
+            """The [CLS] rows of the blocks of samples [lo, hi)."""
+            out = []
+            for a, b in _blocks(lo, hi, T):
+                rows = Tensor(emb.data[a:b].reshape((b - a) * T, d),
+                              _unchecked=True)
+                out.append(_encoder(params, rows, key_bias[a:b], drop,
+                                    rng).data)
+            return out
 
-        half = n // 2
-        with ThreadPoolExecutor(max_workers=1,
-                                thread_name_prefix="mixkd-forward") as pool:
-            worker = pool.submit(contextvars.copy_context().run,
-                                 layers, 0, half)
-            rest = layers(half, n)
-            cls = Tensor(np.concatenate([worker.result().data, rest.data]),
-                         _unchecked=True)
+        if (n >= _SPLIT_MIN_SAMPLES and n * T >= 2 * _BLOCK_ROWS
+                and _cpus() >= 2):
+            with ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="mixkd-forward") as pool:
+                worker = pool.submit(contextvars.copy_context().run,
+                                     layers, 0, n // 2)
+                rest = layers(n // 2, n)
+                parts = worker.result() + rest
+        else:
+            parts = layers(0, n)
+        cls = Tensor(parts[0] if len(parts) == 1 else np.concatenate(parts),
+                     _unchecked=True)
     else:
         cls = _encoder(params, ad.reshape(emb, (n * T, d)), key_bias, drop,
                        rng)
@@ -428,8 +463,11 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path,
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror}") from exc
     if raw[:8] != MAGIC:
         raise CheckpointError(f"bad magic bytes in {path}")
     if len(raw) < 12:

@@ -180,6 +180,23 @@ def _modes():
     return ad._grad_enabled.get(), ad._anomaly.get(), ad._scope.get()
 
 
+def test_scope_nests_where_it_is_entered():
+    """A scope built in one thread and entered in another, inside
+    scope("a"), nests under "a"."""
+    inner, seen = ad.scope("inner"), []
+
+    def run():
+        with ad.scope("a"), inner:
+            seen.append(ad._scope.get())
+        seen.append(ad._scope.get())
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert seen == ["a/inner", "top level"]
+    assert ad._scope.get() == "top level"
+
+
 def test_modes_are_thread_local():
     """Two threads enter their modes in turn, each waiting for the other
     between entries; each sees only its own, and both end at the
@@ -355,6 +372,22 @@ def test_masked_softmax_bitwise_equals_op_chain(rng):
     backward(ad.tsum(ad.mul(fused, g)))
     backward(ad.tsum(ad.mul(plain, g)))
     assert np.array_equal(x1.grad, x2.grad)
+
+
+@pytest.mark.parametrize("scale,bias", [(None, False), (0.35, False),
+                                        (None, True), (0.35, True)])
+@pytest.mark.parametrize("grad", [True, False])
+def test_softmax_never_writes_its_input(scale, bias, grad, rng):
+    """With scale or key_bias the softmax normalizes in the buffer that
+    holds the scaled, biased scores, which it made; never in x."""
+    n, h, t = 3, 2, 5
+    x = leaf(None, rng, (n, h, t, t))
+    x0 = x.data.copy()
+    with contextlib.nullcontext() if grad else ad.no_grad():
+        p = ad.softmax(x, scale=scale, key_bias=_key_bias(n, t) if bias
+                       else None)
+    assert np.array_equal(x.data, x0)
+    assert not np.shares_memory(p.data, x.data)
 
 
 def test_masked_softmax_argument_errors(rng):

@@ -381,6 +381,97 @@ def test_exit_code_bound_error(capsys):
         assert name in captured.err and captured.out == "", argv
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--g-size", "-1"], "g_size"),
+    (["verify", "--g-size", "0"], "g_size"),
+    (["verify", "--n-bits", "-2"], "n_bits"),
+    (["verify", "--n-bits", "0"], "n_bits"),  # was a 0-feature testbed
+], ids=["negative_g_size", "zero_g_size", "negative_n_bits", "zero_n_bits"])
+def test_exit_code_bound_verify_sizes(argv, name, capsys):
+    assert main(["bound"] + argv + ["--trials", "1"]) == 4
+    captured = capsys.readouterr()
+    assert f"BoundError): {name} must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, path, code, error", [
+    ("--config", "nowhere.cfg", 6, "ConfigError"),
+    ("--data", "nowhere.tsv", 2, "DataError"),
+    ("--dev", "nowhere.tsv", 2, "DataError"),
+    ("--model", "nowhere.ckpt", 3, "CheckpointError"),
+    ("--teacher", "nowhere.ckpt", 3, "CheckpointError"),
+    ("--grid", "nowhere.cfg", 6, "ConfigError"),
+    ("--augmented", "nowhere.tsv", 2, "DataError"),
+])
+def test_exit_code_missing_file(flag, path, code, error, teacher_ckpt,
+                                workspace, tmp_path, capsys):
+    files = {"--config": workspace / "teacher.cfg",
+             "--data": workspace / "train.tsv",
+             "--dev": workspace / "dev.tsv",
+             "--out": tmp_path / "out.ckpt"}
+    command = {"--model": "eval", "--teacher": "distill", "--grid": "sweep",
+               "--augmented": "distill"}.get(flag, "train-teacher")
+    if command == "eval":
+        files = {"--data": workspace / "dev.tsv"}
+    if command == "distill":
+        files.update({"--config": workspace / "student.cfg",
+                      "--teacher": teacher_ckpt})
+    if command == "sweep":
+        files.pop("--config")
+        files.update({"--teacher": teacher_ckpt, "--out": tmp_path / "sweep"})
+    missing = tmp_path / path
+    files[flag] = missing
+    argv = [command] + [str(v) for kv in files.items() for v in kv]
+    if command == "distill":
+        argv += ["--variant", "ft"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert f"{error}): {missing}: cannot read: No such file" in err
+    assert not (tmp_path / "out.ckpt").exists()
+
+
+@pytest.mark.parametrize("command, drop, add, needle", [
+    ("train-teacher", "model.hidden_dim=16", "",
+     "must set model.hidden_dim\n"),
+    ("train-teacher", "model.max_seq_len", "",
+     "must set model.max_seq_len\n"),
+    ("train-teacher", "model.", "",
+     "must set model.num_layers, model.hidden_dim, model.num_heads, "
+     "model.ffn_dim, model.max_seq_len\n"),
+    ("train-teacher", "", "model.num_heads=3",
+     "hidden_dim 16 not divisible by num_heads 3"),
+    ("distill", "", "model.dropout_rate=1.5",
+     "dropout_rate must lie in [0, 1)"),
+    ("distill", "model.num_layers", "", "must set model.num_layers"),
+    ("distill", "", "model.num_layers=5", "student depth 5 exceeds teacher 2"),
+    ("distill", "", "model.hidden_dim=32", "teacher/student hidden_dim differ"),
+], ids=["no_hidden_dim", "no_max_seq_len", "no_model_keys",
+        "indivisible_heads", "student_dropout", "student_no_depth",
+        "student_deeper_than_teacher", "student_other_width"])
+def test_exit_code_model_keys(command, drop, add, needle, teacher_ckpt,
+                              workspace, tmp_path, capsys):
+    source = workspace / ("teacher.cfg" if command == "train-teacher"
+                          else "student.cfg")
+    lines = [line for line in source.read_text().splitlines()
+             if not drop or not line.startswith(drop)]
+    if add:
+        lines = [line for line in lines
+                 if not line.startswith(add.split("=")[0] + "=")] + [add]
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    argv = [command, "--config", str(cfg),
+            "--data", str(workspace / "train.tsv"),
+            "--dev", str(workspace / "dev.tsv"),
+            "--out", str(tmp_path / "x.ckpt")]
+    if command == "distill":
+        argv += ["--teacher", str(teacher_ckpt), "--variant", "ft"]
+    assert main(argv) == 6
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (ConfigError): {cfg}: ")
+    assert needle in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 @pytest.mark.parametrize("line", [
     "mystery_key=1",
     # removed options must fail loudly, not be ignored
@@ -411,11 +502,14 @@ def test_exit_code_config_error(line, workspace, tmp_path, capsys):
     (["bench", "--batch-size", "0"], "--batch-size"),
     (["bench", "--batch-size", "-2"], "--batch-size"),
     (["bench", "--warmup", "-1"], "--warmup"),
+    (["export-embeddings", "--seed", "-1"], "--seed"),
+    (["bound", "verify", "--seed", "-1"], "--seed"),
 ], ids=["sweep_not_a_number", "sweep_empty_list", "seeds_not_a_number",
         "seeds_single", "export_negative_ratio", "bench_zero_batches",
         "eval_zero_batch", "eval_negative_batch", "export_zero_n",
         "export_negative_n", "bench_zero_batch", "bench_negative_batch",
-        "bench_negative_warmup"])
+        "bench_negative_warmup", "export_negative_seed",
+        "verify_negative_seed"])
 def test_exit_code_bad_numbers(argv, name, teacher_ckpt, workspace, tmp_path,
                                capsys):
     command = argv[0]
@@ -434,6 +528,7 @@ def test_exit_code_bad_numbers(argv, name, teacher_ckpt, workspace, tmp_path,
                               "--out", str(tmp_path / "feats.csv")] + data,
         "bench": ["--model", str(teacher_ckpt)],
         "eval": ["--model", str(teacher_ckpt)] + data,
+        "bound": ["--trials", "1"],
     }
     code = main(argv + required[command])
     assert code == 6

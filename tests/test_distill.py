@@ -258,6 +258,22 @@ def test_adam_first_step_matches_closed_form(tiny_config):
     np.testing.assert_allclose(params["tok_emb"].data, expected, rtol=1e-10)
 
 
+def test_adam_allocates_its_state_once(tiny_config, monkeypatch):
+    params = _grad_params(tiny_config)
+    opt = Adam(lr=1e-3)
+    opt.step(params)
+    assert set(opt.m) == set(opt.v) == set(params.names)
+    state = {name: (opt.m[name], opt.v[name]) for name in params.names}
+    allocated = []
+    real = np.zeros_like
+    monkeypatch.setattr(np, "zeros_like",
+                        lambda *a, **k: allocated.append(a) or real(*a, **k))
+    opt.step(params)
+    assert allocated == []
+    assert all(opt.m[name] is m and opt.v[name] is v
+               for name, (m, v) in state.items())
+
+
 @pytest.mark.parametrize("optimizer", [SGD(lr=1e307), Adam(lr=1e307)],
                          ids=["SGD", "Adam"])
 def test_optimizer_checks_parameters(tiny_config, optimizer):

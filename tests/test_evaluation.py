@@ -129,7 +129,8 @@ def test_export_lambda_one_feature_identity(task_params, small_task,
 
 def test_export_cls_features_split_is_byte_identical(tmp_path, monkeypatch):
     """20 originals and 40 mixed rows at T=64 both take the two-thread
-    split; a one-CPU run of the same export is serial."""
+    split, in blocks; a one-CPU run of the same export runs the blocks in
+    order, and one block of every row is the serial forward."""
     task = synthetic.make_task(n_train=20, n_dev=2, seq_min=32, seq_max=62,
                                seed=5)
     config = ModelConfig(num_layers=4, hidden_dim=64, num_heads=4, ffn_dim=128,
@@ -145,16 +146,22 @@ def test_export_cls_features_split_is_byte_identical(tmp_path, monkeypatch):
         return real(x)
     monkeypatch.setattr(ad, "gelu", spy)
     out = {}
-    for cpus in (2, 1):
+    for cpus, block_rows in ((2, 512), (1, 512), (1, 10 ** 9)):
         monkeypatch.setattr(model, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(model, "_BLOCK_ROWS", block_rows)
         threads.clear()
-        path = tmp_path / f"feats{cpus}.csv"
+        path = tmp_path / f"feats{cpus}_{block_rows}.csv"
         assert export_cls_features(params, task.train, task.vocab,
                                    task.max_len, 2, pairs, path) == 60
-        out[cpus] = path.read_bytes()
+        out[cpus, block_rows] = path.read_bytes()
         assert any(t.startswith("mixkd-forward") for t in threads) == (
             cpus == 2)
-    assert out[2] == out[1]
+        # gelu runs once per layer and block: the 20 originals (1280 rows)
+        # and the 40 mixed rows (2560) run 2 + 2 and 3 + 3 blocks in two
+        # threads, 3 and 5 in one, or one block each
+        blocks = {(2, 512): 10, (1, 512): 8, (1, 10 ** 9): 2}
+        assert len(threads) == 4 * blocks[cpus, block_rows]
+    assert out[2, 512] == out[1, 512] == out[1, 10 ** 9]
 
 
 def test_throughput_bench_reports(tiny_params, tiny_config):

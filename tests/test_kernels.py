@@ -141,6 +141,35 @@ def test_softmax_rows_bitwise_masked_scores(rng):
     _bitwise(kernels.softmax_rows(x), softmax_rows_formula(x))
 
 
+def _masked_scores(rng):
+    # attention adds -1e9 at pad keys; whole pad rows keep the shift exact
+    x = rng.normal(size=(1792, 14))
+    x[:, 9:] += -1e9
+    x[::7] = -1e9
+    return x
+
+
+@pytest.mark.parametrize("where", ["input", "buffer"])
+def test_softmax_rows_out_bitwise(where, wide, rng):
+    """``out=`` is the formula, bit for bit, written into the buffer the
+    caller owns, which may be the input itself."""
+    for x, x0 in (wide, (_masked_scores(rng),) * 2):
+        x0 = x0.copy()
+        out = x if where == "input" else np.empty_like(x)
+        p = kernels.softmax_rows(x, out=out)
+        assert p is out
+        _bitwise(p, softmax_rows_formula(x0))
+        if where == "buffer":
+            _bitwise(x, x0)
+
+
+def test_softmax_rows_without_out_leaves_masked_input(rng):
+    x = _masked_scores(rng)
+    x0 = x.copy()
+    kernels.softmax_rows(x)
+    _bitwise(x, x0)
+
+
 def test_layernorm_rows_bitwise(wide, rng):
     x, x0 = wide
     k = x.shape[1]

@@ -399,6 +399,32 @@ def test_split_forward_bitwise_equals_graph_forward(n, T, hidden_dim,
     assert np.array_equal(split_feats.data, graph_feats.data)
 
 
+def _encoder_calls(monkeypatch):
+    """(thread name, samples) of every ``_encoder`` call from now on."""
+    calls, real = [], model_mod._encoder
+
+    def spy(params, x2, key_bias, *args):
+        calls.append((threading.current_thread().name, key_bias.shape[0]))
+        return real(params, x2, key_bias, *args)
+    monkeypatch.setattr(model_mod, "_encoder", spy)
+    return calls
+
+
+# the blocks' sample counts in the calling thread and in the worker
+BLOCKS = {
+    "no_grad": ([2], [2]),      # 4 x 256: two 512-row halves, one block each
+    "frozen": ([2], [2]),
+    "graph": ([4], []),         # one serial pass over every sample
+    "dropout": ([4], []),
+    "anomaly": ([4], []),
+    "3_samples": ([3], []),     # no 2-sample halves, so one block
+    "448_rows": ([32], []),
+    "one_cpu": ([2, 2], []),    # the halves' blocks, in order
+    "eval_long": ([8, 8], [8, 8]),
+    "eval_long_one_cpu": ([8, 8, 8, 8], []),
+}
+
+
 @pytest.mark.parametrize("case,splits", [
     ("no_grad", True),
     ("frozen", True),           # grad mode on, but nothing requires grad
@@ -408,9 +434,12 @@ def test_split_forward_bitwise_equals_graph_forward(n, T, hidden_dim,
     ("3_samples", False),       # 3 x 512 rows: a half would hold 1 sample
     ("448_rows", False),        # the distill teacher's 32 x 14
     ("one_cpu", False),
+    ("eval_long", True),        # 32 x 64: 2048 rows
+    ("eval_long_one_cpu", False),
 ])
 def test_split_runs_only_where_it_pays(case, splits, monkeypatch):
-    n, T = {"3_samples": (3, 512), "448_rows": (32, 14)}.get(case, (4, 256))
+    n, T = {"3_samples": (3, 512), "448_rows": (32, 14), "eval_long": (32, 64),
+            "eval_long_one_cpu": (32, 64)}.get(case, (4, 256))
     params, ids, mask = _split_shape(n, T, hidden_dim=16)
     if case == "dropout":
         params = ModelParams(dataclasses.replace(params.config,
@@ -418,11 +447,12 @@ def test_split_runs_only_where_it_pays(case, splits, monkeypatch):
                              params.arrays)
     if case == "frozen":
         params = params.copy().freeze()
-    if case == "one_cpu":
+    if case.endswith("one_cpu"):
         monkeypatch.setattr(model_mod, "_cpus", lambda: 1)
     # every case but two builds no graph
     graph_mode = case in ("frozen", "graph")
     threads = _forward_threads(monkeypatch)
+    blocks = _encoder_calls(monkeypatch)
     with (contextlib.nullcontext() if graph_mode else ad.no_grad()), (
             ad.detect_anomaly() if case == "anomaly"
             else contextlib.nullcontext()):
@@ -430,6 +460,79 @@ def test_split_runs_only_where_it_pays(case, splits, monkeypatch):
                                 train_mode=True,
                                 rng=np.random.default_rng(0))
     assert _split(threads) == splits
+    assert ([b for who, b in blocks if who == "MainThread"],
+            [b for who, b in blocks if who != "MainThread"]) == BLOCKS[case]
+
+
+@pytest.mark.parametrize("n,T,hidden_dim,cpus,main,worker", [
+    (20, 64, 64, 2, [5, 5], [5, 5]),        # 640-row halves
+    (33, 32, 64, 2, [17], [16]),            # 544 rows: a 2nd block < 257
+    (8, 300, 16, 2, [2, 2], [2, 2]),        # the smallest blocks
+    (32, 64, 64, 1, [8, 8, 8, 8], []),      # one CPU: blocks in order
+    (17, 64, 64, 1, [5, 6, 6], []),         # near-equal sample counts
+])
+def test_blocked_forward_bitwise_equals_graph_forward(n, T, hidden_dim, cpus,
+                                                      main, worker,
+                                                      monkeypatch):
+    params, ids, mask = _split_shape(n, T, hidden_dim)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: cpus)
+    graph, graph_feats = forward_from_embeddings(
+        params, embed_batch(params, ids, mask), mask, return_features=True)
+    blocks = _encoder_calls(monkeypatch)
+    with ad.no_grad():
+        blocked, blocked_feats = forward_from_embeddings(
+            params, embed_batch(params, ids, mask), mask,
+            return_features=True)
+    assert [b for who, b in blocks if who == "MainThread"] == main
+    assert [b for who, b in blocks if who != "MainThread"] == worker
+    assert np.array_equal(blocked.data, graph.data)
+    assert np.array_equal(blocked_feats.data, graph_feats.data)
+
+
+def _block_shapes():
+    """(T, samples) of every block that a graph-free forward of 2-64
+    samples at the sequence lengths used here runs."""
+    shapes = set()
+    for T in (14, 32, 64, 128, 256, 300):
+        for n in range(2, 65):
+            spans = [(0, n)]
+            if n >= 4 and n * T >= 2 * model_mod._BLOCK_ROWS:
+                spans = [(0, n // 2), (n // 2, n)]
+            for lo, hi in spans:
+                shapes.update((T, b - a) for a, b in
+                              model_mod._blocks(lo, hi, T))
+    return sorted(shapes)
+
+
+def test_blocks_hold_two_samples_and_over_half_a_block_of_rows():
+    for T, n in [(103, 5), (64, 17), (300, 8), (14, 32), (1, 1025)]:
+        blocks = model_mod._blocks(0, n, T)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(b[1] == c[0] for b, c in zip(blocks, blocks[1:]))
+        sizes = [b - a for a, b in blocks]
+        assert max(sizes) - min(sizes) <= 1
+        if len(blocks) > 1:
+            assert min(sizes) >= 2
+            assert min(sizes) * T > model_mod._BLOCK_ROWS // 2
+    assert model_mod._blocks(0, 5, 103) == [(0, 5)]  # 2 blocks: 206 rows
+
+
+@pytest.mark.parametrize("k,width", [(64, 64), (64, 128), (128, 64),
+                                     (48, 48), (16, 16)])
+def test_gemm_rows_are_block_invariant(k, width):
+    """Blocks are bitwise only if a block's GEMM rows equal the same rows
+    of the whole batch's product.  The BLAS does not promise this; this
+    guard fails loudly if a BLAS update breaks it at the block shapes that
+    occur (token rows, and [CLS] rows in the last layer)."""
+    rng = np.random.default_rng(k * width)
+    a = rng.normal(size=(64 * 300 + 7, k))
+    w = rng.normal(size=(k, width))
+    whole = a @ w
+    for T, b in _block_shapes():
+        for rows in (b * T, b):
+            for start in (0, 7, rows):
+                assert np.array_equal(a[start:start + rows] @ w,
+                                      whole[start:start + rows]), (T, b, rows)
 
 
 def test_split_forward_keeps_the_anomaly_message():
