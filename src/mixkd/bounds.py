@@ -13,7 +13,7 @@ coverage statement can be checked by Monte Carlo over repeated draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -44,12 +44,9 @@ class BoundReport:
     gaps_plain: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"bound_value": self.bound_value,
-                "coverage_fraction": self.coverage_fraction,
-                "trials": self.trials, "delta": self.delta,
-                "passed": self.passed, "eps_star_hat": self.eps_star_hat,
-                "eps_p_hat": self.eps_p_hat, "gamma": self.gamma,
-                "required_b": self.required_b}
+        """Every field but the per-trial gaps, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("gaps_augmented", "gaps_plain")}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import MISSING, fields, replace
 
@@ -60,6 +61,16 @@ def _parse_list(raw: str, convert, name: str) -> list:
 def _check_at_least(value: int, low: int, flag: str) -> None:
     if value < low:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
+
+
+def _check_out(path) -> None:
+    """ConfigError unless --out ``path`` names a file in an existing
+    directory; checked before the run, which would fail only at its end."""
+    folder = os.path.dirname(path or "")
+    if folder and not os.path.isdir(folder):
+        raise ConfigError(f"--out {path}: directory {folder} does not exist")
+    if path and os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory, not a file")
 
 
 def _model_config(source, teacher=None, **model_kwargs) -> ModelConfig:
@@ -391,6 +402,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "sweep":  # sweep makes its --out directory
+            _check_out(getattr(args, "out", None))
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

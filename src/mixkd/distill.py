@@ -358,7 +358,8 @@ def _train_loop(params: ModelParams, config: TrainConfig, dataset: TaskData,
         if not done:
             run_eval()
 
-    if best_params is None:
+    # a run stopped by max_steps has not yet evaluated its last weights
+    if not record.evals or record.evals[-1]["step"] != step:
         run_eval()
     record.final_metrics = {"dev_accuracy": best_acc}
     record.wall_clock = time.perf_counter() - start

@@ -31,7 +31,6 @@ import hashlib
 import json
 import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import Optional
@@ -80,7 +79,7 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
         p = f"layers.{i}"
         for proj in ("wq", "wk", "wv", "wo"):
             shapes[f"{p}.attn.{proj}"] = (d, d)
-        for b in ("bq", "bk", "bv", "bo"):
+        for b in ("bq", "bv", "bo"):  # no key bias: the softmax cancels it
             shapes[f"{p}.attn.{b}"] = (d,)
         shapes[f"{p}.ln1.gain"] = (d,)
         shapes[f"{p}.ln1.bias"] = (d,)
@@ -96,9 +95,10 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
 
 
 def parameter_count_formula(config: ModelConfig) -> int:
-    """Closed form: V*d + T*d + k*(4(d^2+d) + 2*2d + d*f+f + f*d+d + 2d) + d*C + C."""
+    """Closed form: V*d + T*d + k*(4d^2+3d + 2*2d + d*f+f + f*d+d) + d*C + C;
+    attention's 4 projections have 3 biases, as the key has none."""
     d, f, k = config.hidden_dim, config.ffn_dim, config.num_layers
-    per_layer = 4 * (d * d + d) + 4 * d + (d * f + f) + (f * d + d)
+    per_layer = 4 * d * d + 3 * d + 4 * d + (d * f + f) + (f * d + d)
     return (config.vocab_size * d + config.max_seq_len * d
             + k * per_layer
             + d * config.num_classes + config.num_classes)
@@ -231,8 +231,8 @@ def _encoder(params: ModelParams, x2: Tensor, key_bias: np.ndarray,
         p = f"layers.{i}"
 
         def heads(name, src, rows, axes=(0, 2, 1, 3)):
-            y = ad.matmul(src, params[f"{p}.attn.w{name}"],
-                          bias=params[f"{p}.attn.b{name}"])
+            bias = None if name == "k" else params[f"{p}.attn.b{name}"]
+            y = ad.matmul(src, params[f"{p}.attn.w{name}"], bias=bias)
             return ad.transpose(ad.reshape(y, (n, rows, h, hd)), axes)
 
         with ad.scope(f"{p}.attn"):
@@ -242,7 +242,8 @@ def _encoder(params: ModelParams, x2: Tensor, key_bias: np.ndarray,
             else:
                 xq = ad.select_index(ad.reshape(x2, (n, T, d)), 0, axis=1)
                 tq = 1
-            # k goes straight to [n,h,hd,T], the transposed operand of q @ k^T
+            # k (which has no bias) goes straight to [n,h,hd,T], the
+            # transposed operand of q @ k^T
             q = heads("q", xq, tq)
             kt, v = heads("k", x2, T, (0, 2, 3, 1)), heads("v", x2, T)
             attn = dropout(ad.softmax(ad.matmul(q, kt), scale=inv_sqrt_hd,
@@ -408,7 +409,7 @@ def forward_tokens(params: ModelParams, batch, train_mode: bool = False,
 # checkpoint format
 # ---------------------------------------------------------------------------
 
-MAGIC = b"MKDCKPT1"
+MAGIC = b"MKDCKPT2"
 
 
 def _json_bytes(obj) -> bytes:
@@ -425,23 +426,13 @@ def _digest(manifest: dict, payload: bytes) -> str:
 
 def save_checkpoint(params: ModelParams, config: ModelConfig, path,
                     extra: Optional[dict] = None) -> None:
-    """Binary file: magic, u32-length JSON manifest, float32 LE arrays;
-    written atomically (temp file, then ``os.replace``).  The manifest's
-    ``sha256`` covers its other fields and the array bytes."""
-    names = params.names
-    manifest = {"config": asdict(config), "arrays": [], "extra": extra or {}}
-    offset = 0
-    blobs = []
-    for name in names:
-        data = params[name].data.astype("<f4")
-        blob = np.ascontiguousarray(data).tobytes()
-        manifest["arrays"].append({"name": name,
-                                   "shape": list(params[name].shape),
-                                   "offset": offset,
-                                   "nbytes": len(blob)})
-        blobs.append(blob)
-        offset += len(blob)
-    payload = b"".join(blobs)
+    """Binary file: magic, u32-length JSON manifest (config, array names,
+    ``extra``, and a ``sha256`` over those and the arrays), the arrays as
+    float32 LE back to back; written atomically (temp file, then rename)."""
+    manifest = {"config": asdict(config), "arrays": params.names,
+                "extra": extra or {}}
+    payload = b"".join(params[name].data.astype("<f4").tobytes()
+                       for name in params.names)
     # hashed as load_checkpoint sees the manifest: after a JSON round trip
     manifest["sha256"] = _digest(json.loads(_json_bytes(manifest)), payload)
     mbytes = _json_bytes(manifest)
@@ -451,7 +442,7 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path,
     try:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(mbytes)))
+            fh.write(len(mbytes).to_bytes(4, "little"))
             fh.write(mbytes)
             fh.write(payload)
             fh.flush()
@@ -468,54 +459,51 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
             raw = fh.read()
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read: {exc.strerror}") from exc
+    if raw[:8] == b"MKDCKPT1":
+        raise CheckpointError(f"{path} is a format-1 checkpoint (MKDCKPT1), "
+                              "holding the key bias bk that this model no "
+                              "longer has; train the model again")
     if raw[:8] != MAGIC:
         raise CheckpointError(f"bad magic bytes in {path}")
-    if len(raw) < 12:
-        raise CheckpointError("truncated checkpoint header")
-    (mlen,) = struct.unpack("<I", raw[8:12])
+    mlen = int.from_bytes(raw[8:12], "little")
     if len(raw) < 12 + mlen:
-        raise CheckpointError("truncated checkpoint manifest")
+        raise CheckpointError(f"{path}: truncated header or manifest")
     try:
         manifest = json.loads(raw[12:12 + mlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable manifest: {exc}") from exc
     try:
         config = ModelConfig(**manifest["config"])
-        entries = [(str(e["name"]), tuple(e["shape"]), int(e["offset"]),
-                    int(e["nbytes"])) for e in manifest["arrays"]]
-        extra = dict(manifest.get("extra", {}))
+        names = list(manifest["arrays"])
+        extra = dict(manifest["extra"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(
             f"malformed manifest in {path}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(manifest.get("sha256"), str):
         raise CheckpointError(f"{path} has no sha256 digest in its manifest; "
                               "checkpoints without one are not loaded")
-    expected = parameter_shapes(config)
+    shapes = parameter_shapes(config)
+    if names != list(shapes):
+        i, got, want = next((i, a, b) for i, (a, b) in enumerate(
+            zip(names + [None], list(shapes) + [None])) if a != b)
+        raise CheckpointError(f"manifest arrays in {path} differ from the "
+                              f"config at entry {i}: {got!r}, not {want!r}")
+    sizes = [math.prod(shape) for shape in shapes.values()]
     base = 12 + mlen
+    if len(raw) - base != 4 * sum(sizes):
+        raise CheckpointError(
+            f"{path} holds {len(raw) - base} bytes of array data, its config "
+            f"needs {4 * sum(sizes)}: the file is truncated or overlong")
+    # a NaN pattern warns in the cast; the Tensor check reports it
+    with np.errstate(invalid="ignore"):
+        flat = np.frombuffer(raw, dtype="<f4", offset=base).astype(np.float64)
     arrays: dict[str, Tensor] = {}
-    for name, shape, offset, nbytes in entries:
-        if name in arrays:
-            raise CheckpointError(f"manifest lists array {name} twice")
-        if name not in expected or expected[name] != shape:
-            raise CheckpointError(f"manifest array {name} {shape} does not match config")
-        shape = expected[name]
-        if offset < 0 or nbytes != 4 * int(np.prod(shape)):
-            raise CheckpointError(
-                f"array {name}: bad offset {offset} or byte count {nbytes}")
-        start = base + offset
-        end = start + nbytes
-        if end > len(raw):
-            raise CheckpointError(f"truncated array data for {name}")
-        flat = np.frombuffer(raw[start:end], dtype="<f4")
-        # a NaN pattern warns in the cast; the Tensor check reports it
-        with np.errstate(invalid="ignore"):
-            data = flat.astype(np.float64).reshape(shape)
+    for (name, shape), data in zip(shapes.items(),
+                                   np.split(flat, np.cumsum(sizes)[:-1])):
         try:
-            arrays[name] = Tensor(data, requires_grad=True)
+            arrays[name] = Tensor(data.reshape(shape), requires_grad=True)
         except ad.NonFiniteError as exc:
             raise CheckpointError(f"array {name} contains NaN or Inf") from exc
-    if set(arrays) != set(expected):
-        raise CheckpointError("manifest is missing parameter arrays")
     if _digest(manifest, raw[base:]) != manifest["sha256"]:
         raise CheckpointError(f"{path} does not match its sha256 digest: the "
                               "file is corrupt or truncated")

@@ -2,6 +2,7 @@
 enumerable coverage testbed."""
 
 import copy
+import json
 import math
 import re
 
@@ -291,6 +292,15 @@ def test_empirical_gap_experiment_report(rng):
     assert len(report.gaps_augmented) == 30
     d = report.to_dict()
     assert d["delta"] == 0.1
+    # `mixkd bound verify` prints this dict: its JSON keeps the key order
+    # and values of the fields written out by hand
+    assert json.dumps(d) == json.dumps({
+        "bound_value": report.bound_value,
+        "coverage_fraction": report.coverage_fraction,
+        "trials": report.trials, "delta": report.delta,
+        "passed": report.passed, "eps_star_hat": report.eps_star_hat,
+        "eps_p_hat": report.eps_p_hat, "gamma": report.gamma,
+        "required_b": report.required_b})
     with pytest.raises(B.BoundError):
         B.empirical_gap_experiment(tb, gc, a=0, b_mix=0, trials=5, delta=0.1,
                                    rng=rng)

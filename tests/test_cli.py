@@ -1,7 +1,9 @@
 """End-to-end command-line flows on a miniature task."""
 
 import csv
+import itertools
 import json
+import math
 import struct
 import warnings
 
@@ -9,6 +11,7 @@ import pytest
 
 from mixkd import synthetic
 from mixkd.cli import main
+from mixkd.model import ModelConfig, parameter_shapes
 
 TEACHER_CFG = """\
 epochs=1
@@ -251,13 +254,19 @@ def _manifest(raw):
     return json.loads(raw[12:12 + mlen]), 12 + mlen
 
 
+def _array_offsets(manifest, base):
+    """File offset of each array: the config fixes the shapes, and the
+    arrays follow each other in parameter_shapes order."""
+    shapes = parameter_shapes(ModelConfig(**manifest["config"]))
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    starts = itertools.accumulate([0] + sizes[:-1])
+    return {name: base + 4 * start for name, start in zip(shapes, starts)}
+
+
 def test_exit_code_non_finite_checkpoint(teacher_ckpt, workspace, tmp_path,
                                          capsys):
     raw = bytearray(teacher_ckpt.read_bytes())
-    manifest, base = _manifest(raw)
-    entry = next(e for e in manifest["arrays"]
-                 if e["name"] == "layers.0.ffn.w1")
-    start = base + entry["offset"] + 4 * 7
+    start = _array_offsets(*_manifest(raw))["layers.0.ffn.w1"] + 4 * 7
     raw[start:start + 4] = struct.pack("<f", float("nan"))
     bad = tmp_path / "nan.ckpt"
     bad.write_bytes(bytes(raw))
@@ -274,7 +283,7 @@ def test_exit_code_one_bit_flip(teacher_ckpt, workspace, tmp_path, capsys):
     # dropout_rate 0.0 -> 0.1 is a valid config: only the digest catches it
     dropout = raw.index(b'"dropout_rate":0.0') + len(b'"dropout_rate":0.')
     offsets = {"magic": 0, "length": 8, "manifest": dropout}
-    offsets.update({e["name"]: base + e["offset"] for e in manifest["arrays"]})
+    offsets.update(_array_offsets(manifest, base))
     bad = tmp_path / "flipped.ckpt"
     for section, offset in offsets.items():
         flipped = bytearray(raw)
@@ -310,31 +319,35 @@ def test_exit_code_training_diverged(workspace, tmp_path, capsys):
     assert not (tmp_path / "x.ckpt").exists()
 
 
-def _drop_config_field(manifest):
+def _drop_config_field(manifest, payload):
     del manifest["config"]["num_heads"]
+    return payload
 
 
-def _drop_arrays(manifest):
+def _drop_arrays(manifest, payload):
     del manifest["arrays"]
+    return payload
 
 
-def _duplicate_tok_emb(manifest):
-    manifest["arrays"].append(dict(manifest["arrays"][0]))
+def _duplicate_tok_emb(manifest, payload):
+    manifest["arrays"].append(manifest["arrays"][0])
+    return payload
 
 
-def _odd_byte_count(manifest):
-    manifest["arrays"][0]["nbytes"] -= 1
+def _odd_byte_count(manifest, payload):
+    return payload[:-1]
 
 
-def _drop_digest(manifest):
+def _drop_digest(manifest, payload):
     del manifest["sha256"]
+    return payload
 
 
 @pytest.mark.parametrize("edit, needle", [
     (_drop_config_field, "num_heads"),
     (_drop_arrays, "arrays"),
     (_duplicate_tok_emb, "tok_emb"),
-    (_odd_byte_count, "tok_emb"),
+    (_odd_byte_count, "truncated or overlong"),
     (_drop_digest, "has no sha256 digest"),
 ], ids=["missing_config_field", "missing_arrays", "duplicate_array",
         "odd_byte_count", "missing_digest"])
@@ -342,17 +355,57 @@ def test_exit_code_bad_manifest(edit, needle, teacher_ckpt, workspace,
                                 tmp_path, capsys):
     raw = teacher_ckpt.read_bytes()
     manifest, base = _manifest(raw)
-    assert manifest["arrays"][0]["name"] == "tok_emb"
-    edit(manifest)
+    assert manifest["arrays"][0] == "tok_emb"
+    payload = edit(manifest, raw[base:])
     mbytes = json.dumps(manifest).encode()
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(raw[:8] + struct.pack("<I", len(mbytes)) + mbytes
-                    + raw[base:])
+                    + payload)
     code = main(["eval", "--model", str(bad),
                  "--data", str(workspace / "dev.tsv")])
     assert code == 3
     err = capsys.readouterr().err
     assert "CheckpointError" in err and needle in err
+
+
+def test_exit_code_format_1_checkpoint(teacher_ckpt, workspace, tmp_path,
+                                      capsys):
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(b"MKDCKPT1" + teacher_ckpt.read_bytes()[8:])
+    code = main(["eval", "--model", str(old),
+                 "--data", str(workspace / "dev.tsv")])
+    assert code == 3
+    assert (f"error (CheckpointError): {old} is a format-1 checkpoint "
+            "(MKDCKPT1)") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem", ["missing_directory", "is_a_directory"])
+@pytest.mark.parametrize("command", ["train-teacher", "distill",
+                                     "export-embeddings", "bound", "seeds"])
+def test_exit_code_bad_output_path(command, problem, teacher_ckpt, workspace,
+                                   tmp_path, capsys):
+    data = ["--data", str(workspace / "train.tsv")]
+    student = ["--config", str(workspace / "student.cfg"),
+               "--teacher", str(teacher_ckpt), "--variant", "ft"]
+    argv = {
+        "train-teacher": ["--config", str(workspace / "teacher.cfg")] + data,
+        "distill": student + data,
+        "export-embeddings": ["--model", str(teacher_ckpt)] + data,
+        "bound": ["verify", "--a", "10", "--trials", "1", "--g-size", "4",
+                  "--n-bits", "4"],
+        "seeds": student + ["--seeds", "0,1"] + data,
+    }[command]
+    if problem == "missing_directory":
+        out = tmp_path / "nodir" / "result"
+        message = f"--out {out}: directory {out.parent} does not exist"
+    else:
+        out = tmp_path
+        message = f"--out {out} is a directory, not a file"
+    assert main([command] + argv + ["--out", str(out)]) == 6
+    captured = capsys.readouterr()
+    # the check runs before any work: nothing is printed on stdout
+    assert captured.out == ""
+    assert captured.err == f"error (ConfigError): {message}\n"
 
 
 def test_exit_code_bound_error(capsys):

@@ -339,6 +339,16 @@ def test_ft_equivalence_short(small_task, small_model_config):
         assert a["loss_total"] == b["loss_total"]
 
 
+def test_max_steps_evaluates_the_last_weights(small_task, small_model_config):
+    """A run stopped inside an epoch evaluates its final step, so the best
+    checkpoint can come from the steps after the last epoch end."""
+    config = TrainConfig(epochs=2, batch_size=40, seed=0)  # 3 steps an epoch
+    params = init_random(small_model_config, seed=0)
+    _, record = _train_loop(params, config, small_task, teacher=None,
+                            variant="ft", max_steps=5)
+    assert [e["step"] for e in record.evals] == [3, 5]
+
+
 def test_backward_after_evaluate_in_train_loop(small_task, small_model_config):
     """evaluate runs under no_grad; the steps after it must still train."""
     base = TrainConfig(epochs=1, batch_size=32, seed=0)
