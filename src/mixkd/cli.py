@@ -36,17 +36,23 @@ GRID_KEYS = {"alpha_sm_values": float, "alpha_tmkd_values": float,
              "mixup_ratio_values": int}
 
 
-def _vocab_extra(vocab: Vocab, label_names, max_len: int) -> dict:
-    return {"vocab": vocab.id_to_token, "labels": list(label_names),
-            "max_len": max_len}
+def _vocab_extra(vocab: Vocab, label_names) -> dict:
+    return {"vocab": vocab.id_to_token, "labels": list(label_names)}
 
 
-def _task_from_extra(extra: dict) -> tuple[Vocab, list, int]:
+def _load_model_and_data(path, args):
+    """(params, config, vocab, labels, examples): the checkpoint at
+    ``path`` with the vocabulary and label names it stores, and the
+    --data examples read with those labels."""
+    params, config, extra = load_checkpoint(path)
     try:
         vocab = Vocab({tok: i for i, tok in enumerate(extra["vocab"])})
-        return vocab, list(extra["labels"]), int(extra["max_len"])
+        labels = list(extra["labels"])
     except KeyError as exc:
         raise CheckpointError(f"checkpoint lacks dataset metadata: {exc}") from exc
+    examples, _ = load_tsv(args.data, Schema.parse(args.schema),
+                           label_names=labels)
+    return params, config, vocab, labels, examples
 
 
 def _parse_list(raw: str, convert, name: str) -> list:
@@ -63,13 +69,20 @@ def _check_at_least(value: int, low: int, flag: str) -> None:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
 
 
-def _check_out(path) -> None:
-    """ConfigError unless --out ``path`` names a file in an existing
-    directory; checked before the run, which would fail only at its end."""
-    folder = os.path.dirname(path or "")
+def _check_out(args) -> None:
+    """ConfigError unless --out names a file in an existing directory,
+    or for sweep a directory that exists or can be made in an existing
+    one; checked before the run, which would fail only at its end."""
+    path = getattr(args, "out", None)
+    if not path:
+        return
+    folder = os.path.dirname(path)
     if folder and not os.path.isdir(folder):
         raise ConfigError(f"--out {path}: directory {folder} does not exist")
-    if path and os.path.isdir(path):
+    if args.command == "sweep":
+        if os.path.exists(path) and not os.path.isdir(path):
+            raise ConfigError(f"--out {path} exists and is not a directory")
+    elif os.path.isdir(path):
         raise ConfigError(f"--out {path} is a directory, not a file")
 
 
@@ -109,10 +122,9 @@ def _student_task(args, config, model_kwargs: dict, source):
     distillation commands; ``source`` names the config file."""
     if "num_layers" not in model_kwargs:
         raise ConfigError(f"{source}: must set model.num_layers")
-    teacher, teacher_config, extra = load_checkpoint(args.teacher)
-    vocab, labels, max_len = _task_from_extra(extra)
+    teacher, teacher_config, vocab, labels, train = _load_model_and_data(
+        args.teacher, args)
     schema = Schema.parse(args.schema)
-    train, _ = load_tsv(args.data, schema, label_names=labels)
     # only distill has --fraction / --augmented
     if getattr(args, "fraction", None) is not None:
         train = subsample(train, args.fraction, seed=config.seed)
@@ -120,7 +132,7 @@ def _student_task(args, config, model_kwargs: dict, source):
         train = merge_augmented(train, args.augmented, schema, labels)
     dev = _dev_split(args, schema, train, labels)
     dataset = TaskData(train=train, dev=dev, vocab=vocab, label_names=labels,
-                       max_len=max_len)
+                       max_len=teacher_config.max_seq_len)
     student_config = _model_config(source, teacher_config, **model_kwargs)
     return teacher, student_config, dataset
 
@@ -144,14 +156,13 @@ def cmd_train_teacher(args) -> int:
     train, labels = load_tsv(args.data, schema)
     dev = _dev_split(args, schema, train, labels)
     vocab = build_vocab(train, **vocab_kwargs)
-    model_kwargs.setdefault("vocab_size", vocab.size)
-    model_kwargs.setdefault("num_classes", len(labels))
-    model_config = _model_config(args.config, **model_kwargs)
+    model_config = _model_config(args.config, vocab_size=vocab.size,
+                                 num_classes=len(labels), **model_kwargs)
     dataset = TaskData(train=train, dev=dev, vocab=vocab, label_names=labels,
                        max_len=model_config.max_seq_len)
     params, record = train_teacher(config, model_config, dataset)
     save_checkpoint(params, model_config, args.out,
-                    extra=_vocab_extra(vocab, labels, model_config.max_seq_len))
+                    extra=_vocab_extra(vocab, labels))
     record.to_jsonl(str(args.out) + ".runlog.jsonl")
     print(json.dumps({"dev_accuracy": record.final_metrics["dev_accuracy"],
                       "best_step": record.best_step,
@@ -167,8 +178,7 @@ def cmd_distill(args) -> int:
     student, record = distill_student(config, student_config, dataset,
                                       teacher, variant=variant)
     save_checkpoint(student, student_config, args.out,
-                    extra=_vocab_extra(dataset.vocab, dataset.label_names,
-                                       dataset.max_len))
+                    extra=_vocab_extra(dataset.vocab, dataset.label_names))
     record.to_jsonl(str(args.out) + ".runlog.jsonl")
     print(json.dumps({"variant": args.variant,
                       "dev_accuracy": record.final_metrics["dev_accuracy"],
@@ -178,17 +188,16 @@ def cmd_distill(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_at_least(args.batch_size, 1, "--batch-size")
-    params, config, extra = load_checkpoint(args.model)
-    vocab, labels, max_len = _task_from_extra(extra)
-    schema = Schema.parse(args.schema)
-    examples, _ = load_tsv(args.data, schema, label_names=labels)
+    params, config, vocab, labels, examples = _load_model_and_data(
+        args.model, args)
     positive = None
     if args.positive_class is not None:
         if args.positive_class not in labels:
             raise DataError(f"unknown positive class {args.positive_class!r}")
         positive = labels.index(args.positive_class)
-    metrics = evaluate(params, examples, vocab, max_len, len(labels),
-                       batch_size=args.batch_size, positive_class=positive)
+    metrics = evaluate(params, examples, vocab, config.max_seq_len,
+                       len(labels), batch_size=args.batch_size,
+                       positive_class=positive)
     _print_metrics(metrics)
     return 0
 
@@ -197,10 +206,8 @@ def cmd_export_embeddings(args) -> int:
     _check_at_least(args.n, 1, "--n")
     _check_at_least(args.mixup_ratio, 0, "--mixup-ratio")
     _check_at_least(args.seed, 0, "--seed")
-    params, config, extra = load_checkpoint(args.model)
-    vocab, labels, max_len = _task_from_extra(extra)
-    schema = Schema.parse(args.schema)
-    examples, _ = load_tsv(args.data, schema, label_names=labels)
+    params, config, vocab, labels, examples = _load_model_and_data(
+        args.model, args)
     rng = np.random.default_rng(args.seed)
 
     # balanced sample across the two classes when possible
@@ -218,7 +225,8 @@ def cmd_export_embeddings(args) -> int:
         selected = [examples[i] for i in idx]
 
     cfg = MixupConfig(mixup_ratio=args.mixup_ratio)
-    n_rows = export_cls_features(params, selected, vocab, max_len, len(labels),
+    n_rows = export_cls_features(params, selected, vocab, config.max_seq_len,
+                                 len(labels),
                                  make_pairs(len(selected), cfg, rng), args.out)
     print(json.dumps({"rows": n_rows, "out": str(args.out)}))
     return 0
@@ -402,8 +410,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command != "sweep":  # sweep makes its --out directory
-            _check_out(getattr(args, "out", None))
+        _check_out(args)
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

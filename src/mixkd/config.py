@@ -3,9 +3,11 @@
 Every int/float/str field of TrainConfig, MixupConfig, LossWeights and
 ModelConfig is addressable with a key: TrainConfig fields by name,
 the others as mixup.*, loss.* and model.*; model.* keys describe the
-model being trained (for distillation: the student's depth).  vocab.*
-keys are build_vocab's options.  Unknown keys are errors.  Lines
-starting with '#' and blank lines are ignored.
+model being trained (for distillation: the student's depth).  The
+vocabulary and the labels fix ModelConfig's vocab_size and num_classes,
+so those two are not keys.  vocab.* keys are build_vocab's options.
+Unknown keys are errors.  Lines starting with '#' and blank lines are
+ignored.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ class ConfigError(Exception):
     pass
 
 
+_DERIVED_KEYS = ("model.vocab_size", "model.num_classes")
+
+
 def _scalar_keys() -> dict[str, tuple[str, str, type]]:
     """Dotted key -> (section, field name, converter)."""
     keys = {f"vocab.{name}": ("vocab", name, int)
@@ -32,8 +37,9 @@ def _scalar_keys() -> dict[str, tuple[str, str, type]]:
                                  ("model", "model.", ModelConfig)):
         hints = get_type_hints(cls)
         for f in fields(cls):
-            if hints[f.name] in (int, float, str):
-                keys[prefix + f.name] = (section, f.name, hints[f.name])
+            key = prefix + f.name
+            if hints[f.name] in (int, float, str) and key not in _DERIVED_KEYS:
+                keys[key] = (section, f.name, hints[f.name])
     return keys
 
 

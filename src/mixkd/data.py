@@ -52,7 +52,6 @@ class Example:
     text_a: str
     label_id: int
     text_b: Optional[str] = None
-    augmented: bool = False
 
     def __post_init__(self):
         if not self.text_a:
@@ -80,8 +79,8 @@ class Vocab:
 
 
 def load_tsv(path, schema: Schema,
-             label_names: Optional[Sequence[str]] = None,
-             augmented: bool = False) -> tuple[list[Example], list[str]]:
+             label_names: Optional[Sequence[str]] = None
+             ) -> tuple[list[Example], list[str]]:
     """Read a UTF-8 TSV with a header row.
 
     When ``label_names`` is given, any other label string is an error; when
@@ -129,7 +128,7 @@ def load_tsv(path, schema: Schema,
             raise DataError(f"{path}: line {lineno}: empty text")
         text_b = row[schema.text_b].strip() if schema.text_b else None
         examples.append(Example(text_a=text_a, text_b=text_b,
-                                label_id=label_map[label], augmented=augmented))
+                                label_id=label_map[label]))
     return examples, list(label_names)
 
 
@@ -192,9 +191,8 @@ def subsample(examples: Sequence[Example], fraction: float,
 
 def merge_augmented(original: Sequence[Example], augmented_path,
                     schema: Schema, label_names: Sequence[str]) -> list[Example]:
-    """original ++ augmented; augmented examples carry a provenance flag."""
-    extra, _ = load_tsv(augmented_path, schema, label_names=label_names,
-                        augmented=True)
+    """original ++ the examples of the augmented file."""
+    extra, _ = load_tsv(augmented_path, schema, label_names=label_names)
     return list(original) + extra
 
 

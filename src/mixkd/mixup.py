@@ -54,7 +54,6 @@ class MixupPairs:
 class MixupConfig:
     beta_alpha: float = 0.4
     mixup_ratio: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.beta_alpha <= 0:

@@ -11,7 +11,8 @@ import pytest
 
 from mixkd import synthetic
 from mixkd.cli import main
-from mixkd.model import ModelConfig, parameter_shapes
+from mixkd.model import (ModelConfig, load_checkpoint, parameter_shapes,
+                         save_checkpoint)
 
 TEACHER_CFG = """\
 epochs=1
@@ -72,6 +73,23 @@ def test_eval_command(teacher_ckpt, workspace, capsys):
     assert 0.0 <= payload["accuracy"] <= 1.0
     assert payload["f1"] is not None
     assert "accuracy" in out.splitlines()[2]  # aligned-column block
+
+
+def test_checkpoint_extra_holds_vocab_and_labels(teacher_ckpt, workspace,
+                                                  tmp_path, capsys):
+    """The config alone stores max_seq_len; a file whose extra also
+    holds max_len still loads and evaluates the same."""
+    params, config, extra = load_checkpoint(teacher_ckpt)
+    assert set(extra) == {"vocab", "labels"}
+    older = tmp_path / "older.ckpt"
+    save_checkpoint(params, config, older,
+                    extra={**extra, "max_len": config.max_seq_len})
+    printed = []
+    for path in (teacher_ckpt, older):
+        assert main(["eval", "--model", str(path),
+                     "--data", str(workspace / "dev.tsv")]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
 
 
 def test_distill_all_variants(teacher_ckpt, workspace, capsys):
@@ -408,6 +426,29 @@ def test_exit_code_bad_output_path(command, problem, teacher_ckpt, workspace,
     assert captured.err == f"error (ConfigError): {message}\n"
 
 
+@pytest.mark.parametrize("problem", ["missing_directory", "is_a_file"])
+def test_exit_code_bad_sweep_output(problem, teacher_ckpt, workspace, tmp_path,
+                                    capsys):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(STUDENT_CFG + "alpha_sm_values=1.0\n"
+                    "alpha_tmkd_values=1.0\nmixup_ratio_values=1\n")
+    if problem == "missing_directory":
+        out = tmp_path / "nodir" / "sweep"
+        message = f"--out {out}: directory {out.parent} does not exist"
+    else:
+        out = tmp_path / "sweep"
+        out.write_text("")
+        message = f"--out {out} exists and is not a directory"
+    assert main(["sweep", "--grid", str(grid), "--teacher", str(teacher_ckpt),
+                 "--data", str(workspace / "train.tsv"),
+                 "--dev", str(workspace / "dev.tsv"),
+                 "--out", str(out)]) == 6
+    captured = capsys.readouterr()
+    # the check runs before any cell trains: nothing is printed on stdout
+    assert captured.out == ""
+    assert captured.err == f"error (ConfigError): {message}\n"
+
+
 def test_exit_code_bound_error(capsys):
     # epsilon below the shift term: the threshold is undefined
     code = main(["bound", "thm1", "--epsilon", "0.05", "--triangle", "0.1"])
@@ -530,7 +571,15 @@ def test_exit_code_model_keys(command, drop, add, needle, teacher_ckpt,
     # removed options must fail loudly, not be ignored
     "mixup.pairing_mode=independent_extra",
     "shared_teacher_embeddings=1",
-], ids=["mystery_key", "removed_mixup_key", "removed_train_key"])
+    "optimizer=adam",
+    "adam_eps=1e-8",
+    "mixup.seed=0",
+    # the vocabulary and the labels fix these
+    "model.vocab_size=10",
+    "model.num_classes=3",
+], ids=["mystery_key", "removed_mixup_key", "removed_train_key",
+        "removed_optimizer", "removed_adam_eps", "removed_mixup_seed",
+        "derived_vocab_size", "derived_num_classes"])
 def test_exit_code_config_error(line, workspace, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
