@@ -304,6 +304,8 @@ def cmd_seeds(args) -> int:
     seeds = _parse_list(args.seeds, int, "--seeds")
     if len(seeds) < 2:
         raise ConfigError(f"--seeds needs at least 2 seeds, got {args.seeds!r}")
+    for seed in seeds:
+        _check_at_least(seed, 0, "--seeds")
     config, model_kwargs, _ = load_config(args.config)
     teacher, student_config, dataset = _student_task(args, config,
                                                      model_kwargs, args.config)

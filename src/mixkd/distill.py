@@ -67,6 +67,10 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
 
 
 @dataclass
@@ -269,14 +273,15 @@ def _train_loop(params: ModelParams, config: TrainConfig, dataset: TaskData,
     start = time.perf_counter()
     best_acc, best_params = -1.0, None
     step = 0
+    # the dev split is encoded once; every eval reuses its batches
+    dev_batches = list(collate(dataset.dev, dataset.vocab, dataset.max_len,
+                               config.batch_size, dataset.num_classes))
 
     def run_eval():
         nonlocal best_acc, best_params
         if record.evals and record.evals[-1]["step"] == step:
             return  # these weights were evaluated already
-        metrics = evaluation.evaluate(params, dataset.dev, dataset.vocab,
-                                      dataset.max_len, dataset.num_classes,
-                                      batch_size=config.batch_size)
+        metrics = evaluation.evaluate_batches(params, dev_batches)
         record.evals.append({"step": step, "accuracy": metrics.accuracy,
                              "f1": metrics.f1})
         if metrics.accuracy > best_acc:
@@ -376,6 +381,8 @@ def run_seeds(config: TrainConfig, student_config: ModelConfig,
         try:
             _, record = distill_student(cfg, student_config, dataset, teacher,
                                         variant=variant)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"seed {seed}: {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"seed {seed} failed: {exc}") from exc
         records.append(record)

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import no_grad
-from .data import DataError, Example, Vocab, make_batch
+from .data import Batch, DataError, Example, Vocab, collate, make_batch
 from .mixup import MixupPairs, materialize
 from .model import ModelParams, embed_batch, forward_from_embeddings, forward_tokens
 
@@ -67,19 +67,24 @@ def evaluate(params: ModelParams, examples: Sequence[Example], vocab: Vocab,
              positive_class: Optional[int] = None) -> Metrics:
     """Dropout-off, graph-free forward over the whole split, each example
     exactly once."""
-    if not examples:
+    batches = list(collate(examples, vocab, max_len, batch_size, num_classes))
+    return evaluate_batches(params, batches, positive_class)
+
+
+def evaluate_batches(params: ModelParams, batches: Sequence[Batch],
+                     positive_class: Optional[int] = None) -> Metrics:
+    """:func:`evaluate` on a split already encoded as batches, so a
+    caller that evaluates it again and again encodes it once."""
+    if not batches:
         raise DataError("no examples to evaluate")
     all_logits = []
-    all_labels = []
-    for start in range(0, len(examples), batch_size):
-        batch = make_batch(examples[start:start + batch_size], vocab, max_len,
-                           num_classes)
+    for batch in batches:
         with no_grad():
             logits = forward_tokens(params, batch, train_mode=False)
         all_logits.append(logits.data)
-        all_labels.append(batch.labels_onehot)
     return compute_metrics(np.concatenate(all_logits),
-                           np.concatenate(all_labels), positive_class)
+                           np.concatenate([b.labels_onehot for b in batches]),
+                           positive_class)
 
 
 def export_cls_features(params: ModelParams, examples: Sequence[Example],

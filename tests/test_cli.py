@@ -337,6 +337,21 @@ def test_exit_code_training_diverged(workspace, tmp_path, capsys):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+def test_seeds_exit_code_training_diverged(teacher_ckpt, workspace, tmp_path,
+                                           capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(STUDENT_CFG.replace("learning_rate=0.001",
+                                       "learning_rate=1e300"))
+    code = main(["seeds", "--config", str(cfg),
+                 "--teacher", str(teacher_ckpt), "--variant", "ft",
+                 "--seeds", "7,8",
+                 "--data", str(workspace / "train.tsv"),
+                 "--dev", str(workspace / "dev.tsv")])
+    assert code == 5
+    assert capsys.readouterr().err.startswith(
+        "error (TrainingDiverged): seed 7: ")
+
+
 def _drop_config_field(manifest, payload):
     del manifest["config"]["num_heads"]
     return payload
@@ -566,28 +581,33 @@ def test_exit_code_model_keys(command, drop, add, needle, teacher_ckpt,
     assert not (tmp_path / "x.ckpt").exists()
 
 
-@pytest.mark.parametrize("line", [
-    "mystery_key=1",
+@pytest.mark.parametrize("line, needle", [
+    ("mystery_key=1", "unknown config key"),
     # removed options must fail loudly, not be ignored
-    "mixup.pairing_mode=independent_extra",
-    "shared_teacher_embeddings=1",
-    "optimizer=adam",
-    "adam_eps=1e-8",
-    "mixup.seed=0",
+    ("mixup.pairing_mode=independent_extra", "unknown config key"),
+    ("shared_teacher_embeddings=1", "unknown config key"),
+    ("optimizer=adam", "unknown config key"),
+    ("adam_eps=1e-8", "unknown config key"),
+    ("mixup.seed=0", "unknown config key"),
     # the vocabulary and the labels fix these
-    "model.vocab_size=10",
-    "model.num_classes=3",
+    ("model.vocab_size=10", "unknown config key"),
+    ("model.num_classes=3", "unknown config key"),
+    ("seed=-1", "seed must be >= 0"),
+    ("eval_every=-1", "eval_every must be >= 0"),
 ], ids=["mystery_key", "removed_mixup_key", "removed_train_key",
         "removed_optimizer", "removed_adam_eps", "removed_mixup_seed",
-        "derived_vocab_size", "derived_num_classes"])
-def test_exit_code_config_error(line, workspace, tmp_path, capsys):
+        "derived_vocab_size", "derived_num_classes", "negative_seed",
+        "negative_eval_every"])
+def test_exit_code_config_error(line, needle, workspace, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     code = main(["train-teacher", "--config", str(cfg),
                  "--data", str(workspace / "train.tsv"),
                  "--out", str(tmp_path / "x.ckpt")])
     assert code == 6
-    assert "unknown config key" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (ConfigError): {cfg}: ")
+    assert needle in err
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -595,6 +615,7 @@ def test_exit_code_config_error(line, workspace, tmp_path, capsys):
     (["sweep", "alpha_sm_values="], "alpha_sm_values"),
     (["seeds", "--seeds", "a,b"], "--seeds"),
     (["seeds", "--seeds", "0"], "--seeds"),
+    (["seeds", "--seeds=-1,2"], "--seeds"),
     (["export-embeddings", "--mixup-ratio", "-1"], "--mixup-ratio"),
     (["bench", "--measured-batches", "0"], "--measured-batches"),
     (["eval", "--batch-size", "0"], "--batch-size"),
@@ -607,11 +628,11 @@ def test_exit_code_config_error(line, workspace, tmp_path, capsys):
     (["export-embeddings", "--seed", "-1"], "--seed"),
     (["bound", "verify", "--seed", "-1"], "--seed"),
 ], ids=["sweep_not_a_number", "sweep_empty_list", "seeds_not_a_number",
-        "seeds_single", "export_negative_ratio", "bench_zero_batches",
-        "eval_zero_batch", "eval_negative_batch", "export_zero_n",
-        "export_negative_n", "bench_zero_batch", "bench_negative_batch",
-        "bench_negative_warmup", "export_negative_seed",
-        "verify_negative_seed"])
+        "seeds_single", "seeds_negative", "export_negative_ratio",
+        "bench_zero_batches", "eval_zero_batch", "eval_negative_batch",
+        "export_zero_n", "export_negative_n", "bench_zero_batch",
+        "bench_negative_batch", "bench_negative_warmup",
+        "export_negative_seed", "verify_negative_seed"])
 def test_exit_code_bad_numbers(argv, name, teacher_ckpt, workspace, tmp_path,
                                capsys):
     command = argv[0]

@@ -31,6 +31,10 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match="eval_every must be >= 0"):
+        TrainConfig(eval_every=-1)
 
 
 def test_loss_mle_rejects_soft_labels(rng):
@@ -354,6 +358,28 @@ def test_train_loop_evaluates_each_step_once(small_task, small_model_config,
     assert record.best_step == steps[accs.index(max(accs))]
 
 
+def test_train_loop_encodes_the_dev_split_once(small_task, small_model_config,
+                                              monkeypatch):
+    """Evaluating after every step reuses the dev batches built at the
+    start: make_batch runs once per train batch and once per dev batch."""
+    calls = []
+
+    def counting(examples, *args):
+        calls.append(len(examples))
+        return make_batch(examples, *args)
+
+    # evaluation imports make_batch by name: count the calls through both
+    monkeypatch.setattr("mixkd.data.make_batch", counting)
+    monkeypatch.setattr("mixkd.evaluation.make_batch", counting)
+    config = TrainConfig(epochs=2, batch_size=40, seed=0, eval_every=1)
+    params = init_random(small_model_config, seed=0)
+    _, record = _train_loop(params, config, small_task, teacher=None,
+                            variant="ft")
+    assert len(record.evals) == 6
+    # 120 train examples make 3 batches an epoch; 60 dev examples make 2
+    assert sorted(calls) == sorted([40] * 6 + [40, 20])
+
+
 def test_backward_after_evaluate_in_train_loop(small_task, small_model_config):
     """evaluate runs under no_grad; the steps after it must still train."""
     base = TrainConfig(epochs=1, batch_size=32, seed=0)
@@ -467,6 +493,15 @@ def test_run_seeds_aggregation(small_task, small_model_config):
     assert summary["mean"] == pytest.approx(accs.mean())
     assert summary["std"] == pytest.approx(accs.std())
     assert "±" in summary["formatted"]
+
+
+def test_run_seeds_names_the_diverged_seed(small_task, small_model_config):
+    teacher = init_random(small_model_config, seed=0)
+    student_config = dataclasses.replace(small_model_config, num_layers=1)
+    config = TrainConfig(epochs=1, batch_size=64, learning_rate=1e300)
+    with pytest.raises(distill.TrainingDiverged, match="^seed 3: "):
+        run_seeds(config, student_config, small_task, teacher, "ft",
+                  seeds=[3, 4])
 
 
 def test_run_seeds_needs_two(small_task, small_model_config):

@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Bitwise digests of mixkd's training runs and outputs, as one JSON document.
+
+    python3 tools/digests.py > digests.json
+
+Run it on two checkouts and diff the outputs: a change that keeps the
+arithmetic prints the same document.  mixkd is imported from ``src/`` of
+the checkout this file sits in.  The document holds:
+
+- for T = 14 and T = 64 and dropout 0 and 0.1: the parameter checksum,
+  a sha256 over the bits of every step's loss components, the eval rows,
+  best step and dev accuracy of 30 steps (3 epochs of 10 batches of 16,
+  ``eval_every=10``) of a 4-layer teacher and of the 1-layer ``ft``,
+  ``tmkd`` and ``sm_tmkd`` students distilled from it (mixup ratio 2,
+  both distance metrics);
+- at T = 64, from the dropout-0 teacher: the ``evaluate`` metrics, the
+  graph-free logits and [CLS] features of the whole dev split, and the
+  ``export_cls_features`` CSV;
+- ``empirical_gap_experiment`` reports at criterion 10's shape.
+
+It takes about 35 s (2-CPU x86-64 host, one BLAS thread).  tests/test_golden_digests.py
+checks a T = 14 subset in the tier-1 suite.
+"""
+
+import os
+
+# one BLAS thread, as in perfbench: the digests must not depend on how
+# a GEMM is split across threads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from mixkd import autodiff, bounds, synthetic  # noqa: E402
+from mixkd.data import make_batch  # noqa: E402
+from mixkd.distill import (LossWeights, TrainConfig, distill_student,  # noqa: E402
+                           train_teacher)
+from mixkd.evaluation import evaluate, export_cls_features  # noqa: E402
+from mixkd.mixup import MixupConfig, make_pairs  # noqa: E402
+from mixkd.model import ModelConfig, forward_tokens  # noqa: E402
+
+WIDTH = dict(hidden_dim=64, num_heads=4, ffn_dim=128, num_classes=2)
+TRAIN = TrainConfig(epochs=3, batch_size=16, learning_rate=3e-3, seed=5,
+                    eval_every=10)
+N_TRAIN, N_DEV = 160, 48    # 10 steps an epoch
+SEQ = {14: (5, 12), 64: (32, 62)}   # words per sentence; T = max + 2
+STUDENTS = [("ft", "mse"), ("tmkd", "mse"), ("sm_tmkd", "mse"),
+            ("tmkd", "temperature_ce"), ("sm_tmkd", "temperature_ce")]
+GAP_REPS = 5
+
+
+def sha(data) -> str:
+    if isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_digest(params, record) -> dict:
+    steps = hashlib.sha256()
+    for row in record.steps:
+        for key in ("loss_total", "loss_mle", "loss_sm", "loss_tmkd"):
+            steps.update(float(row[key]).hex().encode())
+    return {"checksum": params.checksum(),
+            "steps": len(record.steps),
+            "step_losses": steps.hexdigest(),
+            "evals": [[e["step"], float(e["accuracy"]).hex()]
+                      for e in record.evals],
+            "best_step": record.best_step,
+            "dev_accuracy": float(record.final_metrics["dev_accuracy"]).hex()}
+
+
+def training(task, T: int, dropout: float) -> tuple[dict, object]:
+    config = ModelConfig(num_layers=4, vocab_size=task.vocab.size,
+                         max_seq_len=T, dropout_rate=dropout, **WIDTH)
+    teacher, record = train_teacher(TRAIN, config, task)
+    runs = {"teacher": run_digest(teacher, record)}
+    student_config = dataclasses.replace(config, num_layers=1)
+    for variant, metric in STUDENTS:
+        run_config = dataclasses.replace(
+            TRAIN, mixup=MixupConfig(mixup_ratio=2),
+            loss=LossWeights(distance_metric=metric))
+        params, record = distill_student(run_config, student_config, task,
+                                         teacher, variant=variant)
+        runs[f"{variant}-{metric}"] = run_digest(params, record)
+    return runs, teacher
+
+
+def outputs(task, params) -> dict:
+    C = task.num_classes
+    metrics = evaluate(params, task.dev, task.vocab, task.max_len, C,
+                       batch_size=16)
+    batch = make_batch(task.dev, task.vocab, task.max_len, C)
+    with autodiff.no_grad():
+        logits, feats = forward_tokens(params, batch, return_features=True)
+    pairs = make_pairs(16, MixupConfig(mixup_ratio=2),
+                       np.random.default_rng(0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.csv"
+        rows = export_cls_features(params, task.dev[:16], task.vocab,
+                                   task.max_len, C, pairs, path)
+        csv = sha(path.read_bytes())
+    return {"evaluate": {"accuracy": float(metrics.accuracy).hex(),
+                         "n_eval": metrics.n_eval},
+            "logits": sha(logits.data), "features": sha(feats.data),
+            "export_csv": {"rows": rows, "sha256": csv}}
+
+
+def gap_reports() -> list:
+    testbed = bounds.make_testbed(n_bits=10, seed=0)
+    g_class = bounds.make_scorer_class(testbed, g_size=64, seed=1)
+    b_mix = bounds.thm1_required_b(1.0, 64, 0.1, 200, 0.09, 0.0)
+    reports = []
+    for r in range(GAP_REPS):
+        rep = bounds.empirical_gap_experiment(
+            testbed, g_class, a=200, b_mix=b_mix, trials=40, delta=0.1,
+            rng=np.random.default_rng(1000 + r), M=1.0)
+        reports.append({**rep.to_dict(),
+                        "gaps_augmented": sha(np.array(rep.gaps_augmented)),
+                        "gaps_plain": sha(np.array(rep.gaps_plain))})
+    return reports
+
+
+def main() -> None:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    doc = {"versions": {"numpy": np.__version__,
+                        "blas": f"{blas['name']} {blas['version']}"},
+           "runs": {}}
+    for T, (lo, hi) in SEQ.items():
+        # a weak class signal, so that dev accuracy moves between evals
+        task = synthetic.make_task(n_train=N_TRAIN, n_dev=N_DEV, seq_min=lo,
+                                   seq_max=hi, signal_rate=0.04, seed=11)
+        for dropout in (0.0, 0.1):
+            runs, teacher = training(task, T, dropout)
+            doc["runs"][f"T{T}-dropout{dropout}"] = runs
+            if T == 64 and dropout == 0.0:
+                doc["outputs_T64"] = outputs(task, teacher)
+    doc["gap_reports"] = gap_reports()
+    print(json.dumps(doc, indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
