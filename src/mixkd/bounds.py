@@ -54,18 +54,39 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 def _check_inputs(delta: float, M: float = 1.0, g_cardinality: int = 1,
+                  epsilon_p: float = 0.0, triangle: float = 0.0,
                   **nonnegative: float) -> None:
     """The domain shared by the calculators; each passes the arguments it
-    takes (the defaults always pass), and by name those that must be >= 0."""
-    if not M > 0:
-        raise BoundError(f"M must be positive, got {M}")
+    takes (the defaults always pass), and by name those that must be >= 0.
+    Every real argument must be finite."""
+    if not 0.0 < M < math.inf:
+        raise BoundError(f"M must be positive and finite, got {M}")
     if not 0.0 < delta <= 1.0:
         raise BoundError(f"delta must lie in (0, 1], got {delta}")
     if g_cardinality < 1:
         raise BoundError(f"|G| must be >= 1, got {g_cardinality}")
+    for name, value in (("epsilon_p", epsilon_p), ("triangle", triangle)):
+        if not math.isfinite(value):
+            raise BoundError(f"{name} must be finite, got {value}")
     for name, value in nonnegative.items():
-        if not value >= 0:
-            raise BoundError(f"{name} must be nonnegative, got {value}")
+        if not 0 <= value < math.inf:
+            raise BoundError(
+                f"{name} must be nonnegative and finite, got {value}")
+
+
+def _finite(value: float, delta: float) -> float:
+    if not math.isfinite(value):
+        raise BoundError(f"the result overflows float64 at delta = {delta}")
+    return value
+
+
+def _required(numerator: float, denominator: float, a: int,
+              delta: float) -> int:
+    """max(0, ceil(numerator / denominator - a)) for a denominator >= 0,
+    which is 0 only when a margin's square underflows: then the quotient
+    is taken as infinite."""
+    quotient = numerator / denominator if denominator else math.inf
+    return max(0, math.ceil(_finite(quotient - a, delta)))
 
 
 def hoeffding_gap_bound(M: float, g_cardinality: int, delta: float,
@@ -74,38 +95,36 @@ def hoeffding_gap_bound(M: float, g_cardinality: int, delta: float,
     if n < 1:
         raise BoundError("n must be >= 1")
     _check_inputs(delta, M=M, g_cardinality=g_cardinality)
-    return M * math.sqrt(math.log(g_cardinality / delta) / (2.0 * n))
-
-
-def _ceil_clamped(value: float) -> int:
-    return max(0, math.ceil(value))
+    return _finite(
+        M * math.sqrt(math.log(g_cardinality / delta) / (2.0 * n)), delta)
 
 
 def thm1_required_b(M: float, g_cardinality: int, delta: float, a: int,
                     epsilon_p: float, triangle: float) -> int:
     """Augmented samples needed so the finite-class gap bound undercuts epsilon_p."""
-    _check_inputs(delta, M=M, g_cardinality=g_cardinality, a=a)
+    _check_inputs(delta, M=M, g_cardinality=g_cardinality,
+                  epsilon_p=epsilon_p, triangle=triangle, a=a)
     if epsilon_p <= triangle:
         raise VacuousBoundError(
             f"epsilon_p ({epsilon_p}) must exceed the shift term ({triangle})")
     margin = epsilon_p - triangle
-    return _ceil_clamped(
-        M * M * math.log(g_cardinality / delta) / (2.0 * margin * margin) - a)
+    return _required(M * M * math.log(g_cardinality / delta),
+                     2.0 * margin * margin, a, delta)
 
 
 def thm2_required_b(M: float, delta: float, a: int, epsilon_p: float,
                     triangle: float, lipschitz: float,
                     rademacher_r: float) -> int:
     """Threshold for the Lipschitz/Rademacher case."""
-    _check_inputs(delta, M=M, a=a, lipschitz=lipschitz,
-                  rademacher_r=rademacher_r)
+    _check_inputs(delta, M=M, epsilon_p=epsilon_p, triangle=triangle, a=a,
+                  lipschitz=lipschitz, rademacher_r=rademacher_r)
     margin = epsilon_p - triangle - 2.0 * lipschitz * rademacher_r
     if margin <= 0:
         raise VacuousBoundError(
             "epsilon_p must exceed triangle + 2*L*R "
             f"({epsilon_p} vs {triangle} + 2*{lipschitz}*{rademacher_r})")
-    return _ceil_clamped(
-        M * M * math.log(1.0 / delta) / (2.0 * margin * margin) - a)
+    return _required(M * M * math.log(1.0 / delta), 2.0 * margin * margin,
+                     a, delta)
 
 
 def thm3_required_b(delta: float, a: int, epsilon_p: float, triangle: float,
@@ -115,12 +134,13 @@ def thm3_required_b(delta: float, a: int, epsilon_p: float, triangle: float,
     log_capacity is caller-supplied; computing the capacity itself is out
     of scope.
     """
-    _check_inputs(delta, a=a, log_capacity=log_capacity)
+    _check_inputs(delta, epsilon_p=epsilon_p, triangle=triangle, a=a,
+                  log_capacity=log_capacity)
     if epsilon_p <= triangle:
         raise VacuousBoundError(
             f"epsilon_p ({epsilon_p}) must exceed the shift term ({triangle})")
     margin_sq = (epsilon_p - triangle) ** 2
-    required_a_min = _ceil_clamped(16.0 / margin_sq)
+    required_a_min = _required(16.0, margin_sq, 0, delta)
     if a < 1:
         raise VacuousBoundError("a must be >= 1 for the capacity threshold")
     denom = margin_sq - 64.0 * log_capacity / a
@@ -131,7 +151,7 @@ def thm3_required_b(delta: float, a: int, epsilon_p: float, triangle: float,
     if a < required_a_min:
         raise VacuousBoundError(
             f"a = {a} is below the required minimum {required_a_min}")
-    required_b = _ceil_clamped(64.0 * math.log(4.0 / delta) / denom)
+    required_b = _required(64.0 * math.log(4.0 / delta), denom, 0, delta)
     return required_b, required_a_min
 
 
@@ -146,16 +166,17 @@ class ThresholdScorer:
     threshold: float
 
     def predict(self, points: np.ndarray) -> np.ndarray:
-        return (points @ self.weights >= self.threshold).astype(np.float64)
+        return points @ self.weights >= self.threshold
 
 
 @dataclass
 class ThresholdScorerClass:
     """A finite, enumerable class of threshold scorers plus the teacher.
 
-    Exposes a loss matrix (|G| x n of 0/1 absolute-difference losses) so
-    both the Rademacher estimator and the ERM in the gap experiment can
-    enumerate it.
+    ``errors`` says which scorer gets which point wrong, so both the
+    Rademacher estimator and the ERM in the gap experiment can enumerate
+    the class; ``loss_matrix`` is the same as 0/1 absolute-difference
+    losses.
     """
     weights: np.ndarray      # [G, m]
     thresholds: np.ndarray   # [G]
@@ -165,25 +186,56 @@ class ThresholdScorerClass:
     def cardinality(self) -> int:
         return self.weights.shape[0]
 
-    def predictions(self, points: np.ndarray) -> np.ndarray:
-        return (points @ self.weights.T >= self.thresholds).T.astype(np.float64)
-
-    def loss_matrix(self, points: np.ndarray) -> np.ndarray:
+    def errors(self, points: np.ndarray) -> np.ndarray:
+        """[G, n] booleans: scorer g disagrees with the teacher on point x."""
         if len(points) == 0:
             raise BoundError("empty sample")
-        f = self.teacher.predict(points)
-        return np.abs(self.predictions(points) - f)
+        fires = points @ self.weights.T >= self.thresholds
+        return (fires != self.teacher.predict(points)[:, None]).T
+
+    def loss_matrix(self, points: np.ndarray) -> np.ndarray:
+        """``errors`` as a float [G, n] matrix.  It is the transpose of a
+        C-ordered [n, G] array: population_risks' GEMV on a C-ordered copy
+        sums in another order and moves the risks of 10-bit, |G| = 64
+        testbeds by up to 6.7e-16."""
+        return self.errors(points).astype(np.float64)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EnumerableTestbed:
-    """All binary strings of a small length with explicit point masses."""
+    """All binary strings of a small length with explicit point masses.
+
+    ``probs`` is checked once, with the conditions ``Generator.choice``
+    checks on every call, and its CDF is kept.  ``sample`` draws by
+    inversion from that CDF, which is ``choice``'s own code path, so every
+    index and the generator's state afterwards equal those of
+    ``rng.choice(N, size=n, p=probs)``.  The arrays are read-only copies.
+    """
     inputs: np.ndarray   # [N, m] float 0/1
     probs: np.ndarray    # [N], sums to 1
+    cdf: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        inputs = np.array(self.inputs, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64)
+        if probs.ndim != 1 or len(probs) != len(inputs):
+            raise BoundError(f"probs must be 1-D with one mass per input, got "
+                             f"shape {probs.shape} for {len(inputs)} inputs")
+        if np.isnan(probs).any():
+            raise BoundError("probs contain NaN")
+        if (probs < 0).any():
+            raise BoundError("probs must be nonnegative")
+        total = math.fsum(probs)
+        if not abs(total - 1.0) <= math.sqrt(np.finfo(np.float64).eps):
+            raise BoundError(f"probs must sum to 1, got {total}")
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        for name, arr in (("inputs", inputs), ("probs", probs), ("cdf", cdf)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        idx = rng.choice(len(self.probs), size=n, p=self.probs)
-        return self.inputs[idx]
+        return self.inputs[self.cdf.searchsorted(rng.random(n), side="right")]
 
 
 def make_testbed(n_bits: int = 10, seed: int = 0) -> EnumerableTestbed:
@@ -300,13 +352,16 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
             pooled = np.vstack([originals, mixed])
         else:
             pooled = originals
-        # the originals are the first a columns of the pooled loss matrix
-        losses = g_class.loss_matrix(pooled)
-        emp_aug = losses.mean(axis=1)
+        # the originals are the first a columns of the pooled errors; a
+        # count over n equals the mean of n 0/1 losses bit for bit
+        wrong = g_class.errors(pooled)
+        wrong_plain = np.count_nonzero(wrong[:, :a], axis=1)
+        emp_aug = ((wrong_plain + np.count_nonzero(wrong[:, a:], axis=1))
+                   / len(pooled))
         g_hat = int(emp_aug.argmin())
         gaps_aug[t] = pop[g_hat] - emp_aug[g_hat]
 
-        emp_plain = losses[:, :a].mean(axis=1)
+        emp_plain = wrong_plain / a
         g_p = int(emp_plain.argmin())
         gaps_plain[t] = pop[g_p] - emp_plain[g_p]
 

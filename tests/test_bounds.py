@@ -135,7 +135,8 @@ def test_bound_input_validation():
     }
     takes = {"hoeffding": "M G delta", "thm1": "M G delta a",
              "thm2": "M delta a", "thm3": "delta a"}
-    bad = {"M": [("M", 0.0), ("M", -1.0), ("M", float("nan"))],
+    bad = {"M": [("M", 0.0), ("M", -1.0), ("M", float("nan")),
+                 ("M", math.inf)],
            "G": [("|G|", 0)],
            "delta": [("delta", 0.0), ("delta", 2.0), ("delta", -0.1)],
            "a": [("a", -1)]}
@@ -178,6 +179,49 @@ def test_make_testbed_properties():
     assert (tb.probs > 0).all()
     with pytest.raises(B.BoundError):
         B.make_testbed(n_bits=20)
+
+
+@pytest.mark.parametrize("n_bits", [1, 6, 10])
+def test_sample_is_choice_bitwise(n_bits):
+    """Inversion from the stored CDF draws the indices that
+    rng.choice(N, size=n, p=probs) draws and leaves the generator in the
+    same state."""
+    tb = B.make_testbed(n_bits=n_bits, seed=n_bits)
+    for seed in range(5):
+        for n in (1, 7, 199, 200):
+            rng = np.random.default_rng(seed)
+            ref = copy.deepcopy(rng)
+            got = tb.sample(n, rng)
+            want = tb.inputs[ref.choice(len(tb.probs), size=n, p=tb.probs)]
+            assert got.shape == want.shape == (n, n_bits)
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("probs, match", [
+    ([0.5, 0.6, -0.1, 0.0], "nonnegative"),
+    ([0.5, np.nan, 0.25, 0.25], "NaN"),
+    ([0.25, 0.25, 0.25, 0.2], "sum to 1"),
+    ([np.inf, 0.0, 0.0, 0.0], "sum to 1"),
+    ([0.5, 0.5], "one mass per input"),
+    ([[0.25, 0.25], [0.25, 0.25]], "1-D"),
+], ids=["negative", "nan", "sum", "inf", "length", "2d"])
+def test_testbed_rejects_malformed_probs(probs, match):
+    inputs = B.make_testbed(n_bits=2).inputs
+    with pytest.raises(B.BoundError, match=match):
+        B.EnumerableTestbed(inputs, np.array(probs))
+
+
+def test_testbed_arrays_read_only():
+    probs = np.full(8, 0.125)
+    tb = B.EnumerableTestbed(B.make_testbed(n_bits=3).inputs, probs)
+    for arr in (tb.inputs, tb.probs, tb.cdf):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    with pytest.raises(AttributeError):
+        tb.probs = probs
+    probs[0] = 0.0  # the testbed holds a copy
+    assert tb.probs[0] == 0.125 and tb.cdf[-1] == 1.0
 
 
 def test_scorer_class_enumeration(rng):
@@ -261,17 +305,21 @@ def _two_call_gaps(tb, gc, a, b_mix, trials, rng):
     return aug, plain
 
 
-@pytest.mark.parametrize("a, b_mix", [(200, 199), (50, 0), (20, 300), (7, 3)])
-def test_gap_experiment_one_loss_matrix_per_trial(a, b_mix, monkeypatch):
-    tb = B.make_testbed(n_bits=8, seed=3)
-    gc = B.make_scorer_class(tb, g_size=32, seed=4)
+@pytest.mark.parametrize("a, b_mix, n_bits, g_size", [
+    (200, 199, 8, 32), (50, 0, 8, 32), (20, 300, 8, 32), (7, 3, 8, 32),
+    (200, 199, 10, 64)],
+    ids=["200-199", "50-0", "20-300", "7-3", "criterion_10"])
+def test_gap_experiment_one_loss_matrix_per_trial(a, b_mix, n_bits, g_size,
+                                                  monkeypatch):
+    tb = B.make_testbed(n_bits=n_bits, seed=3)
+    gc = B.make_scorer_class(tb, g_size=g_size, seed=4)
     aug, plain = _two_call_gaps(tb, gc, a, b_mix, 6, np.random.default_rng(5))
     calls = []
 
     def counted(points):
         calls.append(len(points))
-        return B.ThresholdScorerClass.loss_matrix(gc, points)
-    monkeypatch.setattr(gc, "loss_matrix", counted)
+        return B.ThresholdScorerClass.errors(gc, points)
+    monkeypatch.setattr(gc, "errors", counted)
     report = B.empirical_gap_experiment(tb, gc, a=a, b_mix=b_mix, trials=6,
                                         delta=0.1,
                                         rng=np.random.default_rng(5))

@@ -483,7 +483,19 @@ def test_exit_code_bound_error(capsys):
              "lipschitz"),
             (["thm2", "--rademacher", "-0.1"], "rademacher_r"),
             (["thm3", "--log-capacity", "-5", "--a", "1000", "--epsilon",
-              "0.9"], "log_capacity")]:
+              "0.9"], "log_capacity"),
+            # non-finite inputs, and results that overflow float64
+            (["thm1", "--m", "inf"], "M must"),
+            (["thm2", "--lipschitz", "inf", "--epsilon", "0.5"], "lipschitz"),
+            (["thm2", "--epsilon", "nan"], "epsilon_p"),
+            (["thm1", "--triangle=-inf"], "triangle"),
+            (["hoeffding", "--m", "inf"], "M must"),
+            (["hoeffding", "--delta", "1e-320", "--g-cardinality", "64"],
+             "delta"),
+            (["verify", "--m", "inf", "--a", "10", "--trials", "1"],
+             "M must"),
+            (["thm1", "--epsilon", "1e-200"], "delta"),
+            (["thm3", "--epsilon", "1e-200", "--a", "10"], "delta")]:
         capsys.readouterr()
         assert main(["bound"] + argv) == 4, argv
         captured = capsys.readouterr()

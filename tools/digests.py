@@ -16,7 +16,10 @@ the checkout this file sits in.  The document holds:
 - at T = 64, from the dropout-0 teacher: the ``evaluate`` metrics, the
   graph-free logits and [CLS] features of the whole dev split, and the
   ``export_cls_features`` CSV;
-- ``empirical_gap_experiment`` reports at criterion 10's shape.
+- ``empirical_gap_experiment`` reports at criterion 10's shape and one
+  without mixup (criterion 9's path), one ``estimate_shift_delta`` and
+  one ``rademacher_mc_estimate`` value: every caller of the testbed's
+  ``sample`` and of ``loss_matrix``.
 
 It takes about 35 s (2-CPU x86-64 host, one BLAS thread).  tests/test_golden_digests.py
 checks a T = 14 subset in the tier-1 suite.
@@ -114,19 +117,27 @@ def outputs(task, params) -> dict:
             "export_csv": {"rows": rows, "sha256": csv}}
 
 
-def gap_reports() -> list:
+def gap_reports() -> dict:
     testbed = bounds.make_testbed(n_bits=10, seed=0)
     g_class = bounds.make_scorer_class(testbed, g_size=64, seed=1)
     b_mix = bounds.thm1_required_b(1.0, 64, 0.1, 200, 0.09, 0.0)
-    reports = []
-    for r in range(GAP_REPS):
+
+    def report(b, seed):
         rep = bounds.empirical_gap_experiment(
-            testbed, g_class, a=200, b_mix=b_mix, trials=40, delta=0.1,
-            rng=np.random.default_rng(1000 + r), M=1.0)
-        reports.append({**rep.to_dict(),
-                        "gaps_augmented": sha(np.array(rep.gaps_augmented)),
-                        "gaps_plain": sha(np.array(rep.gaps_plain))})
-    return reports
+            testbed, g_class, a=200, b_mix=b, trials=40, delta=0.1,
+            rng=np.random.default_rng(seed), M=1.0)
+        return {**rep.to_dict(),
+                "gaps_augmented": sha(np.array(rep.gaps_augmented)),
+                "gaps_plain": sha(np.array(rep.gaps_plain))}
+
+    rng = np.random.default_rng(2000)
+    shift = bounds.estimate_shift_delta(testbed, g_class, g_index=0,
+                                        n_mc=2000, rng=rng)
+    rademacher = bounds.rademacher_mc_estimate(
+        g_class, testbed.sample(200, rng), trials=200, rng=rng)
+    return {"mixup": [report(b_mix, 1000 + r) for r in range(GAP_REPS)],
+            "plain": report(0, 1000),
+            "shift_delta": shift.hex(), "rademacher": rademacher.hex()}
 
 
 def main() -> None:
