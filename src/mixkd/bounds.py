@@ -206,14 +206,24 @@ class EnumerableTestbed:
     """All binary strings of a small length with explicit point masses.
 
     ``probs`` is checked once, with the conditions ``Generator.choice``
-    checks on every call, and its CDF is kept.  ``sample`` draws by
-    inversion from that CDF, which is ``choice``'s own code path, so every
-    index and the generator's state afterwards equal those of
+    checks on every call, and its CDF is kept.  ``draw`` inverts that CDF
+    at uniform draws, which is ``choice``'s own code path, so every index
+    and the generator's state afterwards equal those of
     ``rng.choice(N, size=n, p=probs)``.  The arrays are read-only copies.
+
+    Inversion looks the answer up instead of running a binary search per
+    draw.  [0, 1) is cut into S slices, S the smallest power of two
+    >= 16 N but at most 2^16; ``below[j]`` counts the CDF entries <= j / S.  A draw u in slice j
+    (u * S is exact, S being a power of two) has ``below[j]`` entries
+    below it plus one if the next entry is <= u, as long as at most one
+    entry falls inside the slice.  The draws in ``crowded`` slices, which
+    hold more, are searched.
     """
     inputs: np.ndarray   # [N, m] float 0/1
     probs: np.ndarray    # [N], sums to 1
     cdf: np.ndarray = field(init=False, repr=False)
+    below: np.ndarray = field(init=False, repr=False)     # [S]
+    crowded: np.ndarray = field(init=False, repr=False)   # [S] bool
 
     def __post_init__(self):
         inputs = np.array(self.inputs, dtype=np.float64)
@@ -230,12 +240,29 @@ class EnumerableTestbed:
             raise BoundError(f"probs must sum to 1, got {total}")
         cdf = probs.cumsum()
         cdf /= cdf[-1]
-        for name, arr in (("inputs", inputs), ("probs", probs), ("cdf", cdf)):
+        slices = 1 << min(16, (16 * len(cdf) - 1).bit_length())
+        edges = cdf.searchsorted(np.arange(slices + 1) / slices, side="right")
+        for name, arr in (("inputs", inputs), ("probs", probs), ("cdf", cdf),
+                          ("below", edges[:-1]),
+                          ("crowded", np.diff(edges) > 1)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n indices into ``inputs``: ``cdf.searchsorted(rng.random(n),
+        side="right")``, looked up by slice."""
+        u = rng.random(n)
+        j = (u * len(self.below)).astype(np.intp)
+        idx = self.below[j]
+        # cdf[-1] == 1 > u, so idx < N
+        idx += self.cdf[idx] <= u
+        crowded = self.crowded[j]
+        if crowded.any():
+            idx[crowded] = self.cdf.searchsorted(u[crowded], side="right")
+        return idx
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.inputs[self.cdf.searchsorted(rng.random(n), side="right")]
+        return self.inputs[self.draw(n, rng)]
 
 
 def make_testbed(n_bits: int = 10, seed: int = 0) -> EnumerableTestbed:
@@ -299,27 +326,61 @@ def rademacher_mc_estimate(hypothesis_class, sample: np.ndarray, trials: int,
 # shift term and the gap experiment
 # ---------------------------------------------------------------------------
 
+# the gap experiment scores whole trials in blocks of at most this many
+# original and this many mixed points (one trial may hold more)
+_BLOCK_ROWS = 1024
+
+
+def _mix_recipe(testbed: EnumerableTestbed, b_mix: int,
+                rng: np.random.Generator):
+    """The draws behind b_mix mixed points: a pool of b_mix fresh inputs,
+    then the pairs.  Returns, per mixed point, the slot of its parent among
+    the originals (cycling them), its partner as an index into ``inputs``
+    and its lambda."""
+    pool = testbed.draw(b_mix, rng)
+    pairs = make_pairs(b_mix, MixupConfig(), rng, extra_pool_size=b_mix)
+    return pairs.index_i, pool[pairs.index_j], pairs.lam
+
+
+def _interpolate(parents: np.ndarray, partners: np.ndarray,
+                 lam: np.ndarray) -> np.ndarray:
+    lam = lam[:, None]
+    return lam * parents + (1.0 - lam) * partners
+
+
 def _mix_points(testbed: EnumerableTestbed, originals: np.ndarray, b_mix: int,
                 rng: np.random.Generator) -> np.ndarray:
     """b_mix interpolated points: parents cycle the originals, partners are
     fresh independent draws (the independent-pairing construction)."""
-    pool = testbed.sample(b_mix, rng)
-    pairs = make_pairs(b_mix, MixupConfig(), rng, extra_pool_size=b_mix)
-    parents = originals[pairs.index_i % len(originals)]
-    lam = pairs.lam[:, None]
-    return lam * parents + (1.0 - lam) * pool[pairs.index_j]
+    slots, partners, lam = _mix_recipe(testbed, b_mix, rng)
+    return _interpolate(originals[slots % len(originals)],
+                        testbed.inputs[partners], lam)
 
 
 def estimate_shift_delta(testbed: EnumerableTestbed,
                          g_class: ThresholdScorerClass, g_index: int,
                          n_mc: int, rng: np.random.Generator) -> float:
     """Delta = E_p[l(f, g)] - E_q[l(f, g)]: exact under p, Monte Carlo under
-    the mixup distribution q."""
+    the mixup distribution q.
+
+    Both terms take scorer g's row of a computation over the whole class:
+    a product of that row alone with the point masses sums in another
+    order and differs in most rows (1094 of 1280 at 10 bits, |G| = 64,
+    seeds 0-19)."""
+    if (isinstance(g_index, bool) or not isinstance(g_index, (int, np.integer))
+            or not 0 <= g_index < g_class.cardinality):
+        raise BoundError(f"g_index must be an int in [0, |G| = "
+                         f"{g_class.cardinality}), got {g_index!r}")
     under_p = float(population_risks(testbed, g_class)[g_index])
     originals = testbed.sample(n_mc, rng)
     mixed = _mix_points(testbed, originals, n_mc, rng)
     under_q = float(g_class.loss_matrix(mixed)[g_index].mean())
     return under_p - under_q
+
+
+def _per_trial(wrong: np.ndarray, k: int, dtype) -> np.ndarray:
+    """[k * n, G] errors, n points per trial -> [k, G] error counts."""
+    return wrong.reshape(k, -1, wrong.shape[1]).sum(axis=1, dtype=dtype)
 
 
 def empirical_gap_experiment(testbed: EnumerableTestbed,
@@ -333,6 +394,30 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
     Also reports the (1 - delta)-quantile of the observed gaps with and
     without augmentation as surrogates for the minimal achievable
     thresholds (the true minimal values are not observable).
+
+    The trials run in blocks of whole trials, at most ``_BLOCK_ROWS``
+    originals and as many mixed points a block (unless one trial holds
+    more), so memory does not grow with ``trials``.  A block has two
+    phases:
+
+    - Draw: each trial makes the draws of a loop over ``sample`` and
+      ``_mix_points``, in that order: its originals, then its mixup
+      recipe, all as indices into ``inputs``.
+    - Score, with no draws: the originals' errors are gathered from the
+      error table of every input, which is built once per report and
+      whose float copy gives ``population_risks`` bit for bit.  The mixed points are
+      interpolated with ``_mix_points``' arithmetic and scored by one
+      ``errors`` call.  Both risks are error counts over n, which equal
+      the means of n 0/1 losses bit for bit.
+
+    The result equals a per-trial loop's because a point's errors do not
+    depend on which other points share the ``errors`` call.  For the
+    scorers' GEMM that holds bit for bit in any call of two rows or more
+    (numpy sends one-row products to GEMV).  The teacher's GEMV can round
+    a score differently in calls of other sizes, which changes an error
+    only for a score within rounding of the threshold.
+    tests/test_bounds.py::test_errors_rows_do_not_depend_on_the_block pins
+    the error matrices at criterion 10's shape.
     """
     if len(testbed.inputs) > 2 ** 16 or g_class.cardinality > 10 ** 4:
         raise BoundError("testbed or hypothesis class too large to enumerate")
@@ -340,30 +425,42 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
         raise BoundError("a and trials must be >= 1")
     if b_mix < 0:
         raise BoundError(f"b_mix must be nonnegative, got {b_mix}")
-    pop = population_risks(testbed, g_class)
+    table = g_class.errors(testbed.inputs)
+    pop = table.astype(np.float64) @ testbed.probs
     bound = hoeffding_gap_bound(M, g_class.cardinality, delta, a + b_mix)
 
+    per_block = max(1, _BLOCK_ROWS // max(a, b_mix))
+    counts = np.min_scalar_type(a + b_mix)   # holds every error count
     gaps_aug = np.empty(trials)
     gaps_plain = np.empty(trials)
-    for t in range(trials):
-        originals = testbed.sample(a, rng)
-        if b_mix > 0:
-            mixed = _mix_points(testbed, originals, b_mix, rng)
-            pooled = np.vstack([originals, mixed])
-        else:
-            pooled = originals
-        # the originals are the first a columns of the pooled errors; a
-        # count over n equals the mean of n 0/1 losses bit for bit
-        wrong = g_class.errors(pooled)
-        wrong_plain = np.count_nonzero(wrong[:, :a], axis=1)
-        emp_aug = ((wrong_plain + np.count_nonzero(wrong[:, a:], axis=1))
-                   / len(pooled))
-        g_hat = int(emp_aug.argmin())
-        gaps_aug[t] = pop[g_hat] - emp_aug[g_hat]
+    for start in range(0, trials, per_block):
+        k = min(per_block, trials - start)
+        originals = np.empty((k, a), dtype=np.intp)
+        slots = np.empty((k, b_mix), dtype=np.intp)
+        partners = np.empty((k, b_mix), dtype=np.intp)
+        lam = np.empty((k, b_mix))
+        for t in range(k):
+            originals[t] = testbed.draw(a, rng)
+            if b_mix > 0:
+                slots[t], partners[t], lam[t] = _mix_recipe(testbed, b_mix,
+                                                            rng)
 
-        emp_plain = wrong_plain / a
-        g_p = int(emp_plain.argmin())
-        gaps_plain[t] = pop[g_p] - emp_plain[g_p]
+        # errors returns the transpose of a C-ordered [n, G] array
+        wrong_plain = _per_trial(table.T[originals.ravel()], k, counts)
+        wrong_aug = wrong_plain
+        if b_mix > 0:
+            parents = np.take_along_axis(originals, slots % a, axis=1)
+            mixed = _interpolate(testbed.inputs[parents.ravel()],
+                                 testbed.inputs[partners.ravel()],
+                                 lam.ravel())
+            wrong_aug = wrong_plain + _per_trial(g_class.errors(mixed).T, k,
+                                                 counts)
+
+        rows = np.arange(k)
+        for emp, gaps in ((wrong_aug / (a + b_mix), gaps_aug),
+                          (wrong_plain / a, gaps_plain)):
+            g = emp.argmin(axis=1)
+            gaps[start:start + k] = pop[g] - emp[rows, g]
 
     coverage = float((gaps_aug <= bound).mean())
     return BoundReport(

@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -198,6 +199,58 @@ def test_sample_is_choice_bitwise(n_bits):
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
+class _Keys:
+    """Stands in for a Generator whose next uniform draws are ``keys``."""
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, dtype=np.float64)
+
+    def random(self, n):
+        assert n == len(self.keys)
+        return self.keys
+
+
+def _masses(n, zeros, rng):
+    """n point masses spanning several orders of magnitude, with a share
+    of zeros: repeated CDF entries and slices holding many of them."""
+    probs = rng.random(n) ** 8
+    probs[rng.random(n) < zeros] = 0.0
+    return probs / probs.sum()
+
+
+@pytest.mark.parametrize("probs, crowded", [
+    (np.full(4, 0.25), False), (np.full(1024, 1 / 1024), False),
+    (_masses(64, 0.3, np.random.default_rng(0)), True),
+    (_masses(1000, 0.0, np.random.default_rng(1)), True),
+    (_masses(5000, 0.5, np.random.default_rng(2)), True),
+    (B.make_testbed(n_bits=10, seed=0).probs, False),
+], ids=["uniform-4", "uniform-1024", "zeros-64", "spread-1000",
+        "zeros-5000", "testbed-10"])
+def test_draw_is_searchsorted_bitwise(probs, crowded):
+    """The slice lookup returns cdf.searchsorted(u, side="right") for
+    random draws and for the keys where it could go wrong: 0, the largest
+    draw below 1, every CDF entry and slice edge and their neighbours.
+    The cases cover testbeds with and without crowded slices."""
+    n = len(probs)
+    inputs = ((np.arange(n)[:, None] >> np.arange(13)[None, :]) & 1)
+    tb = B.EnumerableTestbed(inputs.astype(np.float64), probs)
+    assert tb.crowded.any() == crowded
+    slices = len(tb.below)
+    edges = np.arange(slices) / slices
+    near = np.concatenate([tb.cdf, edges])
+    keys = np.concatenate([
+        [0.0, 1.0 - 2.0 ** -53], near, np.nextafter(near, 0.0),
+        np.nextafter(near, 1.0), np.random.default_rng(n).random(20000)])
+    keys = keys[(keys >= 0.0) & (keys < 1.0)]
+    got = tb.draw(len(keys), _Keys(keys))
+    np.testing.assert_array_equal(got, tb.cdf.searchsorted(keys,
+                                                           side="right"))
+    assert got.dtype == np.intp
+    for arr in (tb.below, tb.crowded):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 @pytest.mark.parametrize("probs, match", [
     ([0.5, 0.6, -0.1, 0.0], "nonnegative"),
     ([0.5, np.nan, 0.25, 0.25], "NaN"),
@@ -263,6 +316,19 @@ def test_estimate_shift_delta_bounded(rng):
     assert -1.0 <= d <= 1.0
 
 
+@pytest.mark.parametrize("g_index", [-1, 8, 1.0, "0", True, None])
+def test_estimate_shift_delta_checks_g_index(g_index, rng):
+    tb = B.make_testbed(n_bits=4, seed=7)
+    gc = B.make_scorer_class(tb, g_size=8, seed=8)
+    with pytest.raises(B.BoundError, match="^g_index must be an int in "
+                                           r"\[0, \|G\| = 8\)"):
+        B.estimate_shift_delta(tb, gc, g_index=g_index, n_mc=10, rng=rng)
+    replay = copy.deepcopy(rng)
+    assert (B.estimate_shift_delta(tb, gc, g_index=np.int64(7), n_mc=10,
+                                   rng=rng)
+            == B.estimate_shift_delta(tb, gc, g_index=7, n_mc=10, rng=replay))
+
+
 def test_mix_points_pairs_fresh_pool_rows(rng, monkeypatch):
     tb = B.make_testbed(n_bits=6, seed=7)
     originals = tb.sample(5, rng)
@@ -305,28 +371,84 @@ def _two_call_gaps(tb, gc, a, b_mix, trials, rng):
     return aug, plain
 
 
-@pytest.mark.parametrize("a, b_mix, n_bits, g_size", [
-    (200, 199, 8, 32), (50, 0, 8, 32), (20, 300, 8, 32), (7, 3, 8, 32),
-    (200, 199, 10, 64)],
-    ids=["200-199", "50-0", "20-300", "7-3", "criterion_10"])
+@pytest.mark.parametrize("a, b_mix, n_bits, g_size, trials", [
+    (200, 199, 8, 32, 6), (50, 0, 8, 32, 6), (20, 300, 8, 32, 6),
+    (7, 3, 8, 32, 6), (200, 199, 10, 64, 6), (200, 199, 10, 64, 7),
+    (200, 199, 10, 64, 41)],
+    ids=["200-199", "50-0", "20-300", "7-3", "criterion_10", "criterion_10-7",
+         "criterion_10-41"])
 def test_gap_experiment_one_loss_matrix_per_trial(a, b_mix, n_bits, g_size,
-                                                  monkeypatch):
+                                                  trials, monkeypatch):
     tb = B.make_testbed(n_bits=n_bits, seed=3)
     gc = B.make_scorer_class(tb, g_size=g_size, seed=4)
-    aug, plain = _two_call_gaps(tb, gc, a, b_mix, 6, np.random.default_rng(5))
+    oracle_rng = np.random.default_rng(5)
+    aug, plain = _two_call_gaps(tb, gc, a, b_mix, trials, oracle_rng)
     calls = []
 
     def counted(points):
         calls.append(len(points))
         return B.ThresholdScorerClass.errors(gc, points)
     monkeypatch.setattr(gc, "errors", counted)
-    report = B.empirical_gap_experiment(tb, gc, a=a, b_mix=b_mix, trials=6,
-                                        delta=0.1,
-                                        rng=np.random.default_rng(5))
-    # population_risks enumerates the testbed once, then one call per trial
-    assert calls == [len(tb.inputs)] + [a + b_mix] * 6
+    rng = np.random.default_rng(5)
+    report = B.empirical_gap_experiment(tb, gc, a=a, b_mix=b_mix,
+                                        trials=trials, delta=0.1, rng=rng)
+    # the error table of the whole testbed, then blocks of whole trials'
+    # mixed points
+    assert calls[0] == len(tb.inputs)
+    blocks = calls[1:]
+    assert sum(blocks) == trials * b_mix
+    assert all(n % b_mix == 0 and n <= B._BLOCK_ROWS for n in blocks)
     assert report.gaps_augmented == aug
     assert report.gaps_plain == plain
+    assert rng.random() == oracle_rng.random()
+
+
+def _trial_errors(tb, gc, a, b_mix, rng):
+    """One trial's (originals, mixed points) errors, from one call on its
+    pooled points, as the experiment made them per trial."""
+    originals = tb.sample(a, rng)
+    mixed = B._mix_points(tb, originals, b_mix, rng)
+    wrong = gc.errors(np.vstack([originals, mixed]))
+    return wrong[:, :a], wrong[:, a:], mixed
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_errors_rows_do_not_depend_on_the_block(seed):
+    """At criterion 10's shape, the errors of a trial's points are the same
+    when scored with the trial's other points, as rows of the table of
+    every input, or in one call on five trials' mixed points: the row
+    invariance the experiment's block scoring relies on."""
+    tb = B.make_testbed(n_bits=10, seed=seed)
+    gc = B.make_scorer_class(tb, g_size=64, seed=seed + 1)
+    table = gc.errors(tb.inputs)
+    rng = np.random.default_rng(seed)
+    replay = copy.deepcopy(rng)
+    trials = [_trial_errors(tb, gc, 200, 199, rng) for _ in range(5)]
+    block = gc.errors(np.vstack([mixed for _, _, mixed in trials]))
+    for t, (wrong_originals, wrong_mixed, _) in enumerate(trials):
+        idx = tb.draw(200, replay)
+        B._mix_recipe(tb, 199, replay)
+        np.testing.assert_array_equal(table[:, idx], wrong_originals)
+        np.testing.assert_array_equal(block[:, 199 * t:199 * (t + 1)],
+                                      wrong_mixed)
+
+
+def test_gap_experiment_memory_does_not_grow_with_trials():
+    """Beyond the gap lists, a report holds one block at a time: the
+    traced peak at 400 trials is within 1.5x of that at 40."""
+    tb = B.make_testbed(n_bits=10, seed=0)
+    gc = B.make_scorer_class(tb, g_size=64, seed=1)
+    peaks = []
+    for trials in (40, 400):
+        tracemalloc.start()
+        try:
+            B.empirical_gap_experiment(tb, gc, a=200, b_mix=199,
+                                       trials=trials, delta=0.1,
+                                       rng=np.random.default_rng(0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_empirical_gap_experiment_report(rng):

@@ -70,3 +70,23 @@ def test_traced_make_pairs_counts_its_pairs():
     assert len(pairs) == 24
     assert tracer.counters["specs"] == 24 + 12
     assert tracer.totals()["mixup.make_pairs"][2] == 2
+
+
+def test_traced_gap_experiment_keeps_its_spans():
+    """A traced report still records ``bounds.experiment`` and one
+    ``mixup.make_pairs`` span per trial, so ``mixup.make_pairs.specs``
+    counts trials x b_mix pairs (199 per trial on bound_verify)."""
+    testbed = bounds.make_testbed(n_bits=10, seed=0)
+    g_class = bounds.make_scorer_class(testbed, g_size=64, seed=1)
+    tracer = tracing.Tracer({})
+    tracer.install()
+    try:
+        bounds.empirical_gap_experiment(testbed, g_class, a=200, b_mix=199,
+                                        trials=7, delta=0.1,
+                                        rng=np.random.default_rng(0))
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert totals["bounds.experiment"][2] == 1
+    assert totals["mixup.make_pairs"][2] == 7
+    assert tracer.counters["specs"] == 7 * 199
