@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mixup import MixupConfig, make_pairs
+from .mixup import MixupConfig, make_pairs, mix_labels
 
 
 class BoundError(Exception):
@@ -342,19 +342,13 @@ def _mix_recipe(testbed: EnumerableTestbed, b_mix: int,
     return pairs.index_i, pool[pairs.index_j], pairs.lam
 
 
-def _interpolate(parents: np.ndarray, partners: np.ndarray,
-                 lam: np.ndarray) -> np.ndarray:
-    lam = lam[:, None]
-    return lam * parents + (1.0 - lam) * partners
-
-
 def _mix_points(testbed: EnumerableTestbed, originals: np.ndarray, b_mix: int,
                 rng: np.random.Generator) -> np.ndarray:
     """b_mix interpolated points: parents cycle the originals, partners are
     fresh independent draws (the independent-pairing construction)."""
     slots, partners, lam = _mix_recipe(testbed, b_mix, rng)
-    return _interpolate(originals[slots % len(originals)],
-                        testbed.inputs[partners], lam)
+    return mix_labels(originals[slots % len(originals)],
+                      testbed.inputs[partners], lam)
 
 
 def estimate_shift_delta(testbed: EnumerableTestbed,
@@ -371,6 +365,9 @@ def estimate_shift_delta(testbed: EnumerableTestbed,
             or not 0 <= g_index < g_class.cardinality):
         raise BoundError(f"g_index must be an int in [0, |G| = "
                          f"{g_class.cardinality}), got {g_index!r}")
+    if (isinstance(n_mc, bool) or not isinstance(n_mc, (int, np.integer))
+            or n_mc < 1):
+        raise BoundError(f"n_mc must be an int >= 1, got {n_mc!r}")
     under_p = float(population_risks(testbed, g_class)[g_index])
     originals = testbed.sample(n_mc, rng)
     mixed = _mix_points(testbed, originals, n_mc, rng)
@@ -450,9 +447,8 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
         wrong_aug = wrong_plain
         if b_mix > 0:
             parents = np.take_along_axis(originals, slots % a, axis=1)
-            mixed = _interpolate(testbed.inputs[parents.ravel()],
-                                 testbed.inputs[partners.ravel()],
-                                 lam.ravel())
+            mixed = mix_labels(testbed.inputs[parents.ravel()],
+                               testbed.inputs[partners.ravel()], lam.ravel())
             wrong_aug = wrong_plain + _per_trial(g_class.errors(mixed).T, k,
                                                  counts)
 

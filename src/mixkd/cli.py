@@ -17,11 +17,11 @@ from .data import (DataError, Schema, Vocab, build_vocab, load_tsv,
                    merge_augmented, subsample)
 from .distill import (TaskData, TrainingDiverged, distill_student, run_seeds,
                       train_teacher)
-from .evaluation import (SweepGrid, evaluate, export_cls_features, sweep_grid,
-                         throughput_bench)
+from .evaluation import (SweepGrid, evaluate, export_cls_features, grid_files,
+                         sweep_grid, throughput_bench)
 from .mixup import MixupConfig, make_pairs
-from .model import (CheckpointError, ModelConfig, check_student_config,
-                    load_checkpoint, save_checkpoint)
+from .model import (CheckpointError, ModelConfig, atomic_write,
+                    check_student_config, load_checkpoint, save_checkpoint)
 
 EXIT_CODES = {
     DataError: 2,
@@ -69,10 +69,16 @@ def _check_at_least(value: int, low: int, flag: str) -> None:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
 
 
+def _runlog(out) -> str:
+    return str(out) + ".runlog.jsonl"
+
+
 def _check_out(args) -> None:
-    """ConfigError unless --out names a file in an existing directory,
-    or for sweep a directory that exists or can be made in an existing
-    one; checked before the run, which would fail only at its end."""
+    """ConfigError unless every file the command writes can be put in
+    place: --out names a file in an existing directory, or for sweep a
+    directory that exists or can be made in an existing one, and neither
+    --out nor the runlog or grid files beside it is a directory.  Checked
+    before the run, which would fail only at its end."""
     path = getattr(args, "out", None)
     if not path:
         return
@@ -82,8 +88,24 @@ def _check_out(args) -> None:
     if args.command == "sweep":
         if os.path.exists(path) and not os.path.isdir(path):
             raise ConfigError(f"--out {path} exists and is not a directory")
-    elif os.path.isdir(path):
-        raise ConfigError(f"--out {path} is a directory, not a file")
+        files = list(grid_files(path))
+    elif args.command in ("train-teacher", "distill"):
+        files = [path, _runlog(path)]
+    else:
+        files = [path]
+    for file in files:
+        if os.path.isdir(file):
+            where = "" if file == path else f": {file}"
+            raise ConfigError(f"--out {path}{where} is a directory, not a file")
+
+
+def _emit(payload: dict, out) -> None:
+    """Print ``payload`` as one JSON line and, given ``out``, write it
+    indented to that file."""
+    print(json.dumps(payload))
+    if out:
+        with atomic_write(out) as fh:
+            json.dump(payload, fh, indent=2)
 
 
 def _model_config(source, teacher=None, **model_kwargs) -> ModelConfig:
@@ -163,7 +185,7 @@ def cmd_train_teacher(args) -> int:
     params, record = train_teacher(config, model_config, dataset)
     save_checkpoint(params, model_config, args.out,
                     extra=_vocab_extra(vocab, labels))
-    record.to_jsonl(str(args.out) + ".runlog.jsonl")
+    record.to_jsonl(_runlog(args.out))
     print(json.dumps({"dev_accuracy": record.final_metrics["dev_accuracy"],
                       "best_step": record.best_step,
                       "out": str(args.out)}))
@@ -179,7 +201,7 @@ def cmd_distill(args) -> int:
                                       teacher, variant=variant)
     save_checkpoint(student, student_config, args.out,
                     extra=_vocab_extra(dataset.vocab, dataset.label_names))
-    record.to_jsonl(str(args.out) + ".runlog.jsonl")
+    record.to_jsonl(_runlog(args.out))
     print(json.dumps({"variant": args.variant,
                       "dev_accuracy": record.final_metrics["dev_accuracy"],
                       "out": str(args.out)}))
@@ -293,10 +315,7 @@ def cmd_bound(args) -> int:
             testbed, g_class, a=args.a, b_mix=args.b_mix, trials=args.trials,
             delta=args.delta, rng=rng, M=args.m)
         out = report.to_dict()
-    print(json.dumps(out))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(out, fh, indent=2)
+    _emit(out, args.out)
     return 0
 
 
@@ -311,11 +330,7 @@ def cmd_seeds(args) -> int:
                                                      model_kwargs, args.config)
     summary = run_seeds(config, student_config, dataset, teacher,
                         VARIANT_MAP[args.variant], seeds)
-    payload = {k: v for k, v in summary.items() if k != "records"}
-    print(json.dumps(payload))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+    _emit({k: v for k, v in summary.items() if k != "records"}, args.out)
     return 0
 
 

@@ -25,7 +25,7 @@ from . import evaluation
 from .autodiff import NonFiniteError, Tensor
 from .data import Batch, Example, Vocab, collate
 from .mixup import MixupConfig, make_pairs, materialize
-from .model import (ModelConfig, ModelParams, embed_batch,
+from .model import (ModelConfig, ModelParams, atomic_write, embed_batch,
                     forward_from_embeddings, init_random,
                     init_student_from_teacher)
 
@@ -108,7 +108,7 @@ class RunRecord:
                            "loss_sm": sm, "loss_tmkd": tmkd})
 
     def to_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for row in self.steps:
                 fh.write(json.dumps({"type": "step", **row}) + "\n")
             for row in self.evals:

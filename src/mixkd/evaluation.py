@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -13,7 +14,8 @@ import numpy as np
 from .autodiff import no_grad
 from .data import Batch, DataError, Example, Vocab, collate, make_batch
 from .mixup import MixupPairs, materialize
-from .model import ModelParams, embed_batch, forward_from_embeddings, forward_tokens
+from .model import (ModelParams, atomic_write, embed_batch,
+                    forward_from_embeddings, forward_tokens)
 
 
 @dataclass
@@ -115,7 +117,7 @@ def export_cls_features(params: ModelParams, examples: Sequence[Example],
     parent_j = np.concatenate([own, pairs.index_j])
     lams = np.concatenate([np.ones(len(examples)), pairs.lam])
 
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(out_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "parent_i", "parent_j", "lambda", "soft_label"]
                         + [f"f{j}" for j in range(vecs.shape[1])])
@@ -156,6 +158,12 @@ def throughput_bench(params: ModelParams, vocab_size: int, max_len: int,
     }
 
 
+def grid_files(out_dir) -> tuple[str, str]:
+    """The grid.json and grid.tsv paths that ``sweep_grid`` writes."""
+    return (os.path.join(out_dir, "grid.json"),
+            os.path.join(out_dir, "grid.tsv"))
+
+
 def sweep_grid(grid: SweepGrid, student_config, dataset, teacher: ModelParams,
                variant: str = "sm_tmkd",
                out_dir=None) -> list[dict]:
@@ -189,11 +197,11 @@ def sweep_grid(grid: SweepGrid, student_config, dataset, teacher: ModelParams,
                     cell["error"] = str(exc)
                 results.append(cell)
     if out_dir is not None:
-        import os
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "grid.json"), "w") as fh:
+        json_path, tsv_path = grid_files(out_dir)
+        with atomic_write(json_path) as fh:
             json.dump(results, fh, indent=2)
-        with open(os.path.join(out_dir, "grid.tsv"), "w") as fh:
+        with atomic_write(tsv_path) as fh:
             fh.write("alpha_sm\talpha_tmkd\tmixup_ratio\tdev_accuracy\terror\n")
             for cell in results:
                 acc = ("" if cell["dev_accuracy"] is None

@@ -26,6 +26,7 @@ serial forward (see ``forward_from_embeddings``).
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import hashlib
 import json
@@ -412,6 +413,26 @@ def forward_tokens(params: ModelParams, batch, train_mode: bool = False,
 MAGIC = b"MKDCKPT2"
 
 
+@contextlib.contextmanager
+def atomic_write(path, binary: bool = False):
+    """A handle on ``<path>.<pid>.tmp`` (text: UTF-8, no newline
+    translation) that replaces ``path`` when the block exits cleanly,
+    after a flush and fsync; on an exception the temp file is deleted, so
+    a failed write never leaves a truncated file at ``path``.  Every
+    output file of mixkd is written through this."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    text = {} if binary else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, "wb" if binary else "w", **text) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
@@ -436,21 +457,11 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path,
     # hashed as load_checkpoint sees the manifest: after a JSON round trip
     manifest["sha256"] = _digest(json.loads(_json_bytes(manifest)), payload)
     mbytes = _json_bytes(manifest)
-    # write a temp file next to the target and rename it into place, so a
-    # failed write never leaves a truncated checkpoint behind
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(len(mbytes).to_bytes(4, "little"))
-            fh.write(mbytes)
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with atomic_write(path, binary=True) as fh:
+        fh.write(MAGIC)
+        fh.write(len(mbytes).to_bytes(4, "little"))
+        fh.write(mbytes)
+        fh.write(payload)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:

@@ -11,6 +11,7 @@ import numpy as np
 
 from .data import Example, Schema, build_vocab
 from .distill import TaskData
+from .model import atomic_write
 
 LABEL_NAMES = ["neg", "pos"]
 
@@ -54,7 +55,7 @@ def make_task(n_train: int = 2000, n_dev: int = 500, vocab_words: int = 200,
 
 def write_tsv(examples, label_names, path,
               schema: Schema = Schema(text_a="sentence", label="label")) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{schema.text_a}\t{schema.label}\n")
         for ex in examples:
             fh.write(f"{ex.text_a}\t{label_names[ex.label_id]}\n")

@@ -123,7 +123,8 @@ def test_thm3_vacuous_cases():
 
 def test_bound_input_validation():
     """M > 0, 0 < delta <= 1, |G| >= 1 and a >= 0, checked by every
-    calculator for the arguments it takes."""
+    calculator for the arguments it takes; estimate_shift_delta's n_mc is
+    an int >= 1."""
     calculators = {
         "hoeffding": lambda M=1.0, G=1, delta=0.05, a=0:
             B.hoeffding_gap_bound(M, G, delta, 100),
@@ -147,6 +148,13 @@ def test_bound_input_validation():
             for label, value in bad[arg]:
                 with pytest.raises(B.BoundError, match=f"^{re.escape(label)} "):
                     calc(**{arg: value})
+    tb = B.make_testbed(n_bits=6, seed=7)
+    gc = B.make_scorer_class(tb, g_size=8, seed=8)
+    for n_mc in [0, -1, 2.5, True, "10", None]:
+        with pytest.raises(B.BoundError, match="^n_mc must be an int >= 1, "
+                                               f"got {re.escape(repr(n_mc))}$"):
+            B.estimate_shift_delta(tb, gc, g_index=0, n_mc=n_mc,
+                                   rng=np.random.default_rng(0))
 
 
 def test_monotonicity_grids():

@@ -9,8 +9,10 @@ import warnings
 
 import pytest
 
+from mixkd import model as model_mod
 from mixkd import synthetic
 from mixkd.cli import main
+from mixkd.distill import RunRecord
 from mixkd.model import (ModelConfig, load_checkpoint, parameter_shapes,
                          save_checkpoint)
 
@@ -441,19 +443,23 @@ def test_exit_code_bad_output_path(command, problem, teacher_ckpt, workspace,
     assert captured.err == f"error (ConfigError): {message}\n"
 
 
-@pytest.mark.parametrize("problem", ["missing_directory", "is_a_file"])
+@pytest.mark.parametrize("problem", ["missing_directory", "is_a_file",
+                                     "grid.json", "grid.tsv"])
 def test_exit_code_bad_sweep_output(problem, teacher_ckpt, workspace, tmp_path,
                                     capsys):
     grid = tmp_path / "grid.cfg"
     grid.write_text(STUDENT_CFG + "alpha_sm_values=1.0\n"
                     "alpha_tmkd_values=1.0\nmixup_ratio_values=1\n")
+    out = tmp_path / "sweep"
     if problem == "missing_directory":
         out = tmp_path / "nodir" / "sweep"
         message = f"--out {out}: directory {out.parent} does not exist"
-    else:
-        out = tmp_path / "sweep"
+    elif problem == "is_a_file":
         out.write_text("")
         message = f"--out {out} exists and is not a directory"
+    else:  # a directory where a grid file goes
+        (out / problem).mkdir(parents=True)
+        message = f"--out {out}: {out / problem} is a directory, not a file"
     assert main(["sweep", "--grid", str(grid), "--teacher", str(teacher_ckpt),
                  "--data", str(workspace / "train.tsv"),
                  "--dev", str(workspace / "dev.tsv"),
@@ -462,6 +468,114 @@ def test_exit_code_bad_sweep_output(problem, teacher_ckpt, workspace, tmp_path,
     # the check runs before any cell trains: nothing is printed on stdout
     assert captured.out == ""
     assert captured.err == f"error (ConfigError): {message}\n"
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+def test_exit_code_runlog_is_a_directory(command, teacher_ckpt, workspace,
+                                         tmp_path, capsys):
+    """A directory where the runlog beside --out goes fails before the
+    run trains or writes the checkpoint."""
+    data = ["--data", str(workspace / "train.tsv")]
+    argv = {
+        "train-teacher": ["--config", str(workspace / "teacher.cfg")] + data,
+        "distill": ["--config", str(workspace / "student.cfg"),
+                    "--teacher", str(teacher_ckpt), "--variant", "ft"] + data,
+    }[command]
+    out, runlog = tmp_path / "out.ckpt", tmp_path / "out.ckpt.runlog.jsonl"
+    runlog.mkdir()
+    assert main([command] + argv + ["--out", str(out)]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error (ConfigError): --out {out}: {runlog} is "
+                            "a directory, not a file\n")
+    assert not out.exists()
+
+
+class _DiskFull:
+    """A file whose second write fails, after the first went out."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("No space left on device")
+        return self.fh.write(data)
+
+
+WRITERS = ["checkpoint", "runlog", "export_csv", "grid_json", "grid_tsv",
+           "synthetic_tsv", "bound_out", "seeds_out"]
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+@pytest.mark.parametrize("writer", WRITERS)
+def test_failed_write_keeps_the_target(writer, existing, teacher_ckpt,
+                                       workspace, tmp_path, monkeypatch,
+                                       capsys):
+    """Every output is written through model.atomic_write: a write that
+    raises partway leaves an existing target byte-identical, a new one
+    absent, and no temp file."""
+    out = tmp_path / "out"
+    target = {"grid_json": out / "grid.json",
+              "grid_tsv": out / "grid.tsv"}.get(writer, out)
+    target.parent.mkdir(exist_ok=True)
+    if existing:
+        target.write_bytes(b"an earlier result\n")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(STUDENT_CFG + "alpha_sm_values=1.0\n"
+                    "alpha_tmkd_values=1.0\nmixup_ratio_values=1\n")
+    before = sorted(tmp_path.rglob("*"))
+
+    data = ["--data", str(workspace / "train.tsv")]
+    cli_argv = {
+        "export_csv": ["export-embeddings", "--model", str(teacher_ckpt),
+                       "--n", "4"] + data,
+        "grid_json": ["sweep", "--grid", str(grid),
+                      "--teacher", str(teacher_ckpt)] + data,
+        "bound_out": ["bound", "verify", "--a", "10", "--trials", "2",
+                      "--g-size", "4", "--n-bits", "4"],
+        "seeds_out": ["seeds", "--seeds", "0,1", "--config",
+                      str(workspace / "student.cfg"), "--teacher",
+                      str(teacher_ckpt), "--variant", "sm-tmkd"] + data,
+    }
+    cli_argv["grid_tsv"] = cli_argv["grid_json"]
+    params, config, _ = load_checkpoint(teacher_ckpt)
+    task = synthetic.make_task(n_train=4, n_dev=1, seed=0)
+    record = RunRecord(seed=0, variant="ft")
+    record.log_step(0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+
+    def failing_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return _DiskFull(fh) if str(file).startswith(f"{target}.") else fh
+
+    monkeypatch.setattr(model_mod, "open", failing_open, raising=False)
+    if writer in cli_argv:
+        assert main(cli_argv[writer] + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: No space left on device\n")
+    else:
+        with pytest.raises(OSError, match="No space left on device"):
+            if writer == "checkpoint":
+                save_checkpoint(params, config, target)
+            elif writer == "runlog":
+                record.to_jsonl(target)
+            else:
+                synthetic.write_tsv(task.train, task.label_names, target)
+    after = sorted(tmp_path.rglob("*"))
+    # sweep writes grid.json before grid.tsv
+    if writer == "grid_tsv":
+        assert out / "grid.json" in after
+        after.remove(out / "grid.json")
+    assert after == before
+    if existing:
+        assert target.read_bytes() == b"an earlier result\n"
 
 
 def test_exit_code_bound_error(capsys):

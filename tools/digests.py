@@ -19,7 +19,11 @@ the checkout this file sits in.  The document holds:
 - ``empirical_gap_experiment`` reports at criterion 10's shape and one
   without mixup (criterion 9's path), one ``estimate_shift_delta`` and
   one ``rademacher_mc_estimate`` value: every caller of the testbed's
-  ``sample`` and of ``loss_matrix``.
+  ``sample`` and of ``loss_matrix``;
+- the sha256 of the files the command line writes on a small task: the
+  data TSV, a teacher checkpoint and its runlog (without ``wall_clock``),
+  ``grid.json`` and ``grid.tsv`` of a 2-cell sweep, and the ``bound
+  verify --out`` and ``seeds --out`` JSON.
 
 It takes about 35 s (2-CPU x86-64 host, one BLAS thread).  tests/test_golden_digests.py
 checks a T = 14 subset in the tier-1 suite.
@@ -32,9 +36,12 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -44,6 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from mixkd import autodiff, bounds, synthetic  # noqa: E402
+from mixkd.cli import main as cli  # noqa: E402
 from mixkd.data import make_batch  # noqa: E402
 from mixkd.distill import (LossWeights, TrainConfig, distill_student,  # noqa: E402
                            train_teacher)
@@ -140,6 +148,66 @@ def gap_reports() -> dict:
             "shift_delta": shift.hex(), "rademacher": rademacher.hex()}
 
 
+FILES_CFG = """\
+epochs=3
+batch_size=16
+learning_rate=0.01
+seed=0
+model.num_layers={layers}
+model.hidden_dim=16
+model.num_heads=2
+model.ffn_dim=32
+model.max_seq_len=14
+"""
+
+
+def files() -> dict:
+    """sha256 of every kind of file the command line writes, each written
+    by the command that writes it; the runlog's ``wall_clock`` is cut."""
+    task = synthetic.make_task(n_train=96, n_dev=48, signal_rate=0.4, seed=7)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for split in ("train", "dev"):
+            synthetic.write_tsv(getattr(task, split), task.label_names,
+                                root / f"{split}.tsv")
+        (root / "teacher.cfg").write_text(FILES_CFG.format(layers=2))
+        student = FILES_CFG.format(layers=1)
+        (root / "student.cfg").write_text(student)
+        (root / "grid.cfg").write_text(student + "alpha_sm_values=0.5,1.0\n"
+                                       "alpha_tmkd_values=1.0\n"
+                                       "mixup_ratio_values=1\n")
+        data = ["--data", str(root / "train.tsv"),
+                "--dev", str(root / "dev.tsv")]
+        teacher = str(root / "t.ckpt")
+        commands = [
+            ["train-teacher", "--config", str(root / "teacher.cfg"), *data,
+             "--out", teacher],
+            ["sweep", "--grid", str(root / "grid.cfg"), "--teacher", teacher,
+             *data, "--out", str(root / "sweep")],
+            ["bound", "verify", "--a", "20", "--b-mix", "20", "--trials",
+             "50", "--n-bits", "6", "--g-size", "8", "--out",
+             str(root / "bound.json")],
+            ["seeds", "--config", str(root / "student.cfg"), "--teacher",
+             teacher, "--variant", "sm-tmkd", "--seeds", "0,1", *data,
+             "--out", str(root / "seeds.json")],
+        ]
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli(argv)
+            if code:
+                raise SystemExit(f"mixkd {argv[0]} exited {code}")
+        runlog = (root / "t.ckpt.runlog.jsonl").read_bytes()
+        return {
+            "train_tsv": sha((root / "train.tsv").read_bytes()),
+            "checkpoint": sha((root / "t.ckpt").read_bytes()),
+            "runlog": sha(re.sub(rb', "wall_clock": [^,}]+', b"", runlog)),
+            "grid_json": sha((root / "sweep" / "grid.json").read_bytes()),
+            "grid_tsv": sha((root / "sweep" / "grid.tsv").read_bytes()),
+            "bound_out": sha((root / "bound.json").read_bytes()),
+            "seeds_out": sha((root / "seeds.json").read_bytes()),
+        }
+
+
 def main() -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     doc = {"versions": {"numpy": np.__version__,
@@ -155,6 +223,7 @@ def main() -> None:
             if T == 64 and dropout == 0.0:
                 doc["outputs_T64"] = outputs(task, teacher)
     doc["gap_reports"] = gap_reports()
+    doc["files"] = files()
     print(json.dumps(doc, indent=1, sort_keys=True))
 
 
