@@ -159,39 +159,47 @@ def thm3_required_b(delta: float, a: int, epsilon_p: float, triangle: float,
 # enumerable testbed
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ThresholdScorer:
-    """g(x) = 1[w . x >= theta] over real-valued feature vectors."""
-    weights: np.ndarray
-    threshold: float
-
-    def predict(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.weights >= self.threshold
-
-
-@dataclass
+@dataclass(eq=False)
 class ThresholdScorerClass:
-    """A finite, enumerable class of threshold scorers plus the teacher.
+    """A finite, enumerable class of threshold scorers
+    g(x) = 1[w . x >= theta] over real-valued feature vectors, plus the
+    teacher f, a scorer of the same form.
 
     ``errors`` says which scorer gets which point wrong, so both the
     Rademacher estimator and the ERM in the gap experiment can enumerate
     the class; ``loss_matrix`` is the same as 0/1 absolute-difference
-    losses.
+    losses.  The teacher is row 0 of one weight matrix and one threshold
+    vector, stacked once when the class is built; ``teacher_weights``,
+    ``weights`` and ``thresholds`` are read-only views of them.
     """
-    weights: np.ndarray      # [G, m]
-    thresholds: np.ndarray   # [G]
-    teacher: ThresholdScorer
+    weights: np.ndarray          # [G, m]
+    thresholds: np.ndarray       # [G]
+    teacher_weights: np.ndarray  # [m]
+    teacher_threshold: float
+    stacked_weights: np.ndarray = field(init=False, repr=False)     # [1+G, m]
+    stacked_thresholds: np.ndarray = field(init=False, repr=False)  # [1+G]
+
+    def __post_init__(self):
+        stacked = np.vstack([self.teacher_weights, self.weights])
+        cuts = np.append(self.teacher_threshold, self.thresholds)
+        stacked.flags.writeable = False
+        cuts.flags.writeable = False
+        self.stacked_weights, self.stacked_thresholds = stacked, cuts
+        self.teacher_weights, self.weights = stacked[0], stacked[1:]
+        self.thresholds = cuts[1:]
 
     @property
     def cardinality(self) -> int:
         return self.weights.shape[0]
 
     def errors(self, points: np.ndarray) -> np.ndarray:
-        """[G, n] booleans: scorer g disagrees with the teacher on point x."""
+        """[G, n] booleans: scorer g disagrees with the teacher on point x.
+        The teacher is column 0 of the scorers' product, so all scores of
+        a point are one GEMM row."""
         if len(points) == 0:
             raise BoundError("empty sample")
-        fires = points @ self.weights.T >= self.thresholds
-        return (fires != self.teacher.predict(points)[:, None]).T
+        fires = points @ self.stacked_weights.T >= self.stacked_thresholds
+        return (fires[:, 1:] != fires[:, :1]).T
 
     def loss_matrix(self, points: np.ndarray) -> np.ndarray:
         """``errors`` as a float [G, n] matrix.  It is the transpose of a
@@ -287,7 +295,6 @@ def make_scorer_class(testbed: EnumerableTestbed, g_size: int,
     m = testbed.inputs.shape[1]
     w_star = rng.normal(size=m)
     scores = testbed.inputs @ w_star
-    teacher = ThresholdScorer(w_star, float(np.median(scores)))
 
     weights = np.empty((g_size, m))
     half = g_size // 2
@@ -297,7 +304,8 @@ def make_scorer_class(testbed: EnumerableTestbed, g_size: int,
     thresholds = np.array([
         float(np.quantile(testbed.inputs @ weights[i], qs[i]))
         for i in range(g_size)])
-    return ThresholdScorerClass(weights, thresholds, teacher)
+    return ThresholdScorerClass(weights, thresholds, w_star,
+                                float(np.median(scores)))
 
 
 def population_risks(testbed: EnumerableTestbed,
@@ -408,11 +416,11 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
       the means of n 0/1 losses bit for bit.
 
     The result equals a per-trial loop's because a point's errors do not
-    depend on which other points share the ``errors`` call.  For the
-    scorers' GEMM that holds bit for bit in any call of two rows or more
-    (numpy sends one-row products to GEMV).  The teacher's GEMV can round
-    a score differently in calls of other sizes, which changes an error
-    only for a score within rounding of the threshold.
+    depend on which other points share the ``errors`` call.  Its GEMM,
+    which scores the teacher with the scorers, gives that bit for bit in
+    any call of two rows or more; numpy sends one-row products to GEMV,
+    whose rounding can differ, which changes an error only for a score
+    within rounding of a threshold.
     tests/test_bounds.py::test_errors_rows_do_not_depend_on_the_block pins
     the error matrices at criterion 10's shape.
     """

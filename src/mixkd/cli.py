@@ -15,12 +15,11 @@ from . import bounds as bounds_mod
 from .config import ConfigError, config_from_pairs, load_config, parse_kv_file
 from .data import (DataError, Schema, Vocab, build_vocab, load_tsv,
                    merge_augmented, subsample)
-from .distill import (TaskData, TrainingDiverged, distill_student, run_seeds,
-                      train_teacher)
-from .evaluation import (SweepGrid, evaluate, export_cls_features, grid_files,
-                         sweep_grid, throughput_bench)
+from .distill import (SweepGrid, TaskData, TrainingDiverged, distill_student,
+                      grid_files, run_seeds, sweep_grid, train_teacher)
+from .evaluation import evaluate, export_cls_features, throughput_bench
 from .mixup import MixupConfig, make_pairs
-from .model import (CheckpointError, ModelConfig, atomic_write,
+from .model import (CheckpointError, ModelConfig, OutputError, atomic_write,
                     check_student_config, load_checkpoint, save_checkpoint)
 
 EXIT_CODES = {
@@ -29,9 +28,51 @@ EXIT_CODES = {
     bounds_mod.BoundError: 4,
     TrainingDiverged: 5,
     ConfigError: 6,
+    OutputError: 6,
 }
 
 VARIANT_MAP = {"ft": "ft", "tmkd": "tmkd", "sm-tmkd": "sm_tmkd"}
+# every flag of the bound calculators, with its type and default
+BOUND_FLAGS = {"--m": (float, 1.0), "--delta": (float, 0.05),
+               "--g-cardinality": (int, 1), "--n": (int, 100),
+               "--a": (int, 0), "--epsilon": (float, 0.1),
+               "--triangle": (float, 0.0), "--lipschitz": (float, 1.0),
+               "--rademacher": (float, 0.0), "--log-capacity": (float, 0.0),
+               "--b-mix": (int, 0), "--trials": (int, 2000),
+               "--g-size": (int, 64), "--n-bits": (int, 10),
+               "--seed": (int, 0)}
+
+
+def _bound_verify(m, delta, a, b_mix, trials, g_size, n_bits, seed) -> dict:
+    """``bound verify``: the gap experiment's report on the testbed and
+    scorer class of ``seed``."""
+    _check_at_least(seed, 0, "--seed")
+    rng = np.random.default_rng(seed)
+    testbed = bounds_mod.make_testbed(n_bits=n_bits, seed=seed)
+    g_class = bounds_mod.make_scorer_class(testbed, g_size, seed=seed)
+    return bounds_mod.empirical_gap_experiment(
+        testbed, g_class, a=a, b_mix=b_mix, trials=trials, delta=delta,
+        rng=rng, M=m).to_dict()
+
+
+# each calculator: its function, the keys of its result (None: the
+# function returns the dict), and the flags it reads, in the order of the
+# function's arguments; it rejects every other flag
+BOUND_CALCULATORS = {
+    "hoeffding": (bounds_mod.hoeffding_gap_bound, ("bound",),
+                  ("--m", "--g-cardinality", "--delta", "--n")),
+    "thm1": (bounds_mod.thm1_required_b, ("required_b",),
+             ("--m", "--g-cardinality", "--delta", "--a", "--epsilon",
+              "--triangle")),
+    "thm2": (bounds_mod.thm2_required_b, ("required_b",),
+             ("--m", "--delta", "--a", "--epsilon", "--triangle",
+              "--lipschitz", "--rademacher")),
+    "thm3": (bounds_mod.thm3_required_b, ("required_b", "required_a_min"),
+             ("--delta", "--a", "--epsilon", "--triangle", "--log-capacity")),
+    "verify": (_bound_verify, None,
+               ("--m", "--delta", "--a", "--b-mix", "--trials", "--g-size",
+                "--n-bits", "--seed")),
+}
 GRID_KEYS = {"alpha_sm_values": float, "alpha_tmkd_values": float,
              "mixup_ratio_values": int}
 
@@ -100,12 +141,12 @@ def _check_out(args) -> None:
 
 
 def _emit(payload: dict, out) -> None:
-    """Print ``payload`` as one JSON line and, given ``out``, write it
-    indented to that file."""
-    print(json.dumps(payload))
+    """Given ``out``, write ``payload`` indented to that file; then print
+    it as one JSON line, so a failed write prints no result."""
     if out:
         with atomic_write(out) as fh:
             json.dump(payload, fh, indent=2)
+    print(json.dumps(payload))
 
 
 def _model_config(source, teacher=None, **model_kwargs) -> ModelConfig:
@@ -287,34 +328,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    which = args.which
-    out: dict
-    if which == "hoeffding":
-        out = {"bound": bounds_mod.hoeffding_gap_bound(
-            args.m, args.g_cardinality, args.delta, args.n)}
-    elif which == "thm1":
-        out = {"required_b": bounds_mod.thm1_required_b(
-            args.m, args.g_cardinality, args.delta, args.a, args.epsilon,
-            args.triangle)}
-    elif which == "thm2":
-        out = {"required_b": bounds_mod.thm2_required_b(
-            args.m, args.delta, args.a, args.epsilon, args.triangle,
-            args.lipschitz, args.rademacher)}
-    elif which == "thm3":
-        required_b, required_a_min = bounds_mod.thm3_required_b(
-            args.delta, args.a, args.epsilon, args.triangle,
-            args.log_capacity)
-        out = {"required_b": required_b, "required_a_min": required_a_min}
-    else:  # verify
-        _check_at_least(args.seed, 0, "--seed")
-        rng = np.random.default_rng(args.seed)
-        testbed = bounds_mod.make_testbed(n_bits=args.n_bits, seed=args.seed)
-        g_class = bounds_mod.make_scorer_class(testbed, args.g_size,
-                                               seed=args.seed)
-        report = bounds_mod.empirical_gap_experiment(
-            testbed, g_class, a=args.a, b_mix=args.b_mix, trials=args.trials,
-            delta=args.delta, rng=rng, M=args.m)
-        out = report.to_dict()
+    calculator, keys, flags = BOUND_CALCULATORS[args.which]
+    out = calculator(*(getattr(args, flag[2:].replace("-", "_"))
+                       for flag in flags))
+    if keys is not None:
+        out = dict(zip(keys, out if len(keys) > 1 else (out,)))
     _emit(out, args.out)
     return 0
 
@@ -330,12 +348,24 @@ def cmd_seeds(args) -> int:
                                                      model_kwargs, args.config)
     summary = run_seeds(config, student_config, dataset, teacher,
                         VARIANT_MAP[args.variant], seeds)
-    _emit({k: v for k, v in summary.items() if k != "records"}, args.out)
+    _emit(summary, args.out)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError (exit 6) on a usage error instead of exiting 2,
+    the code for data errors; argparse's message names the flag.  Flags
+    are never abbreviated: ``bound verify --n 5`` would set --n-bits."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mixkd")
+    parser = _Parser(prog="mixkd")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_data_args(p, dev=True):
@@ -390,26 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bound")
-    p.add_argument("which", choices=["hoeffding", "thm1", "thm2", "thm3",
-                                     "verify"])
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--g-cardinality", type=int, default=1)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--triangle", type=float, default=0.0)
-    p.add_argument("--lipschitz", type=float, default=1.0)
-    p.add_argument("--rademacher", type=float, default=0.0)
-    p.add_argument("--log-capacity", type=float, default=0.0)
-    p.add_argument("--b-mix", type=int, default=0)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--g-size", type=int, default=64)
-    p.add_argument("--n-bits", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bound)
+    calculators = sub.add_parser("bound").add_subparsers(dest="which",
+                                                         required=True)
+    for which, (_, _, flags) in BOUND_CALCULATORS.items():
+        p = calculators.add_parser(which)
+        for flag in flags:
+            convert, default = BOUND_FLAGS[flag]
+            p.add_argument(flag, type=convert, default=default)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("seeds")
     p.add_argument("--config", required=True)
@@ -424,9 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_out(args)
         return args.func(args)
     except tuple(EXIT_CODES) as exc:

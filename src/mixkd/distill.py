@@ -1,4 +1,4 @@
-"""The mixup-distillation loss stack and training loops.
+"""The mixup-distillation loss stack, training loops and multi-run drivers.
 
 The total objective is L = L_MLE + alpha_SM * L_SM + alpha_TMKD * L_TMKD:
 cross-entropy on the original batch, student cross-entropy on mixed
@@ -14,6 +14,7 @@ trajectory bit for bit under the same seed.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -369,33 +370,102 @@ def distill_student(config: TrainConfig, student_config: ModelConfig,
                        variant=variant, max_steps=max_steps)
 
 
+# ---------------------------------------------------------------------------
+# multi-run experiments
+# ---------------------------------------------------------------------------
+
+def _distill_each(configs: Sequence[TrainConfig], student_config: ModelConfig,
+                  dataset: TaskData, teacher: ModelParams, variant: str):
+    """Trains one student per config, in order, yielding each RunRecord or
+    the run's exception; the caller decides whether to ask for the next."""
+    for config in configs:
+        try:
+            _, record = distill_student(config, student_config, dataset,
+                                        teacher, variant=variant)
+        except Exception as exc:
+            yield exc
+        else:
+            yield record
+
+
 def run_seeds(config: TrainConfig, student_config: ModelConfig,
               dataset: TaskData, teacher: ModelParams, variant: str,
               seeds: Sequence[int]) -> dict:
-    """Independent runs per seed; population mean/std of the final metrics."""
+    """Independent runs per seed; population mean/std of the final metrics.
+    The first failed seed ends the runs, named in the error."""
     if len(seeds) < 2:
         raise ValueError("run_seeds needs at least 2 seeds")
-    records = []
-    for seed in seeds:
-        cfg = replace(config, seed=int(seed))
-        try:
-            _, record = distill_student(cfg, student_config, dataset, teacher,
-                                        variant=variant)
-        except TrainingDiverged as exc:
-            raise TrainingDiverged(f"seed {seed}: {exc}") from exc
-        except Exception as exc:
-            raise RuntimeError(f"seed {seed} failed: {exc}") from exc
-        records.append(record)
-    accs = np.array([r.final_metrics["dev_accuracy"] for r in records])
-    return {
-        "variant": variant,
-        "seeds": [int(s) for s in seeds],
-        "mean": float(accs.mean()),
-        "std": float(accs.std()),  # population std
-        "per_seed": accs.tolist(),
-        "formatted": format_mean_std(float(accs.mean()), float(accs.std())),
-        "records": records,
-    }
+    configs = [replace(config, seed=int(seed)) for seed in seeds]
+    accs = []
+    for seed, outcome in zip(seeds, _distill_each(
+            configs, student_config, dataset, teacher, variant)):
+        if isinstance(outcome, TrainingDiverged):
+            raise TrainingDiverged(f"seed {seed}: {outcome}") from outcome
+        if isinstance(outcome, Exception):
+            raise RuntimeError(f"seed {seed} failed: {outcome}") from outcome
+        accs.append(outcome.final_metrics["dev_accuracy"])
+    accs = np.array(accs)
+    mean, std = float(accs.mean()), float(accs.std())  # population std
+    return {"variant": variant, "seeds": [int(s) for s in seeds],
+            "mean": mean, "std": std, "per_seed": accs.tolist(),
+            "formatted": format_mean_std(mean, std)}
+
+
+@dataclass
+class SweepGrid:
+    alpha_sm_values: list[float]
+    alpha_tmkd_values: list[float]
+    mixup_ratio_values: list[int]
+    base: TrainConfig
+
+    def __post_init__(self):
+        if not (self.alpha_sm_values and self.alpha_tmkd_values
+                and self.mixup_ratio_values):
+            raise ValueError("sweep value lists must be nonempty")
+
+
+def grid_files(out_dir) -> tuple[str, str]:
+    """The grid.json and grid.tsv paths that ``sweep_grid`` writes."""
+    return (os.path.join(out_dir, "grid.json"),
+            os.path.join(out_dir, "grid.tsv"))
+
+
+def sweep_grid(grid: SweepGrid, student_config: ModelConfig,
+               dataset: TaskData, teacher: ModelParams,
+               variant: str = "sm_tmkd", out_dir=None) -> list[dict]:
+    """One distillation run per grid cell, all with the base seed and data
+    order.  A failed cell records its error and the sweep goes on.  Returns
+    the result table; given ``out_dir``, also writes grid.json and grid.tsv."""
+    results = [{"alpha_sm": float(a_sm), "alpha_tmkd": float(a_tmkd),
+                "mixup_ratio": int(ratio)}
+               for ratio in grid.mixup_ratio_values
+               for a_sm in grid.alpha_sm_values
+               for a_tmkd in grid.alpha_tmkd_values]
+    base = grid.base
+    configs = [replace(base, mixup=replace(base.mixup,
+                                           mixup_ratio=cell["mixup_ratio"]),
+                       loss=replace(base.loss, alpha_sm=cell["alpha_sm"],
+                                    alpha_tmkd=cell["alpha_tmkd"]))
+               for cell in results]
+    for cell, outcome in zip(results, _distill_each(
+            configs, student_config, dataset, teacher, variant)):
+        failed = isinstance(outcome, Exception)
+        cell["dev_accuracy"] = (None if failed
+                                else outcome.final_metrics["dev_accuracy"])
+        cell["error"] = str(outcome) if failed else None
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        json_path, tsv_path = grid_files(out_dir)
+        with atomic_write(json_path) as fh:
+            json.dump(results, fh, indent=2)
+        with atomic_write(tsv_path) as fh:
+            fh.write("alpha_sm\talpha_tmkd\tmixup_ratio\tdev_accuracy\terror\n")
+            for cell in results:
+                acc = ("" if cell["dev_accuracy"] is None
+                       else f"{cell['dev_accuracy']:.4f}")
+                fh.write(f"{cell['alpha_sm']}\t{cell['alpha_tmkd']}\t"
+                         f"{cell['mixup_ratio']}\t{acc}\t{cell['error'] or ''}\n")
+    return results
 
 
 def format_mean_std(mean: float, std: float, scale: float = 100.0) -> str:

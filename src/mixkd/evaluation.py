@@ -1,10 +1,9 @@
-"""Metrics, deterministic evaluation, feature export, throughput, sweeps."""
+"""Metrics, deterministic evaluation, feature export and throughput:
+forward passes only, no training."""
 
 from __future__ import annotations
 
 import csv
-import json
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -24,19 +23,6 @@ class Metrics:
     n_eval: int
     f1: Optional[float] = None
     f1_degenerate: bool = False
-
-
-@dataclass
-class SweepGrid:
-    alpha_sm_values: list[float]
-    alpha_tmkd_values: list[float]
-    mixup_ratio_values: list[int]
-    base: "TrainConfig"  # noqa: F821 - avoids a circular import at module load
-
-    def __post_init__(self):
-        if not (self.alpha_sm_values and self.alpha_tmkd_values
-                and self.mixup_ratio_values):
-            raise ValueError("sweep value lists must be nonempty")
 
 
 def compute_metrics(logits: np.ndarray, labels_onehot: np.ndarray,
@@ -156,56 +142,3 @@ def throughput_bench(params: ModelParams, vocab_size: int, max_len: int,
         "measured_batches": measured_batches,
         "elapsed_seconds": elapsed,
     }
-
-
-def grid_files(out_dir) -> tuple[str, str]:
-    """The grid.json and grid.tsv paths that ``sweep_grid`` writes."""
-    return (os.path.join(out_dir, "grid.json"),
-            os.path.join(out_dir, "grid.tsv"))
-
-
-def sweep_grid(grid: SweepGrid, student_config, dataset, teacher: ModelParams,
-               variant: str = "sm_tmkd",
-               out_dir=None) -> list[dict]:
-    """One distillation run per grid cell with a shared seed and data order.
-
-    Failed cells are recorded with their error; the sweep continues.
-    Returns the result table; optionally writes grid.tsv / grid.json.
-    """
-    from dataclasses import replace
-
-    from .distill import distill_student
-
-    results = []
-    for ratio in grid.mixup_ratio_values:
-        for a_sm in grid.alpha_sm_values:
-            for a_tmkd in grid.alpha_tmkd_values:
-                cfg = replace(
-                    grid.base,
-                    mixup=replace(grid.base.mixup, mixup_ratio=int(ratio)),
-                    loss=replace(grid.base.loss, alpha_sm=float(a_sm),
-                                 alpha_tmkd=float(a_tmkd)))
-                cell = {"alpha_sm": float(a_sm), "alpha_tmkd": float(a_tmkd),
-                        "mixup_ratio": int(ratio)}
-                try:
-                    _, record = distill_student(cfg, student_config, dataset,
-                                                teacher, variant=variant)
-                    cell["dev_accuracy"] = record.final_metrics["dev_accuracy"]
-                    cell["error"] = None
-                except Exception as exc:  # keep sweeping past a bad cell
-                    cell["dev_accuracy"] = None
-                    cell["error"] = str(exc)
-                results.append(cell)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        json_path, tsv_path = grid_files(out_dir)
-        with atomic_write(json_path) as fh:
-            json.dump(results, fh, indent=2)
-        with atomic_write(tsv_path) as fh:
-            fh.write("alpha_sm\talpha_tmkd\tmixup_ratio\tdev_accuracy\terror\n")
-            for cell in results:
-                acc = ("" if cell["dev_accuracy"] is None
-                       else f"{cell['dev_accuracy']:.4f}")
-                fh.write(f"{cell['alpha_sm']}\t{cell['alpha_tmkd']}\t"
-                         f"{cell['mixup_ratio']}\t{acc}\t{cell['error'] or ''}\n")
-    return results

@@ -46,6 +46,10 @@ class CheckpointError(Exception):
     """Malformed, truncated, or incompatible checkpoint file."""
 
 
+class OutputError(OSError):
+    """An output file could not be written (say, the disk is full)."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_layers: int
@@ -418,8 +422,9 @@ def atomic_write(path, binary: bool = False):
     """A handle on ``<path>.<pid>.tmp`` (text: UTF-8, no newline
     translation) that replaces ``path`` when the block exits cleanly,
     after a flush and fsync; on an exception the temp file is deleted, so
-    a failed write never leaves a truncated file at ``path``.  Every
-    output file of mixkd is written through this."""
+    a failed write never leaves a truncated file at ``path``, and an
+    OSError becomes an OutputError naming ``path``.  Every output file of
+    mixkd is written through this."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     text = {} if binary else {"encoding": "utf-8", "newline": ""}
     try:
@@ -428,6 +433,9 @@ def atomic_write(path, binary: bool = False):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OutputError(f"{os.fspath(path)}: cannot write: "
+                          f"{exc.strerror or exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -17,9 +17,10 @@ from mixkd import bounds as B
 from mixkd import synthetic
 from mixkd.autodiff import Tensor, constant, finite_diff_check
 from mixkd.data import make_batch, subsample
-from mixkd.distill import (LossWeights, TrainConfig, _train_loop,
-                           distill_student, train_teacher)
-from mixkd.evaluation import SweepGrid, sweep_grid, throughput_bench
+from mixkd.distill import (LossWeights, SweepGrid, TrainConfig, _train_loop,
+                           distill_student, run_seeds, sweep_grid,
+                           train_teacher)
+from mixkd.evaluation import throughput_bench
 from mixkd.mixup import MixupConfig, mix_batch, sample_lambda
 from mixkd.model import (ModelConfig, embed_batch, forward_from_embeddings,
                          init_random, init_student_from_teacher,
@@ -59,28 +60,20 @@ def teacher_full(effect_task):
     return params, config, record
 
 
-def _student_runs(task, teacher, teacher_config, epochs, seeds):
+def _student_runs(task, teacher, teacher_config, epochs):
     """Final dev accuracy per seed for the plain and mixup-distilled student."""
     student_config = dataclasses.replace(teacher_config, num_layers=1)
-    out = {}
-    for variant in ("ft", "sm_tmkd"):
-        accs = []
-        for seed in seeds:
-            config = TrainConfig(epochs=epochs, batch_size=32,
-                                 learning_rate=1e-3, seed=seed)
-            _, record = distill_student(config, student_config, task,
-                                        teacher, variant=variant)
-            accs.append(record.final_metrics["dev_accuracy"])
-        out[variant] = np.array(accs)
-    return out
+    config = TrainConfig(epochs=epochs, batch_size=32, learning_rate=1e-3)
+    return {variant: np.array(run_seeds(config, student_config, task, teacher,
+                                        variant, SEEDS)["per_seed"])
+            for variant in ("ft", "sm_tmkd")}
 
 
 @pytest.fixture(scope="module")
 def effect_runs(effect_task, teacher_full):
     teacher, teacher_config, _ = teacher_full
     before = teacher.checksum()
-    runs = _student_runs(effect_task, teacher, teacher_config, epochs=1,
-                         seeds=SEEDS)
+    runs = _student_runs(effect_task, teacher, teacher_config, epochs=1)
     return runs, before, teacher.checksum()
 
 
@@ -92,8 +85,7 @@ def limited_runs(effect_task, teacher_full):
     train_config = TrainConfig(epochs=30, batch_size=32, learning_rate=1e-3,
                                seed=0)
     teacher, _ = train_teacher(train_config, teacher_config, small)
-    return _student_runs(small, teacher, teacher_config, epochs=6,
-                         seeds=SEEDS)
+    return _student_runs(small, teacher, teacher_config, epochs=6)
 
 
 # ---------------------------------------------------------------------------

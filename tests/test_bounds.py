@@ -303,7 +303,7 @@ def test_population_risks_exact(rng):
     assert ((0.0 <= risks) & (risks <= 1.0)).all()
     # brute-force check for one scorer
     g0 = (tb.inputs @ gc.weights[0] >= gc.thresholds[0]).astype(float)
-    f = gc.teacher.predict(tb.inputs)
+    f = tb.inputs @ gc.teacher_weights >= gc.teacher_threshold
     assert risks[0] == pytest.approx(float((np.abs(g0 - f) * tb.probs).sum()))
 
 

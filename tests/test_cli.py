@@ -557,9 +557,12 @@ def test_failed_write_keeps_the_target(writer, existing, teacher_ckpt,
 
     monkeypatch.setattr(model_mod, "open", failing_open, raising=False)
     if writer in cli_argv:
-        assert main(cli_argv[writer] + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.endswith(
-            "error: No space left on device\n")
+        assert main(cli_argv[writer] + ["--out", str(out)]) == 6
+        captured = capsys.readouterr()
+        assert captured.err.endswith(
+            f"error (OutputError): {target}: cannot write: No space left on "
+            "device\n")
+        assert captured.out == ""  # no result is printed for a failed write
     else:
         with pytest.raises(OSError, match="No space left on device"):
             if writer == "checkpoint":
@@ -753,12 +756,20 @@ def test_exit_code_config_error(line, needle, workspace, tmp_path, capsys):
     (["bench", "--warmup", "-1"], "--warmup"),
     (["export-embeddings", "--seed", "-1"], "--seed"),
     (["bound", "verify", "--seed", "-1"], "--seed"),
+    # argparse's own conversions
+    (["bound", "verify", "--a", "abc"], "--a: invalid int value: 'abc'"),
+    (["bound", "verify", "--delta", "x"], "--delta: invalid float value"),
+    (["eval", "--batch-size", "abc"], "--batch-size: invalid int value"),
+    (["export-embeddings", "--n", "1.5"], "--n: invalid int value"),
+    (["bench", "--warmup", ""], "--warmup: invalid int value"),
 ], ids=["sweep_not_a_number", "sweep_empty_list", "seeds_not_a_number",
         "seeds_single", "seeds_negative", "export_negative_ratio",
         "bench_zero_batches", "eval_zero_batch", "eval_negative_batch",
         "export_zero_n", "export_negative_n", "bench_zero_batch",
         "bench_negative_batch", "bench_negative_warmup",
-        "export_negative_seed", "verify_negative_seed"])
+        "export_negative_seed", "verify_negative_seed", "verify_a_not_int",
+        "verify_delta_not_float", "eval_batch_not_int", "export_n_not_int",
+        "bench_warmup_empty"])
 def test_exit_code_bad_numbers(argv, name, teacher_ckpt, workspace, tmp_path,
                                capsys):
     command = argv[0]
@@ -783,3 +794,57 @@ def test_exit_code_bad_numbers(argv, name, teacher_ckpt, workspace, tmp_path,
     assert code == 6
     assert name in capsys.readouterr().err
     assert not (tmp_path / "feats.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--model", "m.ckpt", "--data", "d.tsv", "--bogus"],
+     "mixkd: unrecognized arguments: --bogus"),
+    (["eval", "--data", "d.tsv"],
+     "mixkd eval: the following arguments are required: --model"),
+    (["distill", "--config", "s.cfg", "--teacher", "t.ckpt", "--variant",
+      "sm_tmkd", "--data", "d.tsv", "--out", "s.ckpt"],
+     "mixkd distill: argument --variant: invalid choice: 'sm_tmkd'"),
+    (["bound", "thm4"], "mixkd bound: argument which: invalid choice: 'thm4'"),
+    (["bound"], "mixkd bound: the following arguments are required: which"),
+    ([], "mixkd: the following arguments are required: command"),
+], ids=["unknown_flag", "missing_flag", "bad_choice", "bad_calculator",
+        "no_calculator", "no_command"])
+def test_exit_code_usage_error(argv, message, capsys):
+    """A usage error is a ConfigError (exit 6) naming the flag, not
+    argparse's exit 2, which the data errors use."""
+    assert main(argv) == 6
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error (ConfigError): {message}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [[], ["bound"], ["bound", "verify"]],
+                         ids=["mixkd", "bound", "verify"])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        " ".join(["usage: mixkd"] + argv))
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["verify", "--g-cardinality", "16", "--a", "20", "--trials", "5",
+      "--n-bits", "4"], "--g-cardinality 16"),
+    (["thm2", "--g-cardinality", "5", "--n-bits", "3"],
+     "--g-cardinality 5 --n-bits 3"),
+    (["hoeffding", "--a", "10"], "--a 10"),
+    (["thm1", "--lipschitz", "2"], "--lipschitz 2"),
+    (["thm3", "--m", "2"], "--m 2"),
+    (["verify", "--n", "5"], "--n 5"),  # not an abbreviation of --n-bits
+], ids=["verify", "thm2", "hoeffding", "thm1", "thm3", "verify_prefix"])
+def test_bound_rejects_flags_its_calculator_does_not_read(argv, flags,
+                                                          capsys):
+    """Each calculator parses only the flags it reads, so a flag meant
+    for another one fails instead of being ignored."""
+    assert main(["bound"] + argv) == 6
+    captured = capsys.readouterr()
+    assert captured.err == ("error (ConfigError): mixkd: unrecognized "
+                            f"arguments: {flags}\n")
+    assert captured.out == ""
+

@@ -1,6 +1,7 @@
-"""Loss stack, optimizer, training loops, and seed aggregation."""
+"""Loss stack, optimizer, training loops, seed aggregation and sweeps."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from mixkd import autodiff as ad
 from mixkd import distill, model
 from mixkd.autodiff import Tensor, constant
-from mixkd.distill import (Adam, LossWeights, TrainConfig, _train_loop,
-                           distill_student, format_mean_std, loss_mle, loss_sm,
-                           loss_tmkd, run_seeds, total_loss, train_teacher)
+from mixkd.distill import (Adam, LossWeights, SweepGrid, TrainConfig,
+                           _train_loop, distill_student, format_mean_std,
+                           loss_mle, loss_sm, loss_tmkd, run_seeds, sweep_grid,
+                           total_loss, train_teacher)
 from mixkd.data import make_batch
 from mixkd.mixup import MixupConfig, MixupPairs, materialize
 from mixkd.model import (embed_batch, forward_from_embeddings, forward_tokens,
@@ -509,6 +511,74 @@ def test_run_seeds_needs_two(small_task, small_model_config):
     with pytest.raises(ValueError):
         run_seeds(TrainConfig(), small_model_config, small_task, teacher,
                   "ft", seeds=[0])
+
+
+def test_sweep_grid_runs_and_writes(small_task, small_model_config, tmp_path):
+    teacher = init_random(small_model_config, seed=0)
+    student_config = dataclasses.replace(small_model_config, num_layers=1)
+    base = TrainConfig(epochs=1, batch_size=64, seed=0)
+    grid = SweepGrid(alpha_sm_values=[0.5, 1.0], alpha_tmkd_values=[1.0],
+                     mixup_ratio_values=[1], base=base)
+    results = sweep_grid(grid, student_config, small_task, teacher,
+                         out_dir=tmp_path)
+    assert len(results) == 2
+    assert all(c["error"] is None for c in results)
+    assert all(0.0 <= c["dev_accuracy"] <= 1.0 for c in results)
+    table = (tmp_path / "grid.tsv").read_text().splitlines()
+    assert table[0].startswith("alpha_sm\t")
+    assert len(table) == 3
+    cells = json.loads((tmp_path / "grid.json").read_text())
+    assert cells[0]["alpha_sm"] == 0.5
+
+
+def test_sweep_grid_validation():
+    with pytest.raises(ValueError):
+        SweepGrid([], [1.0], [1], TrainConfig())
+
+
+def _fake_distill(trained, fails, error):
+    """A distill_student stand-in that logs each config it trains, raises
+    ``error`` on those that ``fails`` picks, and reports the n-th run's
+    accuracy as n / 10."""
+    def fake(config, student_config, dataset, teacher, variant="sm_tmkd"):
+        trained.append(config)
+        if fails(config):
+            raise error
+        return None, distill.RunRecord(
+            seed=config.seed, variant=variant,
+            final_metrics={"dev_accuracy": len(trained) / 10})
+    return fake
+
+
+@pytest.mark.parametrize("error, raised, message", [
+    (distill.TrainingDiverged("loss contains NaN or Inf"),
+     distill.TrainingDiverged, "seed 2: loss contains NaN or Inf"),
+    (ValueError("bad batch"), RuntimeError, "seed 2 failed: bad batch"),
+], ids=["diverged", "other"])
+def test_run_seeds_trains_no_seed_after_a_failure(error, raised, message,
+                                                  monkeypatch):
+    trained = []
+    monkeypatch.setattr(distill, "distill_student", _fake_distill(
+        trained, lambda config: config.seed == 2, error))
+    with pytest.raises(raised, match=f"^{message}$") as info:
+        run_seeds(TrainConfig(), None, None, None, "ft", seeds=[0, 1, 2, 3])
+    assert info.value.__cause__ is error
+    assert [config.seed for config in trained] == [0, 1, 2]
+
+
+def test_sweep_grid_records_a_failed_cell_and_goes_on(monkeypatch):
+    trained = []
+    monkeypatch.setattr(distill, "distill_student", _fake_distill(
+        trained, lambda config: config.loss.alpha_sm == 1.0,
+        ValueError("bad cell")))
+    grid = SweepGrid(alpha_sm_values=[0.5, 1.0], alpha_tmkd_values=[2.0],
+                     mixup_ratio_values=[1, 3], base=TrainConfig())
+    results = sweep_grid(grid, None, None, None)
+    assert [(c.mixup.mixup_ratio, c.loss.alpha_sm, c.loss.alpha_tmkd)
+            for c in trained] == [(1, 0.5, 2.0), (1, 1.0, 2.0),
+                                  (3, 0.5, 2.0), (3, 1.0, 2.0)]
+    assert [(c["dev_accuracy"], c["error"]) for c in results] == [
+        (0.1, None), (None, "bad cell"), (0.3, None), (None, "bad cell")]
 
 
 def test_format_mean_std():

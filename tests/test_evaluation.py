@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import json
 import threading
 
 import numpy as np
@@ -13,8 +12,7 @@ from mixkd import evaluation, model, synthetic
 from mixkd.config import ConfigError, load_config, parse_kv_file
 from mixkd.data import DataError, make_batch
 from mixkd.distill import LossWeights, TrainConfig
-from mixkd.evaluation import (SweepGrid, compute_metrics, evaluate,
-                              export_cls_features, sweep_grid,
+from mixkd.evaluation import (compute_metrics, evaluate, export_cls_features,
                               throughput_bench)
 from mixkd.mixup import MixupConfig, MixupPairs
 from mixkd.model import ModelConfig, forward_tokens, init_random
@@ -172,29 +170,6 @@ def test_throughput_bench_reports(tiny_params, tiny_config):
     assert report["param_count"] == tiny_params.param_count()
     with pytest.raises(ValueError):
         throughput_bench(tiny_params, 20, 6, measured_batches=0)
-
-
-def test_sweep_grid_runs_and_writes(small_task, small_model_config, tmp_path):
-    teacher = init_random(small_model_config, seed=0)
-    student_config = dataclasses.replace(small_model_config, num_layers=1)
-    base = TrainConfig(epochs=1, batch_size=64, seed=0)
-    grid = SweepGrid(alpha_sm_values=[0.5, 1.0], alpha_tmkd_values=[1.0],
-                     mixup_ratio_values=[1], base=base)
-    results = sweep_grid(grid, student_config, small_task, teacher,
-                         out_dir=tmp_path)
-    assert len(results) == 2
-    assert all(c["error"] is None for c in results)
-    assert all(0.0 <= c["dev_accuracy"] <= 1.0 for c in results)
-    table = (tmp_path / "grid.tsv").read_text().splitlines()
-    assert table[0].startswith("alpha_sm\t")
-    assert len(table) == 3
-    cells = json.loads((tmp_path / "grid.json").read_text())
-    assert cells[0]["alpha_sm"] == 0.5
-
-
-def test_sweep_grid_validation():
-    with pytest.raises(ValueError):
-        SweepGrid([], [1.0], [1], TrainConfig())
 
 
 # ---------------------------------------------------------------------------
