@@ -326,15 +326,14 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
                    lambda g: (g, g.sum(axis=lead)))
 
 
-def select_index(x: Tensor, index: int, axis: int = 1) -> Tensor:
-    """Slice a single position along ``axis`` (e.g. the leading [CLS] slot)."""
-    data = np.take(x.data, index, axis=axis)
+def select_index(x: Tensor, index: int) -> Tensor:
+    """Slice a single position along axis 1 (e.g. the leading [CLS] slot
+    of an [n, T, d] sequence)."""
+    data = x.data[:, index]
 
-    def vjp(g, shape=x.shape, index=index, axis=axis):
+    def vjp(g, shape=x.shape, index=index):
         dx = np.zeros(shape, dtype=np.float64)
-        sl = [slice(None)] * len(shape)
-        sl[axis] = index
-        dx[tuple(sl)] = g
+        dx[:, index] = g
         return (dx,)
 
     return _result(np.ascontiguousarray(data), (x,), vjp)
@@ -420,16 +419,19 @@ def softmax(x: Tensor, scale: Optional[float] = None,
     return _result(p, (x,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance, then affine."""
+_LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis to zero mean / unit variance (the
+    variance plus 1e-5 under the square root), then affine."""
     k = x.shape[-1]
     if gain.shape != (k,) or bias.shape != (k,):
         raise ShapeError(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} vs last axis {k}")
-    if eps <= 0:
-        raise AutodiffError("layer_norm eps must be positive")
     out_rows, xhat, inv_std = kernels.layernorm_rows(
-        np.ascontiguousarray(x.data.reshape(-1, k)), gain.data, bias.data, eps)
+        np.ascontiguousarray(x.data.reshape(-1, k)), gain.data, bias.data,
+        _LAYER_NORM_EPS)
 
     def vjp(g, xhat=xhat, inv_std=inv_std, gd=gain.data, k=k, shape=x.shape):
         g2 = g.reshape(-1, k)

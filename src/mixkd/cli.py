@@ -91,6 +91,12 @@ def _load_model_and_data(path, args):
         labels = list(extra["labels"])
     except KeyError as exc:
         raise CheckpointError(f"checkpoint lacks dataset metadata: {exc}") from exc
+    for what, stored, key, fixed in (
+            ("vocabulary tokens", vocab.size, "vocab_size", config.vocab_size),
+            ("labels", len(labels), "num_classes", config.num_classes)):
+        if stored != fixed:
+            raise CheckpointError(f"{path}: {stored} {what} stored, but the "
+                                  f"model config has {key}={fixed}")
     examples, _ = load_tsv(args.data, Schema.parse(args.schema),
                            label_names=labels)
     return params, config, vocab, labels, examples
@@ -234,6 +240,8 @@ def cmd_train_teacher(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    if args.fraction is not None and not 0 < args.fraction <= 1:
+        raise ConfigError(f"--fraction must be in (0, 1], got {args.fraction}")
     config, model_kwargs, _ = load_config(args.config)
     teacher, student_config, dataset = _student_task(args, config,
                                                      model_kwargs, args.config)
@@ -269,7 +277,7 @@ def cmd_export_embeddings(args) -> int:
     _check_at_least(args.n, 1, "--n")
     _check_at_least(args.mixup_ratio, 0, "--mixup-ratio")
     _check_at_least(args.seed, 0, "--seed")
-    params, config, vocab, labels, examples = _load_model_and_data(
+    params, _, vocab, labels, examples = _load_model_and_data(
         args.model, args)
     rng = np.random.default_rng(args.seed)
 
@@ -288,8 +296,7 @@ def cmd_export_embeddings(args) -> int:
         selected = [examples[i] for i in idx]
 
     cfg = MixupConfig(mixup_ratio=args.mixup_ratio)
-    n_rows = export_cls_features(params, selected, vocab, config.max_seq_len,
-                                 len(labels),
+    n_rows = export_cls_features(params, selected, vocab,
                                  make_pairs(len(selected), cfg, rng), args.out)
     print(json.dumps({"rows": n_rows, "out": str(args.out)}))
     return 0
@@ -299,9 +306,8 @@ def cmd_bench(args) -> int:
     _check_at_least(args.batch_size, 1, "--batch-size")
     _check_at_least(args.warmup, 0, "--warmup")
     _check_at_least(args.measured_batches, 1, "--measured-batches")
-    params, config, _ = load_checkpoint(args.model)
-    report = throughput_bench(params, config.vocab_size, config.max_seq_len,
-                              batch_size=args.batch_size,
+    params, _, _ = load_checkpoint(args.model)
+    report = throughput_bench(params, batch_size=args.batch_size,
                               warmup=args.warmup,
                               measured_batches=args.measured_batches)
     print(json.dumps(report))
@@ -321,8 +327,7 @@ def cmd_sweep(args) -> int:
     grid = SweepGrid(base=config, **values)
     teacher, student_config, dataset = _student_task(args, config,
                                                      model_kwargs, args.grid)
-    results = sweep_grid(grid, student_config, dataset, teacher,
-                         out_dir=args.out)
+    results = sweep_grid(grid, student_config, dataset, teacher, args.out)
     print(json.dumps({"cells": len(results), "out": str(args.out)}))
     return 0
 
@@ -341,8 +346,11 @@ def cmd_seeds(args) -> int:
     seeds = _parse_list(args.seeds, int, "--seeds")
     if len(seeds) < 2:
         raise ConfigError(f"--seeds needs at least 2 seeds, got {args.seeds!r}")
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
         _check_at_least(seed, 0, "--seeds")
+        if seed in seeds[:i]:
+            raise ConfigError(f"--seeds: seed {seed} is repeated in "
+                              f"{args.seeds!r}; each seed runs once")
     config, model_kwargs, _ = load_config(args.config)
     teacher, student_config, dataset = _student_task(args, config,
                                                      model_kwargs, args.config)
@@ -362,6 +370,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        """Rejects leftover arguments here, so that a subcommand's parser,
+        not the top-level one, names itself in the message."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:

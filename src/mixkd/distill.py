@@ -395,6 +395,10 @@ def run_seeds(config: TrainConfig, student_config: ModelConfig,
     The first failed seed ends the runs, named in the error."""
     if len(seeds) < 2:
         raise ValueError("run_seeds needs at least 2 seeds")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ValueError(f"run_seeds: seed {seed} is repeated; each seed "
+                             "runs once")
     configs = [replace(config, seed=int(seed)) for seed in seeds]
     accs = []
     for seed, outcome in zip(seeds, _distill_each(
@@ -432,10 +436,11 @@ def grid_files(out_dir) -> tuple[str, str]:
 
 def sweep_grid(grid: SweepGrid, student_config: ModelConfig,
                dataset: TaskData, teacher: ModelParams,
-               variant: str = "sm_tmkd", out_dir=None) -> list[dict]:
-    """One distillation run per grid cell, all with the base seed and data
-    order.  A failed cell records its error and the sweep goes on.  Returns
-    the result table; given ``out_dir``, also writes grid.json and grid.tsv."""
+               out_dir=None) -> list[dict]:
+    """One ``sm_tmkd`` distillation run per grid cell, all with the base
+    seed and data order.  A failed cell records its error and the sweep
+    goes on.  Returns the result table; given ``out_dir``, also writes
+    grid.json and grid.tsv, both or neither."""
     results = [{"alpha_sm": float(a_sm), "alpha_tmkd": float(a_tmkd),
                 "mixup_ratio": int(ratio)}
                for ratio in grid.mixup_ratio_values
@@ -448,7 +453,7 @@ def sweep_grid(grid: SweepGrid, student_config: ModelConfig,
                                     alpha_tmkd=cell["alpha_tmkd"]))
                for cell in results]
     for cell, outcome in zip(results, _distill_each(
-            configs, student_config, dataset, teacher, variant)):
+            configs, student_config, dataset, teacher, "sm_tmkd")):
         failed = isinstance(outcome, Exception)
         cell["dev_accuracy"] = (None if failed
                                 else outcome.final_metrics["dev_accuracy"])
@@ -456,17 +461,23 @@ def sweep_grid(grid: SweepGrid, student_config: ModelConfig,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         json_path, tsv_path = grid_files(out_dir)
-        with atomic_write(json_path) as fh:
-            json.dump(results, fh, indent=2)
-        with atomic_write(tsv_path) as fh:
-            fh.write("alpha_sm\talpha_tmkd\tmixup_ratio\tdev_accuracy\terror\n")
-            for cell in results:
-                acc = ("" if cell["dev_accuracy"] is None
-                       else f"{cell['dev_accuracy']:.4f}")
-                fh.write(f"{cell['alpha_sm']}\t{cell['alpha_tmkd']}\t"
-                         f"{cell['mixup_ratio']}\t{acc}\t{cell['error'] or ''}\n")
+        # nested, with grid.json's bytes flushed before grid.tsv is
+        # written, so that a failed write of either file replaces neither
+        with atomic_write(json_path) as json_fh:
+            json.dump(results, json_fh, indent=2)
+            json_fh.flush()
+            with atomic_write(tsv_path) as fh:
+                fh.write("alpha_sm\talpha_tmkd\tmixup_ratio\tdev_accuracy\t"
+                         "error\n")
+                for cell in results:
+                    acc = ("" if cell["dev_accuracy"] is None
+                           else f"{cell['dev_accuracy']:.4f}")
+                    fh.write(f"{cell['alpha_sm']}\t{cell['alpha_tmkd']}\t"
+                             f"{cell['mixup_ratio']}\t{acc}\t"
+                             f"{cell['error'] or ''}\n")
     return results
 
 
-def format_mean_std(mean: float, std: float, scale: float = 100.0) -> str:
-    return f"{mean * scale:.2f}±{std * scale:.2f}"
+def format_mean_std(mean: float, std: float) -> str:
+    """``mean±std`` in percent, two decimals."""
+    return f"{mean * 100.0:.2f}±{std * 100.0:.2f}"

@@ -76,15 +76,16 @@ def evaluate_batches(params: ModelParams, batches: Sequence[Batch],
 
 
 def export_cls_features(params: ModelParams, examples: Sequence[Example],
-                        vocab: Vocab, max_len: int, num_classes: int,
-                        pairs: MixupPairs, out_path) -> int:
-    """CSV of final-layer pooled features for originals and mixed neighbours.
+                        vocab: Vocab, pairs: MixupPairs, out_path) -> int:
+    """CSV of final-layer pooled features for originals and mixed neighbours,
+    encoded at the model's ``max_seq_len`` and ``num_classes``.
 
     Columns: id, parent_i, parent_j, lambda (1.0 for originals), a
     semicolon-joined soft label, then one column per feature dimension.
     Returns the number of rows written.
     """
-    batch = make_batch(examples, vocab, max_len, num_classes)
+    config = params.config
+    batch = make_batch(examples, vocab, config.max_seq_len, config.num_classes)
     with no_grad():
         # one embedding feeds the originals and the mixed neighbours
         emb = embed_batch(params, batch.token_ids, batch.pad_mask)
@@ -115,18 +116,18 @@ def export_cls_features(params: ModelParams, examples: Sequence[Example],
     return len(lams)
 
 
-def throughput_bench(params: ModelParams, vocab_size: int, max_len: int,
-                     batch_size: int = 16, warmup: int = 2,
-                     measured_batches: int = 10,
-                     seed: int = 0) -> dict:
-    """Graph-free forward samples/second on synthetic batches, plus
-    parameter count."""
+def throughput_bench(params: ModelParams, batch_size: int = 16,
+                     warmup: int = 2, measured_batches: int = 10) -> dict:
+    """Graph-free forward samples/second on seed-0 synthetic batches of
+    the model's full ``max_seq_len``, plus parameter count."""
     if measured_batches < 1:
         raise ValueError("measured_batches must be >= 1")
-    rng = np.random.default_rng(seed)
-    ids = rng.integers(4, vocab_size, size=(batch_size, max_len))
+    config = params.config
+    rng = np.random.default_rng(0)
+    ids = rng.integers(4, config.vocab_size,
+                       size=(batch_size, config.max_seq_len))
     ids[:, 0] = 2  # [CLS]
-    mask = np.ones((batch_size, max_len), dtype=bool)
+    mask = np.ones((batch_size, config.max_seq_len), dtype=bool)
     emb_args = (params, ids, mask)
     with no_grad():
         for _ in range(warmup):

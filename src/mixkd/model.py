@@ -245,7 +245,7 @@ def _encoder(params: ModelParams, x2: Tensor, key_bias: np.ndarray,
             if i < cfg.num_layers - 1:
                 xq, tq = x2, T
             else:
-                xq = ad.select_index(ad.reshape(x2, (n, T, d)), 0, axis=1)
+                xq = ad.select_index(ad.reshape(x2, (n, T, d)), 0)
                 tq = 1
             # k (which has no bias) goes straight to [n,h,hd,T], the
             # transposed operand of q @ k^T
@@ -423,8 +423,9 @@ def atomic_write(path, binary: bool = False):
     translation) that replaces ``path`` when the block exits cleanly,
     after a flush and fsync; on an exception the temp file is deleted, so
     a failed write never leaves a truncated file at ``path``, and an
-    OSError becomes an OutputError naming ``path``.  Every output file of
-    mixkd is written through this."""
+    OSError becomes an OutputError naming ``path`` (one from an
+    atomic_write nested in the block passes through, naming its own file).
+    Every output file of mixkd is written through this."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     text = {} if binary else {"encoding": "utf-8", "newline": ""}
     try:
@@ -433,6 +434,8 @@ def atomic_write(path, binary: bool = False):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OutputError:
+        raise
     except OSError as exc:
         raise OutputError(f"{os.fspath(path)}: cannot write: "
                           f"{exc.strerror or exc}") from exc

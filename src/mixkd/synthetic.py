@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Example, Schema, build_vocab
+from .data import Example, build_vocab
 from .distill import TaskData
 from .model import atomic_write
 
@@ -53,9 +53,9 @@ def make_task(n_train: int = 2000, n_dev: int = 500, vocab_words: int = 200,
                     label_names=list(LABEL_NAMES), max_len=seq_max + 2)
 
 
-def write_tsv(examples, label_names, path,
-              schema: Schema = Schema(text_a="sentence", label="label")) -> None:
+def write_tsv(examples, label_names, path) -> None:
+    """A ``sentence<TAB>label`` TSV, the CLI's default --schema."""
     with atomic_write(path) as fh:
-        fh.write(f"{schema.text_a}\t{schema.label}\n")
+        fh.write("sentence\tlabel\n")
         for ex in examples:
             fh.write(f"{ex.text_a}\t{label_names[ex.label_id]}\n")

@@ -463,7 +463,7 @@ def test_add_bias_sums_leading_axes(rng):
 
 def test_select_index_routes_gradient(rng):
     x = leaf(None, rng, (2, 5, 3))
-    backward(ad.tsum(ad.select_index(x, 0, axis=1)))
+    backward(ad.tsum(ad.select_index(x, 0)))
     assert x.grad[:, 0, :].sum() == pytest.approx(6.0)
     assert np.abs(x.grad[:, 1:, :]).sum() == 0.0
 
@@ -626,7 +626,7 @@ def test_fd_gather_add_bias_select(rng):
     _check(lambda t: ad.tsum(ad.gather_rows(t, ids)), leaf(None, rng, (3, 4)))
     x = constant(rng.normal(size=(3, 4)))
     _check(lambda t: ad.tsum(ad.add_bias(x, t)), leaf(None, rng, (4,)))
-    _check(lambda t: ad.tsum(ad.select_index(t, 1, axis=1)),
+    _check(lambda t: ad.tsum(ad.select_index(t, 1)),
            leaf(None, rng, (2, 3, 4)))
 
 

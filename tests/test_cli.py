@@ -94,6 +94,33 @@ def test_checkpoint_extra_holds_vocab_and_labels(teacher_ckpt, workspace,
     assert printed[0] == printed[1]
 
 
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+@pytest.mark.parametrize("key, grow", [("labels", 1), ("vocab", 5)])
+def test_exit_code_extra_disagrees_with_config(command, key, grow,
+                                               teacher_ckpt, workspace,
+                                               tmp_path, capsys):
+    """A vocabulary or label list that does not match the model's
+    vocab_size or num_classes is a checkpoint error, not a crash in the
+    forward or a file of soft labels one class too wide."""
+    params, config, extra = load_checkpoint(teacher_ckpt)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(params, config, bad, extra={
+        **extra, key: extra[key] + [f"extra{i}" for i in range(grow)]})
+    out = tmp_path / "feats.csv"
+    argv = {"eval": [],
+            "export-embeddings": ["--n", "4", "--out", str(out)]}[command]
+    assert main([command, "--model", str(bad),
+                 "--data", str(workspace / "dev.tsv")] + argv) == 3
+    what, config_key, fixed = {
+        "labels": ("labels", "num_classes", config.num_classes),
+        "vocab": ("vocabulary tokens", "vocab_size", config.vocab_size)}[key]
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error (CheckpointError): {bad}: {fixed + grow} {what} stored, but "
+        f"the model config has {config_key}={fixed}\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_distill_all_variants(teacher_ckpt, workspace, capsys):
     for variant in ("ft", "tmkd", "sm-tmkd"):
         out = workspace / f"student-{variant}.ckpt"
@@ -523,11 +550,15 @@ def test_failed_write_keeps_the_target(writer, existing, teacher_ckpt,
     raises partway leaves an existing target byte-identical, a new one
     absent, and no temp file."""
     out = tmp_path / "out"
-    target = {"grid_json": out / "grid.json",
-              "grid_tsv": out / "grid.tsv"}.get(writer, out)
+    # sweep replaces both grid files or neither
+    targets = {"grid_json": [out / "grid.json", out / "grid.tsv"],
+               "grid_tsv": [out / "grid.tsv", out / "grid.json"]}.get(
+                   writer, [out])
+    target = targets[0]
     target.parent.mkdir(exist_ok=True)
     if existing:
-        target.write_bytes(b"an earlier result\n")
+        for file in targets:
+            file.write_bytes(b"an earlier result\n")
     grid = tmp_path / "grid.cfg"
     grid.write_text(STUDENT_CFG + "alpha_sm_values=1.0\n"
                     "alpha_tmkd_values=1.0\nmixup_ratio_values=1\n")
@@ -571,14 +602,10 @@ def test_failed_write_keeps_the_target(writer, existing, teacher_ckpt,
                 record.to_jsonl(target)
             else:
                 synthetic.write_tsv(task.train, task.label_names, target)
-    after = sorted(tmp_path.rglob("*"))
-    # sweep writes grid.json before grid.tsv
-    if writer == "grid_tsv":
-        assert out / "grid.json" in after
-        after.remove(out / "grid.json")
-    assert after == before
+    assert sorted(tmp_path.rglob("*")) == before
     if existing:
-        assert target.read_bytes() == b"an earlier result\n"
+        for file in targets:
+            assert file.read_bytes() == b"an earlier result\n"
 
 
 def test_exit_code_bound_error(capsys):
@@ -745,6 +772,10 @@ def test_exit_code_config_error(line, needle, workspace, tmp_path, capsys):
     (["seeds", "--seeds", "a,b"], "--seeds"),
     (["seeds", "--seeds", "0"], "--seeds"),
     (["seeds", "--seeds=-1,2"], "--seeds"),
+    (["seeds", "--seeds", "0,1,0"], "--seeds: seed 0 is repeated"),
+    (["distill", "--fraction", "0"], "--fraction"),
+    (["distill", "--fraction", "nan"], "--fraction"),
+    (["distill", "--fraction", "1.5"], "--fraction"),
     (["export-embeddings", "--mixup-ratio", "-1"], "--mixup-ratio"),
     (["bench", "--measured-batches", "0"], "--measured-batches"),
     (["eval", "--batch-size", "0"], "--batch-size"),
@@ -763,7 +794,9 @@ def test_exit_code_config_error(line, needle, workspace, tmp_path, capsys):
     (["export-embeddings", "--n", "1.5"], "--n: invalid int value"),
     (["bench", "--warmup", ""], "--warmup: invalid int value"),
 ], ids=["sweep_not_a_number", "sweep_empty_list", "seeds_not_a_number",
-        "seeds_single", "seeds_negative", "export_negative_ratio",
+        "seeds_single", "seeds_negative", "seeds_repeated",
+        "distill_zero_fraction", "distill_nan_fraction",
+        "distill_fraction_above_1", "export_negative_ratio",
         "bench_zero_batches", "eval_zero_batch", "eval_negative_batch",
         "export_zero_n", "export_negative_n", "bench_zero_batch",
         "bench_negative_batch", "bench_negative_warmup",
@@ -784,6 +817,9 @@ def test_exit_code_bad_numbers(argv, name, teacher_ckpt, workspace, tmp_path,
                   "--out", str(tmp_path / "sweep")] + data,
         "seeds": ["--config", str(workspace / "student.cfg"),
                   "--teacher", str(teacher_ckpt), "--variant", "ft"] + data,
+        "distill": ["--config", str(workspace / "student.cfg"),
+                    "--teacher", str(teacher_ckpt), "--variant", "ft",
+                    "--out", str(tmp_path / "s.ckpt")] + data,
         "export-embeddings": ["--model", str(teacher_ckpt),
                               "--out", str(tmp_path / "feats.csv")] + data,
         "bench": ["--model", str(teacher_ckpt)],
@@ -794,11 +830,12 @@ def test_exit_code_bad_numbers(argv, name, teacher_ckpt, workspace, tmp_path,
     assert code == 6
     assert name in capsys.readouterr().err
     assert not (tmp_path / "feats.csv").exists()
+    assert not (tmp_path / "s.ckpt").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["eval", "--model", "m.ckpt", "--data", "d.tsv", "--bogus"],
-     "mixkd: unrecognized arguments: --bogus"),
+    (["eval", "--model", "m.ckpt", "--data", "d.tsv", "--bogus", "1"],
+     "mixkd eval: unrecognized arguments: --bogus 1"),
     (["eval", "--data", "d.tsv"],
      "mixkd eval: the following arguments are required: --model"),
     (["distill", "--config", "s.cfg", "--teacher", "t.ckpt", "--variant",
@@ -841,10 +878,11 @@ def test_help_exits_0(argv, capsys):
 def test_bound_rejects_flags_its_calculator_does_not_read(argv, flags,
                                                           capsys):
     """Each calculator parses only the flags it reads, so a flag meant
-    for another one fails instead of being ignored."""
+    for another one fails instead of being ignored, and the message names
+    the calculator."""
     assert main(["bound"] + argv) == 6
     captured = capsys.readouterr()
-    assert captured.err == ("error (ConfigError): mixkd: unrecognized "
-                            f"arguments: {flags}\n")
+    assert captured.err == (f"error (ConfigError): mixkd bound {argv[0]}: "
+                            f"unrecognized arguments: {flags}\n")
     assert captured.out == ""
 

@@ -566,6 +566,17 @@ def test_run_seeds_trains_no_seed_after_a_failure(error, raised, message,
     assert [config.seed for config in trained] == [0, 1, 2]
 
 
+def test_run_seeds_rejects_a_repeated_seed(monkeypatch):
+    """A seed given twice would train twice and count twice in the mean
+    and std; it is rejected before any seed trains."""
+    trained = []
+    monkeypatch.setattr(distill, "distill_student", _fake_distill(
+        trained, lambda config: False, None))
+    with pytest.raises(ValueError, match="seed 1 is repeated"):
+        run_seeds(TrainConfig(), None, None, None, "ft", seeds=[1, 0, 1])
+    assert trained == []
+
+
 def test_sweep_grid_records_a_failed_cell_and_goes_on(monkeypatch):
     trained = []
     monkeypatch.setattr(distill, "distill_student", _fake_distill(

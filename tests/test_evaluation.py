@@ -92,8 +92,8 @@ def test_export_cls_features_format(task_params, small_task, tmp_path):
     out = tmp_path / "feats.csv"
     examples = small_task.train[:4]
     pairs = MixupPairs([0, 2], [1, 3], [0.3, 0.8])
-    n = export_cls_features(task_params, examples, small_task.vocab,
-                            small_task.max_len, 2, pairs, out)
+    n = export_cls_features(task_params, examples, small_task.vocab, pairs,
+                            out)
     assert n == 6
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -117,7 +117,7 @@ def test_export_lambda_one_feature_identity(task_params, small_task,
     assert len(examples) == 2
     out = tmp_path / "f.csv"
     export_cls_features(task_params, examples, small_task.vocab,
-                        small_task.max_len, 2, MixupPairs([0], [1], [1.0]), out)
+                        MixupPairs([0], [1], [1.0]), out)
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     original = np.array([float(v) for v in rows[1][5:]])
@@ -149,8 +149,8 @@ def test_export_cls_features_split_is_byte_identical(tmp_path, monkeypatch):
         monkeypatch.setattr(model, "_BLOCK_ROWS", block_rows)
         threads.clear()
         path = tmp_path / f"feats{cpus}_{block_rows}.csv"
-        assert export_cls_features(params, task.train, task.vocab,
-                                   task.max_len, 2, pairs, path) == 60
+        assert export_cls_features(params, task.train, task.vocab, pairs,
+                                   path) == 60
         out[cpus, block_rows] = path.read_bytes()
         assert any(t.startswith("mixkd-forward") for t in threads) == (
             cpus == 2)
@@ -162,14 +162,13 @@ def test_export_cls_features_split_is_byte_identical(tmp_path, monkeypatch):
     assert out[2, 512] == out[1, 512] == out[1, 10 ** 9]
 
 
-def test_throughput_bench_reports(tiny_params, tiny_config):
-    report = throughput_bench(tiny_params, tiny_config.vocab_size,
-                              tiny_config.max_seq_len, batch_size=4,
-                              warmup=1, measured_batches=2)
+def test_throughput_bench_reports(tiny_params):
+    report = throughput_bench(tiny_params, batch_size=4, warmup=1,
+                              measured_batches=2)
     assert report["samples_per_second"] > 0
     assert report["param_count"] == tiny_params.param_count()
     with pytest.raises(ValueError):
-        throughput_bench(tiny_params, 20, 6, measured_batches=0)
+        throughput_bench(tiny_params, measured_batches=0)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def _unfused_forward(params, emb, pad_mask, train_mode=False, rng=None,
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
         cut = cls_only_last and i == cfg.num_layers - 1
-        xq = ad.select_index(ad.reshape(x2, (n, T, d)), 0, axis=1) if cut else x2
+        xq = ad.select_index(ad.reshape(x2, (n, T, d)), 0) if cut else x2
         tq = 1 if cut else T
 
         def heads(name, src, rows):
@@ -221,7 +221,7 @@ def _unfused_forward(params, emb, pad_mask, train_mode=False, rng=None,
         x2 = ad.layer_norm(ad.add(x2, ff),
                            params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
     cls = x2 if cls_only_last else ad.select_index(
-        ad.reshape(x2, (n, T, d)), 0, axis=1)
+        ad.reshape(x2, (n, T, d)), 0)
     return linear(cls, "head.weight", "head.bias")
 
 

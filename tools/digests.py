@@ -25,8 +25,11 @@ the checkout this file sits in.  The document holds:
   ``grid.json`` and ``grid.tsv`` of a 2-cell sweep, and the ``bound
   verify --out`` and ``seeds --out`` JSON.
 
-It takes about 35 s (2-CPU x86-64 host, one BLAS thread).  tests/test_golden_digests.py
-checks a T = 14 subset in the tier-1 suite.
+It takes about 35 s (2-CPU x86-64 host, one BLAS thread).
+tests/test_golden_digests.py checks runs of another set-up in the tier-1
+suite: the same teacher and students at T = 14, but on 64 training and
+32 dev examples (12 steps), with ``eval_every=2`` and dropout 0.1 only,
+so its digests are not a subset of this document.
 """
 
 import os
@@ -116,8 +119,8 @@ def outputs(task, params) -> dict:
                        np.random.default_rng(0))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "features.csv"
-        rows = export_cls_features(params, task.dev[:16], task.vocab,
-                                   task.max_len, C, pairs, path)
+        rows = export_cls_features(params, task.dev[:16], task.vocab, pairs,
+                                   path)
         csv = sha(path.read_bytes())
     return {"evaluate": {"accuracy": float(metrics.accuracy).hex(),
                          "n_eval": metrics.n_eval},
