@@ -15,12 +15,14 @@ from . import bounds as bounds_mod
 from .config import ConfigError, config_from_pairs, load_config, parse_kv_file
 from .data import (DataError, Schema, Vocab, build_vocab, load_tsv,
                    merge_augmented, subsample)
-from .distill import (SweepGrid, TaskData, TrainingDiverged, distill_student,
-                      grid_files, run_seeds, sweep_grid, train_teacher)
+from .distill import (SweepGrid, TaskData, TrainingDiverged, check_seeds,
+                      distill_student, grid_files, run_seeds, sweep_grid,
+                      train_teacher)
 from .evaluation import evaluate, export_cls_features, throughput_bench
 from .mixup import MixupConfig, make_pairs
-from .model import (CheckpointError, ModelConfig, OutputError, atomic_write,
-                    check_student_config, load_checkpoint, save_checkpoint)
+from .model import (CheckpointError, ModelConfig, OutputError,
+                    check_student_config, checkpoint_bytes, load_checkpoint,
+                    write_files)
 
 EXIT_CODES = {
     DataError: 2,
@@ -150,9 +152,15 @@ def _emit(payload: dict, out) -> None:
     """Given ``out``, write ``payload`` indented to that file; then print
     it as one JSON line, so a failed write prints no result."""
     if out:
-        with atomic_write(out) as fh:
-            json.dump(payload, fh, indent=2)
+        write_files({out: json.dumps(payload, indent=2)})
     print(json.dumps(payload))
+
+
+def _save_run(params, config: ModelConfig, dataset: TaskData, record, out):
+    """Writes the checkpoint at ``out`` and its runlog, both or neither."""
+    extra = _vocab_extra(dataset.vocab, dataset.label_names)
+    write_files({out: checkpoint_bytes(params, config, extra),
+                 _runlog(out): record.jsonl()})
 
 
 def _model_config(source, teacher=None, **model_kwargs) -> ModelConfig:
@@ -230,9 +238,7 @@ def cmd_train_teacher(args) -> int:
     dataset = TaskData(train=train, dev=dev, vocab=vocab, label_names=labels,
                        max_len=model_config.max_seq_len)
     params, record = train_teacher(config, model_config, dataset)
-    save_checkpoint(params, model_config, args.out,
-                    extra=_vocab_extra(vocab, labels))
-    record.to_jsonl(_runlog(args.out))
+    _save_run(params, model_config, dataset, record, args.out)
     print(json.dumps({"dev_accuracy": record.final_metrics["dev_accuracy"],
                       "best_step": record.best_step,
                       "out": str(args.out)}))
@@ -248,9 +254,7 @@ def cmd_distill(args) -> int:
     variant = VARIANT_MAP[args.variant]
     student, record = distill_student(config, student_config, dataset,
                                       teacher, variant=variant)
-    save_checkpoint(student, student_config, args.out,
-                    extra=_vocab_extra(dataset.vocab, dataset.label_names))
-    record.to_jsonl(_runlog(args.out))
+    _save_run(student, student_config, dataset, record, args.out)
     print(json.dumps({"variant": args.variant,
                       "dev_accuracy": record.final_metrics["dev_accuracy"],
                       "out": str(args.out)}))
@@ -263,6 +267,9 @@ def cmd_eval(args) -> int:
         args.model, args)
     positive = None
     if args.positive_class is not None:
+        if len(labels) != 2:  # F1 is computed for two classes only
+            raise ConfigError(f"--positive-class needs a 2-class model; "
+                              f"{args.model} has {len(labels)} classes")
         if args.positive_class not in labels:
             raise DataError(f"unknown positive class {args.positive_class!r}")
         positive = labels.index(args.positive_class)
@@ -324,7 +331,10 @@ def cmd_sweep(args) -> int:
         values[key] = _parse_list(pairs.pop(key), convert,
                                   f"{args.grid}: {key}")
     config, model_kwargs, _ = config_from_pairs(pairs, args.grid)
-    grid = SweepGrid(base=config, **values)
+    try:
+        grid = SweepGrid(base=config, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{args.grid}: {exc}") from exc
     teacher, student_config, dataset = _student_task(args, config,
                                                      model_kwargs, args.grid)
     results = sweep_grid(grid, student_config, dataset, teacher, args.out)
@@ -344,13 +354,10 @@ def cmd_bound(args) -> int:
 
 def cmd_seeds(args) -> int:
     seeds = _parse_list(args.seeds, int, "--seeds")
-    if len(seeds) < 2:
-        raise ConfigError(f"--seeds needs at least 2 seeds, got {args.seeds!r}")
-    for i, seed in enumerate(seeds):
-        _check_at_least(seed, 0, "--seeds")
-        if seed in seeds[:i]:
-            raise ConfigError(f"--seeds: seed {seed} is repeated in "
-                              f"{args.seeds!r}; each seed runs once")
+    try:
+        check_seeds(seeds, "--seeds", args.seeds)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     config, model_kwargs, _ = load_config(args.config)
     teacher, student_config, dataset = _student_task(args, config,
                                                      model_kwargs, args.config)

@@ -14,6 +14,7 @@ trajectory bit for bit under the same seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -25,10 +26,10 @@ from . import autodiff as ad
 from . import evaluation
 from .autodiff import NonFiniteError, Tensor
 from .data import Batch, Example, Vocab, collate
-from .mixup import MixupConfig, make_pairs, materialize
-from .model import (ModelConfig, ModelParams, atomic_write, embed_batch,
+from .mixup import MixupConfig, MixupError, make_pairs, materialize
+from .model import (ModelConfig, ModelParams, embed_batch,
                     forward_from_embeddings, init_random,
-                    init_student_from_teacher)
+                    init_student_from_teacher, write_files)
 
 VARIANTS = ("ft", "tmkd", "sm_tmkd")
 
@@ -45,12 +46,17 @@ class LossWeights:
     temperature: float = 2.0
 
     def __post_init__(self):
-        if self.alpha_sm < 0 or self.alpha_tmkd < 0:
-            raise ValueError("loss weights must be nonnegative")
+        # each check states the accepted range, which NaN is never in
+        if not (0 <= self.alpha_sm < math.inf
+                and 0 <= self.alpha_tmkd < math.inf):
+            raise ValueError("loss weights must be finite and nonnegative, "
+                             f"got alpha_sm={self.alpha_sm}, "
+                             f"alpha_tmkd={self.alpha_tmkd}")
         if self.distance_metric not in ("mse", "temperature_ce"):
             raise ValueError(f"unknown distance metric {self.distance_metric!r}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be finite and positive, got "
+                             f"{self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +72,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive, got "
+                             f"{self.learning_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eval_every < 0:
@@ -108,17 +115,16 @@ class RunRecord:
         self.steps.append({"step": step, "loss_total": total, "loss_mle": mle,
                            "loss_sm": sm, "loss_tmkd": tmkd})
 
-    def to_jsonl(self, path) -> None:
-        with atomic_write(path) as fh:
-            for row in self.steps:
-                fh.write(json.dumps({"type": "step", **row}) + "\n")
-            for row in self.evals:
-                fh.write(json.dumps({"type": "eval", **row}) + "\n")
-            fh.write(json.dumps({"type": "summary", "seed": self.seed,
-                                 "variant": self.variant,
-                                 "best_step": self.best_step,
-                                 "final_metrics": self.final_metrics,
-                                 "wall_clock": self.wall_clock}) + "\n")
+    def jsonl(self) -> str:
+        """The runlog: one JSON line per step, then per eval, then a
+        summary line."""
+        rows = ([{"type": "step", **row} for row in self.steps]
+                + [{"type": "eval", **row} for row in self.evals]
+                + [{"type": "summary", "seed": self.seed,
+                    "variant": self.variant, "best_step": self.best_step,
+                    "final_metrics": self.final_metrics,
+                    "wall_clock": self.wall_clock}])
+        return "".join(json.dumps(row) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +394,27 @@ def _distill_each(configs: Sequence[TrainConfig], student_config: ModelConfig,
             yield record
 
 
+def check_seeds(seeds: Sequence[int], name: str = "run_seeds",
+                given=None) -> None:
+    """ValueError unless ``seeds`` holds two or more seeds >= 0, none
+    repeated; the message names ``name`` and shows ``given`` (``seeds``)."""
+    given = list(seeds) if given is None else given
+    if len(seeds) < 2:
+        raise ValueError(f"{name} needs at least 2 seeds, got {given!r}")
+    for i, seed in enumerate(seeds):
+        if seed < 0:
+            raise ValueError(f"{name} must be >= 0, got {seed}")
+        if seed in seeds[:i]:
+            raise ValueError(f"{name}: seed {seed} is repeated in {given!r}; "
+                             "each seed runs once")
+
+
 def run_seeds(config: TrainConfig, student_config: ModelConfig,
               dataset: TaskData, teacher: ModelParams, variant: str,
               seeds: Sequence[int]) -> dict:
     """Independent runs per seed; population mean/std of the final metrics.
     The first failed seed ends the runs, named in the error."""
-    if len(seeds) < 2:
-        raise ValueError("run_seeds needs at least 2 seeds")
-    for i, seed in enumerate(seeds):
-        if seed in seeds[:i]:
-            raise ValueError(f"run_seeds: seed {seed} is repeated; each seed "
-                             "runs once")
+    check_seeds(seeds)
     configs = [replace(config, seed=int(seed)) for seed in seeds]
     accs = []
     for seed, outcome in zip(seeds, _distill_each(
@@ -423,9 +439,25 @@ class SweepGrid:
     base: TrainConfig
 
     def __post_init__(self):
-        if not (self.alpha_sm_values and self.alpha_tmkd_values
-                and self.mixup_ratio_values):
-            raise ValueError("sweep value lists must be nonempty")
+        """A ValueError naming the list that is empty or holds a value no
+        run can take."""
+        for key in ("alpha_sm_values", "alpha_tmkd_values",
+                    "mixup_ratio_values"):
+            if not getattr(self, key):
+                raise ValueError(f"{key}: sweep value lists must be nonempty")
+            for value in getattr(self, key):
+                try:
+                    self.cell_config(**{key.removesuffix("_values"): value})
+                except (ValueError, MixupError) as exc:
+                    raise ValueError(f"{key}: {exc}") from exc
+
+    def cell_config(self, mixup_ratio=None, **weights) -> TrainConfig:
+        """The base config with a cell's mixup_ratio and loss weights
+        (alpha_sm, alpha_tmkd), each given or left at its base value."""
+        base = self.base
+        mixup = (base.mixup if mixup_ratio is None
+                 else replace(base.mixup, mixup_ratio=mixup_ratio))
+        return replace(base, mixup=mixup, loss=replace(base.loss, **weights))
 
 
 def grid_files(out_dir) -> tuple[str, str]:
@@ -446,12 +478,7 @@ def sweep_grid(grid: SweepGrid, student_config: ModelConfig,
                for ratio in grid.mixup_ratio_values
                for a_sm in grid.alpha_sm_values
                for a_tmkd in grid.alpha_tmkd_values]
-    base = grid.base
-    configs = [replace(base, mixup=replace(base.mixup,
-                                           mixup_ratio=cell["mixup_ratio"]),
-                       loss=replace(base.loss, alpha_sm=cell["alpha_sm"],
-                                    alpha_tmkd=cell["alpha_tmkd"]))
-               for cell in results]
+    configs = [grid.cell_config(**cell) for cell in results]
     for cell, outcome in zip(results, _distill_each(
             configs, student_config, dataset, teacher, "sm_tmkd")):
         failed = isinstance(outcome, Exception)
@@ -460,21 +487,16 @@ def sweep_grid(grid: SweepGrid, student_config: ModelConfig,
         cell["error"] = str(outcome) if failed else None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        rows = ["alpha_sm\talpha_tmkd\tmixup_ratio\tdev_accuracy\terror\n"]
+        for cell in results:
+            acc = ("" if cell["dev_accuracy"] is None
+                   else f"{cell['dev_accuracy']:.4f}")
+            rows.append(f"{cell['alpha_sm']}\t{cell['alpha_tmkd']}\t"
+                        f"{cell['mixup_ratio']}\t{acc}\t"
+                        f"{cell['error'] or ''}\n")
         json_path, tsv_path = grid_files(out_dir)
-        # nested, with grid.json's bytes flushed before grid.tsv is
-        # written, so that a failed write of either file replaces neither
-        with atomic_write(json_path) as json_fh:
-            json.dump(results, json_fh, indent=2)
-            json_fh.flush()
-            with atomic_write(tsv_path) as fh:
-                fh.write("alpha_sm\talpha_tmkd\tmixup_ratio\tdev_accuracy\t"
-                         "error\n")
-                for cell in results:
-                    acc = ("" if cell["dev_accuracy"] is None
-                           else f"{cell['dev_accuracy']:.4f}")
-                    fh.write(f"{cell['alpha_sm']}\t{cell['alpha_tmkd']}\t"
-                             f"{cell['mixup_ratio']}\t{acc}\t"
-                             f"{cell['error'] or ''}\n")
+        write_files({json_path: json.dumps(results, indent=2),
+                     tsv_path: "".join(rows)})
     return results
 
 

@@ -4,6 +4,7 @@ forward passes only, no training."""
 from __future__ import annotations
 
 import csv
+import io
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -13,8 +14,8 @@ import numpy as np
 from .autodiff import no_grad
 from .data import Batch, DataError, Example, Vocab, collate, make_batch
 from .mixup import MixupPairs, materialize
-from .model import (ModelParams, atomic_write, embed_batch,
-                    forward_from_embeddings, forward_tokens)
+from .model import (ModelParams, embed_batch, forward_from_embeddings,
+                    forward_tokens, write_files)
 
 
 @dataclass
@@ -68,7 +69,7 @@ def evaluate_batches(params: ModelParams, batches: Sequence[Batch],
     all_logits = []
     for batch in batches:
         with no_grad():
-            logits = forward_tokens(params, batch, train_mode=False)
+            logits = forward_tokens(params, batch)
         all_logits.append(logits.data)
     return compute_metrics(np.concatenate(all_logits),
                            np.concatenate([b.labels_onehot for b in batches]),
@@ -104,15 +105,16 @@ def export_cls_features(params: ModelParams, examples: Sequence[Example],
     parent_j = np.concatenate([own, pairs.index_j])
     lams = np.concatenate([np.ones(len(examples)), pairs.lam])
 
-    with atomic_write(out_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "parent_i", "parent_j", "lambda", "soft_label"]
-                        + [f"f{j}" for j in range(vecs.shape[1])])
-        for rid, (pi, pj, lam, label, vec) in enumerate(
-                zip(parent_i, parent_j, lams, labels, vecs)):
-            writer.writerow([rid, pi, pj, f"{lam:.12g}",
-                             ";".join(f"{v:.12g}" for v in label)]
-                            + [f"{v:.12g}" for v in vec])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["id", "parent_i", "parent_j", "lambda", "soft_label"]
+                    + [f"f{j}" for j in range(vecs.shape[1])])
+    for rid, (pi, pj, lam, label, vec) in enumerate(
+            zip(parent_i, parent_j, lams, labels, vecs)):
+        writer.writerow([rid, pi, pj, f"{lam:.12g}",
+                         ";".join(f"{v:.12g}" for v in label)]
+                        + [f"{v:.12g}" for v in vec])
+    write_files({out_path: text.getvalue()})
     return len(lams)
 
 

@@ -10,6 +10,7 @@ sample is the union of the two source masks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,8 +57,9 @@ class MixupConfig:
     mixup_ratio: int = 1
 
     def __post_init__(self):
-        if self.beta_alpha <= 0:
-            raise MixupError("beta_alpha must be positive")
+        if not 0 < self.beta_alpha < math.inf:
+            raise MixupError("beta_alpha must be finite and positive, got "
+                             f"{self.beta_alpha}")
         if self.mixup_ratio < 0 or int(self.mixup_ratio) != self.mixup_ratio:
             raise MixupError("mixup_ratio must be a nonnegative integer")
 

@@ -26,7 +26,6 @@ serial forward (see ``forward_from_embeddings``).
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import hashlib
 import json
@@ -400,13 +399,11 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     return logits
 
 
-def forward_tokens(params: ModelParams, batch, train_mode: bool = False,
-                   rng: Optional[np.random.Generator] = None,
-                   return_features: bool = False):
-    """embed -> encoder; ``batch`` needs .token_ids and .pad_mask arrays."""
+def forward_tokens(params: ModelParams, batch, return_features: bool = False):
+    """Dropout-off embed -> encoder; ``batch`` needs .token_ids and
+    .pad_mask arrays."""
     emb = embed_batch(params, batch.token_ids, batch.pad_mask)
     return forward_from_embeddings(params, emb, batch.pad_mask,
-                                   train_mode=train_mode, rng=rng,
                                    return_features=return_features)
 
 
@@ -417,31 +414,30 @@ def forward_tokens(params: ModelParams, batch, train_mode: bool = False,
 MAGIC = b"MKDCKPT2"
 
 
-@contextlib.contextmanager
-def atomic_write(path, binary: bool = False):
-    """A handle on ``<path>.<pid>.tmp`` (text: UTF-8, no newline
-    translation) that replaces ``path`` when the block exits cleanly,
-    after a flush and fsync; on an exception the temp file is deleted, so
-    a failed write never leaves a truncated file at ``path``, and an
-    OSError becomes an OutputError naming ``path`` (one from an
-    atomic_write nested in the block passes through, naming its own file).
-    Every output file of mixkd is written through this."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    text = {} if binary else {"encoding": "utf-8", "newline": ""}
+def write_files(contents: dict) -> None:
+    """Writes each ``path: data`` of ``contents`` (``str`` as UTF-8,
+    ``bytes`` as they are) all or none: every ``<path>.<pid>.tmp`` is
+    written and fsynced first, and only then renamed over its path, in
+    order, so a failed write replaces no file; only a failing rename can
+    leave the paths before it new and the rest old.  On any failure every
+    temp file is deleted, and an OSError becomes an OutputError naming
+    the file.  Every output file of mixkd is written through this."""
+    tmps = {path: f"{os.fspath(path)}.{os.getpid()}.tmp" for path in contents}
     try:
-        with open(tmp, "wb" if binary else "w", **text) as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except OutputError:
-        raise
+        for path, data in contents.items():
+            with open(tmps[path], "wb") as fh:
+                fh.write(data.encode() if isinstance(data, str) else data)
+                fh.flush()
+                os.fsync(fh.fileno())
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
     except OSError as exc:
         raise OutputError(f"{os.fspath(path)}: cannot write: "
                           f"{exc.strerror or exc}") from exc
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _json_bytes(obj) -> bytes:
@@ -456,11 +452,11 @@ def _digest(manifest: dict, payload: bytes) -> str:
     return h.hexdigest()
 
 
-def save_checkpoint(params: ModelParams, config: ModelConfig, path,
-                    extra: Optional[dict] = None) -> None:
-    """Binary file: magic, u32-length JSON manifest (config, array names,
-    ``extra``, and a ``sha256`` over those and the arrays), the arrays as
-    float32 LE back to back; written atomically (temp file, then rename)."""
+def checkpoint_bytes(params: ModelParams, config: ModelConfig,
+                     extra: Optional[dict] = None) -> bytes:
+    """Magic, u32-length JSON manifest (config, array names, ``extra``,
+    and a ``sha256`` over those and the arrays), the arrays as float32 LE
+    back to back."""
     manifest = {"config": asdict(config), "arrays": params.names,
                 "extra": extra or {}}
     payload = b"".join(params[name].data.astype("<f4").tobytes()
@@ -468,11 +464,13 @@ def save_checkpoint(params: ModelParams, config: ModelConfig, path,
     # hashed as load_checkpoint sees the manifest: after a JSON round trip
     manifest["sha256"] = _digest(json.loads(_json_bytes(manifest)), payload)
     mbytes = _json_bytes(manifest)
-    with atomic_write(path, binary=True) as fh:
-        fh.write(MAGIC)
-        fh.write(len(mbytes).to_bytes(4, "little"))
-        fh.write(mbytes)
-        fh.write(payload)
+    return MAGIC + len(mbytes).to_bytes(4, "little") + mbytes + payload
+
+
+def save_checkpoint(params: ModelParams, config: ModelConfig, path,
+                    extra: Optional[dict] = None) -> None:
+    """The :func:`checkpoint_bytes` file at ``path``, written atomically."""
+    write_files({path: checkpoint_bytes(params, config, extra)})
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:

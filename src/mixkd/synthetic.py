@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import Example, build_vocab
 from .distill import TaskData
-from .model import atomic_write
+from .model import write_files
 
 LABEL_NAMES = ["neg", "pos"]
 
@@ -55,7 +55,5 @@ def make_task(n_train: int = 2000, n_dev: int = 500, vocab_words: int = 200,
 
 def write_tsv(examples, label_names, path) -> None:
     """A ``sentence<TAB>label`` TSV, the CLI's default --schema."""
-    with atomic_write(path) as fh:
-        fh.write("sentence\tlabel\n")
-        for ex in examples:
-            fh.write(f"{ex.text_a}\t{label_names[ex.label_id]}\n")
+    write_files({path: "sentence\tlabel\n" + "".join(
+        f"{ex.text_a}\t{label_names[ex.label_id]}\n" for ex in examples)})

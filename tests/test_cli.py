@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import struct
 import warnings
 
@@ -75,6 +76,24 @@ def test_eval_command(teacher_ckpt, workspace, capsys):
     assert 0.0 <= payload["accuracy"] <= 1.0
     assert payload["f1"] is not None
     assert "accuracy" in out.splitlines()[2]  # aligned-column block
+
+
+def test_eval_positive_class_needs_two_classes(workspace, tmp_path, capsys):
+    """F1 is computed for two classes only, so --positive-class on a
+    3-class model fails before evaluating, not with "f1": null."""
+    data = tmp_path / "three.tsv"
+    data.write_text("sentence\tlabel\n" + "".join(
+        f"tok{i} tok{i + 1}\t{'abc'[i % 3]}\n" for i in range(12)))
+    ckpt = tmp_path / "three.ckpt"
+    assert main(["train-teacher", "--config", str(workspace / "teacher.cfg"),
+                 "--data", str(data), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(ckpt), "--data", str(data),
+                 "--positive-class", "a"]) == 6
+    captured = capsys.readouterr()
+    assert captured.err == ("error (ConfigError): --positive-class needs a "
+                            f"2-class model; {ckpt} has 3 classes\n")
+    assert captured.out == ""
 
 
 def test_checkpoint_extra_holds_vocab_and_labels(teacher_ckpt, workspace,
@@ -519,10 +538,10 @@ def test_exit_code_runlog_is_a_directory(command, teacher_ckpt, workspace,
 
 
 class _DiskFull:
-    """A file whose second write fails, after the first went out."""
+    """A file that takes half of the bytes written to it, then fails."""
 
     def __init__(self, fh):
-        self.fh, self.writes = fh, 0
+        self.fh = fh
 
     def __enter__(self):
         return self
@@ -531,14 +550,13 @@ class _DiskFull:
         self.fh.close()
 
     def write(self, data):
-        self.writes += 1
-        if self.writes == 2:
-            raise OSError("No space left on device")
-        return self.fh.write(data)
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("No space left on device")
 
 
 WRITERS = ["checkpoint", "runlog", "export_csv", "grid_json", "grid_tsv",
-           "synthetic_tsv", "bound_out", "seeds_out"]
+           "synthetic_tsv", "bound_out", "seeds_out", "teacher_checkpoint",
+           "teacher_runlog", "distill_checkpoint", "distill_runlog"]
 
 
 @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
@@ -546,14 +564,19 @@ WRITERS = ["checkpoint", "runlog", "export_csv", "grid_json", "grid_tsv",
 def test_failed_write_keeps_the_target(writer, existing, teacher_ckpt,
                                        workspace, tmp_path, monkeypatch,
                                        capsys):
-    """Every output is written through model.atomic_write: a write that
+    """Every output is written through model.write_files: a write that
     raises partway leaves an existing target byte-identical, a new one
     absent, and no temp file."""
     out = tmp_path / "out"
-    # sweep replaces both grid files or neither
+    runlog = tmp_path / "out.runlog.jsonl"
+    # sweep replaces both grid files or neither, train-teacher and distill
+    # both the checkpoint and its runlog or neither
     targets = {"grid_json": [out / "grid.json", out / "grid.tsv"],
-               "grid_tsv": [out / "grid.tsv", out / "grid.json"]}.get(
-                   writer, [out])
+               "grid_tsv": [out / "grid.tsv", out / "grid.json"],
+               "teacher_checkpoint": [out, runlog],
+               "teacher_runlog": [runlog, out],
+               "distill_checkpoint": [out, runlog],
+               "distill_runlog": [runlog, out]}.get(writer, [out])
     target = targets[0]
     target.parent.mkdir(exist_ok=True)
     if existing:
@@ -575,8 +598,16 @@ def test_failed_write_keeps_the_target(writer, existing, teacher_ckpt,
         "seeds_out": ["seeds", "--seeds", "0,1", "--config",
                       str(workspace / "student.cfg"), "--teacher",
                       str(teacher_ckpt), "--variant", "sm-tmkd"] + data,
+        "teacher_checkpoint": ["train-teacher", "--config",
+                               str(workspace / "teacher.cfg")] + data,
+        "distill_checkpoint": ["distill", "--config",
+                               str(workspace / "student.cfg"), "--teacher",
+                               str(teacher_ckpt), "--variant", "sm-tmkd"]
+        + data,
     }
     cli_argv["grid_tsv"] = cli_argv["grid_json"]
+    cli_argv["teacher_runlog"] = cli_argv["teacher_checkpoint"]
+    cli_argv["distill_runlog"] = cli_argv["distill_checkpoint"]
     params, config, _ = load_checkpoint(teacher_ckpt)
     task = synthetic.make_task(n_train=4, n_dev=1, seed=0)
     record = RunRecord(seed=0, variant="ft")
@@ -584,7 +615,7 @@ def test_failed_write_keeps_the_target(writer, existing, teacher_ckpt,
 
     def failing_open(file, *args, **kwargs):
         fh = open(file, *args, **kwargs)
-        return _DiskFull(fh) if str(file).startswith(f"{target}.") else fh
+        return _DiskFull(fh) if file == f"{target}.{os.getpid()}.tmp" else fh
 
     monkeypatch.setattr(model_mod, "open", failing_open, raising=False)
     if writer in cli_argv:
@@ -599,7 +630,7 @@ def test_failed_write_keeps_the_target(writer, existing, teacher_ckpt,
             if writer == "checkpoint":
                 save_checkpoint(params, config, target)
             elif writer == "runlog":
-                record.to_jsonl(target)
+                model_mod.write_files({target: record.jsonl()})
             else:
                 synthetic.write_tsv(task.train, task.label_names, target)
     assert sorted(tmp_path.rglob("*")) == before
@@ -750,10 +781,23 @@ def test_exit_code_model_keys(command, drop, add, needle, teacher_ckpt,
     ("model.num_classes=3", "unknown config key"),
     ("seed=-1", "seed must be >= 0"),
     ("eval_every=-1", "eval_every must be >= 0"),
+    # NaN fails every comparison, so each check states the accepted range
+    ("loss.alpha_sm=nan", "loss weights must be finite and nonnegative"),
+    ("loss.alpha_sm=inf", "loss weights must be finite and nonnegative"),
+    ("loss.alpha_tmkd=nan", "loss weights must be finite and nonnegative"),
+    ("learning_rate=nan", "learning_rate must be finite and positive"),
+    ("learning_rate=inf", "learning_rate must be finite and positive"),
+    ("mixup.beta_alpha=nan", "beta_alpha must be finite and positive"),
+    ("mixup.beta_alpha=inf", "beta_alpha must be finite and positive"),
+    ("loss.temperature=nan", "temperature must be finite and positive"),
+    ("loss.temperature=inf", "temperature must be finite and positive"),
 ], ids=["mystery_key", "removed_mixup_key", "removed_train_key",
         "removed_optimizer", "removed_adam_eps", "removed_mixup_seed",
         "derived_vocab_size", "derived_num_classes", "negative_seed",
-        "negative_eval_every"])
+        "negative_eval_every", "nan_alpha_sm", "inf_alpha_sm",
+        "nan_alpha_tmkd", "nan_learning_rate", "inf_learning_rate",
+        "nan_beta_alpha", "inf_beta_alpha", "nan_temperature",
+        "inf_temperature"])
 def test_exit_code_config_error(line, needle, workspace, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -769,6 +813,13 @@ def test_exit_code_config_error(line, needle, workspace, tmp_path, capsys):
 @pytest.mark.parametrize("argv, name", [
     (["sweep", "alpha_sm_values=abc"], "alpha_sm_values"),
     (["sweep", "alpha_sm_values="], "alpha_sm_values"),
+    # each cell's config is checked before the teacher loads
+    (["sweep", "alpha_sm_values=-1"],
+     "grid.cfg: alpha_sm_values: loss weights must be finite"),
+    (["sweep", "alpha_tmkd_values=1.0,nan"],
+     "grid.cfg: alpha_tmkd_values: loss weights must be finite"),
+    (["sweep", "mixup_ratio_values=-1"],
+     "grid.cfg: mixup_ratio_values: mixup_ratio must be a nonnegative"),
     (["seeds", "--seeds", "a,b"], "--seeds"),
     (["seeds", "--seeds", "0"], "--seeds"),
     (["seeds", "--seeds=-1,2"], "--seeds"),
@@ -793,7 +844,8 @@ def test_exit_code_config_error(line, needle, workspace, tmp_path, capsys):
     (["eval", "--batch-size", "abc"], "--batch-size: invalid int value"),
     (["export-embeddings", "--n", "1.5"], "--n: invalid int value"),
     (["bench", "--warmup", ""], "--warmup: invalid int value"),
-], ids=["sweep_not_a_number", "sweep_empty_list", "seeds_not_a_number",
+], ids=["sweep_not_a_number", "sweep_empty_list", "sweep_negative_alpha_sm",
+        "sweep_nan_alpha_tmkd", "sweep_negative_ratio", "seeds_not_a_number",
         "seeds_single", "seeds_negative", "seeds_repeated",
         "distill_zero_fraction", "distill_nan_fraction",
         "distill_fraction_above_1", "export_negative_ratio",
@@ -808,9 +860,13 @@ def test_exit_code_bad_numbers(argv, name, teacher_ckpt, workspace, tmp_path,
     command = argv[0]
     data = ["--data", str(workspace / "train.tsv")]
     if command == "sweep":
+        values = {"alpha_sm_values": "1.0", "alpha_tmkd_values": "1.0",
+                  "mixup_ratio_values": "1"}
+        key, value = argv[1].split("=", 1)
+        values[key] = value
         grid = tmp_path / "grid.cfg"
-        grid.write_text(STUDENT_CFG + argv[1] + "\n"
-                        "alpha_tmkd_values=1.0\nmixup_ratio_values=1\n")
+        grid.write_text(STUDENT_CFG + "".join(f"{k}={v}\n"
+                                              for k, v in values.items()))
         argv = ["sweep", "--grid", str(grid)]
     required = {
         "sweep": ["--teacher", str(teacher_ckpt),

@@ -302,14 +302,12 @@ def test_train_teacher_smoke(small_task, small_model_config):
     assert record.wall_clock > 0
 
 
-def test_run_record_jsonl(tmp_path, small_task, small_model_config):
+def test_run_record_jsonl(small_task, small_model_config):
     config = TrainConfig(epochs=1, batch_size=64, seed=0)
     _, record = train_teacher(config, small_model_config, small_task,
                               max_steps=2)
-    out = tmp_path / "run.jsonl"
-    record.to_jsonl(out)
     import json
-    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    lines = [json.loads(l) for l in record.jsonl().splitlines()]
     assert lines[0]["type"] == "step"
     assert lines[-1]["type"] == "summary"
 

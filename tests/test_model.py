@@ -649,27 +649,11 @@ def test_checkpoint_failed_write_keeps_old_file(tiny_params, tiny_config,
     save_checkpoint(tiny_params, tiny_config, path, extra={"v": 1})
     before = path.read_bytes()
 
-    class DiskFull:
-        """A file whose third write fails, after the header went out."""
+    def disk_full(fd):
+        """The fsync after the new bytes reached the temp file fails."""
+        raise OSError("No space left on device")
 
-        def __init__(self, fh):
-            self.fh, self.writes = fh, 0
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            self.writes += 1
-            if self.writes == 3:
-                raise OSError("No space left on device")
-            return self.fh.write(data)
-
-    monkeypatch.setattr(model_mod, "open",
-                        lambda *a, **kw: DiskFull(open(*a, **kw)),
-                        raising=False)
+    monkeypatch.setattr(model_mod.os, "fsync", disk_full)
     changed = init_random(tiny_config, seed=9)
     with pytest.raises(OSError, match="No space left"):
         save_checkpoint(changed, tiny_config, path, extra={"v": 2})

@@ -21,9 +21,10 @@ the checkout this file sits in.  The document holds:
   one ``rademacher_mc_estimate`` value: every caller of the testbed's
   ``sample`` and of ``loss_matrix``;
 - the sha256 of the files the command line writes on a small task: the
-  data TSV, a teacher checkpoint and its runlog (without ``wall_clock``),
-  ``grid.json`` and ``grid.tsv`` of a 2-cell sweep, and the ``bound
-  verify --out`` and ``seeds --out`` JSON.
+  data TSV, a teacher checkpoint and an ``sm-tmkd`` student checkpoint
+  with their runlogs (without ``wall_clock``), ``grid.json`` and
+  ``grid.tsv`` of a 2-cell sweep, and the ``bound verify --out`` and
+  ``seeds --out`` JSON.
 
 It takes about 35 s (2-CPU x86-64 host, one BLAS thread).
 tests/test_golden_digests.py checks runs of another set-up in the tier-1
@@ -185,6 +186,9 @@ def files() -> dict:
         commands = [
             ["train-teacher", "--config", str(root / "teacher.cfg"), *data,
              "--out", teacher],
+            ["distill", "--config", str(root / "student.cfg"), "--teacher",
+             teacher, "--variant", "sm-tmkd", *data, "--out",
+             str(root / "s.ckpt")],
             ["sweep", "--grid", str(root / "grid.cfg"), "--teacher", teacher,
              *data, "--out", str(root / "sweep")],
             ["bound", "verify", "--a", "20", "--b-mix", "20", "--trials",
@@ -199,11 +203,17 @@ def files() -> dict:
                 code = cli(argv)
             if code:
                 raise SystemExit(f"mixkd {argv[0]} exited {code}")
-        runlog = (root / "t.ckpt.runlog.jsonl").read_bytes()
+
+        def runlog(ckpt):
+            text = (root / f"{ckpt}.runlog.jsonl").read_bytes()
+            return sha(re.sub(rb', "wall_clock": [^,}]+', b"", text))
+
         return {
             "train_tsv": sha((root / "train.tsv").read_bytes()),
             "checkpoint": sha((root / "t.ckpt").read_bytes()),
-            "runlog": sha(re.sub(rb', "wall_clock": [^,}]+', b"", runlog)),
+            "runlog": runlog("t.ckpt"),
+            "distill_checkpoint": sha((root / "s.ckpt").read_bytes()),
+            "distill_runlog": runlog("s.ckpt"),
             "grid_json": sha((root / "sweep" / "grid.json").read_bytes()),
             "grid_tsv": sha((root / "sweep" / "grid.tsv").read_bytes()),
             "bound_out": sha((root / "bound.json").read_bytes()),
