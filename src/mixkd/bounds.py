@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .mixup import MixupConfig, make_pairs, mix_labels
+from .mixup import (MixupConfig, beta_from_gammas, check_pairs, draw_round,
+                    make_pairs, mix_labels)
 
 
 class BoundError(Exception):
@@ -215,8 +216,8 @@ class EnumerableTestbed:
 
     ``probs`` is checked once, with the conditions ``Generator.choice``
     checks on every call, and its CDF is kept.  ``draw`` inverts that CDF
-    at uniform draws, which is ``choice``'s own code path, so every index
-    and the generator's state afterwards equal those of
+    (``invert``) at uniform draws, which is ``choice``'s own code path, so
+    every index and the generator's state afterwards equal those of
     ``rng.choice(N, size=n, p=probs)``.  The arrays are read-only copies.
 
     Inversion looks the answer up instead of running a binary search per
@@ -257,9 +258,12 @@ class EnumerableTestbed:
             object.__setattr__(self, name, arr)
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n indices into ``inputs``: ``cdf.searchsorted(rng.random(n),
-        side="right")``, looked up by slice."""
-        u = rng.random(n)
+        """n indices into ``inputs``, inverted at ``rng.random(n)``."""
+        return self.invert(rng.random(n))
+
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """Indices into ``inputs`` at uniform draws ``u`` of any shape:
+        ``cdf.searchsorted(u, side="right")``, looked up by slice."""
         j = (u * len(self.below)).astype(np.intp)
         idx = self.below[j]
         # cdf[-1] == 1 > u, so idx < N
@@ -402,12 +406,19 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
 
     The trials run in blocks of whole trials, at most ``_BLOCK_ROWS``
     originals and as many mixed points a block (unless one trial holds
-    more), so memory does not grow with ``trials``.  A block has two
+    more), so memory does not grow with ``trials``.  A block has three
     phases:
 
     - Draw: each trial makes the draws of a loop over ``sample`` and
-      ``_mix_points``, in that order: its originals, then its mixup
-      recipe, all as indices into ``inputs``.
+      ``_mix_points``, in that order, with three generator calls: one
+      ``random`` for its originals' and its pool's uniforms (each float64
+      takes one 64-bit output, so this is the stream of the two ``draw``
+      calls), then ``mixup.draw_round``, which draws the partners and the
+      Gamma pairs of ``make_pairs``' one round.
+    - Per block, with no draws: the uniforms are inverted to indices into
+      ``inputs``, lambdas are formed from the Gamma pairs, each mixed
+      point gets its partner from its trial's pool and its parent by
+      cycling the originals, and the pairs get ``MixupPairs``' checks.
     - Score, with no draws: the originals' errors are gathered from the
       error table of every input, which is built once per report and
       whose float copy gives ``population_risks`` bit for bit.  The mixed points are
@@ -435,28 +446,33 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
     bound = hoeffding_gap_bound(M, g_class.cardinality, delta, a + b_mix)
 
     per_block = max(1, _BLOCK_ROWS // max(a, b_mix))
+    alpha = MixupConfig().beta_alpha
+    parent_slots = np.arange(b_mix) % a
     counts = np.min_scalar_type(a + b_mix)   # holds every error count
     gaps_aug = np.empty(trials)
     gaps_plain = np.empty(trials)
     for start in range(0, trials, per_block):
         k = min(per_block, trials - start)
-        originals = np.empty((k, a), dtype=np.intp)
-        slots = np.empty((k, b_mix), dtype=np.intp)
+        u = np.empty((k, a + b_mix))
         partners = np.empty((k, b_mix), dtype=np.intp)
-        lam = np.empty((k, b_mix))
+        gammas = np.empty((k, b_mix, 2))
         for t in range(k):
-            originals[t] = testbed.draw(a, rng)
+            rng.random(out=u[t])
             if b_mix > 0:
-                slots[t], partners[t], lam[t] = _mix_recipe(testbed, b_mix,
-                                                            rng)
+                partners[t] = draw_round(b_mix, alpha, rng, b_mix, gammas[t])
+        drawn = testbed.invert(u)
+        originals = drawn[:, :a]
 
         # errors returns the transpose of a C-ordered [n, G] array
         wrong_plain = _per_trial(table.T[originals.ravel()], k, counts)
         wrong_aug = wrong_plain
         if b_mix > 0:
-            parents = np.take_along_axis(originals, slots % a, axis=1)
+            lam = beta_from_gammas(gammas)
+            check_pairs(parent_slots, partners, lam)
+            parents = originals[:, parent_slots]
+            mates = np.take_along_axis(drawn[:, a:], partners, axis=1)
             mixed = mix_labels(testbed.inputs[parents.ravel()],
-                               testbed.inputs[partners.ravel()], lam.ravel())
+                               testbed.inputs[mates.ravel()], lam.ravel())
             wrong_aug = wrong_plain + _per_trial(g_class.errors(mixed).T, k,
                                                  counts)
 

@@ -338,6 +338,11 @@ def cmd_sweep(args) -> int:
     teacher, student_config, dataset = _student_task(args, config,
                                                      model_kwargs, args.grid)
     results = sweep_grid(grid, student_config, dataset, teacher, args.out)
+    if all(cell["error"] for cell in results):
+        grid_json = grid_files(args.out)[0]
+        raise TrainingDiverged(f"every cell of {args.grid} failed (see "
+                               f"{grid_json}); the first: "
+                               f"{results[0]['error']}")
     print(json.dumps({"cells": len(results), "out": str(args.out)}))
     return 0
 

@@ -42,13 +42,20 @@ class MixupPairs:
         if not (i.ndim == 1 and i.shape == j.shape == lam.shape):
             raise MixupError(f"index_i, index_j and lam must be 1-D and of one "
                              f"length: {i.shape}, {j.shape}, {lam.shape}")
-        if not ((lam >= 0.0) & (lam <= 1.0)).all():  # NaN fails both
-            raise MixupError(f"lambda outside [0, 1] in {lam}")
-        if (i < 0).any() or (j < 0).any():
-            raise MixupError("negative pair index")
+        check_pairs(i, j, lam)
 
     def __len__(self) -> int:
         return len(self.lam)
+
+
+def check_pairs(index_i: np.ndarray, index_j: np.ndarray,
+                lam: np.ndarray) -> None:
+    """MixupError unless every lambda lies in [0, 1] and no index is
+    negative; the arrays may have any shapes."""
+    if not ((lam >= 0.0) & (lam <= 1.0)).all():  # NaN fails both
+        raise MixupError(f"lambda outside [0, 1] in {lam}")
+    if (index_i < 0).any() or (index_j < 0).any():
+        raise MixupError("negative pair index")
 
 
 @dataclass(frozen=True)
@@ -60,18 +67,36 @@ class MixupConfig:
         if not 0 < self.beta_alpha < math.inf:
             raise MixupError("beta_alpha must be finite and positive, got "
                              f"{self.beta_alpha}")
-        if self.mixup_ratio < 0 or int(self.mixup_ratio) != self.mixup_ratio:
-            raise MixupError("mixup_ratio must be a nonnegative integer")
+        # the range first: int() of an infinity or NaN raises its own error
+        if (not 0 <= self.mixup_ratio < math.inf
+                or int(self.mixup_ratio) != self.mixup_ratio):
+            raise MixupError("mixup_ratio must be a nonnegative integer, got "
+                             f"{self.mixup_ratio}")
 
 
-def _beta_draws(alpha: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.gamma(alpha, size=(n, 2))
-    return g[:, 0] / (g[:, 0] + g[:, 1])
+def beta_from_gammas(gammas: np.ndarray) -> np.ndarray:
+    """Beta(alpha, alpha) draws g0 / (g0 + g1) from Gamma(alpha) pairs
+    [..., 2]."""
+    return gammas[..., 0] / (gammas[..., 0] + gammas[..., 1])
+
+
+def draw_round(batch_size: int, alpha: float, rng: np.random.Generator,
+               extra_pool_size: int, gammas: np.ndarray) -> np.ndarray:
+    """One round of ``make_pairs``' draws, in its order: the partners of
+    rows 0..batch_size-1, returned, then the Gamma(alpha) pairs of their
+    lambdas, written into ``gammas`` [batch_size, 2].  Partners are
+    distinct rows of a pool of ``extra_pool_size``, or without a pool a
+    permutation of the batch."""
+    partners = (rng.choice(extra_pool_size, size=batch_size, replace=False)
+                if extra_pool_size else rng.permutation(batch_size))
+    rng.standard_gamma(alpha, out=gammas)
+    return partners
 
 
 def sample_lambda(config: MixupConfig, rng: np.random.Generator) -> float:
     """Beta(alpha, alpha) draw realized as two Gamma draws."""
-    return float(_beta_draws(config.beta_alpha, rng, 1)[0])
+    return float(beta_from_gammas(rng.standard_gamma(config.beta_alpha,
+                                                     size=2)))
 
 
 def make_pairs(batch_size: int, config: MixupConfig, rng: np.random.Generator,
@@ -87,14 +112,12 @@ def make_pairs(batch_size: int, config: MixupConfig, rng: np.random.Generator,
     if batch_size < 1:
         raise MixupError("batch_size must be >= 1")
     index_j = np.empty((config.mixup_ratio, batch_size), dtype=np.int64)
-    lam = np.empty(index_j.shape)
+    gammas = np.empty((config.mixup_ratio, batch_size, 2))
     for r in range(config.mixup_ratio):
-        index_j[r] = (rng.choice(extra_pool_size, size=batch_size,
-                                 replace=False)
-                      if extra_pool_size else rng.permutation(batch_size))
-        lam[r] = _beta_draws(config.beta_alpha, rng, batch_size)
+        index_j[r] = draw_round(batch_size, config.beta_alpha, rng,
+                                extra_pool_size, gammas[r])
     return MixupPairs(np.tile(np.arange(batch_size), config.mixup_ratio),
-                      index_j.ravel(), lam.ravel())
+                      index_j.ravel(), beta_from_gammas(gammas).ravel())
 
 
 def mix_labels(labels_i: np.ndarray, labels_j: np.ndarray,

@@ -259,6 +259,32 @@ def test_draw_is_searchsorted_bitwise(probs, crowded):
             arr[0] = 0
 
 
+@pytest.mark.parametrize("probs", [
+    _masses(64, 0.3, np.random.default_rng(0)),
+    _masses(5000, 0.5, np.random.default_rng(2)),
+    B.make_testbed(n_bits=10, seed=0).probs,
+], ids=["zeros-64", "zeros-5000", "testbed-10"])
+def test_invert_block_is_draw_per_row(probs):
+    """Inverting a [k, n] block of uniforms, drawn row by row, gives each
+    row's ``draw`` bit for bit, crowded slices included, and leaves the
+    generator where the ``draw`` calls do."""
+    n = len(probs)
+    inputs = ((np.arange(n)[:, None] >> np.arange(13)[None, :]) & 1)
+    tb = B.EnumerableTestbed(inputs.astype(np.float64), probs)
+    rng = np.random.default_rng(n)
+    replay = copy.deepcopy(rng)
+    u = np.empty((7, 399))
+    for row in u:
+        rng.random(out=row)
+    if n != 1024:
+        assert tb.crowded[(u * len(tb.below)).astype(np.intp)].any()
+    got = tb.invert(u)
+    want = np.stack([tb.draw(399, replay) for _ in range(7)])
+    assert got.dtype == np.intp and got.shape == (7, 399)
+    np.testing.assert_array_equal(got, want)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
 @pytest.mark.parametrize("probs, match", [
     ([0.5, 0.6, -0.1, 0.0], "nonnegative"),
     ([0.5, np.nan, 0.25, 0.25], "NaN"),

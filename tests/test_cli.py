@@ -215,6 +215,30 @@ def test_sweep(teacher_ckpt, workspace, capsys):
     assert json.loads(capsys.readouterr().out)["cells"] == 2
 
 
+def test_sweep_exits_5_when_every_cell_fails(teacher_ckpt, workspace,
+                                             tmp_path, capsys):
+    """Both grid files are written, then the sweep exits 5, naming the
+    grid file and the first cell's error."""
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(STUDENT_CFG + "alpha_sm_values=1.0\n"
+                    "alpha_tmkd_values=1e308\nmixup_ratio_values=1\n")
+    out_dir = tmp_path / "sweep"
+    code = main(["sweep", "--grid", str(grid),
+                 "--teacher", str(teacher_ckpt),
+                 "--data", str(workspace / "train.tsv"),
+                 "--dev", str(workspace / "dev.tsv"),
+                 "--out", str(out_dir)])
+    assert code == 5
+    (cell,) = json.loads((out_dir / "grid.json").read_text())
+    assert cell["dev_accuracy"] is None and cell["error"]
+    assert (out_dir / "grid.tsv").read_text().count("\n") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error (TrainingDiverged): every cell of {grid} failed (see "
+        f"{out_dir / 'grid.json'}); the first: {cell['error']}\n")
+
+
 def _no_dev_argv(command, workspace, teacher_ckpt, tmp_path):
     data = ["--data", str(workspace / "train.tsv")]
     student = ["--config", str(workspace / "student.cfg"),

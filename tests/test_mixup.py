@@ -1,9 +1,12 @@
 """Mixup recipes, the Beta sampler, and interpolation algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
 from mixkd import autodiff as ad
+from mixkd import mixup
 from mixkd.autodiff import Tensor, constant
 from mixkd.mixup import (MixupConfig, MixupError, MixupPairs, make_pairs,
                          materialize, mix_batch, mix_labels, sample_lambda)
@@ -50,6 +53,10 @@ def test_config_validation():
         MixupConfig(beta_alpha=0.0)
     with pytest.raises(MixupError):
         MixupConfig(mixup_ratio=-1)
+    for ratio in (math.inf, -math.inf, math.nan, 1.5):
+        with pytest.raises(MixupError, match="^mixup_ratio must be a "
+                                             "nonnegative integer, got "):
+            MixupConfig(mixup_ratio=ratio)
 
 
 def test_sample_lambda_range_and_moments(rng):
@@ -118,6 +125,47 @@ def test_make_pairs_matches_per_pair_loop_bitwise(batch, pool, ratio):
         assert pairs.lam.tobytes() == np.array(lam, dtype=np.float64).tobytes()
         # the generators stand at the same point of the stream
         assert ours.random() == theirs.random()
+
+
+def _reference_make_pairs(batch_size, config, rng, extra_pool_size=0):
+    """make_pairs written out in full, one round at a time, with
+    ``Generator.gamma``: (index_i, index_j, lam)."""
+    index_j = np.empty((config.mixup_ratio, batch_size), dtype=np.int64)
+    lam = np.empty(index_j.shape)
+    for r in range(config.mixup_ratio):
+        index_j[r] = (rng.choice(extra_pool_size, size=batch_size,
+                                 replace=False)
+                      if extra_pool_size else rng.permutation(batch_size))
+        g = rng.gamma(config.beta_alpha, size=(batch_size, 2))
+        lam[r] = g[:, 0] / (g[:, 0] + g[:, 1])
+    return (np.tile(np.arange(batch_size), config.mixup_ratio),
+            index_j.ravel(), lam.ravel())
+
+
+@pytest.mark.parametrize("pool", [0, 40, 57], ids=["permutation", "pool=batch",
+                                                    "pool>batch"])
+@pytest.mark.parametrize("ratio", [0, 1, 2, 3])
+def test_make_pairs_and_draw_round_match_reference(ratio, pool):
+    """make_pairs, and draw_round per round with the lambdas formed at the
+    end (the gap experiment's route), give the reference's pairs bit for
+    bit and leave the generator where it does."""
+    cfg = MixupConfig(beta_alpha=0.4, mixup_ratio=ratio)
+    for seed in range(3):
+        ours, rounds, theirs = (np.random.default_rng(seed) for _ in range(3))
+        pairs = make_pairs(40, cfg, ours, extra_pool_size=pool)
+        index_i, index_j, lam = _reference_make_pairs(40, cfg, theirs, pool)
+        assert pairs.index_i.tobytes() == index_i.tobytes()
+        assert pairs.index_j.tobytes() == index_j.tobytes()
+        assert pairs.lam.tobytes() == lam.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+        gammas = np.empty((ratio, 40, 2))
+        partners = [mixup.draw_round(40, 0.4, rounds, pool, gammas[r])
+                    for r in range(ratio)]
+        np.testing.assert_array_equal(np.ravel(partners), index_j)
+        assert mixup.beta_from_gammas(gammas).ravel().tobytes() == \
+            lam.tobytes()
+        assert rounds.bit_generator.state == theirs.bit_generator.state
 
 
 def test_sample_lambda_matches_two_scalar_gamma_draws():

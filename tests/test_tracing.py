@@ -25,6 +25,14 @@ def _attributes():
     return {owner: dict(vars(owner)) for owner in owners + list(PATCHED_CLASSES)}
 
 
+def _assert_restored(before):
+    after = _attributes()
+    for owner, attrs in before.items():
+        assert set(after[owner]) == set(attrs), owner
+        changed = [k for k, v in attrs.items() if after[owner][k] is not v]
+        assert not changed, (owner, changed)
+
+
 def test_tracer_uninstall_restores_every_attribute(tiny_params, tiny_config):
     before = _attributes()
     tracer = tracing.Tracer({})
@@ -39,11 +47,7 @@ def test_tracer_uninstall_restores_every_attribute(tiny_params, tiny_config):
         tiny_params.zero_grads()
     finally:
         tracer.uninstall()
-    after = _attributes()
-    for owner, attrs in before.items():
-        assert set(after[owner]) == set(attrs), owner
-        changed = [k for k, v in attrs.items() if after[owner][k] is not v]
-        assert not changed, (owner, changed)
+    _assert_restored(before)
     # the traced step reached the names the per-layer metrics are built from
     counts = {name: n for name, (_, _, n) in tracer.totals().items()}
     for name in ("model.embed", "model.forward", "autodiff.fwd.matmul",
@@ -73,20 +77,29 @@ def test_traced_make_pairs_counts_its_pairs():
 
 
 def test_traced_gap_experiment_keeps_its_spans():
-    """A traced report still records ``bounds.experiment`` and one
-    ``mixup.make_pairs`` span per trial, so ``mixup.make_pairs.specs``
-    counts trials x b_mix pairs (199 per trial on bound_verify)."""
+    """A traced report records one ``bounds.experiment`` span, equals the
+    untraced report, and the tracer's uninstall restores every attribute.
+    The experiment draws its pairs with ``mixup.draw_round``, not
+    ``make_pairs``, so ``mixup.make_pairs`` records no span on it."""
     testbed = bounds.make_testbed(n_bits=10, seed=0)
     g_class = bounds.make_scorer_class(testbed, g_size=64, seed=1)
+
+    def report():
+        rep = bounds.empirical_gap_experiment(testbed, g_class, a=200,
+                                              b_mix=199, trials=7, delta=0.1,
+                                              rng=np.random.default_rng(0))
+        return rep.to_dict(), rep.gaps_augmented, rep.gaps_plain
+
+    untraced = report()
+    before = _attributes()
     tracer = tracing.Tracer({})
     tracer.install()
     try:
-        bounds.empirical_gap_experiment(testbed, g_class, a=200, b_mix=199,
-                                        trials=7, delta=0.1,
-                                        rng=np.random.default_rng(0))
+        traced = report()
     finally:
         tracer.uninstall()
+    _assert_restored(before)
     totals = tracer.totals()
     assert totals["bounds.experiment"][2] == 1
-    assert totals["mixup.make_pairs"][2] == 7
-    assert tracer.counters["specs"] == 7 * 199
+    assert totals["mixup.make_pairs"][2] == 0
+    assert traced == untraced

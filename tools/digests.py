@@ -16,8 +16,10 @@ the checkout this file sits in.  The document holds:
 - at T = 64, from the dropout-0 teacher: the ``evaluate`` metrics, the
   graph-free logits and [CLS] features of the whole dev split, and the
   ``export_cls_features`` CSV;
-- ``empirical_gap_experiment`` reports at criterion 10's shape and one
-  without mixup (criterion 9's path), one ``estimate_shift_delta`` and
+- ``empirical_gap_experiment`` reports at criterion 10's shape, one
+  without mixup (criterion 9's path) and one with ``a < b_mix`` and a
+  ragged last block (a = 20, b_mix = 300, 7 trials: parents cycle the
+  originals, and a block holds 3 trials), one ``estimate_shift_delta`` and
   one ``rademacher_mc_estimate`` value: every caller of the testbed's
   ``sample`` and of ``loss_matrix``;
 - the sha256 of the files the command line writes on a small task: the
@@ -134,9 +136,9 @@ def gap_reports() -> dict:
     g_class = bounds.make_scorer_class(testbed, g_size=64, seed=1)
     b_mix = bounds.thm1_required_b(1.0, 64, 0.1, 200, 0.09, 0.0)
 
-    def report(b, seed):
+    def report(b, seed, a=200, trials=40):
         rep = bounds.empirical_gap_experiment(
-            testbed, g_class, a=200, b_mix=b, trials=40, delta=0.1,
+            testbed, g_class, a=a, b_mix=b, trials=trials, delta=0.1,
             rng=np.random.default_rng(seed), M=1.0)
         return {**rep.to_dict(),
                 "gaps_augmented": sha(np.array(rep.gaps_augmented)),
@@ -149,6 +151,7 @@ def gap_reports() -> dict:
         g_class, testbed.sample(200, rng), trials=200, rng=rng)
     return {"mixup": [report(b_mix, 1000 + r) for r in range(GAP_REPS)],
             "plain": report(0, 1000),
+            "cycling": report(300, 1000, a=20, trials=7),
             "shift_delta": shift.hex(), "rademacher": rademacher.hex()}
 
 
