@@ -5,8 +5,8 @@ Jacobian product closure on the output tensor, and ``backward`` walks a
 freshly built topological tape.  Inside ``no_grad`` the same ops record
 nothing, for forward passes that are never differentiated.  Only
 scalar-vs-tensor broadcasting is allowed; everything else goes through
-explicit ops (``add_bias``, ``gather_rows``, ...) so shape bugs fail
-loudly.
+explicit ops (``add_bias``, ``gather_rows``, ``mix``, ``embedding``, ...)
+so shape bugs fail loudly.
 
 Finiteness is checked at the boundaries, not per op.  A tensor built by
 ``Tensor(...)`` or ``constant(...)`` is checked; an op result is not.
@@ -276,6 +276,21 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _result(a.data * s, (a,), lambda g: (g * s,))
 
 
+def mix(a: Tensor, b: Tensor, lam: np.ndarray) -> Tensor:
+    """``a * lam + b * (1 - lam)`` for two tensors of one shape [m, ...]
+    and one constant weight per leading row, ``lam`` [m], broadcast over
+    the other axes without a copy; the VJP is ``(g * lam, g * (1 - lam))``."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if a.shape != b.shape or a.data.ndim < 1 or lam.shape != a.shape[:1]:
+        raise ShapeError(f"mix: operands {a.shape} and {b.shape}, "
+                         f"lam {lam.shape}")
+    lam = lam.reshape(lam.shape + (1,) * (a.data.ndim - 1))
+    rest = 1.0 - lam
+    out = a.data * lam
+    out += b.data * rest
+    return _result(out, (a, b), lambda g: (g * lam, g * rest))
+
+
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
@@ -294,27 +309,66 @@ def transpose(a: Tensor, axes) -> Tensor:
                    lambda g: (g.transpose(inv),))
 
 
+def _check_ids(op: str, ids: np.ndarray, rows: int) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        raise AutodiffError(
+            f"{op} index out of range for table with {rows} rows")
+
+
+def _scatter_rows(ids: np.ndarray, g: np.ndarray, rows: int) -> np.ndarray:
+    """``np.add.at(zeros((rows,) + g.shape[1:]), ids, g)`` for 1-D ``ids``,
+    bitwise: one flat bincount over (row, column) slots adds in input
+    order from +0.0, signed zeros too."""
+    w = int(np.prod(g.shape[1:]))
+    slots = (ids[:, None] * w + np.arange(w)).ravel()
+    dt = np.bincount(slots, weights=g.reshape(ids.size, w).ravel(),
+                     minlength=rows * w)
+    # empty ids give int64 zeros
+    return dt.astype(np.float64, copy=False).reshape((rows,) + g.shape[1:])
+
+
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``table[ids]`` with scatter-add gradient to the table."""
+    """Row lookup ``table[ids]`` with scatter-add gradient to the table;
+    a row may be a vector or any block of trailing axes."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeError(f"gather_rows expects 1-D ids, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise AutodiffError(
-            f"gather_rows index out of range for table with {table.shape[0]} rows")
+    _check_ids("gather_rows", ids, table.shape[0])
+    return _result(table.data[ids], (table,),
+                   lambda g, rows=table.shape[0]: (
+                       _scatter_rows(ids, g, rows),))
 
-    def vjp(g, ids=ids, rows=table.shape[0]):
-        # one flat bincount over (row, column) slots: it adds in input order
-        # from +0.0, so it is bitwise np.add.at into zeros, signed zeros too
-        w = int(np.prod(g.shape[1:]))
-        slots = (ids[:, None] * w + np.arange(w)).ravel()
-        dt = np.bincount(slots, weights=g.reshape(ids.size, w).ravel(),
-                         minlength=rows * w)
-        # empty ids give int64 zeros
-        return (dt.astype(np.float64, copy=False).reshape(
-            (rows,) + g.shape[1:]),)
 
-    return _result(table.data[ids], (table,), vjp)
+def embedding(tok: Tensor, pos: Tensor, ids: np.ndarray,
+              mask: np.ndarray) -> Tensor:
+    """``(tok[ids] + pos[:T]) * mask`` for token ids [n,T] and a pad mask
+    [n,T] (true = real): token plus position rows [n,T,d], multiplied by
+    the 0/1 mask.  A multiply, not a select: a pad position is a zero of
+    the sum's sign (-0.0 where the sum is negative).  The VJP masks the
+    gradient the same way and scatter-adds it into each table
+    (``_scatter_rows``, as ``gather_rows``)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    mask = np.asarray(mask, dtype=bool)
+    if ids.ndim != 2 or mask.shape != ids.shape:
+        raise ShapeError(f"embedding: ids {ids.shape} / mask {mask.shape} "
+                         "must be one [n,T] shape")
+    n, T = ids.shape
+    if (tok.data.ndim != 2 or pos.data.ndim != 2 or tok.shape[1] != pos.shape[1]
+            or T > pos.shape[0]):
+        raise ShapeError(f"embedding: tables {tok.shape} / {pos.shape} for "
+                         f"ids {ids.shape}")
+    _check_ids("embedding", ids, tok.shape[0])
+    keep = mask[:, :, None].astype(np.float64)  # float: a faster product
+    out = tok.data[ids]
+    out += pos.data[:T]
+    out *= keep
+
+    def vjp(g, rows=(tok.shape[0], pos.shape[0])):
+        gm = (g * keep).reshape(n * T, -1)
+        return (_scatter_rows(ids.ravel(), gm, rows[0]),
+                _scatter_rows(np.tile(np.arange(T), n), gm, rows[1]))
+
+    return _result(out, (tok, pos), vjp)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:

@@ -80,7 +80,7 @@ GRID_KEYS = {"alpha_sm_values": float, "alpha_tmkd_values": float,
 
 
 def _vocab_extra(vocab: Vocab, label_names) -> dict:
-    return {"vocab": vocab.id_to_token, "labels": list(label_names)}
+    return {"vocab": list(vocab.id_to_token), "labels": list(label_names)}
 
 
 def _load_model_and_data(path, args):

@@ -3,15 +3,20 @@
 Tokenization is deliberately simple: lowercase, split on whitespace, keep
 punctuation runs as their own tokens.  This diverges from WordPiece; the
 training mechanics are tokenizer-agnostic.
+
+A ``Vocab`` cannot change once built, so ``encode`` memoizes on it: each
+text is tokenized once per vocabulary and length, and every later batch,
+epoch or evaluation copies the cached rows.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+import types
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -60,15 +65,29 @@ class Example:
             raise DataError("Example.label_id must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocab:
-    token_to_id: dict[str, int]
-    id_to_token: list[str] = field(init=False)
+    """An immutable token <-> id mapping that memoizes its encodings.
+
+    ``token_to_id`` is a read-only view of a private copy of the mapping
+    it is built from, so no later change to that mapping reaches it.
+    ``encode`` keeps each finished (ids, mask) row pair per
+    ``(text_a, text_b, max_len)``; the memo is valid because the mapping
+    cannot change, and it is bounded by the texts this vocabulary
+    encodes: about 0.5 MB for 1,024 examples at T = 14.
+    """
+    token_to_id: Mapping[str, int]
+    id_to_token: tuple[str, ...] = field(init=False)
+    _encoded: dict = field(init=False, repr=False, compare=False,
+                           default_factory=dict)
 
     def __post_init__(self):
-        self.id_to_token = [""] * len(self.token_to_id)
-        for tok, i in self.token_to_id.items():
-            self.id_to_token[i] = tok
+        mapping = types.MappingProxyType(dict(self.token_to_id))
+        id_to_token = [""] * len(mapping)
+        for tok, i in mapping.items():
+            id_to_token[i] = tok
+        object.__setattr__(self, "token_to_id", mapping)
+        object.__setattr__(self, "id_to_token", tuple(id_to_token))
 
     @property
     def size(self) -> int:
@@ -154,9 +173,16 @@ def build_vocab(examples: Sequence[Example], min_freq: int = 1,
 
 def encode(vocab: Vocab, example: Example,
            max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """[CLS] a [SEP] (b [SEP]) truncated to max_len, PAD-filled; mask true = real."""
+    """[CLS] a [SEP] (b [SEP]) truncated to max_len, PAD-filled; mask true = real.
+
+    The rows are read-only and memoized on ``vocab``: each
+    ``(text_a, text_b, max_len)`` is tokenized once."""
     if max_len < 3:
         raise DataError("max_len must be at least 3")
+    key = (example.text_a, example.text_b, max_len)
+    rows = vocab._encoded.get(key)
+    if rows is not None:
+        return rows
     ids = [CLS_ID]
     ids += [vocab.lookup(t) for t in tokenize(example.text_a)]
     ids.append(SEP_ID)
@@ -168,6 +194,9 @@ def encode(vocab: Vocab, example: Example,
     mask[:len(ids)] = True
     out = np.full(max_len, PAD_ID, dtype=np.int64)
     out[:len(ids)] = ids
+    out.flags.writeable = False
+    mask.flags.writeable = False
+    vocab._encoded[key] = out, mask
     return out, mask
 
 

@@ -218,7 +218,14 @@ def total_loss(batch: Batch, pairs, teacher: Optional[ModelParams],
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
+    """Adam with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
+
+    A step allocates nothing: it runs the products and sums of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)`` in that order, in place,
+    with its intermediates in two scratch buffers that every parameter
+    shares (views the size of the largest parameter; two per parameter
+    would double the optimizer's memory)."""
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, lr: float):
@@ -226,6 +233,8 @@ class Adam:
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._buffers = (np.empty(0), np.empty(0))
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: ModelParams) -> None:
         self.t += 1
@@ -238,12 +247,27 @@ class Adam:
             if name not in self.m:  # a parameter's first step
                 self.m[name] = np.zeros_like(tensor.data)
                 self.v[name] = np.zeros_like(tensor.data)
+                size = tensor.data.size
+                if self._buffers[0].size < size:
+                    self._buffers = (np.empty(size), np.empty(size))
+                self._scratch[name] = tuple(
+                    b[:size].reshape(tensor.shape) for b in self._buffers)
             m, v = self.m[name], self.v[name]
+            s1, s2 = self._scratch[name]
+            np.multiply(g, 1.0 - self.b1, out=s1)
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += s1
+            np.multiply(g, 1.0 - self.b2, out=s1)
+            s1 *= g
             v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            tensor.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += s1
+            np.divide(m, bc1, out=s2)
+            s2 *= self.lr
+            np.divide(v, bc2, out=s1)
+            np.sqrt(s1, out=s1)
+            s1 += self.eps
+            s2 /= s1
+            tensor.data -= s2
         # the parameters are a boundary: each must be finite after a step
         for name, t in params.arrays.items():
             ad._check_finite(
@@ -280,15 +304,14 @@ def _train_loop(params: ModelParams, config: TrainConfig, dataset: TaskData,
     start = time.perf_counter()
     best_acc, best_params = -1.0, None
     step = 0
-    # the dev split is encoded once; every eval reuses its batches
-    dev_batches = list(collate(dataset.dev, dataset.vocab, dataset.max_len,
-                               config.batch_size, dataset.num_classes))
 
     def run_eval():
         nonlocal best_acc, best_params
         if record.evals and record.evals[-1]["step"] == step:
             return  # these weights were evaluated already
-        metrics = evaluation.evaluate_batches(params, dev_batches)
+        metrics = evaluation.evaluate(params, dataset.dev, dataset.vocab,
+                                      dataset.max_len, dataset.num_classes,
+                                      batch_size=config.batch_size)
         record.evals.append({"step": step, "accuracy": metrics.accuracy,
                              "f1": metrics.f1})
         if metrics.accuracy > best_acc:

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import no_grad
-from .data import Batch, DataError, Example, Vocab, collate, make_batch
+from .data import DataError, Example, Vocab, collate, make_batch
 from .mixup import MixupPairs, materialize
 from .model import (ModelParams, embed_batch, forward_from_embeddings,
                     forward_tokens, write_files)
@@ -55,25 +55,18 @@ def evaluate(params: ModelParams, examples: Sequence[Example], vocab: Vocab,
              max_len: int, num_classes: int, batch_size: int = 32,
              positive_class: Optional[int] = None) -> Metrics:
     """Dropout-off, graph-free forward over the whole split, each example
-    exactly once."""
-    batches = list(collate(examples, vocab, max_len, batch_size, num_classes))
-    return evaluate_batches(params, batches, positive_class)
-
-
-def evaluate_batches(params: ModelParams, batches: Sequence[Batch],
-                     positive_class: Optional[int] = None) -> Metrics:
-    """:func:`evaluate` on a split already encoded as batches, so a
-    caller that evaluates it again and again encodes it once."""
-    if not batches:
+    exactly once; ``vocab`` memoizes the encodings, so a split evaluated
+    again and again is tokenized once."""
+    if not examples:
         raise DataError("no examples to evaluate")
-    all_logits = []
-    for batch in batches:
+    all_logits, all_labels = [], []
+    for batch in collate(examples, vocab, max_len, batch_size, num_classes):
         with no_grad():
             logits = forward_tokens(params, batch)
         all_logits.append(logits.data)
+        all_labels.append(batch.labels_onehot)
     return compute_metrics(np.concatenate(all_logits),
-                           np.concatenate([b.labels_onehot for b in batches]),
-                           positive_class)
+                           np.concatenate(all_labels), positive_class)
 
 
 def export_cls_features(params: ModelParams, examples: Sequence[Example],

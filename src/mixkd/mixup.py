@@ -2,10 +2,12 @@
 
 A :class:`MixupPairs` record holds a batch's recipes (index_i, index_j,
 lambda); each model materializes it in its own embedding space, so the
-teacher and student interpolate their own embeddings of the same tokens.  Pad
-positions hold exact zero embeddings, which makes interpolation against
-a shorter sequence's tail automatic; the attention mask of a mixed
-sample is the union of the two source masks.
+teacher and student interpolate their own embeddings of the same tokens.
+A pair's one lambda weighs its whole [T,d] rows: ``autodiff.mix``
+broadcasts the [m] lambdas as [m,1,1], with no dense copy.  Pad
+positions hold zero embeddings, which makes interpolation against a
+shorter sequence's tail automatic; the attention mask of a mixed sample
+is the union of the two source masks.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ def mix_batch(emb_i: Tensor, emb_j: Tensor,
               mask_i: np.ndarray, mask_j: np.ndarray,
               labels_i: np.ndarray, labels_j: np.ndarray,
               lambdas: Sequence[float]):
-    """Interpolate two aligned embedding batches [n,T,d] with one lambda per pair.
+    """Interpolate two aligned embedding batches [n,T,d] with one lambda
+    per pair, as one ``autodiff.mix`` op.
 
     Returns (mixed_emb, mixed_mask, mixed_labels); the mask is the
     elementwise OR of the sources and labels are mixed with the same
@@ -144,26 +147,18 @@ def mix_batch(emb_i: Tensor, emb_j: Tensor,
         raise MixupError(f"need {n} lambdas, got shape {lam.shape}")
     if mask_i.shape != mask_j.shape or labels_i.shape != labels_j.shape:
         raise MixupError("mask or label shapes differ")
-
-    lam_full = np.broadcast_to(lam[:, None, None], emb_i.shape).copy()
-    mixed_emb = ad.add(ad.mul(emb_i, ad.constant(lam_full)),
-                       ad.mul(emb_j, ad.constant(1.0 - lam_full)))
-    mixed_mask = mask_i | mask_j
-    mixed_labels = mix_labels(labels_i, labels_j, lam)
-    return mixed_emb, mixed_mask, mixed_labels
+    return (ad.mix(emb_i, emb_j, lam), mask_i | mask_j,
+            mix_labels(labels_i, labels_j, lam))
 
 
 def materialize(pairs: MixupPairs, emb: Tensor, mask: np.ndarray,
                 labels: np.ndarray):
-    """Gather the (i, j) batch rows named by the pairs and mix them."""
+    """Gather the (i, j) batch rows named by the pairs from the [n,T,d]
+    embedding table and mix them.  The rows i are gathered, and enter the
+    mix, before the rows j: that order fixes the order in which the
+    backward pass adds the embedding's gradients."""
     if not len(pairs):
         raise MixupError("no pairs to materialize")
-
-    def rows(t: Tensor, idx: np.ndarray) -> Tensor:
-        n, T, d = t.shape
-        flat = ad.reshape(t, (n, T * d))
-        return ad.reshape(ad.gather_rows(flat, idx), (len(idx), T, d))
-
     i, j = pairs.index_i, pairs.index_j
-    return mix_batch(rows(emb, i), rows(emb, j), mask[i], mask[j],
-                     labels[i], labels[j], pairs.lam)
+    return mix_batch(ad.gather_rows(emb, i), ad.gather_rows(emb, j),
+                     mask[i], mask[j], labels[i], labels[j], pairs.lam)

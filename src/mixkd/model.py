@@ -5,10 +5,11 @@ initialized from the teacher's first k layers.  Two forward entry points
 exist: from token ids and from raw embedding batches, the latter being
 how interpolated (mixed) inputs are fed to either model.
 
-Padding convention: a pad position carries the exact zero embedding
-(token and position contribution both zeroed), and attention scores for
-pad keys get an additive -1e9 before the softmax.  Position 0 is the
-pooled classification slot.
+Padding convention: a pad position carries a zero embedding (token plus
+position, times the 0/1 pad mask, in one ``autodiff.embedding`` op, so
+the zero has the sign of the sum), and attention scores for pad keys get
+an additive -1e9 before the softmax.  Position 0 is the pooled
+classification slot.
 
 The classifier reads only the last layer's [CLS] vector, so the last
 layer computes only the [CLS] query rows (keys and values still come from
@@ -198,23 +199,18 @@ def init_student_from_teacher(teacher: ModelParams,
 
 def embed_batch(params: ModelParams, token_ids: np.ndarray,
                 pad_mask: np.ndarray) -> Tensor:
-    """Token + position embeddings, exact zeros at pad positions; [n,T,d]."""
+    """Token + position embeddings, zeros at pad positions; [n,T,d] (one
+    ``autodiff.embedding`` op)."""
     cfg = params.config
     ids = np.asarray(token_ids, dtype=np.int64)
     mask = np.asarray(pad_mask, dtype=bool)
     if ids.shape != mask.shape or ids.ndim != 2:
         raise ValueError(f"token_ids {ids.shape} / pad_mask {mask.shape} must be [n,T]")
-    n, T = ids.shape
-    if T != cfg.max_seq_len:
-        raise ValueError(f"sequence length {T} != max_seq_len {cfg.max_seq_len}")
+    if ids.shape[1] != cfg.max_seq_len:
+        raise ValueError(f"sequence length {ids.shape[1]} != max_seq_len "
+                         f"{cfg.max_seq_len}")
     with ad.scope("embed"):
-        tok = ad.gather_rows(params["tok_emb"], ids.reshape(-1))
-        pos = ad.gather_rows(params["pos_emb"], np.tile(np.arange(T), n))
-        summed = ad.reshape(ad.add(tok, pos), (n, T, cfg.hidden_dim))
-        # a read-only 0/1 view of the mask: nothing to copy or check
-        keep = np.broadcast_to(mask[:, :, None].astype(np.float64),
-                               (n, T, cfg.hidden_dim))
-        return ad.mul(summed, Tensor(keep, _unchecked=True))
+        return ad.embedding(params["tok_emb"], params["pos_emb"], ids, mask)
 
 
 def _encoder(params: ModelParams, x2: Tensor, key_bias: np.ndarray,

@@ -92,7 +92,7 @@ def test_no_grad_forward_builds_no_graph(monkeypatch, tiny_params,
     with ad.no_grad():
         logits = forward_from_embeddings(
             tiny_params, embed_batch(tiny_params, ids, mask), mask)
-    assert len(made) > 50
+    assert len(made) > 40
     for t in made:
         assert t._inputs == () and t._vjp is None and not t.requires_grad
     made.clear()
@@ -447,6 +447,110 @@ def test_gather_rows_vjp_bitwise_equals_add_at(rng, table_shape, ids):
     assert dt.tobytes() == oracle.tobytes()
 
 
+def test_gather_rows_on_a_3d_table_bitwise_equals_flat_gather(rng):
+    """Rows of an [n,T,d] table: the same values and table gradient as
+    gathering the rows of its [n,T*d] reshape, which materialize did."""
+    data = rng.normal(size=(5, 3, 4))
+    ids = np.array([4, 0, 4, 2, 1, 0])
+    g = rng.normal(size=(6, 3, 4))
+    g[::2] = -0.0
+    table, flat_table = leaf(data.copy()), leaf(data.copy())
+    out = ad.gather_rows(table, ids)
+    ref = ad.reshape(ad.gather_rows(ad.reshape(flat_table, (5, 12)), ids),
+                     (6, 3, 4))
+    assert out.data.tobytes() == ref.data.tobytes()
+    backward(ad.tsum(ad.mul(out, constant(g))))
+    backward(ad.tsum(ad.mul(ref, constant(g))))
+    assert table.grad.tobytes() == flat_table.grad.tobytes()
+
+
+def _embedding_by_composition(tok, pos, ids, mask):
+    """The ops ``embedding`` replaces: two gathers, an add, a reshape and
+    a ``mul`` by the broadcast 0/1 mask."""
+    n, T = ids.shape
+    d = tok.shape[1]
+    summed = ad.reshape(ad.add(ad.gather_rows(tok, ids.reshape(-1)),
+                               ad.gather_rows(pos, np.tile(np.arange(T), n))),
+                        (n, T, d))
+    keep = np.broadcast_to(mask[:, :, None].astype(np.float64), (n, T, d))
+    return ad.mul(summed, Tensor(keep, _unchecked=True))
+
+
+@pytest.mark.parametrize("pos_rows", [6, 9])
+def test_embedding_bitwise_equals_composition(rng, pos_rows):
+    n, T, V, d = 4, 6, 11, 5
+    ids = rng.integers(0, V, size=(n, T))
+    lengths = np.array([6, 3, 1, 4])
+    mask = np.arange(T)[None, :] < lengths[:, None]
+    tok_data = rng.normal(size=(V, d))
+    pos_data = rng.normal(size=(pos_rows, d))
+    tok, pos = leaf(tok_data.copy()), leaf(pos_data.copy())
+    ref_tok, ref_pos = leaf(tok_data.copy()), leaf(pos_data.copy())
+    out = ad.embedding(tok, pos, ids, mask)
+    ref = _embedding_by_composition(ref_tok, ref_pos, ids, mask)
+    assert out.shape == (n, T, d)
+    assert out.data.tobytes() == ref.data.tobytes()
+    # pads are zeros of the sum's sign: -0.0 where the sum is negative
+    pads = out.data[~mask]
+    assert (pads == 0.0).all() and np.signbit(pads).any()
+    w = rng.normal(size=(n, T, d))
+    w[:, ::2] = -0.0
+    backward(ad.tsum(ad.mul(out, constant(w))))
+    backward(ad.tsum(ad.mul(ref, constant(w))))
+    assert tok.grad.tobytes() == ref_tok.grad.tobytes()
+    assert pos.grad.tobytes() == ref_pos.grad.tobytes()
+
+
+def test_embedding_argument_errors(rng):
+    tok, pos = leaf(None, rng, (5, 3)), leaf(None, rng, (4, 3))
+    ids = np.zeros((2, 4), dtype=np.int64)
+    mask = np.ones((2, 4), dtype=bool)
+    with pytest.raises(ShapeError):
+        ad.embedding(tok, pos, ids, mask[:, :3])
+    with pytest.raises(ShapeError):
+        ad.embedding(tok, leaf(None, rng, (3, 3)), ids, mask)  # T > rows
+    with pytest.raises(ShapeError):
+        ad.embedding(tok, leaf(None, rng, (4, 2)), ids, mask)
+    with pytest.raises(AutodiffError, match="out of range"):
+        ad.embedding(tok, pos, ids + 5, mask)
+
+
+def _mix_by_composition(a, b, lam):
+    """The ops ``mix`` replaces: two ``mul``s by dense lambda copies and
+    an ``add``."""
+    full = np.broadcast_to(lam.reshape((-1,) + (1,) * (a.data.ndim - 1)),
+                           a.shape).copy()
+    return ad.add(ad.mul(a, constant(full)), ad.mul(b, constant(1.0 - full)))
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 4), (5, 2)])
+def test_mix_bitwise_equals_composition(rng, shape):
+    lam = rng.beta(0.4, 0.4, size=shape[0])
+    lam[:2] = (0.0, 1.0)
+    a_data, b_data = rng.normal(size=shape), rng.normal(size=shape)
+    a, b = leaf(a_data.copy()), leaf(b_data.copy())
+    ref_a, ref_b = leaf(a_data.copy()), leaf(b_data.copy())
+    out = ad.mix(a, b, lam)
+    ref = _mix_by_composition(ref_a, ref_b, lam)
+    assert out.data.tobytes() == ref.data.tobytes()
+    w = rng.normal(size=shape)
+    w[::2] = -0.0
+    backward(ad.tsum(ad.mul(out, constant(w))))
+    backward(ad.tsum(ad.mul(ref, constant(w))))
+    assert a.grad.tobytes() == ref_a.grad.tobytes()
+    assert b.grad.tobytes() == ref_b.grad.tobytes()
+
+
+def test_mix_argument_errors(rng):
+    a, b = leaf(None, rng, (3, 2)), leaf(None, rng, (3, 2))
+    with pytest.raises(ShapeError):
+        ad.mix(a, leaf(None, rng, (3, 3)), np.ones(3))
+    with pytest.raises(ShapeError):
+        ad.mix(a, b, np.ones(2))
+    with pytest.raises(ShapeError):
+        ad.mix(a, b, np.ones((3, 1)))
+
+
 def test_gather_rows_bounds():
     table = leaf(np.ones((3, 2)))
     with pytest.raises(AutodiffError):
@@ -628,6 +732,27 @@ def test_fd_gather_add_bias_select(rng):
     _check(lambda t: ad.tsum(ad.add_bias(x, t)), leaf(None, rng, (4,)))
     _check(lambda t: ad.tsum(ad.select_index(t, 1)),
            leaf(None, rng, (2, 3, 4)))
+
+
+def test_fd_embedding(rng):
+    ids = np.array([[0, 3, 3, 1], [2, 0, 4, 4]])
+    mask = np.array([[True, True, True, False], [True, True, False, False]])
+    tok, pos = constant(rng.normal(size=(5, 3))), constant(rng.normal(size=(6, 3)))
+    w = constant(rng.normal(size=(2, 4, 3)))
+    _check(lambda t: ad.tsum(ad.mul(ad.embedding(t, pos, ids, mask), w)),
+           leaf(None, rng, (5, 3)))
+    _check(lambda t: ad.tsum(ad.mul(ad.embedding(tok, t, ids, mask), w)),
+           leaf(None, rng, (6, 3)))
+
+
+def test_fd_mix(rng):
+    lam = np.array([0.2, 0.9, 0.5])
+    other = constant(rng.normal(size=(3, 2, 4)))
+    w = constant(rng.normal(size=(3, 2, 4)))
+    _check(lambda t: ad.tsum(ad.mul(ad.mix(t, other, lam), w)),
+           leaf(None, rng, (3, 2, 4)))
+    _check(lambda t: ad.tsum(ad.mul(ad.mix(other, t, lam), w)),
+           leaf(None, rng, (3, 2, 4)))
 
 
 def test_fd_cross_entropy_through_softmax(rng):

@@ -1,12 +1,14 @@
 """Corpus loading, vocabulary, encoding, batching, subsampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mixkd.data import (CLS_ID, PAD_ID, SEP_ID, UNK_ID, Batch, DataError,
-                        Example, Schema, build_vocab, collate, decode, encode,
-                        load_tsv, make_batch, merge_augmented, subsample,
-                        tokenize)
+                        Example, Schema, Vocab, build_vocab, collate, decode,
+                        encode, load_tsv, make_batch, merge_augmented,
+                        subsample, tokenize)
 
 
 def test_tokenize_lowercases_and_splits_punct():
@@ -198,3 +200,87 @@ def test_collate_covers_epoch(small_task):
                          small_task.max_len, batch_size=4, num_classes=2,
                          shuffle_seed=2))
     assert not np.array_equal(batches[0].token_ids, other[0].token_ids)
+
+
+# ---------------------------------------------------------------------------
+# the vocabulary's memo of encodings
+# ---------------------------------------------------------------------------
+
+def test_vocab_is_immutable():
+    mapping = dict(build_vocab([Example("a b", 0)]).token_to_id)
+    vocab = Vocab(mapping)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        vocab.token_to_id = {}
+    with pytest.raises(TypeError):
+        vocab.token_to_id["c"] = 7
+    with pytest.raises(TypeError):
+        del vocab.token_to_id["a"]
+    mapping["c"] = 7  # the mapping it was built from is copied
+    assert "c" not in vocab.token_to_id and vocab.size == 6
+    assert vocab.id_to_token[4:] == ("a", "b")
+
+
+def test_encode_returns_read_only_rows():
+    vocab = build_vocab([Example("a b", 0)])
+    ids, mask = encode(vocab, Example("a b", 0), max_len=6)
+    with pytest.raises(ValueError):
+        ids[1] = 0
+    with pytest.raises(ValueError):
+        mask[4] = True
+
+
+def _fresh_vocab(task):
+    """A copy of ``task``'s vocabulary with an empty memo."""
+    return Vocab(task.vocab.token_to_id)
+
+
+def test_repeated_batches_are_identical(small_task):
+    vocab = _fresh_vocab(small_task)
+    args = (vocab, small_task.max_len, 2)
+    first = make_batch(small_task.train[:12], *args)
+    again = make_batch(small_task.train[:12], *args)
+    epochs = [list(collate(small_task.train[:12], *args[:2], batch_size=5,
+                           num_classes=2, shuffle_seed=4)) for _ in range(2)]
+    for a, b in [(first, again)] + list(zip(*epochs)):
+        assert a.token_ids.tobytes() == b.token_ids.tobytes()
+        assert a.pad_mask.tobytes() == b.pad_mask.tobytes()
+        assert a.labels_onehot.tobytes() == b.labels_onehot.tobytes()
+    assert first.token_ids.tobytes() == make_batch(
+        small_task.train[:12], small_task.vocab, small_task.max_len,
+        2).token_ids.tobytes()
+
+
+def test_writing_into_a_batch_changes_no_later_batch(small_task):
+    vocab = _fresh_vocab(small_task)
+    args = (small_task.train[:6], vocab, small_task.max_len, 2)
+    batch = make_batch(*args)
+    ids, mask = batch.token_ids.copy(), batch.pad_mask.copy()
+    # the batch arrays are fresh and writable, not the cached rows
+    batch.token_ids[:] = 9
+    batch.pad_mask[:] = False
+    batch.labels_onehot[:] = 0.0
+    later = make_batch(*args)
+    assert np.array_equal(later.token_ids, ids)
+    assert np.array_equal(later.pad_mask, mask)
+    assert later.labels_onehot.sum() == 6
+
+
+def test_each_text_is_tokenized_once_per_max_len(small_task, monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr("mixkd.data.tokenize", counting)
+    vocab = _fresh_vocab(small_task)
+    examples = small_task.train[:20]
+    texts = sorted({ex.text_a for ex in examples})
+    for _ in range(3):
+        make_batch(examples, vocab, small_task.max_len, 2)
+        list(collate(examples, vocab, small_task.max_len, 7, 2,
+                     shuffle_seed=1))
+    assert sorted(calls) == texts
+    for _ in range(2):  # another max_len is another encoding
+        make_batch(examples, vocab, small_task.max_len - 2, 2)
+    assert sorted(calls) == sorted(texts * 2)

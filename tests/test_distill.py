@@ -13,7 +13,7 @@ from mixkd.distill import (Adam, LossWeights, SweepGrid, TrainConfig,
                            _train_loop, distill_student, format_mean_std,
                            loss_mle, loss_sm, loss_tmkd, run_seeds, sweep_grid,
                            total_loss, train_teacher)
-from mixkd.data import make_batch
+from mixkd.data import Vocab, make_batch, tokenize
 from mixkd.mixup import MixupConfig, MixupPairs, materialize
 from mixkd.model import (embed_batch, forward_from_embeddings, forward_tokens,
                          init_random, init_student_from_teacher)
@@ -270,6 +270,27 @@ def test_adam_allocates_its_state_once(tiny_config, monkeypatch):
                for name, (m, v) in state.items())
 
 
+def test_adam_steps_bitwise_equal_the_allocating_formula(tiny_config):
+    """Three in-place steps give the bits of the textbook expression, one
+    numpy temporary per operation."""
+    params = _grad_params(tiny_config)
+    data = {n: params[n].data.copy() for n in params.names}
+    m = {n: np.zeros_like(d) for n, d in data.items()}
+    v = {n: np.zeros_like(d) for n, d in data.items()}
+    opt = Adam(lr=3e-3)
+    for t in range(1, 4):
+        opt.step(params)
+        bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for n in params.names:
+            g = params[n].grad
+            m[n] *= 0.9
+            m[n] += (1.0 - 0.9) * g
+            v[n] *= 0.999
+            v[n] += (1.0 - 0.999) * g * g
+            data[n] -= 3e-3 * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + 1e-8)
+            assert params[n].data.tobytes() == data[n].tobytes()
+
+
 def test_optimizer_checks_parameters(tiny_config):
     params = _grad_params(tiny_config)
     params["layers.1.ffn.w2"].data[...] = 1.75e308
@@ -358,26 +379,28 @@ def test_train_loop_evaluates_each_step_once(small_task, small_model_config,
     assert record.best_step == steps[accs.index(max(accs))]
 
 
-def test_train_loop_encodes_the_dev_split_once(small_task, small_model_config,
-                                              monkeypatch):
-    """Evaluating after every step reuses the dev batches built at the
-    start: make_batch runs once per train batch and once per dev batch."""
+def test_train_loop_tokenizes_the_dev_split_once(small_task,
+                                                small_model_config,
+                                                monkeypatch):
+    """Evaluating after every step re-batches the dev split but tokenizes
+    no text again: the vocabulary memoizes each encoding, so every train
+    and dev text is tokenized once over two epochs and six evals."""
     calls = []
 
-    def counting(examples, *args):
-        calls.append(len(examples))
-        return make_batch(examples, *args)
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
 
-    # evaluation imports make_batch by name: count the calls through both
-    monkeypatch.setattr("mixkd.data.make_batch", counting)
-    monkeypatch.setattr("mixkd.evaluation.make_batch", counting)
+    monkeypatch.setattr("mixkd.data.tokenize", counting)
+    # a fresh vocabulary: the session's task has encoded its texts already
+    task = dataclasses.replace(small_task,
+                               vocab=Vocab(small_task.vocab.token_to_id))
     config = TrainConfig(epochs=2, batch_size=40, seed=0, eval_every=1)
     params = init_random(small_model_config, seed=0)
-    _, record = _train_loop(params, config, small_task, teacher=None,
-                            variant="ft")
+    _, record = _train_loop(params, config, task, teacher=None, variant="ft")
     assert len(record.evals) == 6
-    # 120 train examples make 3 batches an epoch; 60 dev examples make 2
-    assert sorted(calls) == sorted([40] * 6 + [40, 20])
+    texts = {ex.text_a for ex in task.train + task.dev}
+    assert sorted(calls) == sorted(texts)
 
 
 def test_backward_after_evaluate_in_train_loop(small_task, small_model_config):

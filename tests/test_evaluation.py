@@ -10,7 +10,7 @@ import pytest
 from mixkd import autodiff as ad
 from mixkd import evaluation, model, synthetic
 from mixkd.config import ConfigError, load_config, parse_kv_file
-from mixkd.data import DataError, make_batch
+from mixkd.data import DataError, Vocab, make_batch
 from mixkd.distill import LossWeights, TrainConfig
 from mixkd.evaluation import (compute_metrics, evaluate, export_cls_features,
                               throughput_bench)
@@ -62,6 +62,20 @@ def test_evaluate_matches_manual(task_params, small_task):
     manual = compute_metrics(logits, batch.labels_onehot)
     assert m.accuracy == pytest.approx(manual.accuracy)
     assert m.n_eval == 10
+
+
+def test_repeated_evaluate_is_identical(task_params, small_task):
+    """The second and third evaluate read the vocabulary's memo; the
+    first encodes: all three agree, and with a fresh vocabulary's."""
+    args = (small_task.dev, small_task.vocab, small_task.max_len, 2)
+    runs = [evaluate(task_params, *args, batch_size=16, positive_class=1)
+            for _ in range(3)]
+    fresh = Vocab(small_task.vocab.token_to_id)
+    runs.append(evaluate(task_params, small_task.dev, fresh,
+                         small_task.max_len, 2, batch_size=16,
+                         positive_class=1))
+    assert all(run == runs[0] for run in runs[1:])
+    assert runs[0].n_eval == len(small_task.dev)
 
 
 def test_evaluate_rejects_empty_split(task_params, small_task):

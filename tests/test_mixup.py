@@ -273,6 +273,55 @@ def test_gradient_flows_with_lambda_weights(rng):
     np.testing.assert_allclose(emb.grad[1], 0.3, atol=1e-15)
 
 
+def _materialize_by_composition(pairs, emb, mask, labels):
+    """What materialize computed before ``autodiff.mix``: rows gathered
+    through [n,T*d] reshapes, mixed by two ``mul``s with dense lambda
+    copies and an ``add``."""
+    def rows(t, idx):
+        n, T, d = t.shape
+        flat = ad.reshape(t, (n, T * d))
+        return ad.reshape(ad.gather_rows(flat, idx), (len(idx), T, d))
+
+    i, j = pairs.index_i, pairs.index_j
+    ei, ej = rows(emb, i), rows(emb, j)
+    full = np.broadcast_to(pairs.lam[:, None, None], ei.shape).copy()
+    mixed = ad.add(ad.mul(ei, constant(full)),
+                   ad.mul(ej, constant(1.0 - full)))
+    return mixed, mask[i] | mask[j], mix_labels(labels[i], labels[j],
+                                                pairs.lam)
+
+
+def test_materialize_gradient_bitwise_equals_composition(rng):
+    """An embedding that feeds a forward path and the mixup, as in
+    distill.total_loss: its gradient sums the forward path's, the rows
+    i's and the rows j's in that order, as the composition did, so the
+    table gradients agree bit for bit (they would not with j first)."""
+    n, T, V, d = 8, 5, 13, 6
+    ids = rng.integers(0, V, size=(n, T))
+    mask = np.arange(T)[None, :] < rng.integers(1, T + 1, size=n)[:, None]
+    labels = np.eye(2)[rng.integers(0, 2, n)]
+    pairs = make_pairs(n, MixupConfig(mixup_ratio=2), rng)
+    tables = rng.normal(size=(V, d)), rng.normal(size=(T, d))
+    w_fwd = constant(rng.normal(size=(n * T, d)))
+    w_mix = constant(rng.normal(size=(len(pairs), T, d)))
+
+    def grads(mat):
+        tok, pos = (Tensor(t.copy(), requires_grad=True) for t in tables)
+        emb = ad.embedding(tok, pos, ids, mask)
+        fwd = ad.tsum(ad.mul(ad.reshape(emb, (n * T, d)), w_fwd))
+        mixed, mixed_mask, mixed_labels = mat(pairs, emb, mask, labels)
+        ad.backward(ad.add(fwd, ad.tsum(ad.mul(mixed, w_mix))))
+        return (mixed.data, mixed_mask, mixed_labels, tok.grad.tobytes(),
+                pos.grad.tobytes())
+
+    got = grads(materialize)
+    ref = grads(_materialize_by_composition)
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert np.array_equal(got[1], ref[1])
+    assert got[2].tobytes() == ref[2].tobytes()
+    assert got[3:] == ref[3:]
+
+
 def test_randomized_algebra_cases(rng):
     # compact randomized sweep of all the identities above
     for _ in range(200):
