@@ -20,6 +20,7 @@ import numpy as np
 
 from .mixup import (MixupConfig, beta_from_gammas, check_pairs, draw_round,
                     make_pairs, mix_labels)
+from .ranges import COUNT, FINITE, FRACTION, INDEX, NONNEGATIVE, POSITIVE
 
 
 class BoundError(Exception):
@@ -54,25 +55,18 @@ class BoundReport:
 # threshold calculators
 # ---------------------------------------------------------------------------
 
-def _check_inputs(delta: float, M: float = 1.0, g_cardinality: int = 1,
-                  epsilon_p: float = 0.0, triangle: float = 0.0,
-                  **nonnegative: float) -> None:
-    """The domain shared by the calculators; each passes the arguments it
-    takes (the defaults always pass), and by name those that must be >= 0.
-    Every real argument must be finite."""
-    if not 0.0 < M < math.inf:
-        raise BoundError(f"M must be positive and finite, got {M}")
-    if not 0.0 < delta <= 1.0:
-        raise BoundError(f"delta must lie in (0, 1], got {delta}")
-    if g_cardinality < 1:
-        raise BoundError(f"|G| must be >= 1, got {g_cardinality}")
-    for name, value in (("epsilon_p", epsilon_p), ("triangle", triangle)):
-        if not math.isfinite(value):
-            raise BoundError(f"{name} must be finite, got {value}")
-    for name, value in nonnegative.items():
-        if not 0 <= value < math.inf:
-            raise BoundError(
-                f"{name} must be nonnegative and finite, got {value}")
+# the range of each argument that ``_check`` checks by name (the gap
+# experiment's ``a`` is a COUNT); a value outside it is a BoundError
+_ARGS = {"M": POSITIVE, "g_cardinality": COUNT, "delta": FRACTION,
+         "n": COUNT, "a": INDEX, "epsilon_p": FINITE, "triangle": FINITE,
+         "lipschitz": NONNEGATIVE, "rademacher_r": NONNEGATIVE,
+         "log_capacity": NONNEGATIVE, "b_mix": INDEX, "trials": COUNT,
+         "g_size": COUNT, "n_mc": COUNT, "n_bits": COUNT}
+
+
+def _check(**args) -> None:
+    for name, value in args.items():
+        _ARGS[name].check(name, value, BoundError)
 
 
 def _finite(value: float, delta: float) -> float:
@@ -93,9 +87,7 @@ def _required(numerator: float, denominator: float, a: int,
 def hoeffding_gap_bound(M: float, g_cardinality: int, delta: float,
                         n: int) -> float:
     """Uniform finite-class gap bound M*sqrt(log(|G|/delta)/(2n))."""
-    if n < 1:
-        raise BoundError("n must be >= 1")
-    _check_inputs(delta, M=M, g_cardinality=g_cardinality)
+    _check(M=M, g_cardinality=g_cardinality, delta=delta, n=n)
     return _finite(
         M * math.sqrt(math.log(g_cardinality / delta) / (2.0 * n)), delta)
 
@@ -103,8 +95,8 @@ def hoeffding_gap_bound(M: float, g_cardinality: int, delta: float,
 def thm1_required_b(M: float, g_cardinality: int, delta: float, a: int,
                     epsilon_p: float, triangle: float) -> int:
     """Augmented samples needed so the finite-class gap bound undercuts epsilon_p."""
-    _check_inputs(delta, M=M, g_cardinality=g_cardinality,
-                  epsilon_p=epsilon_p, triangle=triangle, a=a)
+    _check(M=M, g_cardinality=g_cardinality, delta=delta, a=a,
+           epsilon_p=epsilon_p, triangle=triangle)
     if epsilon_p <= triangle:
         raise VacuousBoundError(
             f"epsilon_p ({epsilon_p}) must exceed the shift term ({triangle})")
@@ -117,8 +109,8 @@ def thm2_required_b(M: float, delta: float, a: int, epsilon_p: float,
                     triangle: float, lipschitz: float,
                     rademacher_r: float) -> int:
     """Threshold for the Lipschitz/Rademacher case."""
-    _check_inputs(delta, M=M, epsilon_p=epsilon_p, triangle=triangle, a=a,
-                  lipschitz=lipschitz, rademacher_r=rademacher_r)
+    _check(M=M, delta=delta, a=a, epsilon_p=epsilon_p, triangle=triangle,
+           lipschitz=lipschitz, rademacher_r=rademacher_r)
     margin = epsilon_p - triangle - 2.0 * lipschitz * rademacher_r
     if margin <= 0:
         raise VacuousBoundError(
@@ -135,8 +127,8 @@ def thm3_required_b(delta: float, a: int, epsilon_p: float, triangle: float,
     log_capacity is caller-supplied; computing the capacity itself is out
     of scope.
     """
-    _check_inputs(delta, epsilon_p=epsilon_p, triangle=triangle, a=a,
-                  log_capacity=log_capacity)
+    _check(delta=delta, a=a, epsilon_p=epsilon_p, triangle=triangle,
+           log_capacity=log_capacity)
     if epsilon_p <= triangle:
         raise VacuousBoundError(
             f"epsilon_p ({epsilon_p}) must exceed the shift term ({triangle})")
@@ -278,8 +270,7 @@ class EnumerableTestbed:
 
 
 def make_testbed(n_bits: int = 10, seed: int = 0) -> EnumerableTestbed:
-    if n_bits < 1:
-        raise BoundError(f"n_bits must be >= 1, got {n_bits}")
+    _check(n_bits=n_bits)
     if n_bits > 16:
         raise BoundError(f"2^{n_bits} points is too large to enumerate")
     grid = ((np.arange(2 ** n_bits)[:, None]
@@ -293,8 +284,7 @@ def make_scorer_class(testbed: EnumerableTestbed, g_size: int,
                       seed: int = 0) -> ThresholdScorerClass:
     """Teacher plus |G| scorers: half perturbations of the teacher weights
     (so ERM has genuinely good candidates), half independent draws."""
-    if g_size < 1:
-        raise BoundError(f"g_size must be >= 1, got {g_size}")
+    _check(g_size=g_size)
     rng = np.random.default_rng(seed)
     m = testbed.inputs.shape[1]
     w_star = rng.normal(size=m)
@@ -325,8 +315,7 @@ def population_risks(testbed: EnumerableTestbed,
 def rademacher_mc_estimate(hypothesis_class, sample: np.ndarray, trials: int,
                            rng: np.random.Generator) -> float:
     """Monte-Carlo E_sigma[sup_g (1/n) sum_i sigma_i * loss(g, x_i)]."""
-    if trials < 1:
-        raise BoundError("trials must be >= 1")
+    _check(trials=trials)
     losses = hypothesis_class.loss_matrix(np.asarray(sample, dtype=np.float64))
     n = losses.shape[1]
     sigma = rng.choice([-1.0, 1.0], size=(trials, n))
@@ -373,13 +362,10 @@ def estimate_shift_delta(testbed: EnumerableTestbed,
     a product of that row alone with the point masses sums in another
     order and differs in most rows (1094 of 1280 at 10 bits, |G| = 64,
     seeds 0-19)."""
-    if (isinstance(g_index, bool) or not isinstance(g_index, (int, np.integer))
-            or not 0 <= g_index < g_class.cardinality):
+    if not INDEX.admits(g_index) or g_index >= g_class.cardinality:
         raise BoundError(f"g_index must be an int in [0, |G| = "
                          f"{g_class.cardinality}), got {g_index!r}")
-    if (isinstance(n_mc, bool) or not isinstance(n_mc, (int, np.integer))
-            or n_mc < 1):
-        raise BoundError(f"n_mc must be an int >= 1, got {n_mc!r}")
+    _check(n_mc=n_mc)
     under_p = float(population_risks(testbed, g_class)[g_index])
     originals = testbed.sample(n_mc, rng)
     mixed = _mix_points(testbed, originals, n_mc, rng)
@@ -437,10 +423,8 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
     """
     if len(testbed.inputs) > 2 ** 16 or g_class.cardinality > 10 ** 4:
         raise BoundError("testbed or hypothesis class too large to enumerate")
-    if a < 1 or trials < 1:
-        raise BoundError("a and trials must be >= 1")
-    if b_mix < 0:
-        raise BoundError(f"b_mix must be nonnegative, got {b_mix}")
+    COUNT.check("a", a, BoundError)
+    _check(trials=trials, b_mix=b_mix)
     table = g_class.errors(testbed.inputs)
     pop = table.astype(np.float64) @ testbed.probs
     bound = hoeffding_gap_bound(M, g_class.cardinality, delta, a + b_mix)

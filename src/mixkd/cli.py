@@ -23,6 +23,7 @@ from .mixup import MixupConfig, make_pairs
 from .model import (CheckpointError, ModelConfig, OutputError,
                     check_student_config, checkpoint_bytes, load_checkpoint,
                     write_files)
+from .ranges import COUNT, FRACTION, INDEX
 
 EXIT_CODES = {
     DataError: 2,
@@ -34,7 +35,7 @@ EXIT_CODES = {
 }
 
 VARIANT_MAP = {"ft": "ft", "tmkd": "tmkd", "sm-tmkd": "sm_tmkd"}
-# every flag of the bound calculators, with its type and default
+# each bound flag's type and default; the calculators check all but --seed
 BOUND_FLAGS = {"--m": (float, 1.0), "--delta": (float, 0.05),
                "--g-cardinality": (int, 1), "--n": (int, 100),
                "--a": (int, 0), "--epsilon": (float, 0.1),
@@ -42,13 +43,12 @@ BOUND_FLAGS = {"--m": (float, 1.0), "--delta": (float, 0.05),
                "--rademacher": (float, 0.0), "--log-capacity": (float, 0.0),
                "--b-mix": (int, 0), "--trials": (int, 2000),
                "--g-size": (int, 64), "--n-bits": (int, 10),
-               "--seed": (int, 0)}
+               "--seed": (INDEX, 0)}
 
 
 def _bound_verify(m, delta, a, b_mix, trials, g_size, n_bits, seed) -> dict:
     """``bound verify``: the gap experiment's report on the testbed and
     scorer class of ``seed``."""
-    _check_at_least(seed, 0, "--seed")
     rng = np.random.default_rng(seed)
     testbed = bounds_mod.make_testbed(n_bits=n_bits, seed=seed)
     g_class = bounds_mod.make_scorer_class(testbed, g_size, seed=seed)
@@ -111,11 +111,6 @@ def _parse_list(raw: str, convert, name: str) -> list:
         return [convert(v) for v in raw.split(",")]
     except ValueError as exc:
         raise ConfigError(f"{name}: bad comma-separated list {raw!r}") from exc
-
-
-def _check_at_least(value: int, low: int, flag: str) -> None:
-    if value < low:
-        raise ConfigError(f"{flag} must be >= {low}, got {value}")
 
 
 def _runlog(out) -> str:
@@ -246,8 +241,6 @@ def cmd_train_teacher(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    if args.fraction is not None and not 0 < args.fraction <= 1:
-        raise ConfigError(f"--fraction must be in (0, 1], got {args.fraction}")
     config, model_kwargs, _ = load_config(args.config)
     teacher, student_config, dataset = _student_task(args, config,
                                                      model_kwargs, args.config)
@@ -262,7 +255,6 @@ def cmd_distill(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_at_least(args.batch_size, 1, "--batch-size")
     params, config, vocab, labels, examples = _load_model_and_data(
         args.model, args)
     positive = None
@@ -281,9 +273,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    _check_at_least(args.n, 1, "--n")
-    _check_at_least(args.mixup_ratio, 0, "--mixup-ratio")
-    _check_at_least(args.seed, 0, "--seed")
     params, _, vocab, labels, examples = _load_model_and_data(
         args.model, args)
     rng = np.random.default_rng(args.seed)
@@ -310,9 +299,6 @@ def cmd_export_embeddings(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _check_at_least(args.batch_size, 1, "--batch-size")
-    _check_at_least(args.warmup, 0, "--warmup")
-    _check_at_least(args.measured_batches, 1, "--measured-batches")
     params, _, _ = load_checkpoint(args.model)
     report = throughput_bench(params, batch_size=args.batch_size,
                               warmup=args.warmup,
@@ -413,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--variant", choices=sorted(VARIANT_MAP), required=True)
     p.add_argument("--augmented", default=None)
-    p.add_argument("--fraction", type=float, default=None)
+    p.add_argument("--fraction", type=FRACTION, default=None)
     add_data_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distill)
@@ -422,23 +408,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     add_data_args(p, dev=False)
     p.add_argument("--positive-class", default=None)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=COUNT, default=32)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export-embeddings")
     p.add_argument("--model", required=True)
     add_data_args(p, dev=False)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--mixup-ratio", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=COUNT, default=100)
+    p.add_argument("--mixup-ratio", type=INDEX, default=1)
+    p.add_argument("--seed", type=INDEX, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_embeddings)
 
     p = sub.add_parser("bench")
     p.add_argument("--model", required=True)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--measured-batches", type=int, default=10)
+    p.add_argument("--batch-size", type=COUNT, default=16)
+    p.add_argument("--warmup", type=INDEX, default=2)
+    p.add_argument("--measured-batches", type=COUNT, default=10)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sweep")

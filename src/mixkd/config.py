@@ -6,18 +6,19 @@ the others as mixup.*, loss.* and model.*; model.* keys describe the
 model being trained (for distillation: the student's depth).  The
 vocabulary and the labels fix ModelConfig's vocab_size and num_classes,
 so those two are not keys.  vocab.* keys are build_vocab's options.
-Unknown keys are errors.  Lines starting with '#' and blank lines are
-ignored.
+Unknown keys, and values outside their field's Range, are errors naming
+the key.  Lines starting with '#' and blank lines are ignored.
 """
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import fields
-from typing import get_type_hints
 
 from .distill import LossWeights, TrainConfig
 from .mixup import MixupConfig
 from .model import ModelConfig
+from .ranges import INDEX, Range
 
 
 class ConfigError(Exception):
@@ -27,19 +28,19 @@ class ConfigError(Exception):
 _DERIVED_KEYS = ("model.vocab_size", "model.num_classes")
 
 
-def _scalar_keys() -> dict[str, tuple[str, str, type]]:
-    """Dotted key -> (section, field name, converter)."""
-    keys = {f"vocab.{name}": ("vocab", name, int)
+def _scalar_keys() -> dict[str, tuple[str, str, Range | type]]:
+    """Dotted key -> (section, field name, converter: its Range, or str)."""
+    keys = {f"vocab.{name}": ("vocab", name, INDEX)
             for name in ("min_freq", "max_size")}
     for section, prefix, cls in (("train", "", TrainConfig),
                                  ("mixup", "mixup.", MixupConfig),
                                  ("loss", "loss.", LossWeights),
                                  ("model", "model.", ModelConfig)):
-        hints = get_type_hints(cls)
         for f in fields(cls):
             key = prefix + f.name
-            if hints[f.name] in (int, float, str) and key not in _DERIVED_KEYS:
-                keys[key] = (section, f.name, hints[f.name])
+            if ((f.type in (str, "str") or "range" in f.metadata)
+                    and key not in _DERIVED_KEYS):
+                keys[key] = (section, f.name, f.metadata.get("range", str))
     return keys
 
 
@@ -83,8 +84,8 @@ def config_from_pairs(pairs: dict[str, str],
         section, name, convert = _KEYS[key]
         try:
             kwargs[section][name] = convert(raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{path}: {key} {exc}") from exc
     try:
         config = TrainConfig(mixup=MixupConfig(**kwargs["mixup"]),
                              loss=LossWeights(**kwargs["loss"]),

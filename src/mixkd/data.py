@@ -20,6 +20,8 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .ranges import COUNT, FRACTION, INDEX
+
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 RESERVED = {"[PAD]": PAD_ID, "[UNK]": UNK_ID, "[CLS]": CLS_ID, "[SEP]": SEP_ID}
 
@@ -61,8 +63,7 @@ class Example:
     def __post_init__(self):
         if not self.text_a:
             raise DataError("Example.text_a must be nonempty")
-        if self.label_id < 0:
-            raise DataError("Example.label_id must be nonnegative")
+        INDEX.check("label_id", self.label_id, DataError)
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,7 @@ def decode(vocab: Vocab, token_ids: np.ndarray, pad_mask: np.ndarray) -> list[st
 def subsample(examples: Sequence[Example], fraction: float,
               seed: int) -> list[Example]:
     """floor(fraction*N) examples, uniform without replacement, order-preserving."""
-    if not 0.0 < fraction <= 1.0:
-        raise DataError(f"fraction must lie in (0, 1], got {fraction}")
+    FRACTION.check("fraction", fraction, DataError)
     n = int(np.floor(fraction * len(examples)))
     if n == 0:
         raise DataError("subsample result is empty")
@@ -268,8 +268,7 @@ def collate(examples: Sequence[Example], vocab: Vocab, max_len: int,
             batch_size: int, num_classes: int,
             shuffle_seed: Optional[int] = None) -> Iterator[Batch]:
     """Seeded shuffled minibatches covering the epoch; last partial batch kept."""
-    if batch_size < 1:
-        raise DataError("batch_size must be >= 1")
+    COUNT.check("batch_size", batch_size, DataError)
     order = np.arange(len(examples))
     if shuffle_seed is not None:
         np.random.default_rng(shuffle_seed).shuffle(order)

@@ -14,7 +14,6 @@ trajectory bit for bit under the same seed.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -30,6 +29,7 @@ from .mixup import MixupConfig, MixupError, make_pairs, materialize
 from .model import (ModelConfig, ModelParams, embed_batch,
                     forward_from_embeddings, init_random,
                     init_student_from_teacher, write_files)
+from .ranges import COUNT, INDEX, NONNEGATIVE, POSITIVE, check_fields, setting
 
 VARIANTS = ("ft", "tmkd", "sm_tmkd")
 
@@ -40,45 +40,29 @@ class TrainingDiverged(Exception):
 
 @dataclass(frozen=True)
 class LossWeights:
-    alpha_sm: float = 1.0
-    alpha_tmkd: float = 1.0
+    alpha_sm: float = setting(NONNEGATIVE, 1.0)
+    alpha_tmkd: float = setting(NONNEGATIVE, 1.0)
     distance_metric: str = "mse"
-    temperature: float = 2.0
+    temperature: float = setting(POSITIVE, 2.0)
 
     def __post_init__(self):
-        # each check states the accepted range, which NaN is never in
-        if not (0 <= self.alpha_sm < math.inf
-                and 0 <= self.alpha_tmkd < math.inf):
-            raise ValueError("loss weights must be finite and nonnegative, "
-                             f"got alpha_sm={self.alpha_sm}, "
-                             f"alpha_tmkd={self.alpha_tmkd}")
+        check_fields(self)
         if self.distance_metric not in ("mse", "temperature_ce"):
             raise ValueError(f"unknown distance metric {self.distance_metric!r}")
-        if not 0 < self.temperature < math.inf:
-            raise ValueError("temperature must be finite and positive, got "
-                             f"{self.temperature}")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 3
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    seed: int = 0
-    eval_every: int = 0  # 0 = evaluate at epoch ends only
+    epochs: int = setting(COUNT, 3)
+    batch_size: int = setting(COUNT, 32)
+    learning_rate: float = setting(POSITIVE, 1e-3)
+    seed: int = setting(INDEX, 0)
+    eval_every: int = setting(INDEX, 0)  # 0 = evaluate at epoch ends only
     mixup: MixupConfig = field(default_factory=MixupConfig)
     loss: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and positive, got "
-                             f"{self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.eval_every < 0:
-            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
+        check_fields(self)
 
 
 @dataclass
@@ -419,14 +403,13 @@ def _distill_each(configs: Sequence[TrainConfig], student_config: ModelConfig,
 
 def check_seeds(seeds: Sequence[int], name: str = "run_seeds",
                 given=None) -> None:
-    """ValueError unless ``seeds`` holds two or more seeds >= 0, none
+    """ValueError unless ``seeds`` holds two or more ``INDEX`` seeds, none
     repeated; the message names ``name`` and shows ``given`` (``seeds``)."""
     given = list(seeds) if given is None else given
     if len(seeds) < 2:
         raise ValueError(f"{name} needs at least 2 seeds, got {given!r}")
     for i, seed in enumerate(seeds):
-        if seed < 0:
-            raise ValueError(f"{name} must be >= 0, got {seed}")
+        INDEX.check(name, seed)
         if seed in seeds[:i]:
             raise ValueError(f"{name}: seed {seed} is repeated in {given!r}; "
                              "each seed runs once")

@@ -12,10 +12,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import no_grad
-from .data import DataError, Example, Vocab, collate, make_batch
+from .data import (CLS_ID, RESERVED, DataError, Example, Vocab, collate,
+                   make_batch)
 from .mixup import MixupPairs, materialize
 from .model import (ModelParams, embed_batch, forward_from_embeddings,
                     forward_tokens, write_files)
+from .ranges import COUNT
 
 
 @dataclass
@@ -23,7 +25,6 @@ class Metrics:
     accuracy: float
     n_eval: int
     f1: Optional[float] = None
-    f1_degenerate: bool = False
 
 
 def compute_metrics(logits: np.ndarray, labels_onehot: np.ndarray,
@@ -39,16 +40,12 @@ def compute_metrics(logits: np.ndarray, labels_onehot: np.ndarray,
     acc = float((pred == truth).mean()) if n else 0.0
 
     f1 = None
-    degenerate = False
     if positive_class is not None and logits.shape[1] == 2:
         tp = int(((pred == positive_class) & (truth == positive_class)).sum())
         fp = int(((pred == positive_class) & (truth != positive_class)).sum())
         fn = int(((pred != positive_class) & (truth == positive_class)).sum())
-        if 2 * tp + fp + fn == 0:
-            f1, degenerate = 0.0, True
-        else:
-            f1 = 2.0 * tp / (2 * tp + fp + fn)
-    return Metrics(accuracy=acc, n_eval=n, f1=f1, f1_degenerate=degenerate)
+        f1 = 2.0 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
+    return Metrics(accuracy=acc, n_eval=n, f1=f1)
 
 
 def evaluate(params: ModelParams, examples: Sequence[Example], vocab: Vocab,
@@ -115,13 +112,12 @@ def throughput_bench(params: ModelParams, batch_size: int = 16,
                      warmup: int = 2, measured_batches: int = 10) -> dict:
     """Graph-free forward samples/second on seed-0 synthetic batches of
     the model's full ``max_seq_len``, plus parameter count."""
-    if measured_batches < 1:
-        raise ValueError("measured_batches must be >= 1")
+    COUNT.check("measured_batches", measured_batches)
     config = params.config
     rng = np.random.default_rng(0)
-    ids = rng.integers(4, config.vocab_size,
+    ids = rng.integers(len(RESERVED), config.vocab_size,
                        size=(batch_size, config.max_seq_len))
-    ids[:, 0] = 2  # [CLS]
+    ids[:, 0] = CLS_ID
     mask = np.ones((batch_size, config.max_seq_len), dtype=bool)
     emb_args = (params, ids, mask)
     with no_grad():

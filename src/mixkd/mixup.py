@@ -12,7 +12,6 @@ is the union of the two source masks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .ranges import COUNT, INDEX, POSITIVE, check_fields, setting
 
 
 class MixupError(Exception):
@@ -62,18 +62,11 @@ def check_pairs(index_i: np.ndarray, index_j: np.ndarray,
 
 @dataclass(frozen=True)
 class MixupConfig:
-    beta_alpha: float = 0.4
-    mixup_ratio: int = 1
+    beta_alpha: float = setting(POSITIVE, 0.4)
+    mixup_ratio: int = setting(INDEX, 1)
 
     def __post_init__(self):
-        if not 0 < self.beta_alpha < math.inf:
-            raise MixupError("beta_alpha must be finite and positive, got "
-                             f"{self.beta_alpha}")
-        # the range first: int() of an infinity or NaN raises its own error
-        if (not 0 <= self.mixup_ratio < math.inf
-                or int(self.mixup_ratio) != self.mixup_ratio):
-            raise MixupError("mixup_ratio must be a nonnegative integer, got "
-                             f"{self.mixup_ratio}")
+        check_fields(self, MixupError)
 
 
 def beta_from_gammas(gammas: np.ndarray) -> np.ndarray:
@@ -111,8 +104,7 @@ def make_pairs(batch_size: int, config: MixupConfig, rng: np.random.Generator,
     pairing construction), partners are distinct pool rows, so pairs are
     mutually independent across i.  Ratio 0 draws nothing.
     """
-    if batch_size < 1:
-        raise MixupError("batch_size must be >= 1")
+    COUNT.check("batch_size", batch_size, MixupError)
     index_j = np.empty((config.mixup_ratio, batch_size), dtype=np.int64)
     gammas = np.empty((config.mixup_ratio, batch_size, 2))
     for r in range(config.mixup_ratio):

@@ -40,6 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .ranges import COUNT, RATE, check_fields, setting
 
 
 class CheckpointError(Exception):
@@ -52,25 +53,20 @@ class OutputError(OSError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    num_layers: int
-    hidden_dim: int
-    num_heads: int
-    ffn_dim: int
-    vocab_size: int
-    max_seq_len: int
-    num_classes: int
-    dropout_rate: float = 0.0
+    num_layers: int = setting(COUNT)
+    hidden_dim: int = setting(COUNT)
+    num_heads: int = setting(COUNT)
+    ffn_dim: int = setting(COUNT)
+    vocab_size: int = setting(COUNT)
+    max_seq_len: int = setting(COUNT)
+    num_classes: int = setting(COUNT)
+    dropout_rate: float = setting(RATE, 0.0)
 
     def __post_init__(self):
-        for name in ("num_layers", "hidden_dim", "num_heads", "ffn_dim",
-                     "vocab_size", "max_seq_len", "num_classes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"ModelConfig.{name} must be positive")
+        check_fields(self)
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:

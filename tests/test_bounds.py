@@ -122,7 +122,7 @@ def test_thm3_vacuous_cases():
 
 
 def test_bound_input_validation():
-    """M > 0, 0 < delta <= 1, |G| >= 1 and a >= 0, checked by every
+    """M > 0, 0 < delta <= 1, g_cardinality >= 1 and a >= 0, checked by every
     calculator for the arguments it takes; estimate_shift_delta's n_mc is
     an int >= 1."""
     calculators = {
@@ -139,7 +139,7 @@ def test_bound_input_validation():
              "thm2": "M delta a", "thm3": "delta a"}
     bad = {"M": [("M", 0.0), ("M", -1.0), ("M", float("nan")),
                  ("M", math.inf)],
-           "G": [("|G|", 0)],
+           "G": [("g_cardinality", 0)],
            "delta": [("delta", 0.0), ("delta", 2.0), ("delta", -0.1)],
            "a": [("a", -1)]}
     for name, calc in calculators.items():

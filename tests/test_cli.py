@@ -448,14 +448,30 @@ def _drop_digest(manifest, payload):
     return payload
 
 
+def _set_config(key, value):
+    def edit(manifest, payload):
+        manifest["config"][key] = value
+        return payload
+    return edit
+
+
 @pytest.mark.parametrize("edit, needle", [
     (_drop_config_field, "num_heads"),
     (_drop_arrays, "arrays"),
     (_duplicate_tok_emb, "tok_emb"),
     (_odd_byte_count, "truncated or overlong"),
     (_drop_digest, "has no sha256 digest"),
+    # a config value outside its field's range, not a crash building arrays
+    (_set_config("num_layers", 1.5), "num_layers must be an int >= 1, got 1.5"),
+    (_set_config("num_layers", math.nan),
+     "num_layers must be an int >= 1, got nan"),
+    (_set_config("num_layers", True),
+     "num_layers must be an int >= 1, got True"),
+    (_set_config("max_seq_len", 14.0),
+     "max_seq_len must be an int >= 1, got 14.0"),
 ], ids=["missing_config_field", "missing_arrays", "duplicate_array",
-        "odd_byte_count", "missing_digest"])
+        "odd_byte_count", "missing_digest", "fractional_depth", "nan_depth",
+        "bool_depth", "float_length"])
 def test_exit_code_bad_manifest(edit, needle, teacher_ckpt, workspace,
                                 tmp_path, capsys):
     raw = teacher_ckpt.read_bytes()
@@ -673,7 +689,7 @@ def test_exit_code_bound_error(capsys):
             (["thm2", "--delta", "0"], "delta"),
             (["thm3", "--delta", "0", "--a", "1000", "--epsilon", "0.9"],
              "delta"),
-            (["thm1", "--g-cardinality", "0"], "|G|"),
+            (["thm1", "--g-cardinality", "0"], "g_cardinality"),
             (["thm1", "--m", "-1"], "M must"),
             (["thm1", "--delta", "2"], "delta"),
             (["verify", "--a", "10", "--b-mix", "-3", "--trials", "1"],
@@ -710,7 +726,7 @@ def test_exit_code_bound_error(capsys):
 def test_exit_code_bound_verify_sizes(argv, name, capsys):
     assert main(["bound"] + argv + ["--trials", "1"]) == 4
     captured = capsys.readouterr()
-    assert f"BoundError): {name} must be >= 1" in captured.err
+    assert f"BoundError): {name} must be an int >= 1" in captured.err
     assert captured.out == ""
 
 
@@ -761,7 +777,7 @@ def test_exit_code_missing_file(flag, path, code, error, teacher_ckpt,
     ("train-teacher", "", "model.num_heads=3",
      "hidden_dim 16 not divisible by num_heads 3"),
     ("distill", "", "model.dropout_rate=1.5",
-     "dropout_rate must lie in [0, 1)"),
+     "model.dropout_rate must be in [0, 1), got 1.5"),
     ("distill", "model.num_layers", "", "must set model.num_layers"),
     ("distill", "", "model.num_layers=5", "student depth 5 exceeds teacher 2"),
     ("distill", "", "model.hidden_dim=32", "teacher/student hidden_dim differ"),
@@ -803,12 +819,12 @@ def test_exit_code_model_keys(command, drop, add, needle, teacher_ckpt,
     # the vocabulary and the labels fix these
     ("model.vocab_size=10", "unknown config key"),
     ("model.num_classes=3", "unknown config key"),
-    ("seed=-1", "seed must be >= 0"),
-    ("eval_every=-1", "eval_every must be >= 0"),
+    ("seed=-1", "seed must be an int >= 0, got -1"),
+    ("eval_every=-1", "eval_every must be an int >= 0, got -1"),
     # NaN fails every comparison, so each check states the accepted range
-    ("loss.alpha_sm=nan", "loss weights must be finite and nonnegative"),
-    ("loss.alpha_sm=inf", "loss weights must be finite and nonnegative"),
-    ("loss.alpha_tmkd=nan", "loss weights must be finite and nonnegative"),
+    ("loss.alpha_sm=nan", "loss.alpha_sm must be finite and nonnegative"),
+    ("loss.alpha_sm=inf", "loss.alpha_sm must be finite and nonnegative"),
+    ("loss.alpha_tmkd=nan", "loss.alpha_tmkd must be finite and nonnegative"),
     ("learning_rate=nan", "learning_rate must be finite and positive"),
     ("learning_rate=inf", "learning_rate must be finite and positive"),
     ("mixup.beta_alpha=nan", "beta_alpha must be finite and positive"),
@@ -839,11 +855,12 @@ def test_exit_code_config_error(line, needle, workspace, tmp_path, capsys):
     (["sweep", "alpha_sm_values="], "alpha_sm_values"),
     # each cell's config is checked before the teacher loads
     (["sweep", "alpha_sm_values=-1"],
-     "grid.cfg: alpha_sm_values: loss weights must be finite"),
+     "grid.cfg: alpha_sm_values: alpha_sm must be finite and nonnegative"),
     (["sweep", "alpha_tmkd_values=1.0,nan"],
-     "grid.cfg: alpha_tmkd_values: loss weights must be finite"),
+     "grid.cfg: alpha_tmkd_values: alpha_tmkd must be finite and "
+     "nonnegative"),
     (["sweep", "mixup_ratio_values=-1"],
-     "grid.cfg: mixup_ratio_values: mixup_ratio must be a nonnegative"),
+     "grid.cfg: mixup_ratio_values: mixup_ratio must be an int >= 0"),
     (["seeds", "--seeds", "a,b"], "--seeds"),
     (["seeds", "--seeds", "0"], "--seeds"),
     (["seeds", "--seeds=-1,2"], "--seeds"),
@@ -862,12 +879,14 @@ def test_exit_code_config_error(line, needle, workspace, tmp_path, capsys):
     (["bench", "--warmup", "-1"], "--warmup"),
     (["export-embeddings", "--seed", "-1"], "--seed"),
     (["bound", "verify", "--seed", "-1"], "--seed"),
-    # argparse's own conversions
+    # text that is not a number: argparse's int and float, and a Range
     (["bound", "verify", "--a", "abc"], "--a: invalid int value: 'abc'"),
     (["bound", "verify", "--delta", "x"], "--delta: invalid float value"),
-    (["eval", "--batch-size", "abc"], "--batch-size: invalid int value"),
-    (["export-embeddings", "--n", "1.5"], "--n: invalid int value"),
-    (["bench", "--warmup", ""], "--warmup: invalid int value"),
+    (["eval", "--batch-size", "abc"],
+     "--batch-size: must be an int >= 1, got 'abc'"),
+    (["export-embeddings", "--n", "1.5"],
+     "--n: must be an int >= 1, got '1.5'"),
+    (["bench", "--warmup", ""], "--warmup: must be an int >= 0, got ''"),
 ], ids=["sweep_not_a_number", "sweep_empty_list", "sweep_negative_alpha_sm",
         "sweep_nan_alpha_tmkd", "sweep_negative_ratio", "seeds_not_a_number",
         "seeds_single", "seeds_negative", "seeds_repeated",

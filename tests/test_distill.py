@@ -33,9 +33,9 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
+    with pytest.raises(ValueError, match="seed must be an int >= 0"):
         TrainConfig(seed=-1)
-    with pytest.raises(ValueError, match="eval_every must be >= 0"):
+    with pytest.raises(ValueError, match="eval_every must be an int >= 0"):
         TrainConfig(eval_every=-1)
 
 

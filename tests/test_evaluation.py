@@ -33,14 +33,13 @@ def test_compute_metrics_f1():
     m = compute_metrics(logits, labels, positive_class=1)
     # tp=1 fp=1 fn=1 -> f1 = 2/4
     assert m.f1 == pytest.approx(0.5)
-    assert not m.f1_degenerate
 
 
 def test_compute_metrics_f1_degenerate():
     logits = np.array([[1.0, 0.0]])
     labels = np.eye(2)[[0]]
     m = compute_metrics(logits, labels, positive_class=1)
-    assert m.f1 == 0.0 and m.f1_degenerate
+    assert m.f1 == 0.0
 
 
 def test_compute_metrics_shape_mismatch():
@@ -276,7 +275,8 @@ def test_load_config_every_dataclass_field(tmp_path):
 def test_load_config_bad_value(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("epochs=three\n")
-    with pytest.raises(ConfigError, match="bad value"):
+    with pytest.raises(ConfigError, match="epochs must be an int >= 1, "
+                                          "got 'three'"):
         load_config(path)
 
 
