@@ -3,7 +3,8 @@
 The graph is dynamic: every operation records its inputs and a vector-
 Jacobian product closure on the output tensor, and ``backward`` walks a
 freshly built topological tape.  Inside ``no_grad`` the same ops record
-nothing, for forward passes that are never differentiated.  Only
+nothing, for forward passes that are never differentiated, and
+``backward`` refuses a root that has no graph.  Only
 scalar-vs-tensor broadcasting is allowed; everything else goes through
 explicit ops (``add_bias``, ``gather_rows``, ``mix``, ``embedding``, ...)
 so shape bugs fail loudly.
@@ -197,9 +198,15 @@ class Tape:
 
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``,
-    then check that each of those gradients is finite."""
+    then check that each of those gradients is finite.  A root with no
+    graph (no VJP, and not a leaf that requires grad) raises: no gradient
+    could reach a leaf from it."""
     if loss.size != 1:
         raise AutodiffError(f"backward root must be scalar, got shape {loss.shape}")
+    if loss._vjp is None and not loss.requires_grad:
+        raise AutodiffError(
+            "backward root has no graph: it was built under no_grad or "
+            "from constants only")
     if loss._backward_done:
         raise AutodiffError("backward already ran for this tensor; rebuild the graph")
     loss._backward_done = True

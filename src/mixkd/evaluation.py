@@ -7,6 +7,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,16 +52,15 @@ def compute_metrics(logits: np.ndarray, labels_onehot: np.ndarray,
 def evaluate(params: ModelParams, examples: Sequence[Example], vocab: Vocab,
              max_len: int, num_classes: int, batch_size: int = 32,
              positive_class: Optional[int] = None) -> Metrics:
-    """Dropout-off, graph-free forward over the whole split, each example
-    exactly once; ``vocab`` memoizes the encodings, so a split evaluated
-    again and again is tokenized once."""
+    """``forward_tokens`` over the whole split, each example exactly once:
+    dropout off and no graph (the differentiable forward is
+    ``forward_from_embeddings``); ``vocab`` memoizes the encodings, so a
+    split evaluated again and again is tokenized once."""
     if not examples:
         raise DataError("no examples to evaluate")
     all_logits, all_labels = [], []
     for batch in collate(examples, vocab, max_len, batch_size, num_classes):
-        with no_grad():
-            logits = forward_tokens(params, batch)
-        all_logits.append(logits.data)
+        all_logits.append(forward_tokens(params, batch).data)
         all_labels.append(batch.labels_onehot)
     return compute_metrics(np.concatenate(all_logits),
                            np.concatenate(all_labels), positive_class)
@@ -110,7 +110,7 @@ def export_cls_features(params: ModelParams, examples: Sequence[Example],
 
 def throughput_bench(params: ModelParams, batch_size: int = 16,
                      warmup: int = 2, measured_batches: int = 10) -> dict:
-    """Graph-free forward samples/second on seed-0 synthetic batches of
+    """``forward_tokens`` samples/second on seed-0 synthetic batches of
     the model's full ``max_seq_len``, plus parameter count."""
     COUNT.check("measured_batches", measured_batches)
     config = params.config
@@ -118,15 +118,15 @@ def throughput_bench(params: ModelParams, batch_size: int = 16,
     ids = rng.integers(len(RESERVED), config.vocab_size,
                        size=(batch_size, config.max_seq_len))
     ids[:, 0] = CLS_ID
-    mask = np.ones((batch_size, config.max_seq_len), dtype=bool)
-    emb_args = (params, ids, mask)
-    with no_grad():
-        for _ in range(warmup):
-            forward_from_embeddings(params, embed_batch(*emb_args), mask)
-        start = time.perf_counter()
-        for _ in range(measured_batches):
-            forward_from_embeddings(params, embed_batch(*emb_args), mask)
-        elapsed = time.perf_counter() - start
+    batch = SimpleNamespace(
+        token_ids=ids,
+        pad_mask=np.ones((batch_size, config.max_seq_len), dtype=bool))
+    for _ in range(warmup):
+        forward_tokens(params, batch)
+    start = time.perf_counter()
+    for _ in range(measured_batches):
+        forward_tokens(params, batch)
+    elapsed = time.perf_counter() - start
     return {
         "samples_per_second": batch_size * measured_batches / elapsed,
         "param_count": params.param_count(),

@@ -2,8 +2,10 @@
 
 The same architecture serves as teacher and student; the student can be
 initialized from the teacher's first k layers.  Two forward entry points
-exist: from token ids and from raw embedding batches, the latter being
-how interpolated (mixed) inputs are fed to either model.
+exist: ``forward_tokens``, from token ids, is the inference forward and
+builds no graph; ``forward_from_embeddings``, from raw embedding batches,
+is the differentiable one, and how interpolated (mixed) inputs are fed
+to either model.
 
 Padding convention: a pad position carries a zero embedding (token plus
 position, times the 0/1 pad mask, in one ``autodiff.embedding`` op, so
@@ -17,12 +19,12 @@ every row).  Everything after the key/value projections is row-wise, so
 this is exact in real arithmetic; in floating point the smaller products
 round differently, by about 1e-16 relative.
 
-A graph-free forward (evaluation, the frozen teacher) runs its encoder
-layers over blocks of consecutive samples of at most ``_BLOCK_ROWS``
-token rows, so that attention's [b,h,T,T] buffers stay in cache; a large
-one runs the blocks of its two sample halves in two threads.  The head
-runs once on the whole batch, and the result is bitwise that of the
-serial forward (see ``forward_from_embeddings``).
+A graph-free forward (``forward_tokens``, the frozen teacher) runs its
+encoder layers over blocks of consecutive samples of at most
+``_BLOCK_ROWS`` token rows, so that attention's [b,h,T,T] buffers stay
+in cache; a large one runs the blocks of its two sample halves in two
+threads.  The head runs once on the whole batch, and the result is
+bitwise that of the serial forward (see ``forward_from_embeddings``).
 """
 
 from __future__ import annotations
@@ -392,11 +394,20 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
 
 
 def forward_tokens(params: ModelParams, batch, return_features: bool = False):
-    """Dropout-off embed -> encoder; ``batch`` needs .token_ids and
-    .pad_mask arrays."""
-    emb = embed_batch(params, batch.token_ids, batch.pad_mask)
-    return forward_from_embeddings(params, emb, batch.pad_mask,
-                                   return_features=return_features)
+    """The inference forward: dropout-off embed -> encoder under
+    ``no_grad``; ``batch`` needs .token_ids and .pad_mask arrays.
+
+    It builds no graph, whatever ``requires_grad`` the parameters carry,
+    so it takes the graph-free path of ``forward_from_embeddings``
+    (blocked, and split across two threads for a large batch; serial
+    under ``detect_anomaly``) and returns leaf tensors, which
+    ``backward`` refuses.  The differentiable forward is
+    ``forward_from_embeddings(params, embed_batch(params, ids, mask),
+    mask)``."""
+    with ad.no_grad():
+        emb = embed_batch(params, batch.token_ids, batch.pad_mask)
+        return forward_from_embeddings(params, emb, batch.pad_mask,
+                                       return_features=return_features)
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,9 @@ def test_detach_stops_gradient():
     x = leaf([2.0, 3.0])
     y = ad.tsum(ad.mul(x.detach(), x.detach()))
     assert not y.requires_grad
-    backward_ok = True
-    try:
+    # a root built from constants only has no graph to walk
+    with pytest.raises(AutodiffError, match="root has no graph"):
         backward(y)
-    except AutodiffError:
-        backward_ok = False
-    # a constant scalar root backprops trivially and touches no leaf
-    assert backward_ok
     assert x.grad is None
 
 
@@ -131,6 +127,28 @@ def test_no_grad_nests():
     y = ad.tsum(ad.mul(x, x))
     backward(y)
     np.testing.assert_array_equal(x.grad, 2.0 * np.ones(3))
+
+
+@pytest.mark.parametrize("root", ["no_grad", "constant"])
+def test_backward_refuses_a_root_with_no_graph(root):
+    x = leaf([2.0, 3.0])
+    if root == "no_grad":
+        with ad.no_grad():
+            y = ad.tsum(ad.mul(x, x))
+    else:
+        y = constant(5.0)
+    with pytest.raises(AutodiffError, match=(
+            "^backward root has no graph: it was built under no_grad or "
+            "from constants only$")):
+        backward(y)
+    assert x.grad is None
+    assert not y._backward_done  # refused before it was marked
+
+
+def test_backward_on_a_scalar_leaf_gives_ones():
+    x = leaf(4.0)
+    backward(x)
+    np.testing.assert_array_equal(x.grad, np.ones(()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from mixkd.distill import (Adam, LossWeights, SweepGrid, TrainConfig,
                            total_loss, train_teacher)
 from mixkd.data import Vocab, make_batch, tokenize
 from mixkd.mixup import MixupConfig, MixupPairs, materialize
-from mixkd.model import (embed_batch, forward_from_embeddings, forward_tokens,
+from mixkd.model import (embed_batch, forward_from_embeddings,
                          init_random, init_student_from_teacher)
 
 
@@ -182,9 +182,11 @@ def test_teacher_forward_builds_no_graph(tiny_setup, monkeypatch):
 
 
 def _two_embedding_sm_tmkd(batch, pairs, teacher, student, weights):
-    """The sm_tmkd loss with the student embedded twice: once inside
-    forward_tokens for L_MLE and once more for mixup."""
-    l_mle = loss_mle(forward_tokens(student, batch), batch.labels_onehot)
+    """The sm_tmkd loss with the student embedded twice: once for L_MLE
+    and once more for mixup."""
+    l_mle = loss_mle(forward_from_embeddings(
+        student, embed_batch(student, batch.token_ids, batch.pad_mask),
+        batch.pad_mask), batch.labels_onehot)
     emb = embed_batch(student, batch.token_ids, batch.pad_mask)
     mixed_emb, mixed_mask, mixed_labels = materialize(
         pairs, emb, batch.pad_mask, batch.labels_onehot)

@@ -15,7 +15,8 @@ from mixkd.distill import LossWeights, TrainConfig
 from mixkd.evaluation import (compute_metrics, evaluate, export_cls_features,
                               throughput_bench)
 from mixkd.mixup import MixupConfig, MixupPairs
-from mixkd.model import ModelConfig, forward_tokens, init_random
+from mixkd.model import (ModelConfig, embed_batch, forward_from_embeddings,
+                         forward_tokens, init_random)
 
 
 def test_compute_metrics_accuracy():
@@ -96,10 +97,52 @@ def test_evaluate_logits_bitwise_equal_graph_forward(monkeypatch, task_params,
     assert len(seen) == 3
     for batch, out in seen:
         assert out._inputs == () and out._vjp is None  # no graph kept
-        graph = forward_tokens(task_params, batch)
+        graph = forward_from_embeddings(
+            task_params,
+            embed_batch(task_params, batch.token_ids, batch.pad_mask),
+            batch.pad_mask)
         assert graph._inputs
         assert np.array_equal(out.data, graph.data)
 
+
+
+@pytest.mark.parametrize("seed", [0, 100])
+def test_evaluate_equals_serial_graph_forward_at_eval_long(monkeypatch, seed):
+    """eval_long's set-up (256 dev examples of 32-62 words, T = 64,
+    4 layers, 32-example slices): evaluate's blocked, two-thread logits
+    equal the serial graph forward's bit for bit on every slice, and so
+    does the whole split's accuracy.  The benchmark's own per-slice
+    reference is ``forward_tokens``, evaluate's path, so this is the
+    check against an independent path."""
+    task = synthetic.make_task(n_train=256, n_dev=256, seq_min=32,
+                               seq_max=62, seed=seed)
+    config = ModelConfig(num_layers=4, hidden_dim=64, num_heads=4,
+                         ffn_dim=128, vocab_size=task.vocab.size,
+                         max_seq_len=task.max_len,
+                         num_classes=task.num_classes)
+    params = init_random(config, seed)
+    monkeypatch.setattr(model, "_cpus", lambda: 2)
+    seen = []
+
+    def spy(params, batch, **kwargs):
+        out = forward_tokens(params, batch, **kwargs)
+        seen.append((batch, out))
+        return out
+    monkeypatch.setattr(evaluation, "forward_tokens", spy)
+    whole = evaluate(params, task.dev, task.vocab, task.max_len,
+                     task.num_classes, batch_size=32)
+    assert len(seen) == 8 and all(len(b.token_ids) == 32 for b, _ in seen)
+    graphs = []
+    for batch, out in seen:
+        graph = forward_from_embeddings(
+            params, embed_batch(params, batch.token_ids, batch.pad_mask),
+            batch.pad_mask)
+        assert graph._inputs and out._vjp is None
+        assert np.array_equal(out.data, graph.data)
+        graphs.append(graph.data)
+    labels = np.concatenate([batch.labels_onehot for batch, _ in seen])
+    assert whole.accuracy == compute_metrics(np.concatenate(graphs),
+                                             labels).accuracy
 
 def test_export_cls_features_format(task_params, small_task, tmp_path):
     out = tmp_path / "feats.csv"

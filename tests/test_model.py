@@ -9,10 +9,14 @@ import re
 import resource
 import struct
 import threading
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixkd
 from mixkd import autodiff as ad
@@ -155,12 +159,56 @@ def test_end_to_end_gradient_nonzero(tiny_params, tiny_config):
     labels = np.eye(2)[[0, 1, 1, 0]]
     from mixkd.data import Batch
     batch = Batch(ids, mask, labels)
-    logits = forward_tokens(tiny_params, batch)
+    logits = forward_from_embeddings(
+        tiny_params, embed_batch(tiny_params, batch.token_ids, batch.pad_mask),
+        batch.pad_mask)
     loss = ad.cross_entropy(ad.softmax(logits),
                             ad.constant(batch.labels_onehot))
     ad.backward(loss)
     assert np.abs(tiny_params["tok_emb"].grad).sum() > 0
     tiny_params.zero_grads()
+
+
+# ---------------------------------------------------------------------------
+# forward_tokens, the inference forward: no graph
+# ---------------------------------------------------------------------------
+
+def test_forward_tokens_builds_no_graph(tiny_config):
+    """Leaf results, bitwise the graph forward's, that backward refuses,
+    although the parameters require grad."""
+    params = init_random(tiny_config, seed=0)
+    assert all(t.requires_grad for t in params.arrays.values())
+    ids, mask = _toy_batch(tiny_config, [6, 4, 5, 6])
+    logits, feats = forward_tokens(
+        params, SimpleNamespace(token_ids=ids, pad_mask=mask),
+        return_features=True)
+    for out in (logits, feats):
+        assert out._inputs == () and out._vjp is None
+        assert not out.requires_grad
+    graph, graph_feats = forward_from_embeddings(
+        params, embed_batch(params, ids, mask), mask,
+        return_features=True)
+    assert np.array_equal(logits.data, graph.data)
+    assert np.array_equal(feats.data, graph_feats.data)
+    with pytest.raises(ad.AutodiffError, match="root has no graph"):
+        ad.backward(ad.tsum(logits))
+    assert all(t.grad is None for t in params.arrays.values())
+
+
+def test_forward_tokens_peak_memory_holds_no_tape():
+    """One call at eval_long's shape (32 x 64 tokens, 4 layers) peaks
+    under 20 MB of traced allocations; a forward that records the tape
+    peaks at about 90 MB."""
+    params, ids, mask = _split_shape(32, 64)
+    batch = SimpleNamespace(token_ids=ids, pad_mask=mask)
+    forward_tokens(params, batch)  # first-call allocations are not the tape
+    tracemalloc.start()
+    try:
+        forward_tokens(params, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +437,37 @@ def _no_forward_thread_alive():
 ])
 def test_split_forward_bitwise_equals_graph_forward(n, T, hidden_dim,
                                                     monkeypatch):
-    """The graph-mode forward stays serial; the graph-free one splits."""
+    """The graph-mode forward stays serial; the graph-free one splits,
+    under ``no_grad`` and in ``forward_tokens`` alike."""
     params, ids, mask = _split_shape(n, T, hidden_dim)
     threads = _forward_threads(monkeypatch)
     graph, graph_feats = forward_from_embeddings(
         params, embed_batch(params, ids, mask), mask, return_features=True)
     assert not _split(threads) and graph._inputs
-    threads.clear()
-    with ad.no_grad():
-        split, split_feats = forward_from_embeddings(
-            params, embed_batch(params, ids, mask), mask,
-            return_features=True)
-    assert _split(threads) and _no_forward_thread_alive()
-    # both halves ran under the caller's no_grad, each in its own scopes
+
+    def under_no_grad():
+        with ad.no_grad():
+            return forward_from_embeddings(
+                params, embed_batch(params, ids, mask), mask,
+                return_features=True)
+
+    def tokens():
+        return forward_tokens(params, SimpleNamespace(token_ids=ids,
+                                                      pad_mask=mask),
+                              return_features=True)
+
     scopes = {f"layers.{i}.ln{j}" for i in range(4) for j in (1, 2)}
-    for name in ("MainThread", "mixkd-forward_0"):
-        assert {(grad, scope) for who, grad, scope in threads
-                if who == name} == {(False, scope) for scope in scopes}
-    assert np.array_equal(split.data, graph.data)
-    assert np.array_equal(split_feats.data, graph_feats.data)
+    for forward in (under_no_grad, tokens):
+        threads.clear()
+        split, split_feats = forward()
+        assert _split(threads) and _no_forward_thread_alive()
+        # both halves ran under no_grad, each in its own scopes
+        for name in ("MainThread", "mixkd-forward_0"):
+            assert {(grad, scope) for who, grad, scope in threads
+                    if who == name} == {(False, scope) for scope in scopes}
+        assert split._inputs == () and split._vjp is None
+        assert np.array_equal(split.data, graph.data)
+        assert np.array_equal(split_feats.data, graph_feats.data)
 
 
 def _encoder_calls(monkeypatch):
@@ -526,6 +586,25 @@ def test_blocks_hold_two_samples_and_over_half_a_block_of_rows():
             assert min(sizes) >= 2
             assert min(sizes) * T > model_mod._BLOCK_ROWS // 2
     assert model_mod._blocks(0, 5, 103) == [(0, 5)]  # 2 blocks: 206 rows
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(lo=st.integers(0, 1000), n=st.integers(1, 299), T=st.integers(1, 129))
+def test_blocks_property(lo, n, T):
+    """The properties above, for drawn lo, n and T: consecutive blocks
+    that cover [lo, lo + n) once, at most ceil(rows / _BLOCK_ROWS) of
+    them, of near-equal sample counts, and more than one only where each
+    holds 2 samples and over half a block of rows."""
+    blocks = model_mod._blocks(lo, lo + n, T)
+    assert blocks[0][0] == lo and blocks[-1][1] == lo + n
+    assert all(b[1] == c[0] for b, c in zip(blocks, blocks[1:]))
+    sizes = [b - a for a, b in blocks]
+    assert min(sizes) >= 1
+    assert 1 <= len(blocks) <= -(-n * T // model_mod._BLOCK_ROWS)
+    assert max(sizes) - min(sizes) <= 1
+    if len(blocks) > 1:
+        assert min(sizes) >= 2
+        assert min(sizes) * T > model_mod._BLOCK_ROWS // 2
 
 
 @pytest.mark.parametrize("k,width", [(64, 64), (64, 128), (128, 64),

@@ -56,7 +56,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from mixkd import autodiff, bounds, synthetic  # noqa: E402
+from mixkd import bounds, synthetic  # noqa: E402
 from mixkd.cli import main as cli  # noqa: E402
 from mixkd.data import make_batch  # noqa: E402
 from mixkd.distill import (LossWeights, TrainConfig, distill_student,  # noqa: E402
@@ -116,8 +116,7 @@ def outputs(task, params) -> dict:
     metrics = evaluate(params, task.dev, task.vocab, task.max_len, C,
                        batch_size=16)
     batch = make_batch(task.dev, task.vocab, task.max_len, C)
-    with autodiff.no_grad():
-        logits, feats = forward_tokens(params, batch, return_features=True)
+    logits, feats = forward_tokens(params, batch, return_features=True)
     pairs = make_pairs(16, MixupConfig(mixup_ratio=2),
                        np.random.default_rng(0))
     with tempfile.TemporaryDirectory() as tmp:
