@@ -4,10 +4,11 @@ The graph is dynamic: every operation records its inputs and a vector-
 Jacobian product closure on the output tensor, and ``backward`` walks a
 freshly built topological tape.  Inside ``no_grad`` the same ops record
 nothing, for forward passes that are never differentiated, and
-``backward`` refuses a root that has no graph.  Only
-scalar-vs-tensor broadcasting is allowed; everything else goes through
-explicit ops (``add_bias``, ``gather_rows``, ``mix``, ``embedding``, ...)
-so shape bugs fail loudly.
+``backward`` refuses a root that has no graph.  Nothing broadcasts:
+``add``, ``sub`` and ``mul`` take two tensors of one shape, ``scale`` is
+the one tensor-times-scalar op, and every other combination goes through
+an explicit op (``add_bias``, ``gather_rows``, ``mix``, ``embedding``,
+...), so shape bugs fail loudly.
 
 Finiteness is checked at the boundaries, not per op.  A tensor built by
 ``Tensor(...)`` or ``constant(...)`` is checked; an op result is not.
@@ -169,8 +170,8 @@ def _result(data: np.ndarray, inputs: Sequence[Tensor],
     if graph:
         return Tensor(data, requires_grad=True, _inputs=tuple(inputs),
                       _vjp=vjp, _unchecked=True)
-    # prune the graph below non-differentiable results (e.g. a frozen
-    # teacher) and under no_grad
+    # prune the graph below non-differentiable results (constants) and
+    # under no_grad
     return Tensor(data, requires_grad=False, _unchecked=True)
 
 
@@ -241,38 +242,30 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 def _check_operand(op: str, a: Tensor, b) -> None:
-    """``b`` must be a tensor of ``a``'s shape or a real scalar."""
-    if isinstance(b, Tensor):
-        if b.shape != a.shape:
-            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-    elif not isinstance(b, numbers.Real):
+    """``b`` must be a tensor of ``a``'s shape."""
+    if not isinstance(b, Tensor):
         raise AutodiffError(f"{op}: unsupported operand type {type(b).__name__}")
+    if b.shape != a.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
-def add(a: Tensor, b) -> Tensor:
-    """``a + b`` for an equal-shape tensor or a real scalar ``b``."""
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """``a + b`` for two tensors of one shape."""
     _check_operand("add", a, b)
-    if isinstance(b, Tensor):
-        return _result(a.data + b.data, (a, b), lambda g: (g, g))
-    return _result(a.data + float(b), (a,), lambda g: (g,))
+    return _result(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    """``a - b`` for an equal-shape tensor or a real scalar ``b``."""
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    """``a - b`` for two tensors of one shape."""
     _check_operand("sub", a, b)
-    if isinstance(b, Tensor):
-        return _result(a.data - b.data, (a, b), lambda g: (g, -g))
-    return _result(a.data - float(b), (a,), lambda g: (g,))
+    return _result(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """``a * b`` for an equal-shape tensor or a real scalar ``b``."""
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """``a * b`` for two tensors of one shape; a scalar factor is ``scale``."""
     _check_operand("mul", a, b)
-    if isinstance(b, Tensor):
-        return _result(a.data * b.data, (a, b),
-                       lambda g, av=a.data, bv=b.data: (g * bv, g * av))
-    s = float(b)
-    return _result(a.data * s, (a,), lambda g: (g * s,))
+    return _result(a.data * b.data, (a, b),
+                   lambda g, av=a.data, bv=b.data: (g * bv, g * av))
 
 
 def scale(a: Tensor, s: float) -> Tensor:

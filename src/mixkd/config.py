@@ -16,7 +16,7 @@ import argparse
 from dataclasses import fields
 
 from .distill import LossWeights, TrainConfig
-from .mixup import MixupConfig
+from .mixup import MixupConfig, MixupError
 from .model import ModelConfig
 from .ranges import INDEX, Range
 
@@ -90,6 +90,6 @@ def config_from_pairs(pairs: dict[str, str],
         config = TrainConfig(mixup=MixupConfig(**kwargs["mixup"]),
                              loss=LossWeights(**kwargs["loss"]),
                              **kwargs["train"])
-    except Exception as exc:
+    except (ValueError, MixupError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config, kwargs["model"], kwargs["vocab"]

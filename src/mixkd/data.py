@@ -45,8 +45,11 @@ class Schema:
 
     @classmethod
     def parse(cls, spec: str) -> "Schema":
-        """"sentence,label" or "sentence1,sentence2,label"."""
+        """"sentence,label" or "sentence1,sentence2,label": 2 or 3
+        distinct column names."""
         cols = [c.strip() for c in spec.split(",") if c.strip()]
+        if len(set(cols)) < len(cols):
+            raise DataError(f"schema {spec!r} names a column twice")
         if len(cols) == 2:
             return cls(text_a=cols[0], label=cols[1])
         if len(cols) == 3:

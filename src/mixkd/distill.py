@@ -3,8 +3,9 @@
 The total objective is L = L_MLE + alpha_SM * L_SM + alpha_TMKD * L_TMKD:
 cross-entropy on the original batch, student cross-entropy on mixed
 samples against interpolated labels, and a distance between teacher and
-student outputs on the same mixed samples.  The teacher is frozen; its
-outputs enter the graph as constants.
+student outputs on the same mixed samples.  The teacher is a fixed
+function: it is queried under ``no_grad``, so its outputs enter the
+graph as constants, and the optimizer sees only the student.
 
 Plain fine-tuning and distillation share one training loop, so a
 distillation run with all augmentation disabled reproduces the plain
@@ -143,8 +144,8 @@ def loss_tmkd(teacher_out: Tensor, student_out: Tensor,
         if weights.distance_metric == "mse":
             return ad.mse(student_out, t)
         tau = weights.temperature
-        soft_targets = ad.softmax(ad.scale(t, 1.0 / tau)).data
-        ce = ad.cross_entropy(ad.softmax(ad.scale(student_out, 1.0 / tau)),
+        soft_targets = ad.softmax(t, scale=1.0 / tau).data
+        ce = ad.cross_entropy(ad.softmax(student_out, scale=1.0 / tau),
                               ad.constant(soft_targets))
         return ad.scale(ce, tau * tau)
 
@@ -157,10 +158,13 @@ def total_loss(batch: Batch, pairs, teacher: Optional[ModelParams],
 
     ``pairs`` is this batch's mixup recipe (may be empty).
     The teacher is queried only for variants that distill, under
-    ``no_grad``: it is never part of the gradient graph.
+    ``no_grad``: it is never part of the gradient graph.  A variant that
+    distills needs a teacher even when ``pairs`` is empty.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if variant != "ft" and teacher is None:
+        raise ValueError(f"variant {variant} requires a teacher")
     # one student embedding feeds L_MLE and the mixup terms
     student_emb = embed_batch(student, batch.token_ids, batch.pad_mask)
     logits = forward_from_embeddings(student, student_emb, batch.pad_mask,
@@ -180,8 +184,6 @@ def total_loss(batch: Batch, pairs, teacher: Optional[ModelParams],
             total = ad.add(total, ad.scale(l_sm, weights.alpha_sm))
             components["sm"] = l_sm.item()
 
-        if teacher is None:
-            raise ValueError(f"variant {variant} requires a teacher")
         with ad.no_grad(), ad.scope("teacher"):
             teacher_emb = embed_batch(teacher, batch.token_ids, batch.pad_mask)
             query_emb, _, _ = materialize(
@@ -372,14 +374,14 @@ def distill_student(config: TrainConfig, student_config: ModelConfig,
                     max_steps: Optional[int] = None) -> tuple[ModelParams, RunRecord]:
     """Train a student initialized from the teacher's first k layers.
 
-    The teacher participates read-only: a frozen copy is queried and the
-    optimizer only ever sees student parameters.
+    The teacher participates read-only: ``total_loss`` queries it under
+    ``no_grad`` and the optimizer only ever sees student parameters.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     student = init_student_from_teacher(teacher, student_config)
-    frozen = teacher.copy().freeze() if variant != "ft" else None
-    return _train_loop(student, config, dataset, teacher=frozen,
+    return _train_loop(student, config, dataset,
+                       teacher=None if variant == "ft" else teacher,
                        variant=variant, max_steps=max_steps)
 
 

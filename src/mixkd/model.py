@@ -19,12 +19,14 @@ every row).  Everything after the key/value projections is row-wise, so
 this is exact in real arithmetic; in floating point the smaller products
 round differently, by about 1e-16 relative.
 
-A graph-free forward (``forward_tokens``, the frozen teacher) runs its
-encoder layers over blocks of consecutive samples of at most
-``_BLOCK_ROWS`` token rows, so that attention's [b,h,T,T] buffers stay
-in cache; a large one runs the blocks of its two sample halves in two
-threads.  The head runs once on the whole batch, and the result is
-bitwise that of the serial forward (see ``forward_from_embeddings``).
+A forward under ``no_grad`` (``forward_tokens``, the teacher in
+``distill.total_loss``) runs its encoder layers over blocks of
+consecutive samples of at most ``_BLOCK_ROWS`` token rows, so that
+attention's [b,h,T,T] buffers stay in cache; a large one runs the
+blocks of its two sample halves in two threads.  The head runs once on
+the whole batch, and the result is bitwise that of the serial forward
+(see ``forward_from_embeddings``).  Grad mode alone decides this, not
+``requires_grad``.
 """
 
 from __future__ import annotations
@@ -134,8 +136,10 @@ class ModelParams:
         return sum(t.size for t in self.arrays.values())
 
     def copy(self) -> "ModelParams":
+        """Trainable copies of the arrays, as every constructor here makes
+        them; ``freeze`` marks a model fixed."""
         return ModelParams(self.config, {
-            name: Tensor(t.data.copy(), requires_grad=t.requires_grad)
+            name: Tensor(t.data.copy(), requires_grad=True)
             for name, t in self.arrays.items()})
 
     def freeze(self) -> "ModelParams":
@@ -265,7 +269,7 @@ def _encoder(params: ModelParams, x2: Tensor, key_bias: np.ndarray,
     return x2  # [n,d]: the last layer computed only the [CLS] rows
 
 
-# A graph-free forward runs the encoder over blocks of at most this many
+# A forward under no_grad runs the encoder over blocks of at most this many
 # token rows.  At eval_long's T=64 a 512-row block keeps attention's
 # [8,4,64,64] scores (1 MB) in a 2 MB L2; 256-row blocks were slower in a
 # two-thread eval_long forward.
@@ -282,14 +286,11 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _graph_free(params: ModelParams, emb: Tensor, drop: float) -> bool:
-    """Whether the forward may run per block: it builds no graph and draws
-    no dropout, and anomaly mode, which names the first non-finite op and
-    so needs one order, is off."""
-    if drop > 0.0 or ad._anomaly.get():
-        return False
-    return not (ad._grad_enabled.get() and (emb.requires_grad or any(
-        t.requires_grad for t in params.arrays.values())))
+def _graph_free(drop: float) -> bool:
+    """Whether the forward may run per block: grad mode is off, so it
+    builds no graph, it draws no dropout, and anomaly mode, which names
+    the first non-finite op and so needs one order, is off."""
+    return not (ad._grad_enabled.get() or ad._anomaly.get() or drop > 0.0)
 
 
 def _blocks(lo: int, hi: int, T: int) -> list[tuple[int, int]]:
@@ -319,11 +320,11 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     the full layer's shapes and cut to the [CLS] rows, so the generator
     stream and the masks of the rows that are kept do not change.
 
-    A forward that builds no graph (grad mode off, or nothing requires
-    grad), with dropout and ``detect_anomaly`` off, runs the encoder layers
-    over blocks of consecutive samples (``_blocks``): k = ceil(rows / 512)
-    blocks of near-equal sample counts, fewer where a block would hold
-    fewer than 2 samples or at most 256 rows.  A block's attention scores
+    A forward under ``no_grad``, with dropout and ``detect_anomaly`` off,
+    runs the encoder layers over blocks of consecutive samples
+    (``_blocks``): k = ceil(rows / 512) blocks of near-equal sample
+    counts, fewer where a block would hold fewer than 2 samples or at
+    most 256 rows.  A block's attention scores
     and softmax then stay in cache.  A batch of at least 4 samples and
     1024 token rows, on a process that may use 2 CPUs, also splits: a
     worker thread runs the blocks of samples ``[:n//2]`` and the calling
@@ -357,7 +358,7 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
         raise ValueError("dropout requires an rng in train mode")
     key_bias = np.where(mask, 0.0, -1e9)
 
-    if _graph_free(params, emb, drop):
+    if _graph_free(drop):
         def layers(lo, hi):
             """The [CLS] rows of the blocks of samples [lo, hi)."""
             out = []
@@ -398,7 +399,7 @@ def forward_tokens(params: ModelParams, batch, return_features: bool = False):
     ``no_grad``; ``batch`` needs .token_ids and .pad_mask arrays.
 
     It builds no graph, whatever ``requires_grad`` the parameters carry,
-    so it takes the graph-free path of ``forward_from_embeddings``
+    and takes the ``no_grad`` path of ``forward_from_embeddings``
     (blocked, and split across two threads for a large batch; serial
     under ``detect_anomaly``) and returns leaf tensors, which
     ``backward`` refuses.  The differentiable forward is

@@ -16,38 +16,33 @@ from .model import write_files
 LABEL_NAMES = ["neg", "pos"]
 
 
-def _words(vocab_words: int) -> tuple[list[str], list[str], list[str]]:
-    words = [f"tok{i:03d}" for i in range(vocab_words)]
-    n_keys = max(2, vocab_words // 20)
-    return words[:n_keys], words[n_keys:2 * n_keys], words[2 * n_keys:]
+# tok000 .. tok199: 10 key words per class, the other 180 shared noise
+_WORDS = [f"tok{i:03d}" for i in range(200)]
+_KEYS, _NOISE = (_WORDS[:10], _WORDS[10:20]), _WORDS[20:]
 
 
-def make_examples(n: int, rng: np.random.Generator, vocab_words: int = 200,
-                  seq_min: int = 5, seq_max: int = 12,
-                  signal_rate: float = 0.3) -> list[Example]:
-    keys_neg, keys_pos, noise = _words(vocab_words)
-    keys = (keys_neg, keys_pos)
+def make_examples(n: int, rng: np.random.Generator, seq_min: int,
+                  seq_max: int, signal_rate: float) -> list[Example]:
     examples = []
     for _ in range(n):
         label = int(rng.integers(0, 2))
         length = int(rng.integers(seq_min, seq_max + 1))
         toks = [
-            keys[label][rng.integers(len(keys[label]))]
+            _KEYS[label][rng.integers(len(_KEYS[label]))]
             if rng.random() < signal_rate
-            else noise[rng.integers(len(noise))]
+            else _NOISE[rng.integers(len(_NOISE))]
             for _ in range(length)
         ]
         examples.append(Example(text_a=" ".join(toks), label_id=label))
     return examples
 
 
-def make_task(n_train: int = 2000, n_dev: int = 500, vocab_words: int = 200,
-              seq_min: int = 5, seq_max: int = 12, signal_rate: float = 0.3,
+def make_task(n_train: int = 2000, n_dev: int = 500, seq_min: int = 5,
+              seq_max: int = 12, signal_rate: float = 0.3,
               seed: int = 0) -> TaskData:
     rng = np.random.default_rng(seed)
-    train = make_examples(n_train, rng, vocab_words, seq_min, seq_max,
-                          signal_rate)
-    dev = make_examples(n_dev, rng, vocab_words, seq_min, seq_max, signal_rate)
+    train = make_examples(n_train, rng, seq_min, seq_max, signal_rate)
+    dev = make_examples(n_dev, rng, seq_min, seq_max, signal_rate)
     vocab = build_vocab(train, min_freq=1)
     return TaskData(train=train, dev=dev, vocab=vocab,
                     label_names=list(LABEL_NAMES), max_len=seq_max + 2)

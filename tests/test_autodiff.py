@@ -53,7 +53,7 @@ def test_double_backward_rejected():
 def test_backward_requires_scalar_root():
     x = leaf([[1.0, 2.0]])
     with pytest.raises(AutodiffError):
-        backward(ad.add(x, 1.0))
+        backward(ad.scale(x, 1.0))
 
 
 def test_frozen_subgraph_is_pruned():
@@ -114,15 +114,15 @@ def test_no_grad_restored_after_exception():
         with ad.no_grad():
             ad.add(x, leaf(np.ones(4)))
     assert ad._grad_enabled.get()
-    assert ad.add(x, 1.0)._inputs == (x,)
+    assert ad.scale(x, 1.0)._inputs == (x,)
 
 
 def test_no_grad_nests():
     x = leaf(np.ones(3))
     with ad.no_grad():
         with ad.no_grad():
-            assert ad.add(x, 1.0)._vjp is None
-        assert ad.add(x, 1.0)._vjp is None
+            assert ad.scale(x, 1.0)._vjp is None
+        assert ad.scale(x, 1.0)._vjp is None
     assert ad._grad_enabled.get()
     y = ad.tsum(ad.mul(x, x))
     backward(y)
@@ -230,7 +230,7 @@ def test_modes_are_thread_local():
                     barrier.wait()
                     stack.enter_context(mode())
                 barrier.wait()
-                seen[name] = _modes() + (ad.add(x, 1.0)._vjp is not None,)
+                seen[name] = _modes() + (ad.scale(x, 1.0)._vjp is not None,)
                 barrier.wait()
             barrier.wait()
             seen[name + " after"] = _modes()
@@ -313,6 +313,15 @@ def test_elementwise_shape_mismatch(op):
                          ids=["ndarray", "str"])
 def test_elementwise_rejects_non_tensor_operand(op, operand):
     with pytest.raises(AutodiffError, match="unsupported operand type"):
+        getattr(ad, op)(leaf([1.0, 2.0]), operand)
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+@pytest.mark.parametrize("operand", [1.0, 2], ids=["float", "int"])
+def test_elementwise_rejects_scalar_operand(op, operand):
+    """A scalar factor goes through ``scale``; add/sub/mul take tensors."""
+    with pytest.raises(AutodiffError, match=(
+            f"^{op}: unsupported operand type {type(operand).__name__}$")):
         getattr(ad, op)(leaf([1.0, 2.0]), operand)
 
 

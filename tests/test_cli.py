@@ -13,7 +13,8 @@ import pytest
 from mixkd import model as model_mod
 from mixkd import synthetic
 from mixkd.cli import main
-from mixkd.distill import RunRecord
+from mixkd.distill import LossWeights, RunRecord
+from mixkd.mixup import MixupError
 from mixkd.model import (ModelConfig, load_checkpoint, parameter_shapes,
                          save_checkpoint)
 
@@ -328,6 +329,18 @@ def test_exit_code_tsv_row_missing_label(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert (f"DataError): {train}: line {len(lines)}: expected 2 fields "
             "like the header, got 1") in err
+
+
+@pytest.mark.parametrize("spec", ["label,label", "sentence,sentence,label"])
+def test_exit_code_repeated_schema_column(spec, teacher_ckpt, workspace,
+                                          capsys):
+    code = main(["eval", "--model", str(teacher_ckpt),
+                 "--data", str(workspace / "dev.tsv"), "--schema", spec])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error (DataError): schema {spec!r} names a "
+                            "column twice\n")
+    assert captured.out == ""
 
 
 def test_exit_code_checkpoint_error(workspace, tmp_path, capsys):
@@ -848,6 +861,26 @@ def test_exit_code_config_error(line, needle, workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error (ConfigError): {cfg}: ")
     assert needle in err
+
+
+@pytest.mark.parametrize("error, code, printed", [
+    (RuntimeError, 1, "error: planted\n"),
+    (ValueError, 6, "error (ConfigError): {cfg}: planted\n"),
+    (MixupError, 6, "error (ConfigError): {cfg}: planted\n"),
+])
+def test_config_constructor_errors(error, code, printed, workspace, tmp_path,
+                                   monkeypatch, capsys):
+    """Only the errors a config constructor raises on bad values become a
+    ConfigError (exit 6); any other exception there is a bug (exit 1)."""
+    def planted(self):
+        raise error("planted")
+    monkeypatch.setattr(LossWeights, "__post_init__", planted)
+    cfg = workspace / "teacher.cfg"
+    assert main(["train-teacher", "--config", str(cfg),
+                 "--data", str(workspace / "train.tsv"),
+                 "--out", str(tmp_path / "x.ckpt")]) == code
+    assert capsys.readouterr().err == printed.format(cfg=cfg)
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -26,6 +26,14 @@ def test_schema_parse():
         Schema.parse("only_one")
 
 
+@pytest.mark.parametrize("spec", ["label,label", "sentence,sentence,label",
+                                  "a, b ,a"])
+def test_schema_rejects_a_repeated_column(spec):
+    with pytest.raises(DataError,
+                       match=f"^schema {spec!r} names a column twice$"):
+        Schema.parse(spec)
+
+
 def test_example_validation():
     with pytest.raises(DataError):
         Example(text_a="", label_id=0)

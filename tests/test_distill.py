@@ -14,7 +14,7 @@ from mixkd.distill import (Adam, LossWeights, SweepGrid, TrainConfig,
                            loss_mle, loss_sm, loss_tmkd, run_seeds, sweep_grid,
                            total_loss, train_teacher)
 from mixkd.data import Vocab, make_batch, tokenize
-from mixkd.mixup import MixupConfig, MixupPairs, materialize
+from mixkd.mixup import MixupConfig, MixupPairs, make_pairs, materialize
 from mixkd.model import (embed_batch, forward_from_embeddings,
                          init_random, init_student_from_teacher)
 
@@ -140,6 +140,29 @@ def test_total_loss_requires_teacher(tiny_setup):
     with pytest.raises(ValueError):
         total_loss(batch, MixupPairs([0], [1], [0.5]), None, student,
                    LossWeights(), variant="tmkd")
+
+
+@pytest.mark.parametrize("variant", ["tmkd", "sm_tmkd"])
+@pytest.mark.parametrize("pairs", ["list", "ratio_0", "pairs"])
+def test_total_loss_requires_teacher_before_any_forward(variant, pairs,
+                                                       tiny_setup,
+                                                       monkeypatch):
+    """A distilling variant without a teacher fails before the student is
+    embedded, also when the batch has no pairs to query it on."""
+    teacher, student_config, batch = tiny_setup
+    student = init_student_from_teacher(teacher, student_config)
+    given = {"list": [],
+             "ratio_0": make_pairs(6, MixupConfig(mixup_ratio=0),
+                                   np.random.default_rng(0)),
+             "pairs": MixupPairs([0], [1], [0.5])}[pairs]
+    embedded = []
+    monkeypatch.setattr(distill, "embed_batch",
+                        lambda *args: embedded.append(args))
+    with pytest.raises(ValueError,
+                       match=f"^variant {variant} requires a teacher$"):
+        total_loss(batch, given, None, student, LossWeights(),
+                   variant=variant)
+    assert embedded == []
 
 
 def test_total_loss_unknown_variant(tiny_setup):
@@ -447,7 +470,7 @@ def test_train_loop_names_first_non_finite_op(small_task, small_model_config):
 
 
 def test_train_loop_names_the_teacher_op(small_task, small_model_config):
-    # the student copies only layer 0, so only the frozen teacher overflows
+    # the student copies only layer 0, so only the teacher overflows
     teacher = init_random(small_model_config, seed=0)
     teacher["layers.1.ffn.w1"].data[...] = 1e308
     config = TrainConfig(epochs=1, batch_size=32, seed=0)
@@ -498,6 +521,31 @@ def test_teacher_unchanged_by_distillation(small_task, small_model_config):
     distill_student(config, student_config, small_task, teacher,
                     variant="sm_tmkd", max_steps=3)
     assert teacher.checksum() == before
+
+
+def test_distill_student_queries_the_callers_teacher(small_task,
+                                                     small_model_config,
+                                                     monkeypatch):
+    """The teacher object itself reaches ``total_loss`` (``None`` for
+    ``ft``): no per-run copy, and its parameters keep ``requires_grad``
+    and get no gradient."""
+    teacher = init_random(small_model_config, seed=3)
+    seen = []
+
+    def spy(batch, pairs, teacher, *args, **kwargs):
+        seen.append(teacher)
+        return total_loss(batch, pairs, teacher, *args, **kwargs)
+    monkeypatch.setattr(distill, "total_loss", spy)
+    config = TrainConfig(epochs=1, batch_size=32, seed=0)
+    student_config = dataclasses.replace(small_model_config, num_layers=1)
+    for variant, expected in (("sm_tmkd", teacher), ("tmkd", teacher),
+                              ("ft", None)):
+        seen.clear()
+        distill_student(config, student_config, small_task, teacher,
+                        variant=variant, max_steps=2)
+        assert len(seen) == 2 and all(t is expected for t in seen)
+    assert all(t.requires_grad and t.grad is None
+               for t in teacher.arrays.values())
 
 
 def test_distill_rejects_unknown_variant(small_task, small_model_config):

@@ -77,6 +77,16 @@ def test_params_shape_validation(tiny_config):
         ModelParams(tiny_config, arrays)
 
 
+def test_copy_is_trainable_and_independent(tiny_config):
+    frozen = init_random(tiny_config, seed=0).freeze()
+    copy = frozen.copy()
+    assert copy.checksum() == frozen.checksum()
+    assert all(t.requires_grad for t in copy.arrays.values())
+    assert not any(t.requires_grad for t in frozen.arrays.values())
+    copy["head.bias"].data += 1.0
+    assert copy.checksum() != frozen.checksum()
+
+
 def test_student_init_copies_prefix(tiny_config, tiny_params):
     student_config = dataclasses.replace(tiny_config, num_layers=1)
     student = init_student_from_teacher(tiny_params, student_config)
@@ -484,8 +494,8 @@ def _encoder_calls(monkeypatch):
 # the blocks' sample counts in the calling thread and in the worker
 BLOCKS = {
     "no_grad": ([2], [2]),      # 4 x 256: two 512-row halves, one block each
-    "frozen": ([2], [2]),
     "graph": ([4], []),         # one serial pass over every sample
+    "frozen": ([4], []),
     "dropout": ([4], []),
     "anomaly": ([4], []),
     "3_samples": ([3], []),     # no 2-sample halves, so one block
@@ -498,7 +508,7 @@ BLOCKS = {
 
 @pytest.mark.parametrize("case,splits", [
     ("no_grad", True),
-    ("frozen", True),           # grad mode on, but nothing requires grad
+    ("frozen", False),          # grad mode on, though nothing requires grad
     ("graph", False),
     ("dropout", False),
     ("anomaly", False),
@@ -520,7 +530,7 @@ def test_split_runs_only_where_it_pays(case, splits, monkeypatch):
         params = params.copy().freeze()
     if case.endswith("one_cpu"):
         monkeypatch.setattr(model_mod, "_cpus", lambda: 1)
-    # every case but two builds no graph
+    # every case but two runs under no_grad
     graph_mode = case in ("frozen", "graph")
     threads = _forward_threads(monkeypatch)
     blocks = _encoder_calls(monkeypatch)
