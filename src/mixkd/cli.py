@@ -92,7 +92,8 @@ def _load_model_and_data(path, args):
         vocab = Vocab({tok: i for i, tok in enumerate(extra["vocab"])})
         labels = list(extra["labels"])
     except KeyError as exc:
-        raise CheckpointError(f"checkpoint lacks dataset metadata: {exc}") from exc
+        raise CheckpointError(f"{path}: checkpoint lacks dataset metadata: "
+                              f"{exc}") from exc
     for what, stored, key, fixed in (
             ("vocabulary tokens", vocab.size, "vocab_size", config.vocab_size),
             ("labels", len(labels), "num_classes", config.num_classes)):
@@ -263,7 +264,8 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"--positive-class needs a 2-class model; "
                               f"{args.model} has {len(labels)} classes")
         if args.positive_class not in labels:
-            raise DataError(f"unknown positive class {args.positive_class!r}")
+            raise DataError(f"--positive-class {args.positive_class!r} is "
+                            f"not a label of {args.model}: {labels}")
         positive = labels.index(args.positive_class)
     metrics = evaluate(params, examples, vocab, config.max_seq_len,
                        len(labels), batch_size=args.batch_size,
@@ -276,20 +278,19 @@ def cmd_export_embeddings(args) -> int:
     params, _, vocab, labels, examples = _load_model_and_data(
         args.model, args)
     rng = np.random.default_rng(args.seed)
-
-    # balanced sample across the two classes when possible
+    n = min(args.n, len(examples))
+    chosen = []
+    # with two classes, up to --n // 2 of each; then the shortfall is drawn
+    # from the rest, so that exactly n originals are exported
     if len(labels) == 2 and args.n >= 2:
-        per = args.n // 2
-        chosen = []
         for cls in (0, 1):
             pool = [i for i, ex in enumerate(examples) if ex.label_id == cls]
-            take = min(per, len(pool))
+            take = min(args.n // 2, len(pool))
             chosen += list(rng.choice(pool, size=take, replace=False))
-        selected = [examples[i] for i in chosen]
-    else:
-        idx = rng.choice(len(examples), size=min(args.n, len(examples)),
-                         replace=False)
-        selected = [examples[i] for i in idx]
+    if len(chosen) < n:
+        rest = np.setdiff1d(np.arange(len(examples)), chosen)
+        chosen += list(rng.choice(rest, size=n - len(chosen), replace=False))
+    selected = [examples[i] for i in chosen]
 
     cfg = MixupConfig(mixup_ratio=args.mixup_ratio)
     n_rows = export_cls_features(params, selected, vocab,
@@ -461,6 +462,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _check_out(args)
         return args.func(args)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except tuple(EXIT_CODES) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__

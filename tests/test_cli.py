@@ -1,6 +1,8 @@
 """End-to-end command-line flows on a miniature task."""
 
+import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -10,6 +12,7 @@ import warnings
 
 import pytest
 
+from mixkd import cli as cli_mod
 from mixkd import model as model_mod
 from mixkd import synthetic
 from mixkd.cli import main
@@ -79,16 +82,25 @@ def test_eval_command(teacher_ckpt, workspace, capsys):
     assert "accuracy" in out.splitlines()[2]  # aligned-column block
 
 
-def test_eval_positive_class_needs_two_classes(workspace, tmp_path, capsys):
-    """F1 is computed for two classes only, so --positive-class on a
-    3-class model fails before evaluating, not with "f1": null."""
-    data = tmp_path / "three.tsv"
+@pytest.fixture(scope="module")
+def three_class(workspace):
+    """(data, checkpoint) of a 3-class model and its 12-row training file."""
+    data = workspace / "three.tsv"
     data.write_text("sentence\tlabel\n" + "".join(
         f"tok{i} tok{i + 1}\t{'abc'[i % 3]}\n" for i in range(12)))
-    ckpt = tmp_path / "three.ckpt"
-    assert main(["train-teacher", "--config", str(workspace / "teacher.cfg"),
-                 "--data", str(data), "--out", str(ckpt)]) == 0
-    capsys.readouterr()
+    ckpt = workspace / "three.ckpt"
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["train-teacher", "--config",
+                     str(workspace / "teacher.cfg"), "--data", str(data),
+                     "--out", str(ckpt)]) == 0
+    return data, ckpt
+
+
+def test_eval_positive_class_needs_two_classes(three_class, capsys):
+    """F1 is computed for two classes only, so --positive-class on a
+    3-class model fails before evaluating, not with "f1": null."""
+    data, ckpt = three_class
     assert main(["eval", "--model", str(ckpt), "--data", str(data),
                  "--positive-class", "a"]) == 6
     captured = capsys.readouterr()
@@ -177,6 +189,33 @@ def test_export_embeddings(teacher_ckpt, workspace, capsys):
         rows = list(csv.reader(fh))
     assert rows[0][:4] == ["id", "parent_i", "parent_j", "lambda"]
     assert len(rows) == 1 + 8 + 8  # header + originals + mixed
+
+
+@pytest.mark.parametrize("n, data", [(3, "dev"), (4, "one_class"),
+                                     (5, "three_class")])
+def test_export_embeddings_exports_n_originals(n, data, teacher_ckpt,
+                                               workspace, three_class,
+                                               tmp_path, capsys):
+    """Exactly --n originals, also for an odd --n, a file with one of the
+    model's two classes, and a 3-class model."""
+    model = teacher_ckpt
+    if data == "one_class":
+        data = tmp_path / "one.tsv"
+        data.write_text("sentence\tlabel\n"
+                        + "".join(f"tok{i} tok{i + 1}\tpos\n" for i in range(6)))
+    elif data == "three_class":
+        data, model = three_class
+    else:
+        data = workspace / "dev.tsv"
+    out = tmp_path / "feats.csv"
+    assert main(["export-embeddings", "--model", str(model), "--data",
+                 str(data), "--n", str(n), "--mixup-ratio", "0",
+                 "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == n
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[:4] for row in rows] == [[str(i), str(i), str(i), "1"]
+                                         for i in range(n)]
 
 
 def test_bench(teacher_ckpt, capsys):
@@ -349,6 +388,62 @@ def test_exit_code_checkpoint_error(workspace, tmp_path, capsys):
     code = main(["eval", "--model", str(bogus),
                  "--data", str(workspace / "dev.tsv")])
     assert code == 3
+
+
+def test_exit_code_unknown_positive_class(teacher_ckpt, workspace, capsys):
+    assert main(["eval", "--model", str(teacher_ckpt), "--data",
+                 str(workspace / "dev.tsv"), "--positive-class", "maybe"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error (DataError): --positive-class 'maybe' is "
+                            f"not a label of {teacher_ckpt}: ['neg', 'pos']\n")
+    assert captured.out == ""
+
+
+def test_exit_code_checkpoint_without_dataset_metadata(teacher_ckpt,
+                                                       workspace, tmp_path,
+                                                       capsys):
+    """A checkpoint saved without the vocabulary and labels cannot read
+    --data: exit 3, naming the file and the missing key."""
+    params, config, _ = load_checkpoint(teacher_ckpt)
+    bare = tmp_path / "bare.ckpt"
+    save_checkpoint(params, config, bare)
+    assert main(["eval", "--model", str(bare),
+                 "--data", str(workspace / "dev.tsv")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("error (CheckpointError): "
+                            f"{bare}: checkpoint lacks dataset metadata: "
+                            "'vocab'\n")
+    assert captured.out == ""
+
+
+def test_exit_code_grid_file_missing_key(teacher_ckpt, workspace, tmp_path,
+                                         capsys):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(STUDENT_CFG + "alpha_sm_values=1.0\nmixup_ratio_values=1\n")
+    assert main(["sweep", "--grid", str(grid), "--teacher", str(teacher_ckpt),
+                 "--data", str(workspace / "train.tsv"),
+                 "--out", str(tmp_path / "sweep")]) == 6
+    captured = capsys.readouterr()
+    assert captured.err == (f"error (ConfigError): {grid}: missing "
+                            "alpha_tmkd_values\n")
+    assert captured.out == "" and not (tmp_path / "sweep").exists()
+
+
+def test_interrupt_exits_130(monkeypatch, capsys):
+    """Ctrl-C prints one line, not a traceback, and exits 130 (128 +
+    SIGINT), as a shell reports a process that SIGINT ended."""
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_mod, "cmd_bound", interrupted)
+    try:
+        code = main(["bound", "hoeffding"])
+    except KeyboardInterrupt:  # would otherwise stop the whole session
+        pytest.fail("KeyboardInterrupt escaped mixkd.cli.main")
+    assert code == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n"
+    assert captured.out == ""
 
 
 def _manifest(raw):

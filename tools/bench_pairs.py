@@ -144,7 +144,6 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", nargs="*", default=[], metavar="WORKLOAD")
     ap.add_argument("--describe", default="", help="what the change does")
     ap.add_argument("--note", default="")
-    ap.add_argument("--digests", default="")
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
 
@@ -188,7 +187,6 @@ def main(argv=None) -> int:
         metric = next(m for m in metrics if m["name"] == name)
         doc["claim"] = verdict(workload, metric, summary[workload][name])
     doc["note"] = args.note
-    doc["digests"] = args.digests
     if args.trace:
         doc["trace"] = {}
         for workload in args.trace:
