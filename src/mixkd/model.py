@@ -19,14 +19,25 @@ every row).  Everything after the key/value projections is row-wise, so
 this is exact in real arithmetic; in floating point the smaller products
 round differently, by about 1e-16 relative.
 
-A forward under ``no_grad`` (``forward_tokens``, the teacher in
-``distill.total_loss``) runs its encoder layers over blocks of
-consecutive samples of at most ``_BLOCK_ROWS`` token rows, so that
-attention's [b,h,T,T] buffers stay in cache; a large one runs the
-blocks of its two sample halves in two threads.  The head runs once on
-the whole batch, and the result is bitwise that of the serial forward
-(see ``forward_from_embeddings``).  Grad mode alone decides this, not
-``requires_grad``.
+A graph-free forward, one under ``no_grad`` with dropout and
+``detect_anomaly`` off (``forward_tokens``, the teacher in
+``distill.total_loss``), runs its encoder layers over bare numpy arrays
+(``_encoder_arrays``): it builds no ``Tensor``, VJP closure or scope per
+op, only one for the [CLS] rows and one for the logits.  It runs them
+over blocks of consecutive samples of at most ``_BLOCK_ROWS`` token
+rows, so that attention's [b,h,T,T] buffers stay in cache; a large one
+runs the blocks of its two sample halves in two threads.  The head runs
+once on the whole batch, and the result is bitwise that of the serial
+op-by-op forward (see ``forward_from_embeddings``).  Grad mode alone
+decides this, not ``requires_grad``.  Grad mode, dropout and
+``detect_anomaly`` keep the op-by-op ``_encoder``, so training and the
+anomaly messages do not change.  Tier-1 pins the two paths to each
+other bitwise: ``test_fused_forward_bitwise_equals_unfused_no_grad``,
+``test_blocked_forward_bitwise_equals_graph_forward`` and
+``test_split_forward_bitwise_equals_graph_forward`` in
+``tests/test_model.py``, and
+``test_evaluate_equals_serial_graph_forward_at_eval_long`` in
+``tests/test_evaluation.py``.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .autodiff import Tensor
 from .ranges import COUNT, RATE, check_fields, setting
 
@@ -269,6 +281,62 @@ def _encoder(params: ModelParams, x2: Tensor, key_bias: np.ndarray,
     return x2  # [n,d]: the last layer computed only the [CLS] rows
 
 
+def _encoder_arrays(params: ModelParams, x2: np.ndarray,
+                    key_bias: np.ndarray) -> np.ndarray:
+    """``_encoder`` without dropout, over bare arrays: the [n*T,d] rows of
+    n samples -> the last layer's [CLS] rows [n,d], with no ``Tensor``,
+    closure or scope per op.  It makes the numpy and kernel calls of the
+    ``_encoder`` ops in their order, with the contiguous copies that
+    ``ad.transpose`` and ``ad.select_index`` make, so it is bitwise that
+    path; the scale, bias and residual additions run in place on a buffer
+    the op made, which gives the same bits."""
+    cfg = params.config
+    n, T = key_bias.shape
+    d = cfg.hidden_dim
+    h, hd = cfg.num_heads, d // cfg.num_heads
+    inv_sqrt_hd = 1.0 / math.sqrt(hd)
+    kb = key_bias.reshape(n, 1, 1, T)
+    eps = ad._LAYER_NORM_EPS
+    w = {name: t.data for name, t in params.arrays.items()}
+
+    for i in range(cfg.num_layers):
+        p = f"layers.{i}"
+
+        def heads(name, src, rows, axes=(0, 2, 1, 3)):
+            y = np.matmul(src, w[f"{p}.attn.w{name}"])
+            if name != "k":
+                y += w[f"{p}.attn.b{name}"]
+            return np.ascontiguousarray(y.reshape(n, rows, h, hd)
+                                        .transpose(axes))
+
+        if i < cfg.num_layers - 1:
+            xq, tq = x2, T
+        else:
+            xq, tq = np.ascontiguousarray(x2.reshape(n, T, d)[:, 0]), 1
+        q = heads("q", xq, tq)
+        kt, v = heads("k", x2, T, (0, 2, 3, 1)), heads("v", x2, T)
+        z = np.matmul(q, kt)
+        z *= inv_sqrt_hd
+        z += kb
+        rows = z.reshape(-1, T)
+        kernels.softmax_rows(rows, out=rows)
+        ctx = np.ascontiguousarray(np.matmul(z, v).transpose(0, 2, 1, 3)
+                                   ).reshape(n * tq, d)
+        y = np.matmul(ctx, w[f"{p}.attn.wo"])
+        y += w[f"{p}.attn.bo"]
+        y += xq
+        x2 = kernels.layernorm_rows(y, w[f"{p}.ln1.gain"], w[f"{p}.ln1.bias"],
+                                    eps)[0]
+        ff = np.matmul(x2, w[f"{p}.ffn.w1"])
+        ff += w[f"{p}.ffn.b1"]
+        ff = np.matmul(kernels.gelu_forward(ff), w[f"{p}.ffn.w2"])
+        ff += w[f"{p}.ffn.b2"]
+        ff += x2
+        x2 = kernels.layernorm_rows(ff, w[f"{p}.ln2.gain"], w[f"{p}.ln2.bias"],
+                                    eps)[0]
+    return x2
+
+
 # A forward under no_grad runs the encoder over blocks of at most this many
 # token rows.  At eval_long's T=64 a 512-row block keeps attention's
 # [8,4,64,64] scores (1 MB) in a 2 MB L2; 256-row blocks were slower in a
@@ -287,9 +355,10 @@ def _cpus() -> int:
 
 
 def _graph_free(drop: float) -> bool:
-    """Whether the forward may run per block: grad mode is off, so it
-    builds no graph, it draws no dropout, and anomaly mode, which names
-    the first non-finite op and so needs one order, is off."""
+    """Whether the forward may run over bare arrays, per block
+    (``_encoder_arrays``): grad mode is off, so it builds no graph, it
+    draws no dropout, and anomaly mode, which names the first non-finite
+    op and so needs one order and the op-by-op path, is off."""
     return not (ad._grad_enabled.get() or ad._anomaly.get() or drop > 0.0)
 
 
@@ -320,12 +389,15 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     the full layer's shapes and cut to the [CLS] rows, so the generator
     stream and the masks of the rows that are kept do not change.
 
-    A forward under ``no_grad``, with dropout and ``detect_anomaly`` off,
-    runs the encoder layers over blocks of consecutive samples
-    (``_blocks``): k = ceil(rows / 512) blocks of near-equal sample
-    counts, fewer where a block would hold fewer than 2 samples or at
-    most 256 rows.  A block's attention scores
-    and softmax then stay in cache.  A batch of at least 4 samples and
+    A graph-free forward (``no_grad``, with dropout and
+    ``detect_anomaly`` off) runs the encoder layers through
+    ``_encoder_arrays``, over bare arrays with no ``Tensor``, closure or
+    scope per op; grad mode, dropout and ``detect_anomaly`` run the
+    op-by-op ``_encoder``.  The graph-free forward runs over blocks of
+    consecutive samples (``_blocks``): k = ceil(rows / 512) blocks of
+    near-equal sample counts, fewer where a block would hold fewer than
+    2 samples or at most 256 rows.  A block's attention scores and
+    softmax then stay in cache.  A batch of at least 4 samples and
     1024 token rows, on a process that may use 2 CPUs, also splits: a
     worker thread runs the blocks of samples ``[:n//2]`` and the calling
     thread those of ``[n//2:]``; numpy and BLAS release the GIL, so the
@@ -342,7 +414,10 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     A block holds at least 2 samples, because the last layer's 1-row
     [CLS] product (a gemv) rounds differently, and, when there are
     several, more than 256 rows, inside the range where the invariance
-    was first measured (224-2048 rows).
+    was first measured (224-2048 rows).  ``_encoder_arrays`` makes the
+    numpy calls of the ``_encoder`` ops in order, so the graph-free
+    forward is bitwise the graph forward; the tests named in the module
+    docstring check this.
 
     With ``return_features`` also returns the final-layer [CLS] vectors [n,d].
     """
@@ -361,13 +436,10 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     if _graph_free(drop):
         def layers(lo, hi):
             """The [CLS] rows of the blocks of samples [lo, hi)."""
-            out = []
-            for a, b in _blocks(lo, hi, T):
-                rows = Tensor(emb.data[a:b].reshape((b - a) * T, d),
-                              _unchecked=True)
-                out.append(_encoder(params, rows, key_bias[a:b], drop,
-                                    rng).data)
-            return out
+            return [_encoder_arrays(params,
+                                    emb.data[a:b].reshape((b - a) * T, d),
+                                    key_bias[a:b])
+                    for a, b in _blocks(lo, hi, T)]
 
         if (n >= _SPLIT_MIN_SAMPLES and n * T >= 2 * _BLOCK_ROWS
                 and _cpus() >= 2):
@@ -399,11 +471,13 @@ def forward_tokens(params: ModelParams, batch, return_features: bool = False):
     ``no_grad``; ``batch`` needs .token_ids and .pad_mask arrays.
 
     It builds no graph, whatever ``requires_grad`` the parameters carry,
-    and takes the ``no_grad`` path of ``forward_from_embeddings``
-    (blocked, and split across two threads for a large batch; serial
-    under ``detect_anomaly``) and returns leaf tensors, which
-    ``backward`` refuses.  The differentiable forward is
-    ``forward_from_embeddings(params, embed_batch(params, ids, mask),
+    and takes the graph-free path of ``forward_from_embeddings``: bare
+    arrays with no ``Tensor`` per op, blocked, and split across two
+    threads for a large batch.  Under ``detect_anomaly`` it runs the
+    serial op-by-op encoder instead, which names the first non-finite
+    op; tier-1 pins the two paths to each other bitwise.  It returns
+    leaf tensors, which ``backward`` refuses.  The differentiable forward
+    is ``forward_from_embeddings(params, embed_batch(params, ids, mask),
     mask)``."""
     with ad.no_grad():
         emb = embed_batch(params, batch.token_ids, batch.pad_mask)

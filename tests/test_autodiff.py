@@ -9,7 +9,9 @@ import pytest
 from mixkd import autodiff as ad
 from mixkd.autodiff import (AutodiffError, NonFiniteError, ShapeError, Tensor,
                             backward, constant, finite_diff_check)
-from mixkd.model import embed_batch, forward_from_embeddings
+from mixkd import model as model_mod
+from mixkd.model import (ModelConfig, embed_batch, forward_from_embeddings,
+                          init_random)
 
 
 def leaf(data, rng=None, shape=None):
@@ -67,35 +69,55 @@ def test_frozen_subgraph_is_pruned():
 # no_grad
 # ---------------------------------------------------------------------------
 
-def _record_results(monkeypatch):
-    """Every tensor an op returns, in creation order."""
+def _record_tensors(monkeypatch):
+    """Every ``Tensor`` constructed from now on, in creation order."""
     made = []
-    real = ad._result
+    real = Tensor.__init__
 
-    def spy(data, inputs, vjp):
-        out = real(data, inputs, vjp)
-        made.append(out)
-        return out
-    monkeypatch.setattr(ad, "_result", spy)
+    def spy(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append(self)
+    monkeypatch.setattr(Tensor, "__init__", spy)
     return made
 
 
-def test_no_grad_forward_builds_no_graph(monkeypatch, tiny_params,
-                                         tiny_config):
-    ids = np.arange(12).reshape(2, 6) % tiny_config.vocab_size
-    mask = np.ones((2, 6), dtype=bool)
-    made = _record_results(monkeypatch)
-    with ad.no_grad():
-        logits = forward_from_embeddings(
-            tiny_params, embed_batch(tiny_params, ids, mask), mask)
-    assert len(made) > 40
-    for t in made:
-        assert t._inputs == () and t._vjp is None and not t.requires_grad
-    made.clear()
-    graph = forward_from_embeddings(
-        tiny_params, embed_batch(tiny_params, ids, mask), mask)
-    assert all(t._inputs and t._vjp is not None for t in made)
-    assert np.array_equal(logits.data, graph.data)
+def test_no_grad_forward_builds_no_graph(monkeypatch):
+    """A graph-free forward builds three tensors, the embedding, the
+    [CLS] rows and the logits, all leaves, at 1 and at 4 layers and in
+    one block (2 x 64 tokens) or several (24 x 64); the graph forward
+    gives the same logits bit for bit."""
+    blocks, real = [], model_mod._encoder_arrays
+
+    def counting(*args):
+        blocks.append(args[2].shape[0])
+        return real(*args)
+    monkeypatch.setattr(model_mod, "_encoder_arrays", counting)
+    made = _record_tensors(monkeypatch)
+    for num_layers in (1, 4):
+        config = ModelConfig(num_layers=num_layers, hidden_dim=16,
+                             num_heads=2, ffn_dim=32, vocab_size=20,
+                             max_seq_len=64, num_classes=2)
+        params = init_random(config, seed=0)
+        for n in (2, 24):
+            ids = np.arange(n * 64).reshape(n, 64) % config.vocab_size
+            mask = np.ones((n, 64), dtype=bool)
+            mask[::2, 40:] = False
+            made.clear()
+            blocks.clear()
+            with ad.no_grad():
+                logits = forward_from_embeddings(
+                    params, embed_batch(params, ids, mask), mask)
+            assert len(made) == 3 and made[-1] is logits
+            for t in made:
+                assert t._inputs == () and t._vjp is None
+                assert not t.requires_grad
+            assert sum(blocks) == n and (len(blocks) > 1) == (n == 24)
+            made.clear()
+            graph = forward_from_embeddings(
+                params, embed_batch(params, ids, mask), mask)
+            assert len(made) > 3 * num_layers
+            assert all(t._inputs and t._vjp is not None for t in made)
+            assert np.array_equal(logits.data, graph.data)
 
 
 def test_no_grad_still_checks_finiteness():

@@ -7,8 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from mixkd import autodiff as ad
-from mixkd import evaluation, model, synthetic
+from mixkd import evaluation, kernels, model, synthetic
 from mixkd.config import ConfigError, load_config, parse_kv_file
 from mixkd.data import DataError, Vocab, make_batch
 from mixkd.distill import LossWeights, TrainConfig
@@ -193,12 +192,12 @@ def test_export_cls_features_split_is_byte_identical(tmp_path, monkeypatch):
     params = init_random(config, seed=5)
     pairs = MixupPairs(np.arange(40) % 20, (np.arange(40) * 7 + 3) % 20,
                        np.linspace(0.05, 0.95, 40))
-    threads, real = [], ad.gelu
+    threads, real = [], kernels.gelu_forward
 
     def spy(x):
         threads.append(threading.current_thread().name)
         return real(x)
-    monkeypatch.setattr(ad, "gelu", spy)
+    monkeypatch.setattr(kernels, "gelu_forward", spy)
     out = {}
     for cpus, block_rows in ((2, 512), (1, 512), (1, 10 ** 9)):
         monkeypatch.setattr(model, "_cpus", lambda cpus=cpus: cpus)
@@ -210,9 +209,9 @@ def test_export_cls_features_split_is_byte_identical(tmp_path, monkeypatch):
         out[cpus, block_rows] = path.read_bytes()
         assert any(t.startswith("mixkd-forward") for t in threads) == (
             cpus == 2)
-        # gelu runs once per layer and block: the 20 originals (1280 rows)
-        # and the 40 mixed rows (2560) run 2 + 2 and 3 + 3 blocks in two
-        # threads, 3 and 5 in one, or one block each
+        # gelu_forward runs once per layer and block: the 20 originals
+        # (1280 rows) and the 40 mixed rows (2560) run 2 + 2 and 3 + 3
+        # blocks in two threads, 3 and 5 in one, or one block each
         blocks = {(2, 512): 10, (1, 512): 8, (1, 10 ** 9): 2}
         assert len(threads) == 4 * blocks[cpus, block_rows]
     assert out[2, 512] == out[1, 512] == out[1, 10 ** 9]

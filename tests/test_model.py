@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import mixkd
 from mixkd import autodiff as ad
+from mixkd import kernels
 from mixkd import model as model_mod
 from mixkd.data import CLS_ID, PAD_ID, make_batch
 from mixkd.model import (CheckpointError, ModelConfig, ModelParams,
@@ -162,6 +163,37 @@ def test_dropout_needs_rng(tiny_config):
     emb = embed_batch(params, ids, mask)
     with pytest.raises(ValueError):
         forward_from_embeddings(params, emb, mask, train_mode=True)
+
+
+def test_embed_batch_rejects_mismatched_ids_and_mask(tiny_params, tiny_config):
+    ids, mask = _toy_batch(tiny_config, [3, 6])
+    with pytest.raises(ValueError, match=re.escape(
+            "token_ids (2, 6) / pad_mask (2, 5) must be [n,T]")):
+        embed_batch(tiny_params, ids, mask[:, :5])
+
+
+def test_embed_batch_rejects_other_sequence_length(tiny_params, tiny_config):
+    ids, mask = _toy_batch(tiny_config, [3, 6])
+    with pytest.raises(ValueError, match=re.escape(
+            "sequence length 5 != max_seq_len 6")):
+        embed_batch(tiny_params, ids[:, :5], mask[:, :5])
+
+
+def test_forward_rejects_embedding_shape(tiny_params, tiny_config):
+    ids, mask = _toy_batch(tiny_config, [3, 6])
+    emb = embed_batch(tiny_params, ids, mask)
+    with pytest.raises(ValueError, match=re.escape(
+            "embedding shape (2, 5, 8) incompatible with config")):
+        forward_from_embeddings(tiny_params, ad.constant(emb.data[:, :5]),
+                                mask[:, :5])
+
+
+def test_forward_rejects_pad_mask_shape(tiny_params, tiny_config):
+    ids, mask = _toy_batch(tiny_config, [3, 6])
+    emb = embed_batch(tiny_params, ids, mask)
+    with pytest.raises(ValueError, match=re.escape(
+            "pad_mask shape (1, 6), expected (2, 6)")):
+        forward_from_embeddings(tiny_params, emb, mask[:1])
 
 
 def test_end_to_end_gradient_nonzero(tiny_params, tiny_config):
@@ -419,14 +451,15 @@ def _split_shape(n, T, hidden_dim=64, seed=0):
 
 
 def _forward_threads(monkeypatch):
-    """(thread name, grad mode, scope) of every layer norm from now on."""
-    calls, real = set(), ad.layer_norm
+    """(thread name, grad mode, id of the gain) of every row layer norm
+    from now on: ``kernels.layernorm_rows`` serves both encoder paths."""
+    calls, real = set(), kernels.layernorm_rows
 
-    def spy(*args, **kwargs):
+    def spy(x, gain, *args):
         calls.add((threading.current_thread().name, ad._grad_enabled.get(),
-                   ad._scope.get()))
-        return real(*args, **kwargs)
-    monkeypatch.setattr(ad, "layer_norm", spy)
+                   id(gain)))
+        return real(x, gain, *args)
+    monkeypatch.setattr(kernels, "layernorm_rows", spy)
     return calls
 
 
@@ -466,43 +499,56 @@ def test_split_forward_bitwise_equals_graph_forward(n, T, hidden_dim,
                                                       pad_mask=mask),
                               return_features=True)
 
-    scopes = {f"layers.{i}.ln{j}" for i in range(4) for j in (1, 2)}
+    gains = {id(params[f"layers.{i}.ln{j}.gain"].data)
+             for i in range(4) for j in (1, 2)}
     for forward in (under_no_grad, tokens):
         threads.clear()
         split, split_feats = forward()
         assert _split(threads) and _no_forward_thread_alive()
-        # both halves ran under no_grad, each in its own scopes
+        # both halves ran every layer norm of every layer under no_grad
         for name in ("MainThread", "mixkd-forward_0"):
-            assert {(grad, scope) for who, grad, scope in threads
-                    if who == name} == {(False, scope) for scope in scopes}
+            assert {(grad, gain) for who, grad, gain in threads
+                    if who == name} == {(False, gain) for gain in gains}
         assert split._inputs == () and split._vjp is None
         assert np.array_equal(split.data, graph.data)
         assert np.array_equal(split_feats.data, graph_feats.data)
 
 
 def _encoder_calls(monkeypatch):
-    """(thread name, samples) of every ``_encoder`` call from now on."""
-    calls, real = [], model_mod._encoder
-
-    def spy(params, x2, key_bias, *args):
-        calls.append((threading.current_thread().name, key_bias.shape[0]))
-        return real(params, x2, key_bias, *args)
-    monkeypatch.setattr(model_mod, "_encoder", spy)
+    """(encoder, thread name, samples) of every call of the op-by-op
+    ``_encoder`` or the array-level ``_encoder_arrays`` from now on."""
+    calls = []
+    for fn in ("_encoder", "_encoder_arrays"):
+        def spy(params, x2, key_bias, *args, fn=fn,
+                real=getattr(model_mod, fn)):
+            calls.append((fn, threading.current_thread().name,
+                          key_bias.shape[0]))
+            return real(params, x2, key_bias, *args)
+        monkeypatch.setattr(model_mod, fn, spy)
     return calls
 
 
-# the blocks' sample counts in the calling thread and in the worker
+def _per_thread(calls, encoder):
+    """The sample counts of the blocks that ``encoder`` ran in the calling
+    thread and in the worker; raises if the other encoder ran."""
+    assert {fn for fn, _, _ in calls} == {encoder}
+    return ([b for _, who, b in calls if who == "MainThread"],
+            [b for _, who, b in calls if who != "MainThread"])
+
+
+# the encoder, and the blocks' sample counts in the calling thread and in
+# the worker: grad mode, dropout and anomaly mode run the op-by-op one
 BLOCKS = {
-    "no_grad": ([2], [2]),      # 4 x 256: two 512-row halves, one block each
-    "graph": ([4], []),         # one serial pass over every sample
-    "frozen": ([4], []),
-    "dropout": ([4], []),
-    "anomaly": ([4], []),
-    "3_samples": ([3], []),     # no 2-sample halves, so one block
-    "448_rows": ([32], []),
-    "one_cpu": ([2, 2], []),    # the halves' blocks, in order
-    "eval_long": ([8, 8], [8, 8]),
-    "eval_long_one_cpu": ([8, 8, 8, 8], []),
+    "no_grad": ("_encoder_arrays", [2], [2]),  # 4 x 256: two 512-row halves
+    "graph": ("_encoder", [4], []),     # one serial pass over every sample
+    "frozen": ("_encoder", [4], []),
+    "dropout": ("_encoder", [4], []),
+    "anomaly": ("_encoder", [4], []),
+    "3_samples": ("_encoder_arrays", [3], []),  # no 2-sample halves
+    "448_rows": ("_encoder_arrays", [32], []),
+    "one_cpu": ("_encoder_arrays", [2, 2], []),  # the halves' blocks, in order
+    "eval_long": ("_encoder_arrays", [8, 8], [8, 8]),
+    "eval_long_one_cpu": ("_encoder_arrays", [8, 8, 8, 8], []),
 }
 
 
@@ -541,8 +587,8 @@ def test_split_runs_only_where_it_pays(case, splits, monkeypatch):
                                 train_mode=True,
                                 rng=np.random.default_rng(0))
     assert _split(threads) == splits
-    assert ([b for who, b in blocks if who == "MainThread"],
-            [b for who, b in blocks if who != "MainThread"]) == BLOCKS[case]
+    encoder, main, worker = BLOCKS[case]
+    assert _per_thread(blocks, encoder) == (main, worker)
 
 
 @pytest.mark.parametrize("n,T,hidden_dim,cpus,main,worker", [
@@ -564,8 +610,7 @@ def test_blocked_forward_bitwise_equals_graph_forward(n, T, hidden_dim, cpus,
         blocked, blocked_feats = forward_from_embeddings(
             params, embed_batch(params, ids, mask), mask,
             return_features=True)
-    assert [b for who, b in blocks if who == "MainThread"] == main
-    assert [b for who, b in blocks if who != "MainThread"] == worker
+    assert _per_thread(blocks, "_encoder_arrays") == (main, worker)
     assert np.array_equal(blocked.data, graph.data)
     assert np.array_equal(blocked_feats.data, graph_feats.data)
 
@@ -654,7 +699,7 @@ def test_split_forward_keeps_the_anomaly_message():
 def test_split_forward_error_reaches_caller_after_join(worker_fails,
                                                        monkeypatch):
     params, ids, mask = _split_shape(32, 64)
-    real = ad.gelu
+    real = kernels.gelu_forward
 
     def fails_in_one_half(x):
         in_worker = threading.current_thread().name.startswith(
@@ -662,7 +707,7 @@ def test_split_forward_error_reaches_caller_after_join(worker_fails,
         if in_worker == worker_fails:
             raise RuntimeError("half failed")
         return real(x)
-    monkeypatch.setattr(ad, "gelu", fails_in_one_half)
+    monkeypatch.setattr(kernels, "gelu_forward", fails_in_one_half)
     with ad.no_grad():
         emb = embed_batch(params, ids, mask)
         with pytest.raises(RuntimeError, match="^half failed$"):
