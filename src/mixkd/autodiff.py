@@ -137,14 +137,19 @@ def detect_anomaly():
     return _set_mode(_anomaly, True)
 
 
+def _scope_path(name: str) -> str:
+    """The path of scope ``name`` entered here: ``outer/name``, or
+    ``name`` at the top level."""
+    outer = _scope.get()
+    return name if outer == "top level" else f"{outer}/{name}"
+
+
 @contextmanager
 def scope(name: str):
     """Name the block that ``detect_anomaly`` reports an op in.  Scopes
     nest as ``outer/inner``, under the scope current where the block is
     entered; the top level adds no prefix."""
-    outer = _scope.get()
-    with _set_mode(_scope,
-                   name if outer == "top level" else f"{outer}/{name}"):
+    with _set_mode(_scope, _scope_path(name)):
         yield
 
 
@@ -463,14 +468,8 @@ def softmax(x: Tensor, scale: Optional[float] = None,
     p = kernels.softmax_rows(rows, out=None if z is x.data else rows)
     p = p.reshape(x.shape)
 
-    def vjp(g, p=p):
-        dz = g - (g * p).sum(axis=-1, keepdims=True)
-        dz *= p
-        if scale is not None:
-            dz *= scale
-        return (dz,)
-
-    return _result(p, (x,), vjp)
+    return _result(p, (x,),
+                   lambda g, p=p: (kernels.softmax_backward(p, g, scale),))
 
 
 _LAYER_NORM_EPS = 1e-5
@@ -488,13 +487,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _LAYER_NORM_EPS)
 
     def vjp(g, xhat=xhat, inv_std=inv_std, gd=gain.data, k=k, shape=x.shape):
-        g2 = g.reshape(-1, k)
-        dgain = (g2 * xhat).sum(axis=0)
-        dbias = g2.sum(axis=0)
-        dxhat = g2 * gd
-        dx = inv_std * (dxhat
-                        - dxhat.mean(axis=1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+        dx, dgain, dbias = kernels.layernorm_rows_backward(
+            g.reshape(-1, k), xhat, inv_std, gd)
         return (dx.reshape(shape), dgain, dbias)
 
     return _result(out_rows.reshape(x.shape), (x, gain, bias), vjp)

@@ -1,7 +1,10 @@
-"""Hot numeric kernels: tanh-form GELU, row softmax and row layer norm.
+"""Hot numeric kernels: tanh-form GELU, row softmax and row layer norm,
+each forward and backward.
 
 All kernels take and return contiguous float64 arrays and are shape-dumb:
-callers reshape to 2-D (rows x features) before dispatching.
+callers reshape to 2-D (rows x features) before dispatching, except that
+``softmax_backward`` works over the last axis of any shape, as the
+softmax of ``autodiff`` does.
 
 Each kernel allocates as few arrays as it can and works on them in place
 (``*=``, ``+=``, ``out=``), but performs exactly the floating-point
@@ -112,3 +115,36 @@ def layernorm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     np.multiply(xhat, gain, out=out)
     out += bias
     return out, xhat, inv_std
+
+
+def softmax_backward(p: np.ndarray, g: np.ndarray,
+                     scale: Optional[float] = None) -> np.ndarray:
+    """(g - sum(g * p)) * p * scale, the sum over the last axis (of any
+    shape), for p = softmax(x * scale) and the gradient g of p; without
+    ``scale``, no multiply."""
+    dz = g * p
+    np.subtract(g, dz.sum(axis=-1, keepdims=True), out=dz)
+    dz *= p
+    if scale is not None:
+        dz *= scale
+    return dz
+
+
+def layernorm_rows_backward(g: np.ndarray, xhat: np.ndarray,
+                            inv_std: np.ndarray, gain: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (dx, dgain, dbias) for the gradient g of ``layernorm_rows``'s
+    out: dgain = colsum(g * xhat), dbias = colsum(g), and, with
+    dxhat = g * gain, dx = inv_std * (dxhat - rowmean(dxhat)
+    - xhat * rowmean(dxhat * xhat))."""
+    t = g * xhat
+    dgain = t.sum(axis=0)
+    dbias = g.sum(axis=0)
+    dx = g * gain
+    np.multiply(dx, xhat, out=t)
+    mean_dxhat_xhat = t.mean(axis=1, keepdims=True)
+    dx -= dx.mean(axis=1, keepdims=True)
+    np.multiply(xhat, mean_dxhat_xhat, out=t)
+    dx -= t
+    dx *= inv_std
+    return dx, dgain, dbias

@@ -19,22 +19,32 @@ every row).  Everything after the key/value projections is row-wise, so
 this is exact in real arithmetic; in floating point the smaller products
 round differently, by about 1e-16 relative.
 
+One encoder layer is written once, over bare numpy arrays:
+``_layer_forward`` computes it and ``_layer_backward`` is its VJP, with
+the numpy and kernel calls of the autodiff ops (matmul, softmax,
+layer_norm, gelu, dropout, ...) that the layer stands for, so the
+result is bitwise theirs; ``_unfused_forward`` in ``tests/test_model.py``
+keeps that op chain.  A forward in grad mode, or with dropout or under
+``detect_anomaly``, runs the layers in one serial pass, each as one
+autodiff op (``_layer``): one ``Tensor`` and one tape node per layer.
+Under ``detect_anomaly`` the layer checks each op result and each VJP
+output in the op chain's order, under the op's name and scope
+(``matmul in teacher/layers.1.ffn``, ``gelu vjp in layers.1.ffn``).
+
 A graph-free forward, one under ``no_grad`` with dropout and
 ``detect_anomaly`` off (``forward_tokens``, the teacher in
-``distill.total_loss``), runs its encoder layers over bare numpy arrays
-(``_encoder_arrays``): it builds no ``Tensor``, VJP closure or scope per
-op, only one for the [CLS] rows and one for the logits.  It runs them
-over blocks of consecutive samples of at most ``_BLOCK_ROWS`` token
-rows, so that attention's [b,h,T,T] buffers stay in cache; a large one
-runs the blocks of its two sample halves in two threads.  The head runs
-once on the whole batch, and the result is bitwise that of the serial
-op-by-op forward (see ``forward_from_embeddings``).  Grad mode alone
-decides this, not ``requires_grad``.  Grad mode, dropout and
-``detect_anomaly`` keep the op-by-op ``_encoder``, so training and the
-anomaly messages do not change.  Tier-1 pins the two paths to each
-other bitwise: ``test_fused_forward_bitwise_equals_unfused_no_grad``,
-``test_blocked_forward_bitwise_equals_graph_forward`` and
-``test_split_forward_bitwise_equals_graph_forward`` in
+``distill.total_loss``), calls ``_layer_forward`` directly and drops
+what it saved for the backward: it builds one ``Tensor`` for the [CLS]
+rows and one for the logits.  It runs the layers over blocks of
+consecutive samples of at most ``_BLOCK_ROWS`` token rows, so that
+attention's [b,h,T,T] buffers stay in cache; a large one runs the
+blocks of its two sample halves in two threads.  The head runs once on
+the whole batch, and the result is bitwise that of the serial pass (see
+``forward_from_embeddings``).  Grad mode alone decides this, not
+``requires_grad``.  Tier-1 pins the paths to each other and to the op
+chain bitwise: ``test_fused_forward_bitwise_equals_unfused`` (with its
+``_no_grad`` twin), ``test_blocked_forward_bitwise_equals_graph_forward``
+and ``test_split_forward_bitwise_equals_graph_forward`` in
 ``tests/test_model.py``, and
 ``test_evaluate_equals_serial_graph_forward_at_eval_long`` in
 ``tests/test_evaluation.py``.
@@ -227,114 +237,246 @@ def embed_batch(params: ModelParams, token_ids: np.ndarray,
         return ad.embedding(params["tok_emb"], params["pos_emb"], ids, mask)
 
 
-def _encoder(params: ModelParams, x2: Tensor, key_bias: np.ndarray,
-             drop: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """The encoder layers over the [n*T,d] rows of n samples -> the last
-    layer's [CLS] rows [n,d]; ``key_bias`` [n,T] is 0 for a real key and
-    -1e9 for a pad key."""
-    cfg = params.config
+# the arrays of one encoder layer, named without their ``layers.<i>.``
+# prefix, in ``parameter_shapes`` order: the order of a layer op's
+# parameter inputs and of ``_layer_backward``'s gradients
+_LAYER_PARAMS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bq",
+                 "attn.bv", "attn.bo", "ln1.gain", "ln1.bias", "ffn.w1",
+                 "ffn.b1", "ffn.w2", "ffn.b2", "ln2.gain", "ln2.bias")
+
+
+def _layer_tensors(params: ModelParams, i: int) -> list[Tensor]:
+    return [params[f"layers.{i}.{name}"] for name in _LAYER_PARAMS]
+
+
+def _no_check(part, op, *arrays) -> None:
+    pass
+
+
+def _anomaly_check(i: int):
+    """Under ``detect_anomaly``, ``check(part, op, *arrays)`` raises
+    ``NonFiniteError("first non-finite: <op> in <scope>")`` if an array is
+    not finite, where <scope> is ``layers.<i>.<part>`` under the scope
+    current now; a no-op otherwise.  The names are those of the autodiff
+    ops the layer computes, and of their VJPs (``gelu vjp``)."""
+    if not ad._anomaly.get():
+        return _no_check
+    prefix = ad._scope_path(f"layers.{i}")
+
+    def check(part, op, *arrays):
+        for arr in arrays:
+            ad._check_finite(arr, f"first non-finite: {op} in {prefix}.{part}")
+    return check
+
+
+def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
+                   num_heads: int, i: int, last: bool, drop: float,
+                   rng: Optional[np.random.Generator]):
+    """Encoder layer ``i`` over bare arrays: the [n*T,d] rows ``x2`` of n
+    samples -> (y, saved).  ``w`` maps ``_LAYER_PARAMS`` to the layer's
+    arrays; ``key_bias`` [n,T] is 0 for a real key and -1e9 for a pad
+    key.  y is the output rows [n*T,d], or in the ``last`` layer the
+    [CLS] rows [n,d]: there only the [CLS] rows are queries, while keys
+    and values come from every row.  In grad mode ``saved`` holds what
+    ``_layer_backward`` needs; under ``no_grad`` it is None, and an
+    intermediate array goes as soon as the ops after it have read it.
+
+    The layer makes the numpy and kernel calls of the autodiff ops it
+    stands for, in their order: ``matmul`` (with bias), ``reshape`` and
+    ``transpose`` (a contiguous copy), ``select_index``, the attention
+    ``softmax`` with scale and key bias, ``dropout``, ``add``,
+    ``layer_norm`` and ``gelu``; the scale, bias and residual steps run
+    in place on a buffer the layer made, which gives the same bits.
+    With ``drop`` > 0 it draws inverted-dropout masks from ``rng`` after
+    the softmax, the output projection and the FFN, each at the full
+    layer's shape and, in the last layer, cut to the [CLS] rows, as
+    ``autodiff.dropout`` with ``draw_shape`` does.  Under
+    ``detect_anomaly`` it checks each op's result in that order, named as
+    the op in its scope (``matmul in teacher/layers.1.ffn``)."""
     n, T = key_bias.shape
-    d = cfg.hidden_dim
-    h, hd = cfg.num_heads, d // cfg.num_heads
-    inv_sqrt_hd = 1.0 / math.sqrt(hd)
+    d = x2.shape[1]
+    h, hd = num_heads, d // num_heads
+    scale = 1.0 / math.sqrt(hd)
+    check = _anomaly_check(i)
+    saved = (dict(w=w, check=check, last=last, scale=scale)
+             if ad._grad_enabled.get() else None)
 
-    def dropout(x, full_shape):
-        return ad.dropout(x, drop, rng, draw_shape=full_shape)
+    def save(**arrays):
+        if saved is not None:
+            saved.update(arrays)
 
-    for i in range(cfg.num_layers):
-        p = f"layers.{i}"
+    def dropout(part, y, draw_shape):
+        """(y times the mask, (the mask, y)), or (y, None) without
+        dropout."""
+        if drop == 0.0:
+            return y, None
+        keep = rng.random(draw_shape) >= drop
+        rows = y.size * keep.shape[-2] // keep.size
+        mask = keep[..., :rows, :].reshape(y.shape) / (1.0 - drop)
+        out = y * mask
+        check(part, "mul", out)
+        return out, (mask, y)
 
-        def heads(name, src, rows, axes=(0, 2, 1, 3)):
-            bias = None if name == "k" else params[f"{p}.attn.b{name}"]
-            y = ad.matmul(src, params[f"{p}.attn.w{name}"], bias=bias)
-            return ad.transpose(ad.reshape(y, (n, rows, h, hd)), axes)
+    def linear(part, x, name, bias):
+        y = np.matmul(x, w[name])
+        if bias is not None:
+            y += w[bias]
+        check(part, "matmul", y)
+        return y
 
-        with ad.scope(f"{p}.attn"):
-            # queries from every row, or from the [CLS] rows in the last layer
-            if i < cfg.num_layers - 1:
-                xq, tq = x2, T
-            else:
-                xq = ad.select_index(ad.reshape(x2, (n, T, d)), 0)
-                tq = 1
-            # k (which has no bias) goes straight to [n,h,hd,T], the
-            # transposed operand of q @ k^T
-            q = heads("q", xq, tq)
-            kt, v = heads("k", x2, T, (0, 2, 3, 1)), heads("v", x2, T)
-            attn = dropout(ad.softmax(ad.matmul(q, kt), scale=inv_sqrt_hd,
-                                      key_bias=key_bias), (n, h, T, T))
-            ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)),
-                             (n * tq, d))
-            proj = dropout(ad.matmul(ctx, params[f"{p}.attn.wo"],
-                                     bias=params[f"{p}.attn.bo"]), (n, T, d))
-        with ad.scope(f"{p}.ln1"):
-            x2 = ad.layer_norm(ad.add(xq, proj),
-                               params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
+    def heads(name, src, rows, axes=(0, 2, 1, 3)):
+        # k has no bias: the softmax cancels it
+        y = linear("attn", src, f"attn.w{name}",
+                   None if name == "k" else f"attn.b{name}")
+        return np.ascontiguousarray(y.reshape(n, rows, h, hd).transpose(axes))
 
-        with ad.scope(f"{p}.ffn"):
-            ff = ad.gelu(ad.matmul(x2, params[f"{p}.ffn.w1"],
-                                   bias=params[f"{p}.ffn.b1"]))
-            ff = dropout(ad.matmul(ff, params[f"{p}.ffn.w2"],
-                                   bias=params[f"{p}.ffn.b2"]), (n, T, d))
-        with ad.scope(f"{p}.ln2"):
-            x2 = ad.layer_norm(ad.add(x2, ff),
-                               params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-    return x2  # [n,d]: the last layer computed only the [CLS] rows
+    def layer_norm(part, y):
+        """Saves xhat and 1/std as ``part``."""
+        out, xhat, inv_std = kernels.layernorm_rows(
+            y, w[f"{part}.gain"], w[f"{part}.bias"], ad._LAYER_NORM_EPS)
+        check(part, "layer_norm", out)
+        save(**{part: (xhat, inv_std)})
+        return out
+
+    if last:
+        xq, tq = np.ascontiguousarray(x2.reshape(n, T, d)[:, 0]), 1
+    else:
+        xq, tq = x2, T
+    q = heads("q", xq, tq)
+    # k goes straight to [n,h,hd,T], the transposed operand of q @ k^T
+    kt, v = heads("k", x2, T, (0, 2, 3, 1)), heads("v", x2, T)
+    p = np.matmul(q, kt)
+    check("attn", "matmul", p)
+    p *= scale
+    p += key_bias.reshape(n, 1, 1, T)
+    rows = p.reshape(-1, T)
+    kernels.softmax_rows(rows, out=rows)
+    check("attn", "softmax", p)
+    attn, attn_drop = dropout("attn", p, (n, h, T, T))
+    ctx = np.matmul(attn, v)
+    check("attn", "matmul", ctx)
+    ctx = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(n * tq, d)
+    save(x2=x2, xq=xq, q=q, kt=kt, v=v, p=p, attn=attn, attn_drop=attn_drop,
+         ctx=ctx)
+    y, proj_drop = dropout("attn", linear("attn", ctx, "attn.wo", "attn.bo"),
+                           (n, T, d))
+    y += xq
+    check("ln1", "add", y)
+    x1 = layer_norm("ln1", y)
+    y = linear("ffn", x1, "ffn.w1", "ffn.b1")
+    save(proj_drop=proj_drop, x1=x1, f1=y)
+    y = kernels.gelu_forward(y)
+    check("ffn", "gelu", y)
+    save(f1g=y)
+    y, ff_drop = dropout("ffn", linear("ffn", y, "ffn.w2", "ffn.b2"),
+                         (n, T, d))
+    save(ff_drop=ff_drop)
+    y += x1
+    check("ln2", "add", y)
+    return layer_norm("ln2", y), saved
 
 
-def _encoder_arrays(params: ModelParams, x2: np.ndarray,
-                    key_bias: np.ndarray) -> np.ndarray:
-    """``_encoder`` without dropout, over bare arrays: the [n*T,d] rows of
-    n samples -> the last layer's [CLS] rows [n,d], with no ``Tensor``,
-    closure or scope per op.  It makes the numpy and kernel calls of the
-    ``_encoder`` ops in their order, with the contiguous copies that
-    ``ad.transpose`` and ``ad.select_index`` make, so it is bitwise that
-    path; the scale, bias and residual additions run in place on a buffer
-    the op made, which gives the same bits."""
+def _layer_backward(saved: dict, g: np.ndarray):
+    """The VJP of ``_layer_forward``: the gradient g of y -> (dx, grads),
+    the gradient of x2 and those of the layer's arrays in
+    ``_LAYER_PARAMS`` order.
+
+    It makes the numpy and kernel calls of the VJPs of the layer's
+    autodiff ops, in the order ``autodiff.backward`` ran them, on the same
+    operands and views (``g.transpose(inv)`` before the 4-D ``matmul``, a
+    reshape copy after each head's transpose), and it adds each array's
+    gradient parts in the order the tape added them: for the ``ln1``
+    output, residual then FFN; for the [CLS] rows of the last layer,
+    residual then q; for x2, residual (or, in the last layer, the [CLS]
+    scatter), then q, k and v.  So the result is bitwise theirs.  Under
+    ``detect_anomaly`` it checks each VJP's outputs in that order, named
+    as the op's VJP in the op's scope (``gelu vjp in layers.1.ffn``)."""
+    s = saved
+    w, check, x2 = s["w"], s["check"], s["x2"]
+    n, h, tq, T = s["p"].shape
+    d = x2.shape[1]
+
+    def linear(part, dy, x, name, bias=True):
+        """The matmul VJP: (dx, dw) and, with a bias, its gradient."""
+        grads = (np.matmul(dy, w[name].swapaxes(-1, -2)),
+                 np.matmul(x.swapaxes(-1, -2), dy))
+        if bias:
+            grads += (dy.sum(axis=(0,)),)
+        check(part, "matmul vjp", *grads)
+        return grads
+
+    def dropout(part, dy, dropped):
+        if dropped is None:
+            return dy
+        mask, y = dropped
+        dx = dy * mask
+        if check is not _no_check:
+            # the mul op's VJP also made the mask's gradient, which only
+            # anomaly mode reads
+            check(part, "mul vjp", dx, dy * y)
+        return dx
+
+    def layer_norm(part, dy):
+        grads = kernels.layernorm_rows_backward(dy, *s[part],
+                                                w[f"{part}.gain"])
+        check(part, "layer_norm vjp", *grads)
+        return grads
+
+    dr2, dgain2, dbias2 = layer_norm("ln2", g)
+    df1g, dw2, db2 = linear("ffn", dropout("ffn", dr2, s["ff_drop"]),
+                            s["f1g"], "ffn.w2")
+    df1 = kernels.gelu_backward(s["f1"], df1g)
+    check("ffn", "gelu vjp", df1)
+    dx1, dw1, db1 = linear("ffn", df1, s["x1"], "ffn.w1")
+    dx1 += dr2  # residual, then FFN: a sum of two commutes bitwise
+    dr1, dgain1, dbias1 = layer_norm("ln1", dx1)
+    dctx, dwo, dbo = linear("attn", dropout("attn", dr1, s["proj_drop"]),
+                            s["ctx"], "attn.wo")
+    dc = dctx.reshape(n, tq, h, d // h).transpose(0, 2, 1, 3)
+    dattn = np.matmul(dc, s["v"].swapaxes(-1, -2))
+    dv = np.matmul(s["attn"].swapaxes(-1, -2), dc)
+    check("attn", "matmul vjp", dattn, dv)
+    ds = kernels.softmax_backward(
+        s["p"], dropout("attn", dattn, s["attn_drop"]), s["scale"])
+    check("attn", "softmax vjp", ds)
+    dq = np.matmul(ds, s["kt"].swapaxes(-1, -2))
+    dkt = np.matmul(s["q"].swapaxes(-1, -2), ds)
+    check("attn", "matmul vjp", dq, dkt)
+    dxq, dwq, dbq = linear("attn", dq.transpose(0, 2, 1, 3).reshape(
+        n * tq, d), s["xq"], "attn.wq")
+    dxq += dr1  # residual, then q
+    if s["last"]:  # the [CLS] scatter of select_index
+        dx = np.zeros((n, T, d))
+        dx[:, 0] = dxq
+        check("attn", "select_index vjp", dx)
+        dx = dx.reshape(n * T, d)
+    else:
+        dx = dxq
+    dxk, dwk = linear("attn", dkt.transpose(0, 3, 1, 2).reshape(n * T, d),
+                      x2, "attn.wk", bias=False)
+    dx += dxk
+    dxv, dwv, dbv = linear("attn", dv.transpose(0, 2, 1, 3).reshape(n * T, d),
+                           x2, "attn.wv")
+    dx += dxv
+    return dx, (dwq, dwk, dwv, dwo, dbq, dbv, dbo, dgain1, dbias1, dw1, db1,
+                dw2, db2, dgain2, dbias2)
+
+
+def _layer(params: ModelParams, i: int, x2: Tensor, key_bias: np.ndarray,
+           drop: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Layer ``i`` over the rows tensor ``x2`` as one autodiff op, with
+    inputs x2 and the layer's parameters and the VJP
+    ``_layer_backward``."""
     cfg = params.config
-    n, T = key_bias.shape
-    d = cfg.hidden_dim
-    h, hd = cfg.num_heads, d // cfg.num_heads
-    inv_sqrt_hd = 1.0 / math.sqrt(hd)
-    kb = key_bias.reshape(n, 1, 1, T)
-    eps = ad._LAYER_NORM_EPS
-    w = {name: t.data for name, t in params.arrays.items()}
+    tensors = _layer_tensors(params, i)
+    y, saved = _layer_forward(
+        {name: t.data for name, t in zip(_LAYER_PARAMS, tensors)}, x2.data,
+        key_bias, cfg.num_heads, i, i == cfg.num_layers - 1, drop, rng)
 
-    for i in range(cfg.num_layers):
-        p = f"layers.{i}"
-
-        def heads(name, src, rows, axes=(0, 2, 1, 3)):
-            y = np.matmul(src, w[f"{p}.attn.w{name}"])
-            if name != "k":
-                y += w[f"{p}.attn.b{name}"]
-            return np.ascontiguousarray(y.reshape(n, rows, h, hd)
-                                        .transpose(axes))
-
-        if i < cfg.num_layers - 1:
-            xq, tq = x2, T
-        else:
-            xq, tq = np.ascontiguousarray(x2.reshape(n, T, d)[:, 0]), 1
-        q = heads("q", xq, tq)
-        kt, v = heads("k", x2, T, (0, 2, 3, 1)), heads("v", x2, T)
-        z = np.matmul(q, kt)
-        z *= inv_sqrt_hd
-        z += kb
-        rows = z.reshape(-1, T)
-        kernels.softmax_rows(rows, out=rows)
-        ctx = np.ascontiguousarray(np.matmul(z, v).transpose(0, 2, 1, 3)
-                                   ).reshape(n * tq, d)
-        y = np.matmul(ctx, w[f"{p}.attn.wo"])
-        y += w[f"{p}.attn.bo"]
-        y += xq
-        x2 = kernels.layernorm_rows(y, w[f"{p}.ln1.gain"], w[f"{p}.ln1.bias"],
-                                    eps)[0]
-        ff = np.matmul(x2, w[f"{p}.ffn.w1"])
-        ff += w[f"{p}.ffn.b1"]
-        ff = np.matmul(kernels.gelu_forward(ff), w[f"{p}.ffn.w2"])
-        ff += w[f"{p}.ffn.b2"]
-        ff += x2
-        x2 = kernels.layernorm_rows(ff, w[f"{p}.ln2.gain"], w[f"{p}.ln2.bias"],
-                                    eps)[0]
-    return x2
+    def vjp(g):
+        dx, grads = _layer_backward(saved, g)
+        return (dx, *grads)
+    return ad._result(y, (x2, *tensors), vjp)
 
 
 # A forward under no_grad runs the encoder over blocks of at most this many
@@ -355,10 +497,10 @@ def _cpus() -> int:
 
 
 def _graph_free(drop: float) -> bool:
-    """Whether the forward may run over bare arrays, per block
-    (``_encoder_arrays``): grad mode is off, so it builds no graph, it
-    draws no dropout, and anomaly mode, which names the first non-finite
-    op and so needs one order and the op-by-op path, is off."""
+    """Whether the forward may run its layers over bare arrays, per block
+    and in two threads: grad mode is off, so it builds no graph, it draws
+    no dropout, whose masks follow one generator stream, and anomaly
+    mode, which names the first non-finite op in one order, is off."""
     return not (ad._grad_enabled.get() or ad._anomaly.get() or drop > 0.0)
 
 
@@ -389,22 +531,22 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     the full layer's shapes and cut to the [CLS] rows, so the generator
     stream and the masks of the rows that are kept do not change.
 
-    A graph-free forward (``no_grad``, with dropout and
-    ``detect_anomaly`` off) runs the encoder layers through
-    ``_encoder_arrays``, over bare arrays with no ``Tensor``, closure or
-    scope per op; grad mode, dropout and ``detect_anomaly`` run the
-    op-by-op ``_encoder``.  The graph-free forward runs over blocks of
-    consecutive samples (``_blocks``): k = ceil(rows / 512) blocks of
-    near-equal sample counts, fewer where a block would hold fewer than
-    2 samples or at most 256 rows.  A block's attention scores and
-    softmax then stay in cache.  A batch of at least 4 samples and
-    1024 token rows, on a process that may use 2 CPUs, also splits: a
-    worker thread runs the blocks of samples ``[:n//2]`` and the calling
-    thread those of ``[n//2:]``; numpy and BLAS release the GIL, so the
-    halves overlap.  The worker runs in a copy of the caller's context,
-    so it sees the same autodiff modes and numpy errstate, and it is
-    joined before the call returns or raises.  The head then runs once on
-    the concatenated [n,d] rows.
+    Grad mode, dropout and ``detect_anomaly`` run the layers in one
+    serial pass over the whole batch, each layer one autodiff op
+    (``_layer``).  A graph-free forward (``no_grad``, with dropout and
+    ``detect_anomaly`` off) runs ``_layer_forward`` over bare arrays and
+    keeps nothing for a backward, over blocks of consecutive samples
+    (``_blocks``): k = ceil(rows / 512) blocks of near-equal sample
+    counts, fewer where a block would hold fewer than 2 samples or at
+    most 256 rows.  A block's attention scores and softmax then stay in
+    cache.  A batch of at least 4 samples and 1024 token rows, on a
+    process that may use 2 CPUs, also splits: a worker thread runs the
+    blocks of samples ``[:n//2]`` and the calling thread those of
+    ``[n//2:]``; numpy and BLAS release the GIL, so the halves overlap.
+    The worker runs in a copy of the caller's context, so it sees the
+    same autodiff modes and numpy errstate, and it is joined before the
+    call returns or raises.  The head then runs once on the concatenated
+    [n,d] rows.
 
     Blocks are bitwise: every op below the head works per sample or row
     by row, and with OpenBLAS a row of a GEMM with at least 2 rows is the
@@ -414,10 +556,9 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     A block holds at least 2 samples, because the last layer's 1-row
     [CLS] product (a gemv) rounds differently, and, when there are
     several, more than 256 rows, inside the range where the invariance
-    was first measured (224-2048 rows).  ``_encoder_arrays`` makes the
-    numpy calls of the ``_encoder`` ops in order, so the graph-free
-    forward is bitwise the graph forward; the tests named in the module
-    docstring check this.
+    was first measured (224-2048 rows).  Both paths run the same
+    ``_layer_forward``, so the graph-free forward is bitwise the serial
+    one; the tests named in the module docstring check this.
 
     With ``return_features`` also returns the final-layer [CLS] vectors [n,d].
     """
@@ -434,12 +575,21 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     key_bias = np.where(mask, 0.0, -1e9)
 
     if _graph_free(drop):
+        ws = [{name: t.data for name, t in zip(_LAYER_PARAMS,
+                                               _layer_tensors(params, i))}
+              for i in range(cfg.num_layers)]
+
         def layers(lo, hi):
             """The [CLS] rows of the blocks of samples [lo, hi)."""
-            return [_encoder_arrays(params,
-                                    emb.data[a:b].reshape((b - a) * T, d),
-                                    key_bias[a:b])
-                    for a, b in _blocks(lo, hi, T)]
+            parts = []
+            for a, b in _blocks(lo, hi, T):
+                x2 = emb.data[a:b].reshape((b - a) * T, d)
+                for i, w in enumerate(ws):
+                    x2, _ = _layer_forward(w, x2, key_bias[a:b],
+                                           cfg.num_heads, i,
+                                           i == cfg.num_layers - 1, 0.0, None)
+                parts.append(x2)
+            return parts
 
         if (n >= _SPLIT_MIN_SAMPLES and n * T >= 2 * _BLOCK_ROWS
                 and _cpus() >= 2):
@@ -454,8 +604,10 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
         cls = Tensor(parts[0] if len(parts) == 1 else np.concatenate(parts),
                      _unchecked=True)
     else:
-        cls = _encoder(params, ad.reshape(emb, (n * T, d)), key_bias, drop,
-                       rng)
+        x2 = ad.reshape(emb, (n * T, d))
+        for i in range(cfg.num_layers):
+            x2 = _layer(params, i, x2, key_bias, drop, rng)
+        cls = x2
     with ad.scope("head"):
         logits = ad.matmul(cls, params["head.weight"], bias=params["head.bias"])
     # the forward's boundary: op results inside it are not checked
@@ -472,12 +624,12 @@ def forward_tokens(params: ModelParams, batch, return_features: bool = False):
 
     It builds no graph, whatever ``requires_grad`` the parameters carry,
     and takes the graph-free path of ``forward_from_embeddings``: bare
-    arrays with no ``Tensor`` per op, blocked, and split across two
+    arrays with no ``Tensor`` per layer, blocked, and split across two
     threads for a large batch.  Under ``detect_anomaly`` it runs the
-    serial op-by-op encoder instead, which names the first non-finite
-    op; tier-1 pins the two paths to each other bitwise.  It returns
-    leaf tensors, which ``backward`` refuses.  The differentiable forward
-    is ``forward_from_embeddings(params, embed_batch(params, ids, mask),
+    serial pass instead, which names the first non-finite op; tier-1
+    pins the two paths to each other bitwise.  It returns leaf tensors,
+    which ``backward`` refuses.  The differentiable forward is
+    ``forward_from_embeddings(params, embed_batch(params, ids, mask),
     mask)``."""
     with ad.no_grad():
         emb = embed_batch(params, batch.token_ids, batch.pad_mask)

@@ -84,14 +84,16 @@ def _record_tensors(monkeypatch):
 def test_no_grad_forward_builds_no_graph(monkeypatch):
     """A graph-free forward builds three tensors, the embedding, the
     [CLS] rows and the logits, all leaves, at 1 and at 4 layers and in
-    one block (2 x 64 tokens) or several (24 x 64); the graph forward
-    gives the same logits bit for bit."""
-    blocks, real = [], model_mod._encoder_arrays
+    one block (2 x 64 tokens) or several (24 x 64).  The graph forward
+    builds num_layers + 3, all with a VJP: the embedding, its reshape,
+    one per layer and the logits; its logits are the same bit for bit."""
+    blocks, real = [], model_mod._layer_forward
 
-    def counting(*args):
-        blocks.append(args[2].shape[0])
-        return real(*args)
-    monkeypatch.setattr(model_mod, "_encoder_arrays", counting)
+    def counting(w, x2, key_bias, num_heads, i, *args):
+        if i == 0:  # a block's pass starts
+            blocks.append(key_bias.shape[0])
+        return real(w, x2, key_bias, num_heads, i, *args)
+    monkeypatch.setattr(model_mod, "_layer_forward", counting)
     made = _record_tensors(monkeypatch)
     for num_layers in (1, 4):
         config = ModelConfig(num_layers=num_layers, hidden_dim=16,
@@ -115,7 +117,7 @@ def test_no_grad_forward_builds_no_graph(monkeypatch):
             made.clear()
             graph = forward_from_embeddings(
                 params, embed_batch(params, ids, mask), mask)
-            assert len(made) > 3 * num_layers
+            assert len(made) == num_layers + 3 and made[-1] is graph
             assert all(t._inputs and t._vjp is not None for t in made)
             assert np.array_equal(logits.data, graph.data)
 

@@ -178,3 +178,44 @@ def test_layernorm_rows_bitwise(wide, rng):
                          layernorm_rows_formula(x0, gain, bias, 1e-5)):
         _bitwise(got, want)
     _bitwise(x, x0)
+
+
+def softmax_backward_formula(p, g, scale):
+    dz = (g - (g * p).sum(axis=-1, keepdims=True)) * p
+    return dz if scale is None else dz * scale
+
+
+def layernorm_rows_backward_formula(g, xhat, inv_std, gain):
+    dxhat = g * gain
+    dx = inv_std * (dxhat - dxhat.mean(axis=1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+    return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+@pytest.mark.parametrize("scale", [None, 0.25, 1.0 / math.sqrt(12)])
+def test_softmax_backward_bitwise(scale, wide, rng):
+    x, _ = wide
+    p = softmax_rows_formula(x)
+    # the attention scores' [n,h,T,T] layout as well as rows
+    for p in (p, p.reshape((1, 1) + p.shape)):
+        g = rng.normal(size=p.shape)
+        p0, g0 = p.copy(), g.copy()
+        _bitwise(kernels.softmax_backward(p, g, scale),
+                 softmax_backward_formula(p0, g0, scale))
+        _bitwise(p, p0)
+        _bitwise(g, g0)
+
+
+def test_layernorm_rows_backward_bitwise(wide, rng):
+    x, _ = wide
+    k = x.shape[1]
+    gain, bias = rng.normal(size=k) + 1.0, rng.normal(size=k)
+    _, xhat, inv_std = layernorm_rows_formula(x, gain, bias, 1e-5)
+    g = rng.normal(size=x.shape)
+    args = (g, xhat, inv_std, gain)
+    before = [a.copy() for a in args]
+    for got, want in zip(kernels.layernorm_rows_backward(*args),
+                         layernorm_rows_backward_formula(*before)):
+        _bitwise(got, want)
+    for a, a0 in zip(args, before):
+        _bitwise(a, a0)

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 import mixkd
 from mixkd import autodiff as ad
-from mixkd import kernels
+from mixkd import distill, kernels
 from mixkd import model as model_mod
-from mixkd.data import CLS_ID, PAD_ID, make_batch
+from mixkd.data import CLS_ID, PAD_ID, Batch, make_batch
 from mixkd.model import (CheckpointError, ModelConfig, ModelParams,
                          embed_batch, forward_from_embeddings, forward_tokens,
                          init_random, init_student_from_teacher,
@@ -199,7 +199,6 @@ def test_forward_rejects_pad_mask_shape(tiny_params, tiny_config):
 def test_end_to_end_gradient_nonzero(tiny_params, tiny_config):
     ids, mask = _toy_batch(tiny_config, [6, 4, 5, 6])
     labels = np.eye(2)[[0, 1, 1, 0]]
-    from mixkd.data import Batch
     batch = Batch(ids, mask, labels)
     logits = forward_from_embeddings(
         tiny_params, embed_batch(tiny_params, batch.token_ids, batch.pad_mask),
@@ -361,6 +360,36 @@ def test_fused_forward_bitwise_equals_unfused_no_grad():
     assert np.array_equal(fused.data, plain.data)
 
 
+def _non_leaf_tape_nodes(loss):
+    return sum(node._vjp is not None for node in ad.Tape(loss).nodes)
+
+
+def test_graph_forward_records_one_tape_node_per_layer():
+    """Each encoder layer is one autodiff op: a graph forward and loss
+    of 4 layers records exactly 3 more non-leaf tape nodes than one of 1
+    layer, and a ``teacher_ft`` step (``ft``'s loss of the 4-layer model
+    at batch 32, T = 14, with dropout) records 9: the embedding, its
+    reshape, 4 layers, the head, the softmax and the cross-entropy."""
+    params, ids, mask = _bench_shape()
+    labels = np.eye(3)[np.arange(len(ids)) % 3]
+    nodes = {}
+    for num_layers in (1, 4):
+        config = dataclasses.replace(params.config, num_layers=num_layers)
+        small = init_random(config, seed=4)
+        logits = forward_from_embeddings(small, embed_batch(small, ids, mask),
+                                         mask)
+        nodes[num_layers] = _non_leaf_tape_nodes(
+            ad.cross_entropy(ad.softmax(logits), ad.constant(labels)))
+    assert nodes[4] - nodes[1] == 3
+    params = ModelParams(dataclasses.replace(params.config, dropout_rate=0.1),
+                         params.arrays)
+    loss, _ = distill.total_loss(Batch(ids, mask, labels), [], None, params,
+                                 distill.LossWeights(), variant="ft",
+                                 train_mode=True,
+                                 rng=np.random.default_rng(0))
+    assert _non_leaf_tape_nodes(loss) == 9
+
+
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
 @pytest.mark.parametrize("hidden_dim", [64, 48])
 def test_cls_only_last_layer_matches_full_last_layer(dropout_rate, hidden_dim):
@@ -514,41 +543,67 @@ def test_split_forward_bitwise_equals_graph_forward(n, T, hidden_dim,
         assert np.array_equal(split_feats.data, graph_feats.data)
 
 
-def _encoder_calls(monkeypatch):
-    """(encoder, thread name, samples) of every call of the op-by-op
-    ``_encoder`` or the array-level ``_encoder_arrays`` from now on."""
+def _layer_calls(monkeypatch):
+    """(function, thread name, samples, layer) of every call of the
+    autodiff layer op ``_layer`` and of ``_layer_forward``, which that op
+    and the blocked graph-free path call, from now on."""
     calls = []
-    for fn in ("_encoder", "_encoder_arrays"):
-        def spy(params, x2, key_bias, *args, fn=fn,
-                real=getattr(model_mod, fn)):
-            calls.append((fn, threading.current_thread().name,
-                          key_bias.shape[0]))
-            return real(params, x2, key_bias, *args)
-        monkeypatch.setattr(model_mod, fn, spy)
+
+    def spy(fn, key_bias, i):
+        calls.append((fn, threading.current_thread().name,
+                      key_bias.shape[0], i))
+
+    real_op, real_forward = model_mod._layer, model_mod._layer_forward
+
+    def op(params, i, x2, key_bias, *args):
+        spy("_layer", key_bias, i)
+        return real_op(params, i, x2, key_bias, *args)
+
+    def forward(w, x2, key_bias, num_heads, i, *args):
+        spy("_layer_forward", key_bias, i)
+        return real_forward(w, x2, key_bias, num_heads, i, *args)
+    monkeypatch.setattr(model_mod, "_layer", op)
+    monkeypatch.setattr(model_mod, "_layer_forward", forward)
     return calls
 
 
-def _per_thread(calls, encoder):
-    """The sample counts of the blocks that ``encoder`` ran in the calling
-    thread and in the worker; raises if the other encoder ran."""
-    assert {fn for fn, _, _ in calls} == {encoder}
-    return ([b for _, who, b in calls if who == "MainThread"],
-            [b for _, who, b in calls if who != "MainThread"])
+def _per_thread(calls, encoder, num_layers=4):
+    """The sample counts of the encoder passes (one per block) that ran
+    in the calling thread and in the worker; raises unless every layer
+    ran through ``encoder`` (``_layer``, the autodiff op, or bare
+    ``_layer_forward``) and each pass ran layers 0, 1, ... in order on one
+    block."""
+    ops = [c for c in calls if c[0] == "_layer"]
+    forwards = [c for c in calls if c[0] == "_layer_forward"]
+    assert [c[1:] for c in ops] == ([c[1:] for c in forwards]
+                                    if encoder == "_layer" else [])
+    counts = []
+    for main in (True, False):
+        mine = [(b, i) for _, who, b, i in forwards
+                if (who == "MainThread") == main]
+        passes = [mine[k:k + num_layers]
+                  for k in range(0, len(mine), num_layers)]
+        for one in passes:
+            assert [i for _, i in one] == list(range(num_layers))
+            assert len({b for b, _ in one}) == 1
+        counts.append([one[0][0] for one in passes])
+    return tuple(counts)
 
 
-# the encoder, and the blocks' sample counts in the calling thread and in
-# the worker: grad mode, dropout and anomaly mode run the op-by-op one
+# the function each layer ran through, and the blocks' sample counts in
+# the calling thread and in the worker: grad mode, dropout and anomaly
+# mode run one serial pass of the autodiff layer op ``_layer``
 BLOCKS = {
-    "no_grad": ("_encoder_arrays", [2], [2]),  # 4 x 256: two 512-row halves
-    "graph": ("_encoder", [4], []),     # one serial pass over every sample
-    "frozen": ("_encoder", [4], []),
-    "dropout": ("_encoder", [4], []),
-    "anomaly": ("_encoder", [4], []),
-    "3_samples": ("_encoder_arrays", [3], []),  # no 2-sample halves
-    "448_rows": ("_encoder_arrays", [32], []),
-    "one_cpu": ("_encoder_arrays", [2, 2], []),  # the halves' blocks, in order
-    "eval_long": ("_encoder_arrays", [8, 8], [8, 8]),
-    "eval_long_one_cpu": ("_encoder_arrays", [8, 8, 8, 8], []),
+    "no_grad": ("_layer_forward", [2], [2]),  # 4 x 256: two 512-row halves
+    "graph": ("_layer", [4], []),       # one serial pass over every sample
+    "frozen": ("_layer", [4], []),
+    "dropout": ("_layer", [4], []),
+    "anomaly": ("_layer", [4], []),
+    "3_samples": ("_layer_forward", [3], []),  # no 2-sample halves
+    "448_rows": ("_layer_forward", [32], []),
+    "one_cpu": ("_layer_forward", [2, 2], []),  # the halves' blocks, in order
+    "eval_long": ("_layer_forward", [8, 8], [8, 8]),
+    "eval_long_one_cpu": ("_layer_forward", [8, 8, 8, 8], []),
 }
 
 
@@ -579,7 +634,7 @@ def test_split_runs_only_where_it_pays(case, splits, monkeypatch):
     # every case but two runs under no_grad
     graph_mode = case in ("frozen", "graph")
     threads = _forward_threads(monkeypatch)
-    blocks = _encoder_calls(monkeypatch)
+    blocks = _layer_calls(monkeypatch)
     with (contextlib.nullcontext() if graph_mode else ad.no_grad()), (
             ad.detect_anomaly() if case == "anomaly"
             else contextlib.nullcontext()):
@@ -605,12 +660,12 @@ def test_blocked_forward_bitwise_equals_graph_forward(n, T, hidden_dim, cpus,
     monkeypatch.setattr(model_mod, "_cpus", lambda: cpus)
     graph, graph_feats = forward_from_embeddings(
         params, embed_batch(params, ids, mask), mask, return_features=True)
-    blocks = _encoder_calls(monkeypatch)
+    blocks = _layer_calls(monkeypatch)
     with ad.no_grad():
         blocked, blocked_feats = forward_from_embeddings(
             params, embed_batch(params, ids, mask), mask,
             return_features=True)
-    assert _per_thread(blocks, "_encoder_arrays") == (main, worker)
+    assert _per_thread(blocks, "_layer_forward") == (main, worker)
     assert np.array_equal(blocked.data, graph.data)
     assert np.array_equal(blocked_feats.data, graph_feats.data)
 
@@ -693,6 +748,92 @@ def test_split_forward_keeps_the_anomaly_message():
                 forward_from_embeddings(params, emb, mask)
         messages.append(str(info.value))
     assert messages == ["first non-finite: matmul in layers.1.ffn"] * 2
+
+
+@pytest.mark.parametrize("grad_mode", [True, False])
+@pytest.mark.parametrize("name,where", [
+    ("layers.0.attn.wq", "matmul in s/layers.0.attn"),
+    ("layers.0.attn.wv", "matmul in s/layers.0.attn"),
+    ("layers.0.attn.bo", "matmul in s/layers.0.attn"),
+    ("layers.0.ln1.gain", "layer_norm in s/layers.0.ln1"),
+    ("layers.0.ffn.w1", "matmul in s/layers.0.ffn"),
+    ("layers.0.ffn.b2", "matmul in s/layers.0.ffn"),
+    ("layers.0.ln2.bias", "layer_norm in s/layers.0.ln2"),
+    ("layers.1.attn.wk", "matmul in s/layers.1.attn"),
+])
+def test_anomaly_names_the_op_an_inf_parameter_reaches(name, where, grad_mode,
+                                                       tiny_config):
+    """An inf in the first row (or entry) of one parameter of a 2-layer
+    model: ``detect_anomaly`` names the op and scope that first compute
+    a non-finite value, under ``no_grad`` as in grad mode."""
+    params = init_random(tiny_config, seed=0)
+    params[name].data[0] = np.inf
+    ids, mask = _toy_batch(tiny_config, [6, 4, 5])
+    with (contextlib.nullcontext() if grad_mode else ad.no_grad()), (
+            ad.detect_anomaly()), ad.scope("s"), np.errstate(all="ignore"):
+        emb = embed_batch(params, ids, mask)
+        with pytest.raises(ad.NonFiniteError,
+                           match=f"^first non-finite: {re.escape(where)}$"):
+            forward_from_embeddings(params, emb, mask)
+
+
+def _anomaly_backward(params, ids, mask, loss_scale=1.0):
+    """A train-mode graph forward in scope "s" and a backward of the
+    logits' sum times ``loss_scale``, under detect_anomaly; the message
+    of the NonFiniteError the backward raises."""
+    with ad.detect_anomaly(), np.errstate(all="ignore"):
+        with ad.scope("s"):
+            logits = forward_from_embeddings(
+                params, embed_batch(params, ids, mask), mask,
+                train_mode=True, rng=np.random.default_rng(0))
+        with pytest.raises(ad.NonFiniteError) as info:
+            ad.backward(ad.scale(ad.tsum(logits), loss_scale))
+    return str(info.value)
+
+
+def test_anomaly_names_the_first_non_finite_vjp(tiny_config, monkeypatch):
+    """A VJP is named with the scope its op ran in, in the forward; the
+    backward meets the last layer's GELU first."""
+    params = init_random(tiny_config, seed=0)
+    ids, mask = _toy_batch(tiny_config, [6, 4, 5])
+    monkeypatch.setattr(kernels, "gelu_backward",
+                        lambda x, g: np.full(x.shape, np.inf))
+    assert (_anomaly_backward(params, ids, mask)
+            == "first non-finite: gelu vjp in s/layers.1.ffn")
+
+
+def test_anomaly_names_the_layer_norm_vjp(tiny_config, monkeypatch):
+    """An inf 1/std saved by layers.0.ln1 only: the forward is finite, and
+    every VJP above that layer norm in the backward is too."""
+    params = init_random(tiny_config, seed=0)
+    ids, mask = _toy_batch(tiny_config, [6, 4, 5])
+    real, target = kernels.layernorm_rows, params["layers.0.ln1.gain"].data
+
+    def inf_inv_std(x, gain, bias, eps):
+        out, xhat, inv_std = real(x, gain, bias, eps)
+        if gain is target:
+            inv_std = np.full_like(inv_std, np.inf)
+        return out, xhat, inv_std
+    monkeypatch.setattr(kernels, "layernorm_rows", inf_inv_std)
+    assert (_anomaly_backward(params, ids, mask)
+            == "first non-finite: layer_norm vjp in s/layers.0.ln1")
+
+
+@pytest.mark.parametrize("name,where", [
+    ("layers.1.ffn.w2", "mul vjp in s/layers.1.ffn"),
+    ("layers.0.attn.wo", "mul vjp in s/layers.0.attn"),
+])
+def test_anomaly_names_the_dropout_vjp(name, where, tiny_config):
+    """A weight of 1e200 before a dropout and a loss scaled by 1e200: the
+    dropout's VJP, a product by the mask, overflows first.  Like the mul
+    op it stood for, it also checks the mask's own gradient, the incoming
+    gradient times the dropout's input."""
+    params = init_random(dataclasses.replace(tiny_config, dropout_rate=0.1),
+                         seed=0)
+    params[name].data[0] = 1e200
+    ids, mask = _toy_batch(tiny_config, [6, 4, 5])
+    assert (_anomaly_backward(params, ids, mask, loss_scale=1e200)
+            == f"first non-finite: {where}")
 
 
 @pytest.mark.parametrize("worker_fails", [True, False])

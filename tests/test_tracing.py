@@ -51,8 +51,9 @@ def test_tracer_uninstall_restores_every_attribute(tiny_params, tiny_config):
     # the traced step reached the names the per-layer metrics are built from
     counts = {name: n for name, (_, _, n) in tracer.totals().items()}
     for name in ("model.embed", "model.forward", "autodiff.fwd.matmul",
-                 "autodiff.vjp.matmul", "autodiff.fwd.gelu",
-                 "kernels.gelu_forward", "kernels.gelu_backward",
+                 "autodiff.vjp.matmul", "kernels.layernorm_rows",
+                 "kernels.softmax_rows", "kernels.gelu_forward",
+                 "kernels.gelu_backward",
                  "autodiff.backward", "autodiff.check_finite",
                  "autodiff.tensor_init"):
         assert counts.get(name, 0) > 0, name
