@@ -2,6 +2,7 @@
 
 import ctypes
 
+from . import model as _model
 from .autodiff import Tensor, backward, finite_diff_check
 from .model import ModelConfig, ModelParams, init_random, init_student_from_teacher
 from .mixup import MixupConfig, MixupPairs
@@ -33,7 +34,48 @@ def _keep_freed_memory() -> bool:
                 and libc.mallopt(m_trim_threshold, 1 << 30))
 
 
+def _one_blas_thread(maps: str = "/proc/self/maps") -> bool:
+    """Run the loaded OpenBLAS on one thread; True where it was found.
+
+    mixkd runs its own threads: a large graph-free forward splits its
+    samples over two (``model.forward_from_embeddings``).  At OpenBLAS's
+    default of one thread per CPU, those threads and OpenBLAS's own
+    contend for the same CPUs: on a 2-CPU host an ``evaluate`` of
+    32x64-token batches took 46-65 ms a batch, against 22-26 ms with one
+    BLAS thread.  The setter works at run time, after numpy has loaded
+    the library, which is found among the process's mapped files, listed
+    in ``maps``.  It is not called where OpenBLAS already runs one thread
+    (``OPENBLAS_NUM_THREADS=1``): there a repeated call made the small
+    GEMMs of the bound testbed about 2% slower.  Where there is no such
+    list, library or symbol, this does nothing, and the forward does not
+    split.
+    """
+    try:
+        with open(maps) as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower()})
+    except OSError:  # no /proc (not Linux)
+        return False
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                if get() != 1:
+                    put(1)
+                return True
+    return False
+
+
 _keep_freed_memory()
+_model._blas_one_thread = _one_blas_thread()
 
 __all__ = [
     "Tensor", "backward", "finite_diff_check",

@@ -37,10 +37,13 @@ A graph-free forward, one under ``no_grad`` with dropout and
 what it saved for the backward: it builds one ``Tensor`` for the [CLS]
 rows and one for the logits.  It runs the layers over blocks of
 consecutive samples of at most ``_BLOCK_ROWS`` token rows, so that
-attention's [b,h,T,T] buffers stay in cache; a large one runs the
-blocks of its two sample halves in two threads.  The head runs once on
-the whole batch, and the result is bitwise that of the serial pass (see
-``forward_from_embeddings``).  Grad mode alone decides this, not
+attention's [b,h,T,T] buffers stay in cache.  One with enough encoder
+work (``_splits``: the distill teacher's 4-layer 32x14 query,
+``eval_long``'s 32x64 batches), on a process that may use 2 CPUs and
+holds OpenBLAS at one thread, runs the blocks of its two sample halves
+in two threads: the caller's and one long-lived worker's.  The head runs
+once on the whole batch, and the result is bitwise that of the serial
+pass (see ``forward_from_embeddings``).  Grad mode alone decides this, not
 ``requires_grad``.  Tier-1 pins the paths to each other and to the op
 chain bitwise: ``test_fused_forward_bitwise_equals_unfused`` (with its
 ``_no_grad`` twin), ``test_blocked_forward_bitwise_equals_graph_forward``
@@ -57,7 +60,7 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -483,10 +486,15 @@ def _layer(params: ModelParams, i: int, x2: Tensor, key_bias: np.ndarray,
 # token rows.  At eval_long's T=64 a 512-row block keeps attention's
 # [8,4,64,64] scores (1 MB) in a 2 MB L2; 256-row blocks were slower in a
 # two-thread eval_long forward.
-# A batch of two blocks' rows (and 4 samples) also runs its two sample
+# A batch of at least 4 samples whose layers before the last hold two
+# blocks' token rows between them (``_splits``) also runs its two sample
 # halves in two threads: numpy and BLAS release the GIL
 _BLOCK_ROWS = 512
 _SPLIT_MIN_SAMPLES = 4
+
+# set by the package's __init__: True once it has set the loaded OpenBLAS
+# to one thread, so a split's two threads do not contend with OpenBLAS's
+_blas_one_thread = False
 
 
 def _cpus() -> int:
@@ -494,6 +502,31 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _splits(n: int, T: int, num_layers: int) -> bool:
+    """Whether a graph-free forward of n samples of T tokens through
+    ``num_layers`` layers has the work to pay for a two-thread split: 4
+    samples, so each half holds 2, and two blocks' token rows over the
+    layers before the last, which computes only the n [CLS] rows.  The
+    distill teacher's 4-layer 32x14 query (1344) splits, a 1-layer
+    forward never does."""
+    return (n >= _SPLIT_MIN_SAMPLES
+            and (num_layers - 1) * n * T >= 2 * _BLOCK_ROWS)
+
+
+def _new_worker() -> None:
+    """Make the one long-lived thread, ``mixkd-forward_0``, that runs the
+    first half of every split forward; it starts on first use.  A
+    forked child inherits no threads, so it makes its own."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1,
+                                 thread_name_prefix="mixkd-forward")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 def _graph_free(drop: float) -> bool:
@@ -539,14 +572,17 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     (``_blocks``): k = ceil(rows / 512) blocks of near-equal sample
     counts, fewer where a block would hold fewer than 2 samples or at
     most 256 rows.  A block's attention scores and softmax then stay in
-    cache.  A batch of at least 4 samples and 1024 token rows, on a
-    process that may use 2 CPUs, also splits: a worker thread runs the
-    blocks of samples ``[:n//2]`` and the calling thread those of
-    ``[n//2:]``; numpy and BLAS release the GIL, so the halves overlap.
-    The worker runs in a copy of the caller's context, so it sees the
-    same autodiff modes and numpy errstate, and it is joined before the
-    call returns or raises.  The head then runs once on the concatenated
-    [n,d] rows.
+    cache.  A batch of at least 4 samples whose layers before the last
+    hold at least 1024 token rows between them (``_splits``: (num_layers
+    - 1) * n * T, as the last layer computes only the [CLS] rows), on a
+    process that may use 2 CPUs and where mixkd holds OpenBLAS at one
+    thread, also splits: the long-lived worker thread runs the blocks of
+    samples ``[:n//2]`` and the calling thread those of ``[n//2:]``;
+    numpy and BLAS release the GIL, so the halves overlap.  The worker
+    runs in a copy of the caller's context, so it sees the same autodiff
+    modes and numpy errstate, and its half has finished before the call
+    returns or raises; an error in the caller's half is the one raised.
+    The head then runs once on the concatenated [n,d] rows.
 
     Blocks are bitwise: every op below the head works per sample or row
     by row, and with OpenBLAS a row of a GEMM with at least 2 rows is the
@@ -591,14 +627,15 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
                 parts.append(x2)
             return parts
 
-        if (n >= _SPLIT_MIN_SAMPLES and n * T >= 2 * _BLOCK_ROWS
+        if (_splits(n, T, cfg.num_layers) and _blas_one_thread
                 and _cpus() >= 2):
-            with ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="mixkd-forward") as pool:
-                worker = pool.submit(contextvars.copy_context().run,
-                                     layers, 0, n // 2)
+            half = _worker.submit(contextvars.copy_context().run,
+                                  layers, 0, n // 2)
+            try:
                 rest = layers(n // 2, n)
-                parts = worker.result() + rest
+            finally:
+                wait([half])
+            parts = half.result() + rest
         else:
             parts = layers(0, n)
         cls = Tensor(parts[0] if len(parts) == 1 else np.concatenate(parts),

@@ -13,8 +13,8 @@ The document holds, under these entries:
   - ``T14-dropout0.0`` and ``T14-dropout0.1``: 160 training examples
     (30 steps); dev accuracy moves between evals, and some runs keep an
     earlier best copy.  ``T14-dropout0.1`` takes the graph-mode dropout
-    draws, both distance metrics at dropout 0.1, and the 448-row
-    single-block teacher query;
+    draws and both distance metrics at dropout 0.1; its 448-row
+    4-layer teacher query splits into two 224-row halves on two threads;
   - ``T64-dropout0.0``: 48 training examples (9 steps); the teacher
     query and the dev eval split into blocks on two worker threads.
 - ``outputs_T64``, from the ``T64-dropout0.0`` teacher: ``evaluate``'s
@@ -40,42 +40,36 @@ The document holds, under these entries:
 A failing test names the dotted path of each entry that differs, such
 as ``runs.T64-dropout0.0.sm_tmkd-mse.checksum``.  The file changes only
 with a change whose arithmetic is meant to change, which states its
-largest deviation.  Record it, with one BLAS thread, with
+largest deviation.  Record it with
 
     PYTHONPATH=src python tests/test_golden_digests.py
 
 The file records the numpy and BLAS versions it was made with; under
-other versions every test fails naming both.  The suite runs the
-document at the default BLAS thread count, which gives the same bits.
+other versions every test fails naming both.  Importing mixkd holds
+OpenBLAS at one thread, so the suite and the recorder run alike; the
+document is the same at 2 BLAS threads.
 """
 
-import os
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import re
+import tempfile
+from pathlib import Path
 
-if __name__ == "__main__":
-    # one BLAS thread, as in perfbench, set before numpy loads BLAS
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
+import numpy as np
+import pytest
 
-import contextlib  # noqa: E402
-import dataclasses  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import re  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
-
-from mixkd import bounds, synthetic  # noqa: E402
-from mixkd.cli import main as cli  # noqa: E402
-from mixkd.data import make_batch  # noqa: E402
-from mixkd.distill import (LossWeights, TrainConfig, distill_student,  # noqa: E402
+from mixkd import bounds, synthetic
+from mixkd.cli import main as cli
+from mixkd.data import make_batch
+from mixkd.distill import (LossWeights, TrainConfig, distill_student,
                            train_teacher)
-from mixkd.evaluation import evaluate, export_cls_features  # noqa: E402
-from mixkd.mixup import MixupConfig, make_pairs  # noqa: E402
-from mixkd.model import ModelConfig, forward_tokens  # noqa: E402
+from mixkd.evaluation import evaluate, export_cls_features
+from mixkd.mixup import MixupConfig, make_pairs
+from mixkd.model import ModelConfig, forward_tokens
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 WIDTH = dict(hidden_dim=64, num_heads=4, ffn_dim=128, num_classes=2)

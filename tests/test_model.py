@@ -1,13 +1,17 @@
 """Transformer classifier: shapes, init, masking, and checkpoint format."""
 
+import _ctypes
 import contextlib
 import dataclasses
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
 import resource
 import struct
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -75,6 +79,17 @@ def test_params_shape_validation(tiny_config):
               for name, shape in parameter_shapes(tiny_config).items()}
     arrays.pop("head.bias")
     with pytest.raises(ValueError):
+        ModelParams(tiny_config, arrays)
+
+
+def test_params_reject_an_array_of_the_wrong_shape(tiny_config):
+    arrays = {name: ad.Tensor(np.zeros(shape), requires_grad=True)
+              for name, shape in parameter_shapes(tiny_config).items()}
+    d = tiny_config.hidden_dim
+    arrays["layers.0.ffn.b1"] = ad.Tensor(np.zeros(d + 1))
+    with pytest.raises(ValueError, match=re.escape(
+            f"parameter layers.0.ffn.b1: shape ({d + 1},), expected "
+            f"({tiny_config.ffn_dim},)")):
         ModelParams(tiny_config, arrays)
 
 
@@ -468,10 +483,11 @@ def test_graph_free_forward_checks_finiteness_once(monkeypatch):
 # two-thread sample split of graph-free forwards
 # ---------------------------------------------------------------------------
 
-def _split_shape(n, T, hidden_dim=64, seed=0):
-    """A 4-layer model (4 heads, ffn 128) and n rows of T tokens with
-    ragged lengths."""
-    config = ModelConfig(num_layers=4, hidden_dim=hidden_dim, num_heads=4,
+def _split_shape(n, T, hidden_dim=64, seed=0, num_layers=4):
+    """A ``num_layers``-layer model (4 heads, ffn 128) and n rows of T
+    tokens with ragged lengths."""
+    config = ModelConfig(num_layers=num_layers, hidden_dim=hidden_dim,
+                         num_heads=4,
                          ffn_dim=128, vocab_size=50, max_seq_len=T,
                          num_classes=3)
     lengths = np.random.default_rng(seed).integers(T // 2, T + 1, size=n)
@@ -496,9 +512,21 @@ def _split(calls):
     return any(name.startswith("mixkd-forward") for name, _, _ in calls)
 
 
-def _no_forward_thread_alive():
-    return not any(t.name.startswith("mixkd-forward")
-                   for t in threading.enumerate())
+def _worker_halves(monkeypatch):
+    """The futures of every half submitted to the long-lived forward
+    worker from now on."""
+    halves, real = [], model_mod._worker
+
+    def submit(*args):
+        halves.append(real.submit(*args))
+        return halves[-1]
+    monkeypatch.setattr(model_mod, "_worker", SimpleNamespace(submit=submit))
+    return halves
+
+
+def _forward_workers():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("mixkd-forward")]
 
 
 @pytest.mark.parametrize("n,T,hidden_dim", [
@@ -506,13 +534,18 @@ def _no_forward_thread_alive():
     (33, 32, 64),   # odd n: halves of 16 and 17
     (4, 256, 16),   # the smallest halves, 2 samples each
     (32, 64, 48),
+    (32, 14, 64),   # the distill teacher's query: two 224-row halves
+    (32, 14, 48),
 ])
 def test_split_forward_bitwise_equals_graph_forward(n, T, hidden_dim,
                                                     monkeypatch):
     """The graph-mode forward stays serial; the graph-free one splits,
-    under ``no_grad`` and in ``forward_tokens`` alike."""
+    under ``no_grad`` and in ``forward_tokens`` alike, on the one
+    long-lived worker, whose half has finished when the forward
+    returns."""
     params, ids, mask = _split_shape(n, T, hidden_dim)
     threads = _forward_threads(monkeypatch)
+    halves = _worker_halves(monkeypatch)
     graph, graph_feats = forward_from_embeddings(
         params, embed_batch(params, ids, mask), mask, return_features=True)
     assert not _split(threads) and graph._inputs
@@ -533,7 +566,8 @@ def test_split_forward_bitwise_equals_graph_forward(n, T, hidden_dim,
     for forward in (under_no_grad, tokens):
         threads.clear()
         split, split_feats = forward()
-        assert _split(threads) and _no_forward_thread_alive()
+        assert _split(threads) and all(half.done() for half in halves)
+        assert _forward_workers() == ["mixkd-forward_0"]
         # both halves ran every layer norm of every layer under no_grad
         for name in ("MainThread", "mixkd-forward_0"):
             assert {(grad, gain) for who, grad, gain in threads
@@ -541,6 +575,7 @@ def test_split_forward_bitwise_equals_graph_forward(n, T, hidden_dim,
         assert split._inputs == () and split._vjp is None
         assert np.array_equal(split.data, graph.data)
         assert np.array_equal(split_feats.data, graph_feats.data)
+    assert len(halves) == 2
 
 
 def _layer_calls(monkeypatch):
@@ -600,13 +635,18 @@ BLOCKS = {
     "dropout": ("_layer", [4], []),
     "anomaly": ("_layer", [4], []),
     "3_samples": ("_layer_forward", [3], []),  # no 2-sample halves
-    "448_rows": ("_layer_forward", [32], []),
+    "448_rows": ("_layer_forward", [16], [16]),  # two 224-row halves
+    "224_rows": ("_layer_forward", [16], []),
+    "8x64": ("_layer_forward", [4], [4]),
+    "one_layer": ("_layer_forward", [8, 8, 8, 8], []),
     "one_cpu": ("_layer_forward", [2, 2], []),  # the halves' blocks, in order
     "eval_long": ("_layer_forward", [8, 8], [8, 8]),
     "eval_long_one_cpu": ("_layer_forward", [8, 8, 8, 8], []),
+    "eval_long_blas_threads": ("_layer_forward", [8, 8, 8, 8], []),
 }
 
 
+# the rule is (num_layers - 1) * n * T >= 1024 token rows, from 4 samples
 @pytest.mark.parametrize("case,splits", [
     ("no_grad", True),
     ("frozen", False),          # grad mode on, though nothing requires grad
@@ -614,15 +654,23 @@ BLOCKS = {
     ("dropout", False),
     ("anomaly", False),
     ("3_samples", False),       # 3 x 512 rows: a half would hold 1 sample
-    ("448_rows", False),        # the distill teacher's 32 x 14
+    ("448_rows", True),         # the distill teacher's 32 x 14: 1344
+    ("224_rows", False),        # 16 x 14: 672
+    ("8x64", True),             # 1536
+    ("one_layer", False),       # 32 x 64 through 1 layer: 0
     ("one_cpu", False),
-    ("eval_long", True),        # 32 x 64: 2048 rows
+    ("eval_long", True),        # 32 x 64: 6144
     ("eval_long_one_cpu", False),
+    ("eval_long_blas_threads", False),  # OpenBLAS not held at one thread
 ])
 def test_split_runs_only_where_it_pays(case, splits, monkeypatch):
-    n, T = {"3_samples": (3, 512), "448_rows": (32, 14), "eval_long": (32, 64),
-            "eval_long_one_cpu": (32, 64)}.get(case, (4, 256))
-    params, ids, mask = _split_shape(n, T, hidden_dim=16)
+    n, T = {"3_samples": (3, 512), "448_rows": (32, 14),
+            "224_rows": (16, 14), "8x64": (8, 64)}.get(case, (4, 256))
+    if case.startswith(("eval_long", "one_layer")):
+        n, T = 32, 64
+    num_layers = 1 if case == "one_layer" else 4
+    params, ids, mask = _split_shape(n, T, hidden_dim=16,
+                                     num_layers=num_layers)
     if case == "dropout":
         params = ModelParams(dataclasses.replace(params.config,
                                                  dropout_rate=0.1),
@@ -631,6 +679,8 @@ def test_split_runs_only_where_it_pays(case, splits, monkeypatch):
         params = params.copy().freeze()
     if case.endswith("one_cpu"):
         monkeypatch.setattr(model_mod, "_cpus", lambda: 1)
+    if case.endswith("blas_threads"):
+        monkeypatch.setattr(model_mod, "_blas_one_thread", False)
     # every case but two runs under no_grad
     graph_mode = case in ("frozen", "graph")
     threads = _forward_threads(monkeypatch)
@@ -643,7 +693,7 @@ def test_split_runs_only_where_it_pays(case, splits, monkeypatch):
                                 rng=np.random.default_rng(0))
     assert _split(threads) == splits
     encoder, main, worker = BLOCKS[case]
-    assert _per_thread(blocks, encoder) == (main, worker)
+    assert _per_thread(blocks, encoder, num_layers) == (main, worker)
 
 
 @pytest.mark.parametrize("n,T,hidden_dim,cpus,main,worker", [
@@ -672,16 +722,17 @@ def test_blocked_forward_bitwise_equals_graph_forward(n, T, hidden_dim, cpus,
 
 def _block_shapes():
     """(T, samples) of every block that a graph-free forward of 2-64
-    samples at the sequence lengths used here runs."""
+    samples through 1-4 layers at the sequence lengths used here runs."""
     shapes = set()
     for T in (14, 32, 64, 128, 256, 300):
         for n in range(2, 65):
-            spans = [(0, n)]
-            if n >= 4 and n * T >= 2 * model_mod._BLOCK_ROWS:
-                spans = [(0, n // 2), (n // 2, n)]
-            for lo, hi in spans:
-                shapes.update((T, b - a) for a, b in
-                              model_mod._blocks(lo, hi, T))
+            for num_layers in range(1, 5):
+                spans = [(0, n)]
+                if model_mod._splits(n, T, num_layers):
+                    spans = [(0, n // 2), (n // 2, n)]
+                for lo, hi in spans:
+                    shapes.update((T, b - a) for a, b in
+                                  model_mod._blocks(lo, hi, T))
     return sorted(shapes)
 
 
@@ -851,9 +902,78 @@ def test_split_forward_error_reaches_caller_after_join(worker_fails,
     monkeypatch.setattr(kernels, "gelu_forward", fails_in_one_half)
     with ad.no_grad():
         emb = embed_batch(params, ids, mask)
+        halves = _worker_halves(monkeypatch)
         with pytest.raises(RuntimeError, match="^half failed$"):
             forward_from_embeddings(params, emb, mask)
-    assert _no_forward_thread_alive()
+    # no half is running or queued once the forward has raised
+    assert len(halves) == 1 and halves[0].done()
+    assert (halves[0].exception() is not None) == worker_fails
+
+
+def _split_logits(params, ids, mask):
+    with ad.no_grad():
+        return forward_from_embeddings(params, embed_batch(params, ids, mask),
+                                       mask).data
+
+
+def test_concurrent_split_forwards_share_the_worker(monkeypatch):
+    """Three threads run split forwards at once through the one worker,
+    with a short switch interval: each gets its own logits, bitwise the
+    serial forward's, and no half is left running or queued."""
+    params, ids, mask = _split_shape(32, 14, hidden_dim=16)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 1)
+    serial = _split_logits(params, ids, mask)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 2)
+    threads = _forward_threads(monkeypatch)
+    halves = _worker_halves(monkeypatch)
+    shifted = [(np.roll(ids, k, axis=0), np.roll(mask, k, axis=0))
+               for k in range(3)]
+    results = [[] for _ in shifted]
+
+    def run(k):
+        for _ in range(5):
+            results[k].append(_split_logits(params, *shifted[k]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=run, args=(k,))
+                   for k in range(3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert _split(threads) and len(halves) == 15
+    assert all(half.done() for half in halves)
+    for k, logits in enumerate(results):
+        assert len(logits) == 5
+        for out in logits:
+            assert np.array_equal(out, np.roll(serial, k, axis=0))
+
+
+def _forward_in_child(params, ids, mask, expected):
+    os._exit(0 if np.array_equal(_split_logits(params, ids, mask), expected)
+             else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_forked_child_makes_its_own_worker():
+    """A process forked after a split forward has no worker thread; the
+    worker it inherited would leave a split forward waiting for ever, so
+    the child makes its own."""
+    params, ids, mask = _split_shape(32, 14, hidden_dim=16)
+    expected = _split_logits(params, ids, mask)
+    assert _forward_workers() == ["mixkd-forward_0"]
+    child = multiprocessing.get_context("fork").Process(
+        target=_forward_in_child, args=(params, ids, mask, expected))
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 def test_split_forward_worker_inherits_errstate(monkeypatch):
@@ -871,6 +991,35 @@ def test_split_forward_worker_inherits_errstate(monkeypatch):
                     ad.NonFiniteError, match="^logits contain NaN or Inf$"):
                 forward_from_embeddings(params, emb, mask)
     assert _split(threads)
+
+
+def test_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    """Without ``sched_getaffinity`` (macOS, Windows) the forward counts
+    the machine's CPUs, or 1 where even that is unknown."""
+    monkeypatch.delattr(model_mod.os, "sched_getaffinity")
+    monkeypatch.setattr(model_mod.os, "cpu_count", lambda: 3)
+    assert model_mod._cpus() == 3
+    monkeypatch.setattr(model_mod.os, "cpu_count", lambda: None)
+    assert model_mod._cpus() == 1
+
+
+def test_one_blas_thread_needs_a_loaded_openblas(tmp_path):
+    """Importing mixkd set this process's OpenBLAS to one thread; with no
+    list of mapped files, no OpenBLAS in it, a listed file that is not a
+    library, or a library without the thread symbols,
+    ``_one_blas_thread`` finds nothing to set."""
+    assert model_mod._blas_one_thread == mixkd._one_blas_thread()
+    maps = tmp_path / "maps"
+    assert not mixkd._one_blas_thread(str(maps))
+    maps.write_text("7f00-7f01 r-xp 00000000 00:00 0 /usr/lib/libm.so.6\n")
+    assert not mixkd._one_blas_thread(str(maps))
+    not_a_library = tmp_path / "libopenblas.so"
+    not_a_library.write_text("not a library")
+    no_symbols = tmp_path / "libopenblas_stub.so"
+    no_symbols.symlink_to(_ctypes.__file__)  # an extension module
+    for lib in (not_a_library, no_symbols):
+        maps.write_text(f"7f00-7f01 r-xp 00000000 00:00 0 {lib}\n")
+        assert not mixkd._one_blas_thread(str(maps))
 
 
 def test_second_large_forward_reuses_freed_memory():
