@@ -280,11 +280,21 @@ def make_testbed(n_bits: int = 10, seed: int = 0) -> EnumerableTestbed:
     return EnumerableTestbed(inputs=grid, probs=weights / weights.sum())
 
 
+def _check_enumerable(n_inputs: int, g_size: int) -> None:
+    """BoundError unless the gap experiment can enumerate ``n_inputs``
+    testbed inputs and ``g_size`` scorers."""
+    if n_inputs > 2 ** 16 or g_size > 10 ** 4:
+        raise BoundError(f"|G| = {g_size} scorers on {n_inputs} inputs is "
+                         "too large to enumerate: at most 2^16 inputs and "
+                         "10^4 scorers")
+
+
 def make_scorer_class(testbed: EnumerableTestbed, g_size: int,
                       seed: int = 0) -> ThresholdScorerClass:
     """Teacher plus |G| scorers: half perturbations of the teacher weights
     (so ERM has genuinely good candidates), half independent draws."""
     _check(g_size=g_size)
+    _check_enumerable(len(testbed.inputs), g_size)
     rng = np.random.default_rng(seed)
     m = testbed.inputs.shape[1]
     w_star = rng.normal(size=m)
@@ -421,8 +431,7 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
     tests/test_bounds.py::test_errors_rows_do_not_depend_on_the_block pins
     the error matrices at criterion 10's shape.
     """
-    if len(testbed.inputs) > 2 ** 16 or g_class.cardinality > 10 ** 4:
-        raise BoundError("testbed or hypothesis class too large to enumerate")
+    _check_enumerable(len(testbed.inputs), g_class.cardinality)
     COUNT.check("a", a, BoundError)
     _check(trials=trials, b_mix=b_mix)
     table = g_class.errors(testbed.inputs)

@@ -215,7 +215,8 @@ def subsample(examples: Sequence[Example], fraction: float,
     FRACTION.check("fraction", fraction, DataError)
     n = int(np.floor(fraction * len(examples)))
     if n == 0:
-        raise DataError("subsample result is empty")
+        raise DataError(f"subsample of fraction {fraction} of "
+                        f"{len(examples)} examples is empty")
     rng = np.random.default_rng(seed)
     keep = np.sort(rng.choice(len(examples), size=n, replace=False))
     return [examples[i] for i in keep]

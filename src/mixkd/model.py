@@ -24,21 +24,22 @@ One encoder layer is written once, over bare numpy arrays:
 the numpy and kernel calls of the autodiff ops (matmul, softmax,
 layer_norm, gelu, dropout, ...) that the layer stands for, so the
 result is bitwise theirs; ``_unfused_forward`` in ``tests/test_model.py``
-keeps that op chain.  A forward in grad mode, or with dropout or under
-``detect_anomaly``, runs the layers in one serial pass, each as one
-autodiff op (``_layer``): one ``Tensor`` and one tape node per layer.
+keeps that op chain.  One loop, ``_encode``, runs every layer over a
+block of samples: grad mode, dropout and ``detect_anomaly`` run it once
+over the whole batch, and in grad mode the stack is one autodiff op
+(``_encoder``): one ``Tensor`` and one tape node per encoder.
 Under ``detect_anomaly`` the layer checks each op result and each VJP
 output in the op chain's order, under the op's name and scope
 (``matmul in teacher/layers.1.ffn``, ``gelu vjp in layers.1.ffn``).
 
 A graph-free forward, one under ``no_grad`` with dropout and
 ``detect_anomaly`` off (``forward_tokens``, the teacher in
-``distill.total_loss``), calls ``_layer_forward`` directly and drops
-what it saved for the backward: it builds one ``Tensor`` for the [CLS]
-rows and one for the logits.  It runs the layers over blocks of
-consecutive samples of at most ``_BLOCK_ROWS`` token rows, so that
-attention's [b,h,T,T] buffers stay in cache.  One with enough encoder
-work (``_splits``: the distill teacher's 4-layer 32x14 query,
+``distill.total_loss``), keeps nothing for a backward: it builds one
+``Tensor`` for the [CLS] rows and one for the logits.  It runs
+``_encode`` over blocks of consecutive samples of at most
+``_BLOCK_ROWS`` token rows, so that attention's [b,h,T,T] buffers stay
+in cache.  One with enough encoder work (``_splits``: the distill
+teacher's 4-layer 32x14 query,
 ``eval_long``'s 32x64 batches), on a process that may use 2 CPUs and
 holds OpenBLAS at one thread, runs the blocks of its two sample halves
 in two threads: the caller's and one long-lived worker's.  The head runs
@@ -69,7 +70,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Tensor
-from .ranges import COUNT, RATE, check_fields, setting
+from .ranges import COUNT, RATE, SEQ_LEN, check_fields, setting
 
 
 class CheckpointError(Exception):
@@ -87,7 +88,7 @@ class ModelConfig:
     num_heads: int = setting(COUNT)
     ffn_dim: int = setting(COUNT)
     vocab_size: int = setting(COUNT)
-    max_seq_len: int = setting(COUNT)
+    max_seq_len: int = setting(SEQ_LEN)
     num_classes: int = setting(COUNT)
     dropout_rate: float = setting(RATE, 0.0)
 
@@ -241,15 +242,11 @@ def embed_batch(params: ModelParams, token_ids: np.ndarray,
 
 
 # the arrays of one encoder layer, named without their ``layers.<i>.``
-# prefix, in ``parameter_shapes`` order: the order of a layer op's
-# parameter inputs and of ``_layer_backward``'s gradients
+# prefix, in ``parameter_shapes`` order: the order of each layer's arrays
+# among the encoder op's inputs and of ``_layer_backward``'s gradients
 _LAYER_PARAMS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "attn.bq",
                  "attn.bv", "attn.bo", "ln1.gain", "ln1.bias", "ffn.w1",
                  "ffn.b1", "ffn.w2", "ffn.b2", "ln2.gain", "ln2.bias")
-
-
-def _layer_tensors(params: ModelParams, i: int) -> list[Tensor]:
-    return [params[f"layers.{i}.{name}"] for name in _LAYER_PARAMS]
 
 
 def _no_check(part, op, *arrays) -> None:
@@ -465,21 +462,36 @@ def _layer_backward(saved: dict, g: np.ndarray):
                 dw2, db2, dgain2, dbias2)
 
 
-def _layer(params: ModelParams, i: int, x2: Tensor, key_bias: np.ndarray,
-           drop: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """Layer ``i`` over the rows tensor ``x2`` as one autodiff op, with
-    inputs x2 and the layer's parameters and the VJP
-    ``_layer_backward``."""
-    cfg = params.config
-    tensors = _layer_tensors(params, i)
-    y, saved = _layer_forward(
-        {name: t.data for name, t in zip(_LAYER_PARAMS, tensors)}, x2.data,
-        key_bias, cfg.num_heads, i, i == cfg.num_layers - 1, drop, rng)
+def _encode(ws: list, x2: np.ndarray, key_bias: np.ndarray, num_heads: int,
+            drop: float, rng: Optional[np.random.Generator],
+            saved: Optional[list]) -> np.ndarray:
+    """Every layer, with arrays ``ws``, over the [b*T,d] rows ``x2`` of b
+    samples -> their [CLS] rows [b,d]; appends each layer's backward
+    state to ``saved`` if it is a list."""
+    for i, w in enumerate(ws):
+        x2, state = _layer_forward(w, x2, key_bias, num_heads, i,
+                                   i == len(ws) - 1, drop, rng)
+        if saved is not None:
+            saved.append(state)
+    return x2
+
+
+def _encoder(params: ModelParams, emb: Tensor, y: np.ndarray,
+             saved: list) -> Tensor:
+    """The [CLS] rows y of the encoder over ``emb`` as one autodiff op on
+    emb and each layer's ``_LAYER_PARAMS``; the VJP runs
+    ``_layer_backward`` over the ``saved`` states in reverse."""
+    tensors = [params[f"layers.{i}.{name}"]
+               for i in range(params.config.num_layers)
+               for name in _LAYER_PARAMS]
 
     def vjp(g):
-        dx, grads = _layer_backward(saved, g)
-        return (dx, *grads)
-    return ad._result(y, (x2, *tensors), vjp)
+        grads = []
+        for state in reversed(saved):
+            g, layer_grads = _layer_backward(state, g)
+            grads[:0] = layer_grads
+        return (g.reshape(emb.shape), *grads)
+    return ad._result(y, (emb, *tensors), vjp)
 
 
 # A forward under no_grad runs the encoder over blocks of at most this many
@@ -529,14 +541,6 @@ if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
     os.register_at_fork(after_in_child=_new_worker)
 
 
-def _graph_free(drop: float) -> bool:
-    """Whether the forward may run its layers over bare arrays, per block
-    and in two threads: grad mode is off, so it builds no graph, it draws
-    no dropout, whose masks follow one generator stream, and anomaly
-    mode, which names the first non-finite op in one order, is off."""
-    return not (ad._grad_enabled.get() or ad._anomaly.get() or drop > 0.0)
-
-
 def _blocks(lo: int, hi: int, T: int) -> list[tuple[int, int]]:
     """Samples [lo, hi) as consecutive (start, stop) blocks of near-equal
     sample counts: k = ceil(rows / _BLOCK_ROWS) of them, but fewer where
@@ -564,11 +568,11 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     the full layer's shapes and cut to the [CLS] rows, so the generator
     stream and the masks of the rows that are kept do not change.
 
-    Grad mode, dropout and ``detect_anomaly`` run the layers in one
-    serial pass over the whole batch, each layer one autodiff op
-    (``_layer``).  A graph-free forward (``no_grad``, with dropout and
-    ``detect_anomaly`` off) runs ``_layer_forward`` over bare arrays and
-    keeps nothing for a backward, over blocks of consecutive samples
+    Grad mode, dropout and ``detect_anomaly`` run ``_encode`` once over
+    the whole batch, and in grad mode the encoder is one autodiff op
+    (``_encoder``).  A graph-free forward (``no_grad``, with dropout and
+    ``detect_anomaly`` off) keeps nothing for a backward and runs
+    ``_encode`` over blocks of consecutive samples
     (``_blocks``): k = ceil(rows / 512) blocks of near-equal sample
     counts, fewer where a block would hold fewer than 2 samples or at
     most 256 rows.  A block's attention scores and softmax then stay in
@@ -593,8 +597,8 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     [CLS] product (a gemv) rounds differently, and, when there are
     several, more than 256 rows, inside the range where the invariance
     was first measured (224-2048 rows).  Both paths run the same
-    ``_layer_forward``, so the graph-free forward is bitwise the serial
-    one; the tests named in the module docstring check this.
+    ``_encode``, so the graph-free forward is bitwise the serial one; the
+    tests named in the module docstring check this.
 
     With ``return_features`` also returns the final-layer [CLS] vectors [n,d].
     """
@@ -610,41 +614,35 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
         raise ValueError("dropout requires an rng in train mode")
     key_bias = np.where(mask, 0.0, -1e9)
 
-    if _graph_free(drop):
-        ws = [{name: t.data for name, t in zip(_LAYER_PARAMS,
-                                               _layer_tensors(params, i))}
-              for i in range(cfg.num_layers)]
+    # grad mode, dropout (one mask stream) and anomaly mode (one order of
+    # checks) run one pass; the rest runs per block, maybe split
+    graph_free = not (ad._grad_enabled.get() or ad._anomaly.get()
+                      or drop > 0.0)
+    ws = [{name: params[f"layers.{i}.{name}"].data for name in _LAYER_PARAMS}
+          for i in range(cfg.num_layers)]
+    saved = None if graph_free else []
 
-        def layers(lo, hi):
-            """The [CLS] rows of the blocks of samples [lo, hi)."""
-            parts = []
-            for a, b in _blocks(lo, hi, T):
-                x2 = emb.data[a:b].reshape((b - a) * T, d)
-                for i, w in enumerate(ws):
-                    x2, _ = _layer_forward(w, x2, key_bias[a:b],
-                                           cfg.num_heads, i,
-                                           i == cfg.num_layers - 1, 0.0, None)
-                parts.append(x2)
-            return parts
+    def layers(lo, hi):
+        """The [CLS] rows of the blocks of samples [lo, hi)."""
+        return [_encode(ws, emb.data[a:b].reshape((b - a) * T, d),
+                        key_bias[a:b], cfg.num_heads, drop, rng, saved)
+                for a, b in (_blocks(lo, hi, T) if graph_free
+                             else [(lo, hi)])]
 
-        if (_splits(n, T, cfg.num_layers) and _blas_one_thread
-                and _cpus() >= 2):
-            half = _worker.submit(contextvars.copy_context().run,
-                                  layers, 0, n // 2)
-            try:
-                rest = layers(n // 2, n)
-            finally:
-                wait([half])
-            parts = half.result() + rest
-        else:
-            parts = layers(0, n)
-        cls = Tensor(parts[0] if len(parts) == 1 else np.concatenate(parts),
-                     _unchecked=True)
+    if (graph_free and _splits(n, T, cfg.num_layers) and _blas_one_thread
+            and _cpus() >= 2):
+        half = _worker.submit(contextvars.copy_context().run,
+                              layers, 0, n // 2)
+        try:
+            rest = layers(n // 2, n)
+        finally:
+            wait([half])
+        parts = half.result() + rest
     else:
-        x2 = ad.reshape(emb, (n * T, d))
-        for i in range(cfg.num_layers):
-            x2 = _layer(params, i, x2, key_bias, drop, rng)
-        cls = x2
+        parts = layers(0, n)
+    y = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    cls = (Tensor(y, _unchecked=True) if graph_free
+           else _encoder(params, emb, y, saved))
     with ad.scope("head"):
         logits = ad.matmul(cls, params["head.weight"], bias=params["head.bias"])
     # the forward's boundary: op results inside it are not checked

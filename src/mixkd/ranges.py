@@ -43,6 +43,8 @@ class Range:
 
 COUNT = Range("an int >= 1", lambda v: v >= 1, integer=True)
 INDEX = Range("an int >= 0", lambda v: v >= 0, integer=True)
+# a sequence holds at least [CLS], one token and [SEP]
+SEQ_LEN = Range("an int >= 3", lambda v: v >= 3, integer=True)
 POSITIVE = Range("finite and positive", lambda v: v > 0)
 NONNEGATIVE = Range("finite and nonnegative", lambda v: v >= 0)
 RATE = Range("in [0, 1)", lambda v: 0 <= v < 1)

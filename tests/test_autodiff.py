@@ -1,6 +1,7 @@
 """Unit tests for the reverse-mode tensor library."""
 
 import contextlib
+import re
 import threading
 
 import numpy as np
@@ -85,8 +86,8 @@ def test_no_grad_forward_builds_no_graph(monkeypatch):
     """A graph-free forward builds three tensors, the embedding, the
     [CLS] rows and the logits, all leaves, at 1 and at 4 layers and in
     one block (2 x 64 tokens) or several (24 x 64).  The graph forward
-    builds num_layers + 3, all with a VJP: the embedding, its reshape,
-    one per layer and the logits; its logits are the same bit for bit."""
+    builds three too, all with a VJP: the embedding, the encoder and the
+    logits; its logits are the same bit for bit."""
     blocks, real = [], model_mod._layer_forward
 
     def counting(w, x2, key_bias, num_heads, i, *args):
@@ -117,7 +118,7 @@ def test_no_grad_forward_builds_no_graph(monkeypatch):
             made.clear()
             graph = forward_from_embeddings(
                 params, embed_batch(params, ids, mask), mask)
-            assert len(made) == num_layers + 3 and made[-1] is graph
+            assert len(made) == 3 and made[-1] is graph
             assert all(t._inputs and t._vjp is not None for t in made)
             assert np.array_equal(logits.data, graph.data)
 
@@ -370,6 +371,39 @@ def test_matmul_batched_matches_loop(rng):
     out = ad.matmul(a, b)
     expected = np.stack([a.data[i] @ b.data[i] for i in range(5)])
     np.testing.assert_allclose(out.data, expected)
+
+
+def test_tensor_repr():
+    assert (repr(Tensor(np.zeros((2, 3)), requires_grad=True))
+            == "Tensor(shape=(2, 3), requires_grad=True)")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ad.gather_rows(leaf(np.ones((3, 2))), np.zeros((1, 1))),
+     ShapeError, "gather_rows expects 1-D ids, got shape (1, 1)"),
+    (lambda: ad.add_bias(leaf(np.ones((2, 3))), leaf(np.ones(2))),
+     ShapeError, "add_bias: x (2, 3) vs bias (2,)"),
+    (lambda: ad.matmul(leaf(np.ones(3)), leaf(np.ones((3, 2)))),
+     ShapeError, "matmul needs >=2-D operands, got (3,) x (3, 2)"),
+    (lambda: ad.layer_norm(leaf(np.ones((2, 3))), leaf(np.ones(2)),
+                           leaf(np.zeros(3))),
+     ShapeError, "layer_norm: gain (2,) / bias (3,) vs last axis 3"),
+    (lambda: ad.cross_entropy(leaf(np.full((2, 2), 0.5)),
+                              constant(np.eye(3)[:2])),
+     ShapeError, "cross_entropy: probs (2, 2) vs targets (2, 3)"),
+    (lambda: ad.cross_entropy(leaf(np.full(2, 0.5)),
+                              constant(np.full(2, 0.5))),
+     ShapeError, "cross_entropy expects 2-D inputs, got (2,)"),
+    (lambda: ad.mse(leaf(np.ones(2)), leaf(np.ones(3))),
+     ShapeError, "mse: shapes (2,) and (3,) differ"),
+    (lambda: finite_diff_check(ad.tsum, leaf(np.ones(2)), h=0.0),
+     AutodiffError, "finite_diff_check requires h > 0"),
+], ids=["gather_rows_2d_ids", "add_bias_width", "matmul_1d", "layer_norm_gain",
+        "cross_entropy_targets", "cross_entropy_1d", "mse_shapes",
+        "finite_diff_h"])
+def test_ops_name_the_bad_argument(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_matmul_shape_errors(rng):

@@ -178,6 +178,22 @@ def test_distill_with_fraction(teacher_ckpt, workspace):
     assert code == 0
 
 
+def test_exit_code_fraction_keeps_no_example(teacher_ckpt, workspace,
+                                            tmp_path, capsys):
+    """floor(0.01 * 96) = 0 training examples: the message gives the
+    fraction and the row count."""
+    code = main(["distill", "--config", str(workspace / "student.cfg"),
+                 "--teacher", str(teacher_ckpt),
+                 "--variant", "ft", "--fraction", "0.01",
+                 "--data", str(workspace / "train.tsv"),
+                 "--out", str(tmp_path / "s.ckpt")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error (DataError): subsample of fraction 0.01 of 96 examples is "
+        "empty\n")
+    assert not (tmp_path / "s.ckpt").exists()
+
+
 def test_export_embeddings(teacher_ckpt, workspace, capsys):
     out = workspace / "feats.csv"
     code = main(["export-embeddings", "--model", str(teacher_ckpt),
@@ -354,6 +370,15 @@ def test_exit_code_header_only_tsv(teacher_ckpt, workspace, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "DataError" in err and str(empty) in err
+
+
+def test_exit_code_empty_tsv(teacher_ckpt, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    assert main(["eval", "--model", str(teacher_ckpt),
+                 "--data", str(empty)]) == 2
+    assert capsys.readouterr().err == (f"error (DataError): {empty}: "
+                                       "empty file\n")
 
 
 def test_exit_code_tsv_row_missing_label(workspace, tmp_path, capsys):
@@ -576,10 +601,11 @@ def _set_config(key, value):
     (_set_config("num_layers", True),
      "num_layers must be an int >= 1, got True"),
     (_set_config("max_seq_len", 14.0),
-     "max_seq_len must be an int >= 1, got 14.0"),
+     "max_seq_len must be an int >= 3, got 14.0"),
+    (_set_config("max_seq_len", 2), "max_seq_len must be an int >= 3, got 2"),
 ], ids=["missing_config_field", "missing_arrays", "duplicate_array",
         "odd_byte_count", "missing_digest", "fractional_depth", "nan_depth",
-        "bool_depth", "float_length"])
+        "bool_depth", "float_length", "short_length"])
 def test_exit_code_bad_manifest(edit, needle, teacher_ckpt, workspace,
                                 tmp_path, capsys):
     raw = teacher_ckpt.read_bytes()
@@ -838,6 +864,18 @@ def test_exit_code_bound_verify_sizes(argv, name, capsys):
     assert captured.out == ""
 
 
+def test_exit_code_bound_verify_class_too_large(monkeypatch, capsys):
+    """|G| above 10^4 fails before any scorer is built."""
+    monkeypatch.setattr(cli_mod.bounds_mod, "ThresholdScorerClass", None)
+    assert main(["bound", "verify", "--g-size", "10001", "--a", "10",
+                 "--trials", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error (BoundError): |G| = 10001 scorers on 1024 inputs is too "
+        "large to enumerate: at most 2^16 inputs and 10^4 scorers\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag, path, code, error", [
     ("--config", "nowhere.cfg", 6, "ConfigError"),
     ("--data", "nowhere.tsv", 2, "DataError"),
@@ -884,14 +922,17 @@ def test_exit_code_missing_file(flag, path, code, error, teacher_ckpt,
      "model.ffn_dim, model.max_seq_len\n"),
     ("train-teacher", "", "model.num_heads=3",
      "hidden_dim 16 not divisible by num_heads 3"),
+    ("train-teacher", "", "model.max_seq_len=2",
+     "model.max_seq_len must be an int >= 3, got 2\n"),
     ("distill", "", "model.dropout_rate=1.5",
      "model.dropout_rate must be in [0, 1), got 1.5"),
     ("distill", "model.num_layers", "", "must set model.num_layers"),
     ("distill", "", "model.num_layers=5", "student depth 5 exceeds teacher 2"),
     ("distill", "", "model.hidden_dim=32", "teacher/student hidden_dim differ"),
 ], ids=["no_hidden_dim", "no_max_seq_len", "no_model_keys",
-        "indivisible_heads", "student_dropout", "student_no_depth",
-        "student_deeper_than_teacher", "student_other_width"])
+        "indivisible_heads", "short_max_seq_len", "student_dropout",
+        "student_no_depth", "student_deeper_than_teacher",
+        "student_other_width"])
 def test_exit_code_model_keys(command, drop, add, needle, teacher_ckpt,
                               workspace, tmp_path, capsys):
     source = workspace / ("teacher.cfg" if command == "train-teacher"

@@ -1,6 +1,7 @@
 """Corpus loading, vocabulary, encoding, batching, subsampling."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -292,3 +293,25 @@ def test_each_text_is_tokenized_once_per_max_len(small_task, monkeypatch):
     for _ in range(2):  # another max_len is another encoding
         make_batch(examples, vocab, small_task.max_len - 2, 2)
     assert sorted(calls) == sorted(texts * 2)
+
+
+# two rows of 3 tokens, the first padded
+_IDS = np.array([[CLS_ID, 5, PAD_ID], [CLS_ID, 6, 7]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_vocab([]), "cannot build vocabulary from an empty corpus"),
+    (lambda: encode(build_vocab([Example("a b", 0)]), Example("a b", 0), 2),
+     "max_len must be at least 3"),
+    (lambda: Batch(_IDS, (_IDS != PAD_ID)[:, :2], np.eye(2)),
+     "pad_mask shape mismatch"),
+    (lambda: Batch(_IDS, _IDS != PAD_ID, np.eye(2)[:1]),
+     "labels row count mismatch"),
+    (lambda: make_batch([Example("a", 2)], build_vocab([Example("a", 0)]),
+                        4, 2),
+     "label_id 2 >= num_classes 2"),
+], ids=["empty_corpus", "short_max_len", "mask_shape", "label_rows",
+        "label_id_past_classes"])
+def test_direct_callers_get_a_data_error(call, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -665,3 +666,18 @@ def test_sweep_grid_records_a_failed_cell_and_goes_on(monkeypatch):
 
 def test_format_mean_std():
     assert format_mean_std(0.9118, 0.0042) == "91.18±0.42"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: loss_tmkd(constant(np.zeros((2, 3))), constant(np.zeros((2, 4))),
+                       LossWeights()),
+     ad.ShapeError, "loss_tmkd: (2, 3) vs (2, 4)"),
+    (lambda: distill.RunRecord(seed=0, variant="ft").log_step(
+        3, total=1.0, mle=0.5, sm=0.25, tmkd=0.25, alpha_sm=1.0,
+        alpha_tmkd=1.0 + 1e-6),
+     AssertionError, "loss components do not recombine at step 3: 1.0 vs "
+     "1.00000025"),
+], ids=["tmkd_shapes", "log_step_recombination"])
+def test_loss_parts_are_checked(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -238,6 +238,9 @@ def test_mix_batch_shape_errors(rng):
     with pytest.raises(MixupError):
         mix_batch(ei, constant(rng.normal(size=(4, 5, 4))), mi, mj, li, lj,
                   np.ones(4))
+    for mask_j, labels_j in ((mj[:, :-1], lj), (mj, np.eye(3)[:4])):
+        with pytest.raises(MixupError, match="^mask or label shapes differ$"):
+            mix_batch(ei, ej, mi, mask_j, li, labels_j, np.ones(4))
 
 
 def test_materialize_matches_manual(rng):

@@ -281,7 +281,9 @@ def _unfused_forward(params, emb, pad_mask, train_mode=False, rng=None,
     rows only and draws its dropout masks at the full layer's shapes, as
     forward_from_embeddings does, which must match it bit for bit.  Without
     it every layer computes all n*T rows and the head selects [CLS]: the
-    full-last-layer chain, equal to the model in real arithmetic."""
+    full-last-layer chain, equal to the model in real arithmetic.  Its ops
+    run in the model's scopes, so ``detect_anomaly`` names them as the
+    model names the ops it fuses."""
     cfg = params.config
     n, T, d = emb.shape
     h, hd = cfg.num_heads, d // cfg.num_heads
@@ -296,7 +298,6 @@ def _unfused_forward(params, emb, pad_mask, train_mode=False, rng=None,
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
         cut = cls_only_last and i == cfg.num_layers - 1
-        xq = ad.select_index(ad.reshape(x2, (n, T, d)), 0) if cut else x2
         tq = 1 if cut else T
 
         def heads(name, src, rows):
@@ -308,25 +309,33 @@ def _unfused_forward(params, emb, pad_mask, train_mode=False, rng=None,
             return ad.dropout(x, drop, rng,
                               draw_shape=full_shape if cut else None)
 
-        q, k, v = heads("q", xq, tq), heads("k", x2, T), heads("v", x2, T)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                          1.0 / math.sqrt(hd))
-        attn_bias = ad.constant(
-            np.broadcast_to(bias_row[:, None, None, :], (n, h, tq, T)).copy())
-        attn = dropout(ad.softmax(ad.add(scores, attn_bias)), (n, h, T, T))
-        ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)),
-                         (n * tq, d))
-        proj = dropout(linear(ctx, f"{p}.attn.wo", f"{p}.attn.bo"), (n, T, d))
-        x2 = ad.layer_norm(ad.add(xq, proj),
-                           params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        ff = linear(ad.gelu(linear(x2, f"{p}.ffn.w1", f"{p}.ffn.b1")),
-                    f"{p}.ffn.w2", f"{p}.ffn.b2")
-        ff = dropout(ff, (n, T, d))
-        x2 = ad.layer_norm(ad.add(x2, ff),
-                           params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
+        with ad.scope(f"{p}.attn"):
+            xq = ad.select_index(ad.reshape(x2, (n, T, d)), 0) if cut else x2
+            q, k, v = heads("q", xq, tq), heads("k", x2, T), heads("v", x2, T)
+            scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
+                              1.0 / math.sqrt(hd))
+            attn_bias = ad.constant(np.broadcast_to(
+                bias_row[:, None, None, :], (n, h, tq, T)).copy())
+            attn = dropout(ad.softmax(ad.add(scores, attn_bias)),
+                           (n, h, T, T))
+            ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)),
+                             (n * tq, d))
+            proj = dropout(linear(ctx, f"{p}.attn.wo", f"{p}.attn.bo"),
+                           (n, T, d))
+        with ad.scope(f"{p}.ln1"):
+            x2 = ad.layer_norm(ad.add(xq, proj), params[f"{p}.ln1.gain"],
+                               params[f"{p}.ln1.bias"])
+        with ad.scope(f"{p}.ffn"):
+            ff = linear(ad.gelu(linear(x2, f"{p}.ffn.w1", f"{p}.ffn.b1")),
+                        f"{p}.ffn.w2", f"{p}.ffn.b2")
+            ff = dropout(ff, (n, T, d))
+        with ad.scope(f"{p}.ln2"):
+            x2 = ad.layer_norm(ad.add(x2, ff), params[f"{p}.ln2.gain"],
+                               params[f"{p}.ln2.bias"])
     cls = x2 if cls_only_last else ad.select_index(
         ad.reshape(x2, (n, T, d)), 0)
-    return linear(cls, "head.weight", "head.bias")
+    with ad.scope("head"):
+        return linear(cls, "head.weight", "head.bias")
 
 
 def _bench_shape(dropout_rate=0.0, hidden_dim=64):
@@ -379,12 +388,12 @@ def _non_leaf_tape_nodes(loss):
     return sum(node._vjp is not None for node in ad.Tape(loss).nodes)
 
 
-def test_graph_forward_records_one_tape_node_per_layer():
-    """Each encoder layer is one autodiff op: a graph forward and loss
-    of 4 layers records exactly 3 more non-leaf tape nodes than one of 1
+def test_graph_forward_records_one_tape_node_per_encoder():
+    """The whole encoder stack is one autodiff op: a graph forward and
+    loss of 4 layers records as many non-leaf tape nodes as one of 1
     layer, and a ``teacher_ft`` step (``ft``'s loss of the 4-layer model
-    at batch 32, T = 14, with dropout) records 9: the embedding, its
-    reshape, 4 layers, the head, the softmax and the cross-entropy."""
+    at batch 32, T = 14, with dropout) records 5: the embedding, the
+    encoder, the head, the softmax and the cross-entropy."""
     params, ids, mask = _bench_shape()
     labels = np.eye(3)[np.arange(len(ids)) % 3]
     nodes = {}
@@ -395,14 +404,14 @@ def test_graph_forward_records_one_tape_node_per_layer():
                                          mask)
         nodes[num_layers] = _non_leaf_tape_nodes(
             ad.cross_entropy(ad.softmax(logits), ad.constant(labels)))
-    assert nodes[4] - nodes[1] == 3
+    assert nodes[4] == nodes[1]
     params = ModelParams(dataclasses.replace(params.config, dropout_rate=0.1),
                          params.arrays)
     loss, _ = distill.total_loss(Batch(ids, mask, labels), [], None, params,
                                  distill.LossWeights(), variant="ft",
                                  train_mode=True,
                                  rng=np.random.default_rng(0))
-    assert _non_leaf_tape_nodes(loss) == 9
+    assert _non_leaf_tape_nodes(loss) == 5
 
 
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
@@ -579,43 +588,24 @@ def test_split_forward_bitwise_equals_graph_forward(n, T, hidden_dim,
 
 
 def _layer_calls(monkeypatch):
-    """(function, thread name, samples, layer) of every call of the
-    autodiff layer op ``_layer`` and of ``_layer_forward``, which that op
-    and the blocked graph-free path call, from now on."""
-    calls = []
-
-    def spy(fn, key_bias, i):
-        calls.append((fn, threading.current_thread().name,
-                      key_bias.shape[0], i))
-
-    real_op, real_forward = model_mod._layer, model_mod._layer_forward
-
-    def op(params, i, x2, key_bias, *args):
-        spy("_layer", key_bias, i)
-        return real_op(params, i, x2, key_bias, *args)
+    """(thread name, samples, layer) of every call of ``_layer_forward``,
+    which every encoder pass runs, from now on."""
+    calls, real = [], model_mod._layer_forward
 
     def forward(w, x2, key_bias, num_heads, i, *args):
-        spy("_layer_forward", key_bias, i)
-        return real_forward(w, x2, key_bias, num_heads, i, *args)
-    monkeypatch.setattr(model_mod, "_layer", op)
+        calls.append((threading.current_thread().name, key_bias.shape[0], i))
+        return real(w, x2, key_bias, num_heads, i, *args)
     monkeypatch.setattr(model_mod, "_layer_forward", forward)
     return calls
 
 
-def _per_thread(calls, encoder, num_layers=4):
+def _per_thread(calls, num_layers=4):
     """The sample counts of the encoder passes (one per block) that ran
-    in the calling thread and in the worker; raises unless every layer
-    ran through ``encoder`` (``_layer``, the autodiff op, or bare
-    ``_layer_forward``) and each pass ran layers 0, 1, ... in order on one
-    block."""
-    ops = [c for c in calls if c[0] == "_layer"]
-    forwards = [c for c in calls if c[0] == "_layer_forward"]
-    assert [c[1:] for c in ops] == ([c[1:] for c in forwards]
-                                    if encoder == "_layer" else [])
+    in the calling thread and in the worker; raises unless each pass ran
+    layers 0, 1, ... in order on one block."""
     counts = []
     for main in (True, False):
-        mine = [(b, i) for _, who, b, i in forwards
-                if (who == "MainThread") == main]
+        mine = [(b, i) for who, b, i in calls if (who == "MainThread") == main]
         passes = [mine[k:k + num_layers]
                   for k in range(0, len(mine), num_layers)]
         for one in passes:
@@ -625,24 +615,23 @@ def _per_thread(calls, encoder, num_layers=4):
     return tuple(counts)
 
 
-# the function each layer ran through, and the blocks' sample counts in
-# the calling thread and in the worker: grad mode, dropout and anomaly
-# mode run one serial pass of the autodiff layer op ``_layer``
+# the blocks' sample counts in the calling thread and in the worker:
+# grad mode, dropout and anomaly mode run one pass over every sample
 BLOCKS = {
-    "no_grad": ("_layer_forward", [2], [2]),  # 4 x 256: two 512-row halves
-    "graph": ("_layer", [4], []),       # one serial pass over every sample
-    "frozen": ("_layer", [4], []),
-    "dropout": ("_layer", [4], []),
-    "anomaly": ("_layer", [4], []),
-    "3_samples": ("_layer_forward", [3], []),  # no 2-sample halves
-    "448_rows": ("_layer_forward", [16], [16]),  # two 224-row halves
-    "224_rows": ("_layer_forward", [16], []),
-    "8x64": ("_layer_forward", [4], [4]),
-    "one_layer": ("_layer_forward", [8, 8, 8, 8], []),
-    "one_cpu": ("_layer_forward", [2, 2], []),  # the halves' blocks, in order
-    "eval_long": ("_layer_forward", [8, 8], [8, 8]),
-    "eval_long_one_cpu": ("_layer_forward", [8, 8, 8, 8], []),
-    "eval_long_blas_threads": ("_layer_forward", [8, 8, 8, 8], []),
+    "no_grad": ([2], [2]),  # 4 x 256: two 512-row halves
+    "graph": ([4], []),
+    "frozen": ([4], []),
+    "dropout": ([4], []),
+    "anomaly": ([4], []),
+    "3_samples": ([3], []),  # no 2-sample halves
+    "448_rows": ([16], [16]),  # two 224-row halves
+    "224_rows": ([16], []),
+    "8x64": ([4], [4]),
+    "one_layer": ([8, 8, 8, 8], []),
+    "one_cpu": ([2, 2], []),  # the halves' blocks, in order
+    "eval_long": ([8, 8], [8, 8]),
+    "eval_long_one_cpu": ([8, 8, 8, 8], []),
+    "eval_long_blas_threads": ([8, 8, 8, 8], []),
 }
 
 
@@ -692,8 +681,7 @@ def test_split_runs_only_where_it_pays(case, splits, monkeypatch):
                                 train_mode=True,
                                 rng=np.random.default_rng(0))
     assert _split(threads) == splits
-    encoder, main, worker = BLOCKS[case]
-    assert _per_thread(blocks, encoder, num_layers) == (main, worker)
+    assert _per_thread(blocks, num_layers) == BLOCKS[case]
 
 
 @pytest.mark.parametrize("n,T,hidden_dim,cpus,main,worker", [
@@ -715,7 +703,7 @@ def test_blocked_forward_bitwise_equals_graph_forward(n, T, hidden_dim, cpus,
         blocked, blocked_feats = forward_from_embeddings(
             params, embed_batch(params, ids, mask), mask,
             return_features=True)
-    assert _per_thread(blocks, "_layer_forward") == (main, worker)
+    assert _per_thread(blocks) == (main, worker)
     assert np.array_equal(blocked.data, graph.data)
     assert np.array_equal(blocked_feats.data, graph_feats.data)
 
@@ -828,13 +816,14 @@ def test_anomaly_names_the_op_an_inf_parameter_reaches(name, where, grad_mode,
             forward_from_embeddings(params, emb, mask)
 
 
-def _anomaly_backward(params, ids, mask, loss_scale=1.0):
-    """A train-mode graph forward in scope "s" and a backward of the
+def _anomaly_backward(params, ids, mask, loss_scale=1.0,
+                      forward=forward_from_embeddings):
+    """A train-mode graph ``forward`` in scope "s" and a backward of the
     logits' sum times ``loss_scale``, under detect_anomaly; the message
     of the NonFiniteError the backward raises."""
     with ad.detect_anomaly(), np.errstate(all="ignore"):
         with ad.scope("s"):
-            logits = forward_from_embeddings(
+            logits = forward(
                 params, embed_batch(params, ids, mask), mask,
                 train_mode=True, rng=np.random.default_rng(0))
         with pytest.raises(ad.NonFiniteError) as info:
@@ -885,6 +874,34 @@ def test_anomaly_names_the_dropout_vjp(name, where, tiny_config):
     ids, mask = _toy_batch(tiny_config, [6, 4, 5])
     assert (_anomaly_backward(params, ids, mask, loss_scale=1e200)
             == f"first non-finite: {where}")
+
+
+@pytest.mark.parametrize("layer,loss_scale,fused,op_chain", [
+    (1, 3.4e307, "layer_norm vjp in s/layers.0.ln2",
+     "layer_norm vjp in s/layers.0.ln2"),
+    (0, 4e307, "_encoder vjp in s", "reshape vjp in s"),
+])
+def test_anomaly_names_the_vjp_that_reads_a_residual_sum(
+        layer, loss_scale, fused, op_chain, tiny_config):
+    """The gradient of a layer's input is the sum of its residual, q, k
+    and v parts.  Large attention weights in ``layer`` and a loss scale
+    inside a window make each part finite and their sum overflow.  For
+    layer 1, the op chain and the encoder op both name the next VJP that
+    reads the sum, layer 0's ln2 layer norm.  Layer 0's sum is the
+    encoder op's own embedding gradient, which it names; the op chain
+    names its reshape of the embedding."""
+    params = init_random(tiny_config, seed=0)
+    for name in ("wq", "wk", "wv", "wo"):
+        params[f"layers.{layer}.attn.{name}"].data *= (
+            10.0 if (layer, name) == (1, "wo") else 1000.0)
+    if layer == 1:  # small inputs keep layer 1's weight gradients small
+        params["layers.0.ln2.gain"].data *= 0.01
+    ids, mask = _toy_batch(tiny_config, [6, 4, 5])
+    assert (_anomaly_backward(params, ids, mask, loss_scale)
+            == f"first non-finite: {fused}")
+    assert (_anomaly_backward(params, ids, mask, loss_scale,
+                              forward=_unfused_forward)
+            == f"first non-finite: {op_chain}")
 
 
 @pytest.mark.parametrize("worker_fails", [True, False])
