@@ -472,19 +472,16 @@ def softmax(x: Tensor, scale: Optional[float] = None,
                    lambda g, p=p: (kernels.softmax_backward(p, g, scale),))
 
 
-_LAYER_NORM_EPS = 1e-5
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance (the
-    variance plus 1e-5 under the square root), then affine."""
+    variance plus ``kernels``' epsilon, 1e-5, under the square root), then
+    affine."""
     k = x.shape[-1]
     if gain.shape != (k,) or bias.shape != (k,):
         raise ShapeError(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} vs last axis {k}")
     out_rows, xhat, inv_std = kernels.layernorm_rows(
-        np.ascontiguousarray(x.data.reshape(-1, k)), gain.data, bias.data,
-        _LAYER_NORM_EPS)
+        np.ascontiguousarray(x.data.reshape(-1, k)), gain.data, bias.data)
 
     def vjp(g, xhat=xhat, inv_std=inv_std, gd=gain.data, k=k, shape=x.shape):
         dx, dgain, dbias = kernels.layernorm_rows_backward(
@@ -495,10 +492,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    out = kernels.gelu_forward(np.ascontiguousarray(x.data))
-    return _result(out, (x,),
-                   lambda g, xd=x.data: (kernels.gelu_backward(
-                       np.ascontiguousarray(xd), np.ascontiguousarray(g)),))
+    return _result(kernels.gelu_forward(x.data), (x,),
+                   lambda g, xd=x.data: (kernels.gelu_backward(xd, g),))
 
 
 # ---------------------------------------------------------------------------

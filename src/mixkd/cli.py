@@ -75,6 +75,8 @@ BOUND_CALCULATORS = {
                ("--m", "--delta", "--a", "--b-mix", "--trials", "--g-size",
                 "--n-bits", "--seed")),
 }
+# the calculators that need a >= 1, and so take --a with no default
+BOUND_NEED_A = ("thm3", "verify")
 GRID_KEYS = {"alpha_sm_values": float, "alpha_tmkd_values": float,
              "mixup_ratio_values": int}
 
@@ -441,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = calculators.add_parser(which)
         for flag in flags:
             convert, default = BOUND_FLAGS[flag]
-            p.add_argument(flag, type=convert, default=default)
+            p.add_argument(flag, type=convert, default=default,
+                           required=flag == "--a" and which in BOUND_NEED_A)
         p.add_argument("--out", default=None)
         p.set_defaults(func=cmd_bound)
 

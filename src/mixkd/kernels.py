@@ -1,10 +1,12 @@
 """Hot numeric kernels: tanh-form GELU, row softmax and row layer norm,
 each forward and backward.
 
-All kernels take and return contiguous float64 arrays and are shape-dumb:
-callers reshape to 2-D (rows x features) before dispatching, except that
+The row kernels take and return contiguous float64 arrays and are
+shape-dumb: callers reshape to 2-D (rows x features) before dispatching.
+GELU is elementwise and takes an array of any shape and layout, and
 ``softmax_backward`` works over the last axis of any shape, as the
-softmax of ``autodiff`` does.
+softmax of ``autodiff`` does.  Layer norm's epsilon, 1e-5, is the
+kernel's own constant.
 
 Each kernel allocates as few arrays as it can and works on them in place
 (``*=``, ``+=``, ``out=``), but performs exactly the floating-point
@@ -25,13 +27,8 @@ import numpy as np
 _GELU_C = 0.044715
 _GELU_3C = 3.0 * _GELU_C
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-# GELU runs over blocks of this many elements (128 KB of float64), so its
-# eight elementwise passes reuse a block from cache instead of streaming
-# whole arrays.  On a 2 MB-L2 Xeon (numpy 2.4.6, interleaved) that is 2.6x
-# (forward) and 2.0x (backward) faster at eval_long's [2048, 128]; an
-# array that fits in L2 whole, [448, 128], runs at 0.8x / 1.0x, within
-# the noise of a whole training step
-_GELU_BLOCK = 16384
+# added to the variance under layer norm's square root
+_LAYER_NORM_EPS = 1e-5
 
 
 def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -47,42 +44,33 @@ def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def gelu_forward(x: np.ndarray) -> np.ndarray:
     """0.5 * x * (1 + tanh(sqrt(2/pi) * (x + c * x * x * x)))."""
     out = np.empty(x.shape)
-    xf, of = x.reshape(-1), out.reshape(-1)
-    t = np.empty(min(_GELU_BLOCK, xf.size))
-    for s in range(0, xf.size, _GELU_BLOCK):
-        xb, ob = xf[s:s + _GELU_BLOCK], of[s:s + _GELU_BLOCK]
-        tb = _gelu_tanh(xb, t[:xb.size])
-        tb += 1.0
-        np.multiply(0.5, xb, out=ob)
-        ob *= tb
+    t = _gelu_tanh(x, np.empty(x.shape))
+    t += 1.0
+    np.multiply(0.5, x, out=out)
+    out *= t
     return out
 
 
 def gelu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """grad_out * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du), where t is
     the tanh above and du = sqrt(2/pi) * (1 + 3c * x * x)."""
-    out = np.empty(x.shape)
-    xf, gf, of = x.reshape(-1), grad_out.reshape(-1), out.reshape(-1)
-    tmp_buf = np.empty(min(_GELU_BLOCK, xf.size))
-    slope_buf = np.empty_like(tmp_buf)
-    for s in range(0, xf.size, _GELU_BLOCK):
-        xb = xf[s:s + _GELU_BLOCK]
-        tmp, slope = tmp_buf[:xb.size], slope_buf[:xb.size]
-        t = _gelu_tanh(xb, of[s:s + _GELU_BLOCK])
-        np.multiply(t, t, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        np.multiply(0.5, xb, out=slope)
-        slope *= tmp
-        np.multiply(_GELU_3C, xb, out=tmp)
-        tmp *= xb
-        tmp += 1.0
-        tmp *= _SQRT_2_OVER_PI
-        slope *= tmp
-        t += 1.0
-        t *= 0.5
-        t += slope
-        t *= gf[s:s + _GELU_BLOCK]
-    return out
+    tmp = np.empty(x.shape)
+    slope = np.empty(x.shape)
+    t = _gelu_tanh(x, np.empty(x.shape))
+    np.multiply(t, t, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    np.multiply(0.5, x, out=slope)
+    slope *= tmp
+    np.multiply(_GELU_3C, x, out=tmp)
+    tmp *= x
+    tmp += 1.0
+    tmp *= _SQRT_2_OVER_PI
+    slope *= tmp
+    t += 1.0
+    t *= 0.5
+    t += slope
+    t *= grad_out
+    return t
 
 
 def softmax_rows(x: np.ndarray,
@@ -100,15 +88,15 @@ def softmax_rows(x: np.ndarray,
     return e
 
 
-def layernorm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                   eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def layernorm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (out, xhat, inv_std) for xhat = (x - mean) * inv_std,
-    inv_std = 1 / sqrt(mean((x - mean) ** 2) + eps) and
+    inv_std = 1 / sqrt(mean((x - mean) ** 2) + 1e-5) and
     out = xhat * gain + bias; xhat and inv_std feed the backward pass."""
     xhat = x - x.mean(axis=1, keepdims=True)
     out = np.square(xhat)
     inv_std = out.mean(axis=1, keepdims=True)
-    inv_std += eps
+    inv_std += _LAYER_NORM_EPS
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std

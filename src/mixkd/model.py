@@ -333,7 +333,7 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     def layer_norm(part, y):
         """Saves xhat and 1/std as ``part``."""
         out, xhat, inv_std = kernels.layernorm_rows(
-            y, w[f"{part}.gain"], w[f"{part}.bias"], ad._LAYER_NORM_EPS)
+            y, w[f"{part}.gain"], w[f"{part}.bias"])
         check(part, "layer_norm", out)
         save(**{part: (xhat, inv_std)})
         return out
@@ -495,9 +495,12 @@ def _encoder(params: ModelParams, emb: Tensor, y: np.ndarray,
 
 
 # A forward under no_grad runs the encoder over blocks of at most this many
-# token rows.  At eval_long's T=64 a 512-row block keeps attention's
-# [8,4,64,64] scores (1 MB) in a 2 MB L2; 256-row blocks were slower in a
-# two-thread eval_long forward.
+# token rows, the one cache policy of the forward: the kernels run over
+# whatever array they are handed.  At eval_long's T=64 a 512-row block
+# keeps both attention's [8,4,64,64] scores (1 MB) and the FFN's [512,128]
+# activations (0.5 MB) in a 2 MB L2, so the softmax and GELU's elementwise
+# passes reuse them from cache; 256-row blocks were slower in a two-thread
+# eval_long forward.
 # A batch of at least 4 samples whose layers before the last hold two
 # blocks' token rows between them (``_splits``) also runs its two sample
 # halves in two threads: numpy and BLAS release the GIL

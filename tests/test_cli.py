@@ -342,6 +342,22 @@ def test_bound_calculators(capsys):
     assert json.loads(capsys.readouterr().out)["required_b"] == 199
 
 
+@pytest.mark.parametrize("which", sorted(cli_mod.BOUND_CALCULATORS))
+def test_bound_calculator_runs_on_its_defaults(which, capsys):
+    """No calculator fails on its own defaults: one whose a must be >= 1
+    has no --a default and says the flag is required; every other one
+    succeeds."""
+    code = main(["bound", which])
+    captured = capsys.readouterr()
+    if which in cli_mod.BOUND_NEED_A:
+        assert code == 6
+        assert captured.err == (f"error (ConfigError): mixkd bound {which}: "
+                                "the following arguments are required: --a\n")
+    else:
+        assert code == 0
+        assert json.loads(captured.out)
+
+
 def test_bound_verify(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["bound", "verify", "--a", "50", "--b-mix", "10",
@@ -858,7 +874,7 @@ def test_exit_code_bound_error(capsys):
     (["verify", "--n-bits", "0"], "n_bits"),  # was a 0-feature testbed
 ], ids=["negative_g_size", "zero_g_size", "negative_n_bits", "zero_n_bits"])
 def test_exit_code_bound_verify_sizes(argv, name, capsys):
-    assert main(["bound"] + argv + ["--trials", "1"]) == 4
+    assert main(["bound"] + argv + ["--a", "10", "--trials", "1"]) == 4
     captured = capsys.readouterr()
     assert f"BoundError): {name} must be an int >= 1" in captured.err
     assert captured.out == ""
@@ -1140,8 +1156,9 @@ def test_help_exits_0(argv, capsys):
      "--g-cardinality 5 --n-bits 3"),
     (["hoeffding", "--a", "10"], "--a 10"),
     (["thm1", "--lipschitz", "2"], "--lipschitz 2"),
-    (["thm3", "--m", "2"], "--m 2"),
-    (["verify", "--n", "5"], "--n 5"),  # not an abbreviation of --n-bits
+    (["thm3", "--a", "10", "--m", "2"], "--m 2"),
+    # not an abbreviation of --n-bits
+    (["verify", "--a", "10", "--n", "5"], "--n 5"),
 ], ids=["verify", "thm2", "hoeffding", "thm1", "thm3", "verify_prefix"])
 def test_bound_rejects_flags_its_calculator_does_not_read(argv, flags,
                                                           capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixkd import kernels
 
@@ -48,7 +50,7 @@ def test_layernorm_rows_reference(rng):
     x = rng.normal(size=(11, 16)) * 2.0 + 3.0
     gain = rng.normal(size=16) + 1.0
     bias = rng.normal(size=16)
-    out, xhat, inv_std = kernels.layernorm_rows(x, gain, bias, 1e-5)
+    out, xhat, inv_std = kernels.layernorm_rows(x, gain, bias)
     np.testing.assert_allclose(xhat, (x - x.mean(axis=1, keepdims=True))
                                * inv_std)
     np.testing.assert_allclose(xhat.mean(axis=1), 0.0, atol=1e-10)
@@ -65,8 +67,8 @@ def test_layernorm_rows_reference(rng):
 # ---------------------------------------------------------------------------
 # The kernels work in place; these are the one-expression formulas they
 # replace, operation for operation.  Shapes: train attention, eval_long
-# attention, an FFN activation, a single element, the eval_long FFN
-# activation, and one GELU block plus a ragged last block of one element.
+# attention, an FFN activation, a single element, the FFN activation of a
+# whole eval_long batch, and a wide array of an odd element count.
 
 BITWISE_SHAPES = [(1792, 14), (8192, 64), (448, 128), (1, 1), (2048, 128),
                   (5, 3277)]
@@ -174,7 +176,7 @@ def test_layernorm_rows_bitwise(wide, rng):
     x, x0 = wide
     k = x.shape[1]
     gain, bias = rng.normal(size=k) + 1.0, rng.normal(size=k)
-    for got, want in zip(kernels.layernorm_rows(x, gain, bias, 1e-5),
+    for got, want in zip(kernels.layernorm_rows(x, gain, bias),
                          layernorm_rows_formula(x0, gain, bias, 1e-5)):
         _bitwise(got, want)
     _bitwise(x, x0)
@@ -218,4 +220,40 @@ def test_layernorm_rows_backward_bitwise(wide, rng):
                          layernorm_rows_backward_formula(*before)):
         _bitwise(got, want)
     for a, a0 in zip(args, before):
+        _bitwise(a, a0)
+
+
+def _layout(x, transposed):
+    """x itself, or x's values in a transposed, non-contiguous view."""
+    return np.ascontiguousarray(x.T).T if transposed else x
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(rows=st.integers(1, 300), cols=st.integers(1, 160),
+       seed=st.integers(0, 2 ** 32 - 1),
+       x_transposed=st.booleans(), g_transposed=st.booleans())
+def test_kernels_bitwise_on_drawn_shapes(rows, cols, seed, x_transposed,
+                                         g_transposed):
+    """Every kernel is bitwise its formula on drawn shapes, and writes no
+    input; GELU also on transposed, non-contiguous operands, which
+    ``autodiff.gelu`` passes through as they are."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(3, size=(rows, cols)) * 3.0
+    g = rng.normal(size=(rows, cols))
+    gain, bias = rng.normal(size=cols) + 1.0, rng.normal(size=cols)
+    x0, g0 = x.copy(), g.copy()
+    xl, gl = _layout(x, x_transposed), _layout(g, g_transposed)
+    assert xl.flags.c_contiguous == (not x_transposed or 1 in x.shape)
+    _bitwise(kernels.gelu_forward(xl), gelu_forward_formula(x0))
+    _bitwise(kernels.gelu_backward(xl, gl), gelu_backward_formula(x0, g0))
+    _bitwise(kernels.softmax_rows(x), softmax_rows_formula(x0))
+    want = layernorm_rows_formula(x0, gain, bias, 1e-5)
+    for got, w in zip(kernels.layernorm_rows(x, gain, bias), want):
+        _bitwise(got, w)
+    _, xhat, inv_std = want
+    for got, w in zip(kernels.layernorm_rows_backward(g, xhat, inv_std, gain),
+                      layernorm_rows_backward_formula(g0, xhat, inv_std,
+                                                      gain)):
+        _bitwise(got, w)
+    for a, a0 in ((x, x0), (xl, x0), (g, g0), (gl, g0)):
         _bitwise(a, a0)
