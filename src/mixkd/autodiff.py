@@ -484,9 +484,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         np.ascontiguousarray(x.data.reshape(-1, k)), gain.data, bias.data)
 
     def vjp(g, xhat=xhat, inv_std=inv_std, gd=gain.data, k=k, shape=x.shape):
-        dx, dgain, dbias = kernels.layernorm_rows_backward(
-            g.reshape(-1, k), xhat, inv_std, gd)
-        return (dx.reshape(shape), dgain, dbias)
+        g = g.reshape(-1, k)
+        dx = kernels.layernorm_rows_backward(g, xhat, inv_std, gd)
+        return (dx.reshape(shape), *kernels.layernorm_sums(g, xhat))
 
     return _result(out_rows.reshape(x.shape), (x, gain, bias), vjp)
 

@@ -1,5 +1,6 @@
 """Hot numeric kernels: tanh-form GELU, row softmax and row layer norm,
-each forward and backward.
+each forward and backward; layer norm's backward comes in a row part and
+a part that sums over rows.
 
 The row kernels take and return contiguous float64 arrays and are
 shape-dumb: callers reshape to 2-D (rows x features) before dispatching.
@@ -120,19 +121,25 @@ def softmax_backward(p: np.ndarray, g: np.ndarray,
 
 def layernorm_rows_backward(g: np.ndarray, xhat: np.ndarray,
                             inv_std: np.ndarray, gain: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (dx, dgain, dbias) for the gradient g of ``layernorm_rows``'s
-    out: dgain = colsum(g * xhat), dbias = colsum(g), and, with
-    dxhat = g * gain, dx = inv_std * (dxhat - rowmean(dxhat)
-    - xhat * rowmean(dxhat * xhat))."""
-    t = g * xhat
-    dgain = t.sum(axis=0)
-    dbias = g.sum(axis=0)
+                            ) -> np.ndarray:
+    """The row part of ``layernorm_rows``'s VJP: for the gradient g of its
+    out, with dxhat = g * gain, dx = inv_std * (dxhat - rowmean(dxhat)
+    - xhat * rowmean(dxhat * xhat)).  Each row of dx reads only its own
+    row, so a block of rows gives the same rows of the whole batch's dx;
+    ``layernorm_sums`` gives the gain's and the bias's gradients."""
     dx = g * gain
-    np.multiply(dx, xhat, out=t)
+    t = dx * xhat
     mean_dxhat_xhat = t.mean(axis=1, keepdims=True)
     dx -= dx.mean(axis=1, keepdims=True)
     np.multiply(xhat, mean_dxhat_xhat, out=t)
     dx -= t
     dx *= inv_std
-    return dx, dgain, dbias
+    return dx
+
+
+def layernorm_sums(g: np.ndarray, xhat: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The sums over rows of ``layernorm_rows``'s VJP: (dgain, dbias) =
+    (colsum(g * xhat), colsum(g)) for the gradient g of its out."""
+    t = g * xhat
+    return t.sum(axis=0), g.sum(axis=0)

@@ -25,8 +25,7 @@ the numpy and kernel calls of the autodiff ops (matmul, softmax,
 layer_norm, gelu, dropout, ...) that the layer stands for, so the
 result is bitwise theirs; ``_unfused_forward`` in ``tests/test_model.py``
 keeps that op chain.  One loop, ``_encode``, runs every layer over a
-block of samples: grad mode, dropout and ``detect_anomaly`` run it once
-over the whole batch, and in grad mode the stack is one autodiff op
+block of samples.  In grad mode the stack is one autodiff op
 (``_encoder``): one ``Tensor`` and one tape node per encoder.
 Under ``detect_anomaly`` the layer checks each op result and each VJP
 output in the op chain's order, under the op's name and scope
@@ -38,17 +37,27 @@ A graph-free forward, one under ``no_grad`` with dropout and
 ``Tensor`` for the [CLS] rows and one for the logits.  It runs
 ``_encode`` over blocks of consecutive samples of at most
 ``_BLOCK_ROWS`` token rows, so that attention's [b,h,T,T] buffers stay
-in cache.  One with enough encoder work (``_splits``: the distill
-teacher's 4-layer 32x14 query,
+in cache.  Grad mode and dropout run one pass over the whole batch,
+which keeps each layer's backward state; ``detect_anomaly`` runs that
+serial pass always.
+
+A forward with enough encoder work (``_splits``: the distill teacher's
+4-layer 32x14 query, ``teacher_ft``'s 32x14 training step,
 ``eval_long``'s 32x64 batches), on a process that may use 2 CPUs and
-holds OpenBLAS at one thread, runs the blocks of its two sample halves
-in two threads: the caller's and one long-lived worker's.  The head runs
-once on the whole batch, and the result is bitwise that of the serial
-pass (see ``forward_from_embeddings``).  Grad mode alone decides this, not
+holds OpenBLAS at one thread, runs its two sample halves in two
+threads: the caller's and one long-lived worker's.  A graph-free forward
+runs the blocks of each half there and the head once on the whole
+batch.  A grad-mode or dropout pass (``_split_pass``) runs its layers
+before the last on the halves, the last layer whole, and in its
+backward the row part of each lower layer's VJP on the halves and the
+layer's gradient sums whole, dealt out to the two threads.  Either
+result is bitwise that of the serial pass (see
+``forward_from_embeddings``).  Grad mode alone decides the pass, not
 ``requires_grad``.  Tier-1 pins the paths to each other and to the op
 chain bitwise: ``test_fused_forward_bitwise_equals_unfused`` (with its
-``_no_grad`` twin), ``test_blocked_forward_bitwise_equals_graph_forward``
-and ``test_split_forward_bitwise_equals_graph_forward`` in
+``_no_grad`` twin), ``test_blocked_forward_bitwise_equals_graph_forward``,
+``test_split_forward_bitwise_equals_graph_forward`` and
+``test_split_grad_pass_bitwise_equals_serial`` in
 ``tests/test_model.py``, and
 ``test_evaluate_equals_serial_graph_forward_at_eval_long`` in
 ``tests/test_evaluation.py``.
@@ -63,7 +72,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -271,7 +281,7 @@ def _anomaly_check(i: int):
 
 def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
                    num_heads: int, i: int, last: bool, drop: float,
-                   rng: Optional[np.random.Generator]):
+                   masks: Optional[Callable], bufs: Optional[dict] = None):
     """Encoder layer ``i`` over bare arrays: the [n*T,d] rows ``x2`` of n
     samples -> (y, saved).  ``w`` maps ``_LAYER_PARAMS`` to the layer's
     arrays; ``key_bias`` [n,T] is 0 for a real key and -1e9 for a pad
@@ -287,12 +297,18 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     ``softmax`` with scale and key bias, ``dropout``, ``add``,
     ``layer_norm`` and ``gelu``; the scale, bias and residual steps run
     in place on a buffer the layer made, which gives the same bits.
-    With ``drop`` > 0 it draws inverted-dropout masks from ``rng`` after
-    the softmax, the output projection and the FFN, each at the full
-    layer's shape and, in the last layer, cut to the [CLS] rows, as
-    ``autodiff.dropout`` with ``draw_shape`` does.  Under
-    ``detect_anomaly`` it checks each op's result in that order, named as
-    the op in its scope (``matmul in teacher/layers.1.ffn``)."""
+    With ``drop`` > 0 it takes inverted-dropout keep masks from
+    ``masks(shape)`` (``_masks``) after the softmax, the output projection
+    and the FFN, each at the full layer's shape and, in the last layer,
+    cut to the [CLS] rows, as ``autodiff.dropout`` with ``draw_shape``
+    does.  Under ``detect_anomaly`` it checks each op's result in that
+    order, named as the op in its scope (``matmul in
+    teacher/layers.1.ffn``).
+
+    A half of a split pass (``_split_pass``) passes ``bufs``: its rows of
+    full-batch buffers, keyed as ``saved`` is.  The layer copies each
+    array it saves under such a key into those rows and saves the rows,
+    so that the gradient sums can read the whole batch's array."""
     n, T = key_bias.shape
     d = x2.shape[1]
     h, hd = num_heads, d // num_heads
@@ -303,14 +319,18 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
 
     def save(**arrays):
         if saved is not None:
-            saved.update(arrays)
+            for key, arr in arrays.items():
+                if bufs and key in bufs:
+                    bufs[key][...] = arr
+                    arr = bufs[key]
+                saved[key] = arr
 
     def dropout(part, y, draw_shape):
         """(y times the mask, (the mask, y)), or (y, None) without
         dropout."""
         if drop == 0.0:
             return y, None
-        keep = rng.random(draw_shape) >= drop
+        keep = masks(draw_shape)
         rows = y.size * keep.shape[-2] // keep.size
         mask = keep[..., :rows, :].reshape(y.shape) / (1.0 - drop)
         out = y * mask
@@ -331,11 +351,11 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
         return np.ascontiguousarray(y.reshape(n, rows, h, hd).transpose(axes))
 
     def layer_norm(part, y):
-        """Saves xhat and 1/std as ``part``."""
+        """Saves xhat and 1/std as ``<part>.xhat`` and ``<part>.inv_std``."""
         out, xhat, inv_std = kernels.layernorm_rows(
             y, w[f"{part}.gain"], w[f"{part}.bias"])
         check(part, "layer_norm", out)
-        save(**{part: (xhat, inv_std)})
+        save(**{f"{part}.xhat": xhat, f"{part}.inv_std": inv_std})
         return out
 
     if last:
@@ -376,7 +396,34 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     return layer_norm("ln2", y), saved
 
 
-def _layer_backward(saved: dict, g: np.ndarray):
+# the ops of a layer's backward whose VJPs sum over rows, in the order it
+# runs them, each with the key of the saved array that meets its dY: a
+# matmul's x in x.T @ dY (and a bias, but k's, takes dY's column sum), a
+# layer norm's xhat in colsum(dY * xhat) (and its bias colsum(dY))
+_SUMS = {"ln2": "ln2.xhat", "ffn.w2": "f1g", "ffn.w1": "x1",
+         "ln1": "ln1.xhat", "attn.wo": "ctx", "attn.wq": "xq",
+         "attn.wk": "x2", "attn.wv": "x2"}
+
+
+def _sums(op: str, x: np.ndarray, dy: np.ndarray) -> tuple:
+    """The gradient sums of ``op`` (a key of ``_SUMS``) over the rows of
+    its dY and of the saved array x."""
+    if op.startswith("ln"):
+        return kernels.layernorm_sums(dy, x)
+    dw = np.matmul(x.swapaxes(-1, -2), dy)
+    return (dw,) if op == "attn.wk" else (dw, dy.sum(axis=(0,)))
+
+
+def _in_order(sums: dict) -> tuple:
+    """A layer's gradients in ``_LAYER_PARAMS`` order, from op -> its
+    ``_sums``."""
+    (dwq, dbq), (dwk,), (dwv, dbv), (dwo, dbo) = (
+        sums[f"attn.w{k}"] for k in "qkvo")
+    return (dwq, dwk, dwv, dwo, dbq, dbv, dbo, *sums["ln1"],
+            *sums["ffn.w1"], *sums["ffn.w2"], *sums["ln2"])
+
+
+def _layer_backward(saved: dict, g: np.ndarray, dys: Optional[dict] = None):
     """The VJP of ``_layer_forward``: the gradient g of y -> (dx, grads),
     the gradient of x2 and those of the layer's arrays in
     ``_LAYER_PARAMS`` order.
@@ -390,20 +437,37 @@ def _layer_backward(saved: dict, g: np.ndarray):
     residual then q; for x2, residual (or, in the last layer, the [CLS]
     scatter), then q, k and v.  So the result is bitwise theirs.  Under
     ``detect_anomaly`` it checks each VJP's outputs in that order, named
-    as the op's VJP in the op's scope (``gelu vjp in layers.1.ffn``)."""
+    as the op's VJP in the op's scope (``gelu vjp in layers.1.ffn``).
+
+    Every gradient that flows down (each dx, the layer norm's, GELU's,
+    softmax's and attention's VJPs) is computed row by row or sample by
+    sample: the row part.  Only the ``_SUMS`` sum over rows.  A serial
+    pass runs each op's sums as the op's VJP does.  A half of a split
+    pass passes ``dys``, its rows of the full-batch buffers of each op's
+    dY (by ``_SUMS`` key; a missing key holds the dY already) and of dx
+    (``"dx"``): the layer then runs the row part only, writes those rows,
+    and returns (dx, None)."""
     s = saved
     w, check, x2 = s["w"], s["check"], s["x2"]
     n, h, tq, T = s["p"].shape
     d = x2.shape[1]
+    sums = {}
 
-    def linear(part, dy, x, name, bias=True):
-        """The matmul VJP: (dx, dw) and, with a bias, its gradient."""
-        grads = (np.matmul(dy, w[name].swapaxes(-1, -2)),
-                 np.matmul(x.swapaxes(-1, -2), dy))
-        if bias:
-            grads += (dy.sum(axis=(0,)),)
-        check(part, "matmul vjp", *grads)
-        return grads
+    def summed(op, dy):
+        """The sums that read dy, computed now; in a split half, dy
+        copied into its buffer for the sums after the join."""
+        if dys is None:
+            sums[op] = _sums(op, s[_SUMS[op]], dy)
+            return sums[op]
+        if op in dys:
+            dys[op][...] = dy
+        return ()
+
+    def linear(part, dy, name):
+        """The matmul VJP's dx; checks it with the sums."""
+        dx = np.matmul(dy, w[name].swapaxes(-1, -2))
+        check(part, "matmul vjp", dx, *summed(name, dy))
+        return dx
 
     def dropout(part, dy, dropped):
         if dropped is None:
@@ -417,21 +481,19 @@ def _layer_backward(saved: dict, g: np.ndarray):
         return dx
 
     def layer_norm(part, dy):
-        grads = kernels.layernorm_rows_backward(dy, *s[part],
-                                                w[f"{part}.gain"])
-        check(part, "layer_norm vjp", *grads)
-        return grads
+        dx = kernels.layernorm_rows_backward(
+            dy, s[f"{part}.xhat"], s[f"{part}.inv_std"], w[f"{part}.gain"])
+        check(part, "layer_norm vjp", dx, *summed(part, dy))
+        return dx
 
-    dr2, dgain2, dbias2 = layer_norm("ln2", g)
-    df1g, dw2, db2 = linear("ffn", dropout("ffn", dr2, s["ff_drop"]),
-                            s["f1g"], "ffn.w2")
+    dr2 = layer_norm("ln2", g)
+    df1g = linear("ffn", dropout("ffn", dr2, s["ff_drop"]), "ffn.w2")
     df1 = kernels.gelu_backward(s["f1"], df1g)
     check("ffn", "gelu vjp", df1)
-    dx1, dw1, db1 = linear("ffn", df1, s["x1"], "ffn.w1")
+    dx1 = linear("ffn", df1, "ffn.w1")
     dx1 += dr2  # residual, then FFN: a sum of two commutes bitwise
-    dr1, dgain1, dbias1 = layer_norm("ln1", dx1)
-    dctx, dwo, dbo = linear("attn", dropout("attn", dr1, s["proj_drop"]),
-                            s["ctx"], "attn.wo")
+    dr1 = layer_norm("ln1", dx1)
+    dctx = linear("attn", dropout("attn", dr1, s["proj_drop"]), "attn.wo")
     dc = dctx.reshape(n, tq, h, d // h).transpose(0, 2, 1, 3)
     dattn = np.matmul(dc, s["v"].swapaxes(-1, -2))
     dv = np.matmul(s["attn"].swapaxes(-1, -2), dc)
@@ -442,8 +504,8 @@ def _layer_backward(saved: dict, g: np.ndarray):
     dq = np.matmul(ds, s["kt"].swapaxes(-1, -2))
     dkt = np.matmul(s["q"].swapaxes(-1, -2), ds)
     check("attn", "matmul vjp", dq, dkt)
-    dxq, dwq, dbq = linear("attn", dq.transpose(0, 2, 1, 3).reshape(
-        n * tq, d), s["xq"], "attn.wq")
+    dxq = linear("attn", dq.transpose(0, 2, 1, 3).reshape(n * tq, d),
+                 "attn.wq")
     dxq += dr1  # residual, then q
     if s["last"]:  # the [CLS] scatter of select_index
         dx = np.zeros((n, T, d))
@@ -452,45 +514,161 @@ def _layer_backward(saved: dict, g: np.ndarray):
         dx = dx.reshape(n * T, d)
     else:
         dx = dxq
-    dxk, dwk = linear("attn", dkt.transpose(0, 3, 1, 2).reshape(n * T, d),
-                      x2, "attn.wk", bias=False)
-    dx += dxk
-    dxv, dwv, dbv = linear("attn", dv.transpose(0, 2, 1, 3).reshape(n * T, d),
-                           x2, "attn.wv")
-    dx += dxv
-    return dx, (dwq, dwk, dwv, dwo, dbq, dbv, dbo, dgain1, dbias1, dw1, db1,
-                dw2, db2, dgain2, dbias2)
+    dx += linear("attn", dkt.transpose(0, 3, 1, 2).reshape(n * T, d),
+                 "attn.wk")
+    dx += linear("attn", dv.transpose(0, 2, 1, 3).reshape(n * T, d),
+                 "attn.wv")
+    if dys is not None:
+        dys["dx"][...] = dx
+        return dx, None
+    return dx, _in_order(sums)
+
+
+def _masks(rng: Optional[np.random.Generator], drop: float
+           ) -> Optional[Callable]:
+    """shape -> an inverted-dropout keep mask drawn from ``rng`` (None
+    without dropout)."""
+    return (lambda shape: rng.random(shape) >= drop) if drop else None
 
 
 def _encode(ws: list, x2: np.ndarray, key_bias: np.ndarray, num_heads: int,
-            drop: float, rng: Optional[np.random.Generator],
+            drop: float, masks: Optional[Callable],
             saved: Optional[list]) -> np.ndarray:
     """Every layer, with arrays ``ws``, over the [b*T,d] rows ``x2`` of b
     samples -> their [CLS] rows [b,d]; appends each layer's backward
     state to ``saved`` if it is a list."""
     for i, w in enumerate(ws):
         x2, state = _layer_forward(w, x2, key_bias, num_heads, i,
-                                   i == len(ws) - 1, drop, rng)
+                                   i == len(ws) - 1, drop, masks)
         if saved is not None:
             saved.append(state)
     return x2
 
 
+def _serial_pass(ws: list, x2: np.ndarray, key_bias: np.ndarray,
+                 num_heads: int, drop: float, masks: Optional[Callable]):
+    """``_encode`` over the whole batch -> (its [CLS] rows, the backward:
+    g -> (dx2, every layer's gradients)), which runs ``_layer_backward``
+    over the layers in reverse, each with its sums inline."""
+    saved = []
+    y = _encode(ws, x2, key_bias, num_heads, drop, masks, saved)
+
+    def backward(g):
+        grads = ()
+        for state in reversed(saved):
+            g, layer_grads = _layer_backward(state, g)
+            grads = layer_grads + grads
+        return g, grads
+    return y, backward
+
+
+def _both(first: Callable, second: Callable) -> tuple:
+    """(first(), second()): first on the long-lived worker thread, in a
+    copy of the caller's context (the same autodiff modes and numpy
+    errstate), and second in the calling thread; numpy and BLAS release
+    the GIL, so the two overlap.  Both have finished when it returns or
+    raises; an error in second is the one raised, else one in first."""
+    future = _worker.submit(contextvars.copy_context().run, first)
+    try:
+        rest = second()
+    finally:
+        wait([future])
+    return future.result(), rest
+
+
+def _split_pass(ws: list, x2: np.ndarray, key_bias: np.ndarray,
+                num_heads: int, drop: float, masks: Optional[Callable]):
+    """``_serial_pass``'s result, bit for bit, from two threads: the
+    layers before the last run on the sample halves ``[:n//2]`` (on the
+    worker) and ``[n//2:]`` (in the caller), and the last layer runs
+    whole after the join.
+
+    The lower layers' dropout masks are drawn here first, in the serial
+    pass's order and shapes, and each half takes its samples of them; the
+    last layer draws its own after the join, so the generator yields the
+    serial masks.  Each half writes its rows of each layer's output, and
+    in grad mode of each array that a gradient sum reads (``_SUMS``),
+    into full-batch buffers.
+
+    The backward runs the last layer's VJP whole: its [CLS]-row dx
+    products have as few rows as one half's samples, where OpenBLAS's
+    rows were seen to differ from the whole product's.  Then, for each
+    lower layer from the top down, both halves run the row part of
+    ``_layer_backward`` into full-batch dY and dx buffers; after the join
+    the layer's ``_SUMS`` run over the whole buffers, each sum whole,
+    dealt out alternately to the two threads; after that join the dY
+    buffers go."""
+    n, T = key_bias.shape
+    d = x2.shape[1]
+    lower = ws[:-1]
+    # each half's samples and token rows
+    halves = [(slice(a, b), slice(a * T, b * T))
+              for a, b in ((0, n // 2), (n // 2, n))]
+    keeps = [masks(shape) for _ in lower
+             for shape in ((n, num_heads, T, T), (n, T, d), (n, T, d))
+             ] if drop else []
+    xs = [x2] + [np.empty_like(x2) for _ in lower]  # each layer's input
+    # the arrays a lower layer's sums read, as it saves them (its input is
+    # whole already): as many columns as the rows of the weight that the
+    # op's dY meets, or d for a layer norm's xhat
+    kept = [{key: np.empty((n * T, w[op].shape[0] if op in w else d))
+             for op, key in _SUMS.items() if key not in ("x2", "xq")}
+            if ad._grad_enabled.get() else {} for w in lower]
+
+    def forward(samples, rows):
+        mine = iter([keep[samples] for keep in keeps])
+        states = []
+        for i, w in enumerate(lower):
+            y, state = _layer_forward(
+                w, xs[i][rows], key_bias[samples], num_heads, i, False, drop,
+                lambda shape: next(mine),
+                {key: arr[rows] for key, arr in kept[i].items()})
+            xs[i + 1][rows] = y
+            states.append(state)
+        return states
+
+    states = _both(*(partial(forward, *half) for half in halves))
+    y, top = _layer_forward(ws[-1], xs[-1], key_bias, num_heads, len(lower),
+                            True, drop, masks)
+    ops = list(_SUMS)
+
+    def backward(g):
+        g, grads = _layer_backward(top, g)
+        for i in reversed(range(len(lower))):
+            w, full = lower[i], {"x2": xs[i], "xq": xs[i], **kept[i]}
+            # each op's dY, as many columns as its weight (d for a layer
+            # norm); ln2's is g
+            dys = {op: np.empty((n * T, w[op].shape[1] if op in w else d))
+                   for op in ops if op != "ln2"}
+            dys["dx"] = np.empty_like(g)
+            _both(*(partial(_layer_backward, states[k][i], g[rows],
+                            {op: a[rows] for op, a in dys.items()})
+                    for k, (_, rows) in enumerate(halves)))
+            dys["ln2"] = g
+
+            def deal(share):
+                return lambda: {op: _sums(op, full[_SUMS[op]], dys[op])
+                                for op in share}
+            first, second = _both(deal(ops[0::2]), deal(ops[1::2]))
+            grads = _in_order({**first, **second}) + grads
+            g = dys.pop("dx")
+            del dys  # before the next layer's buffers
+        return g, grads
+    return y, backward
+
+
 def _encoder(params: ModelParams, emb: Tensor, y: np.ndarray,
-             saved: list) -> Tensor:
+             backward: Callable) -> Tensor:
     """The [CLS] rows y of the encoder over ``emb`` as one autodiff op on
-    emb and each layer's ``_LAYER_PARAMS``; the VJP runs
-    ``_layer_backward`` over the ``saved`` states in reverse."""
+    emb and each layer's ``_LAYER_PARAMS``; the VJP is ``backward``: g ->
+    (the gradient of emb's rows, every layer's gradients)."""
     tensors = [params[f"layers.{i}.{name}"]
                for i in range(params.config.num_layers)
                for name in _LAYER_PARAMS]
 
     def vjp(g):
-        grads = []
-        for state in reversed(saved):
-            g, layer_grads = _layer_backward(state, g)
-            grads[:0] = layer_grads
-        return (g.reshape(emb.shape), *grads)
+        demb, grads = backward(g)
+        return (demb.reshape(emb.shape), *grads)
     return ad._result(y, (emb, *tensors), vjp)
 
 
@@ -520,20 +698,21 @@ def _cpus() -> int:
 
 
 def _splits(n: int, T: int, num_layers: int) -> bool:
-    """Whether a graph-free forward of n samples of T tokens through
-    ``num_layers`` layers has the work to pay for a two-thread split: 4
-    samples, so each half holds 2, and two blocks' token rows over the
-    layers before the last, which computes only the n [CLS] rows.  The
-    distill teacher's 4-layer 32x14 query (1344) splits, a 1-layer
-    forward never does."""
+    """Whether a forward of n samples of T tokens through ``num_layers``
+    layers has the work to pay for a two-thread split: 4 samples, so each
+    half holds 2, and two blocks' token rows over the layers before the
+    last, which computes only the n [CLS] rows (and, in a split grad-mode
+    or dropout pass, runs whole).  The distill teacher's 4-layer 32x14
+    query and ``teacher_ft``'s 32x14 training step (1344) split, a
+    1-layer model never does."""
     return (n >= _SPLIT_MIN_SAMPLES
             and (num_layers - 1) * n * T >= 2 * _BLOCK_ROWS)
 
 
 def _new_worker() -> None:
     """Make the one long-lived thread, ``mixkd-forward_0``, that runs the
-    first half of every split forward; it starts on first use.  A
-    forked child inherits no threads, so it makes its own."""
+    first half of every split pass; it starts on first use.  A forked
+    child inherits no threads, so it makes its own."""
     global _worker
     _worker = ThreadPoolExecutor(max_workers=1,
                                  thread_name_prefix="mixkd-forward")
@@ -571,37 +750,48 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     the full layer's shapes and cut to the [CLS] rows, so the generator
     stream and the masks of the rows that are kept do not change.
 
-    Grad mode, dropout and ``detect_anomaly`` run ``_encode`` once over
-    the whole batch, and in grad mode the encoder is one autodiff op
-    (``_encoder``).  A graph-free forward (``no_grad``, with dropout and
-    ``detect_anomaly`` off) keeps nothing for a backward and runs
-    ``_encode`` over blocks of consecutive samples
-    (``_blocks``): k = ceil(rows / 512) blocks of near-equal sample
-    counts, fewer where a block would hold fewer than 2 samples or at
-    most 256 rows.  A block's attention scores and softmax then stay in
-    cache.  A batch of at least 4 samples whose layers before the last
-    hold at least 1024 token rows between them (``_splits``: (num_layers
-    - 1) * n * T, as the last layer computes only the [CLS] rows), on a
-    process that may use 2 CPUs and where mixkd holds OpenBLAS at one
-    thread, also splits: the long-lived worker thread runs the blocks of
-    samples ``[:n//2]`` and the calling thread those of ``[n//2:]``;
-    numpy and BLAS release the GIL, so the halves overlap.  The worker
-    runs in a copy of the caller's context, so it sees the same autodiff
-    modes and numpy errstate, and its half has finished before the call
-    returns or raises; an error in the caller's half is the one raised.
-    The head then runs once on the concatenated [n,d] rows.
+    Grad mode and dropout run one pass over the whole batch (the serial
+    pass, ``_serial_pass``), which keeps each layer's backward state, and
+    in grad mode the encoder is one autodiff op (``_encoder``).  A
+    graph-free forward (``no_grad``, with dropout and ``detect_anomaly``
+    off) keeps nothing for a backward and runs ``_encode`` over blocks of
+    consecutive samples (``_blocks``): k = ceil(rows / 512) blocks of
+    near-equal sample counts, fewer where a block would hold fewer than 2
+    samples or at most 256 rows.  A block's attention scores and softmax
+    then stay in cache.
 
-    Blocks are bitwise: every op below the head works per sample or row
-    by row, and with OpenBLAS a row of a GEMM with at least 2 rows is the
-    same row of the whole product at the widths used here
-    (``tests/test_model.py`` checks this at the block shapes that occur).
-    The head's product with C = 2 columns is not, so the head stays whole.
-    A block holds at least 2 samples, because the last layer's 1-row
-    [CLS] product (a gemv) rounds differently, and, when there are
-    several, more than 256 rows, inside the range where the invariance
-    was first measured (224-2048 rows).  Both paths run the same
-    ``_encode``, so the graph-free forward is bitwise the serial one; the
-    tests named in the module docstring check this.
+    A batch of at least 4 samples whose layers before the last hold at
+    least 1024 token rows between them (``_splits``: (num_layers - 1) *
+    n * T, as the last layer computes only the [CLS] rows), on a process
+    that may use 2 CPUs and where mixkd holds OpenBLAS at one thread,
+    also splits into the sample halves ``[:n//2]``, on the long-lived
+    worker thread, and ``[n//2:]``, in the calling thread; numpy and BLAS
+    release the GIL, so the halves overlap.  A graph-free forward runs
+    the blocks of each half there and then the head once on the
+    concatenated [n,d] rows.  A grad-mode or dropout pass runs its
+    layers before the last on the halves and the last layer whole
+    (``_split_pass``, whose docstring gives its backward); under
+    ``detect_anomaly`` it runs the serial pass, so that the checks keep
+    their one order.  The worker runs in a copy of the caller's context,
+    so it sees the same autodiff modes and numpy errstate, and its half
+    has finished before the call returns or raises; an error in the
+    caller's half is the one raised.  The worker never runs a pass that
+    submits to it, so nothing waits on itself.
+
+    Blocks and halves are bitwise: every op below the head works per
+    sample or row by row, and with OpenBLAS a row of a GEMM with at least
+    2 rows is the same row of the whole product at the widths used here
+    (``tests/test_model.py`` checks this at the block and half shapes
+    that occur, and for the backward's products with a transposed weight
+    at the half shapes).  The head's product with C = 2 columns is not,
+    so the head stays whole.  A block holds at least 2 samples, because
+    the last layer's 1-row [CLS] product (a gemv) rounds differently,
+    and, when there are several, more than 256 rows, inside the range
+    where the invariance was first measured (224-2048 rows).  Only
+    gradient sums read across rows (``x.T @ dY``, column sums), and a
+    split pass runs each over the whole batch's buffers.  So every path
+    is bitwise the serial one; the tests named in the module docstring
+    check this.
 
     With ``return_features`` also returns the final-layer [CLS] vectors [n,d].
     """
@@ -617,35 +807,37 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
         raise ValueError("dropout requires an rng in train mode")
     key_bias = np.where(mask, 0.0, -1e9)
 
-    # grad mode, dropout (one mask stream) and anomaly mode (one order of
-    # checks) run one pass; the rest runs per block, maybe split
+    # a graph-free forward runs per block; grad mode and dropout run one
+    # pass, over the whole batch or its two halves; anomaly mode (one
+    # order of checks) runs the serial pass
     graph_free = not (ad._grad_enabled.get() or ad._anomaly.get()
                       or drop > 0.0)
+    split = (_splits(n, T, cfg.num_layers) and _blas_one_thread
+             and _cpus() >= 2)
     ws = [{name: params[f"layers.{i}.{name}"].data for name in _LAYER_PARAMS}
           for i in range(cfg.num_layers)]
-    saved = None if graph_free else []
+    x2 = emb.data.reshape(n * T, d)
 
-    def layers(lo, hi):
-        """The [CLS] rows of the blocks of samples [lo, hi)."""
-        return [_encode(ws, emb.data[a:b].reshape((b - a) * T, d),
-                        key_bias[a:b], cfg.num_heads, drop, rng, saved)
-                for a, b in (_blocks(lo, hi, T) if graph_free
-                             else [(lo, hi)])]
-
-    if (graph_free and _splits(n, T, cfg.num_layers) and _blas_one_thread
-            and _cpus() >= 2):
-        half = _worker.submit(contextvars.copy_context().run,
-                              layers, 0, n // 2)
-        try:
-            rest = layers(n // 2, n)
-        finally:
-            wait([half])
-        parts = half.result() + rest
+    if graph_free:
+        def layers(lo, hi):
+            """The [CLS] rows of the blocks of samples [lo, hi)."""
+            return [_encode(ws, x2[a * T:b * T], key_bias[a:b],
+                            cfg.num_heads, 0.0, None, None)
+                    for a, b in _blocks(lo, hi, T)]
+        if split:
+            first, rest = _both(lambda: layers(0, n // 2),
+                                lambda: layers(n // 2, n))
+            parts = first + rest
+        else:
+            parts = layers(0, n)
+        y = parts[0] if len(parts) == 1 else np.concatenate(parts)
     else:
-        parts = layers(0, n)
-    y = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        run = (_split_pass if split and not ad._anomaly.get()
+               else _serial_pass)
+        y, backward = run(ws, x2, key_bias, cfg.num_heads, drop,
+                          _masks(rng, drop))
     cls = (Tensor(y, _unchecked=True) if graph_free
-           else _encoder(params, emb, y, saved))
+           else _encoder(params, emb, y, backward))
     with ad.scope("head"):
         logits = ad.matmul(cls, params["head.weight"], bias=params["head.bias"])
     # the forward's boundary: op results inside it are not checked

@@ -17,6 +17,11 @@ The document holds, under these entries:
     4-layer teacher query splits into two 224-row halves on two threads;
   - ``T64-dropout0.0``: 48 training examples (9 steps); the teacher
     query and the dev eval split into blocks on two worker threads.
+- ``runs.T14-batch32-dropout0.1.teacher``: the T14 teacher alone, at
+  dropout 0.1 in batches of 32 (15 steps): each of its grad-mode passes
+  holds 3 x 32 x 14 = 1344 token rows in the layers before the last, so
+  its forward and backward split into two sample halves on two threads,
+  with dropout masks.
 - ``outputs_T64``, from the ``T64-dropout0.0`` teacher: ``evaluate``'s
   metrics over the dev split in batches of 16 (the blocked eval), the
   graph-free ``logits`` and [CLS] ``features`` of the whole dev split,
@@ -110,11 +115,18 @@ def run_digest(params, record) -> dict:
             "dev_accuracy": float(record.final_metrics["dev_accuracy"]).hex()}
 
 
-def training(task, T: int, dropout: float) -> tuple[dict, object]:
+def teacher_run(task, T: int, dropout: float, batch_size: int = 16):
+    """(config, teacher, its run digest) of a 4-layer teacher."""
     config = ModelConfig(num_layers=4, vocab_size=task.vocab.size,
                          max_seq_len=T, dropout_rate=dropout, **WIDTH)
-    teacher, record = train_teacher(TRAIN, config, task)
-    runs = {"teacher": run_digest(teacher, record)}
+    teacher, record = train_teacher(
+        dataclasses.replace(TRAIN, batch_size=batch_size), config, task)
+    return config, teacher, run_digest(teacher, record)
+
+
+def training(task, T: int, dropout: float) -> tuple[dict, object]:
+    config, teacher, digest = teacher_run(task, T, dropout)
+    runs = {"teacher": digest}
     student_config = dataclasses.replace(config, num_layers=1)
     for variant, metric in STUDENTS:
         run_config = dataclasses.replace(
@@ -249,6 +261,9 @@ def document() -> dict:
             doc["runs"][f"T{T}-dropout{dropout}"] = runs
             if T == 64 and dropout == 0.0:
                 doc["outputs_T64"] = outputs(task, teacher)
+        if T == 14:  # the teacher alone, in batches of 32
+            doc["runs"]["T14-batch32-dropout0.1"] = {
+                "teacher": teacher_run(task, T, 0.1, batch_size=32)[2]}
     doc["gap_reports"] = gap_reports()
     doc["files"] = files()
     return json.loads(json.dumps(doc))

@@ -189,9 +189,32 @@ def softmax_backward_formula(p, g, scale):
 
 def layernorm_rows_backward_formula(g, xhat, inv_std, gain):
     dxhat = g * gain
-    dx = inv_std * (dxhat - dxhat.mean(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-    return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+    return inv_std * (dxhat - dxhat.mean(axis=1, keepdims=True)
+                      - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+
+
+def layernorm_sums_formula(g, xhat):
+    return (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def _layernorm_backward_bitwise(g, xhat, inv_std, gain):
+    """Both parts of the layer-norm VJP are bitwise their formulas and
+    write no input; dx of a block of rows is the same rows of the whole
+    batch's dx."""
+    args = (g, xhat, inv_std, gain)
+    before = [a.copy() for a in args]
+    dx = kernels.layernorm_rows_backward(*args)
+    _bitwise(dx, layernorm_rows_backward_formula(*before))
+    for got, want in zip(kernels.layernorm_sums(g, xhat),
+                         layernorm_sums_formula(*before[:2])):
+        _bitwise(got, want)
+    for a, a0 in zip(args, before):
+        _bitwise(a, a0)
+    rows = len(g)
+    for lo, hi in {(0, rows // 2 or 1), (rows // 2, rows), (rows // 3, rows)}:
+        _bitwise(kernels.layernorm_rows_backward(g[lo:hi], xhat[lo:hi],
+                                                 inv_std[lo:hi], gain),
+                 dx[lo:hi])
 
 
 @pytest.mark.parametrize("scale", [None, 0.25, 1.0 / math.sqrt(12)])
@@ -213,14 +236,8 @@ def test_layernorm_rows_backward_bitwise(wide, rng):
     k = x.shape[1]
     gain, bias = rng.normal(size=k) + 1.0, rng.normal(size=k)
     _, xhat, inv_std = layernorm_rows_formula(x, gain, bias, 1e-5)
-    g = rng.normal(size=x.shape)
-    args = (g, xhat, inv_std, gain)
-    before = [a.copy() for a in args]
-    for got, want in zip(kernels.layernorm_rows_backward(*args),
-                         layernorm_rows_backward_formula(*before)):
-        _bitwise(got, want)
-    for a, a0 in zip(args, before):
-        _bitwise(a, a0)
+    _layernorm_backward_bitwise(rng.normal(size=x.shape), xhat, inv_std,
+                                gain)
 
 
 def _layout(x, transposed):
@@ -251,9 +268,6 @@ def test_kernels_bitwise_on_drawn_shapes(rows, cols, seed, x_transposed,
     for got, w in zip(kernels.layernorm_rows(x, gain, bias), want):
         _bitwise(got, w)
     _, xhat, inv_std = want
-    for got, w in zip(kernels.layernorm_rows_backward(g, xhat, inv_std, gain),
-                      layernorm_rows_backward_formula(g0, xhat, inv_std,
-                                                      gain)):
-        _bitwise(got, w)
+    _layernorm_backward_bitwise(g, xhat, inv_std, gain)
     for a, a0 in ((x, x0), (xl, x0), (g, g0), (gl, g0)):
         _bitwise(a, a0)

@@ -548,16 +548,16 @@ def _forward_workers():
 ])
 def test_split_forward_bitwise_equals_graph_forward(n, T, hidden_dim,
                                                     monkeypatch):
-    """The graph-mode forward stays serial; the graph-free one splits,
-    under ``no_grad`` and in ``forward_tokens`` alike, on the one
-    long-lived worker, whose half has finished when the forward
-    returns."""
+    """The graph-mode forward splits its layers before the last (one
+    half on the worker); the graph-free one splits, under ``no_grad`` and
+    in ``forward_tokens`` alike, on the one long-lived worker, whose half
+    has finished when the forward returns."""
     params, ids, mask = _split_shape(n, T, hidden_dim)
     threads = _forward_threads(monkeypatch)
     halves = _worker_halves(monkeypatch)
     graph, graph_feats = forward_from_embeddings(
         params, embed_batch(params, ids, mask), mask, return_features=True)
-    assert not _split(threads) and graph._inputs
+    assert _split(threads) and graph._inputs
 
     def under_no_grad():
         with ad.no_grad():
@@ -584,7 +584,7 @@ def test_split_forward_bitwise_equals_graph_forward(n, T, hidden_dim,
         assert split._inputs == () and split._vjp is None
         assert np.array_equal(split.data, graph.data)
         assert np.array_equal(split_feats.data, graph_feats.data)
-    assert len(halves) == 2
+    assert len(halves) == 3
 
 
 def _layer_calls(monkeypatch):
@@ -600,28 +600,33 @@ def _layer_calls(monkeypatch):
 
 
 def _per_thread(calls, num_layers=4):
-    """The sample counts of the encoder passes (one per block) that ran
-    in the calling thread and in the worker; raises unless each pass ran
-    layers 0, 1, ... in order on one block."""
+    """The encoder passes that ran in the calling thread and in the
+    worker, in order: each a run of consecutive layers over one block,
+    given as its sample count where it ran every layer, else as
+    (samples, first layer, last layer)."""
     counts = []
     for main in (True, False):
-        mine = [(b, i) for who, b, i in calls if (who == "MainThread") == main]
-        passes = [mine[k:k + num_layers]
-                  for k in range(0, len(mine), num_layers)]
-        for one in passes:
-            assert [i for _, i in one] == list(range(num_layers))
-            assert len({b for b, _ in one}) == 1
-        counts.append([one[0][0] for one in passes])
+        passes = []
+        for who, b, i in calls:
+            if (who == "MainThread") != main:
+                continue
+            if passes and passes[-1][0] == b and passes[-1][2] == i - 1:
+                passes[-1][2] = i
+            else:
+                passes.append([b, i, i])
+        counts.append([b if (lo, hi) == (0, num_layers - 1) else (b, lo, hi)
+                       for b, lo, hi in passes])
     return tuple(counts)
 
 
 # the blocks' sample counts in the calling thread and in the worker:
-# grad mode, dropout and anomaly mode run one pass over every sample
+# anomaly mode runs one pass over every sample; a split grad-mode or
+# dropout pass runs layers 0-2 on each half and the last layer whole
 BLOCKS = {
     "no_grad": ([2], [2]),  # 4 x 256: two 512-row halves
-    "graph": ([4], []),
-    "frozen": ([4], []),
-    "dropout": ([4], []),
+    "graph": ([(2, 0, 2), (4, 3, 3)], [(2, 0, 2)]),
+    "frozen": ([(2, 0, 2), (4, 3, 3)], [(2, 0, 2)]),
+    "dropout": ([(2, 0, 2), (4, 3, 3)], [(2, 0, 2)]),
     "anomaly": ([4], []),
     "3_samples": ([3], []),  # no 2-sample halves
     "448_rows": ([16], [16]),  # two 224-row halves
@@ -638,9 +643,9 @@ BLOCKS = {
 # the rule is (num_layers - 1) * n * T >= 1024 token rows, from 4 samples
 @pytest.mark.parametrize("case,splits", [
     ("no_grad", True),
-    ("frozen", False),          # grad mode on, though nothing requires grad
-    ("graph", False),
-    ("dropout", False),
+    ("frozen", True),           # grad mode on, though nothing requires grad
+    ("graph", True),
+    ("dropout", True),
     ("anomaly", False),
     ("3_samples", False),       # 3 x 512 rows: a half would hold 1 sample
     ("448_rows", True),         # the distill teacher's 32 x 14: 1344
@@ -682,6 +687,90 @@ def test_split_runs_only_where_it_pays(case, splits, monkeypatch):
                                 rng=np.random.default_rng(0))
     assert _split(threads) == splits
     assert _per_thread(blocks, num_layers) == BLOCKS[case]
+
+
+def _grad_step(params, ids, mask):
+    """A train-mode graph forward of a leaf embedding and the backward of
+    a cross-entropy -> (logits, the embedding's gradient, every
+    parameter's gradient, the dropout generator's end state)."""
+    params = params.copy()
+    emb = ad.Tensor(embed_batch(params, ids, mask).data, requires_grad=True)
+    rng = np.random.default_rng(3)
+    logits = forward_from_embeddings(params, emb, mask, train_mode=True,
+                                     rng=rng)
+    labels = np.eye(3)[np.arange(len(ids)) % 3]
+    ad.backward(ad.cross_entropy(ad.softmax(logits), ad.constant(labels)))
+    return (logits.data, emb.grad,
+            {name: params[name].grad for name in params.names},
+            rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("n,T,hidden_dim,dropout_rate", [
+    (32, 14, 64, 0.0),  # teacher_ft's batch: two 224-row halves
+    (32, 14, 64, 0.1),  # with dropout masks
+    (33, 32, 64, 0.0),  # odd n: halves of 16 and 17, padded rows
+    (4, 256, 16, 0.1),  # the smallest halves, 2 samples each
+])
+def test_split_grad_pass_bitwise_equals_serial(n, T, hidden_dim,
+                                               dropout_rate, monkeypatch):
+    """A grad-mode forward and backward split over two threads gives the
+    serial pass's logits, embedding gradient and every parameter
+    gradient bit for bit, and leaves the dropout generator where the
+    serial pass does.  Its forward submits one half to the worker, and
+    its backward two per layer before the last: the row part, then the
+    gradient sums."""
+    params, ids, mask = _split_shape(n, T, hidden_dim)
+    params = ModelParams(dataclasses.replace(params.config,
+                                             dropout_rate=dropout_rate),
+                         params.arrays)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 1)
+    serial = _grad_step(params, ids, mask)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 2)
+    threads = _forward_threads(monkeypatch)
+    halves = _worker_halves(monkeypatch)
+    split = _grad_step(params, ids, mask)
+    assert _split(threads)
+    assert len(halves) == 7 and all(half.done() for half in halves)
+    for got, want in zip(split[:2], serial[:2]):
+        assert np.array_equal(got, want)
+    for name in params.names:  # the leaf embedding holds emb's gradient
+        assert (split[2][name] is None) == name.endswith("_emb")
+        assert np.array_equal(split[2][name], serial[2][name]), name
+    assert split[3] == serial[3]
+
+
+@pytest.mark.parametrize("stage", ["forward", "backward"])
+@pytest.mark.parametrize("worker_fails", [True, False])
+def test_split_grad_pass_error_reaches_caller_after_join(stage, worker_fails,
+                                                         monkeypatch):
+    """An error in one half of a split grad-mode pass, in its forward or
+    in its backward's row part, is raised in the caller once both halves
+    have finished: no half is left running or queued."""
+    params, ids, mask = _split_shape(32, 14)
+    name = "gelu_forward" if stage == "forward" else "gelu_backward"
+    real = getattr(kernels, name)
+
+    def fails_in_one_half(x, *args):
+        in_worker = threading.current_thread().name.startswith(
+            "mixkd-forward")
+        if len(x) == 16 * 14 and in_worker == worker_fails:
+            raise RuntimeError("half failed")
+        return real(x, *args)
+    emb = embed_batch(params, ids, mask)
+    halves = _worker_halves(monkeypatch)
+    if stage == "backward":
+        loss = ad.tsum(forward_from_embeddings(params, emb, mask))
+    monkeypatch.setattr(kernels, name, fails_in_one_half)
+    with pytest.raises(RuntimeError, match="^half failed$"):
+        if stage == "forward":
+            forward_from_embeddings(params, emb, mask)
+        else:
+            ad.backward(loss)
+    # the forward submitted one half; the backward failed in its first
+    assert len(halves) == (1 if stage == "forward" else 2)
+    assert all(half.done() for half in halves)
+    assert (halves[-1].exception() is not None) == worker_fails
+    assert model_mod._worker.submit(lambda: 7).result(timeout=60) == 7
 
 
 @pytest.mark.parametrize("n,T,hidden_dim,cpus,main,worker", [
@@ -756,13 +845,30 @@ def test_blocks_property(lo, n, T):
         assert min(sizes) * T > model_mod._BLOCK_ROWS // 2
 
 
+def _half_shapes():
+    """(T, samples) of every half that a split grad-mode or dropout pass
+    of 4-64 samples through 2-4 layers at the sequence lengths used here
+    runs: its layers before the last run on each half whole."""
+    shapes = set()
+    for T in (14, 32, 64, 256):
+        for n in range(4, 65):
+            if any(model_mod._splits(n, T, layers) for layers in (2, 3, 4)):
+                shapes.update({(T, n // 2), (T, n - n // 2)})
+    return sorted(shapes)
+
+
 @pytest.mark.parametrize("k,width", [(64, 64), (64, 128), (128, 64),
                                      (48, 48), (16, 16)])
 def test_gemm_rows_are_block_invariant(k, width):
-    """Blocks are bitwise only if a block's GEMM rows equal the same rows
-    of the whole batch's product.  The BLAS does not promise this; this
-    guard fails loudly if a BLAS update breaks it at the block shapes that
-    occur (token rows, and [CLS] rows in the last layer)."""
+    """Blocks and split halves are bitwise only if their GEMM rows equal
+    the same rows of the whole batch's product.  The BLAS does not
+    promise this; this guard fails loudly if a BLAS update breaks it at
+    the shapes that occur: a graph-free block's token rows and [CLS]
+    rows, and a split grad-mode half's token rows, both in the forward's
+    ``x @ w`` and in the backward's ``dy @ w.swapaxes(-1, -2)``, whose
+    transposed weight OpenBLAS treats apart (224-row halves at T=14,
+    T=64's, odd n's).  The last layer's [CLS]-row products, where 16-row
+    blocks of the transposed product were seen to differ, run whole."""
     rng = np.random.default_rng(k * width)
     a = rng.normal(size=(64 * 300 + 7, k))
     w = rng.normal(size=(k, width))
@@ -772,6 +878,13 @@ def test_gemm_rows_are_block_invariant(k, width):
             for start in (0, 7, rows):
                 assert np.array_equal(a[start:start + rows] @ w,
                                       whole[start:start + rows]), (T, b, rows)
+    dy, wt = rng.normal(size=(len(a), width)), w.swapaxes(-1, -2)
+    whole_t = dy @ wt
+    for T, b in _half_shapes():
+        rows = b * T
+        for cut in (slice(0, rows), slice(7, 7 + rows), slice(rows, 2 * rows)):
+            assert np.array_equal(a[cut] @ w, whole[cut]), (T, b)
+            assert np.array_equal(dy[cut] @ wt, whole_t[cut]), (T, b)
 
 
 def test_split_forward_keeps_the_anomaly_message():
