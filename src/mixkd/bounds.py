@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +40,6 @@ class BoundReport:
     eps_star_hat: float
     eps_p_hat: float
     gamma: int
-    required_b: Optional[int] = None
     gaps_augmented: list = field(default_factory=list)
     gaps_plain: list = field(default_factory=list)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import fields
 
+from .data import not_utf8
 from .distill import LossWeights, TrainConfig
 from .mixup import MixupConfig, MixupError
 from .model import ModelConfig
@@ -53,18 +54,22 @@ def parse_kv_file(path) -> dict[str, str]:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key in pairs:
-                raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
-            pairs[key] = value.strip()
+    try:
+        with fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {not_utf8(exc)}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in pairs:
+            raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
+        pairs[key] = value.strip()
     return pairs
 
 

@@ -101,6 +101,12 @@ class Vocab:
         return self.token_to_id.get(token, UNK_ID)
 
 
+def not_utf8(exc: UnicodeDecodeError) -> str:
+    """What a UTF-8 read of a file failed on, for the error naming it."""
+    return (f"not UTF-8 text: cannot decode byte "
+            f"0x{exc.object[exc.start]:02x} ({exc.reason})")
+
+
 def load_tsv(path, schema: Schema,
              label_names: Optional[Sequence[str]] = None
              ) -> tuple[list[Example], list[str]]:
@@ -109,31 +115,35 @@ def load_tsv(path, schema: Schema,
     When ``label_names`` is given, any other label string is an error; when
     omitted, the label set is the sorted unique labels in the file.  A file
     without data rows, or a row with more or fewer fields than the header,
-    is an error, and so is a file that cannot be opened.  Blank lines are
-    skipped.
+    is an error, and so is a blank label or text, a file that cannot be
+    opened and one that is not UTF-8.  Blank lines are skipped.
     """
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
-    with fh:
-        reader = csv.reader(fh, delimiter="\t")
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        for col in (schema.text_a, schema.label) + (
-                (schema.text_b,) if schema.text_b else ()):
-            if col not in header:
-                raise DataError(f"{path}: missing column {col!r}")
-        rows = []
-        for fields in reader:
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise DataError(
-                    f"{path}: line {reader.line_num}: expected "
-                    f"{len(header)} fields like the header, got {len(fields)}")
-            rows.append((reader.line_num, dict(zip(header, fields))))
+    try:
+        with fh:
+            reader = csv.reader(fh, delimiter="\t")
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            for col in (schema.text_a, schema.label) + (
+                    (schema.text_b,) if schema.text_b else ()):
+                if col not in header:
+                    raise DataError(f"{path}: missing column {col!r}")
+            rows = []
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(header):
+                    raise DataError(
+                        f"{path}: line {reader.line_num}: expected "
+                        f"{len(header)} fields like the header, got "
+                        f"{len(fields)}")
+                rows.append((reader.line_num, dict(zip(header, fields))))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {not_utf8(exc)}") from exc
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
 
@@ -144,6 +154,8 @@ def load_tsv(path, schema: Schema,
     examples = []
     for lineno, row in rows:
         label = row[schema.label]
+        if not label.strip():
+            raise DataError(f"{path}: line {lineno}: empty label")
         if label not in label_map:
             raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
         text_a = row[schema.text_a].strip()

@@ -47,10 +47,11 @@ A forward with enough encoder work (``_splits``: the distill teacher's
 holds OpenBLAS at one thread, runs its two sample halves in two
 threads: the caller's and one long-lived worker's.  A graph-free forward
 runs the blocks of each half there and the head once on the whole
-batch.  A grad-mode or dropout pass (``_split_pass``) runs its layers
-before the last on the halves, the last layer whole, and in its
-backward the row part of each lower layer's VJP on the halves and the
-layer's gradient sums whole, dealt out to the two threads.  Either
+batch.  A grad-mode or dropout pass (``_split_pass``) runs ``_encode``
+over its layers before the last on each half, which keeps its own
+arrays, and the last layer whole; in its backward the halves run the
+row part of each lower layer's VJP, and the layer's gradient sums run
+whole on the halves' arrays joined, dealt out to the two threads.  Either
 result is bitwise that of the serial pass (see
 ``forward_from_embeddings``).  Grad mode alone decides the pass, not
 ``requires_grad``.  Tier-1 pins the paths to each other and to the op
@@ -281,7 +282,7 @@ def _anomaly_check(i: int):
 
 def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
                    num_heads: int, i: int, last: bool, drop: float,
-                   masks: Optional[Callable], bufs: Optional[dict] = None):
+                   masks: Optional[Callable]):
     """Encoder layer ``i`` over bare arrays: the [n*T,d] rows ``x2`` of n
     samples -> (y, saved).  ``w`` maps ``_LAYER_PARAMS`` to the layer's
     arrays; ``key_bias`` [n,T] is 0 for a real key and -1e9 for a pad
@@ -303,12 +304,7 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     cut to the [CLS] rows, as ``autodiff.dropout`` with ``draw_shape``
     does.  Under ``detect_anomaly`` it checks each op's result in that
     order, named as the op in its scope (``matmul in
-    teacher/layers.1.ffn``).
-
-    A half of a split pass (``_split_pass``) passes ``bufs``: its rows of
-    full-batch buffers, keyed as ``saved`` is.  The layer copies each
-    array it saves under such a key into those rows and saves the rows,
-    so that the gradient sums can read the whole batch's array."""
+    teacher/layers.1.ffn``)."""
     n, T = key_bias.shape
     d = x2.shape[1]
     h, hd = num_heads, d // num_heads
@@ -319,11 +315,7 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
 
     def save(**arrays):
         if saved is not None:
-            for key, arr in arrays.items():
-                if bufs and key in bufs:
-                    bufs[key][...] = arr
-                    arr = bufs[key]
-                saved[key] = arr
+            saved.update(arrays)
 
     def dropout(part, y, draw_shape):
         """(y times the mask, (the mask, y)), or (y, None) without
@@ -423,7 +415,7 @@ def _in_order(sums: dict) -> tuple:
             *sums["ffn.w1"], *sums["ffn.w2"], *sums["ln2"])
 
 
-def _layer_backward(saved: dict, g: np.ndarray, dys: Optional[dict] = None):
+def _layer_backward(saved: dict, g: np.ndarray, rows_only: bool = False):
     """The VJP of ``_layer_forward``: the gradient g of y -> (dx, grads),
     the gradient of x2 and those of the layer's arrays in
     ``_LAYER_PARAMS`` order.
@@ -443,25 +435,20 @@ def _layer_backward(saved: dict, g: np.ndarray, dys: Optional[dict] = None):
     softmax's and attention's VJPs) is computed row by row or sample by
     sample: the row part.  Only the ``_SUMS`` sum over rows.  A serial
     pass runs each op's sums as the op's VJP does.  A half of a split
-    pass passes ``dys``, its rows of the full-batch buffers of each op's
-    dY (by ``_SUMS`` key; a missing key holds the dY already) and of dx
-    (``"dx"``): the layer then runs the row part only, writes those rows,
-    and returns (dx, None)."""
+    pass passes ``rows_only``: the layer then runs the row part only and
+    returns (dx, dys), each ``_SUMS`` op's dY by reference, which no later
+    step of the row part writes."""
     s = saved
     w, check, x2 = s["w"], s["check"], s["x2"]
     n, h, tq, T = s["p"].shape
     d = x2.shape[1]
-    sums = {}
+    out = {}  # op -> its sums, or with rows_only its dY
 
     def summed(op, dy):
-        """The sums that read dy, computed now; in a split half, dy
-        copied into its buffer for the sums after the join."""
-        if dys is None:
-            sums[op] = _sums(op, s[_SUMS[op]], dy)
-            return sums[op]
-        if op in dys:
-            dys[op][...] = dy
-        return ()
+        """The sums that read dy, computed now; with rows_only, dy kept
+        for the sums after the join."""
+        out[op] = dy if rows_only else _sums(op, s[_SUMS[op]], dy)
+        return () if rows_only else out[op]
 
     def linear(part, dy, name):
         """The matmul VJP's dx; checks it with the sums."""
@@ -518,10 +505,7 @@ def _layer_backward(saved: dict, g: np.ndarray, dys: Optional[dict] = None):
                  "attn.wk")
     dx += linear("attn", dv.transpose(0, 2, 1, 3).reshape(n * T, d),
                  "attn.wv")
-    if dys is not None:
-        dys["dx"][...] = dx
-        return dx, None
-    return dx, _in_order(sums)
+    return dx, out if rows_only else _in_order(out)
 
 
 def _masks(rng: Optional[np.random.Generator], drop: float
@@ -532,14 +516,15 @@ def _masks(rng: Optional[np.random.Generator], drop: float
 
 
 def _encode(ws: list, x2: np.ndarray, key_bias: np.ndarray, num_heads: int,
-            drop: float, masks: Optional[Callable],
-            saved: Optional[list]) -> np.ndarray:
+            drop: float, masks: Optional[Callable], saved: Optional[list],
+            last: bool = True) -> np.ndarray:
     """Every layer, with arrays ``ws``, over the [b*T,d] rows ``x2`` of b
-    samples -> their [CLS] rows [b,d]; appends each layer's backward
-    state to ``saved`` if it is a list."""
+    samples -> the output of the final one: their [CLS] rows [b,d] if it
+    is the model's ``last`` layer, else all their rows [b*T,d]; appends
+    each layer's backward state to ``saved`` if it is a list."""
     for i, w in enumerate(ws):
         x2, state = _layer_forward(w, x2, key_bias, num_heads, i,
-                                   i == len(ws) - 1, drop, masks)
+                                   last and i == len(ws) - 1, drop, masks)
         if saved is not None:
             saved.append(state)
     return x2
@@ -578,26 +563,24 @@ def _both(first: Callable, second: Callable) -> tuple:
 
 def _split_pass(ws: list, x2: np.ndarray, key_bias: np.ndarray,
                 num_heads: int, drop: float, masks: Optional[Callable]):
-    """``_serial_pass``'s result, bit for bit, from two threads: the
-    layers before the last run on the sample halves ``[:n//2]`` (on the
-    worker) and ``[n//2:]`` (in the caller), and the last layer runs
-    whole after the join.
+    """``_serial_pass``'s result, bit for bit, from two threads: ``_encode``
+    runs the layers before the last on the sample halves ``[:n//2]`` (on
+    the worker) and ``[n//2:]`` (in the caller), each keeping its own
+    arrays, and the last layer runs whole on their joined output.
 
     The lower layers' dropout masks are drawn here first, in the serial
     pass's order and shapes, and each half takes its samples of them; the
     last layer draws its own after the join, so the generator yields the
-    serial masks.  Each half writes its rows of each layer's output, and
-    in grad mode of each array that a gradient sum reads (``_SUMS``),
-    into full-batch buffers.
+    serial masks.
 
     The backward runs the last layer's VJP whole: its [CLS]-row dx
     products have as few rows as one half's samples, where OpenBLAS's
     rows were seen to differ from the whole product's.  Then, for each
     lower layer from the top down, both halves run the row part of
-    ``_layer_backward`` into full-batch dY and dx buffers; after the join
-    the layer's ``_SUMS`` run over the whole buffers, each sum whole,
-    dealt out alternately to the two threads; after that join the dY
-    buffers go."""
+    ``_layer_backward``; after the join the layer's ``_SUMS`` run, each
+    sum whole over the concatenation of the halves' saved array and dY,
+    dealt out alternately to the two threads; after that join the dYs
+    go, before the next layer's row part."""
     n, T = key_bias.shape
     d = x2.shape[1]
     lower = ws[:-1]
@@ -607,52 +590,35 @@ def _split_pass(ws: list, x2: np.ndarray, key_bias: np.ndarray,
     keeps = [masks(shape) for _ in lower
              for shape in ((n, num_heads, T, T), (n, T, d), (n, T, d))
              ] if drop else []
-    xs = [x2] + [np.empty_like(x2) for _ in lower]  # each layer's input
-    # the arrays a lower layer's sums read, as it saves them (its input is
-    # whole already): as many columns as the rows of the weight that the
-    # op's dY meets, or d for a layer norm's xhat
-    kept = [{key: np.empty((n * T, w[op].shape[0] if op in w else d))
-             for op, key in _SUMS.items() if key not in ("x2", "xq")}
-            if ad._grad_enabled.get() else {} for w in lower]
 
     def forward(samples, rows):
         mine = iter([keep[samples] for keep in keeps])
         states = []
-        for i, w in enumerate(lower):
-            y, state = _layer_forward(
-                w, xs[i][rows], key_bias[samples], num_heads, i, False, drop,
-                lambda shape: next(mine),
-                {key: arr[rows] for key, arr in kept[i].items()})
-            xs[i + 1][rows] = y
-            states.append(state)
-        return states
+        y = _encode(lower, x2[rows], key_bias[samples], num_heads, drop,
+                    lambda shape: next(mine), states, last=False)
+        return y, states
 
-    states = _both(*(partial(forward, *half) for half in halves))
-    y, top = _layer_forward(ws[-1], xs[-1], key_bias, num_heads, len(lower),
-                            True, drop, masks)
+    (ya, states_a), (yb, states_b) = _both(
+        *(partial(forward, *half) for half in halves))
+    y, top = _layer_forward(ws[-1], np.concatenate((ya, yb)), key_bias,
+                            num_heads, len(lower), True, drop, masks)
     ops = list(_SUMS)
 
     def backward(g):
         g, grads = _layer_backward(top, g)
-        for i in reversed(range(len(lower))):
-            w, full = lower[i], {"x2": xs[i], "xq": xs[i], **kept[i]}
-            # each op's dY, as many columns as its weight (d for a layer
-            # norm); ln2's is g
-            dys = {op: np.empty((n * T, w[op].shape[1] if op in w else d))
-                   for op in ops if op != "ln2"}
-            dys["dx"] = np.empty_like(g)
-            _both(*(partial(_layer_backward, states[k][i], g[rows],
-                            {op: a[rows] for op, a in dys.items()})
-                    for k, (_, rows) in enumerate(halves)))
-            dys["ln2"] = g
+        for sa, sb in zip(reversed(states_a), reversed(states_b)):
+            (dxa, dys_a), (dxb, dys_b) = _both(
+                *(partial(_layer_backward, state, g[rows], True)
+                  for state, (_, rows) in zip((sa, sb), halves)))
 
             def deal(share):
-                return lambda: {op: _sums(op, full[_SUMS[op]], dys[op])
-                                for op in share}
+                return lambda: {op: _sums(
+                    op, np.concatenate((sa[_SUMS[op]], sb[_SUMS[op]])),
+                    np.concatenate((dys_a[op], dys_b[op]))) for op in share}
             first, second = _both(deal(ops[0::2]), deal(ops[1::2]))
             grads = _in_order({**first, **second}) + grads
-            g = dys.pop("dx")
-            del dys  # before the next layer's buffers
+            g = np.concatenate((dxa, dxb))
+            del dxa, dxb, dys_a, dys_b  # before the next layer's row part
         return g, grads
     return y, backward
 
@@ -789,9 +755,10 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     and, when there are several, more than 256 rows, inside the range
     where the invariance was first measured (224-2048 rows).  Only
     gradient sums read across rows (``x.T @ dY``, column sums), and a
-    split pass runs each over the whole batch's buffers.  So every path
-    is bitwise the serial one; the tests named in the module docstring
-    check this.
+    split pass runs each whole, on the concatenation of the halves'
+    arrays: the same contiguous operands as the serial pass's.  So every
+    path is bitwise the serial one; the tests named in the module
+    docstring check this.
 
     With ``return_features`` also returns the final-layer [CLS] vectors [n,d].
     """

@@ -503,8 +503,7 @@ def test_empirical_gap_experiment_report(rng):
         "coverage_fraction": report.coverage_fraction,
         "trials": report.trials, "delta": report.delta,
         "passed": report.passed, "eps_star_hat": report.eps_star_hat,
-        "eps_p_hat": report.eps_p_hat, "gamma": report.gamma,
-        "required_b": report.required_b})
+        "eps_p_hat": report.eps_p_hat, "gamma": report.gamma})
     with pytest.raises(B.BoundError):
         B.empirical_gap_experiment(tb, gc, a=0, b_mix=0, trials=5, delta=0.1,
                                    rng=rng)

@@ -892,17 +892,9 @@ def test_exit_code_bound_verify_class_too_large(monkeypatch, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("flag, path, code, error", [
-    ("--config", "nowhere.cfg", 6, "ConfigError"),
-    ("--data", "nowhere.tsv", 2, "DataError"),
-    ("--dev", "nowhere.tsv", 2, "DataError"),
-    ("--model", "nowhere.ckpt", 3, "CheckpointError"),
-    ("--teacher", "nowhere.ckpt", 3, "CheckpointError"),
-    ("--grid", "nowhere.cfg", 6, "ConfigError"),
-    ("--augmented", "nowhere.tsv", 2, "DataError"),
-])
-def test_exit_code_missing_file(flag, path, code, error, teacher_ckpt,
-                                workspace, tmp_path, capsys):
+def _argv_reading(flag, path, teacher_ckpt, workspace, tmp_path):
+    """A command line that reads ``path`` through ``flag``, with valid
+    files for its other flags."""
     files = {"--config": workspace / "teacher.cfg",
              "--data": workspace / "train.tsv",
              "--dev": workspace / "dev.tsv",
@@ -917,15 +909,71 @@ def test_exit_code_missing_file(flag, path, code, error, teacher_ckpt,
     if command == "sweep":
         files.pop("--config")
         files.update({"--teacher": teacher_ckpt, "--out": tmp_path / "sweep"})
-    missing = tmp_path / path
-    files[flag] = missing
+    files[flag] = path
     argv = [command] + [str(v) for kv in files.items() for v in kv]
     if command == "distill":
         argv += ["--variant", "ft"]
-    assert main(argv) == code
+    return argv
+
+
+@pytest.mark.parametrize("flag, path, code, error", [
+    ("--config", "nowhere.cfg", 6, "ConfigError"),
+    ("--data", "nowhere.tsv", 2, "DataError"),
+    ("--dev", "nowhere.tsv", 2, "DataError"),
+    ("--model", "nowhere.ckpt", 3, "CheckpointError"),
+    ("--teacher", "nowhere.ckpt", 3, "CheckpointError"),
+    ("--grid", "nowhere.cfg", 6, "ConfigError"),
+    ("--augmented", "nowhere.tsv", 2, "DataError"),
+])
+def test_exit_code_missing_file(flag, path, code, error, teacher_ckpt,
+                                workspace, tmp_path, capsys):
+    missing = tmp_path / path
+    assert main(_argv_reading(flag, missing, teacher_ckpt, workspace,
+                              tmp_path)) == code
     err = capsys.readouterr().err
     assert f"{error}): {missing}: cannot read: No such file" in err
     assert not (tmp_path / "out.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag, code, error", [
+    ("--config", 6, "ConfigError"),
+    ("--data", 2, "DataError"),
+    ("--dev", 2, "DataError"),
+    ("--grid", 6, "ConfigError"),
+    ("--augmented", 2, "DataError"),
+])
+def test_exit_code_file_not_utf8(flag, code, error, teacher_ckpt, workspace,
+                                 tmp_path, capsys):
+    """A file that starts with the byte 0xff exits with the file's error
+    code and names it, not exit 1 with the codec's message."""
+    bad = tmp_path / "latin.txt"
+    bad.write_bytes(b"\xff" + (workspace / "dev.tsv").read_bytes())
+    assert main(_argv_reading(flag, bad, teacher_ckpt, workspace,
+                              tmp_path)) == code
+    captured = capsys.readouterr()
+    assert captured.err == (f"error ({error}): {bad}: not UTF-8 text: cannot "
+                            "decode byte 0xff (invalid start byte)\n")
+    assert not (tmp_path / "out.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "eval"])
+def test_exit_code_tsv_empty_label(command, teacher_ckpt, workspace, tmp_path,
+                                   capsys):
+    """train-teacher rejects a blank label cell as eval does, rather than
+    training with '' as a class."""
+    data = tmp_path / "blank.tsv"
+    lines = (workspace / "train.tsv").read_text().splitlines()
+    text = lines[-1].split("\t")[0]
+    data.write_text("\n".join(lines[:-1] + [text + "\t"]) + "\n")
+    argv = (["train-teacher", "--config", str(workspace / "teacher.cfg"),
+             "--dev", str(workspace / "dev.tsv"),
+             "--out", str(tmp_path / "t.ckpt")]
+            if command == "train-teacher"
+            else ["eval", "--model", str(teacher_ckpt)])
+    assert main(argv + ["--data", str(data)]) == 2
+    assert capsys.readouterr().err == (f"error (DataError): {data}: line "
+                                       f"{len(lines)}: empty label\n")
+    assert not (tmp_path / "t.ckpt").exists()
 
 
 @pytest.mark.parametrize("command, drop, add, needle", [

@@ -76,6 +76,26 @@ def test_load_tsv_empty_text(tmp_path):
         load_tsv(path, Schema.parse("sentence,label"))
 
 
+@pytest.mark.parametrize("label", ["", " "])
+@pytest.mark.parametrize("label_names", [None, ["neg", "pos"]])
+def test_load_tsv_rejects_an_empty_label(tmp_path, label, label_names):
+    """A blank label cell is an error whether the labels come from the
+    file or are given, not a class of its own."""
+    path = tmp_path / "d.tsv"
+    _write_tsv(path, ["good movie\tpos", f"no label\t{label}", "bad\tneg"])
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 3: "
+                                        "empty label$"):
+        load_tsv(path, Schema.parse("sentence,label"), label_names)
+
+
+def test_load_tsv_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "d.tsv"
+    path.write_bytes("sentence\tlabel\ncafé\tpos\n".encode("latin-1"))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 "
+                                        "text: cannot decode byte 0xe9"):
+        load_tsv(path, Schema.parse("sentence,label"))
+
+
 def test_load_tsv_pair_schema(tmp_path):
     path = tmp_path / "p.tsv"
     _write_tsv(path, ["a question\tan answer\tpos"],
