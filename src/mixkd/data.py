@@ -114,9 +114,11 @@ def load_tsv(path, schema: Schema,
 
     When ``label_names`` is given, any other label string is an error; when
     omitted, the label set is the sorted unique labels in the file.  A file
-    without data rows, or a row with more or fewer fields than the header,
-    is an error, and so is a blank label or text, a file that cannot be
-    opened and one that is not UTF-8.  Blank lines are skipped.
+    without data rows, a header that names a column twice, or a row with
+    more or fewer fields than the header, is an error, and so is a blank
+    label or text, a file that cannot be opened and one that is not
+    UTF-8.  Labels and texts are stripped of surrounding whitespace.
+    Blank lines are skipped.
     """
     try:
         fh = open(path, encoding="utf-8", newline="")
@@ -128,6 +130,10 @@ def load_tsv(path, schema: Schema,
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: empty file")
+            for col in header:
+                if header.count(col) > 1:
+                    raise DataError(
+                        f"{path}: column {col!r} appears twice in the header")
             for col in (schema.text_a, schema.label) + (
                     (schema.text_b,) if schema.text_b else ()):
                 if col not in header:
@@ -148,13 +154,13 @@ def load_tsv(path, schema: Schema,
         raise DataError(f"{path}: no data rows after the header")
 
     if label_names is None:
-        label_names = sorted({row[schema.label] for _, row in rows})
+        label_names = sorted({row[schema.label].strip() for _, row in rows})
     label_map = {name: i for i, name in enumerate(label_names)}
 
     examples = []
     for lineno, row in rows:
-        label = row[schema.label]
-        if not label.strip():
+        label = row[schema.label].strip()
+        if not label:
             raise DataError(f"{path}: line {lineno}: empty label")
         if label not in label_map:
             raise DataError(f"{path}: line {lineno}: unknown label {label!r}")

@@ -37,26 +37,28 @@ A graph-free forward, one under ``no_grad`` with dropout and
 ``Tensor`` for the [CLS] rows and one for the logits.  It runs
 ``_encode`` over blocks of consecutive samples of at most
 ``_BLOCK_ROWS`` token rows, so that attention's [b,h,T,T] buffers stay
-in cache.  Grad mode and dropout run one pass over the whole batch,
-which keeps each layer's backward state; ``detect_anomaly`` runs that
-serial pass always.
+in cache.  Grad mode and dropout run one pass, ``_grad_pass``, which
+draws every layer's dropout masks up front and keeps each layer's
+backward state.
 
-A forward with enough encoder work (``_splits``: the distill teacher's
-4-layer 32x14 query, ``teacher_ft``'s 32x14 training step,
+Either mode runs over one sample part, the whole batch, or two, its
+halves.  A forward with enough encoder work (``_splits``: the distill
+teacher's 4-layer 32x14 query, ``teacher_ft``'s 32x14 training step,
 ``eval_long``'s 32x64 batches), on a process that may use 2 CPUs and
-holds OpenBLAS at one thread, runs its two sample halves in two
-threads: the caller's and one long-lived worker's.  A graph-free forward
-runs the blocks of each half there and the head once on the whole
-batch.  A grad-mode or dropout pass (``_split_pass``) runs ``_encode``
-over its layers before the last on each half, which keeps its own
-arrays, and the last layer whole; in its backward the halves run the
+holds OpenBLAS at one thread, and not under ``detect_anomaly``, takes
+the halves and runs them in two threads (``_run``): the caller's and
+one long-lived worker's.  A graph-free forward runs the blocks of each
+part there and the head once on the whole batch.  The grad pass runs
+``_encode`` over its layers before the last on each part, which keeps
+its own arrays, and the last layer whole.  In its backward one part
+runs each lower layer's VJP with its sums inline; two halves run the
 row part of each lower layer's VJP, and the layer's gradient sums run
-whole on the halves' arrays joined, dealt out to the two threads.  Either
-result is bitwise that of the serial pass (see
-``forward_from_embeddings``).  Grad mode alone decides the pass, not
-``requires_grad``.  Tier-1 pins the paths to each other and to the op
-chain bitwise: ``test_fused_forward_bitwise_equals_unfused`` (with its
-``_no_grad`` twin), ``test_blocked_forward_bitwise_equals_graph_forward``,
+whole on the halves' arrays joined, dealt out to the two threads.  Two
+parts give the bits of one (see ``forward_from_embeddings``).
+Grad mode alone decides the pass, not ``requires_grad``.  Tier-1 pins
+the paths to each other and to the op chain bitwise:
+``test_fused_forward_bitwise_equals_unfused`` (with its ``_no_grad``
+twin), ``test_blocked_forward_bitwise_equals_graph_forward``,
 ``test_split_forward_bitwise_equals_graph_forward`` and
 ``test_split_grad_pass_bitwise_equals_serial`` in
 ``tests/test_model.py``, and
@@ -282,7 +284,7 @@ def _anomaly_check(i: int):
 
 def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
                    num_heads: int, i: int, last: bool, drop: float,
-                   masks: Optional[Callable]):
+                   masks: Optional[tuple]):
     """Encoder layer ``i`` over bare arrays: the [n*T,d] rows ``x2`` of n
     samples -> (y, saved).  ``w`` maps ``_LAYER_PARAMS`` to the layer's
     arrays; ``key_bias`` [n,T] is 0 for a real key and -1e9 for a pad
@@ -298,12 +300,12 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     ``softmax`` with scale and key bias, ``dropout``, ``add``,
     ``layer_norm`` and ``gelu``; the scale, bias and residual steps run
     in place on a buffer the layer made, which gives the same bits.
-    With ``drop`` > 0 it takes inverted-dropout keep masks from
-    ``masks(shape)`` (``_masks``) after the softmax, the output projection
-    and the FFN, each at the full layer's shape and, in the last layer,
-    cut to the [CLS] rows, as ``autodiff.dropout`` with ``draw_shape``
-    does.  Under ``detect_anomaly`` it checks each op's result in that
-    order, named as the op in its scope (``matmul in
+    With ``drop`` > 0, ``masks`` holds the layer's inverted-dropout keep
+    masks for after the softmax, the output projection and the FFN, drawn
+    at the full layer's shapes [n,h,T,T], [n,T,d] and [n,T,d]; the last
+    layer cuts them to the [CLS] rows, as ``autodiff.dropout`` with
+    ``draw_shape`` does.  Under ``detect_anomaly`` it checks each op's
+    result in that order, named as the op in its scope (``matmul in
     teacher/layers.1.ffn``)."""
     n, T = key_bias.shape
     d = x2.shape[1]
@@ -317,12 +319,12 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
         if saved is not None:
             saved.update(arrays)
 
-    def dropout(part, y, draw_shape):
-        """(y times the mask, (the mask, y)), or (y, None) without
+    def dropout(part, y, j):
+        """(y times mask j, (the mask, y)), or (y, None) without
         dropout."""
         if drop == 0.0:
             return y, None
-        keep = masks(draw_shape)
+        keep = masks[j]
         rows = y.size * keep.shape[-2] // keep.size
         mask = keep[..., :rows, :].reshape(y.shape) / (1.0 - drop)
         out = y * mask
@@ -364,14 +366,14 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     rows = p.reshape(-1, T)
     kernels.softmax_rows(rows, out=rows)
     check("attn", "softmax", p)
-    attn, attn_drop = dropout("attn", p, (n, h, T, T))
+    attn, attn_drop = dropout("attn", p, 0)
     ctx = np.matmul(attn, v)
     check("attn", "matmul", ctx)
     ctx = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(n * tq, d)
     save(x2=x2, xq=xq, q=q, kt=kt, v=v, p=p, attn=attn, attn_drop=attn_drop,
          ctx=ctx)
-    y, proj_drop = dropout("attn", linear("attn", ctx, "attn.wo", "attn.bo"),
-                           (n, T, d))
+    y, proj_drop = dropout(
+        "attn", linear("attn", ctx, "attn.wo", "attn.bo"), 1)
     y += xq
     check("ln1", "add", y)
     x1 = layer_norm("ln1", y)
@@ -380,8 +382,7 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     y = kernels.gelu_forward(y)
     check("ffn", "gelu", y)
     save(f1g=y)
-    y, ff_drop = dropout("ffn", linear("ffn", y, "ffn.w2", "ffn.b2"),
-                         (n, T, d))
+    y, ff_drop = dropout("ffn", linear("ffn", y, "ffn.w2", "ffn.b2"), 2)
     save(ff_drop=ff_drop)
     y += x1
     check("ln2", "add", y)
@@ -433,11 +434,11 @@ def _layer_backward(saved: dict, g: np.ndarray, rows_only: bool = False):
 
     Every gradient that flows down (each dx, the layer norm's, GELU's,
     softmax's and attention's VJPs) is computed row by row or sample by
-    sample: the row part.  Only the ``_SUMS`` sum over rows.  A serial
-    pass runs each op's sums as the op's VJP does.  A half of a split
-    pass passes ``rows_only``: the layer then runs the row part only and
-    returns (dx, dys), each ``_SUMS`` op's dY by reference, which no later
-    step of the row part writes."""
+    sample: the row part.  Only the ``_SUMS`` sum over rows.  A pass
+    over one sample part runs each op's sums as the op's VJP does.  Each
+    half of a pass over two passes ``rows_only``: the layer then runs the
+    row part only and returns (dx, dys), each ``_SUMS`` op's dY by
+    reference, which no later step of the row part writes."""
     s = saved
     w, check, x2 = s["w"], s["check"], s["x2"]
     n, h, tq, T = s["p"].shape
@@ -508,43 +509,21 @@ def _layer_backward(saved: dict, g: np.ndarray, rows_only: bool = False):
     return dx, out if rows_only else _in_order(out)
 
 
-def _masks(rng: Optional[np.random.Generator], drop: float
-           ) -> Optional[Callable]:
-    """shape -> an inverted-dropout keep mask drawn from ``rng`` (None
-    without dropout)."""
-    return (lambda shape: rng.random(shape) >= drop) if drop else None
-
-
 def _encode(ws: list, x2: np.ndarray, key_bias: np.ndarray, num_heads: int,
-            drop: float, masks: Optional[Callable], saved: Optional[list],
-            last: bool = True) -> np.ndarray:
-    """Every layer, with arrays ``ws``, over the [b*T,d] rows ``x2`` of b
-    samples -> the output of the final one: their [CLS] rows [b,d] if it
-    is the model's ``last`` layer, else all their rows [b*T,d]; appends
-    each layer's backward state to ``saved`` if it is a list."""
+            drop: float = 0.0, masks: Optional[list] = None,
+            saved: Optional[list] = None, last: bool = True) -> np.ndarray:
+    """Every layer, with arrays ``ws`` and, with dropout, the keep masks
+    ``masks[i]`` of layer i, over the [b*T,d] rows ``x2`` of b samples ->
+    the output of the final one: their [CLS] rows [b,d] if it is the
+    model's ``last`` layer, else all their rows [b*T,d]; appends each
+    layer's backward state to ``saved`` if it is a list."""
     for i, w in enumerate(ws):
         x2, state = _layer_forward(w, x2, key_bias, num_heads, i,
-                                   last and i == len(ws) - 1, drop, masks)
+                                   last and i == len(ws) - 1, drop,
+                                   masks and masks[i])
         if saved is not None:
             saved.append(state)
     return x2
-
-
-def _serial_pass(ws: list, x2: np.ndarray, key_bias: np.ndarray,
-                 num_heads: int, drop: float, masks: Optional[Callable]):
-    """``_encode`` over the whole batch -> (its [CLS] rows, the backward:
-    g -> (dx2, every layer's gradients)), which runs ``_layer_backward``
-    over the layers in reverse, each with its sums inline."""
-    saved = []
-    y = _encode(ws, x2, key_bias, num_heads, drop, masks, saved)
-
-    def backward(g):
-        grads = ()
-        for state in reversed(saved):
-            g, layer_grads = _layer_backward(state, g)
-            grads = layer_grads + grads
-        return g, grads
-    return y, backward
 
 
 def _both(first: Callable, second: Callable) -> tuple:
@@ -561,64 +540,83 @@ def _both(first: Callable, second: Callable) -> tuple:
     return future.result(), rest
 
 
-def _split_pass(ws: list, x2: np.ndarray, key_bias: np.ndarray,
-                num_heads: int, drop: float, masks: Optional[Callable]):
-    """``_serial_pass``'s result, bit for bit, from two threads: ``_encode``
-    runs the layers before the last on the sample halves ``[:n//2]`` (on
-    the worker) and ``[n//2:]`` (in the caller), each keeping its own
-    arrays, and the last layer runs whole on their joined output.
+def _run(calls: list) -> list:
+    """The results of one or two callables, one per sample part: one runs
+    in the calling thread, two run through ``_both``."""
+    return list(_both(*calls)) if len(calls) == 2 else [calls[0]()]
 
-    The lower layers' dropout masks are drawn here first, in the serial
-    pass's order and shapes, and each half takes its samples of them; the
-    last layer draws its own after the join, so the generator yields the
-    serial masks.
+
+def _join(arrays: list) -> np.ndarray:
+    """The arrays' rows in order: one array as it is, more concatenated."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _grad_pass(ws: list, x2: np.ndarray, key_bias: np.ndarray,
+               num_heads: int, drop: float,
+               rng: Optional[np.random.Generator], parts: list):
+    """The encoder in grad mode or with dropout over the (lo, hi) sample
+    ``parts`` (the whole batch, or its two halves, run by ``_run``) ->
+    (its [CLS] rows, the backward: g -> (dx2, every layer's gradients)).
+
+    Every layer's dropout keep masks are drawn first from ``rng``, in the
+    order and at the full shapes the layers take them, and each part
+    takes its samples of the lower layers' masks, so one generator stream
+    gives the same masks over one part or two.  Each part runs ``_encode``
+    over the layers before the last and keeps its own arrays; the last
+    layer runs whole on their joined output.
 
     The backward runs the last layer's VJP whole: its [CLS]-row dx
     products have as few rows as one half's samples, where OpenBLAS's
-    rows were seen to differ from the whole product's.  Then, for each
-    lower layer from the top down, both halves run the row part of
+    rows were seen to differ from the whole product's.  Then each lower
+    layer runs, from the top down.  Over one part it runs
+    ``_layer_backward`` with its sums inline, the order in which
+    ``detect_anomaly`` checks.  Over two, both halves run the row part of
     ``_layer_backward``; after the join the layer's ``_SUMS`` run, each
     sum whole over the concatenation of the halves' saved array and dY,
     dealt out alternately to the two threads; after that join the dYs
     go, before the next layer's row part."""
     n, T = key_bias.shape
     d = x2.shape[1]
-    lower = ws[:-1]
-    # each half's samples and token rows
-    halves = [(slice(a, b), slice(a * T, b * T))
-              for a, b in ((0, n // 2), (n // 2, n))]
-    keeps = [masks(shape) for _ in lower
-             for shape in ((n, num_heads, T, T), (n, T, d), (n, T, d))
-             ] if drop else []
+    keeps = [tuple(rng.random(shape) >= drop for shape in
+                   ((n, num_heads, T, T), (n, T, d), (n, T, d)))
+             for _ in ws] if drop else None
 
-    def forward(samples, rows):
-        mine = iter([keep[samples] for keep in keeps])
+    def lower(lo, hi):
+        mine = keeps and [tuple(k[lo:hi] for k in layer)
+                          for layer in keeps[:-1]]
         states = []
-        y = _encode(lower, x2[rows], key_bias[samples], num_heads, drop,
-                    lambda shape: next(mine), states, last=False)
+        y = _encode(ws[:-1], x2[lo * T:hi * T], key_bias[lo:hi], num_heads,
+                    drop, mine, states, last=False)
         return y, states
 
-    (ya, states_a), (yb, states_b) = _both(
-        *(partial(forward, *half) for half in halves))
-    y, top = _layer_forward(ws[-1], np.concatenate((ya, yb)), key_bias,
-                            num_heads, len(lower), True, drop, masks)
+    outs = _run([partial(lower, *part) for part in parts])
+    y, top = _layer_forward(ws[-1], _join([y for y, _ in outs]), key_bias,
+                            num_heads, len(ws) - 1, True, drop,
+                            keeps and keeps[-1])
+    layers = list(zip(*(states for _, states in outs)))
     ops = list(_SUMS)
 
     def backward(g):
         g, grads = _layer_backward(top, g)
-        for sa, sb in zip(reversed(states_a), reversed(states_b)):
-            (dxa, dys_a), (dxb, dys_b) = _both(
-                *(partial(_layer_backward, state, g[rows], True)
-                  for state, (_, rows) in zip((sa, sb), halves)))
+        for layer in reversed(layers):
+            if len(layer) == 1:
+                g, layer_grads = _layer_backward(layer[0], g)
+            else:
+                (dxa, dys_a), (dxb, dys_b) = _run([
+                    partial(_layer_backward, state, g[lo * T:hi * T], True)
+                    for state, (lo, hi) in zip(layer, parts)])
+                sa, sb = layer
 
-            def deal(share):
-                return lambda: {op: _sums(
-                    op, np.concatenate((sa[_SUMS[op]], sb[_SUMS[op]])),
-                    np.concatenate((dys_a[op], dys_b[op]))) for op in share}
-            first, second = _both(deal(ops[0::2]), deal(ops[1::2]))
-            grads = _in_order({**first, **second}) + grads
-            g = np.concatenate((dxa, dxb))
-            del dxa, dxb, dys_a, dys_b  # before the next layer's row part
+                def deal(share):
+                    return lambda: {op: _sums(
+                        op, np.concatenate((sa[_SUMS[op]], sb[_SUMS[op]])),
+                        np.concatenate((dys_a[op], dys_b[op])))
+                        for op in share}
+                first, second = _both(deal(ops[0::2]), deal(ops[1::2]))
+                layer_grads = _in_order({**first, **second})
+                g = np.concatenate((dxa, dxb))
+                del dxa, dxb, dys_a, dys_b  # before the next layer's rows
+            grads = layer_grads + grads
         return g, grads
     return y, backward
 
@@ -667,10 +665,10 @@ def _splits(n: int, T: int, num_layers: int) -> bool:
     """Whether a forward of n samples of T tokens through ``num_layers``
     layers has the work to pay for a two-thread split: 4 samples, so each
     half holds 2, and two blocks' token rows over the layers before the
-    last, which computes only the n [CLS] rows (and, in a split grad-mode
-    or dropout pass, runs whole).  The distill teacher's 4-layer 32x14
-    query and ``teacher_ft``'s 32x14 training step (1344) split, a
-    1-layer model never does."""
+    last, which computes only the n [CLS] rows (and, in the grad pass,
+    runs whole).  The distill teacher's 4-layer 32x14 query and
+    ``teacher_ft``'s 32x14 training step (1344) split, a 1-layer model
+    never does."""
     return (n >= _SPLIT_MIN_SAMPLES
             and (num_layers - 1) * n * T >= 2 * _BLOCK_ROWS)
 
@@ -716,33 +714,33 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     the full layer's shapes and cut to the [CLS] rows, so the generator
     stream and the masks of the rows that are kept do not change.
 
-    Grad mode and dropout run one pass over the whole batch (the serial
-    pass, ``_serial_pass``), which keeps each layer's backward state, and
-    in grad mode the encoder is one autodiff op (``_encoder``).  A
-    graph-free forward (``no_grad``, with dropout and ``detect_anomaly``
-    off) keeps nothing for a backward and runs ``_encode`` over blocks of
-    consecutive samples (``_blocks``): k = ceil(rows / 512) blocks of
-    near-equal sample counts, fewer where a block would hold fewer than 2
-    samples or at most 256 rows.  A block's attention scores and softmax
-    then stay in cache.
+    Grad mode and dropout run one pass (``_grad_pass``), which draws
+    every layer's dropout masks up front and keeps each layer's backward
+    state, and in grad mode the encoder is one autodiff op
+    (``_encoder``).  A graph-free forward (``no_grad``, with dropout and
+    ``detect_anomaly`` off) keeps nothing for a backward and runs
+    ``_encode`` over blocks of consecutive samples (``_blocks``): k =
+    ceil(rows / 512) blocks of near-equal sample counts, fewer where a
+    block would hold fewer than 2 samples or at most 256 rows.  A block's
+    attention scores and softmax then stay in cache.
 
-    A batch of at least 4 samples whose layers before the last hold at
-    least 1024 token rows between them (``_splits``: (num_layers - 1) *
-    n * T, as the last layer computes only the [CLS] rows), on a process
-    that may use 2 CPUs and where mixkd holds OpenBLAS at one thread,
-    also splits into the sample halves ``[:n//2]``, on the long-lived
-    worker thread, and ``[n//2:]``, in the calling thread; numpy and BLAS
-    release the GIL, so the halves overlap.  A graph-free forward runs
-    the blocks of each half there and then the head once on the
-    concatenated [n,d] rows.  A grad-mode or dropout pass runs its
-    layers before the last on the halves and the last layer whole
-    (``_split_pass``, whose docstring gives its backward); under
-    ``detect_anomaly`` it runs the serial pass, so that the checks keep
-    their one order.  The worker runs in a copy of the caller's context,
-    so it sees the same autodiff modes and numpy errstate, and its half
-    has finished before the call returns or raises; an error in the
-    caller's half is the one raised.  The worker never runs a pass that
-    submits to it, so nothing waits on itself.
+    Either mode runs over a list of sample parts: the whole batch, or
+    the halves ``[:n//2]``, on the long-lived worker thread, and
+    ``[n//2:]``, in the calling thread (``_run``); numpy and BLAS release
+    the GIL, so the halves overlap.  A batch takes the halves if it has
+    at least 4 samples, its layers before the last hold at least 1024
+    token rows between them (``_splits``: (num_layers - 1) * n * T, as
+    the last layer computes only the [CLS] rows), the process may use 2
+    CPUs, mixkd holds OpenBLAS at one thread, and ``detect_anomaly`` is
+    off, so that the checks keep their one order.  A graph-free forward
+    runs the blocks of each part there and then the head once on the
+    concatenated [n,d] rows.  The grad pass runs its layers before the
+    last on the parts and the last layer whole (its docstring gives the
+    backward).  The worker runs in a copy of the caller's context, so it
+    sees the same autodiff modes and numpy errstate, and its half has
+    finished before the call returns or raises; an error in the caller's
+    half is the one raised.  The worker never runs a pass that submits
+    to it, so nothing waits on itself.
 
     Blocks and halves are bitwise: every op below the head works per
     sample or row by row, and with OpenBLAS a row of a GEMM with at least
@@ -755,10 +753,10 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     and, when there are several, more than 256 rows, inside the range
     where the invariance was first measured (224-2048 rows).  Only
     gradient sums read across rows (``x.T @ dY``, column sums), and a
-    split pass runs each whole, on the concatenation of the halves'
-    arrays: the same contiguous operands as the serial pass's.  So every
-    path is bitwise the serial one; the tests named in the module
-    docstring check this.
+    pass over two halves runs each whole, on the concatenation of the
+    halves' arrays: the same contiguous operands as one part's.  So
+    every path is bitwise the one-part pass; the tests named in the
+    module docstring check this.
 
     With ``return_features`` also returns the final-layer [CLS] vectors [n,d].
     """
@@ -774,37 +772,29 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
         raise ValueError("dropout requires an rng in train mode")
     key_bias = np.where(mask, 0.0, -1e9)
 
-    # a graph-free forward runs per block; grad mode and dropout run one
-    # pass, over the whole batch or its two halves; anomaly mode (one
-    # order of checks) runs the serial pass
+    # a graph-free forward runs per block, a grad-mode or dropout one as
+    # one pass; either over the whole batch or its two halves, but anomaly
+    # mode (one order of checks) runs one part
     graph_free = not (ad._grad_enabled.get() or ad._anomaly.get()
                       or drop > 0.0)
     split = (_splits(n, T, cfg.num_layers) and _blas_one_thread
-             and _cpus() >= 2)
+             and _cpus() >= 2 and not ad._anomaly.get())
+    parts = [(0, n // 2), (n // 2, n)] if split else [(0, n)]
     ws = [{name: params[f"layers.{i}.{name}"].data for name in _LAYER_PARAMS}
           for i in range(cfg.num_layers)]
     x2 = emb.data.reshape(n * T, d)
 
     if graph_free:
-        def layers(lo, hi):
+        def blocks(lo, hi):
             """The [CLS] rows of the blocks of samples [lo, hi)."""
             return [_encode(ws, x2[a * T:b * T], key_bias[a:b],
-                            cfg.num_heads, 0.0, None, None)
-                    for a, b in _blocks(lo, hi, T)]
-        if split:
-            first, rest = _both(lambda: layers(0, n // 2),
-                                lambda: layers(n // 2, n))
-            parts = first + rest
-        else:
-            parts = layers(0, n)
-        y = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                            cfg.num_heads) for a, b in _blocks(lo, hi, T)]
+        ys = [y for part in _run([partial(blocks, *part) for part in parts])
+              for y in part]
+        cls = Tensor(_join(ys), _unchecked=True)
     else:
-        run = (_split_pass if split and not ad._anomaly.get()
-               else _serial_pass)
-        y, backward = run(ws, x2, key_bias, cfg.num_heads, drop,
-                          _masks(rng, drop))
-    cls = (Tensor(y, _unchecked=True) if graph_free
-           else _encoder(params, emb, y, backward))
+        cls = _encoder(params, emb, *_grad_pass(
+            ws, x2, key_bias, cfg.num_heads, drop, rng, parts))
     with ad.scope("head"):
         logits = ad.matmul(cls, params["head.weight"], bias=params["head.bias"])
     # the forward's boundary: op results inside it are not checked
@@ -823,9 +813,9 @@ def forward_tokens(params: ModelParams, batch, return_features: bool = False):
     and takes the graph-free path of ``forward_from_embeddings``: bare
     arrays with no ``Tensor`` per layer, blocked, and split across two
     threads for a large batch.  Under ``detect_anomaly`` it runs the
-    serial pass instead, which names the first non-finite op; tier-1
-    pins the two paths to each other bitwise.  It returns leaf tensors,
-    which ``backward`` refuses.  The differentiable forward is
+    grad pass over one part instead, which names the first non-finite
+    op; tier-1 pins the two paths to each other bitwise.  It returns
+    leaf tensors, which ``backward`` refuses.  The differentiable forward is
     ``forward_from_embeddings(params, embed_batch(params, ids, mask),
     mask)``."""
     with ad.no_grad():

@@ -411,6 +411,18 @@ def test_exit_code_tsv_row_missing_label(workspace, tmp_path, capsys):
             "like the header, got 1") in err
 
 
+def test_exit_code_tsv_header_repeats_a_column(teacher_ckpt, tmp_path,
+                                               capsys):
+    data = tmp_path / "twice.tsv"
+    data.write_text("sentence\tsentence\tlabel\nhello world\t\tpos\n")
+    assert main(["eval", "--model", str(teacher_ckpt),
+                 "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error (DataError): {data}: column 'sentence' "
+                            "appears twice in the header\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("spec", ["label,label", "sentence,sentence,label"])
 def test_exit_code_repeated_schema_column(spec, teacher_ckpt, workspace,
                                           capsys):

@@ -88,6 +88,38 @@ def test_load_tsv_rejects_an_empty_label(tmp_path, label, label_names):
         load_tsv(path, Schema.parse("sentence,label"), label_names)
 
 
+def test_load_tsv_strips_the_label_when_it_infers_the_labels(tmp_path):
+    """A stray space around a label is not a class of its own."""
+    path = tmp_path / "d.tsv"
+    _write_tsv(path, ["good movie\tpos ", "fine\tpos", "bad one\t neg"])
+    examples, labels = load_tsv(path, Schema.parse("sentence,label"))
+    assert labels == ["neg", "pos"]
+    assert [e.label_id for e in examples] == [1, 1, 0]
+
+
+def test_load_tsv_strips_the_label_before_matching_given_names(tmp_path):
+    path = tmp_path / "d.tsv"
+    _write_tsv(path, ["good movie\tpos ", "bad one\tneg"])
+    examples, labels = load_tsv(path, Schema.parse("sentence,label"),
+                                label_names=["neg", "pos"])
+    assert labels == ["neg", "pos"]
+    assert [e.label_id for e in examples] == [1, 0]
+
+
+@pytest.mark.parametrize("row", ["hello world\t\tpos", "hello\tworld\tpos"],
+                         ids=["first_filled", "both_filled"])
+def test_load_tsv_rejects_a_column_named_twice(tmp_path, row):
+    """Whether the first or both cells of the column are filled, a
+    repeated header column is an error, not a misleading empty text or a
+    silent choice of the last cell."""
+    path = tmp_path / "d.tsv"
+    _write_tsv(path, [row], header="sentence\tsentence\tlabel")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: column "
+                                        "'sentence' appears twice in the "
+                                        "header$"):
+        load_tsv(path, Schema.parse("sentence,label"))
+
+
 def test_load_tsv_rejects_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "d.tsv"
     path.write_bytes("sentence\tlabel\ncafé\tpos\n".encode("latin-1"))

@@ -1034,6 +1034,31 @@ def test_anomaly_names_the_dropout_vjp(name, where, tiny_config):
             == f"first non-finite: {where}")
 
 
+@pytest.mark.parametrize("name,where", [
+    ("layers.1.ffn.b2", "mul vjp in s/layers.1.ffn"),
+    ("layers.2.attn.bo", "mul vjp in s/layers.2.attn"),
+])
+def test_anomaly_backward_at_a_split_shape_runs_one_part(name, where,
+                                                         monkeypatch):
+    """At teacher_ft's shape (4 layers, 32 x 14, dropout 0.1), which
+    splits outside anomaly mode, a 1e200 entry before a lower layer's
+    dropout and a loss scaled by 1e200: under ``detect_anomaly`` the
+    backward names the same dropout VJP on 2 CPUs as on 1, and nothing
+    goes to the worker."""
+    params, ids, mask = _split_shape(32, 14)
+    params = ModelParams(dataclasses.replace(params.config, dropout_rate=0.1),
+                         params.arrays)
+    params[name].data[0] = 1e200
+    assert model_mod._splits(32, 14, 4)
+    halves = _worker_halves(monkeypatch)
+    messages = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(model_mod, "_cpus", lambda: cpus)
+        messages.append(_anomaly_backward(params, ids, mask, loss_scale=1e200))
+    assert messages == [f"first non-finite: {where}"] * 2
+    assert halves == []
+
+
 @pytest.mark.parametrize("layer,loss_scale,fused,op_chain", [
     (1, 3.4e307, "layer_norm vjp in s/layers.0.ln2",
      "layer_norm vjp in s/layers.0.ln2"),
