@@ -261,6 +261,10 @@ class Batch:
             raise DataError("labels row count mismatch")
         if not (self.token_ids[:, 0] == CLS_ID).all():
             raise DataError("every row must begin with [CLS]")
+        if not self.pad_mask[:, 0].all():
+            row = np.flatnonzero(~self.pad_mask[:, 0])[0]
+            raise DataError(f"row {row}: pad_mask marks the [CLS] position "
+                            "as padding")
         # the mask must be a true-prefix: no real token after the first pad
         padded_then_real = (~self.pad_mask[:, :-1]) & self.pad_mask[:, 1:]
         if padded_then_real.any():

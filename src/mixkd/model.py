@@ -11,7 +11,13 @@ Padding convention: a pad position carries a zero embedding (token plus
 position, times the 0/1 pad mask, in one ``autodiff.embedding`` op, so
 the zero has the sign of the sum), and attention scores for pad keys get
 an additive -1e9 before the softmax.  Position 0 is the pooled
-classification slot.
+classification slot, and every sample's position 0 is real.  The grad
+pass computes every row, pad rows included.  A graph-free forward packs
+each block's real token rows: the projections, residuals, layer norms
+and FFN run on those rows only, pad keys and values are zeros with an
+additive -inf, and attention keeps its padded [b,h,T,T] scores.  A pad
+key's softmax weight is +0 in both, so a real row's bits do not change
+(see ``forward_from_embeddings``).
 
 The classifier reads only the last layer's [CLS] vector, so the last
 layer computes only the [CLS] query rows (keys and values still come from
@@ -36,8 +42,9 @@ A graph-free forward, one under ``no_grad`` with dropout and
 ``distill.total_loss``), keeps nothing for a backward: it builds one
 ``Tensor`` for the [CLS] rows and one for the logits.  It runs
 ``_encode`` over blocks of consecutive samples of at most
-``_BLOCK_ROWS`` token rows, so that attention's [b,h,T,T] buffers stay
-in cache.  Grad mode and dropout run one pass, ``_grad_pass``, which
+``_BLOCK_ROWS`` token rows, padded rows counted, so that attention's
+[b,h,T,T] buffers stay in cache, each block on its packed real rows.
+Grad mode and dropout run one pass, ``_grad_pass``, which
 draws every layer's dropout masks up front and keeps each layer's
 backward state.
 
@@ -284,15 +291,28 @@ def _anomaly_check(i: int):
 
 def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
                    num_heads: int, i: int, last: bool, drop: float,
-                   masks: Optional[tuple]):
+                   masks: Optional[tuple], real: Optional[tuple] = None):
     """Encoder layer ``i`` over bare arrays: the [n*T,d] rows ``x2`` of n
     samples -> (y, saved).  ``w`` maps ``_LAYER_PARAMS`` to the layer's
-    arrays; ``key_bias`` [n,T] is 0 for a real key and -1e9 for a pad
-    key.  y is the output rows [n*T,d], or in the ``last`` layer the
-    [CLS] rows [n,d]: there only the [CLS] rows are queries, while keys
-    and values come from every row.  In grad mode ``saved`` holds what
-    ``_layer_backward`` needs; under ``no_grad`` it is None, and an
-    intermediate array goes as soon as the ops after it have read it.
+    arrays; ``key_bias`` [n,T] is 0 for a real key and -1e9 (packed,
+    -inf) for a pad key.  y is the output rows [n*T,d], or in the
+    ``last`` layer the [CLS] rows [n,d]: there only the [CLS] rows are
+    queries, while keys and values come from every row.  In grad mode
+    ``saved`` holds what ``_layer_backward`` needs; under ``no_grad`` it
+    is None, and an intermediate array goes as soon as the ops after it
+    have read it.
+
+    With ``real``, the (sample, position) indices of the R real token
+    rows (``np.nonzero`` of the pad mask, every sample's position 0
+    among them), the rows are packed: ``x2`` is [R,d], and so is y below
+    the last layer.  The projections, ``wo``, the residuals, both layer
+    norms and the FFN run on the R rows, and the last layer's queries
+    are its rows at position 0.  q, k and v are scattered into
+    zero-filled head buffers, so the scores, key bias and softmax keep
+    their padded [n,h,T,T] shape, and the context's real rows are
+    gathered back.  The graph-free forward packs.  The grad pass does
+    not: its weight gradients sum over the token rows, and dropping rows
+    would change the order of those sums.
 
     The layer makes the numpy and kernel calls of the autodiff ops it
     stands for, in their order: ``matmul`` (with bias), ``reshape`` and
@@ -342,7 +362,14 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
         # k has no bias: the softmax cancels it
         y = linear("attn", src, f"attn.w{name}",
                    None if name == "k" else f"attn.b{name}")
-        return np.ascontiguousarray(y.reshape(n, rows, h, hd).transpose(axes))
+        if real is None or rows == 1:  # rows == 1: the last [CLS] queries
+            return np.ascontiguousarray(
+                y.reshape(n, rows, h, hd).transpose(axes))
+        # an index scatter costs about two transpose copies, so only
+        # packed rows take it
+        out = np.zeros([(n, rows, h, hd)[a] for a in axes])
+        out.transpose(np.argsort(axes))[real] = y.reshape(-1, h, hd)
+        return out
 
     def layer_norm(part, y):
         """Saves xhat and 1/std as ``<part>.xhat`` and ``<part>.inv_std``."""
@@ -352,14 +379,20 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
         save(**{f"{part}.xhat": xhat, f"{part}.inv_std": inv_std})
         return out
 
-    if last:
-        xq, tq = np.ascontiguousarray(x2.reshape(n, T, d)[:, 0]), 1
-    else:
+    if not last:
         xq, tq = x2, T
+    elif real is None:
+        xq, tq = np.ascontiguousarray(x2.reshape(n, T, d)[:, 0]), 1
+    else:  # position 0 of every sample is real
+        xq, tq = x2[real[1] == 0], 1
     q = heads("q", xq, tq)
     # k goes straight to [n,h,hd,T], the transposed operand of q @ k^T
     kt, v = heads("k", x2, T, (0, 2, 3, 1)), heads("v", x2, T)
-    p = np.matmul(q, kt)
+    # a packed pad query is a zero row, and zero times an inf key is NaN,
+    # in a score row that nothing reads; a real row's NaN is reported by
+    # the boundary checks
+    with np.errstate(invalid="ignore"):
+        p = np.matmul(q, kt)
     check("attn", "matmul", p)
     p *= scale
     p += key_bias.reshape(n, 1, 1, T)
@@ -369,7 +402,11 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     attn, attn_drop = dropout("attn", p, 0)
     ctx = np.matmul(attn, v)
     check("attn", "matmul", ctx)
-    ctx = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(n * tq, d)
+    if real is None or tq == 1:
+        ctx = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(
+            n * tq, d)
+    else:
+        ctx = ctx.transpose(0, 2, 1, 3)[real].reshape(-1, d)
     save(x2=x2, xq=xq, q=q, kt=kt, v=v, p=p, attn=attn, attn_drop=attn_drop,
          ctx=ctx)
     y, proj_drop = dropout(
@@ -511,16 +548,18 @@ def _layer_backward(saved: dict, g: np.ndarray, rows_only: bool = False):
 
 def _encode(ws: list, x2: np.ndarray, key_bias: np.ndarray, num_heads: int,
             drop: float = 0.0, masks: Optional[list] = None,
-            saved: Optional[list] = None, last: bool = True) -> np.ndarray:
+            saved: Optional[list] = None, last: bool = True,
+            real: Optional[tuple] = None) -> np.ndarray:
     """Every layer, with arrays ``ws`` and, with dropout, the keep masks
-    ``masks[i]`` of layer i, over the [b*T,d] rows ``x2`` of b samples ->
-    the output of the final one: their [CLS] rows [b,d] if it is the
-    model's ``last`` layer, else all their rows [b*T,d]; appends each
-    layer's backward state to ``saved`` if it is a list."""
+    ``masks[i]`` of layer i, over the [b*T,d] rows ``x2`` of b samples
+    (or, with ``real``, their packed real rows) -> the output of the
+    final one: their [CLS] rows [b,d] if it is the model's ``last``
+    layer, else all their rows; appends each layer's backward state to
+    ``saved`` if it is a list."""
     for i, w in enumerate(ws):
         x2, state = _layer_forward(w, x2, key_bias, num_heads, i,
                                    last and i == len(ws) - 1, drop,
-                                   masks and masks[i])
+                                   masks and masks[i], real)
         if saved is not None:
             saved.append(state)
     return x2
@@ -573,8 +612,10 @@ def _grad_pass(ws: list, x2: np.ndarray, key_bias: np.ndarray,
     ``detect_anomaly`` checks.  Over two, both halves run the row part of
     ``_layer_backward``; after the join the layer's ``_SUMS`` run, each
     sum whole over the concatenation of the halves' saved array and dY,
-    dealt out alternately to the two threads; after that join the dYs
-    go, before the next layer's row part."""
+    dealt out alternately to the two threads; the layer's input x2, which
+    the q (a lower layer's xq is its x2), k and v sums read, is joined
+    once.  After that join the dYs go, before the next layer's row
+    part."""
     n, T = key_bias.shape
     d = x2.shape[1]
     keeps = [tuple(rng.random(shape) >= drop for shape in
@@ -606,16 +647,21 @@ def _grad_pass(ws: list, x2: np.ndarray, key_bias: np.ndarray,
                     partial(_layer_backward, state, g[lo * T:hi * T], True)
                     for state, (lo, hi) in zip(layer, parts)])
                 sa, sb = layer
+                # one join of x2 for the three sums that read it: a lower
+                # layer's xq is its x2
+                joined = np.concatenate((sa["x2"], sb["x2"]))
 
                 def deal(share):
                     return lambda: {op: _sums(
-                        op, np.concatenate((sa[_SUMS[op]], sb[_SUMS[op]])),
+                        op, joined if _SUMS[op] in ("xq", "x2") else
+                        np.concatenate((sa[_SUMS[op]], sb[_SUMS[op]])),
                         np.concatenate((dys_a[op], dys_b[op])))
                         for op in share}
                 first, second = _both(deal(ops[0::2]), deal(ops[1::2]))
                 layer_grads = _in_order({**first, **second})
                 g = np.concatenate((dxa, dxb))
-                del dxa, dxb, dys_a, dys_b  # before the next layer's rows
+                # before the next layer's rows
+                del dxa, dxb, dys_a, dys_b, joined
             grads = layer_grads + grads
         return g, grads
     return y, backward
@@ -724,6 +770,31 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     block would hold fewer than 2 samples or at most 256 rows.  A block's
     attention scores and softmax then stay in cache.
 
+    A graph-free block runs packed (see ``_layer_forward``): its layers
+    run on the block's R real token rows and never compute a pad row,
+    while ``_blocks`` and ``_splits`` still count padded rows.  Packing
+    keeps the bits.  Each op on a real row is the same op on the same
+    operands: a row of ``x @ W`` is the same row at any row count from 2
+    (``test_gemm_rows_are_invariant_at_packed_row_counts``), and
+    attention's scores, softmax and context keep their padded [b,h,T,T]
+    shapes.  Only the pad keys differ: their keys and values are zeros,
+    not values computed from the pad rows, and their bias is -inf, not
+    -1e9.  A pad key's softmax weight is +0 either way, so a real row's
+    context changes only by +-0 terms (0 times a pad value), which could
+    show only in the sign of a context entry whose sum over the real
+    keys is exactly zero.  A block with one real row (one sample of only
+    [CLS]) runs padded, its pad rows zeroed, because a 1-row product is a
+    gemv, which rounds apart.
+
+    So pad rows reach no real row of a graph-free forward: a NaN or inf
+    only at pad positions (in the [PAD] row of ``tok_emb``, or in
+    ``pos_emb`` rows past every sample's length) leaves its logits
+    bitwise those of a clean run, while the grad pass, which computes
+    the pad rows, raises at its logits check.  The -inf pad bias keeps a
+    query whose real keys all score -inf at NaN, which the logits check
+    reports, where -1e9 would average the zero pad values.  ValueError
+    if a sample's position 0, its [CLS] slot, is padding.
+
     Either mode runs over a list of sample parts: the whole batch, or
     the halves ``[:n//2]``, on the long-lived worker thread, and
     ``[n//2:]``, in the calling thread (``_run``); numpy and BLAS release
@@ -770,31 +841,46 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     drop = cfg.dropout_rate if train_mode else 0.0
     if drop > 0.0 and rng is None:
         raise ValueError("dropout requires an rng in train mode")
-    key_bias = np.where(mask, 0.0, -1e9)
+    if not mask[:, 0].all():
+        raise ValueError(f"pad_mask row {np.flatnonzero(~mask[:, 0])[0]} "
+                         "marks position 0, the [CLS] slot, as padding")
 
     # a graph-free forward runs per block, a grad-mode or dropout one as
     # one pass; either over the whole batch or its two halves, but anomaly
     # mode (one order of checks) runs one part
     graph_free = not (ad._grad_enabled.get() or ad._anomaly.get()
                       or drop > 0.0)
+    # a packed pad key is a zero: its -inf bias leaves a query whose real
+    # keys all score -inf at NaN, where -1e9 would average the zeros
+    key_bias = np.where(mask, 0.0, -np.inf if graph_free else -1e9)
     split = (_splits(n, T, cfg.num_layers) and _blas_one_thread
              and _cpus() >= 2 and not ad._anomaly.get())
     parts = [(0, n // 2), (n // 2, n)] if split else [(0, n)]
     ws = [{name: params[f"layers.{i}.{name}"].data for name in _LAYER_PARAMS}
           for i in range(cfg.num_layers)]
-    x2 = emb.data.reshape(n * T, d)
 
     if graph_free:
+        def block(a, b):
+            """The [CLS] rows of samples [a, b), from their packed real
+            rows if there are 2, else padded with the pad rows zeroed."""
+            real = np.nonzero(mask[a:b])
+            if len(real[0]) < 2:
+                return _encode(ws, np.where(mask[a:b, :, None], emb.data[a:b],
+                                            0.0).reshape(-1, d),
+                               key_bias[a:b], cfg.num_heads)
+            return _encode(ws, emb.data[a:b][real], key_bias[a:b],
+                           cfg.num_heads, real=real)
+
         def blocks(lo, hi):
             """The [CLS] rows of the blocks of samples [lo, hi)."""
-            return [_encode(ws, x2[a * T:b * T], key_bias[a:b],
-                            cfg.num_heads) for a, b in _blocks(lo, hi, T)]
+            return [block(a, b) for a, b in _blocks(lo, hi, T)]
         ys = [y for part in _run([partial(blocks, *part) for part in parts])
               for y in part]
         cls = Tensor(_join(ys), _unchecked=True)
     else:
         cls = _encoder(params, emb, *_grad_pass(
-            ws, x2, key_bias, cfg.num_heads, drop, rng, parts))
+            ws, emb.data.reshape(n * T, d), key_bias, cfg.num_heads, drop,
+            rng, parts))
     with ad.scope("head"):
         logits = ad.matmul(cls, params["head.weight"], bias=params["head.bias"])
     # the forward's boundary: op results inside it are not checked

@@ -359,11 +359,14 @@ _IDS = np.array([[CLS_ID, 5, PAD_ID], [CLS_ID, 6, 7]])
      "pad_mask shape mismatch"),
     (lambda: Batch(_IDS, _IDS != PAD_ID, np.eye(2)[:1]),
      "labels row count mismatch"),
+    (lambda: Batch(_IDS, np.array([[True, True, False], [False] * 3]),
+                   np.eye(2)),
+     "row 1: pad_mask marks the [CLS] position as padding"),
     (lambda: make_batch([Example("a", 2)], build_vocab([Example("a", 0)]),
                         4, 2),
      "label_id 2 >= num_classes 2"),
 ], ids=["empty_corpus", "short_max_len", "mask_shape", "label_rows",
-        "label_id_past_classes"])
+        "cls_padded", "label_id_past_classes"])
 def test_direct_callers_get_a_data_error(call, message):
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         call()

@@ -211,6 +211,22 @@ def test_forward_rejects_pad_mask_shape(tiny_params, tiny_config):
         forward_from_embeddings(tiny_params, emb, mask[:1])
 
 
+@pytest.mark.parametrize("grad_mode", [True, False])
+def test_forward_rejects_a_padded_cls_slot(grad_mode, tiny_params,
+                                           tiny_config):
+    """Every sample's position 0 is real: the graph-free forward reads the
+    [CLS] rows from the real rows, and a sample with no real row gave
+    logits of 0 before."""
+    ids, mask = _toy_batch(tiny_config, [3, 6, 4])
+    mask[1] = False
+    with (contextlib.nullcontext() if grad_mode else ad.no_grad()):
+        emb = embed_batch(tiny_params, ids, mask)
+        with pytest.raises(ValueError, match=re.escape(
+                "pad_mask row 1 marks position 0, the [CLS] slot, as "
+                "padding")):
+            forward_from_embeddings(tiny_params, emb, mask)
+
+
 def test_end_to_end_gradient_nonzero(tiny_params, tiny_config):
     ids, mask = _toy_batch(tiny_config, [6, 4, 5, 6])
     labels = np.eye(2)[[0, 1, 1, 0]]
@@ -488,6 +504,52 @@ def test_graph_free_forward_checks_finiteness_once(monkeypatch):
     assert calls == [logits.shape]
 
 
+def _short_rows(n=32, T=64):
+    """eval_long's 4-layer 32 x 64 model and n rows of 34-56 real tokens,
+    so positions 56-63 are padding in every row."""
+    params, _, _ = _split_shape(n, T)
+    lengths = np.random.default_rng(0).integers(34, 57, size=n)
+    return (params, *_toy_batch(params.config, lengths))
+
+
+@pytest.mark.parametrize("where", ["pad_token", "positions_past_every_row"])
+def test_pad_only_nan_leaves_graph_free_logits_alone(where):
+    """A graph-free forward computes no pad row, so a NaN that reaches only
+    pad positions leaves its logits and features bitwise those of a clean
+    run, in both threads of a split.  The grad pass computes the pad rows,
+    and its logits check raises."""
+    params, ids, mask = _short_rows()
+    batch = SimpleNamespace(token_ids=ids, pad_mask=mask)
+    clean, clean_feats = forward_tokens(params, batch, return_features=True)
+    if where == "pad_token":
+        params["tok_emb"].data[PAD_ID] = np.nan
+    else:
+        params["pos_emb"].data[56:] = np.nan
+    logits, feats = forward_tokens(params, batch, return_features=True)
+    assert np.array_equal(logits.data, clean.data)
+    assert np.array_equal(feats.data, clean_feats.data)
+    with pytest.raises(ad.NonFiniteError, match="logits contain NaN"):
+        forward_from_embeddings(params, embed_batch(params, ids, mask), mask)
+
+
+def test_graph_free_forward_keeps_a_row_of_minus_inf_scores_non_finite():
+    """Layer 0's head-0 scores are 1e200 * -1e200 = -inf at every real key
+    (every real row's embedding starts with 1).  With zero pad keys a -1e9
+    pad bias would make the softmax average those zeros into a finite
+    context; the packed forward's -inf bias leaves the rows NaN, which
+    the logits check reports."""
+    params, ids, mask = _short_rows(n=8)
+    params["tok_emb"].data[:, 0] = 0.5
+    params["pos_emb"].data[:, 0] = 0.5
+    params["layers.0.attn.wq"].data[:, 0] = 0.0
+    params["layers.0.attn.bq"].data[0] = 1e200
+    params["layers.0.attn.wk"].data[:, 0] = 0.0
+    params["layers.0.attn.wk"].data[0, 0] = -1e200
+    with np.errstate(over="ignore"), pytest.raises(
+            ad.NonFiniteError, match="logits contain NaN"):
+        forward_tokens(params, SimpleNamespace(token_ids=ids, pad_mask=mask))
+
+
 # ---------------------------------------------------------------------------
 # two-thread sample split of graph-free forwards
 # ---------------------------------------------------------------------------
@@ -751,6 +813,31 @@ def test_split_grad_pass_bitwise_equals_serial(n, T, hidden_dim,
     assert split[3] == serial[3]
 
 
+def test_split_backward_joins_a_lower_layers_input_once(monkeypatch):
+    """A lower layer's xq is its x2, which the k and v sums read too: the
+    split backward joins the halves' x2 once and hands that one array to
+    all three sums.  The last layer, which runs whole, hands its x2 to
+    the k and v sums and its [CLS] rows to the q sum."""
+    params, ids, mask = _split_shape(32, 14)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 2)
+    seen, real = [], model_mod._sums
+
+    def sums(op, x, dy):
+        if op in ("attn.wq", "attn.wk", "attn.wv"):
+            seen.append((op, x))
+        return real(op, x, dy)
+    monkeypatch.setattr(model_mod, "_sums", sums)
+    threads = _forward_threads(monkeypatch)
+    _grad_step(params, ids, mask)
+    assert _split(threads)
+    groups = {}
+    for op, x in seen:
+        groups.setdefault(id(x), []).append(op)
+    assert sorted(sorted(ops) for ops in groups.values()) == sorted(
+        [["attn.wk", "attn.wv"], ["attn.wq"]]
+        + [["attn.wk", "attn.wq", "attn.wv"]] * 3)
+
+
 def test_split_grad_pass_peak_memory_matches_serial(monkeypatch):
     """At teacher_ft's shape (4 layers, 32 x 14) the traced peak of a
     split grad-mode forward and backward stays within 5% of the serial
@@ -842,6 +929,29 @@ def test_blocked_forward_bitwise_equals_graph_forward(n, T, hidden_dim, cpus,
     assert np.array_equal(blocked_feats.data, graph_feats.data)
 
 
+@pytest.mark.parametrize("grad_mode", [True, False])
+def test_graph_free_layers_run_on_the_real_rows(grad_mode, monkeypatch):
+    """Under no_grad each block's lower layers normalize and GELU its R
+    real token rows and the last layer its sample count; grad mode still
+    runs every token row, n*T, and the last layer n."""
+    params, ids, mask = _split_shape(17, 64)  # blocks of 5, 6 and 6
+    monkeypatch.setattr(model_mod, "_cpus", lambda: 1)
+    rows = {"layernorm_rows": [], "gelu_forward": []}
+    for name, seen in rows.items():
+        def spy(x, *args, real=getattr(kernels, name), seen=seen):
+            seen.append(len(x))
+            return real(x, *args)
+        monkeypatch.setattr(kernels, name, spy)
+    with (contextlib.nullcontext() if grad_mode else ad.no_grad()):
+        forward_from_embeddings(params, embed_batch(params, ids, mask), mask)
+    spans = [(0, 17)] if grad_mode else model_mod._blocks(0, 17, 64)
+    want = [r for a, b in spans
+            for r in [64 * (b - a) if grad_mode else int(mask[a:b].sum())] * 3
+            + [b - a]]
+    assert rows["gelu_forward"] == want
+    assert rows["layernorm_rows"] == [r for r in want for _ in (1, 2)]
+
+
 def _block_shapes():
     """(T, samples) of every block that a graph-free forward of 2-64
     samples through 1-4 layers at the sequence lengths used here runs."""
@@ -930,6 +1040,23 @@ def test_gemm_rows_are_block_invariant(k, width):
         for cut in (slice(0, rows), slice(7, 7 + rows), slice(rows, 2 * rows)):
             assert np.array_equal(a[cut] @ w, whole[cut]), (T, b)
             assert np.array_equal(dy[cut] @ wt, whole_t[cut]), (T, b)
+
+
+@pytest.mark.parametrize("k,width", [(64, 64), (64, 128), (128, 64),
+                                     (48, 48), (16, 16)])
+def test_gemm_rows_are_invariant_at_packed_row_counts(k, width):
+    """A packed graph-free block runs its products over its real token
+    rows, any count from 2 up to the block's padded rows: each such row
+    must equal the same row of a longer product, at any offset."""
+    rng = np.random.default_rng(k + width)
+    most = max(T * b for T, b in _block_shapes())
+    a = rng.normal(size=(most + 37, k))
+    w = rng.normal(size=(k, width))
+    whole = a @ w
+    for rows in range(2, most + 1):
+        for start in (0, 37):
+            assert np.array_equal(a[start:start + rows] @ w,
+                                  whole[start:start + rows]), rows
 
 
 def test_split_forward_keeps_the_anomaly_message():

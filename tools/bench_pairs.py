@@ -24,11 +24,15 @@ perfbench's rule for a claimed gain: the change wins at least nine tenths
 of the pairs, and its median is better than the parent's by more than
 the parent's interquartile range.  ``--trace W`` adds one traced run
 (``--seed 0 --seconds 10 --trace 1``) per side and records its per-layer
-metrics and checks.  A run takes about half a minute; nothing else should
-run on the machine meanwhile.
+metrics and checks.  For each side the document records the sha256 of
+its ``src/`` tree and, where the checkout is the top of its own git work
+tree, its HEAD commit (else null: a ``git archive`` copy has no commit of
+its own).  A run takes about half a minute; nothing else should run on
+the machine meanwhile.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -127,10 +131,37 @@ def verdict(workload: str, metric: dict, row: dict) -> dict:
                     and gap > row["parent_iqr"])}
 
 
-def git_head(checkout: Path):
-    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+def git(checkout: Path, *args):
+    """The stripped output of ``git -C checkout args``, or None if git
+    fails."""
+    done = subprocess.run(["git", "-C", str(checkout), *args],
                           capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
+
+
+def git_head(checkout: Path):
+    """The checkout's HEAD commit, or None unless the checkout is the top
+    of its own work tree: a copy inside another repository would report
+    that repository's HEAD."""
+    top = git(checkout, "rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != checkout.resolve():
+        return None
+    return git(checkout, "rev-parse", "HEAD")
+
+
+def src_sha256(checkout: Path) -> str:
+    """sha256 over the files of the checkout's ``src/`` tree, caches left
+    out: each file's path under ``src/``, a NUL, its size and its bytes,
+    in path order."""
+    src = checkout / "src"
+    h = hashlib.sha256()
+    for path in sorted(p for p in src.rglob("*") if p.is_file()
+                       and "__pycache__" not in p.parts
+                       and p.suffix != ".pyc"):
+        data = path.read_bytes()
+        h.update(path.relative_to(src).as_posix().encode() + b"\0")
+        h.update(len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -172,7 +203,11 @@ def main(argv=None) -> int:
             runs.append(pair)
         summary[workload] = summarize(metrics, runs)
 
-    doc = {"change": args.describe, "parent_commit": git_head(args.parent),
+    doc = {"change": args.describe,
+           "parent_commit": git_head(checkouts["parent"]),
+           "parent_src_sha256": src_sha256(checkouts["parent"]),
+           "change_commit": git_head(checkouts["change"]),
+           "change_src_sha256": src_sha256(checkouts["change"]),
            "command": "python3 perfbench/run.py --workload <name> --seed "
                       f"<seed> --seconds {SECONDS} --trace 0",
            "protocol": "alternating parent/change pairs (even pair index: "
