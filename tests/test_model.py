@@ -532,6 +532,21 @@ def test_pad_only_nan_leaves_graph_free_logits_alone(where):
         forward_from_embeddings(params, embed_batch(params, ids, mask), mask)
 
 
+def test_a_lone_cls_row_runs_padded_and_bitwise():
+    """One sample of only [CLS] packs to one row, whose products would be
+    gemv calls that round apart from the grad pass's gemm rows: that
+    block runs padded, with its pad rows zeroed, so it equals the grad
+    pass and still ignores a NaN at its pad positions."""
+    params, _, _ = _split_shape(1, 16)
+    ids, mask = _toy_batch(params.config, [1])
+    graph = forward_from_embeddings(params, embed_batch(params, ids, mask),
+                                    mask)
+    params["tok_emb"].data[PAD_ID] = np.nan
+    logits = forward_tokens(params, SimpleNamespace(token_ids=ids,
+                                                    pad_mask=mask))
+    assert np.array_equal(logits.data, graph.data)
+
+
 def test_graph_free_forward_keeps_a_row_of_minus_inf_scores_non_finite():
     """Layer 0's head-0 scores are 1e200 * -1e200 = -inf at every real key
     (every real row's embedding starts with 1).  With zero pad keys a -1e9
