@@ -291,7 +291,7 @@ def _anomaly_check(i: int):
 
 def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
                    num_heads: int, i: int, last: bool, drop: float,
-                   masks: Optional[tuple], real: Optional[tuple] = None):
+                   masks: Optional[tuple], real: Optional[np.ndarray] = None):
     """Encoder layer ``i`` over bare arrays: the [n*T,d] rows ``x2`` of n
     samples -> (y, saved).  ``w`` maps ``_LAYER_PARAMS`` to the layer's
     arrays; ``key_bias`` [n,T] is 0 for a real key and -1e9 (packed,
@@ -302,15 +302,15 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     is None, and an intermediate array goes as soon as the ops after it
     have read it.
 
-    With ``real``, the (sample, position) indices of the R real token
-    rows (``np.nonzero`` of the pad mask, every sample's position 0
+    With ``real``, the indices of the R real token rows among the n*T
+    (``np.flatnonzero`` of the pad mask, every sample's position 0
     among them), the rows are packed: ``x2`` is [R,d], and so is y below
     the last layer.  The projections, ``wo``, the residuals, both layer
     norms and the FFN run on the R rows, and the last layer's queries
-    are its rows at position 0.  q, k and v are scattered into
-    zero-filled head buffers, so the scores, key bias and softmax keep
-    their padded [n,h,T,T] shape, and the context's real rows are
-    gathered back.  The graph-free forward packs.  The grad pass does
+    are its rows at position 0.  q, k and v are scattered into the real
+    rows of a zero-filled [n*T,d] buffer before their head copies, so
+    the scores, key bias and softmax keep their padded [n,h,T,T] shape,
+    and the context's real rows are gathered back.  The graph-free forward packs.  The grad pass does
     not: its weight gradients sum over the token rows, and dropping rows
     would change the order of those sums.
 
@@ -362,14 +362,10 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
         # k has no bias: the softmax cancels it
         y = linear("attn", src, f"attn.w{name}",
                    None if name == "k" else f"attn.b{name}")
-        if real is None or rows == 1:  # rows == 1: the last [CLS] queries
-            return np.ascontiguousarray(
-                y.reshape(n, rows, h, hd).transpose(axes))
-        # an index scatter costs about two transpose copies, so only
-        # packed rows take it
-        out = np.zeros([(n, rows, h, hd)[a] for a in axes])
-        out.transpose(np.argsort(axes))[real] = y.reshape(-1, h, hd)
-        return out
+        if real is not None and rows > 1:  # rows 1: the last [CLS] queries
+            padded[real] = y
+            y = padded
+        return np.ascontiguousarray(y.reshape(n, rows, h, hd).transpose(axes))
 
     def layer_norm(part, y):
         """Saves xhat and 1/std as ``<part>.xhat`` and ``<part>.inv_std``."""
@@ -384,7 +380,10 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     elif real is None:
         xq, tq = np.ascontiguousarray(x2.reshape(n, T, d)[:, 0]), 1
     else:  # position 0 of every sample is real
-        xq, tq = x2[real[1] == 0], 1
+        xq, tq = x2[real % T == 0], 1
+    if real is not None:
+        # pad rows stay zero; each head's real rows overwrite the last's
+        padded = np.zeros((n * T, d))
     q = heads("q", xq, tq)
     # k goes straight to [n,h,hd,T], the transposed operand of q @ k^T
     kt, v = heads("k", x2, T, (0, 2, 3, 1)), heads("v", x2, T)
@@ -402,11 +401,9 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     attn, attn_drop = dropout("attn", p, 0)
     ctx = np.matmul(attn, v)
     check("attn", "matmul", ctx)
-    if real is None or tq == 1:
-        ctx = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(
-            n * tq, d)
-    else:
-        ctx = ctx.transpose(0, 2, 1, 3)[real].reshape(-1, d)
+    ctx = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(n * tq, d)
+    if real is not None and tq > 1:
+        ctx = ctx[real]
     save(x2=x2, xq=xq, q=q, kt=kt, v=v, p=p, attn=attn, attn_drop=attn_drop,
          ctx=ctx)
     y, proj_drop = dropout(
@@ -549,7 +546,7 @@ def _layer_backward(saved: dict, g: np.ndarray, rows_only: bool = False):
 def _encode(ws: list, x2: np.ndarray, key_bias: np.ndarray, num_heads: int,
             drop: float = 0.0, masks: Optional[list] = None,
             saved: Optional[list] = None, last: bool = True,
-            real: Optional[tuple] = None) -> np.ndarray:
+            real: Optional[np.ndarray] = None) -> np.ndarray:
     """Every layer, with arrays ``ws`` and, with dropout, the keep masks
     ``masks[i]`` of layer i, over the [b*T,d] rows ``x2`` of b samples
     (or, with ``real``, their packed real rows) -> the output of the
@@ -863,13 +860,13 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
         def block(a, b):
             """The [CLS] rows of samples [a, b), from their packed real
             rows if there are 2, else padded with the pad rows zeroed."""
-            real = np.nonzero(mask[a:b])
-            if len(real[0]) < 2:
+            real = np.flatnonzero(mask[a:b])
+            if len(real) < 2:
                 return _encode(ws, np.where(mask[a:b, :, None], emb.data[a:b],
                                             0.0).reshape(-1, d),
                                key_bias[a:b], cfg.num_heads)
-            return _encode(ws, emb.data[a:b][real], key_bias[a:b],
-                           cfg.num_heads, real=real)
+            return _encode(ws, emb.data[a:b].reshape(-1, d)[real],
+                           key_bias[a:b], cfg.num_heads, real=real)
 
         def blocks(lo, hi):
             """The [CLS] rows of the blocks of samples [lo, hi)."""
