@@ -13,11 +13,13 @@ the zero has the sign of the sum), and attention scores for pad keys get
 an additive -1e9 before the softmax.  Position 0 is the pooled
 classification slot, and every sample's position 0 is real.  The grad
 pass computes every row, pad rows included.  A graph-free forward packs
-each block's real token rows: the projections, residuals, layer norms
-and FFN run on those rows only, pad keys and values are zeros with an
-additive -inf, and attention keeps its padded [b,h,T,T] scores.  A pad
-key's softmax weight is +0 in both, so a real row's bits do not change
-(see ``forward_from_embeddings``).
+the real token rows of each block of more than 256 rows: the
+projections, residuals, layer norms and FFN run on those rows only, pad
+keys and values are zeros with an additive -inf, and attention keeps
+its padded [b,h,T,T] scores; a smaller block zeroes its pad rows and
+runs padded, with the same -inf.  A pad key's softmax weight is +0 in
+every case, so a real row's bits do not change (see
+``forward_from_embeddings``).
 
 The classifier reads only the last layer's [CLS] vector, so the last
 layer computes only the [CLS] query rows (keys and values still come from
@@ -43,7 +45,8 @@ A graph-free forward, one under ``no_grad`` with dropout and
 ``Tensor`` for the [CLS] rows and one for the logits.  It runs
 ``_encode`` over blocks of consecutive samples of at most
 ``_BLOCK_ROWS`` token rows, padded rows counted, so that attention's
-[b,h,T,T] buffers stay in cache, each block on its packed real rows.
+[b,h,T,T] buffers stay in cache, a block of more than
+``_BLOCK_ROWS // 2`` rows on its packed real rows.
 Grad mode and dropout run one pass, ``_grad_pass``, which
 draws every layer's dropout masks up front and keeps each layer's
 backward state.
@@ -767,10 +770,16 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     block would hold fewer than 2 samples or at most 256 rows.  A block's
     attention scores and softmax then stay in cache.
 
-    A graph-free block runs packed (see ``_layer_forward``): its layers
+    A graph-free block of more than 256 rows (``_BLOCK_ROWS // 2``,
+    padded rows counted) runs packed (see ``_layer_forward``): its layers
     run on the block's R real token rows and never compute a pad row,
-    while ``_blocks`` and ``_splits`` still count padded rows.  Packing
-    keeps the bits.  Each op on a real row is the same op on the same
+    while ``_blocks`` and ``_splits`` still count padded rows.  A smaller
+    block runs padded, its pad rows zeroed: its numpy calls are short,
+    so the two halves of a split spend their time in the GIL-held part
+    of each call, which packing adds to (an index scatter holds the GIL
+    throughout), while the rows it drops save only GIL-free time.  The
+    distill teacher's 16x14 halves ran 3% slower packed, and no faster
+    even with the scatters left out.  Packing keeps the bits.  Each op on a real row is the same op on the same
     operands: a row of ``x @ W`` is the same row at any row count from 2
     (``test_gemm_rows_are_invariant_at_packed_row_counts``), and
     attention's scores, softmax and context keep their padded [b,h,T,T]
@@ -780,8 +789,9 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     context changes only by +-0 terms (0 times a pad value), which could
     show only in the sign of a context entry whose sum over the real
     keys is exactly zero.  A block with one real row (one sample of only
-    [CLS]) runs padded, its pad rows zeroed, because a 1-row product is a
-    gemv, which rounds apart.
+    [CLS]) runs padded too, because a 1-row product is a gemv, which
+    rounds apart.  A padded block's pad keys are computed from zeroed pad
+    rows, finite, with the same -inf bias.
 
     So pad rows reach no real row of a graph-free forward: a NaN or inf
     only at pad positions (in the [PAD] row of ``tok_emb``, or in
@@ -847,9 +857,7 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     # mode (one order of checks) runs one part
     graph_free = not (ad._grad_enabled.get() or ad._anomaly.get()
                       or drop > 0.0)
-    # a packed pad key is a zero: its -inf bias leaves a query whose real
-    # keys all score -inf at NaN, where -1e9 would average the zeros
-    key_bias = np.where(mask, 0.0, -np.inf if graph_free else -1e9)
+    key_bias = np.where(mask, 0.0, -1e9)
     split = (_splits(n, T, cfg.num_layers) and _blas_one_thread
              and _cpus() >= 2 and not ad._anomaly.get())
     parts = [(0, n // 2), (n // 2, n)] if split else [(0, n)]
@@ -858,15 +866,19 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
 
     if graph_free:
         def block(a, b):
-            """The [CLS] rows of samples [a, b), from their packed real
-            rows if there are 2, else padded with the pad rows zeroed."""
+            """The [CLS] rows of samples [a, b): from their packed real
+            rows where the block holds more than _BLOCK_ROWS // 2 rows, 2
+            of them real, else padded, with the pad rows zeroed."""
+            x = emb.data[a:b].reshape(-1, d)
             real = np.flatnonzero(mask[a:b])
-            if len(real) < 2:
-                return _encode(ws, np.where(mask[a:b, :, None], emb.data[a:b],
-                                            0.0).reshape(-1, d),
-                               key_bias[a:b], cfg.num_heads)
-            return _encode(ws, emb.data[a:b].reshape(-1, d)[real],
-                           key_bias[a:b], cfg.num_heads, real=real)
+            if len(real) >= 2 and len(x) > _BLOCK_ROWS // 2:
+                # a packed pad key is a zero: its -inf bias leaves a query
+                # whose real keys all score -inf at NaN, where -1e9 would
+                # average the zeros
+                return _encode(ws, x[real], np.where(mask[a:b], 0.0, -np.inf),
+                               cfg.num_heads, real=real)
+            return _encode(ws, np.where(mask[a:b].reshape(-1, 1), x, 0.0),
+                           key_bias[a:b], cfg.num_heads)
 
         def blocks(lo, hi):
             """The [CLS] rows of the blocks of samples [lo, hi)."""

@@ -512,13 +512,15 @@ def _short_rows(n=32, T=64):
     return (params, *_toy_batch(params.config, lengths))
 
 
+@pytest.mark.parametrize("n", [8, 32])  # split halves padded, packed
 @pytest.mark.parametrize("where", ["pad_token", "positions_past_every_row"])
-def test_pad_only_nan_leaves_graph_free_logits_alone(where):
-    """A graph-free forward computes no pad row, so a NaN that reaches only
-    pad positions leaves its logits and features bitwise those of a clean
-    run, in both threads of a split.  The grad pass computes the pad rows,
-    and its logits check raises."""
-    params, ids, mask = _short_rows()
+def test_pad_only_nan_leaves_graph_free_logits_alone(where, n):
+    """A graph-free forward computes no pad row from a pad embedding (a
+    packed block none, a padded one from zeroed rows), so a NaN that
+    reaches only pad positions leaves its logits and features bitwise
+    those of a clean run, in both threads of a split.  The grad pass
+    computes the pad rows, and its logits check raises."""
+    params, ids, mask = _short_rows(n=n)
     batch = SimpleNamespace(token_ids=ids, pad_mask=mask)
     clean, clean_feats = forward_tokens(params, batch, return_features=True)
     if where == "pad_token":
@@ -547,13 +549,15 @@ def test_a_lone_cls_row_runs_padded_and_bitwise():
     assert np.array_equal(logits.data, graph.data)
 
 
-def test_graph_free_forward_keeps_a_row_of_minus_inf_scores_non_finite():
+@pytest.mark.parametrize("n", [8, 16])  # split halves padded, packed
+def test_graph_free_forward_keeps_a_row_of_minus_inf_scores_non_finite(n):
     """Layer 0's head-0 scores are 1e200 * -1e200 = -inf at every real key
     (every real row's embedding starts with 1).  With zero pad keys a -1e9
     pad bias would make the softmax average those zeros into a finite
-    context; the packed forward's -inf bias leaves the rows NaN, which
-    the logits check reports."""
-    params, ids, mask = _short_rows(n=8)
+    context; the graph-free forward's -inf bias leaves the rows NaN,
+    packed (16 samples: blocks of 8x64) or padded (8: blocks of 4x64),
+    and the logits check reports them."""
+    params, ids, mask = _short_rows(n=n)
     params["tok_emb"].data[:, 0] = 0.5
     params["pos_emb"].data[:, 0] = 0.5
     params["layers.0.attn.wq"].data[:, 0] = 0.0
@@ -945,11 +949,14 @@ def test_blocked_forward_bitwise_equals_graph_forward(n, T, hidden_dim, cpus,
 
 
 @pytest.mark.parametrize("grad_mode", [True, False])
-def test_graph_free_layers_run_on_the_real_rows(grad_mode, monkeypatch):
-    """Under no_grad each block's lower layers normalize and GELU its R
-    real token rows and the last layer its sample count; grad mode still
-    runs every token row, n*T, and the last layer n."""
-    params, ids, mask = _split_shape(17, 64)  # blocks of 5, 6 and 6
+@pytest.mark.parametrize("n,T", [(17, 64),   # blocks of 5, 6 and 6 x 64
+                                 (8, 14)])   # one block of 112 rows
+def test_graph_free_layers_run_on_the_real_rows(grad_mode, n, T,
+                                                monkeypatch):
+    """Under no_grad each block of more than 256 rows normalizes and GELUs
+    its R real token rows in the lower layers and its sample count in the
+    last layer; a smaller block and grad mode run every token row."""
+    params, ids, mask = _split_shape(n, T)
     monkeypatch.setattr(model_mod, "_cpus", lambda: 1)
     rows = {"layernorm_rows": [], "gelu_forward": []}
     for name, seen in rows.items():
@@ -959,9 +966,10 @@ def test_graph_free_layers_run_on_the_real_rows(grad_mode, monkeypatch):
         monkeypatch.setattr(kernels, name, spy)
     with (contextlib.nullcontext() if grad_mode else ad.no_grad()):
         forward_from_embeddings(params, embed_batch(params, ids, mask), mask)
-    spans = [(0, 17)] if grad_mode else model_mod._blocks(0, 17, 64)
+    spans = [(0, n)] if grad_mode else model_mod._blocks(0, n, T)
+    packed = not grad_mode and T * min(b - a for a, b in spans) > 256
     want = [r for a, b in spans
-            for r in [64 * (b - a) if grad_mode else int(mask[a:b].sum())] * 3
+            for r in [int(mask[a:b].sum()) if packed else T * (b - a)] * 3
             + [b - a]]
     assert rows["gelu_forward"] == want
     assert rows["layernorm_rows"] == [r for r in want for _ in (1, 2)]
