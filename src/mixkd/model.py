@@ -17,8 +17,8 @@ the real token rows of each block of more than 256 rows: the
 projections, residuals, layer norms and FFN run on those rows only, pad
 keys and values are zeros with an additive -inf, and attention keeps
 its padded [b,h,T,T] scores; a smaller block zeroes its pad rows and
-runs padded, with the same -inf.  A pad key's softmax weight is +0 in
-every case, so a real row's bits do not change (see
+runs padded, with -1e9.  A pad key's softmax weight is +0 in every
+case, so a real row's bits do not change (see
 ``forward_from_embeddings``).
 
 The classifier reads only the last layer's [CLS] vector, so the last
@@ -313,7 +313,8 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     are its rows at position 0.  q, k and v are scattered into the real
     rows of a zero-filled [n*T,d] buffer before their head copies, so
     the scores, key bias and softmax keep their padded [n,h,T,T] shape,
-    and the context's real rows are gathered back.  The graph-free forward packs.  The grad pass does
+    and the context's real rows are gathered back.  The graph-free
+    forward packs its blocks of more than 256 rows.  The grad pass does
     not: its weight gradients sum over the token rows, and dropping rows
     would change the order of those sums.
 
@@ -390,11 +391,7 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     q = heads("q", xq, tq)
     # k goes straight to [n,h,hd,T], the transposed operand of q @ k^T
     kt, v = heads("k", x2, T, (0, 2, 3, 1)), heads("v", x2, T)
-    # a packed pad query is a zero row, and zero times an inf key is NaN,
-    # in a score row that nothing reads; a real row's NaN is reported by
-    # the boundary checks
-    with np.errstate(invalid="ignore"):
-        p = np.matmul(q, kt)
+    p = np.matmul(q, kt)
     check("attn", "matmul", p)
     p *= scale
     p += key_bias.reshape(n, 1, 1, T)
@@ -779,9 +776,11 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     of each call, which packing adds to (an index scatter holds the GIL
     throughout), while the rows it drops save only GIL-free time.  The
     distill teacher's 16x14 halves ran 3% slower packed, and no faster
-    even with the scatters left out.  Packing keeps the bits.  Each op on a real row is the same op on the same
-    operands: a row of ``x @ W`` is the same row at any row count from 2
-    (``test_gemm_rows_are_invariant_at_packed_row_counts``), and
+    even with the scatters left out.
+
+    Packing keeps the bits.  Each op on a real row is the same op on the
+    same operands: a row of ``x @ W`` is the same row at any row count
+    from 2 (``test_gemm_rows_are_invariant_at_packed_row_counts``), and
     attention's scores, softmax and context keep their padded [b,h,T,T]
     shapes.  Only the pad keys differ: their keys and values are zeros,
     not values computed from the pad rows, and their bias is -inf, not
@@ -790,17 +789,19 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     show only in the sign of a context entry whose sum over the real
     keys is exactly zero.  A block with one real row (one sample of only
     [CLS]) runs padded too, because a 1-row product is a gemv, which
-    rounds apart.  A padded block's pad keys are computed from zeroed pad
-    rows, finite, with the same -inf bias.
+    rounds apart.  A padded block computes its pad rows from zeroed pad
+    embeddings and keeps the -1e9 bias.
 
     So pad rows reach no real row of a graph-free forward: a NaN or inf
     only at pad positions (in the [PAD] row of ``tok_emb``, or in
     ``pos_emb`` rows past every sample's length) leaves its logits
     bitwise those of a clean run, while the grad pass, which computes
-    the pad rows, raises at its logits check.  The -inf pad bias keeps a
-    query whose real keys all score -inf at NaN, which the logits check
-    reports, where -1e9 would average the zero pad values.  ValueError
-    if a sample's position 0, its [CLS] slot, is padding.
+    the pad rows, raises at its logits check.  In a packed block the
+    -inf pad bias keeps a query whose real keys all score -inf at NaN,
+    which the logits check reports, where -1e9 would average the zero
+    pad values (a padded block averages its computed pad values, as the
+    grad pass does).  ValueError if a sample's position 0, its [CLS]
+    slot, is padding.
 
     Either mode runs over a list of sample parts: the whole batch, or
     the halves ``[:n//2]``, on the long-lived worker thread, and
@@ -870,15 +871,19 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
             rows where the block holds more than _BLOCK_ROWS // 2 rows, 2
             of them real, else padded, with the pad rows zeroed."""
             x = emb.data[a:b].reshape(-1, d)
-            real = np.flatnonzero(mask[a:b])
-            if len(real) >= 2 and len(x) > _BLOCK_ROWS // 2:
-                # a packed pad key is a zero: its -inf bias leaves a query
-                # whose real keys all score -inf at NaN, where -1e9 would
-                # average the zeros
+            real = (np.flatnonzero(mask[a:b]) if len(x) > _BLOCK_ROWS // 2
+                    else ())
+            if len(real) < 2:
+                return _encode(ws, np.where(mask[a:b].reshape(-1, 1), x, 0.0),
+                               key_bias[a:b], cfg.num_heads)
+            # a packed pad key is a zero: its -inf bias leaves a query whose
+            # real keys all score -inf at NaN, where -1e9 would average the
+            # zeros.  A pad query is a zero row too, and zero times an inf
+            # key is NaN in a score row that nothing reads; a real row's NaN
+            # is reported at the logits
+            with np.errstate(invalid="ignore"):
                 return _encode(ws, x[real], np.where(mask[a:b], 0.0, -np.inf),
                                cfg.num_heads, real=real)
-            return _encode(ws, np.where(mask[a:b].reshape(-1, 1), x, 0.0),
-                           key_bias[a:b], cfg.num_heads)
 
         def blocks(lo, hi):
             """The [CLS] rows of the blocks of samples [lo, hi)."""
