@@ -16,10 +16,9 @@ pass computes every row, pad rows included.  A graph-free forward packs
 the real token rows of each block of more than 256 rows: the
 projections, residuals, layer norms and FFN run on those rows only, pad
 keys and values are zeros with an additive -inf, and attention keeps
-its padded [b,h,T,T] scores; a smaller block zeroes its pad rows and
-runs padded, with -1e9.  A pad key's softmax weight is +0 in every
-case, so a real row's bits do not change (see
-``forward_from_embeddings``).
+its padded [b,h,T,T] scores; a smaller block runs padded, as the grad
+pass does.  A pad key's softmax weight is +0 in every case, so a real
+row's bits do not change (see ``forward_from_embeddings``).
 
 The classifier reads only the last layer's [CLS] vector, so the last
 layer computes only the [CLS] query rows (keys and values still come from
@@ -311,9 +310,12 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     the last layer.  The projections, ``wo``, the residuals, both layer
     norms and the FFN run on the R rows, and the last layer's queries
     are its rows at position 0.  q, k and v are scattered into the real
-    rows of a zero-filled [n*T,d] buffer before their head copies, so
-    the scores, key bias and softmax keep their padded [n,h,T,T] shape,
-    and the context's real rows are gathered back.  The graph-free
+    rows of one zero-filled [n*T,d] buffer before their head copies
+    (always copies, one head too), so the scores, key bias and softmax
+    keep their padded [n,h,T,T] shape, and the context's real rows are
+    gathered back.  The two attention products ignore numpy's
+    invalid-value warning there, as a zero pad query times an inf key
+    is NaN in a score row that nothing reads.  The graph-free
     forward packs its blocks of more than 256 rows.  The grad pass does
     not: its weight gradients sum over the token rows, and dropping rows
     would change the order of those sums.
@@ -366,10 +368,23 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
         # k has no bias: the softmax cancels it
         y = linear("attn", src, f"attn.w{name}",
                    None if name == "k" else f"attn.b{name}")
-        if real is not None and rows > 1:  # rows 1: the last [CLS] queries
-            padded[real] = y
-            y = padded
-        return np.ascontiguousarray(y.reshape(n, rows, h, hd).transpose(axes))
+        if real is None or rows == 1:  # rows 1: the last [CLS] queries
+            return np.ascontiguousarray(
+                y.reshape(n, rows, h, hd).transpose(axes))
+        padded[real] = y
+        # a copy even where the transpose keeps C order (one head), for
+        # the next head's rows overwrite the buffer
+        return np.array(padded.reshape(n, rows, h, hd).transpose(axes),
+                        order="C")
+
+    def product(a, b):
+        """a @ b.  A packed layer's pad query is a zero row, and zero
+        times an inf key is a NaN in a score row that nothing reads (a
+        real row's NaN reaches the logits check)."""
+        if real is None:
+            return np.matmul(a, b)
+        with np.errstate(invalid="ignore"):
+            return np.matmul(a, b)
 
     def layer_norm(part, y):
         """Saves xhat and 1/std as ``<part>.xhat`` and ``<part>.inv_std``."""
@@ -391,7 +406,7 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     q = heads("q", xq, tq)
     # k goes straight to [n,h,hd,T], the transposed operand of q @ k^T
     kt, v = heads("k", x2, T, (0, 2, 3, 1)), heads("v", x2, T)
-    p = np.matmul(q, kt)
+    p = product(q, kt)
     check("attn", "matmul", p)
     p *= scale
     p += key_bias.reshape(n, 1, 1, T)
@@ -399,7 +414,7 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     kernels.softmax_rows(rows, out=rows)
     check("attn", "softmax", p)
     attn, attn_drop = dropout("attn", p, 0)
-    ctx = np.matmul(attn, v)
+    ctx = product(attn, v)
     check("attn", "matmul", ctx)
     ctx = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(n * tq, d)
     if real is not None and tq > 1:
@@ -771,12 +786,15 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     padded rows counted) runs packed (see ``_layer_forward``): its layers
     run on the block's R real token rows and never compute a pad row,
     while ``_blocks`` and ``_splits`` still count padded rows.  A smaller
-    block runs padded, its pad rows zeroed: its numpy calls are short,
-    so the two halves of a split spend their time in the GIL-held part
-    of each call, which packing adds to (an index scatter holds the GIL
-    throughout), while the rows it drops save only GIL-free time.  The
-    distill teacher's 16x14 halves ran 3% slower packed, and no faster
-    even with the scatters left out.
+    block runs padded, as the grad pass does.  The cut of 256 rows lies
+    between the two block sizes that were measured: the distill
+    teacher's 16x14 split halves (224 rows) ran 3% slower packed, and no
+    faster even with the scatters left out, while ``eval_long``'s 8x64
+    blocks (512 rows) ran 6-10% faster.  (At 224 rows the numpy calls
+    are short, so a split's two halves contend for the GIL, which an
+    index scatter holds throughout, and the rows packing drops save only
+    GIL-free time; on one thread those blocks packed ran 0.94x.)  No
+    workload runs blocks of 225-511 rows.
 
     Packing keeps the bits.  Each op on a real row is the same op on the
     same operands: a row of ``x @ W`` is the same row at any row count
@@ -787,20 +805,21 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     -1e9.  A pad key's softmax weight is +0 either way, so a real row's
     context changes only by +-0 terms (0 times a pad value), which could
     show only in the sign of a context entry whose sum over the real
-    keys is exactly zero.  A block with one real row (one sample of only
-    [CLS]) runs padded too, because a 1-row product is a gemv, which
-    rounds apart.  A padded block computes its pad rows from zeroed pad
-    embeddings and keeps the -1e9 bias.
+    keys is exactly zero.  A block of more than 256 rows with one real
+    row (one sample of only [CLS]) runs padded, because a 1-row product
+    is a gemv, which rounds apart; it computes its pad rows from zeroed
+    pad embeddings and keeps the -1e9 bias.
 
-    So pad rows reach no real row of a graph-free forward: a NaN or inf
-    only at pad positions (in the [PAD] row of ``tok_emb``, or in
-    ``pos_emb`` rows past every sample's length) leaves its logits
-    bitwise those of a clean run, while the grad pass, which computes
-    the pad rows, raises at its logits check.  In a packed block the
-    -inf pad bias keeps a query whose real keys all score -inf at NaN,
-    which the logits check reports, where -1e9 would average the zero
-    pad values (a padded block averages its computed pad values, as the
-    grad pass does).  ValueError if a sample's position 0, its [CLS]
+    So pad rows reach no real row of a graph-free block of more than 256
+    rows: a NaN or inf only at pad positions (in the [PAD] row of
+    ``tok_emb``, or in ``pos_emb`` rows past every sample's length)
+    leaves its [CLS] rows bitwise those of a clean run.  A smaller block
+    and the grad pass compute the pad rows from the pad embeddings, so
+    there it reaches the logits and their check raises.  In a packed
+    block the -inf pad bias keeps a query whose real keys all score -inf
+    at NaN, which the logits check reports, where -1e9 would average the
+    zero pad values (a padded block averages its computed pad values, as
+    the grad pass does).  ValueError if a sample's position 0, its [CLS]
     slot, is padding.
 
     Either mode runs over a list of sample parts: the whole batch, or
@@ -867,23 +886,22 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
 
     if graph_free:
         def block(a, b):
-            """The [CLS] rows of samples [a, b): from their packed real
-            rows where the block holds more than _BLOCK_ROWS // 2 rows, 2
-            of them real, else padded, with the pad rows zeroed."""
+            """The [CLS] rows of samples [a, b): padded where the block
+            holds at most _BLOCK_ROWS // 2 rows, else from their packed
+            real rows, or, with one real row, padded with the pad rows
+            zeroed."""
             x = emb.data[a:b].reshape(-1, d)
-            real = (np.flatnonzero(mask[a:b]) if len(x) > _BLOCK_ROWS // 2
-                    else ())
+            if len(x) <= _BLOCK_ROWS // 2:
+                return _encode(ws, x, key_bias[a:b], cfg.num_heads)
+            real = np.flatnonzero(mask[a:b])
             if len(real) < 2:
                 return _encode(ws, np.where(mask[a:b].reshape(-1, 1), x, 0.0),
                                key_bias[a:b], cfg.num_heads)
             # a packed pad key is a zero: its -inf bias leaves a query whose
             # real keys all score -inf at NaN, where -1e9 would average the
-            # zeros.  A pad query is a zero row too, and zero times an inf
-            # key is NaN in a score row that nothing reads; a real row's NaN
-            # is reported at the logits
-            with np.errstate(invalid="ignore"):
-                return _encode(ws, x[real], np.where(mask[a:b], 0.0, -np.inf),
-                               cfg.num_heads, real=real)
+            # zeros
+            return _encode(ws, x[real], np.where(mask[a:b], 0.0, -np.inf),
+                           cfg.num_heads, real=real)
 
         def blocks(lo, hi):
             """The [CLS] rows of the blocks of samples [lo, hi)."""

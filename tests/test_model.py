@@ -512,24 +512,36 @@ def _short_rows(n=32, T=64):
     return (params, *_toy_batch(params.config, lengths))
 
 
-@pytest.mark.parametrize("n", [8, 32])  # split halves padded, packed
+@pytest.mark.parametrize("n,cpus,packed", [
+    (32, 2, True),     # split halves of two 8 x 64 blocks
+    (8, 1, True),      # one 8 x 64 block
+    (8, 2, False),     # split halves of 4 x 64: 256 rows run padded
+    (4, 2, False),     # one block of 256 rows
+])
 @pytest.mark.parametrize("where", ["pad_token", "positions_past_every_row"])
-def test_pad_only_nan_leaves_graph_free_logits_alone(where, n):
-    """A graph-free forward computes no pad row from a pad embedding (a
-    packed block none, a padded one from zeroed rows), so a NaN that
+def test_pad_only_nan_leaves_packed_graph_free_logits_alone(where, n, cpus,
+                                                            packed,
+                                                            monkeypatch):
+    """A packed graph-free block computes no pad row, so a NaN that
     reaches only pad positions leaves its logits and features bitwise
-    those of a clean run, in both threads of a split.  The grad pass
-    computes the pad rows, and its logits check raises."""
+    those of a clean run, in both threads of a split.  A block of at most
+    256 rows and the grad pass compute the pad rows from the pad
+    embeddings, and their logits check raises."""
     params, ids, mask = _short_rows(n=n)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: cpus)
     batch = SimpleNamespace(token_ids=ids, pad_mask=mask)
     clean, clean_feats = forward_tokens(params, batch, return_features=True)
     if where == "pad_token":
         params["tok_emb"].data[PAD_ID] = np.nan
     else:
         params["pos_emb"].data[56:] = np.nan
-    logits, feats = forward_tokens(params, batch, return_features=True)
-    assert np.array_equal(logits.data, clean.data)
-    assert np.array_equal(feats.data, clean_feats.data)
+    if packed:
+        logits, feats = forward_tokens(params, batch, return_features=True)
+        assert np.array_equal(logits.data, clean.data)
+        assert np.array_equal(feats.data, clean_feats.data)
+    else:
+        with pytest.raises(ad.NonFiniteError, match="logits contain NaN"):
+            forward_tokens(params, batch)
     with pytest.raises(ad.NonFiniteError, match="logits contain NaN"):
         forward_from_embeddings(params, embed_batch(params, ids, mask), mask)
 
@@ -572,11 +584,11 @@ def test_graph_free_forward_keeps_a_row_of_minus_inf_scores_non_finite():
 # two-thread sample split of graph-free forwards
 # ---------------------------------------------------------------------------
 
-def _split_shape(n, T, hidden_dim=64, seed=0, num_layers=4):
-    """A ``num_layers``-layer model (4 heads, ffn 128) and n rows of T
-    tokens with ragged lengths."""
+def _split_shape(n, T, hidden_dim=64, seed=0, num_layers=4, num_heads=4):
+    """A ``num_layers``-layer model (``num_heads`` heads, ffn 128) and n
+    rows of T tokens with ragged lengths."""
     config = ModelConfig(num_layers=num_layers, hidden_dim=hidden_dim,
-                         num_heads=4,
+                         num_heads=num_heads,
                          ffn_dim=128, vocab_size=50, max_seq_len=T,
                          num_classes=3)
     lengths = np.random.default_rng(seed).integers(T // 2, T + 1, size=n)
@@ -945,6 +957,25 @@ def test_blocked_forward_bitwise_equals_graph_forward(n, T, hidden_dim, cpus,
     assert _per_thread(blocks) == (main, worker)
     assert np.array_equal(blocked.data, graph.data)
     assert np.array_equal(blocked_feats.data, graph_feats.data)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("num_layers", [2, 4])
+def test_packed_forward_with_one_head_bitwise_equals_graph_forward(
+        num_layers, cpus, monkeypatch):
+    """With one head a head copy of q or v can be a view of the packed
+    rows' scatter buffer (numpy needs no copy for a transpose across a
+    size-1 axis); the next scatter must not change q or v.  Blocks of 8 x
+    64 pack, whether the 16 samples run as one part or two."""
+    params, ids, mask = _split_shape(16, 64, num_layers=num_layers,
+                                     num_heads=1)
+    monkeypatch.setattr(model_mod, "_cpus", lambda: cpus)
+    graph = forward_from_embeddings(params, embed_batch(params, ids, mask),
+                                    mask)
+    with ad.no_grad():
+        packed = forward_from_embeddings(
+            params, embed_batch(params, ids, mask), mask)
+    assert np.array_equal(packed.data, graph.data)
 
 
 @pytest.mark.parametrize("grad_mode", [True, False])
