@@ -789,8 +789,8 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     block runs padded, as the grad pass does.  The cut of 256 rows lies
     between the two block sizes that were measured: the distill
     teacher's 16x14 split halves (224 rows) ran 3% slower packed, and no
-    faster even with the scatters left out, while ``eval_long``'s 8x64
-    blocks (512 rows) ran 6-10% faster.  (At 224 rows the numpy calls
+    faster even with the scatters left out, while ``eval_long``, whose
+    blocks are 8x64 (512 rows), ran 6-8% faster end to end.  (At 224 rows the numpy calls
     are short, so a split's two halves contend for the GIL, which an
     index scatter holds throughout, and the rows packing drops save only
     GIL-free time; on one thread those blocks packed ran 0.94x.)  No
@@ -815,7 +815,7 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     ``tok_emb``, or in ``pos_emb`` rows past every sample's length)
     leaves its [CLS] rows bitwise those of a clean run.  A smaller block
     and the grad pass compute the pad rows from the pad embeddings, so
-    there it reaches the logits and their check raises.  In a packed
+    there such a NaN reaches the logits, and their check raises.  In a packed
     block the -inf pad bias keeps a query whose real keys all score -inf
     at NaN, which the logits check reports, where -1e9 would average the
     zero pad values (a padded block averages its computed pad values, as
