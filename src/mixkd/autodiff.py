@@ -436,40 +436,15 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 # nonlinearities and normalization
 # ---------------------------------------------------------------------------
 
-def softmax(x: Tensor, scale: Optional[float] = None,
-            key_bias: Optional[np.ndarray] = None) -> Tensor:
-    """Softmax over the last axis.
-
-    With ``scale`` and/or ``key_bias`` this is
-    ``softmax(x * scale + key_bias)`` as one op, the attention softmax:
-    ``key_bias`` [n, k] is a constant row per leading index (e.g. 0 for a
-    real key and -1e9 for a pad key), broadcast over the middle axes (heads
-    and queries) without a copy.  The scaled, biased scores are one buffer
-    and no tensor, and the softmax normalizes in that buffer.
-    """
-    nd = x.data.ndim
-    if nd == 0:
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis; a temperature is ``softmax(scale(x,
+    1 / tau))``."""
+    if x.data.ndim == 0:
         raise ShapeError("softmax needs at least one axis, got a 0-D tensor")
-    z = x.data
-    if scale is not None:
-        scale = float(scale)
-        z = z * scale
-    if key_bias is not None:
-        kb = np.asarray(key_bias, dtype=np.float64)
-        if nd < 2 or kb.shape != (x.shape[0], x.shape[-1]):
-            raise ShapeError(f"softmax: key_bias {kb.shape} vs scores {x.shape}")
-        kb = kb.reshape(kb.shape[:1] + (1,) * (nd - 2) + kb.shape[1:])
-        if z is x.data:
-            z = z + kb
-        else:
-            z += kb
-    rows = np.ascontiguousarray(z).reshape(-1, x.shape[-1])
-    # z is a fresh buffer when scale or key_bias made it; x.data is not ours
-    p = kernels.softmax_rows(rows, out=None if z is x.data else rows)
+    p = kernels.softmax_rows(
+        np.ascontiguousarray(x.data).reshape(-1, x.shape[-1]))
     p = p.reshape(x.shape)
-
-    return _result(p, (x,),
-                   lambda g, p=p: (kernels.softmax_backward(p, g, scale),))
+    return _result(p, (x,), lambda g, p=p: (kernels.softmax_backward(p, g),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -144,8 +144,8 @@ def loss_tmkd(teacher_out: Tensor, student_out: Tensor,
         if weights.distance_metric == "mse":
             return ad.mse(student_out, t)
         tau = weights.temperature
-        soft_targets = ad.softmax(t, scale=1.0 / tau).data
-        ce = ad.cross_entropy(ad.softmax(student_out, scale=1.0 / tau),
+        soft_targets = ad.softmax(ad.scale(t, 1.0 / tau)).data
+        ce = ad.cross_entropy(ad.softmax(ad.scale(student_out, 1.0 / tau)),
                               ad.constant(soft_targets))
         return ad.scale(ce, tau * tau)
 

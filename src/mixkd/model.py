@@ -16,9 +16,10 @@ pass computes every row, pad rows included.  A graph-free forward packs
 the real token rows of each block of more than 256 rows: the
 projections, residuals, layer norms and FFN run on those rows only, pad
 keys and values are zeros with an additive -inf, and attention keeps
-its padded [b,h,T,T] scores; a smaller block runs padded, as the grad
-pass does.  A pad key's softmax weight is +0 in every case, so a real
-row's bits do not change (see ``forward_from_embeddings``).
+its padded [b,h,T,T] scores; a smaller block, or one whose only real
+row is a lone [CLS], runs padded, as the grad pass does.  A pad key's
+softmax weight is +0 in every case, so a real row's bits do not change
+(see ``forward_from_embeddings``).
 
 The classifier reads only the last layer's [CLS] vector, so the last
 layer computes only the [CLS] query rows (keys and values still come from
@@ -315,15 +316,15 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     keep their padded [n,h,T,T] shape, and the context's real rows are
     gathered back.  The two attention products ignore numpy's
     invalid-value warning there, as a zero pad query times an inf key
-    is NaN in a score row that nothing reads.  The graph-free
-    forward packs its blocks of more than 256 rows.  The grad pass does
-    not: its weight gradients sum over the token rows, and dropping rows
-    would change the order of those sums.
+    is NaN in a score row that nothing reads.  The graph-free forward
+    packs its blocks of more than 256 rows that hold at least 2 real
+    rows.  The grad pass does not: its weight gradients sum over the
+    token rows, and dropping rows would change the order of those sums.
 
     The layer makes the numpy and kernel calls of the autodiff ops it
     stands for, in their order: ``matmul`` (with bias), ``reshape`` and
-    ``transpose`` (a contiguous copy), ``select_index``, the attention
-    ``softmax`` with scale and key bias, ``dropout``, ``add``,
+    ``transpose`` (a contiguous copy), ``select_index``, ``scale``, the
+    ``add`` of the key bias, ``softmax``, ``dropout``, ``add``,
     ``layer_norm`` and ``gelu``; the scale, bias and residual steps run
     in place on a buffer the layer made, which gives the same bits.
     With ``drop`` > 0, ``masks`` holds the layer's inverted-dropout keep
@@ -577,24 +578,23 @@ def _encode(ws: list, x2: np.ndarray, key_bias: np.ndarray, num_heads: int,
     return x2
 
 
-def _both(first: Callable, second: Callable) -> tuple:
-    """(first(), second()): first on the long-lived worker thread, in a
-    copy of the caller's context (the same autodiff modes and numpy
-    errstate), and second in the calling thread; numpy and BLAS release
-    the GIL, so the two overlap.  Both have finished when it returns or
-    raises; an error in second is the one raised, else one in first."""
+def _run(calls: list) -> list:
+    """The results of one or two callables, one per sample part.  One
+    runs in the calling thread.  Of two, the first runs on the long-lived
+    worker thread, in a copy of the caller's context (the same autodiff
+    modes and numpy errstate), and the second in the calling thread;
+    numpy and BLAS release the GIL, so the two overlap.  Both have
+    finished when it returns or raises; an error in the second is the
+    one raised, else one in the first."""
+    if len(calls) == 1:
+        return [calls[0]()]
+    first, second = calls
     future = _worker.submit(contextvars.copy_context().run, first)
     try:
         rest = second()
     finally:
         wait([future])
-    return future.result(), rest
-
-
-def _run(calls: list) -> list:
-    """The results of one or two callables, one per sample part: one runs
-    in the calling thread, two run through ``_both``."""
-    return list(_both(*calls)) if len(calls) == 2 else [calls[0]()]
+    return [future.result(), rest]
 
 
 def _join(arrays: list) -> np.ndarray:
@@ -669,7 +669,7 @@ def _grad_pass(ws: list, x2: np.ndarray, key_bias: np.ndarray,
                         np.concatenate((sa[_SUMS[op]], sb[_SUMS[op]])),
                         np.concatenate((dys_a[op], dys_b[op])))
                         for op in share}
-                first, second = _both(deal(ops[0::2]), deal(ops[1::2]))
+                first, second = _run([deal(ops[0::2]), deal(ops[1::2])])
                 layer_grads = _in_order({**first, **second})
                 g = np.concatenate((dxa, dxb))
                 # before the next layer's rows
@@ -806,21 +806,19 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
     context changes only by +-0 terms (0 times a pad value), which could
     show only in the sign of a context entry whose sum over the real
     keys is exactly zero.  A block of more than 256 rows with one real
-    row (one sample of only [CLS]) runs padded, because a 1-row product
-    is a gemv, which rounds apart; it computes its pad rows from zeroed
-    pad embeddings and keeps the -1e9 bias.
+    row (one sample of only [CLS]) runs padded, as a smaller block does,
+    because a 1-row product is a gemv, which rounds apart.
 
-    So pad rows reach no real row of a graph-free block of more than 256
-    rows: a NaN or inf only at pad positions (in the [PAD] row of
-    ``tok_emb``, or in ``pos_emb`` rows past every sample's length)
-    leaves its [CLS] rows bitwise those of a clean run.  A smaller block
-    and the grad pass compute the pad rows from the pad embeddings, so
-    there such a NaN reaches the logits, and their check raises.  In a packed
-    block the -inf pad bias keeps a query whose real keys all score -inf
-    at NaN, which the logits check reports, where -1e9 would average the
-    zero pad values (a padded block averages its computed pad values, as
-    the grad pass does).  ValueError if a sample's position 0, its [CLS]
-    slot, is padding.
+    So pad rows reach no real row of a packed block: a NaN or inf only at
+    pad positions (in the [PAD] row of ``tok_emb``, or in ``pos_emb``
+    rows past every sample's length) leaves its [CLS] rows bitwise those
+    of a clean run.  A padded block and the grad pass compute the pad
+    rows from the pad embeddings, so there such a NaN reaches the
+    logits, and their check raises.  In a packed block the -inf pad bias
+    keeps a query whose real keys all score -inf at NaN, which the logits
+    check reports, where -1e9 would average the zero pad values (a padded
+    block averages its computed pad values, as the grad pass does).
+    ValueError if a sample's position 0, its [CLS] slot, is padding.
 
     Either mode runs over a list of sample parts: the whole batch, or
     the halves ``[:n//2]``, on the long-lived worker thread, and
@@ -886,22 +884,20 @@ def forward_from_embeddings(params: ModelParams, emb: Tensor,
 
     if graph_free:
         def block(a, b):
-            """The [CLS] rows of samples [a, b): padded where the block
-            holds at most _BLOCK_ROWS // 2 rows, else from their packed
-            real rows, or, with one real row, padded with the pad rows
-            zeroed."""
+            """The [CLS] rows of samples [a, b): from their packed real
+            rows where the block holds more than _BLOCK_ROWS // 2 rows
+            and at least 2 of them are real, else padded."""
             x = emb.data[a:b].reshape(-1, d)
-            if len(x) <= _BLOCK_ROWS // 2:
-                return _encode(ws, x, key_bias[a:b], cfg.num_heads)
-            real = np.flatnonzero(mask[a:b])
-            if len(real) < 2:
-                return _encode(ws, np.where(mask[a:b].reshape(-1, 1), x, 0.0),
-                               key_bias[a:b], cfg.num_heads)
-            # a packed pad key is a zero: its -inf bias leaves a query whose
-            # real keys all score -inf at NaN, where -1e9 would average the
-            # zeros
-            return _encode(ws, x[real], np.where(mask[a:b], 0.0, -np.inf),
-                           cfg.num_heads, real=real)
+            if len(x) > _BLOCK_ROWS // 2:
+                real = np.flatnonzero(mask[a:b])
+                if len(real) > 1:
+                    # a packed pad key is a zero: its -inf bias leaves a
+                    # query whose real keys all score -inf at NaN, where
+                    # -1e9 would average the zeros
+                    return _encode(ws, x[real],
+                                   np.where(mask[a:b], 0.0, -np.inf),
+                                   cfg.num_heads, real=real)
+            return _encode(ws, x, key_bias[a:b], cfg.num_heads)
 
         def blocks(lo, hi):
             """The [CLS] rows of the blocks of samples [lo, hi)."""

@@ -435,53 +435,14 @@ def test_matmul_bias_shape_errors(rng):
             ad.matmul(a, b, bias=leaf(None, rng, bad))
 
 
-def _key_bias(n, k):
-    """0 on real keys, -1e9 on pad keys; row 0 has one pad key."""
-    kb = np.zeros((n, k))
-    kb[0, -1] = -1e9
-    kb[1:, k // 2:] = -1e9
-    return kb
-
-
-def test_masked_softmax_bitwise_equals_op_chain(rng):
-    n, h, t = 3, 2, 5
-    kb = _key_bias(n, t)
-    x1 = leaf(None, rng, (n, h, t, t))
-    x2 = leaf(x1.data.copy())
-    g = constant(rng.normal(size=(n, h, t, t)))
-    fused = ad.softmax(x1, scale=0.35, key_bias=kb)
-    dense = constant(np.broadcast_to(kb[:, None, None, :], (n, h, t, t)).copy())
-    plain = ad.softmax(ad.add(ad.scale(x2, 0.35), dense))
-    assert np.array_equal(fused.data, plain.data)
-    assert np.all(fused.data[1:, ..., t // 2:] == 0.0)  # pad keys get nothing
-    backward(ad.tsum(ad.mul(fused, g)))
-    backward(ad.tsum(ad.mul(plain, g)))
-    assert np.array_equal(x1.grad, x2.grad)
-
-
-@pytest.mark.parametrize("scale,bias", [(None, False), (0.35, False),
-                                        (None, True), (0.35, True)])
 @pytest.mark.parametrize("grad", [True, False])
-def test_softmax_never_writes_its_input(scale, bias, grad, rng):
-    """With scale or key_bias the softmax normalizes in the buffer that
-    holds the scaled, biased scores, which it made; never in x."""
-    n, h, t = 3, 2, 5
-    x = leaf(None, rng, (n, h, t, t))
+def test_softmax_never_writes_its_input(grad, rng):
+    x = leaf(None, rng, (3, 2, 5, 5))
     x0 = x.data.copy()
     with contextlib.nullcontext() if grad else ad.no_grad():
-        p = ad.softmax(x, scale=scale, key_bias=_key_bias(n, t) if bias
-                       else None)
+        p = ad.softmax(x)
     assert np.array_equal(x.data, x0)
     assert not np.shares_memory(p.data, x.data)
-
-
-def test_masked_softmax_argument_errors(rng):
-    x = leaf(None, rng, (3, 2, 5, 5))
-    for bad in ((3, 4), (2, 5), (3, 1, 5), (15,)):
-        with pytest.raises(ShapeError):
-            ad.softmax(x, key_bias=np.zeros(bad))
-    with pytest.raises(ShapeError):
-        ad.softmax(leaf(None, rng, (5,)), key_bias=np.zeros((5, 5)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -496,7 +457,7 @@ def test_fused_attention_non_finite_raises(rng, bad):
         with ad.scope("layers.0.attn"), pytest.raises(
                 NonFiniteError,
                 match="^first non-finite: matmul in layers.0.attn$"):
-            ad.softmax(ad.matmul(q, kt), scale=0.5, key_bias=_key_bias(n, t))
+            ad.softmax(ad.matmul(q, kt))
         with ad.scope("layers.0.ffn"), pytest.raises(
                 NonFiniteError,
                 match="^first non-finite: matmul in layers.0.ffn$"):
@@ -769,16 +730,6 @@ def test_fd_matmul_bias(rng, lead):
            leaf(None, rng, b_shape))
     _check(lambda t: ad.tsum(ad.mul(ad.matmul(a, b, bias=t), w)),
            leaf(None, rng, c_shape))
-
-
-def test_fd_masked_scaled_softmax(rng):
-    n, h, t = 3, 2, 5
-    kb = _key_bias(n, t)
-    w = constant(rng.normal(size=(n, h, t, t)))
-    report = _check(
-        lambda x: ad.tsum(ad.mul(ad.softmax(x, scale=0.35, key_bias=kb), w)),
-        leaf(None, rng, (n, h, t, t)))
-    assert report.n_checked == n * h * t * t
 
 
 def test_fd_softmax(rng):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mixkd import autodiff as ad
-from mixkd import distill, model
+from mixkd import distill, kernels, model
 from mixkd.autodiff import Tensor, constant
 from mixkd.distill import (Adam, LossWeights, SweepGrid, TrainConfig,
                            _train_loop, distill_student, format_mean_std,
@@ -84,6 +84,34 @@ def test_loss_tmkd_temperature_ce(rng):
 
     pt, ps = softmax(z_t / 2.0), softmax(z_s / 2.0)
     assert loss == pytest.approx(4.0 * -(pt * np.log(ps)).sum() / 2, rel=1e-10)
+
+
+def test_loss_tmkd_temperature_ce_bitwise_at_an_inexact_reciprocal(rng):
+    """At tau = 3, whose reciprocal 1/3 is inexact, the temperature loss
+    and the student's gradient are bitwise those of one scaled softmax:
+    softmax_rows(z * (1/3)), whose VJP multiplies the plain softmax VJP
+    by 1/3 last."""
+    tau = 3.0
+    inv = 1.0 / tau
+    z_t, z_s = 4.0 * rng.normal(size=(2, 16, 3))
+    assert not np.array_equal(z_s * inv, z_s / tau)  # the order is pinned
+
+    def scaled_softmax(x):
+        p = kernels.softmax_rows(x.data * inv)
+        return ad._result(p, (x,),
+                          lambda g: (kernels.softmax_backward(p, g, inv),))
+
+    s = Tensor(z_s.copy(), requires_grad=True)
+    loss = loss_tmkd(constant(z_t), s, LossWeights(
+        distance_metric="temperature_ce", temperature=tau))
+    ad.backward(loss)
+    s_ref = Tensor(z_s.copy(), requires_grad=True)
+    ref = ad.scale(ad.cross_entropy(
+        scaled_softmax(s_ref),
+        constant(scaled_softmax(constant(z_t)).data)), tau * tau)
+    ad.backward(ref)
+    assert np.array_equal(loss.data, ref.data)
+    assert np.array_equal(s.grad, s_ref.grad)
 
 
 def test_loss_tmkd_detaches_teacher(rng):

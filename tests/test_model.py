@@ -550,16 +550,17 @@ def test_a_lone_cls_row_runs_padded_and_bitwise():
     """One sample of only [CLS], a block of more than 256 rows, would pack
     to one row, whose products are gemv calls that round apart from the
     grad pass's gemm rows (they do at this seed): that block runs padded,
-    with its pad rows zeroed, so it equals the grad pass and still
-    ignores a NaN at its pad positions."""
+    as every block of at most 256 rows does, so it equals the grad pass,
+    and a NaN at its pad positions reaches the logits check."""
     params, _, _ = _split_shape(1, 400)
     ids, mask = _toy_batch(params.config, [1])
+    batch = SimpleNamespace(token_ids=ids, pad_mask=mask)
     graph = forward_from_embeddings(params, embed_batch(params, ids, mask),
                                     mask)
+    assert np.array_equal(forward_tokens(params, batch).data, graph.data)
     params["tok_emb"].data[PAD_ID] = np.nan
-    logits = forward_tokens(params, SimpleNamespace(token_ids=ids,
-                                                    pad_mask=mask))
-    assert np.array_equal(logits.data, graph.data)
+    with pytest.raises(ad.NonFiniteError, match="logits contain NaN"):
+        forward_tokens(params, batch)
 
 
 def test_graph_free_forward_keeps_a_row_of_minus_inf_scores_non_finite():
