@@ -518,26 +518,6 @@ def tsum(x: Tensor) -> Tensor:
                    lambda g, shape=x.shape: (np.broadcast_to(g, shape).copy(),))
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator,
-            draw_shape: Optional[tuple] = None) -> Tensor:
-    """Inverted dropout; identity when rate is 0.
-
-    With ``draw_shape`` the mask is drawn at that shape and ``x`` holds
-    the leading rows (along axis -2) of each of its blocks: a layer that
-    computes only some query rows then draws the generator stream, and
-    uses the masks, of the full layer.
-    """
-    if rate == 0.0:
-        return x
-    if draw_shape is None:
-        keep = rng.random(x.shape) >= rate
-    else:
-        keep = rng.random(draw_shape) >= rate
-        rows = x.size * keep.shape[-2] // keep.size
-        keep = keep[..., :rows, :].reshape(x.shape)
-    return mul(x, constant(keep / (1.0 - rate)))
-
-
 # ---------------------------------------------------------------------------
 # gradient verification
 # ---------------------------------------------------------------------------

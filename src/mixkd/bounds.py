@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .mixup import (MixupConfig, beta_from_gammas, check_pairs, draw_round,
-                    make_pairs, mix_labels)
+                    mix_labels)
 from .ranges import COUNT, FINITE, FRACTION, INDEX, NONNEGATIVE, POSITIVE
 
 
@@ -340,24 +340,32 @@ def rademacher_mc_estimate(hypothesis_class, sample: np.ndarray, trials: int,
 _BLOCK_ROWS = 1024
 
 
-def _mix_recipe(testbed: EnumerableTestbed, b_mix: int,
-                rng: np.random.Generator):
-    """The draws behind b_mix mixed points: a pool of b_mix fresh inputs,
-    then the pairs.  Returns, per mixed point, the slot of its parent among
-    the originals (cycling them), its partner as an index into ``inputs``
-    and its lambda."""
-    pool = testbed.draw(b_mix, rng)
-    pairs = make_pairs(b_mix, MixupConfig(), rng, extra_pool_size=b_mix)
-    return pairs.index_i, pool[pairs.index_j], pairs.lam
-
-
-def _mix_points(testbed: EnumerableTestbed, originals: np.ndarray, b_mix: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """b_mix interpolated points: parents cycle the originals, partners are
-    fresh independent draws (the independent-pairing construction)."""
-    slots, partners, lam = _mix_recipe(testbed, b_mix, rng)
-    return mix_labels(originals[slots % len(originals)],
-                      testbed.inputs[partners], lam)
+def _draw_trials(testbed: EnumerableTestbed, a: int, b_mix: int, k: int,
+                 rng: np.random.Generator):
+    """k trials of a originals and b_mix mixed points each -> (the
+    originals' indices into ``inputs`` [k, a], the mixed points
+    [k * b_mix, m], or None if b_mix is 0).  A mixed point's parent
+    cycles its trial's originals and its partner is a distinct draw of a
+    fresh pool (the independent pairing construction)."""
+    u = np.empty((k, a + b_mix))
+    partners = np.empty((k, b_mix), dtype=np.intp)
+    gammas = np.empty((k, b_mix, 2))
+    alpha = MixupConfig().beta_alpha
+    for t in range(k):
+        rng.random(out=u[t])
+        if b_mix > 0:
+            partners[t] = draw_round(b_mix, alpha, rng, b_mix, gammas[t])
+    drawn = testbed.invert(u)
+    originals = drawn[:, :a]
+    if b_mix == 0:
+        return originals, None
+    lam = beta_from_gammas(gammas)
+    parent_slots = np.arange(b_mix) % a
+    check_pairs(parent_slots, partners, lam)
+    parents = originals[:, parent_slots]
+    mates = np.take_along_axis(drawn[:, a:], partners, axis=1)
+    return originals, mix_labels(testbed.inputs[parents.ravel()],
+                                 testbed.inputs[mates.ravel()], lam.ravel())
 
 
 def estimate_shift_delta(testbed: EnumerableTestbed,
@@ -375,8 +383,7 @@ def estimate_shift_delta(testbed: EnumerableTestbed,
                          f"{g_class.cardinality}), got {g_index!r}")
     _check(n_mc=n_mc)
     under_p = float(population_risks(testbed, g_class)[g_index])
-    originals = testbed.sample(n_mc, rng)
-    mixed = _mix_points(testbed, originals, n_mc, rng)
+    _, mixed = _draw_trials(testbed, n_mc, n_mc, 1, rng)
     under_q = float(g_class.loss_matrix(mixed)[g_index].mean())
     return under_p - under_q
 
@@ -403,22 +410,21 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
     more), so memory does not grow with ``trials``.  A block has three
     phases:
 
-    - Draw: each trial makes the draws of a loop over ``sample`` and
-      ``_mix_points``, in that order, with three generator calls: one
-      ``random`` for its originals' and its pool's uniforms (each float64
-      takes one 64-bit output, so this is the stream of the two ``draw``
-      calls), then ``mixup.draw_round``, which draws the partners and the
-      Gamma pairs of ``make_pairs``' one round.
+    - Draw (``_draw_trials``): each trial makes three generator calls,
+      in a per-trial loop's order: one ``random`` for its originals' and
+      its pool's uniforms (each float64 takes one 64-bit output, so this
+      is the stream of two ``draw`` calls), then ``mixup.draw_round``,
+      which draws the partners among the pool and the Gamma pairs.
     - Per block, with no draws: the uniforms are inverted to indices into
       ``inputs``, lambdas are formed from the Gamma pairs, each mixed
       point gets its partner from its trial's pool and its parent by
-      cycling the originals, and the pairs get ``MixupPairs``' checks.
+      cycling the originals, the pairs get ``MixupPairs``' checks, and
+      the mixed points are interpolated.
     - Score, with no draws: the originals' errors are gathered from the
       error table of every input, which is built once per report and
-      whose float copy gives ``population_risks`` bit for bit.  The mixed points are
-      interpolated with ``_mix_points``' arithmetic and scored by one
-      ``errors`` call.  Both risks are error counts over n, which equal
-      the means of n 0/1 losses bit for bit.
+      whose float copy gives ``population_risks`` bit for bit.  The mixed
+      points are scored by one ``errors`` call.  Both risks are error
+      counts over n, which equal the means of n 0/1 losses bit for bit.
 
     The result equals a per-trial loop's because a point's errors do not
     depend on which other points share the ``errors`` call.  Its GEMM,
@@ -437,33 +443,17 @@ def empirical_gap_experiment(testbed: EnumerableTestbed,
     bound = hoeffding_gap_bound(M, g_class.cardinality, delta, a + b_mix)
 
     per_block = max(1, _BLOCK_ROWS // max(a, b_mix))
-    alpha = MixupConfig().beta_alpha
-    parent_slots = np.arange(b_mix) % a
     counts = np.min_scalar_type(a + b_mix)   # holds every error count
     gaps_aug = np.empty(trials)
     gaps_plain = np.empty(trials)
     for start in range(0, trials, per_block):
         k = min(per_block, trials - start)
-        u = np.empty((k, a + b_mix))
-        partners = np.empty((k, b_mix), dtype=np.intp)
-        gammas = np.empty((k, b_mix, 2))
-        for t in range(k):
-            rng.random(out=u[t])
-            if b_mix > 0:
-                partners[t] = draw_round(b_mix, alpha, rng, b_mix, gammas[t])
-        drawn = testbed.invert(u)
-        originals = drawn[:, :a]
+        originals, mixed = _draw_trials(testbed, a, b_mix, k, rng)
 
         # errors returns the transpose of a C-ordered [n, G] array
         wrong_plain = _per_trial(table.T[originals.ravel()], k, counts)
         wrong_aug = wrong_plain
-        if b_mix > 0:
-            lam = beta_from_gammas(gammas)
-            check_pairs(parent_slots, partners, lam)
-            parents = originals[:, parent_slots]
-            mates = np.take_along_axis(drawn[:, a:], partners, axis=1)
-            mixed = mix_labels(testbed.inputs[parents.ravel()],
-                               testbed.inputs[mates.ravel()], lam.ravel())
+        if mixed is not None:
             wrong_aug = wrong_plain + _per_trial(g_class.errors(mixed).T, k,
                                                  counts)
 

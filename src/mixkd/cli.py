@@ -13,7 +13,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .config import ConfigError, config_from_pairs, load_config, parse_kv_file
-from .data import (DataError, Schema, Vocab, build_vocab, load_tsv,
+from .data import (RESERVED, DataError, Schema, Vocab, build_vocab, load_tsv,
                    merge_augmented, subsample)
 from .distill import (SweepGrid, TaskData, TrainingDiverged, check_seeds,
                       distill_student, grid_files, run_seeds, sweep_grid,
@@ -88,14 +88,24 @@ def _vocab_extra(vocab: Vocab, label_names) -> dict:
 def _load_model_and_data(path, args):
     """(params, config, vocab, labels, examples): the checkpoint at
     ``path`` with the vocabulary and label names it stores, and the
-    --data examples read with those labels."""
+    --data examples read with those labels.  The vocabulary must start
+    with the reserved tokens, at the ids that encoding uses."""
     params, config, extra = load_checkpoint(path)
     try:
-        vocab = Vocab({tok: i for i, tok in enumerate(extra["vocab"])})
-        labels = list(extra["labels"])
+        tokens, labels = extra["vocab"], extra["labels"]
     except KeyError as exc:
         raise CheckpointError(f"{path}: checkpoint lacks dataset metadata: "
                               f"{exc}") from exc
+    for key, value, starts in (("vocab", tokens, list(RESERVED)),
+                               ("labels", labels, [])):
+        if not (isinstance(value, list)
+                and all(isinstance(v, str) for v in value)
+                and len(set(value)) == len(value)
+                and value[:len(starts)] == starts):
+            start = f" that starts with {starts}" if starts else ""
+            raise CheckpointError(f"{path}: checkpoint {key!r} is not a list "
+                                  f"of distinct strings{start}")
+    vocab = Vocab({tok: i for i, tok in enumerate(tokens)})
     for what, stored, key, fixed in (
             ("vocabulary tokens", vocab.size, "vocab_size", config.vocab_size),
             ("labels", len(labels), "num_classes", config.num_classes)):
@@ -192,11 +202,16 @@ def _dev_split(args, schema, train, labels) -> list:
     return train
 
 
-def _student_task(args, config, model_kwargs: dict, source):
+def _student_task(args, config, model_kwargs: dict, vocab_kwargs: dict,
+                  source):
     """Teacher checkpoint, student ModelConfig and TaskData for the
     distillation commands; ``source`` names the config file."""
     if "num_layers" not in model_kwargs:
         raise ConfigError(f"{source}: must set model.num_layers")
+    if vocab_kwargs:
+        keys = ", ".join(f"vocab.{name}" for name in vocab_kwargs)
+        raise ConfigError(f"{source}: {keys} cannot be set for a student: "
+                          "its vocabulary comes from the teacher checkpoint")
     teacher, teacher_config, vocab, labels, train = _load_model_and_data(
         args.teacher, args)
     schema = Schema.parse(args.schema)
@@ -244,9 +259,9 @@ def cmd_train_teacher(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    config, model_kwargs, _ = load_config(args.config)
-    teacher, student_config, dataset = _student_task(args, config,
-                                                     model_kwargs, args.config)
+    config, model_kwargs, vocab_kwargs = load_config(args.config)
+    teacher, student_config, dataset = _student_task(
+        args, config, model_kwargs, vocab_kwargs, args.config)
     variant = VARIANT_MAP[args.variant]
     student, record = distill_student(config, student_config, dataset,
                                       teacher, variant=variant)
@@ -319,13 +334,13 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"{args.grid}: missing {key}")
         values[key] = _parse_list(pairs.pop(key), convert,
                                   f"{args.grid}: {key}")
-    config, model_kwargs, _ = config_from_pairs(pairs, args.grid)
+    config, model_kwargs, vocab_kwargs = config_from_pairs(pairs, args.grid)
     try:
         grid = SweepGrid(base=config, **values)
     except ValueError as exc:
         raise ConfigError(f"{args.grid}: {exc}") from exc
-    teacher, student_config, dataset = _student_task(args, config,
-                                                     model_kwargs, args.grid)
+    teacher, student_config, dataset = _student_task(
+        args, config, model_kwargs, vocab_kwargs, args.grid)
     results = sweep_grid(grid, student_config, dataset, teacher, args.out)
     if all(cell["error"] for cell in results):
         grid_json = grid_files(args.out)[0]
@@ -352,9 +367,9 @@ def cmd_seeds(args) -> int:
         check_seeds(seeds, "--seeds", args.seeds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    config, model_kwargs, _ = load_config(args.config)
-    teacher, student_config, dataset = _student_task(args, config,
-                                                     model_kwargs, args.config)
+    config, model_kwargs, vocab_kwargs = load_config(args.config)
+    teacher, student_config, dataset = _student_task(
+        args, config, model_kwargs, vocab_kwargs, args.config)
     summary = run_seeds(config, student_config, dataset, teacher,
                         VARIANT_MAP[args.variant], seeds)
     _emit(summary, args.out)

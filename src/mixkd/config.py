@@ -5,7 +5,8 @@ ModelConfig is addressable with a key: TrainConfig fields by name,
 the others as mixup.*, loss.* and model.*; model.* keys describe the
 model being trained (for distillation: the student's depth).  The
 vocabulary and the labels fix ModelConfig's vocab_size and num_classes,
-so those two are not keys.  vocab.* keys are build_vocab's options.
+so those two are not keys.  vocab.* keys are build_vocab's options; a
+student's config may not set them, for its vocabulary is its teacher's.
 Unknown keys, and values outside their field's Range, are errors naming
 the key.  Lines starting with '#' and blank lines are ignored.
 """

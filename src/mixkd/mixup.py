@@ -77,11 +77,11 @@ def beta_from_gammas(gammas: np.ndarray) -> np.ndarray:
 
 def draw_round(batch_size: int, alpha: float, rng: np.random.Generator,
                extra_pool_size: int, gammas: np.ndarray) -> np.ndarray:
-    """One round of ``make_pairs``' draws, in its order: the partners of
+    """One round of pair draws, in ``make_pairs``' order: the partners of
     rows 0..batch_size-1, returned, then the Gamma(alpha) pairs of their
     lambdas, written into ``gammas`` [batch_size, 2].  Partners are
-    distinct rows of a pool of ``extra_pool_size``, or without a pool a
-    permutation of the batch."""
+    distinct rows of a pool of ``extra_pool_size`` (the gap experiment's),
+    or without a pool (``make_pairs``) a permutation of the batch."""
     partners = (rng.choice(extra_pool_size, size=batch_size, replace=False)
                 if extra_pool_size else rng.permutation(batch_size))
     rng.standard_gamma(alpha, out=gammas)
@@ -94,22 +94,18 @@ def sample_lambda(config: MixupConfig, rng: np.random.Generator) -> float:
                                                      size=2)))
 
 
-def make_pairs(batch_size: int, config: MixupConfig, rng: np.random.Generator,
-               extra_pool_size: int = 0) -> MixupPairs:
+def make_pairs(batch_size: int, config: MixupConfig,
+               rng: np.random.Generator) -> MixupPairs:
     """mixup_ratio * batch_size pairs; each in-batch index i is covered
-    exactly mixup_ratio times, once per round.
-
-    Without a pool, i is paired with a seeded permutation sigma(i) of the
-    batch.  With ``extra_pool_size`` rows of fresh draws (the independent
-    pairing construction), partners are distinct pool rows, so pairs are
-    mutually independent across i.  Ratio 0 draws nothing.
+    exactly mixup_ratio times, once per round, paired with a seeded
+    permutation sigma(i) of the batch.  Ratio 0 draws nothing.
     """
     COUNT.check("batch_size", batch_size, MixupError)
     index_j = np.empty((config.mixup_ratio, batch_size), dtype=np.int64)
     gammas = np.empty((config.mixup_ratio, batch_size, 2))
     for r in range(config.mixup_ratio):
-        index_j[r] = draw_round(batch_size, config.beta_alpha, rng,
-                                extra_pool_size, gammas[r])
+        index_j[r] = draw_round(batch_size, config.beta_alpha, rng, 0,
+                                gammas[r])
     return MixupPairs(np.tile(np.arange(batch_size), config.mixup_ratio),
                       index_j.ravel(), beta_from_gammas(gammas).ravel())
 

@@ -30,7 +30,7 @@ round differently, by about 1e-16 relative.
 One encoder layer is written once, over bare numpy arrays:
 ``_layer_forward`` computes it and ``_layer_backward`` is its VJP, with
 the numpy and kernel calls of the autodiff ops (matmul, softmax,
-layer_norm, gelu, dropout, ...) that the layer stands for, so the
+layer_norm, gelu, mul, ...) that the layer stands for, so the
 result is bitwise theirs; ``_unfused_forward`` in ``tests/test_model.py``
 keeps that op chain.  One loop, ``_encode``, runs every layer over a
 block of samples.  In grad mode the stack is one autodiff op
@@ -293,7 +293,7 @@ def _anomaly_check(i: int):
 
 
 def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
-                   num_heads: int, i: int, last: bool, drop: float,
+                   num_heads: int, i: int, last: bool,
                    masks: Optional[tuple], real: Optional[np.ndarray] = None):
     """Encoder layer ``i`` over bare arrays: the [n*T,d] rows ``x2`` of n
     samples -> (y, saved).  ``w`` maps ``_LAYER_PARAMS`` to the layer's
@@ -324,14 +324,13 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     The layer makes the numpy and kernel calls of the autodiff ops it
     stands for, in their order: ``matmul`` (with bias), ``reshape`` and
     ``transpose`` (a contiguous copy), ``select_index``, ``scale``, the
-    ``add`` of the key bias, ``softmax``, ``dropout``, ``add``,
+    ``add`` of the key bias, ``softmax``, the dropout ``mul``, ``add``,
     ``layer_norm`` and ``gelu``; the scale, bias and residual steps run
     in place on a buffer the layer made, which gives the same bits.
-    With ``drop`` > 0, ``masks`` holds the layer's inverted-dropout keep
-    masks for after the softmax, the output projection and the FFN, drawn
-    at the full layer's shapes [n,h,T,T], [n,T,d] and [n,T,d]; the last
-    layer cuts them to the [CLS] rows, as ``autodiff.dropout`` with
-    ``draw_shape`` does.  Under ``detect_anomaly`` it checks each op's
+    ``masks``, if given, holds the layer's inverted-dropout masks for
+    after the softmax, the output projection and the FFN, cut and scaled
+    by ``_grad_pass``; the layer multiplies by each, reshaped to its
+    operand's shape.  Under ``detect_anomaly`` it checks each op's
     result in that order, named as the op in its scope (``matmul in
     teacher/layers.1.ffn``)."""
     n, T = key_bias.shape
@@ -349,11 +348,9 @@ def _layer_forward(w: dict, x2: np.ndarray, key_bias: np.ndarray,
     def dropout(part, y, j):
         """(y times mask j, (the mask, y)), or (y, None) without
         dropout."""
-        if drop == 0.0:
+        if not masks:
             return y, None
-        keep = masks[j]
-        rows = y.size * keep.shape[-2] // keep.size
-        mask = keep[..., :rows, :].reshape(y.shape) / (1.0 - drop)
+        mask = masks[j].reshape(y.shape)
         out = y * mask
         check(part, "mul", out)
         return out, (mask, y)
@@ -560,10 +557,10 @@ def _layer_backward(saved: dict, g: np.ndarray, rows_only: bool = False):
 
 
 def _encode(ws: list, x2: np.ndarray, key_bias: np.ndarray, num_heads: int,
-            drop: float = 0.0, masks: Optional[list] = None,
-            saved: Optional[list] = None, last: bool = True,
-            real: Optional[np.ndarray] = None) -> np.ndarray:
-    """Every layer, with arrays ``ws`` and, with dropout, the keep masks
+            masks: Optional[list] = None, saved: Optional[list] = None,
+            last: bool = True, real: Optional[np.ndarray] = None
+            ) -> np.ndarray:
+    """Every layer, with arrays ``ws`` and, with dropout, the masks
     ``masks[i]`` of layer i, over the [b*T,d] rows ``x2`` of b samples
     (or, with ``real``, their packed real rows) -> the output of the
     final one: their [CLS] rows [b,d] if it is the model's ``last``
@@ -571,7 +568,7 @@ def _encode(ws: list, x2: np.ndarray, key_bias: np.ndarray, num_heads: int,
     ``saved`` if it is a list."""
     for i, w in enumerate(ws):
         x2, state = _layer_forward(w, x2, key_bias, num_heads, i,
-                                   last and i == len(ws) - 1, drop,
+                                   last and i == len(ws) - 1,
                                    masks and masks[i], real)
         if saved is not None:
             saved.append(state)
@@ -610,11 +607,12 @@ def _grad_pass(ws: list, x2: np.ndarray, key_bias: np.ndarray,
     (its [CLS] rows, the backward: g -> (dx2, every layer's gradients)).
 
     Every layer's dropout keep masks are drawn first from ``rng``, in the
-    order and at the full shapes the layers take them, and each part
-    takes its samples of the lower layers' masks, so one generator stream
-    gives the same masks over one part or two.  Each part runs ``_encode``
-    over the layers before the last and keeps its own arrays; the last
-    layer runs whole on their joined output.
+    order and at the full shapes the layers take them; the last layer's
+    are cut to its [CLS] rows, then each is scaled by 1 / (1 - ``drop``),
+    once.  Each part takes its samples of the lower layers' masks, so one
+    generator stream gives the same masks over one part or two.  Each
+    part runs ``_encode`` over the layers before the last and keeps its
+    own arrays; the last layer runs whole on their joined output.
 
     The backward runs the last layer's VJP whole: its [CLS]-row dx
     products have as few rows as one half's samples, where OpenBLAS's
@@ -630,22 +628,26 @@ def _grad_pass(ws: list, x2: np.ndarray, key_bias: np.ndarray,
     part."""
     n, T = key_bias.shape
     d = x2.shape[1]
-    keeps = [tuple(rng.random(shape) >= drop for shape in
+
+    def mask(shape, last):
+        keep = rng.random(shape) >= drop
+        return (keep[..., :1, :] if last else keep) / (1.0 - drop)
+    masks = [tuple(mask(shape, i == len(ws) - 1) for shape in
                    ((n, num_heads, T, T), (n, T, d), (n, T, d)))
-             for _ in ws] if drop else None
+             for i in range(len(ws))] if drop else None
 
     def lower(lo, hi):
-        mine = keeps and [tuple(k[lo:hi] for k in layer)
-                          for layer in keeps[:-1]]
+        mine = masks and [tuple(m[lo:hi] for m in layer)
+                          for layer in masks[:-1]]
         states = []
         y = _encode(ws[:-1], x2[lo * T:hi * T], key_bias[lo:hi], num_heads,
-                    drop, mine, states, last=False)
+                    mine, states, last=False)
         return y, states
 
     outs = _run([partial(lower, *part) for part in parts])
     y, top = _layer_forward(ws[-1], _join([y for y, _ in outs]), key_bias,
-                            num_heads, len(ws) - 1, True, drop,
-                            keeps and keeps[-1])
+                            num_heads, len(ws) - 1, True,
+                            masks and masks[-1])
     layers = list(zip(*(states for _, states in outs)))
     ops = list(_SUMS)
 

@@ -670,18 +670,6 @@ def test_mse_value_and_gradient(rng):
     np.testing.assert_allclose(a.grad, 2.0 * (a.data - b.data) / 3)
 
 
-def test_dropout_identity_at_zero(rng):
-    x = leaf([1.0, 2.0])
-    assert ad.dropout(x, 0.0, rng) is x
-
-
-def test_dropout_inverted_scaling(rng):
-    x = constant(np.ones(200000))
-    kept = ad.dropout(x, 0.25, rng).data
-    assert kept.mean() == pytest.approx(1.0, abs=0.01)
-    assert set(np.round(np.unique(kept), 9)) <= {0.0, np.round(1 / 0.75, 9)}
-
-
 def test_reshape_transpose_roundtrip(rng):
     x = leaf(None, rng, (2, 3, 4))
     y = ad.transpose(ad.reshape(x, (6, 4)), (1, 0))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mixkd import bounds as B
-from mixkd.mixup import make_pairs
+from mixkd.mixup import MixupConfig, beta_from_gammas, draw_round
 
 mp.mp.dps = 50
 
@@ -363,28 +363,69 @@ def test_estimate_shift_delta_checks_g_index(g_index, rng):
             == B.estimate_shift_delta(tb, gc, g_index=7, n_mc=10, rng=replay))
 
 
-def test_mix_points_pairs_fresh_pool_rows(rng, monkeypatch):
+def _mixed_trial(tb, a, b_mix, rng):
+    """One trial's draws, written per call: a originals, a pool of b_mix
+    fresh draws, then one ``draw_round`` over the pool.  Mixed point k
+    has parent ``originals[k % a]`` and a distinct pool row as partner.
+    Returns (the originals' indices into ``inputs``, the mixed points, or
+    None if b_mix is 0)."""
+    idx = tb.draw(a, rng)
+    if b_mix == 0:
+        return idx, None
+    pool = tb.draw(b_mix, rng)
+    gammas = np.empty((b_mix, 2))
+    partners = draw_round(b_mix, MixupConfig().beta_alpha, rng, b_mix, gammas)
+    lam = beta_from_gammas(gammas)[:, None]
+    parents = tb.inputs[idx[np.arange(b_mix) % a]]
+    return idx, lam * parents + (1.0 - lam) * tb.inputs[pool[partners]]
+
+
+@pytest.mark.parametrize("n_mc", [1, 7, 200])
+@pytest.mark.parametrize("n_bits, seed", [(6, 7), (10, 0)])
+def test_estimate_shift_delta_equals_per_call_recipe(n_bits, seed, n_mc):
+    """The shift estimate is one trial of n_mc originals and n_mc mixed
+    points: bit for bit the per-call recipe's, and the generator ends
+    where the recipe leaves it."""
+    tb = B.make_testbed(n_bits=n_bits, seed=seed)
+    gc = B.make_scorer_class(tb, g_size=16, seed=seed + 1)
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    delta = B.estimate_shift_delta(tb, gc, g_index=3, n_mc=n_mc, rng=rng)
+    _, mixed = _mixed_trial(tb, n_mc, n_mc, oracle)
+    expected = (float(B.population_risks(tb, gc)[3])
+                - float(gc.loss_matrix(mixed)[3].mean()))
+    assert np.float64(delta).tobytes() == np.float64(expected).tobytes()
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+def test_draw_trials_pairs_fresh_pool_rows(rng):
+    """Each of k trials draws its originals and a fresh pool in one
+    ``random`` call, then its partners, distinct pool rows, and Gamma
+    pairs; mixed point k of a trial mixes its originals, cycled, with
+    its partner's pool row.  Without mixed points only the originals are
+    drawn."""
     tb = B.make_testbed(n_bits=6, seed=7)
-    originals = tb.sample(5, rng)
-    drawn = []
-
-    def recording_make_pairs(*args, **kwargs):
-        out = make_pairs(*args, **kwargs)
-        drawn.append(out)
-        return out
-
-    monkeypatch.setattr(B, "make_pairs", recording_make_pairs)
     replay = copy.deepcopy(rng)
-    mixed = B._mix_points(tb, originals, 12, rng)
-    pool = tb.sample(12, replay)  # the pool is the first draw
-    (pairs,) = drawn
-    partners = pairs.index_j.tolist()
-    assert len(pairs) == 12 and len(set(partners)) == 12
-    assert all(0 <= j < 12 for j in partners)
-    for k, (j, lam) in enumerate(zip(pairs.index_j, pairs.lam)):
-        parent = originals[k % len(originals)]
-        np.testing.assert_array_equal(
-            mixed[k], lam * parent + (1.0 - lam) * pool[j])
+    originals, mixed = B._draw_trials(tb, 5, 12, 3, rng)
+    assert originals.shape == (3, 5)
+    assert mixed.shape == (3 * 12, tb.inputs.shape[1])
+    for t in range(3):
+        u = replay.random(5 + 12)
+        np.testing.assert_array_equal(originals[t], tb.invert(u[:5]))
+        pool = tb.invert(u[5:])
+        gammas = np.empty((12, 2))
+        partners = draw_round(12, 0.4, replay, 12, gammas)
+        assert sorted(partners.tolist()) == list(range(12))
+        for k, (j, lam) in enumerate(zip(partners,
+                                         beta_from_gammas(gammas))):
+            parent = tb.inputs[originals[t, k % 5]]
+            np.testing.assert_array_equal(
+                mixed[12 * t + k],
+                lam * parent + (1.0 - lam) * tb.inputs[pool[j]])
+    assert rng.bit_generator.state == replay.bit_generator.state
+    originals, mixed = B._draw_trials(tb, 5, 0, 2, rng)
+    assert mixed is None
+    np.testing.assert_array_equal(originals, tb.invert(replay.random((2, 5))))
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def _two_call_gaps(tb, gc, a, b_mix, trials, rng):
@@ -393,11 +434,9 @@ def _two_call_gaps(tb, gc, a, b_mix, trials, rng):
     pop = B.population_risks(tb, gc)
     aug, plain = [], []
     for _ in range(trials):
-        originals = tb.sample(a, rng)
-        pooled = originals
-        if b_mix > 0:
-            pooled = np.vstack([originals,
-                                B._mix_points(tb, originals, b_mix, rng)])
+        idx, mixed = _mixed_trial(tb, a, b_mix, rng)
+        originals = tb.inputs[idx]
+        pooled = originals if mixed is None else np.vstack([originals, mixed])
         for sample, gaps in ((pooled, aug), (originals, plain)):
             emp = gc.loss_matrix(sample).mean(axis=1)
             g = int(emp.argmin())
@@ -440,9 +479,8 @@ def test_gap_experiment_one_loss_matrix_per_trial(a, b_mix, n_bits, g_size,
 def _trial_errors(tb, gc, a, b_mix, rng):
     """One trial's (originals, mixed points) errors, from one call on its
     pooled points, as the experiment made them per trial."""
-    originals = tb.sample(a, rng)
-    mixed = B._mix_points(tb, originals, b_mix, rng)
-    wrong = gc.errors(np.vstack([originals, mixed]))
+    idx, mixed = _mixed_trial(tb, a, b_mix, rng)
+    wrong = gc.errors(np.vstack([tb.inputs[idx], mixed]))
     return wrong[:, :a], wrong[:, a:], mixed
 
 
@@ -460,8 +498,7 @@ def test_errors_rows_do_not_depend_on_the_block(seed):
     trials = [_trial_errors(tb, gc, 200, 199, rng) for _ in range(5)]
     block = gc.errors(np.vstack([mixed for _, _, mixed in trials]))
     for t, (wrong_originals, wrong_mixed, _) in enumerate(trials):
-        idx = tb.draw(200, replay)
-        B._mix_recipe(tb, 199, replay)
+        idx, _ = _mixed_trial(tb, 200, 199, replay)
         np.testing.assert_array_equal(table[:, idx], wrong_originals)
         np.testing.assert_array_equal(block[:, 199 * t:199 * (t + 1)],
                                       wrong_mixed)

@@ -469,6 +469,69 @@ def test_exit_code_checkpoint_without_dataset_metadata(teacher_ckpt,
     assert captured.out == ""
 
 
+RESERVED_TOKENS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]"]
+
+
+@pytest.mark.parametrize("key, malformed", [
+    ("vocab", lambda tokens: 5),
+    ("labels", lambda labels: 7),
+    ("vocab", lambda tokens: tokens[:-1] + [tokens[4]]),
+    ("vocab", lambda tokens: tokens[:-1] + [42]),
+    ("vocab", lambda tokens: [tokens[1], tokens[0]] + tokens[2:]),
+    ("labels", lambda labels: ["neg", "neg"]),
+    ("labels", lambda labels: [1, 2]),
+], ids=["vocab-int", "labels-int", "vocab-repeats", "vocab-non-string",
+        "vocab-reserved-order", "labels-repeat", "labels-non-string"])
+def test_exit_code_malformed_dataset_metadata(key, malformed, teacher_ckpt,
+                                              workspace, tmp_path, capsys):
+    """A checkpoint's vocabulary must be a list of distinct strings that
+    starts with the reserved tokens, its labels a list of distinct
+    strings: else exit 3, naming the file and the key, not a crash, a
+    blamed data file or a run on wrong token ids."""
+    params, config, extra = load_checkpoint(teacher_ckpt)
+    assert extra["vocab"][:4] == RESERVED_TOKENS
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(params, config, bad,
+                    extra={**extra, key: malformed(extra[key])})
+    assert main(["eval", "--model", str(bad),
+                 "--data", str(workspace / "dev.tsv")]) == 3
+    start = f" that starts with {RESERVED_TOKENS}" if key == "vocab" else ""
+    captured = capsys.readouterr()
+    assert captured.err == (f"error (CheckpointError): {bad}: checkpoint "
+                            f"{key!r} is not a list of distinct "
+                            f"strings{start}\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["distill", "seeds", "sweep"])
+def test_exit_code_student_config_sets_vocab(command, teacher_ckpt,
+                                             workspace, tmp_path, capsys):
+    """A student's vocabulary is its teacher's, so vocab.* keys in its
+    config are an error naming the file and the keys, not ignored."""
+    cfg = tmp_path / "student.cfg"
+    cfg.write_text(STUDENT_CFG + "vocab.min_freq=50\nvocab.max_size=5\n")
+    data = ["--data", str(workspace / "train.tsv"),
+            "--dev", str(workspace / "dev.tsv")]
+    student = ["--config", str(cfg), "--teacher", str(teacher_ckpt),
+               "--variant", "ft"]
+    out = tmp_path / "out"
+    argv = {"distill": ["distill", *student, *data, "--out", str(out)],
+            "seeds": ["seeds", *student, "--seeds", "0,1", *data,
+                      "--out", str(out)]}.get(command)
+    if command == "sweep":
+        cfg.write_text(cfg.read_text() + "alpha_sm_values=1.0\n"
+                       "alpha_tmkd_values=1.0\nmixup_ratio_values=1\n")
+        argv = ["sweep", "--grid", str(cfg), "--teacher", str(teacher_ckpt),
+                *data, "--out", str(out)]
+    assert main(argv) == 6
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error (ConfigError): {cfg}: vocab.min_freq, vocab.max_size cannot "
+        "be set for a student: its vocabulary comes from the teacher "
+        "checkpoint\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_exit_code_grid_file_missing_key(teacher_ckpt, workspace, tmp_path,
                                          capsys):
     grid = tmp_path / "grid.cfg"

@@ -77,14 +77,6 @@ def test_make_pairs_coverage(rng):
     assert all(0 <= j < 8 for j in pairs.index_j)
 
 
-def test_make_pairs_independent_extra(rng):
-    pairs = make_pairs(6, MixupConfig(), rng, extra_pool_size=10)
-    partners = pairs.index_j.tolist()
-    assert len(set(partners)) == 6  # drawn without replacement
-    assert all(0 <= j < 10 for j in partners)
-    assert pairs.index_i.tolist() == list(range(6))
-
-
 def test_make_pairs_zero_ratio(rng):
     pairs = make_pairs(4, MixupConfig(mixup_ratio=0), rng)
     assert len(pairs) == 0 and not pairs
@@ -92,16 +84,12 @@ def test_make_pairs_zero_ratio(rng):
     assert rng.random() == np.random.default_rng(0).random()
 
 
-def _per_pair_make_pairs(batch_size, config, rng, extra_pool_size=0):
+def _per_pair_make_pairs(batch_size, config, rng):
     """The per-pair loop make_pairs replaced: one (i, j, lambda) triple at
     a time, each lambda from two scalar Gamma draws."""
     triples = []
     for _ in range(config.mixup_ratio):
-        if extra_pool_size:
-            partners = rng.choice(extra_pool_size, size=batch_size,
-                                  replace=False)
-        else:
-            partners = rng.permutation(batch_size)
+        partners = rng.permutation(batch_size)
         for i in range(batch_size):
             x = rng.gamma(config.beta_alpha)
             y = rng.gamma(config.beta_alpha)
@@ -110,15 +98,15 @@ def _per_pair_make_pairs(batch_size, config, rng, extra_pool_size=0):
 
 
 @pytest.mark.parametrize("batch", [1, 32, 199])
-@pytest.mark.parametrize("pool", [False, True], ids=["permutation", "pool"])
+# make_pairs' one pairing: a permutation of the batch
+@pytest.mark.parametrize("pairing", ["permutation"])
 @pytest.mark.parametrize("ratio", [0, 1, 3])
-def test_make_pairs_matches_per_pair_loop_bitwise(batch, pool, ratio):
+def test_make_pairs_matches_per_pair_loop_bitwise(batch, pairing, ratio):
     cfg = MixupConfig(beta_alpha=0.4, mixup_ratio=ratio)
-    extra = batch + 3 if pool else 0
     for seed in range(3):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        pairs = make_pairs(batch, cfg, ours, extra_pool_size=extra)
-        triples = _per_pair_make_pairs(batch, cfg, theirs, extra)
+        pairs = make_pairs(batch, cfg, ours)
+        triples = _per_pair_make_pairs(batch, cfg, theirs)
         i, j, lam = (zip(*triples) if triples else ((), (), ()))
         assert pairs.index_i.tolist() == list(i)
         assert pairs.index_j.tolist() == list(j)
@@ -129,7 +117,9 @@ def test_make_pairs_matches_per_pair_loop_bitwise(batch, pool, ratio):
 
 def _reference_make_pairs(batch_size, config, rng, extra_pool_size=0):
     """make_pairs written out in full, one round at a time, with
-    ``Generator.gamma``: (index_i, index_j, lam)."""
+    ``Generator.gamma``: (index_i, index_j, lam).  With a pool, partners
+    are distinct pool rows, as ``draw_round`` draws them for the gap
+    experiment."""
     index_j = np.empty((config.mixup_ratio, batch_size), dtype=np.int64)
     lam = np.empty(index_j.shape)
     for r in range(config.mixup_ratio):
@@ -146,18 +136,20 @@ def _reference_make_pairs(batch_size, config, rng, extra_pool_size=0):
                                                     "pool>batch"])
 @pytest.mark.parametrize("ratio", [0, 1, 2, 3])
 def test_make_pairs_and_draw_round_match_reference(ratio, pool):
-    """make_pairs, and draw_round per round with the lambdas formed at the
-    end (the gap experiment's route), give the reference's pairs bit for
-    bit and leave the generator where it does."""
+    """draw_round per round with the lambdas formed at the end (the gap
+    experiment's route), and without a pool make_pairs, give the
+    reference's pairs bit for bit and leave the generator where it
+    does."""
     cfg = MixupConfig(beta_alpha=0.4, mixup_ratio=ratio)
     for seed in range(3):
         ours, rounds, theirs = (np.random.default_rng(seed) for _ in range(3))
-        pairs = make_pairs(40, cfg, ours, extra_pool_size=pool)
         index_i, index_j, lam = _reference_make_pairs(40, cfg, theirs, pool)
-        assert pairs.index_i.tobytes() == index_i.tobytes()
-        assert pairs.index_j.tobytes() == index_j.tobytes()
-        assert pairs.lam.tobytes() == lam.tobytes()
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        if not pool:
+            pairs = make_pairs(40, cfg, ours)
+            assert pairs.index_i.tobytes() == index_i.tobytes()
+            assert pairs.index_j.tobytes() == index_j.tobytes()
+            assert pairs.lam.tobytes() == lam.tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
         gammas = np.empty((ratio, 40, 2))
         partners = [mixup.draw_round(40, 0.4, rounds, pool, gammas[r])

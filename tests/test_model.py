@@ -322,8 +322,15 @@ def _unfused_forward(params, emb, pad_mask, train_mode=False, rng=None,
             return ad.transpose(ad.reshape(y, (n, rows, h, hd)), (0, 2, 1, 3))
 
         def dropout(x, full_shape):
-            return ad.dropout(x, drop, rng,
-                              draw_shape=full_shape if cut else None)
+            """Inverted dropout as a mul by a constant mask: drawn at the
+            full layer's shape, cut to x's rows, then scaled."""
+            if drop == 0.0:
+                return x
+            keep = rng.random(full_shape) >= drop
+            if cut:
+                keep = keep[..., :1, :]
+            return ad.mul(x, ad.constant(keep.reshape(x.shape)
+                                         / (1.0 - drop)))
 
         with ad.scope(f"{p}.attn"):
             xq = ad.select_index(ad.reshape(x2, (n, T, d)), 0) if cut else x2

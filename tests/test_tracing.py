@@ -61,18 +61,17 @@ def test_tracer_uninstall_restores_every_attribute(tiny_params, tiny_config):
 
 def test_traced_make_pairs_counts_its_pairs():
     """perfbench's ``mixup.make_pairs.specs`` metric is ``len`` of what
-    make_pairs returns, wherever a mixkd module calls it."""
+    make_pairs returns, wherever a mixkd module calls it: here through
+    ``mixup`` and through ``distill``, which imports it by name."""
     rng = np.random.default_rng(0)
-    testbed = bounds.make_testbed(n_bits=4, seed=1)
-    originals = testbed.sample(5, rng)
     tracer = tracing.Tracer({})
     tracer.install()
     try:
         pairs = mixup.make_pairs(8, mixup.MixupConfig(mixup_ratio=3), rng)
-        bounds._mix_points(testbed, originals, 12, rng)
+        more = distill.make_pairs(12, mixup.MixupConfig(), rng)
     finally:
         tracer.uninstall()
-    assert len(pairs) == 24
+    assert len(pairs) == 24 and len(more) == 12
     assert tracer.counters["specs"] == 24 + 12
     assert tracer.totals()["mixup.make_pairs"][2] == 2
 
