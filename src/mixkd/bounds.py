@@ -350,7 +350,7 @@ def _draw_trials(testbed: EnumerableTestbed, a: int, b_mix: int, k: int,
     u = np.empty((k, a + b_mix))
     partners = np.empty((k, b_mix), dtype=np.intp)
     gammas = np.empty((k, b_mix, 2))
-    alpha = MixupConfig().beta_alpha
+    alpha = MixupConfig.beta_alpha  # the default, with no config to check
     for t in range(k):
         rng.random(out=u[t])
         if b_mix > 0:
